@@ -1,7 +1,10 @@
 package service
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -223,6 +226,21 @@ func TestStoreRejectsCorruptArtifacts(t *testing.T) {
 	t.Run("truncated", func(t *testing.T) {
 		corrupt(t, func(b []byte) []byte { return b[:len(b)-20] })
 	})
+}
+
+// TestArtifactGoldenBytes pins the bytes writeArtifact produces, so the
+// "byte-identical artifacts" contract is checked directly rather than
+// through a round trip that a symmetric writer/reader change would pass.
+func TestArtifactGoldenBytes(t *testing.T) {
+	var buf bytes.Buffer
+	if err := writeArtifact(&buf, storeKey(3), fakeResult(200, 16)); err != nil {
+		t.Fatal(err)
+	}
+	const want = "46d693ab07fa81e047244c21a003e5d274e4540490bfb1ada9c50aa3bd858ab6"
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("artifact sha256 = %s, want %s", got, want)
+	}
 }
 
 // TestLoadRowsMemoryBound is the scale acceptance pin: serving a small
