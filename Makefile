@@ -14,7 +14,7 @@ BENCH_PAT ?= ApplyUpdate|GenerateSubgraphs|ProximityMaterialize|TrainWorkers|Str
 # Per-target fuzz budget for fuzz-kernels (Go's -fuzztime syntax).
 FUZZTIME ?= 10s
 
-.PHONY: build test vet race fmt-check md-check bench bench-json bench-diff fuzz-kernels serve-smoke loadtest loadtest-smoke verify
+.PHONY: build test vet race fmt-check md-check bench-check bench bench-json bench-diff fuzz-kernels serve-smoke loadtest loadtest-smoke verify
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,13 @@ fmt-check:
 # sections now, so a renamed heading must break CI, not a reader.
 md-check:
 	$(GO) run ./scripts/mdcheck .
+
+# Vet and test the end-to-end benchmark module (bench/, its own go.mod).
+# It imports core, service, experiments and spec internals, and the root
+# `go test ./...` does not descend into it — so an internal API change
+# that breaks the benchmark fails here, not at benchmark time.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Race-detect the concurrent paths (the parallel training engine and the
 # experiments sweep runner live under internal/).
@@ -93,4 +100,4 @@ loadtest-smoke:
 
 # Tier-1 verification in one command — the same gate
 # .github/workflows/ci.yml runs on every push/PR.
-verify: build fmt-check md-check vet test race serve-smoke
+verify: build fmt-check md-check vet test bench-check race serve-smoke

@@ -10,6 +10,7 @@ package seprivgemb
 // EXPERIMENTS.md for recorded paper-vs-measured results.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -132,7 +133,7 @@ func BenchmarkTrainWorkers(b *testing.B) {
 			cfg.Workers = w
 			for i := 0; i < b.N; i++ {
 				cfg.Seed = uint64(i)
-				if _, err := Train(g, prox, cfg); err != nil {
+				if _, err := NewSession(g, prox, WithConfig(cfg)).Run(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -178,7 +179,7 @@ func BenchmarkTrainPrivateStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i)
-		if _, err := Train(g, prox, cfg); err != nil {
+		if _, err := NewSession(g, prox, WithConfig(cfg)).Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

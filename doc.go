@@ -26,8 +26,7 @@
 // bit-identically); WithEpochHook observes loss and privacy spend live;
 // WithCheckpointEvery snapshots periodically. A Service (NewService)
 // queues many such jobs behind one worker budget and deduplicates
-// identical submissions. The deprecated blocking Train remains as the
-// zero-option special case.
+// identical submissions.
 //
 // The serving surface (DESIGN.md §9) speaks declarative, wire-codable
 // JobSpecs: a graph source (named dataset@scale+seed, inline edge list,

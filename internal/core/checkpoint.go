@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -17,23 +16,15 @@ import (
 // whenever a field is added, removed, or reinterpreted; DecodeCheckpoint
 // rejects mismatches rather than resuming from a misread state.
 //
-// v2 (PR 4): the weight matrices moved out of the gob header into a
-// stream of fixed-size row blocks (see Encode), so encoding a million-node
-// checkpoint no longer buffers a third dense |V|×r copy inside gob.
-//
-// v3 (PR 5): the blocks became independently decodable frames followed by
-// a row-offset index (rowindex.go), so DecodeCheckpointRows can serve an
-// arbitrary row window of the embedding without materializing either full
-// matrix. DecodeCheckpoint still reads v2 streams (full decode only —
-// they carry no index); Encode always writes v3.
+// v3 is the indexed frame stream of rowindex.go: a header frame, the
+// weight matrices as independently decodable row-block frames, and a
+// row-offset index, so DecodeCheckpointRows can serve an arbitrary row
+// window of the embedding without materializing either full matrix. It is
+// the only version this build reads or writes.
 const checkpointVersion = 3
 
-// checkpointVersionV2 is the PR 4 layout: one shared gob stream of header
-// then chunked blocks. Readable for compatibility, never written.
-const checkpointVersionV2 = 2
-
 // chunkFloats is the block size (float64 values) of the chunked matrix
-// stream: 8192 values = 64 KiB per gob message, small enough that the
+// stream: 8192 values = 64 KiB per frame, small enough that the
 // encoder's transient buffer is O(1) in |V| and large enough that framing
 // overhead is negligible.
 const chunkFloats = 8192
@@ -196,44 +187,6 @@ type checkpointHeader struct {
 	DeltaSpent       float64
 }
 
-// EncodeFloat64Chunks writes data as consecutive gob messages of at most
-// chunkFloats values each. Gob buffers one full message before flushing,
-// so chunking bounds the encoder's transient memory at one block instead
-// of one dense |V|×r matrix — the difference between O(1) and O(|V|)
-// scratch on million-node checkpoints. Values round-trip exactly (gob
-// preserves float64 bits), as the bit-identical resume contract requires.
-// The artifact store reuses this framing for persisted results.
-func EncodeFloat64Chunks(enc *gob.Encoder, data []float64) error {
-	for off := 0; off < len(data); off += chunkFloats {
-		hi := off + chunkFloats
-		if hi > len(data) {
-			hi = len(data)
-		}
-		if err := enc.Encode(data[off:hi]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DecodeFloat64Chunks reassembles exactly n values written by
-// EncodeFloat64Chunks, rejecting streams whose blocks overrun n.
-func DecodeFloat64Chunks(dec *gob.Decoder, n int) ([]float64, error) {
-	dst := make([]float64, n)
-	for off := 0; off < n; {
-		var blk []float64
-		if err := dec.Decode(&blk); err != nil {
-			return nil, err
-		}
-		if off+len(blk) > n {
-			return nil, fmt.Errorf("block overruns expected %d values", n)
-		}
-		copy(dst[off:], blk)
-		off += len(blk)
-	}
-	return dst, nil
-}
-
 // header returns ck's wire header.
 func (ck *Checkpoint) header() checkpointHeader {
 	return checkpointHeader{
@@ -278,6 +231,10 @@ func checkpointFromHeader(hdr checkpointHeader) *Checkpoint {
 // own two dense copies are the only ones alive — and the index lets
 // DecodeCheckpointRows later serve any row window at O(window) cost.
 func (ck *Checkpoint) Encode(w io.Writer) error {
+	if n := ck.Nodes * ck.Dim; len(ck.Win) != n || len(ck.Wout) != n {
+		return fmt.Errorf("core: encoding checkpoint: %d/%d values for shape %dx%d",
+			len(ck.Win), len(ck.Wout), ck.Nodes, ck.Dim)
+	}
 	fw := NewFrameWriter(w)
 	if err := fw.WriteStreamMagic(); err != nil {
 		return fmt.Errorf("core: encoding checkpoint magic: %w", err)
@@ -286,56 +243,33 @@ func (ck *Checkpoint) Encode(w io.Writer) error {
 	if _, err := fw.WriteFrame(&hdr); err != nil {
 		return fmt.Errorf("core: encoding checkpoint header: %w", err)
 	}
-	if err := WriteIndexedMatrices(fw, ck.Nodes, ck.Dim, ck.Win, ck.Wout); err != nil {
+	win := &mathx.Matrix{Rows: ck.Nodes, Cols: ck.Dim, Data: ck.Win}
+	wout := &mathx.Matrix{Rows: ck.Nodes, Cols: ck.Dim, Data: ck.Wout}
+	if err := WriteIndexedMats(fw, win, wout); err != nil {
 		return fmt.Errorf("core: encoding checkpoint matrices: %w", err)
 	}
 	return nil
 }
 
-// DecodeCheckpoint reads a checkpoint previously written by Encode — the
-// indexed v3 format, or the legacy v2 single-gob-stream format for
-// checkpoints recorded by earlier builds. Decoded checkpoints are
-// normalized to the current version: the in-memory struct is
-// layout-independent, and re-encoding writes v3.
+// DecodeCheckpoint reads a checkpoint written by Encode. A stream in any
+// other format — including those of earlier builds — is an error naming
+// the version this build reads; rerunning the job reproduces the state.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	indexed, cr, err := DetectIndexed(r)
+	cr, err := ReadStreamMagic(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
 	}
 	var hdr checkpointHeader
-	if indexed {
-		if err := ReadFrameSeq(cr, &hdr); err != nil {
-			return nil, fmt.Errorf("core: decoding checkpoint header: %w", err)
-		}
-		if hdr.Version != checkpointVersion {
-			return nil, fmt.Errorf("core: indexed checkpoint claims format v%d, this build writes v%d",
-				hdr.Version, checkpointVersion)
-		}
-		ck := checkpointFromHeader(hdr)
-		if ck.Win, ck.Wout, err = ReadIndexedMatricesSeq(cr, hdr.Nodes, hdr.Dim); err != nil {
-			return nil, fmt.Errorf("core: decoding checkpoint matrices: %w", err)
-		}
-		return ck, nil
+	if err := ReadFrameSeq(cr, &hdr); err != nil {
+		return nil, fmt.Errorf("core: decoding checkpoint header: %w", err)
 	}
-	// Legacy v2: one shared gob stream of header then chunked blocks.
-	dec := gob.NewDecoder(cr)
-	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
-	}
-	if hdr.Version != checkpointVersionV2 {
-		return nil, fmt.Errorf("core: checkpoint format v%d, this build reads v%d and v%d",
-			hdr.Version, checkpointVersionV2, checkpointVersion)
-	}
-	if hdr.Nodes < 0 || hdr.Dim < 0 || (hdr.Dim > 0 && hdr.Nodes > int(^uint(0)>>1)/hdr.Dim) {
-		return nil, fmt.Errorf("core: checkpoint claims impossible shape %dx%d", hdr.Nodes, hdr.Dim)
+	if hdr.Version != checkpointVersion {
+		return nil, fmt.Errorf("core: checkpoint claims format v%d, this build reads v%d",
+			hdr.Version, checkpointVersion)
 	}
 	ck := checkpointFromHeader(hdr)
-	ck.Version = checkpointVersion
-	if ck.Win, err = DecodeFloat64Chunks(dec, hdr.Nodes*hdr.Dim); err != nil {
-		return nil, fmt.Errorf("core: decoding checkpoint Win: %w", err)
-	}
-	if ck.Wout, err = DecodeFloat64Chunks(dec, hdr.Nodes*hdr.Dim); err != nil {
-		return nil, fmt.Errorf("core: decoding checkpoint Wout: %w", err)
+	if ck.Win, ck.Wout, err = ReadIndexedMatricesSeq(cr, hdr.Nodes, hdr.Dim); err != nil {
+		return nil, fmt.Errorf("core: decoding checkpoint matrices: %w", err)
 	}
 	return ck, nil
 }
@@ -344,7 +278,7 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 // matrix of an indexed v3 checkpoint, reading just the chunk frames the
 // window intersects — memory and I/O are O(window·r), never O(|V|·r).
 // ra is the checkpoint stream (e.g. an *os.File or bytes.Reader) and size
-// its total byte length. Legacy v2 streams return ErrNoRowIndex.
+// its total byte length.
 func DecodeCheckpointRows(ra io.ReaderAt, size int64, lo, hi int) (*EmbeddingWindow, error) {
 	ix, err := ReadRowIndex(ra, size)
 	if err != nil {
@@ -355,7 +289,7 @@ func DecodeCheckpointRows(ra io.ReaderAt, size int64, lo, hi int) (*EmbeddingWin
 		return nil, fmt.Errorf("core: checkpoint row window: reading header: %w", err)
 	}
 	if hdr.Version != checkpointVersion {
-		return nil, fmt.Errorf("core: indexed checkpoint claims format v%d, this build writes v%d",
+		return nil, fmt.Errorf("core: checkpoint claims format v%d, this build reads v%d",
 			hdr.Version, checkpointVersion)
 	}
 	if hdr.Nodes != ix.Rows || hdr.Dim != ix.Cols {

@@ -2,8 +2,8 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
+	"strings"
 	"testing"
 
 	"seprivgemb/internal/dp"
@@ -40,9 +40,9 @@ func chunkCheckpoint(nodes, dim int) *Checkpoint {
 	}
 }
 
-// TestCheckpointChunkedRoundTrip pins the v2 wire format: matrices larger
-// than one chunk (chunkFloats values) stream as multiple blocks and must
-// reassemble bit-exactly, including an uneven final block.
+// TestCheckpointChunkedRoundTrip: matrices larger than one chunk
+// (chunkFloats values) stream as multiple v3 chunk frames and must
+// reassemble bit-exactly, including an uneven final chunk.
 func TestCheckpointChunkedRoundTrip(t *testing.T) {
 	for _, tc := range []struct{ nodes, dim int }{
 		{3, 5},                     // far below one chunk
@@ -89,26 +89,35 @@ func TestCheckpointDecodeRejectsBadStreams(t *testing.T) {
 		t.Error("truncated checkpoint accepted")
 	}
 
-	// A block that overruns the declared shape.
-	var over bytes.Buffer
-	enc := gob.NewEncoder(&over)
-	hdr := checkpointHeader{Version: checkpointVersion, Nodes: 2, Dim: 2}
-	if err := enc.Encode(&hdr); err != nil {
-		t.Fatal(err)
+	// v3 streams carrying the given header and raw chunk frames, built
+	// past Encode's own shape checks to reach the decoder's.
+	stream := func(hdr checkpointHeader, chunks ...[]float64) *bytes.Buffer {
+		var buf bytes.Buffer
+		fw := NewFrameWriter(&buf)
+		if err := fw.WriteStreamMagic(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fw.WriteFrame(&hdr); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range chunks {
+			if _, err := fw.WriteFrame(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return &buf
 	}
-	if err := enc.Encode(make([]float64, 100)); err != nil { // claims 4, sends 100
-		t.Fatal(err)
-	}
-	if _, err := DecodeCheckpoint(&over); err == nil {
-		t.Error("overlong block accepted")
+
+	// A chunk that overruns the declared shape.
+	over := stream(checkpointHeader{Version: checkpointVersion, Nodes: 2, Dim: 2},
+		make([]float64, 100)) // claims 4, sends 100
+	if _, err := DecodeCheckpoint(over); err == nil || !strings.Contains(err.Error(), "overruns") {
+		t.Errorf("overlong chunk: err = %v, want an overrun error", err)
 	}
 
 	// An impossible shape must be rejected before allocation.
-	var neg bytes.Buffer
-	if err := gob.NewEncoder(&neg).Encode(&checkpointHeader{Version: checkpointVersion, Nodes: -1, Dim: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeCheckpoint(&neg); err == nil {
-		t.Error("negative shape accepted")
+	neg := stream(checkpointHeader{Version: checkpointVersion, Nodes: -1, Dim: 8})
+	if _, err := DecodeCheckpoint(neg); err == nil || !strings.Contains(err.Error(), "impossible shape") {
+		t.Errorf("negative shape: err = %v, want an impossible-shape error", err)
 	}
 }

@@ -12,11 +12,11 @@ import (
 )
 
 // This file is the indexed (v3) stream format shared by checkpoints and
-// the artifact store. The v2 format streamed the weight matrices as 64 KiB
-// gob blocks to keep ENCODE memory flat in |V|; v3 keeps the blocks but
-// makes each one independently decodable and records where it landed, so
-// DECODE of an arbitrary row window is flat in |V| too — the serving
-// contract for partial embeddings (DESIGN.md §10).
+// the artifact store — the only format either reads or writes. The weight
+// matrices stream as 64 KiB blocks, which keeps ENCODE memory flat in |V|;
+// each block is independently decodable and the stream records where it
+// landed, so DECODE of an arbitrary row window is flat in |V| too — the
+// serving contract for partial embeddings (DESIGN.md §10).
 //
 // Layout:
 //
@@ -48,9 +48,8 @@ const (
 	maxFrameBytes = 16 << 20
 )
 
-// ErrNoRowIndex reports a stream without the v3 row index — a legacy (v1
-// artifact / v2 checkpoint) file, which supports full decode only.
-var ErrNoRowIndex = errors.New("core: stream carries no row index (pre-v3 format; re-encode to serve row windows)")
+// errNotV3 reports a stream that does not open with the v3 magic.
+var errNotV3 = errors.New("core: not a v3 indexed stream (this build reads only v3)")
 
 // EmbeddingWindow is a decoded row window [Lo, Hi) of a stored embedding
 // matrix — the unit of partial-embedding serving.
@@ -96,7 +95,8 @@ func (fw *FrameWriter) writeWord(v uint64) error {
 }
 
 // WriteStreamMagic emits the 8-byte v3 stream marker; it must be the first
-// write, so readers can tell an indexed stream from a legacy gob stream.
+// write, so readers can reject any other stream before decoding a byte of
+// it.
 func (fw *FrameWriter) WriteStreamMagic() error { return fw.writeWord(streamMagicV3) }
 
 // WriteFrame gob-encodes v with a fresh encoder and writes it as one
@@ -139,20 +139,18 @@ func (cr *CountingReader) Read(p []byte) (int, error) {
 // Offset returns the number of bytes consumed so far.
 func (cr *CountingReader) Offset() int64 { return cr.off }
 
-// DetectIndexed reads the first 8 bytes of r and reports whether they are
-// the v3 stream magic. The returned CountingReader counts from byte 0 of
-// the original stream: positioned after the magic for an indexed stream,
-// and replaying the peeked bytes for a legacy one (so a gob decoder sees
-// the stream from its true start).
-func DetectIndexed(r io.Reader) (bool, *CountingReader, error) {
+// ReadStreamMagic consumes the 8-byte v3 stream marker from r and returns
+// a CountingReader positioned after it. Any other head is an error: the v3
+// indexed stream is the only format this build reads.
+func ReadStreamMagic(r io.Reader) (*CountingReader, error) {
 	var head [8]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return false, nil, fmt.Errorf("core: reading stream head: %w", err)
+		return nil, fmt.Errorf("core: reading stream head: %w", err)
 	}
-	if binary.BigEndian.Uint64(head[:]) == streamMagicV3 {
-		return true, &CountingReader{r: r, off: 8}, nil
+	if binary.BigEndian.Uint64(head[:]) != streamMagicV3 {
+		return nil, errNotV3
 	}
-	return false, &CountingReader{r: io.MultiReader(bytes.NewReader(head[:]), r)}, nil
+	return &CountingReader{r: r, off: 8}, nil
 }
 
 // readFrameInto reads one length-prefixed frame from r into v, reusing
@@ -233,7 +231,7 @@ func chunkCount(total, per int) int {
 }
 
 // validate rejects an index that could not have been written by
-// WriteIndexedMatrices over a size-byte stream: wrong chunk counts,
+// WriteIndexedMats over a size-byte stream: wrong chunk counts,
 // non-increasing or out-of-range offsets, or an impossible shape.
 func (ix *RowIndex) validate(size int64) error {
 	switch {
@@ -258,54 +256,12 @@ func (ix *RowIndex) validate(size int64) error {
 	return nil
 }
 
-// writeChunkFrames emits data as independent chunk frames, returning the
-// byte offset of each.
-func writeChunkFrames(fw *FrameWriter, data []float64) ([]int64, error) {
-	offs := make([]int64, 0, chunkCount(len(data), chunkFloats))
-	for off := 0; off < len(data); off += chunkFloats {
-		hi := off + chunkFloats
-		if hi > len(data) {
-			hi = len(data)
-		}
-		start, err := fw.WriteFrame(data[off:hi])
-		if err != nil {
-			return nil, err
-		}
-		offs = append(offs, start)
-	}
-	return offs, nil
-}
-
-// WriteIndexedMatrices writes the chunk frames of both matrices, the
-// RowIndex frame, and the trailer — the whole stream after the caller's
-// header frame. Encoder memory stays O(chunk): one 64 KiB block is the
-// largest thing buffered, exactly as in the v2 format.
-func WriteIndexedMatrices(fw *FrameWriter, rows, cols int, win, wout []float64) error {
-	if len(win) != rows*cols || len(wout) != rows*cols {
-		return fmt.Errorf("core: indexed write of %d/%d values for shape %dx%d", len(win), len(wout), rows, cols)
-	}
-	ix := &RowIndex{ChunkFloats: chunkFloats, Rows: rows, Cols: cols}
-	var err error
-	if ix.Win, err = writeChunkFrames(fw, win); err != nil {
-		return err
-	}
-	if ix.Wout, err = writeChunkFrames(fw, wout); err != nil {
-		return err
-	}
-	start, err := fw.WriteFrame(ix)
-	if err != nil {
-		return err
-	}
-	return fw.writeTrailer(start)
-}
-
 // writeChunkFramesMat emits a Mat's row-major values as chunk frames,
 // staging rows through one chunkFloats buffer so memory stays O(chunk)
 // over any tier — including a spill-backed matrix, whose rows stream
 // through its LRU window. Chunk boundaries fall at multiples of
-// chunkFloats over the flattened array, exactly as writeChunkFrames cuts
-// them, so the emitted frames are byte-identical to a dense write of the
-// same values.
+// chunkFloats over the flattened row-major array, independent of row
+// width and storage tier, so equal values always encode to equal bytes.
 func writeChunkFramesMat(fw *FrameWriter, m mathx.Mat) ([]int64, error) {
 	rows, cols := m.NumRows(), m.NumCols()
 	offs := make([]int64, 0, chunkCount(rows*cols, chunkFloats))
@@ -343,10 +299,11 @@ func writeChunkFramesMat(fw *FrameWriter, m mathx.Mat) ([]int64, error) {
 	return offs, nil
 }
 
-// WriteIndexedMats is WriteIndexedMatrices over the Mat interface: for the
-// same values it produces the same stream bytes, but it never needs either
-// matrix dense — the artifact store persists a spill-backed result at
-// O(chunk) memory through this path.
+// WriteIndexedMats writes the chunk frames of both matrices, the RowIndex
+// frame, and the trailer — the whole stream after the caller's header
+// frame. It never needs either matrix dense: one 64 KiB block is the
+// largest thing buffered, so the artifact store persists a spill-backed
+// result at O(chunk) memory, and a checkpoint's slices stream as-is.
 func WriteIndexedMats(fw *FrameWriter, win, wout mathx.Mat) error {
 	rows, cols := win.NumRows(), win.NumCols()
 	if wout.NumRows() != rows || wout.NumCols() != cols {
@@ -441,10 +398,8 @@ func int64sEqual(a, b []int64) bool {
 }
 
 // ReadRowIndex locates and validates the RowIndex of a random-access v3
-// stream. A stream without the leading v3 magic returns ErrNoRowIndex (a
-// legacy format — full decode still works); a stream WITH the magic but a
-// damaged index or trailer returns a descriptive error, never ErrNoRowIndex,
-// so corruption is not mistaken for an old format.
+// stream. A stream without the leading v3 magic, or with a damaged index
+// or trailer, returns a descriptive error.
 func ReadRowIndex(ra io.ReaderAt, size int64) (*RowIndex, error) {
 	var head [8]byte
 	if size >= 8 {
@@ -453,7 +408,7 @@ func ReadRowIndex(ra io.ReaderAt, size int64) (*RowIndex, error) {
 		}
 	}
 	if size < 8 || binary.BigEndian.Uint64(head[:]) != streamMagicV3 {
-		return nil, ErrNoRowIndex
+		return nil, errNotV3
 	}
 	if size < 8+trailerBytes {
 		return nil, fmt.Errorf("core: %d-byte stream is too short for an index trailer", size)

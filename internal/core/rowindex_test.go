@@ -5,8 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"seprivgemb/internal/proximity"
@@ -73,47 +73,30 @@ func TestCheckpointWindowedDecodeMatchesFull(t *testing.T) {
 	}
 }
 
-// TestLegacyV2CheckpointStillDecodes pins backward compatibility: a v2
-// stream — one shared gob stream of header then chunked blocks, as PR 4
-// wrote — must fully decode (normalized to the current version), and a
-// row-window request on it must fail with ErrNoRowIndex, not a decode
-// error.
-func TestLegacyV2CheckpointStillDecodes(t *testing.T) {
+// TestDecodeRejectsNonV3Streams: v3 is the only format read. A stream in
+// any other layout — here a bare gob header, as earlier builds wrote — is
+// an error on both the full and the windowed path, and the full decode's
+// error names the version this build reads.
+func TestDecodeRejectsNonV3Streams(t *testing.T) {
 	ck := chunkCheckpoint(130, 64)
 	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
 	hdr := ck.header()
-	hdr.Version = checkpointVersionV2
-	if err := enc.Encode(&hdr); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeFloat64Chunks(enc, ck.Win); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeFloat64Chunks(enc, ck.Wout); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&hdr); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-
-	got, err := DecodeCheckpoint(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("legacy v2 decode: %v", err)
+	_, err := DecodeCheckpoint(bytes.NewReader(raw))
+	if err == nil || !strings.Contains(err.Error(), "v3") {
+		t.Errorf("full decode of a non-v3 stream: err = %v, want an error naming v3", err)
 	}
-	want := *ck
-	want.Version = checkpointVersion // legacy decodes normalize
-	if !reflect.DeepEqual(&want, got) {
-		t.Error("legacy v2 decode changed checkpoint fields")
-	}
-
-	if _, err := DecodeCheckpointRows(bytes.NewReader(raw), int64(len(raw)), 0, 10); !errors.Is(err, ErrNoRowIndex) {
-		t.Errorf("row window of a v2 stream: err = %v, want ErrNoRowIndex", err)
+	if _, err := DecodeCheckpointRows(bytes.NewReader(raw), int64(len(raw)), 0, 10); err == nil {
+		t.Error("row window of a non-v3 stream accepted")
 	}
 }
 
 // TestRowWindowRejectsCorruption: a stream that CLAIMS v3 but has a
-// damaged index or trailer must fail with a descriptive error — never
-// ErrNoRowIndex (which would misread corruption as an old format) and
-// never a silent wrong answer.
+// damaged index or trailer must fail with a descriptive error, never a
+// silent wrong answer.
 func TestRowWindowRejectsCorruption(t *testing.T) {
 	ck := chunkCheckpoint(130, 64)
 	raw := encodeToBytes(t, ck)
@@ -122,7 +105,7 @@ func TestRowWindowRejectsCorruption(t *testing.T) {
 		bad := append([]byte{}, raw...)
 		bad[len(bad)-1] ^= 0xff
 		_, err := DecodeCheckpointRows(bytes.NewReader(bad), int64(len(bad)), 0, 10)
-		if err == nil || errors.Is(err, ErrNoRowIndex) {
+		if err == nil {
 			t.Errorf("corrupt trailer: err = %v, want a corruption error", err)
 		}
 		// The sequential full decode must reject it too.
@@ -138,7 +121,7 @@ func TestRowWindowRejectsCorruption(t *testing.T) {
 			bad[i] = 0
 		}
 		_, err := DecodeCheckpointRows(bytes.NewReader(bad), int64(len(bad)), 0, 10)
-		if err == nil || errors.Is(err, ErrNoRowIndex) {
+		if err == nil {
 			t.Errorf("zeroed index: err = %v, want a corruption error", err)
 		}
 		if _, err := DecodeCheckpoint(bytes.NewReader(bad)); err == nil {
@@ -149,7 +132,7 @@ func TestRowWindowRejectsCorruption(t *testing.T) {
 	t.Run("truncated stream", func(t *testing.T) {
 		bad := raw[:len(raw)-24] // cuts trailer and into the index frame
 		_, err := DecodeCheckpointRows(bytes.NewReader(bad), int64(len(bad)), 0, 10)
-		if err == nil || errors.Is(err, ErrNoRowIndex) {
+		if err == nil {
 			t.Errorf("truncated stream: err = %v, want a corruption error", err)
 		}
 	})

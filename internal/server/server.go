@@ -38,8 +38,7 @@
 // and larger ones return hash+metadata only — a million-node embedding is
 // paged, never materialized into one response. embeddingHash always
 // covers the FULL matrix regardless of the window served, so any page
-// can be verified against it. The legacy ?embedding=true|1 is kept as an
-// alias for full.
+// can be verified against it.
 //
 // Replica serving: with a shared artifact store, a job ID this instance
 // never saw submitted — a peer replica's job — still answers on the
@@ -368,9 +367,9 @@ func parseEmbedQuery(q url.Values, nodes, dim int) (mode embedMode, lo, hi, limi
 		return n, nil
 	}
 	switch q.Get("embedding") {
-	case "full", "true", "1":
+	case "full":
 		mode = embedFull
-	case "none", "false", "0":
+	case "none":
 		mode = embedNone
 	case "range":
 		mode = embedRange

@@ -159,7 +159,7 @@ func TestSubmitStatusResultLifecycle(t *testing.T) {
 		t.Fatalf("final progress %+v, want epoch 3", final.Progress)
 	}
 
-	res, err := http.Get(ts.URL + "/v1/jobs/" + jr.ID + "/result?embedding=true")
+	res, err := http.Get(ts.URL + "/v1/jobs/" + jr.ID + "/result?embedding=full")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,8 +496,7 @@ func runTinyJob(t *testing.T, ts *httptest.Server, seed int) (string, resultResp
 }
 
 // TestResultEmbeddingModes pins the ?embedding= contract: explicit full,
-// none, the legacy true/1 aliases, the small-result default, and the 400
-// on an unknown mode.
+// none, the small-result default, and the 400 on any other mode.
 func TestResultEmbeddingModes(t *testing.T) {
 	ts, _ := newTestServer(t, service.Options{MaxWorkers: 2})
 	id, full := runTinyJob(t, ts, 21)
@@ -521,14 +520,10 @@ func TestResultEmbeddingModes(t *testing.T) {
 		t.Fatalf("default mode on a small result: HTTP %d rowCount %d", code, def.RowCount)
 	}
 
-	// Legacy alias.
-	code, _, legacy := fetchResult(t, ts.URL+"/v1/jobs/"+id+"/result?embedding=true")
-	if code != http.StatusOK || legacy.RowCount != full.Nodes {
-		t.Fatalf("embedding=true alias: HTTP %d rowCount %d", code, legacy.RowCount)
-	}
-
-	if code, _, _ = fetchResult(t, ts.URL+"/v1/jobs/"+id+"/result?embedding=sideways"); code != http.StatusBadRequest {
-		t.Fatalf("embedding=sideways: HTTP %d, want 400", code)
+	for _, mode := range []string{"sideways", "true", "0"} {
+		if code, _, _ = fetchResult(t, ts.URL+"/v1/jobs/"+id+"/result?embedding="+mode); code != http.StatusBadRequest {
+			t.Fatalf("embedding=%s: HTTP %d, want 400", mode, code)
+		}
 	}
 	if code, _, _ = fetchResult(t, ts.URL+"/v1/jobs/"+id+"/result?embedding=range&offset=x"); code != http.StatusBadRequest {
 		t.Fatalf("offset=x: HTTP %d, want 400", code)

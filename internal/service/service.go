@@ -566,8 +566,8 @@ func (s *Service) ResultRows(id string, lo, hi int) (*core.EmbeddingWindow, erro
 		if w, err := s.store.LoadRows(j.key, lo, hi); err == nil {
 			return w, nil
 		}
-		// Any store miss (no artifact, legacy format without an index,
-		// corruption) falls back to memory; the in-memory result is
+		// Any store miss (no artifact, another format, corruption) falls
+		// back to memory; the in-memory result is
 		// authoritative and the window contract is identical.
 	}
 	m, err := res.Rows(lo, hi)

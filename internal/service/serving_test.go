@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -405,6 +407,85 @@ func TestArtifactStoreSurvivesRestart(t *testing.T) {
 	}
 	if res2.Epochs != res1.Epochs || res2.Stopped != res1.Stopped {
 		t.Fatalf("artifact-served metadata drifted: %+v vs %+v", res2.Epochs, res1.Epochs)
+	}
+}
+
+// TestNonV3ArtifactIsRetrained pins the store's one-format rule: a file
+// at a job's artifact path that the current writer would not produce is a
+// Load miss, so the job trains exactly once, replaces the file with v3
+// bytes, and serves row windows bit-equal to the in-memory rows.
+func TestNonV3ArtifactIsRetrained(t *testing.T) {
+	sp := ringSpec()
+	ref := New(Options{MaxWorkers: 1})
+	jr, err := ref.SubmitSpec(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := jr.Wait(context.Background())
+	ref.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A complete artifact in the single-gob-stream layout earlier builds
+	// wrote (header, then the matrices as gob blocks), under the job's own
+	// key and holding the right values — still not v3, so still a miss.
+	dir := t.TempDir()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := jr.Key()
+	f, err := os.Create(st.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := artifactHeader{Version: 1, GraphFingerprint: key.Graph, Method: keyMethod(key),
+		Proximity: key.Proximity, ConfigHash: key.Config, Nodes: 20, Dim: 8}
+	enc := gob.NewEncoder(f)
+	for _, v := range []any{&stale, mathx.CopyOut(want.Model.Win), mathx.CopyOut(want.Model.Wout)} {
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Close()
+
+	s := New(Options{MaxWorkers: 1, ArtifactDir: dir})
+	defer s.Close()
+	j, err := s.SubmitSpec(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Trainings(); n != 1 {
+		t.Fatalf("trainings = %d, want exactly 1 (the stale file must be a miss)", n)
+	}
+	raw, err := os.ReadFile(st.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.ReadStreamMagic(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("artifact on disk after retraining is not v3: %v", err)
+	}
+
+	const lo, hi = 3, 17
+	mem, err := want.Rows(lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, read := range map[string]func() (*core.EmbeddingWindow, error){
+		"ResultRows":   func() (*core.EmbeddingWindow, error) { return s.ResultRows(j.ID(), lo, hi) },
+		"LoadRowsByID": func() (*core.EmbeddingWindow, error) { return st.LoadRowsByID(j.ID(), lo, hi) },
+	} {
+		w, err := read()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(w.Rows.Data, append([]float64{}, mem.Data...)) {
+			t.Errorf("%s window diverges from the in-memory rows", name)
+		}
 	}
 }
 

@@ -1,16 +1,12 @@
 package service
 
 import (
-	"encoding/gob"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"seprivgemb/internal/core"
@@ -22,35 +18,26 @@ import (
 )
 
 // artifactVersion identifies the on-disk result layout; bump on any field
-// change so a stale artifact is retrained, never misread.
-//
-// v1 (PR 4): one shared gob stream — header, then chunked row blocks in
-// the v2 checkpoint framing. Still readable (full decode only).
-// v3 (PR 5): the indexed frame stream of core/rowindex.go — the same
-// 64 KiB blocks, now independently decodable behind a row-offset index,
-// so LoadRows serves any row window at O(window) memory; the header
-// additionally records the full-embedding digest. (v2 was never an
-// artifact version; the number tracks the checkpoint format it shares
-// framing with.)
+// change so a stale artifact is retrained, never misread. v3 is the
+// indexed frame stream of core/rowindex.go — 64 KiB blocks, independently
+// decodable behind a row-offset index, so LoadRows serves any row window
+// at O(window) memory — whose header also records the full-embedding
+// digest. It is the only layout the store reads or writes: training is
+// bit-deterministic, so a file in any other layout is a Load miss and the
+// job retrains to the same bytes.
 const artifactVersion = 3
-
-// artifactVersionV1 is the PR 4 layout, readable for compatibility.
-const artifactVersionV1 = 1
 
 // artifactHeader is the head frame of a persisted training result: the
 // full deduplication key (re-verified on load — the filename hash is a
 // lookup aid, not an identity), the matrix shape, every scalar Result
-// field, and (v3) the FNV-1a digest of the full embedding so a row window
+// field, and the FNV-1a digest of the full embedding so a row window
 // can be verified against the matrix it was cut from. The weight matrices
 // follow as chunked row blocks, so encoding a million-node result never
 // buffers a dense copy inside gob.
 type artifactHeader struct {
 	Version          int
 	GraphFingerprint uint64
-	// Method is the canonical training-method name. Gob drops absent
-	// fields, so pre-registry artifacts decode with Method == "", which
-	// checkHeader treats as the default method — no version bump needed,
-	// and new artifacts remain readable by the old decoder the same way.
+	// Method is the canonical training-method name.
 	Method          string
 	Proximity       string
 	ConfigHash      uint64
@@ -61,8 +48,7 @@ type artifactHeader struct {
 	EpsilonSpent    float64
 	DeltaSpent      float64
 	LossHistory     []float64
-	// EmbeddingHash is mathx.DigestFloat64s over the full Win (v3 only;
-	// zero in v1 artifacts, whose gob stream predates the field).
+	// EmbeddingHash is mathx.DigestFloat64s over the full Win.
 	EmbeddingHash uint64
 }
 
@@ -72,9 +58,6 @@ type artifactHeader struct {
 // deduplication key, named by the stable job ID.
 type Store struct {
 	dir string
-	// legacyOnce bounds the degraded-path log for pre-index artifacts to
-	// one line per Store, not one per request.
-	legacyOnce sync.Once
 	// hits counts Loads that actually served a persisted result — the
 	// durable-tier twin of Service.Trainings, so a restart-resubmission
 	// test can assert "every cell came from disk".
@@ -96,8 +79,7 @@ func NewStore(dir string) (*Store, error) {
 // key, so the name needs no escaping; the method (for non-default methods)
 // and proximity names are appended readably for operators (sanitized —
 // registry names are ASCII identifiers, but a custom Proximity could say
-// otherwise). Default-method artifacts keep the pre-registry filename, so
-// results persisted before methods existed are still found.
+// otherwise). Default-method artifacts omit the method segment.
 func (st *Store) path(key experiments.ResultKey) string {
 	if m := keyMethod(key); m != methods.Default {
 		return filepath.Join(st.dir, fmt.Sprintf("%s-%s-%s.result.gob",
@@ -117,31 +99,49 @@ func sanitizeName(name string) string {
 	}, name)
 }
 
-// Save persists a completed result atomically (write-to-temp, fsync,
-// rename), the same crash discipline as CLI checkpoints: a torn write
-// leaves the previous artifact — or no artifact — never a corrupt one.
+// Save persists a completed result atomically (see writeFileAtomic), the
+// same crash discipline as CLI checkpoints: a torn write leaves the
+// previous artifact — or no artifact — never a corrupt one.
 func (st *Store) Save(key experiments.ResultKey, res *core.Result) error {
-	path := st.path(key)
+	return writeFileAtomic(st.path(key), func(w io.Writer) error {
+		return writeArtifact(w, key, res)
+	})
+}
+
+// writeFileAtomic replaces path with the bytes write produces: it writes a
+// sibling ".tmp" file, fsyncs it, renames it over path, and fsyncs the
+// directory so the rename itself survives a crash — once it returns nil,
+// the new file is durable. On any failure the temp file is removed and
+// path keeps its previous contents.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := writeArtifact(f, key, res); err != nil {
-		f.Close()
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
 	}
-	return os.Rename(tmp, path)
+	return err
 }
 
 func writeArtifact(w io.Writer, key experiments.ResultKey, res *core.Result) error {
@@ -207,27 +207,10 @@ func (st *Store) SaveSweep(res *spec.SweepResultResponse) error {
 	if err != nil {
 		return err
 	}
-	path := st.sweepPath(res.ID)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	return writeFileAtomic(st.sweepPath(res.ID), func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }
 
 // LoadSweep retrieves a persisted sweep outcome, false on any miss — the
@@ -245,19 +228,12 @@ func (st *Store) LoadSweep(id string) (*spec.SweepResultResponse, bool) {
 	return res, true
 }
 
-// checkHeader validates an artifact header against the requested key and
-// the version the surrounding framing implies. Methods compare after
-// normalization: an empty header field (pre-registry artifact) and an
-// empty key field both mean the default method.
-func checkHeader(hdr *artifactHeader, key experiments.ResultKey, wantVersion int) error {
-	hdrMethod := hdr.Method
-	if hdrMethod == "" {
-		hdrMethod = methods.Default
-	}
+// checkHeader validates an artifact header against the requested key.
+func checkHeader(hdr *artifactHeader, key experiments.ResultKey) error {
 	switch {
-	case hdr.Version != wantVersion:
-		return fmt.Errorf("artifact version %d, want %d", hdr.Version, wantVersion)
-	case hdr.GraphFingerprint != key.Graph || hdrMethod != keyMethod(key) ||
+	case hdr.Version != artifactVersion:
+		return fmt.Errorf("artifact version %d, want %d", hdr.Version, artifactVersion)
+	case hdr.GraphFingerprint != key.Graph || hdr.Method != keyMethod(key) ||
 		hdr.Proximity != key.Proximity || hdr.ConfigHash != key.Config:
 		return fmt.Errorf("artifact key mismatch")
 	case hdr.Nodes < 1 || hdr.Dim < 1 || hdr.Nodes > int(^uint(0)>>1)/hdr.Dim:
@@ -283,38 +259,18 @@ func (hdr *artifactHeader) result(win, wout []float64) *core.Result {
 }
 
 func readArtifact(r io.Reader, key experiments.ResultKey) (*core.Result, error) {
-	indexed, cr, err := core.DetectIndexed(r)
+	cr, err := core.ReadStreamMagic(r)
 	if err != nil {
 		return nil, err
 	}
 	var hdr artifactHeader
-	if indexed {
-		if err := core.ReadFrameSeq(cr, &hdr); err != nil {
-			return nil, err
-		}
-		if err := checkHeader(&hdr, key, artifactVersion); err != nil {
-			return nil, err
-		}
-		win, wout, err := core.ReadIndexedMatricesSeq(cr, hdr.Nodes, hdr.Dim)
-		if err != nil {
-			return nil, err
-		}
-		return hdr.result(win, wout), nil
-	}
-	// Legacy v1: one shared gob stream of header then chunked blocks.
-	dec := gob.NewDecoder(cr)
-	if err := dec.Decode(&hdr); err != nil {
+	if err := core.ReadFrameSeq(cr, &hdr); err != nil {
 		return nil, err
 	}
-	if err := checkHeader(&hdr, key, artifactVersionV1); err != nil {
+	if err := checkHeader(&hdr, key); err != nil {
 		return nil, err
 	}
-	total := hdr.Nodes * hdr.Dim
-	win, err := core.DecodeFloat64Chunks(dec, total)
-	if err != nil {
-		return nil, err
-	}
-	wout, err := core.DecodeFloat64Chunks(dec, total)
+	win, wout, err := core.ReadIndexedMatricesSeq(cr, hdr.Nodes, hdr.Dim)
 	if err != nil {
 		return nil, err
 	}
@@ -324,12 +280,10 @@ func readArtifact(r io.Reader, key experiments.ResultKey) (*core.Result, error) 
 // LoadRows decodes only rows [lo, hi) of the persisted embedding for key,
 // seeking through the artifact's row-offset index so memory and I/O are
 // O(window·r) no matter how many nodes the full matrix holds — the
-// serving path for partial embeddings of million-node results. A legacy
-// (v1) artifact without an index degrades to a sequential full decode
-// instead of failing — see loadRowsLegacy. Unlike Load, other failures are
-// returned (not folded to a bool): the caller is serving a read, not
-// deciding whether to retrain, so "no artifact", "bad window", and
-// "corrupt index" all deserve distinct reports.
+// serving path for partial embeddings of million-node results. Unlike
+// Load, failures are returned (not folded to a bool): the caller is
+// serving a read, not deciding whether to retrain, so "no artifact", "bad
+// window", and "corrupt index" all deserve distinct reports.
 func (st *Store) LoadRows(key experiments.ResultKey, lo, hi int) (*core.EmbeddingWindow, error) {
 	f, err := os.Open(st.path(key))
 	if err != nil {
@@ -343,20 +297,13 @@ func (st *Store) LoadRows(key experiments.ResultKey, lo, hi int) (*core.Embeddin
 	size := fi.Size()
 	ix, err := core.ReadRowIndex(f, size)
 	if err != nil {
-		// A pre-index (v1) artifact is a degraded path, not a dead end: fall
-		// back to a sequential full decode and slice the window in memory.
-		// O(|V|·r) instead of O(window·r), but legacy artifacts keep serving
-		// row ranges until their job is retrained under the new format.
-		if errors.Is(err, core.ErrNoRowIndex) {
-			return st.loadRowsLegacy(f, key, lo, hi)
-		}
 		return nil, fmt.Errorf("service: artifact for job %s: %w", JobID(key), err)
 	}
 	var hdr artifactHeader
 	if err := core.ReadFrameAt(f, 8, size, &hdr); err != nil {
 		return nil, fmt.Errorf("service: artifact for job %s: reading header: %w", JobID(key), err)
 	}
-	if err := checkHeader(&hdr, key, artifactVersion); err != nil {
+	if err := checkHeader(&hdr, key); err != nil {
 		return nil, fmt.Errorf("service: artifact for job %s: %v", JobID(key), err)
 	}
 	if hdr.Nodes != ix.Rows || hdr.Dim != ix.Cols {
@@ -373,36 +320,5 @@ func (st *Store) LoadRows(key experiments.ResultKey, lo, hi int) (*core.Embeddin
 		Dim:       hdr.Dim,
 		Rows:      m,
 		FullHash:  hdr.EmbeddingHash,
-	}, nil
-}
-
-// loadRowsLegacy serves a row window from a v1 artifact, which has no
-// row-offset index: decode the whole result sequentially (the only read
-// the format supports) and cut the window from the in-memory matrix. The
-// full-embedding digest is computed here — v1 headers predate the
-// EmbeddingHash field — so the window contract (verifiable against the
-// whole matrix) still holds. The degraded path is logged once per Store.
-func (st *Store) loadRowsLegacy(f *os.File, key experiments.ResultKey, lo, hi int) (*core.EmbeddingWindow, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("service: artifact for job %s: %w", JobID(key), err)
-	}
-	res, err := readArtifact(f, key)
-	if err != nil {
-		return nil, fmt.Errorf("service: artifact for job %s: %w", JobID(key), err)
-	}
-	m, err := res.Rows(lo, hi)
-	if err != nil {
-		return nil, fmt.Errorf("service: artifact for job %s: %w", JobID(key), err)
-	}
-	st.legacyOnce.Do(func() {
-		log.Printf("service: artifact for job %s predates the row index (v1); serving row windows by full decode until the job is retrained", JobID(key))
-	})
-	emb := res.Embedding()
-	return &core.EmbeddingWindow{
-		Lo: lo, Hi: hi,
-		TotalRows: emb.Rows,
-		Dim:       emb.Cols,
-		Rows:      m,
-		FullHash:  mathx.DigestFloat64s(emb.Data),
 	}, nil
 }

@@ -3,9 +3,9 @@ package service
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -93,100 +93,32 @@ func TestStoreRoundTripAndRows(t *testing.T) {
 	}
 }
 
-// legacyV1Header replicates the PR 4 artifact header, which predates the
-// EmbeddingHash field. Gob matches struct fields by name, so writing this
-// produces exactly what an old binary would have written.
-type legacyV1Header struct {
-	Version          int
-	GraphFingerprint uint64
-	Proximity        string
-	ConfigHash       uint64
-	Nodes, Dim       int
-	Epochs           int
-	Stopped          int
-	StoppedByBudget  bool
-	EpsilonSpent     float64
-	DeltaSpent       float64
-	LossHistory      []float64
-}
-
-// writeLegacyV1Artifact writes an artifact in the PR 4 layout: one shared
-// gob stream — header, then chunked blocks.
-func writeLegacyV1Artifact(t *testing.T, st *Store, key experiments.ResultKey, res *core.Result) {
-	t.Helper()
-	f, err := os.Create(st.path(key))
-	if err != nil {
+// TestWriteFileAtomicFailureKeepsPrevious: a writer that fails midway
+// leaves the previous file byte-for-byte intact and no ".tmp" behind.
+func TestWriteFileAtomicFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.result.gob")
+	if err := writeFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write([]byte("previous"))
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	enc := gob.NewEncoder(f)
-	hdr := legacyV1Header{
-		Version:          artifactVersionV1,
-		GraphFingerprint: key.Graph,
-		Proximity:        key.Proximity,
-		ConfigHash:       key.Config,
-		Nodes:            res.Model.Win.NumRows(),
-		Dim:              res.Model.Dim,
-		Epochs:           res.Epochs,
-		Stopped:          int(res.Stopped),
-		EpsilonSpent:     res.EpsilonSpent,
-		DeltaSpent:       res.DeltaSpent,
-		LossHistory:      res.LossHistory,
-	}
-	if err := enc.Encode(&hdr); err != nil {
-		t.Fatal(err)
-	}
-	if err := core.EncodeFloat64Chunks(enc, res.Model.Win.(*mathx.Matrix).Data); err != nil {
-		t.Fatal(err)
-	}
-	if err := core.EncodeFloat64Chunks(enc, res.Model.Wout.(*mathx.Matrix).Data); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStoreLegacyV1Compat: v1 artifacts written by PR 4 still fully load,
-// and a row-range request on one is served through the sequential-decode
-// fallback — same window contract as the indexed path (correct rows,
-// verifiable full hash), just without the O(window) memory bound.
-func TestStoreLegacyV1Compat(t *testing.T) {
-	st, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := storeKey(2)
-	res := fakeResult(300, 8)
-	writeLegacyV1Artifact(t, st, key, res)
-
-	got, ok := st.Load(key)
-	if !ok {
-		t.Fatal("legacy v1 artifact did not load")
-	}
-	if !reflect.DeepEqual(res.Model.Win.(*mathx.Matrix).Data, got.Model.Win.(*mathx.Matrix).Data) ||
-		!reflect.DeepEqual(res.Model.Wout.(*mathx.Matrix).Data, got.Model.Wout.(*mathx.Matrix).Data) ||
-		got.Epochs != res.Epochs {
-		t.Fatal("legacy v1 decode changed the result")
-	}
-
-	wantHash := mathx.DigestFloat64s(res.Model.Win.(*mathx.Matrix).Data)
-	for _, w := range [][2]int{{0, 10}, {0, 300}, {299, 300}, {100, 100}} {
-		lo, hi := w[0], w[1]
-		win, err := st.LoadRows(key, lo, hi)
-		if err != nil {
-			t.Fatalf("LoadRows(%d, %d) on a v1 artifact: %v", lo, hi, err)
+	boom := errors.New("disk full")
+	err := writeFileAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("torn")); err != nil {
+			return err
 		}
-		if win.TotalRows != 300 || win.Dim != 8 || win.FullHash != wantHash {
-			t.Fatalf("v1 fallback window metadata %+v", win)
-		}
-		want := res.Model.Win.(*mathx.Matrix).Data[lo*8 : hi*8]
-		if !reflect.DeepEqual(win.Rows.Data, append([]float64{}, want...)) {
-			t.Errorf("v1 fallback LoadRows(%d, %d) diverges from the full matrix", lo, hi)
-		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the writer's error", err)
 	}
-	// Out-of-range windows are still refused on the fallback path.
-	for _, w := range [][2]int{{-1, 5}, {5, 3}, {0, 301}} {
-		if _, err := st.LoadRows(key, w[0], w[1]); err == nil {
-			t.Errorf("v1 fallback accepted window (%d, %d)", w[0], w[1])
-		}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "previous" {
+		t.Fatalf("previous file now %q (err %v), want it intact", got, err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: stat err = %v", err)
 	}
 }
 
@@ -216,7 +148,7 @@ func TestStoreRejectsCorruptArtifacts(t *testing.T) {
 		if _, ok := st.Load(key); ok {
 			t.Error("Load accepted a corrupt artifact")
 		}
-		if _, err := st.LoadRows(key, 0, 10); err == nil || errors.Is(err, core.ErrNoRowIndex) {
+		if _, err := st.LoadRows(key, 0, 10); err == nil {
 			t.Errorf("LoadRows on a corrupt artifact: err = %v, want a corruption error", err)
 		}
 	}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -97,21 +96,14 @@ func (st *Store) headerByJobID(id string) (*artifactHeader, experiments.ResultKe
 	return hdr, key, true
 }
 
-// readArtifactHeader decodes just the head frame of an artifact in either
-// framing (v3 indexed, v1 legacy gob).
+// readArtifactHeader decodes just the head frame of a v3 artifact.
 func readArtifactHeader(f *os.File) (*artifactHeader, error) {
-	indexed, cr, err := core.DetectIndexed(f)
+	cr, err := core.ReadStreamMagic(f)
 	if err != nil {
 		return nil, err
 	}
 	var hdr artifactHeader
-	if indexed {
-		if err := core.ReadFrameSeq(cr, &hdr); err != nil {
-			return nil, err
-		}
-		return &hdr, nil
-	}
-	if err := gob.NewDecoder(cr).Decode(&hdr); err != nil {
+	if err := core.ReadFrameSeq(cr, &hdr); err != nil {
 		return nil, err
 	}
 	return &hdr, nil

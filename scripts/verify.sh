@@ -7,6 +7,8 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 go test ./...
+# The benchmark module has its own go.mod; `go test ./...` skips it.
+(cd bench && go vet ./... && go test ./...)
 go test -race ./internal/...
 # Serving smoke: random port, one tiny job over real HTTP, poll to done,
 # fetch the result.

@@ -106,26 +106,6 @@ func MaterializeProximity(p Proximity, workers int) Proximity {
 // B=128, η=0.1, C=2, σ=5, ε=3.5, δ=1e-5, 200 epochs, non-zero perturbation.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// Train runs SE-PrivGEmb (Algorithm 2) on g with the given structure
-// preference, or the non-private SE-GEmb counterpart when cfg.Private is
-// false. The returned Result.Embedding() satisfies node-level (ε, δ)-RDP
-// converted to (ε, δ)-DP per Theorem 1.
-//
-// Setting cfg.Workers > 1 runs the per-epoch gradient stage on a worker
-// pool. Only the randomness-free gradient computation is parallelized and
-// its reduction replays in batch order, so training remains bit-for-bit
-// deterministic in cfg.Seed regardless of worker count (DESIGN.md §6).
-//
-// Deprecated: Train blocks until the run finishes and offers no
-// cancellation, progress, or resume. Use the Session API instead —
-// NewSession(g, prox, WithConfig(cfg)).Run(ctx) is bit-identical to
-// Train(g, prox, cfg) and adds all three; a Service queues and
-// deduplicates many such jobs. Train is kept so pre-Session callers
-// compile unchanged.
-func Train(g *Graph, prox Proximity, cfg Config) (*Result, error) {
-	return core.Train(g, prox, cfg)
-}
-
 // StrucEqu is the structural-equivalence metric of Section VI-A: the
 // Pearson correlation between adjacency-row distances and embedding
 // distances over all node pairs.

@@ -28,7 +28,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if cfg.BatchSize > g.NumEdges() {
 		cfg.BatchSize = g.NumEdges()
 	}
-	res, err := seprivgemb.Train(g, prox, cfg)
+	res, err := seprivgemb.NewSession(g, prox, seprivgemb.WithConfig(cfg)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,7 @@ import (
 // This file is the job-oriented face of the library: Session wraps one
 // training run as a cancellable, observable, resumable job, and Service
 // queues many such runs behind a shared worker budget. Both are thin over
-// core.TrainContext and internal/service; the blocking Train remains as a
-// deprecated convenience (see its doc comment).
+// core.TrainContext and internal/service.
 
 // Re-exported session and service types.
 type (
@@ -136,10 +135,6 @@ var (
 	ErrQuotaExceeded = service.ErrQuotaExceeded
 	ErrInvalidSpec   = service.ErrInvalidSpec
 	ErrServiceClosed = service.ErrClosed
-	// ErrNoRowIndex reports a row-window read of a pre-v3 checkpoint or
-	// artifact, which carries no row-offset index (full decode still
-	// works; re-encode to serve windows). Test with errors.Is.
-	ErrNoRowIndex = core.ErrNoRowIndex
 )
 
 // Stop reasons for Result.Stopped.
@@ -166,8 +161,8 @@ var DecodeCheckpoint = core.DecodeCheckpoint
 // of an indexed (v3) checkpoint stream, seeking through its row-offset
 // index instead of materializing the full matrices — serve a window of a
 // million-node snapshot at O(window·r) memory. ra is the stream (an
-// *os.File or *bytes.Reader) and size its byte length; pre-v3 streams
-// fail with ErrNoRowIndex.
+// *os.File or *bytes.Reader) and size its byte length; a stream in any
+// other format is an error.
 var DecodeCheckpointRows = core.DecodeCheckpointRows
 
 // Session is one configured training run behind the job-oriented API:
@@ -262,8 +257,8 @@ func WithMethod(name string) Option {
 }
 
 // NewSession builds a training session over g with the given structure
-// preference. Without options the session reproduces
-// Train(g, prox, DefaultConfig()) exactly.
+// preference. Without options the session runs Algorithm 2 under
+// DefaultConfig().
 func NewSession(g *Graph, prox Proximity, opts ...Option) *Session {
 	s := &Session{g: g, prox: prox, cfg: core.DefaultConfig()}
 	for _, opt := range opts {

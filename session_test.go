@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"seprivgemb"
+	"seprivgemb/internal/core"
 )
 
 func sessionTestInputs(t *testing.T) (*seprivgemb.Graph, seprivgemb.Proximity, seprivgemb.Config) {
@@ -44,10 +45,10 @@ func embHash(xs []float64) uint64 {
 }
 
 // TestSessionMatchesTrain: the Session facade must be bit-identical to the
-// deprecated blocking Train.
+// blocking core.Train it wraps.
 func TestSessionMatchesTrain(t *testing.T) {
 	g, prox, cfg := sessionTestInputs(t)
-	want, err := seprivgemb.Train(g, prox, cfg)
+	want, err := core.Train(g, prox, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestServiceFacade(t *testing.T) {
 	if j1.Status() != seprivgemb.JobDone {
 		t.Fatalf("job status %v, want done", j1.Status())
 	}
-	want, err := seprivgemb.Train(g, prox, cfg)
+	want, err := seprivgemb.NewSession(g, prox, seprivgemb.WithConfig(cfg)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,9 +295,9 @@ func TestRowRangeFacade(t *testing.T) {
 		t.Fatal("checkpoint window diverges from the in-memory rows")
 	}
 
-	// Window errors are errors.Is-classifiable at the facade.
-	if _, err := seprivgemb.DecodeCheckpointRows(bytes.NewReader(raw[8:]), int64(len(raw)-8), lo, hi); !errors.Is(err, seprivgemb.ErrNoRowIndex) {
-		t.Errorf("headless stream: err = %v, want ErrNoRowIndex", err)
+	// A stream without the v3 head is refused, not misread.
+	if _, err := seprivgemb.DecodeCheckpointRows(bytes.NewReader(raw[8:]), int64(len(raw)-8), lo, hi); err == nil {
+		t.Error("headless stream accepted")
 	}
 
 	// And the service path: artifact-backed windows under the same hash.
