@@ -1,8 +1,8 @@
 GO ?= go
 # Benchmark → JSON recording for the perf trajectory; bump per PR.
-BENCH_JSON ?= BENCH_pr9.json
+BENCH_JSON ?= BENCH_pr13.json
 # The previous PR's recording, the regression baseline for bench-diff.
-BENCH_BASE ?= BENCH_pr8.json
+BENCH_BASE ?= BENCH_pr9.json
 # The replica-set load report recorded by `make loadtest`.
 LOAD_JSON ?= BENCH_load_pr9.json
 # The sharded-stage benchmarks: the DP noise/update stage, the one-shot
@@ -47,11 +47,11 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Race-detect the concurrent paths (the parallel training engine and the
-# experiments sweep runner live under internal/).
+# service's job queue and sweep orchestrator live under internal/).
 race:
 	$(GO) test -race ./internal/...
 
-# Concurrency + experiment benchmarks; BenchmarkTrainWorkers tracks the
+# Root training-engine benchmarks; BenchmarkTrainWorkers tracks the
 # parallel engine's scaling curve.
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .

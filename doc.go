@@ -33,8 +33,9 @@
 // or server-side file), a proximity by name, and the full config as
 // plain data. Service.SubmitSpec resolves and enqueues one — under a
 // priority, a per-tenant in-flight quota (ErrQuotaExceeded), TTL+LRU
-// bounded result memoization (MemoLimits), and an optional on-disk
-// artifact store that survives process restarts — and the HTTP front-end
+// bounded retention of finished jobs (MemoLimits), and an optional on-disk
+// artifact store that survives process restarts and serves forgotten
+// jobs by ID — and the HTTP front-end
 // (cmd/seprivd, or `sepriv serve`) serves the same contract as JSON on
 // POST /v1/jobs. One spec, any transport, one training run: identical
 // specs deduplicate onto a single job with a stable ID and a shared
@@ -64,7 +65,7 @@
 // one SweepSpec (DESIGN.md §13): axes (graphs × methods × ε × seeds), a
 // shared base config, and a metric (strucequ or linkauc).
 // Service.SubmitSweep expands it into per-cell jobs behind the same
-// queue, memo, and artifact store, aggregates done cells into a
+// queue, job table, and artifact store, aggregates done cells into a
 // (graph, method, ε) → mean±std table over the seed axis, and persists
 // the result as its own artifact. Sweep IDs hash the canonicalized cell
 // set, so resubmission — any axis order, even after a restart — never
@@ -104,10 +105,11 @@
 // on a counter-based random stream rather than drawn sequentially
 // (DESIGN.md §6). The same index-addressed pattern shards the O(|V|²)
 // StrucEqu pair scan and link-prediction scoring (StrucEquWorkers,
-// LinkAUCWorkers). The experiments harness offers the guarantee one
-// level up: independent sweep runs fan across goroutines without changing
-// a printed number.
+// LinkAUCWorkers). Sweeps offer the guarantee one level up: independent
+// cells fan across the service's worker slots without changing a table
+// entry, and cmd/experiments regenerates every table and figure of the
+// paper's evaluation as such sweeps.
 //
-// See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-// reproduction of every table and figure in the paper's evaluation.
+// See DESIGN.md for the full system inventory, and its §7 for how the
+// paper's tables and figures are reproduced.
 package seprivgemb

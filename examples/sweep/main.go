@@ -4,7 +4,7 @@
 // A SweepSpec names the axes (graphs × methods × ε × seeds) and the
 // metric; SubmitSweep expands it into per-cell training jobs behind the
 // service's priority queue, so every cell deduplicates against the job
-// memo and artifact store like any other submission. Resubmitting the
+// table and artifact store like any other submission. Resubmitting the
 // same grid therefore re-serves the finished sweep without training a
 // single cell — the second half of this example demonstrates exactly
 // that.

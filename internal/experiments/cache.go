@@ -1,22 +1,21 @@
+// Package experiments holds the dataset and proximity Memo that spec
+// resolution reads, and ResultKey, the deduplication key of a training
+// run. The paper's tables and figures are regenerated by cmd/experiments
+// as sweeps over the service layer, which owns trained results.
 package experiments
 
 import (
-	"context"
 	"sync"
-	"sync/atomic"
-	"time"
 
-	"seprivgemb/internal/core"
 	"seprivgemb/internal/datasets"
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/proximity"
 )
 
-// Memo is the sweep-level cache: figure and table sweeps evaluate the same
-// (dataset, scale, measure) combination in hundreds of cells (method × ε ×
-// seed), and before PR 2 every cell re-simulated the dataset and rebuilt
-// its proximity from scratch. A Memo computes each artifact once and
-// shares it:
+// Memo is the graph-side cache: a sweep evaluates the same (dataset,
+// scale, measure) combination in hundreds of cells (method × ε × seed),
+// and a server sees the same dataset named by many requests. A Memo
+// computes each artifact once and shares it:
 //
 //   - simulated dataset graphs, keyed by (name, scale, seed);
 //   - materialized proximity matrices, keyed by (graph, measure) — built
@@ -24,38 +23,21 @@ import (
 //     sharded construction.
 //
 // Graphs are immutable and Sparse proximities are read-only after
-// materialization, so sharing across sweep goroutines is safe. Each key is
+// materialization, so sharing across goroutines is safe. Each key is
 // computed exactly once (sync.Once per entry); concurrent requesters block
-// on the winner rather than duplicating work.
+// on the winner rather than duplicating work. Entries are unbounded: their
+// population is bounded by the datasets named, not by traffic. Trained
+// results are not cached here — the service's job table owns them.
 //
 // Proximity entries are keyed by graph pointer and only created for graphs
 // the Memo itself produced: transient graphs (e.g. per-seed link-prediction
 // training splits) fall back to the direct lazy measure, where one-shot
 // At-by-edge evaluation is cheaper than materializing every row.
 type Memo struct {
-	lim Limits
-	now func() time.Time // injectable clock for TTL tests
-
-	mu      sync.Mutex
-	graphs  map[graphKey]*graphEntry
-	prox    map[proxKey]*proxEntry
-	known   map[*graph.Graph]bool
-	results map[ResultKey]*resultEntry
-}
-
-// Limits bounds the result side of a Memo for serving use, where the
-// process is long-lived and the request stream unbounded — without them
-// every distinct (graph, proximity, config) ever submitted pins a dense
-// |V|×r embedding forever. Graph and proximity entries stay unbounded:
-// sweeps hold live references to them, and their population is bounded by
-// the sweep grid, not by traffic.
-type Limits struct {
-	// MaxResults caps memoized training results; beyond it the
-	// least-recently-used completed entry is evicted. 0 means unbounded.
-	MaxResults int
-	// ResultTTL expires completed results this long after their last use;
-	// an expired entry is recomputed on next request. 0 means no expiry.
-	ResultTTL time.Duration
+	mu     sync.Mutex
+	graphs map[graphKey]*graphEntry
+	prox   map[proxKey]*proxEntry
+	known  map[*graph.Graph]bool
 }
 
 // ResultKey identifies a training run up to bit-identical output: the
@@ -99,158 +81,12 @@ type proxEntry struct {
 	err  error
 }
 
-// resultEntry is a cancellation-aware singleflight slot: sem (capacity 1)
-// is the entry's lock, acquired with a select so a waiter can abandon the
-// flight when its context dies instead of blocking behind a long training
-// run. done/res are only touched while holding sem; completed mirrors done
-// for the eviction scan, which runs under the Memo mutex WITHOUT sem (an
-// in-flight entry must never be evicted, or its waiters would split from
-// the winner).
-type resultEntry struct {
-	sem  chan struct{}
-	done bool
-	res  *core.Result
-
-	completed atomic.Bool
-	// lastUse orders entries for LRU eviction and TTL expiry; guarded by
-	// the Memo mutex.
-	lastUse time.Time
-}
-
-// NewMemo returns an unbounded sweep cache (the right shape for a sweep,
-// whose key population is the finite experiment grid).
+// NewMemo returns an empty cache.
 func NewMemo() *Memo {
-	return NewMemoLimited(Limits{})
-}
-
-// NewMemoLimited returns a sweep cache whose memoized training results are
-// bounded by lim — the serving configuration.
-func NewMemoLimited(lim Limits) *Memo {
 	return &Memo{
-		lim:     lim,
-		now:     time.Now,
-		graphs:  make(map[graphKey]*graphEntry),
-		prox:    make(map[proxKey]*proxEntry),
-		known:   make(map[*graph.Graph]bool),
-		results: make(map[ResultKey]*resultEntry),
-	}
-}
-
-// ResultFor returns the memoized training result for key, invoking run to
-// produce it on first use. Concurrent requesters for one key block on the
-// winner (singleflight), so identical submissions never train twice; a
-// waiter whose ctx ends while the winner is still training returns
-// ctx.Err() immediately rather than waiting out a run it no longer wants
-// (nil ctx behaves as context.Background()).
-//
-// Only completed runs are memoized: run outcomes that errored or were
-// canceled mid-training (core.StopCanceled) are returned to their caller
-// but leave the entry open, so the next identical submission computes
-// afresh rather than being served a partial embedding.
-//
-// Results are retained subject to the Memo's Limits: an unbounded Memo
-// (NewMemo) keeps them for its lifetime — the sweep configuration — while
-// NewMemoLimited expires completed results ResultTTL after their last use
-// and evicts the least-recently-used beyond MaxResults. Eviction only ever
-// touches completed entries: an in-flight run and its waiters are never
-// split apart.
-//
-// Every caller for a key receives the SAME *core.Result (that is the
-// point: one training, many consumers), so the result — including its
-// Model matrices — must be treated as read-only. A caller needing to
-// transform the embedding in place must copy it first, or it corrupts the
-// cache for every later identical submission.
-func (m *Memo) ResultFor(ctx context.Context, key ResultKey, run func() (*core.Result, error)) (*core.Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	m.mu.Lock()
-	now := m.now()
-	e, ok := m.results[key]
-	// An expired hit is a miss: drop the entry and recompute. Waiters
-	// already attached to it still receive its result — expiry moves the
-	// key, not the in-hand pointers.
-	if ok && m.expiredLocked(e, now) {
-		delete(m.results, key)
-		ok = false
-	}
-	if !ok {
-		e = &resultEntry{sem: make(chan struct{}, 1)}
-		m.results[key] = e
-	}
-	e.lastUse = now
-	m.evictLocked(e, now)
-	m.mu.Unlock()
-	select {
-	case e.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-e.sem }()
-	if e.done {
-		return e.res, nil
-	}
-	res, err := run()
-	if err == nil && res != nil && res.Stopped != core.StopCanceled {
-		e.res, e.done = res, true
-		e.completed.Store(true)
-		// Re-stamp recency at completion: training may itself outlast the
-		// TTL, and expiry is meant to age results after their last USE —
-		// a result that just finished computing has just been used. Without
-		// this, any job slower than the TTL would expire at its first
-		// repeat submission and retrain forever.
-		m.mu.Lock()
-		e.lastUse = m.now()
-		m.mu.Unlock()
-		return res, err
-	}
-	// Failed or canceled runs leave no memo entry behind: the next
-	// identical submission computes afresh, and a flood of distinct
-	// failing keys cannot grow the map.
-	m.mu.Lock()
-	if cur, ok := m.results[key]; ok && cur == e {
-		delete(m.results, key)
-	}
-	m.mu.Unlock()
-	return res, err
-}
-
-// expiredLocked reports whether e is a completed entry past its TTL.
-func (m *Memo) expiredLocked(e *resultEntry, now time.Time) bool {
-	return m.lim.ResultTTL > 0 && e.completed.Load() && now.Sub(e.lastUse) > m.lim.ResultTTL
-}
-
-// evictLocked enforces the Memo's Limits, sparing keep (the entry being
-// requested right now). Only completed entries are candidates — in-flight
-// singleflights stay in the map so concurrent requesters keep converging
-// on one run, which also means MaxResults bounds retained results, not
-// concurrent training.
-func (m *Memo) evictLocked(keep *resultEntry, now time.Time) {
-	if m.lim.ResultTTL > 0 {
-		for k, e := range m.results {
-			if e != keep && m.expiredLocked(e, now) {
-				delete(m.results, k)
-			}
-		}
-	}
-	if m.lim.MaxResults <= 0 {
-		return
-	}
-	for len(m.results) > m.lim.MaxResults {
-		var oldestKey ResultKey
-		var oldest *resultEntry
-		for k, e := range m.results {
-			if e == keep || !e.completed.Load() {
-				continue
-			}
-			if oldest == nil || e.lastUse.Before(oldest.lastUse) {
-				oldestKey, oldest = k, e
-			}
-		}
-		if oldest == nil {
-			return // nothing evictable: every excess entry is in flight
-		}
-		delete(m.results, oldestKey)
+		graphs: make(map[graphKey]*graphEntry),
+		prox:   make(map[proxKey]*proxEntry),
+		known:  make(map[*graph.Graph]bool),
 	}
 }
 
@@ -267,39 +103,16 @@ func (m *Memo) Dataset(name string, scale float64, seed uint64) (*graph.Graph, e
 	if scale <= 0 {
 		scale = sp.DefaultScale
 	}
-	return m.graphFor(name, scale, seed, func() (*graph.Graph, error) {
-		return datasets.Generate(name, scale, seed)
-	})
-}
-
-// Proximity resolves measure over g through the Memo: Memo-managed graphs
-// get a materialized, cached matrix (built across `workers` goroutines);
-// foreign graphs get the direct lazy measure.
-func (m *Memo) Proximity(g *graph.Graph, measure string, workers int) (proximity.Proximity, error) {
-	return m.proximityFor(g, measure, workers)
-}
-
-// GraphCacheLen reports how many simulated graphs the Memo retains —
-// observability for the serving layer's "rejected requests must not grow
-// the cache" invariant (and its test).
-func (m *Memo) GraphCacheLen() int {
+	key := graphKey{name, scale, seed}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.graphs)
-}
-
-// graphFor returns the cached simulation for the key, generating it on
-// first use via gen.
-func (m *Memo) graphFor(name string, scale float64, seed uint64, gen func() (*graph.Graph, error)) (*graph.Graph, error) {
-	m.mu.Lock()
-	e, ok := m.graphs[graphKey{name, scale, seed}]
+	e, ok := m.graphs[key]
 	if !ok {
 		e = &graphEntry{}
-		m.graphs[graphKey{name, scale, seed}] = e
+		m.graphs[key] = e
 	}
 	m.mu.Unlock()
 	e.once.Do(func() {
-		e.g, e.err = gen()
+		e.g, e.err = datasets.Generate(name, scale, seed)
 		if e.err == nil {
 			m.mu.Lock()
 			m.known[e.g] = true
@@ -309,19 +122,20 @@ func (m *Memo) graphFor(name string, scale float64, seed uint64, gen func() (*gr
 	return e.g, e.err
 }
 
-// proximityFor returns the measure over g, materialized across `workers`
-// goroutines and cached when g is a Memo-managed graph; for foreign graphs
-// it returns the direct lazy measure uncached.
-func (m *Memo) proximityFor(g *graph.Graph, measure string, workers int) (proximity.Proximity, error) {
+// Proximity resolves measure over g through the Memo: Memo-managed graphs
+// get a materialized, cached matrix (built across `workers` goroutines);
+// foreign graphs get the direct lazy measure, uncached.
+func (m *Memo) Proximity(g *graph.Graph, measure string, workers int) (proximity.Proximity, error) {
 	m.mu.Lock()
 	if !m.known[g] {
 		m.mu.Unlock()
 		return proximity.ByName(measure, g)
 	}
-	e, ok := m.prox[proxKey{g, measure}]
+	key := proxKey{g, measure}
+	e, ok := m.prox[key]
 	if !ok {
 		e = &proxEntry{}
-		m.prox[proxKey{g, measure}] = e
+		m.prox[key] = e
 	}
 	m.mu.Unlock()
 	e.once.Do(func() {
@@ -336,4 +150,13 @@ func (m *Memo) proximityFor(g *graph.Graph, measure string, workers int) (proxim
 		return nil, e.err
 	}
 	return e.p, nil
+}
+
+// GraphCacheLen reports how many simulated graphs the Memo retains —
+// observability for the serving layer's "rejected requests must not grow
+// the cache" invariant (and its test).
+func (m *Memo) GraphCacheLen() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.graphs)
 }

@@ -1,34 +1,28 @@
 package experiments
 
 import (
-	"context"
-	"errors"
-	"io"
 	"sync"
 	"testing"
-	"time"
 
-	"seprivgemb/internal/core"
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/proximity"
 	"seprivgemb/internal/xrand"
 )
 
 func TestMemoDatasetSharing(t *testing.T) {
-	o := Quick(io.Discard)
-	a, err := o.dataset("chameleon")
+	m := NewMemo()
+	a, err := m.Dataset("chameleon", 0.05, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := o.dataset("chameleon")
+	b, err := m.Dataset("chameleon", 0.05, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("cached dataset not shared (distinct pointers for one key)")
 	}
-	o.DatasetSeed = 2
-	c, err := o.dataset("chameleon")
+	c, err := m.Dataset("chameleon", 0.05, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,16 +32,16 @@ func TestMemoDatasetSharing(t *testing.T) {
 }
 
 func TestMemoProximitySharing(t *testing.T) {
-	o := Quick(io.Discard)
-	g, err := o.dataset("power")
+	m := NewMemo()
+	g, err := m.Dataset("power", 0.05, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := o.proximityFor(g, "deepwalk")
+	a, err := m.Proximity(g, "deepwalk", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := o.proximityFor(g, "deepwalk")
+	b, err := m.Proximity(g, "deepwalk", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,15 +60,15 @@ func TestMemoProximitySharing(t *testing.T) {
 			}
 		}
 	}
-	if _, err := o.proximityFor(g, "no-such-measure"); err == nil {
+	if _, err := m.Proximity(g, "no-such-measure", 1); err == nil {
 		t.Error("unknown measure did not error through the cache")
 	}
 }
 
 func TestMemoForeignGraphFallsBack(t *testing.T) {
-	o := Quick(io.Discard)
+	m := NewMemo()
 	foreign := graph.BarabasiAlbert(40, 2, xrand.New(3))
-	p, err := o.proximityFor(foreign, "deepwalk")
+	p, err := m.Proximity(foreign, "deepwalk", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,22 +77,10 @@ func TestMemoForeignGraphFallsBack(t *testing.T) {
 	}
 }
 
-func TestMemoNilCacheWorks(t *testing.T) {
-	o := Quick(io.Discard)
-	o.Cache = nil
-	g, err := o.dataset("power")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.proximityFor(g, "degree"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMemoConcurrent hammers one key from many goroutines: every caller
 // must observe the same pointer and the generator must run exactly once.
 func TestMemoConcurrent(t *testing.T) {
-	o := Quick(io.Discard)
+	m := NewMemo()
 	const goroutines = 16
 	var (
 		wg   sync.WaitGroup
@@ -109,12 +91,12 @@ func TestMemoConcurrent(t *testing.T) {
 	for i := 0; i < goroutines; i++ {
 		go func() {
 			defer wg.Done()
-			g, err := o.dataset("chameleon")
+			g, err := m.Dataset("chameleon", 0.05, 1)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if _, err := o.proximityFor(g, "degree"); err != nil {
+			if _, err := m.Proximity(g, "degree", 1); err != nil {
 				t.Error(err)
 				return
 			}
@@ -126,141 +108,6 @@ func TestMemoConcurrent(t *testing.T) {
 	wg.Wait()
 	if len(seen) != 1 {
 		t.Errorf("%d distinct graphs for one key, want 1", len(seen))
-	}
-}
-
-// fakeClock drives a Memo's TTL logic deterministically.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-// resultForCounting requests key and returns the result plus how many times
-// the run function has executed in total.
-func resultForCounting(t *testing.T, m *Memo, key ResultKey, runs *int) *core.Result {
-	t.Helper()
-	res, err := m.ResultFor(context.Background(), key, func() (*core.Result, error) {
-		*runs++
-		return &core.Result{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-func TestMemoResultTTLExpiry(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	m := NewMemoLimited(Limits{ResultTTL: time.Minute})
-	m.now = clk.now
-	key := ResultKey{Graph: 1, Proximity: "deepwalk", Config: 2}
-
-	runs := 0
-	first := resultForCounting(t, m, key, &runs)
-	clk.advance(30 * time.Second)
-	if again := resultForCounting(t, m, key, &runs); again != first || runs != 1 {
-		t.Fatalf("fresh entry not served from cache: runs=%d", runs)
-	}
-	// The 30s hit refreshed lastUse; only now does a >TTL gap expire it.
-	clk.advance(61 * time.Second)
-	if again := resultForCounting(t, m, key, &runs); again == first || runs != 2 {
-		t.Fatalf("expired entry was served from cache: runs=%d", runs)
-	}
-}
-
-func TestMemoResultLRUEviction(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	m := NewMemoLimited(Limits{MaxResults: 2})
-	m.now = clk.now
-	keyA := ResultKey{Graph: 1}
-	keyB := ResultKey{Graph: 2}
-	keyC := ResultKey{Graph: 3}
-
-	var runsA, runsB, runsC int
-	resA := resultForCounting(t, m, keyA, &runsA)
-	clk.advance(time.Second)
-	resultForCounting(t, m, keyB, &runsB)
-	clk.advance(time.Second)
-	resultForCounting(t, m, keyA, &runsA) // bump A: B is now least recent
-	clk.advance(time.Second)
-	resultForCounting(t, m, keyC, &runsC) // exceeds MaxResults → evicts B
-
-	if again := resultForCounting(t, m, keyA, &runsA); again != resA || runsA != 1 {
-		t.Errorf("recently used entry was evicted: runsA=%d", runsA)
-	}
-	resultForCounting(t, m, keyB, &runsB)
-	if runsB != 2 {
-		t.Errorf("least-recently-used entry survived the cap: runsB=%d", runsB)
-	}
-}
-
-func TestMemoInFlightNeverEvicted(t *testing.T) {
-	m := NewMemoLimited(Limits{MaxResults: 1})
-	keyX := ResultKey{Graph: 10}
-	keyY := ResultKey{Graph: 11}
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	got := make(chan *core.Result, 1)
-	go func() {
-		res, _ := m.ResultFor(context.Background(), keyX, func() (*core.Result, error) {
-			close(started)
-			<-release
-			return &core.Result{}, nil
-		})
-		got <- res
-	}()
-	<-started
-	// A completed entry lands while X is still training; the cap of 1 must
-	// evict the completed Y, never the in-flight X.
-	var runsY int
-	resultForCounting(t, m, keyY, &runsY)
-	close(release)
-	first := <-got
-	var runsX int
-	if again := resultForCounting(t, m, keyX, &runsX); again != first || runsX != 0 {
-		t.Errorf("in-flight entry was evicted mid-run: runsX=%d", runsX)
-	}
-}
-
-func TestMemoFailedRunsLeaveNoEntry(t *testing.T) {
-	m := NewMemo()
-	key := ResultKey{Graph: 7}
-	wantErr := errors.New("boom")
-	if _, err := m.ResultFor(context.Background(), key, func() (*core.Result, error) {
-		return nil, wantErr
-	}); !errors.Is(err, wantErr) {
-		t.Fatalf("error not surfaced: %v", err)
-	}
-	m.mu.Lock()
-	n := len(m.results)
-	m.mu.Unlock()
-	if n != 0 {
-		t.Errorf("failed run left %d map entries, want 0", n)
-	}
-	// Canceled partials likewise: returned to the caller, never retained.
-	if _, err := m.ResultFor(context.Background(), key, func() (*core.Result, error) {
-		return &core.Result{Stopped: core.StopCanceled}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	m.mu.Lock()
-	n = len(m.results)
-	m.mu.Unlock()
-	if n != 0 {
-		t.Errorf("canceled partial left %d map entries, want 0", n)
 	}
 }
 
@@ -289,28 +136,5 @@ func TestMemoDatasetCanonicalScale(t *testing.T) {
 	}
 	if _, ok := p.(*proximity.Sparse); !ok {
 		t.Errorf("Proximity returned %T, want materialized *proximity.Sparse", p)
-	}
-}
-
-// TestMemoResultSurvivesSlowTraining: a run that itself outlasts the TTL
-// must still be served from cache afterwards — expiry ages results after
-// their last USE, and completing IS a use.
-func TestMemoResultSurvivesSlowTraining(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	m := NewMemoLimited(Limits{ResultTTL: time.Minute})
-	m.now = clk.now
-	key := ResultKey{Graph: 9}
-
-	runs := 0
-	first, err := m.ResultFor(context.Background(), key, func() (*core.Result, error) {
-		runs++
-		clk.advance(5 * time.Minute) // training takes 5×TTL
-		return &core.Result{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again := resultForCounting(t, m, key, &runs); again != first || runs != 1 {
-		t.Fatalf("slow-trained result expired at first repeat: runs=%d", runs)
 	}
 }

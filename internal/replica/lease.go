@@ -216,6 +216,9 @@ func (m *Manager) tryCreate(jobID, path string) (bool, error) {
 	}
 	tmp := f.Name()
 	_, werr := f.Write(data)
+	if werr == nil {
+		werr = f.Sync()
+	}
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
@@ -230,6 +233,12 @@ func (m *Manager) tryCreate(jobID, path string) (bool, error) {
 			return false, nil
 		}
 		return false, lerr
+	}
+	if err := syncDir(m.dir); err != nil {
+		// The grant may not survive a crash; undo it rather than train
+		// under a lease peers could later find missing.
+		os.Remove(path)
+		return false, err
 	}
 	m.mu.Lock()
 	m.held[jobID] = li
@@ -252,7 +261,8 @@ func (m *Manager) steal(path string) bool {
 }
 
 // writeLease atomically replaces jobID's lease with a freshly-stamped one
-// owned by this replica (tmp + rename, the store's write discipline).
+// owned by this replica (tmp + fsync + rename + directory fsync, the
+// store's write discipline).
 func (m *Manager) writeLease(jobID, path string, acquired time.Time) error {
 	li := m.info(jobID, acquired)
 	data, err := json.Marshal(li)
@@ -260,17 +270,45 @@ func (m *Manager) writeLease(jobID, path string, acquired time.Time) error {
 		return err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
+		return err
+	}
+	if err := syncDir(m.dir); err != nil {
 		return err
 	}
 	m.mu.Lock()
 	m.held[jobID] = li
 	m.mu.Unlock()
 	return nil
+}
+
+// syncDir fsyncs a directory so the renames and links into it survive a
+// crash.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Renew pushes the owned lease's expiry forward. ErrLeaseLost means a

@@ -15,7 +15,6 @@ import (
 	"syscall"
 	"time"
 
-	"seprivgemb/internal/experiments"
 	"seprivgemb/internal/methods"
 	"seprivgemb/internal/replica"
 	"seprivgemb/internal/service"
@@ -36,8 +35,8 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		artifactDir = fs.String("artifact-dir", "", "persist completed results here and serve repeats across restarts")
 		tenantJobs  = fs.Int("tenant-inflight", 0, "max unfinished jobs per tenant; excess submissions get 429 (0 = unlimited)")
 		maxTrainMem = fs.String("max-train-mem", "", "per-job cap on resident training state, e.g. 2GiB: oversized jobs are rejected (400) unless their spec sets a memoryBudget under the cap (empty = unlimited)")
-		memoMax     = fs.Int("memo-max-results", 1024, "max memoized results before LRU eviction (0 = unbounded)")
-		memoTTL     = fs.Duration("memo-ttl", time.Hour, "expire memoized results this long after last use (0 = never)")
+		memoMax     = fs.Int("memo-max-results", 1024, "max finished jobs kept in memory before LRU eviction; an evicted job is served from -artifact-dir, or 404s without one (0 = unbounded)")
+		memoTTL     = fs.Duration("memo-ttl", time.Hour, "forget a finished job this long after its last use (0 = never)")
 		replicaID   = fs.String("replica-id", "", "join the replica set sharing -artifact-dir under this identity: job ownership is leased through the store, and results land once per set")
 		leaseTTL    = fs.Duration("lease-ttl", replica.DefaultTTL, "job-ownership lease lifetime; a crashed owner's lease expires after this and a peer takes the job over")
 		selftest    = fs.Bool("selftest", false, "serve on a random port, drive one tiny job through the HTTP API, and exit")
@@ -47,7 +46,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	}
 	opts := service.Options{
 		MaxWorkers:     *maxWorkers,
-		MemoLimits:     experiments.Limits{MaxResults: *memoMax, ResultTTL: *memoTTL},
+		MemoLimits:     service.Limits{MaxResults: *memoMax, ResultTTL: *memoTTL},
 		TenantInflight: *tenantJobs,
 		GraphDir:       *graphDir,
 		ArtifactDir:    *artifactDir,

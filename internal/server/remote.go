@@ -16,8 +16,10 @@ import (
 // exact ones local jobs use; a client cannot tell (and should not care)
 // which replica trained what it reads.
 
-// peerArtifact resolves id to a peer replica's persisted artifact: the
-// fallback taken only when the job is unknown locally.
+// peerArtifact resolves id to a persisted artifact — a peer replica's, or
+// one of this process's own jobs the job table has since forgotten under
+// its retention limits: the fallback taken only when the job is unknown
+// locally.
 func (s *Server) peerArtifact(id string) (*service.ArtifactMeta, bool) {
 	if _, local := s.svc.JobByID(id); local {
 		return nil, false

@@ -397,8 +397,7 @@ func TestCrossTransportDedup(t *testing.T) {
 	}
 
 	// Both transports resolved to ONE job — the "trains exactly once"
-	// witness: the service holds a single Job under a single ID, backed by
-	// the memo's singleflight.
+	// witness: the service holds a single Job under a single ID.
 	if htJR.ID != goJob.ID() {
 		t.Fatalf("transport IDs diverge: HTTP %s vs Go %s", htJR.ID, goJob.ID())
 	}
@@ -830,5 +829,37 @@ func TestResultPaginationFinalPage(t *testing.T) {
 		if !float64sEqual(got[i], full.Embedding[i]) {
 			t.Fatalf("exact-page row %d diverges", i)
 		}
+	}
+}
+
+// TestForgottenJobServedFromArtifactStore: once the job table forgets a
+// finished job under its retention limits, its ID still answers status,
+// result and row windows from the artifact store — and 404s without one.
+func TestForgottenJobServedFromArtifactStore(t *testing.T) {
+	ts, svc := newTestServer(t, service.Options{MaxWorkers: 1, ArtifactDir: t.TempDir(),
+		MemoLimits: service.Limits{MaxResults: 1}})
+	oldest, full := runTinyJob(t, ts, 31)
+	runTinyJob(t, ts, 32)
+	runTinyJob(t, ts, 33)
+	if _, ok := svc.JobByID(oldest); ok {
+		t.Fatal("oldest job still in the table under MaxResults 1")
+	}
+	if code, jr := getStatus(t, ts, oldest); code != http.StatusOK || jr.Status != "done" {
+		t.Fatalf("status of forgotten job: HTTP %d %+v", code, jr)
+	}
+	code, _, res := fetchResult(t, ts.URL+"/v1/jobs/"+oldest+"/result?embedding=full")
+	if code != http.StatusOK || res.EmbeddingHash != full.EmbeddingHash {
+		t.Fatalf("result of forgotten job: HTTP %d hash %s, want %s", code, res.EmbeddingHash, full.EmbeddingHash)
+	}
+	code, _, win := fetchResult(t, ts.URL+"/v1/jobs/"+oldest+"/result/rows/3-7")
+	if code != http.StatusOK || win.RowCount != 4 || !float64sEqual(win.Embedding[0], full.Embedding[3]) {
+		t.Fatalf("rows of forgotten job: HTTP %d %+v", code, win)
+	}
+
+	bare, _ := newTestServer(t, service.Options{MaxWorkers: 1, MemoLimits: service.Limits{MaxResults: 1}})
+	gone, _ := runTinyJob(t, bare, 31)
+	runTinyJob(t, bare, 32)
+	if code, _ := getStatus(t, bare, gone); code != http.StatusNotFound {
+		t.Fatalf("forgotten job without a store: HTTP %d, want 404", code)
 	}
 }

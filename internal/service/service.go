@@ -6,12 +6,13 @@
 // (c) enforcing per-tenant in-flight quotas (ErrQuotaExceeded, which the
 // HTTP front-end maps to 429),
 // (d) deduplicating identical submissions — same graph fingerprint,
-// structure preference, and result-shaping config — through the sweep
-// cache's result memo (experiments.Memo.ResultFor), so a popular
-// (graph, proximity, config) trains once no matter how many callers ask
-// or which transport (HTTP or Go) they arrive by, and
+// structure preference, and result-shaping config — onto one job in the
+// job table, so a popular (graph, proximity, config) trains once no
+// matter how many callers ask or which transport (HTTP or Go) they
+// arrive by, and
 // (e) optionally persisting completed results to an on-disk artifact
-// store, so a restarted process serves them without retraining.
+// store, so a restarted process — or a job the table has forgotten under
+// its Limits — is served without retraining.
 //
 // Submissions arrive either as live Go objects (Submit) or as declarative,
 // wire-codable specs (SubmitSpec, the currency of the HTTP front-end in
@@ -30,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -68,14 +70,15 @@ type Options struct {
 	// single wide job can never starve the service of slots it could
 	// legally grant.
 	MaxWorkers int
-	// Memo supplies the result/artifact cache. Sharing one Memo between a
-	// Service and an experiments sweep shares their caches; nil gets the
-	// service a private Memo bounded by MemoLimits.
+	// Memo supplies the cache of simulated datasets and materialized
+	// proximities that spec resolution reads; nil gets the service a
+	// private one. It holds no training results: those live only in the
+	// job table, bounded by MemoLimits.
 	Memo *experiments.Memo
-	// MemoLimits bounds the private Memo created when Memo is nil (TTL +
-	// max-entry LRU eviction of memoized results). Ignored when Memo is
-	// supplied — the owner of a shared Memo sets its own limits.
-	MemoLimits experiments.Limits
+	// MemoLimits bounds the finished jobs the job table keeps in memory,
+	// and with them their trained embeddings (see Limits). The zero value
+	// keeps every finished job for the service's lifetime.
+	MemoLimits Limits
 	// TenantInflight caps how many unfinished jobs one tenant may have
 	// created at a time; further SubmitSpec calls fail with
 	// ErrQuotaExceeded until one finishes. 0 disables quotas. A below-cap
@@ -110,6 +113,25 @@ type Options struct {
 	// for takeover). Every replica serves any job's rows straight off
 	// the shared store, owner or not.
 	Replica *replica.Manager
+}
+
+// Limits bounds result retention for serving use, where the process is
+// long-lived and the request stream unbounded — without them every
+// distinct job ever submitted pins its dense |V|×r embedding forever.
+// Only finished jobs are ever forgotten: an in-flight job and the
+// submitters deduplicated onto it are never split apart. A forgotten job
+// leaves JobByID; its ID is then answered from the artifact store when
+// there is one, and an identical resubmission loads the artifact (or, with
+// no store, trains afresh). A *Job handle a caller still holds keeps its
+// result.
+type Limits struct {
+	// MaxResults caps the finished jobs kept; beyond it the least recently
+	// used one — by completion or adoption — is forgotten. 0 means
+	// unbounded.
+	MaxResults int
+	// ResultTTL forgets a finished job this long after its last use. 0
+	// means no expiry.
+	ResultTTL time.Duration
 }
 
 // Status is a Job's lifecycle state.
@@ -166,17 +188,20 @@ type Service struct {
 	sweeps  map[string]*Sweep
 	closed  bool
 	wg      sync.WaitGroup
+	// now is the clock behind result retention (tests inject a fake one).
+	now func() time.Time
 
-	// trainings counts actual tr.Train invocations — NOT submissions, memo
-	// hits, or artifact loads. The observable half of the dedup contract:
-	// a resubmitted sweep asserting "zero retraining" asserts this counter.
+	// trainings counts actual tr.Train invocations — NOT submissions, dedup
+	// adoptions, or artifact loads. The observable half of the dedup
+	// contract: a resubmitted sweep asserting "zero retraining" asserts
+	// this counter.
 	trainings atomic.Uint64
 }
 
 // Trainings returns how many training runs this service has actually
-// executed (memo and artifact hits excluded). A re-served result of any
-// kind leaves it unchanged, which is what makes it the right assertion for
-// cache-hit tests.
+// executed (dedup adoptions and artifact hits excluded). A re-served
+// result of any kind leaves it unchanged, which is what makes it the right
+// assertion for cache-hit tests.
 func (s *Service) Trainings() uint64 { return s.trainings.Load() }
 
 // New returns a Service ready to accept submissions. It panics only on
@@ -187,10 +212,11 @@ func New(opts Options) *Service {
 		opts.MaxWorkers = runtime.GOMAXPROCS(0)
 	}
 	if opts.Memo == nil {
-		opts.Memo = experiments.NewMemoLimited(opts.MemoLimits)
+		opts.Memo = experiments.NewMemo()
 	}
 	s := &Service{
 		opts:    opts,
+		now:     time.Now,
 		free:    opts.MaxWorkers,
 		jobs:    make(map[experiments.ResultKey]*Job),
 		byID:    make(map[string]*Job),
@@ -278,20 +304,25 @@ func (s *Service) dispatchLocked() {
 	}
 }
 
+// scorePriority is the admission priority of sweep-cell scoring, above
+// every job: a scored cell lets go of its result, so scoring ahead of
+// queued training bounds the finished results awaiting evaluation.
+const scorePriority = math.MaxInt32
+
 // acquire claims n worker slots at j's (possibly boosted — see submit's
-// adoption path) priority, or returns ctx.Err if the job is canceled
-// while queued. A cancellation that races an in-flight grant returns the
-// slots and still reports the cancel — a canceled job must never start
-// training.
+// adoption path) priority — or, for a nil j, at scorePriority — or returns
+// ctx.Err if the job is canceled while queued. A cancellation that races
+// an in-flight grant returns the slots and still reports the cancel — a
+// canceled job must never start training.
 func (s *Service) acquire(ctx context.Context, j *Job, n int) error {
-	w := &waiter{j: j, n: n, ready: make(chan struct{})}
+	w := &waiter{j: j, n: n, priority: scorePriority, ready: make(chan struct{})}
 	s.mu.Lock()
-	w.priority = int(j.priority.Load())
-	s.seq++
-	w.seq = s.seq
 	if j != nil {
+		w.priority = int(j.priority.Load())
 		j.waiter = w
 	}
+	s.seq++
+	w.seq = s.seq
 	heap.Push(&s.pending, w)
 	s.dispatchLocked()
 	s.mu.Unlock()
@@ -347,6 +378,12 @@ type Job struct {
 	// already doomed.
 	canceled atomic.Bool
 	stats    atomic.Value // core.EpochStats of the latest completed epoch
+
+	// finished and lastUse drive retention under Limits; guarded by the
+	// Service mutex. finished is set when the job reaches a terminal
+	// status; lastUse is stamped at completion and at every adoption.
+	finished bool
+	lastUse  time.Time
 
 	// holders counts the independent submissions deduplicated onto this
 	// job: 1 at creation, +1 per adoption. A sweep canceling its cells
@@ -443,8 +480,8 @@ func (j *Job) Cancel() {
 // (nil, context.Canceled).
 //
 // The returned Result is shared by every submission deduplicated onto
-// this job (and by the memo serving later identical submissions): treat
-// it as read-only. Scoring and evaluation only ever read the embedding.
+// this job: treat it as read-only. Scoring and evaluation only ever read
+// the embedding.
 func (j *Job) Wait(ctx context.Context) (*core.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -514,12 +551,69 @@ func keyMethod(key experiments.ResultKey) string {
 
 // JobByID returns the job currently registered under id. After a failed or
 // canceled job is resubmitted, the ID resolves to its replacement (the
-// superseded handle keeps working for callers that hold it).
+// superseded handle keeps working for callers that hold it). A finished
+// job the table has forgotten under its Limits is not found.
 func (s *Service) JobByID(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.byID[id]
+	if ok && s.expiredLocked(j) {
+		s.forgetLocked(j)
+		return nil, false
+	}
 	return j, ok
+}
+
+// expiredLocked reports whether j is a finished job idle past the TTL.
+func (s *Service) expiredLocked(j *Job) bool {
+	ttl := s.opts.MemoLimits.ResultTTL
+	return ttl > 0 && j.finished && s.now().Sub(j.lastUse) > ttl
+}
+
+// forgetLocked drops j from the job table (but not a replacement that
+// already took over its key).
+func (s *Service) forgetLocked(j *Job) {
+	if s.jobs[j.key] == j {
+		delete(s.jobs, j.key)
+	}
+	if s.byID[j.id] == j {
+		delete(s.byID, j.id)
+	}
+}
+
+// evictLocked enforces the Limits on the job table, sparing keep (the job
+// being used right now): finished jobs past the TTL go first, then the
+// least recently used finished jobs beyond MaxResults. In-flight jobs are
+// never candidates, so MaxResults bounds retained results, not
+// concurrent training.
+func (s *Service) evictLocked(keep *Job) {
+	lim := s.opts.MemoLimits
+	if lim.MaxResults <= 0 && lim.ResultTTL <= 0 {
+		return
+	}
+	finished := 0
+	for _, j := range s.jobs {
+		switch {
+		case !j.finished:
+		case j != keep && s.expiredLocked(j):
+			s.forgetLocked(j)
+		default:
+			finished++
+		}
+	}
+	for lim.MaxResults > 0 && finished > lim.MaxResults {
+		var oldest *Job
+		for _, j := range s.jobs {
+			if j.finished && j != keep && (oldest == nil || j.lastUse.Before(oldest.lastUse)) {
+				oldest = j
+			}
+		}
+		if oldest == nil {
+			return
+		}
+		s.forgetLocked(oldest)
+		finished--
+	}
 }
 
 // ResultRows returns rows [lo, hi) of a finished job's embedding — the
@@ -692,6 +786,8 @@ func (s *Service) submit(method string, g *graph.Graph, prox proximity.Proximity
 	if s.closed {
 		return nil, ErrClosed
 	}
+	// Expire idle finished jobs first, so an expired twin is a miss.
+	s.evictLocked(nil)
 	if j, ok := s.jobs[key]; ok {
 		st := j.Status()
 		// canceled.Load() covers the window between a Cancel call and the
@@ -702,6 +798,7 @@ func (s *Service) submit(method string, g *graph.Graph, prox proximity.Proximity
 		// patience.
 		if st != StatusFailed && st != StatusCanceled && !j.canceled.Load() {
 			j.holders.Add(1)
+			j.lastUse = s.now()
 			if priority > int(j.priority.Load()) {
 				j.priority.Store(int32(priority))
 				if w := j.waiter; w != nil {
@@ -775,18 +872,23 @@ func (s *Service) slotsFor(cfg core.Config) int {
 	return n
 }
 
-// finish settles a job's bookkeeping after its terminal status is set.
+// finish settles a job's bookkeeping after its terminal status is set:
+// the tenant's in-flight count, and retention — a completion is a use, so
+// a job slower than the TTL is not expired at its first resubmission.
 func (s *Service) finish(j *Job) {
 	s.mu.Lock()
 	if s.tenants[j.tenant]--; s.tenants[j.tenant] <= 0 {
 		delete(s.tenants, j.tenant)
 	}
+	j.finished = true
+	j.lastUse = s.now()
+	s.evictLocked(j)
 	s.mu.Unlock()
 }
 
-// run executes one job: wait for slots (priority-ordered), train through
-// the result memo — consulting the artifact store on a memo miss and
-// persisting fresh completions — and publish the outcome.
+// run executes one job: wait for slots (priority-ordered), train —
+// consulting the artifact store first and persisting fresh completions —
+// and publish the outcome.
 func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximity.Proximity, cfg core.Config, materialize bool) {
 	defer s.wg.Done()
 	defer close(j.done)
@@ -840,19 +942,15 @@ func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximit
 		}
 		prox = mp
 	}
-	// The job's ctx flows both into the training loop (epoch-granular
-	// stop) and into the memo's singleflight wait, so Cancel works even
-	// while this job is parked behind another service's identical run on
-	// a shared Memo.
-	res, err := s.opts.Memo.ResultFor(ctx, j.key, func() (*core.Result, error) {
-		return s.trainOrFollow(ctx, j, tr, g, prox, cfg)
-	})
+	// The job's ctx flows into the training loop (epoch-granular stop) and
+	// into a follower's lease poll.
+	res, err := s.trainOrFollow(ctx, j, tr, g, prox, cfg)
 	j.res, j.err = res, err
 	switch {
 	case err != nil:
-		// Includes a cancel while waiting on the singleflight: like a
-		// queued cancel, no training of ours happened, so the error is
-		// ctx.Err() and there is no partial result.
+		// Includes a cancel while following a peer's lease: like a queued
+		// cancel, no training of ours happened, so the error is ctx.Err()
+		// and there is no partial result.
 		if ctx.Err() != nil {
 			j.status.Store(int32(StatusCanceled))
 		} else {

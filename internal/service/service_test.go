@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"seprivgemb/internal/core"
-	"seprivgemb/internal/experiments"
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/proximity"
 	"seprivgemb/internal/xrand"
@@ -70,8 +69,7 @@ func TestSubmitAndWait(t *testing.T) {
 }
 
 // TestDeduplication: identical submissions share one Job; different configs
-// do not. The shared run trains exactly once (counted via the epoch stats
-// of a second service sharing the same Memo).
+// do not.
 func TestDeduplication(t *testing.T) {
 	g := testGraph()
 	cfg := testCfg()
@@ -128,42 +126,6 @@ func TestDeduplication(t *testing.T) {
 	}
 }
 
-// TestMemoSharing: a second service sharing the Memo gets the memoized
-// result without retraining (observed by the absence of fresh progress).
-func TestMemoSharing(t *testing.T) {
-	g := testGraph()
-	cfg := testCfg()
-	memo := experiments.NewMemo()
-
-	s1 := New(Options{MaxWorkers: 1, Memo: memo})
-	j1, err := s1.Submit(g, proximity.NewDeepWalk(g), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1, err := j1.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1.Close()
-
-	s2 := New(Options{MaxWorkers: 1, Memo: memo})
-	defer s2.Close()
-	j2, err := s2.Submit(g, proximity.NewDeepWalk(g), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := j2.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1 != res2 {
-		t.Fatal("shared Memo did not serve the memoized result")
-	}
-	if _, trained := j2.Progress(); trained {
-		t.Fatal("second service retrained a memoized job")
-	}
-}
-
 // TestCancelRunning: canceling a running job yields a partial, resumable
 // result, and the partial is NOT memoized — a resubmission trains afresh
 // and completes.
@@ -201,7 +163,7 @@ func TestCancelRunning(t *testing.T) {
 		t.Fatalf("cancel had no effect: ran all %d epochs", res.Epochs)
 	}
 
-	// Resubmit: the canceled run must not have poisoned the memo.
+	// Resubmit: the canceled partial must not be served to a new run.
 	cfg2 := cfg
 	cfg2.MaxEpochs = 20
 	j2, err := s.Submit(g, proximity.NewDeepWalk(g), cfg2)
@@ -312,55 +274,6 @@ func TestWorkerBound(t *testing.T) {
 	}
 	if maxRunning > 1 {
 		t.Fatalf("observed %d jobs running under MaxWorkers=1", maxRunning)
-	}
-}
-
-// TestCancelWhileParkedOnSharedMemo: two services share a Memo; the second
-// service's identical submission parks on the first's singleflight. Its
-// Cancel must take effect immediately — not after the first run finishes —
-// and report (nil, context.Canceled) like any never-trained cancel.
-func TestCancelWhileParkedOnSharedMemo(t *testing.T) {
-	g := testGraph()
-	cfg := testCfg()
-	cfg.MaxEpochs = 10000 // long enough that the winner is still training
-	cfg.Private = false
-	memo := experiments.NewMemo()
-	s1 := New(Options{MaxWorkers: 1, Memo: memo})
-	defer s1.Close()
-	s2 := New(Options{MaxWorkers: 1, Memo: memo})
-	defer s2.Close()
-
-	j1, err := s1.Submit(g, proximity.NewDeepWalk(g), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, training := j1.Progress(); training {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	j2, err := s2.Submit(g, proximity.NewDeepWalk(g), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j2.Status() != StatusRunning {
-		time.Sleep(time.Millisecond)
-	}
-	j2.Cancel()
-	res, err := j2.Wait(context.Background())
-	if !errors.Is(err, context.Canceled) || res != nil {
-		t.Fatalf("parked-cancel Wait = (%v, %v), want (nil, context.Canceled)", res, err)
-	}
-	if j2.Status() != StatusCanceled {
-		t.Fatalf("parked-cancel status %v, want canceled", j2.Status())
-	}
-	if _, trained := j2.Progress(); trained {
-		t.Fatal("parked job reported training progress of its own")
-	}
-	j1.Cancel()
-	if _, err := j1.Wait(context.Background()); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -3,7 +3,7 @@ package service
 // The sweep orchestration layer: SubmitSweep expands a spec.SweepSpec into
 // its cell plan (internal/sweep), fans the cells through the SAME
 // submission path every individual job takes — so cells deduplicate
-// against prior jobs, other sweeps, the memo, and the artifact store —
+// against prior jobs, other sweeps, and the artifact store —
 // evaluates each completed cell, and aggregates the paper-style table.
 //
 // A sweep is itself a job-like citizen: deterministic ID (a pure function
@@ -41,7 +41,7 @@ const (
 type sweepCell struct {
 	c      *sweep.Cell
 	jobID  string
-	job    *Job     // nil until submitted
+	job    *Job     // set while submitted and not yet terminal
 	status string   // terminal states only; "" while the job decides
 	metric *float64 // set when status == cellDone
 	errMsg string   // set when status == cellFailed
@@ -338,9 +338,11 @@ func (sw *Sweep) feedCell(sc *sweepCell, waiters *sync.WaitGroup) {
 }
 
 // watchCell waits for a submitted cell's job, evaluates the result, and
-// records the terminal state. Evaluation runs here — outside the worker
-// slot budget — because scoring is a read of the shared result, orders of
-// magnitude cheaper than the training that produced it.
+// records the terminal state. Scoring holds one worker slot, like
+// training: an exact StrucEqu scan can outlast the training it scores, and
+// unbounded concurrent scans — each holding its result plus O(|V|²)
+// distance arrays — would defeat the MaxWorkers bound. Its claim outranks
+// every queued job (scorePriority), so results are released promptly.
 func (sw *Sweep) watchCell(sc *sweepCell, waiters *sync.WaitGroup) {
 	defer waiters.Done()
 	res, err := sc.job.Wait(context.Background())
@@ -350,7 +352,9 @@ func (sw *Sweep) watchCell(sc *sweepCell, waiters *sync.WaitGroup) {
 	case err != nil:
 		sw.record(sc, cellFailed, nil, err.Error())
 	default:
+		_ = sw.svc.acquire(context.Background(), nil, 1) // never fails: no deadline
 		v, everr := sc.c.Evaluate(res)
+		sw.svc.release(1)
 		if everr != nil {
 			sw.record(sc, cellFailed, nil, everr.Error())
 			return
@@ -359,12 +363,15 @@ func (sw *Sweep) watchCell(sc *sweepCell, waiters *sync.WaitGroup) {
 	}
 }
 
-// record publishes a cell's terminal state and signals the feeder.
+// record publishes a cell's terminal state and signals the feeder. The
+// cell lets go of its job: the metric is all the sweep needs from here on,
+// and a held *Job would pin its embedding past the job table's Limits.
 func (sw *Sweep) record(sc *sweepCell, status string, metric *float64, errMsg string) {
 	sw.mu.Lock()
 	sc.status = status
 	sc.metric = metric
 	sc.errMsg = errMsg
+	sc.job = nil
 	sw.mu.Unlock()
 	sw.finished <- struct{}{}
 }

@@ -6,7 +6,7 @@ package spec
 // (graph sources × methods × privacy budgets × seeds) plus an evaluation
 // selection; the service expands it into per-cell JobSpecs, so every cell
 // deduplicates against individual jobs and other sweeps through the very
-// same memo and artifact machinery.
+// same job table and artifact machinery.
 //
 // Axes are canonicalized before expansion (methods resolved and sorted,
 // epsilons and seeds sorted, duplicates dropped), so two specs naming the

@@ -252,9 +252,8 @@ func buildCell(sp *spec.SweepSpec, ax graphAxis, method string, eps float64, see
 }
 
 // Evaluate scores a completed cell's training result. Non-finite metric
-// values (a degenerate Pearson on a tiny graph) are reported as 0, the
-// same convention as the experiments harness — a table cell must be a
-// JSON-encodable number.
+// values (a degenerate Pearson on a tiny graph) are reported as 0 — a
+// table cell must be a JSON-encodable number.
 func (c *Cell) Evaluate(res *core.Result) (float64, error) {
 	if res == nil || res.Model == nil {
 		return 0, fmt.Errorf("sweep: cell %s/%s eps=%g seed=%d finished without an embedding",
@@ -366,8 +365,8 @@ func dedupSortedSeeds(in []uint64) []uint64 {
 	return out[:n]
 }
 
-// finiteOr mirrors the experiments harness: a non-finite metric value on a
-// degenerate cell becomes fallback, never a JSON-breaking NaN.
+// finiteOr maps a non-finite metric value on a degenerate cell to
+// fallback, never a JSON-breaking NaN.
 func finiteOr(v, fallback float64) float64 {
 	if v != v || v > 1e300 || v < -1e300 {
 		return fallback

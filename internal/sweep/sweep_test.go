@@ -288,10 +288,62 @@ func TestRenderFormats(t *testing.T) {
 	}
 }
 
+// TestMeanSDCellFormat: two seeds scoring 0.5 and 0.7 print as their mean
+// and sample standard deviation, to four decimals.
+func TestMeanSDCellFormat(t *testing.T) {
+	sp := baseSweep()
+	sp.Methods = []string{"sepriv"}
+	sp.Epsilons = []float64{1}
+	p, err := Expand(sp, inlineResolver{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := make(map[experiments.ResultKey]float64)
+	for _, c := range p.Cells {
+		values[c.Key] = 0.3 + 0.2*float64(c.Seed)
+	}
+	md := RenderMarkdown(Aggregate(p, values))
+	if want := "| sepriv | 0.6000±0.1414 |"; !strings.Contains(md, want) {
+		t.Fatalf("markdown misses %q:\n%s", want, md)
+	}
+}
+
 func TestGraphLabelCanonicalizesDatasetScale(t *testing.T) {
 	zero := spec.GraphSource{Dataset: &spec.DatasetSource{Name: "chameleon", Scale: 0, Seed: 1}}
 	lbl := GraphLabel(zero, nil)
 	if strings.Contains(lbl, "@0/") {
 		t.Fatalf("zero scale not canonicalized: %q", lbl)
+	}
+}
+
+// TestRenderMarkdownKeepsMethodOrder: methods print in their order of first
+// appearance, so a caller's legend order survives rendering — "B=1024"
+// must not sort ahead of "B=128".
+func TestRenderMarkdownKeepsMethodOrder(t *testing.T) {
+	tab := spec.SweepTable{
+		Metric: "strucequ",
+		Rows: []spec.SweepTableRow{
+			{Graph: "ring", Method: "B=128", Epsilon: 3.5, Mean: 0.1, N: 1},
+			{Graph: "ring", Method: "B=1024", Epsilon: 3.5, Mean: 0.2, N: 1},
+			{Graph: "ring", Method: "A", Epsilon: 3.5, Mean: 0.3, N: 1},
+		},
+	}
+	md := RenderMarkdown(tab)
+	i128 := strings.Index(md, "| B=128 |")
+	i1024 := strings.Index(md, "| B=1024 |")
+	iA := strings.Index(md, "| A |")
+	if i128 < 0 || i1024 < 0 || iA < 0 || !(i128 < i1024 && i1024 < iA) {
+		t.Fatalf("methods out of row order:\n%s", md)
+	}
+}
+
+func TestFiniteOr(t *testing.T) {
+	if finiteOr(0.5, 0) != 0.5 {
+		t.Error("finiteOr altered a finite value")
+	}
+	nan := 0.0
+	nan /= nan
+	if finiteOr(nan, 0) != 0 {
+		t.Error("finiteOr let NaN through")
 	}
 }

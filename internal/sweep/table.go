@@ -74,8 +74,10 @@ func RenderTSV(t spec.SweepTable) string {
 
 // RenderMarkdown writes the table the way the paper prints it: one pivot
 // per graph, methods down the rows, epsilons across the columns, each cell
-// "mean±std" (the experiments harness's format). Groups missing from the
-// table (every seed failed) render as "—".
+// "mean±std". Methods keep their order of first appearance in t.Rows, so a
+// caller that relabels and concatenates rows controls the legend order
+// (Aggregate's rows are already method-sorted within each graph). Groups
+// missing from the table (every seed failed) render as "—".
 func RenderMarkdown(t spec.SweepTable) string {
 	type pivotKey struct {
 		method  string
@@ -99,7 +101,6 @@ func RenderMarkdown(t spec.SweepTable) string {
 		eps := epsOf[g]
 		sort.Float64s(eps)
 		ms := methodsOf[g]
-		sort.Strings(ms)
 		fmt.Fprintf(&b, "### %s (%s)\n\n", g, t.Metric)
 		b.WriteString("| method |")
 		for _, e := range eps {

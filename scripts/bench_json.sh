@@ -12,7 +12,9 @@
 # Diff mode: compare two recordings by (pkg, name) and fail on regression.
 # A benchmark present in both files whose ns_per_op grew by more than
 # MAX_PCT (default 10) is a regression; added/removed benchmarks are only
-# noted. A missing OLD file is a warning, not a failure — fresh checkouts
+# noted. Names are matched without go test's -GOMAXPROCS suffix, so
+# recordings from hosts with different CPU counts line up. A missing OLD
+# file is a warning, not a failure — fresh checkouts
 # and expired CI artifacts must not block the build — and host lines are
 # ignored (cross-host numbers are trajectory, not truth).
 #
@@ -44,6 +46,9 @@ if [ "${1:-}" = "diff" ]; then
         if (pkg == "meta") return 0
         if (!match(line, /"name":"[^"]*"/)) return 0
         K = pkg "/" substr(line, RSTART + 8, RLENGTH - 9)
+        # go test appends -GOMAXPROCS to names on multi-CPU hosts; the
+        # meta record carries the CPU count, so compare names without it.
+        sub(/-[0-9]+$/, "", K)
         if (!match(line, /"ns_per_op":[0-9.eE+-]+/)) return 0
         NS = substr(line, RSTART + 12, RLENGTH - 12) + 0
         return NS > 0

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"seprivgemb/internal/core"
-	"seprivgemb/internal/experiments"
 	"seprivgemb/internal/methods"
 	"seprivgemb/internal/replica"
 	"seprivgemb/internal/service"
@@ -57,11 +56,12 @@ type (
 	// ConfigSpec is the wire form of Config; zero fields take the paper
 	// defaults.
 	ConfigSpec = spec.ConfigSpec
-	// ServiceOptions configures NewServiceWith: worker budget, memo
-	// limits, per-tenant quotas, graph and artifact directories.
+	// ServiceOptions configures NewServiceWith: worker budget, result
+	// retention limits, per-tenant quotas, graph and artifact directories.
 	ServiceOptions = service.Options
-	// MemoLimits bounds a service's memoized results (TTL + LRU cap).
-	MemoLimits = experiments.Limits
+	// MemoLimits bounds the finished jobs a service keeps in memory (TTL +
+	// LRU cap); see ServiceOptions.MemoLimits.
+	MemoLimits = service.Limits
 	// EmbeddingWindow is a decoded row window [Lo, Hi) of a stored
 	// embedding — the currency of partial-embedding serving. Result.Rows
 	// cuts one from an in-memory result; Service.ResultRows and
@@ -311,7 +311,7 @@ func NewService(maxWorkers int) *Service {
 }
 
 // NewServiceWith returns a job service with the full serving
-// configuration: memo eviction limits, per-tenant in-flight quotas,
+// configuration: finished-job retention limits, per-tenant in-flight quotas,
 // a graph directory for file-sourced specs, and an artifact directory
 // that persists completed results across process restarts.
 func NewServiceWith(opts ServiceOptions) *Service {
@@ -355,14 +355,15 @@ func (s *Service) SubmitSpec(sp JobSpec) (*Job, error) {
 }
 
 // JobByID returns the job registered under the stable spec-derived ID
-// (the same ID the HTTP API reports).
+// (the same ID the HTTP API reports). A finished job forgotten under
+// ServiceOptions.MemoLimits is not found.
 func (s *Service) JobByID(id string) (*Job, bool) {
 	return s.svc.JobByID(id)
 }
 
 // SubmitSweep expands a SweepSpec into its (graph × method × ε × seed)
 // cells and fans them through the job queue: every cell deduplicates
-// against prior jobs and sweeps via the memo and artifact store, so a
+// against prior jobs and sweeps via the job table and artifact store, so a
 // re-submitted grid is a cache hit that never retrains. Identical grids —
 // however their axes were ordered — share one deterministic sweep ID and
 // one handle. Failed cells are recorded and excluded from the aggregate;
