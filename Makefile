@@ -1,15 +1,16 @@
 GO ?= go
 # Benchmark → JSON recording for the perf trajectory; bump per PR.
-BENCH_JSON ?= BENCH_pr13.json
+BENCH_JSON ?= BENCH_pr14.json
 # The previous PR's recording, the regression baseline for bench-diff.
-BENCH_BASE ?= BENCH_pr9.json
+BENCH_BASE ?= BENCH_pr13.json
 # The replica-set load report recorded by `make loadtest`.
 LOAD_JSON ?= BENCH_load_pr9.json
 # The sharded-stage benchmarks: the DP noise/update stage, the one-shot
-# graph passes, the whole-train scaling curve, the sharded evaluation
-# metrics (PR 3), the sharded proximity stats/edge-weight scans (PR 4),
-# and the mathx kernel layer (PR 7) — unrolled reductions plus the fused
-# skip-gram kernels.
+# graph passes, the whole-train scaling curves (TrainWorkers matches the
+# lazy-Katz job too, with its weight-fill share as weights-ns/op), the
+# sharded evaluation metrics (PR 3), the sharded proximity stats/edge-weight
+# scans (PR 4), and the mathx kernel layer (PR 7) — unrolled reductions
+# plus the fused skip-gram kernels.
 BENCH_PAT ?= ApplyUpdate|GenerateSubgraphs|ProximityMaterialize|TrainWorkers|StrucEquWorkers|LinkAUCWorkers|ComputeStatsWorkers|EdgeWeightsWorkers|BenchmarkDot|BenchmarkNorm2Sq|BenchmarkAXPY|BenchmarkDotSigmoid|BenchmarkAXPY2|BenchmarkScaleTo2|BenchmarkClipScaleAXPY
 # Per-target fuzz budget for fuzz-kernels (Go's -fuzztime syntax).
 FUZZTIME ?= 10s

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // BenchmarkTrainWorkers measures the parallel gradient engine on the
@@ -41,6 +42,44 @@ func BenchmarkTrainWorkers(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkTrainWorkersLazyKatz is a whole job on a lazy (unmaterialized)
+// Katz proximity — the shape of an inline-graph job, where the structure-
+// preference fill builds Katz rows on demand. It reports the fill's share
+// as weights-ns/op beside the job's ns/op, so a recording shows both the
+// stage and the end-to-end effect of a change to the fill.
+func BenchmarkTrainWorkersLazyKatz(b *testing.B) {
+	g, err := GenerateDataset("arxiv", 0.1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prox, err := NewProximity("katz", g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := DefaultConfig()
+	base.Dim = 32
+	base.MaxEpochs = 20
+	if base.BatchSize > g.NumEdges() {
+		base.BatchSize = g.NumEdges()
+	}
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprint(w), func(b *testing.B) {
+			cfg := base
+			cfg.Workers = w
+			var fill time.Duration
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = uint64(i)
+				res, err := NewSession(g, prox, WithConfig(cfg)).Run(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				fill += res.Stages.EdgeWeights
+			}
+			b.ReportMetric(float64(fill.Nanoseconds())/float64(b.N), "weights-ns/op")
 		})
 	}
 }

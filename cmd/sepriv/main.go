@@ -100,7 +100,7 @@ func main() {
 		seed        = flag.Uint64("seed", 1, "random seed")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for the parallel training and evaluation stages (results are seed-deterministic at any count)")
 		memBudget   = flag.String("mem-budget", "", "bound the run's resident weight-state bytes, e.g. 256MiB: rows spill to a temp file and results stay bit-identical (empty = in-memory)")
-		materialize = flag.Bool("materialize", false, "materialize the proximity matrix up front, sharded across -workers (big win for katz/pagerank, whose lazy At recomputes a row per call)")
+		materialize = flag.Bool("materialize", false, "materialize the proximity matrix up front, sharded across -workers (the weight fill otherwise builds each needed katz/pagerank row once)")
 		ckptPath    = flag.String("checkpoint", "", "checkpoint file: resumed from when it exists, written on interrupt or completion")
 		progress    = flag.Int("progress", 0, "print loss and privacy spend every N epochs (0 disables)")
 		outPath     = flag.String("out", "", "write the embedding as TSV to this file")
@@ -190,9 +190,9 @@ func main() {
 		seprivgemb.WithMethod(methodName),
 	}
 	if *materialize {
-		// Row-lazy measures (Katz, PageRank) recompute a whole row per At
-		// call; the session materializes once — sharded across the
-		// workers — so the per-edge weight pass is a binary search.
+		// Materialize every row up front, sharded across the workers;
+		// without it the weight fill builds only the rows it needs, once
+		// per distinct source.
 		opts = append(opts, seprivgemb.WithCache())
 	}
 	if *progress > 0 {
@@ -201,10 +201,11 @@ func main() {
 			if (st.Epoch+1)%every == 0 {
 				// The stage clocks are cumulative; print them alongside the
 				// total so a drifting stage split is visible mid-run.
-				fmt.Printf("epoch %4d: loss %.4f  eps-spent %.4f  (%.1fs: setup %.1fs grad %.1fs reduce %.1fs update %.1fs)\n",
+				fmt.Printf("epoch %4d: loss %.4f  eps-spent %.4f  (%.1fs: subgraphs %.1fs weights %.1fs grad %.1fs reduce %.1fs update %.1fs)\n",
 					st.Epoch+1, st.Loss, st.EpsSpent, st.Elapsed.Seconds(),
-					st.Stages.Subgraphs.Seconds(), st.Stages.Gradients.Seconds(),
-					st.Stages.Reduce.Seconds(), st.Stages.Update.Seconds())
+					st.Stages.Subgraphs.Seconds(), st.Stages.EdgeWeights.Seconds(),
+					st.Stages.Gradients.Seconds(), st.Stages.Reduce.Seconds(),
+					st.Stages.Update.Seconds())
 			}
 		}))
 	}

@@ -6,6 +6,7 @@ import (
 
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/mathx"
+	"seprivgemb/internal/proximity"
 	"seprivgemb/internal/xrand"
 )
 
@@ -68,5 +69,35 @@ func BenchmarkGenerateSubgraphs(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkTrainWorkersSpill is a whole training run on the spill tier
+// beside the same run in memory, at two worker counts: the per-op ratio
+// of spill to dense is the tier's overhead (DESIGN.md §15). The graph and
+// config are the spill tests' (a 3 MiB budget between the ~2.1 MiB
+// minimum and the 4 MiB dense footprint), with 20 epochs.
+func BenchmarkTrainWorkersSpill(b *testing.B) {
+	g := graph.BarabasiAlbert(2048, 2, xrand.New(9))
+	prox := proximity.NewDeepWalk(g)
+	for _, tier := range []struct {
+		name   string
+		budget int64
+	}{{"dense", 0}, {"spill", 3 << 20}} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/%d", tier.name, workers), func(b *testing.B) {
+				cfg := spillConfig()
+				cfg.MaxEpochs = 20
+				cfg.MemoryBudget = tier.budget
+				cfg.Workers = workers
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					cfg.Seed = uint64(i)
+					if _, err := Train(g, prox, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

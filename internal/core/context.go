@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"seprivgemb/internal/dp"
@@ -41,15 +40,19 @@ func (s StopReason) String() string {
 	}
 }
 
-// StageTimings breaks a run's wall-clock down by pipeline stage: one-shot
-// setup (subgraph generation plus the proximity weight scan) and the three
-// per-epoch stages of the engine. The per-stage clocks are cumulative over
-// the run so far, so Total() plus hook/accountant overhead approximates
-// EpochStats.Elapsed; a resumed run counts from the resume.
+// StageTimings breaks a run's wall-clock down by pipeline stage: the two
+// one-shot setup stages (Algorithm 1's subgraphs, then the structure-
+// preference weight fill) and the three per-epoch stages of the engine.
+// The per-stage clocks are cumulative over the run so far, so Total()
+// plus hook/accountant overhead approximates EpochStats.Elapsed; a
+// resumed run counts from the resume.
 type StageTimings struct {
-	// Subgraphs is the one-shot setup cost: Algorithm 1's subgraph pass
-	// and the structure-preference weight fill (line 1/2 of Algorithm 2).
+	// Subgraphs is Algorithm 1's subgraph pass (line 2 of Algorithm 2).
 	Subgraphs time.Duration
+	// EdgeWeights is the structure-preference fill (line 1 of Algorithm
+	// 2): the proximity evaluated on every subgraph's positive pair, plus
+	// the mean-1 rescale.
+	EdgeWeights time.Duration
 	// Gradients is the per-epoch fused forward+backward stage, including
 	// the epoch's batch sampling (negligible next to the gradient math).
 	Gradients time.Duration
@@ -63,7 +66,7 @@ type StageTimings struct {
 
 // Total returns the summed stage time.
 func (s StageTimings) Total() time.Duration {
-	return s.Subgraphs + s.Gradients + s.Reduce + s.Update
+	return s.Subgraphs + s.EdgeWeights + s.Gradients + s.Reduce + s.Update
 }
 
 // EpochStats is the per-epoch observation handed to an EpochHook: the loss
@@ -116,35 +119,15 @@ type Hooks struct {
 }
 
 // fillWeights evaluates the structure preference on every subgraph's
-// positive pair, sharded into contiguous spans across `workers`
-// goroutines. Each span owns a disjoint index range of the output
-// (determinism pattern 1: no randomness, index-addressed writes), and
-// every measure in internal/proximity supports concurrent At calls (they
-// only read the immutable graph), so the result is bit-identical to the
-// serial pass at any worker count.
+// oriented positive pair (proximity.PairWeights: one row build per
+// distinct source for the row-building measures, index-addressed writes),
+// bit-identical to the serial per-pair At pass at any worker count.
 func fillWeights(prox proximity.Proximity, subs []Subgraph, workers int) []float64 {
-	weights := make([]float64, len(subs))
-	fill := func(lo, hi int) {
-		for si := lo; si < hi; si++ {
-			s := subs[si]
-			weights[si] = prox.At(int(s.I), int(s.J))
-		}
+	pairs := make([]proximity.Pair, len(subs))
+	for k, s := range subs {
+		pairs[k] = proximity.Pair{I: s.I, J: s.J}
 	}
-	if workers <= 1 || len(subs) < 2 {
-		fill(0, len(subs))
-		return weights
-	}
-	spans := splitSpans(len(subs), workers)
-	var wg sync.WaitGroup
-	wg.Add(len(spans))
-	for _, sp := range spans {
-		go func(sp span) {
-			defer wg.Done()
-			fill(sp.lo, sp.hi)
-		}(sp)
-	}
-	wg.Wait()
-	return weights
+	return proximity.PairWeights(prox, pairs, workers)
 }
 
 // TrainContext is the context-aware form of Train (Algorithm 2): identical
@@ -186,18 +169,21 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 	if err != nil {
 		return nil, err
 	}
+	stages.Subgraphs = time.Since(start)
 	// Line 1: compute the node proximity, evaluated on each subgraph's
 	// oriented positive pair (p_ij is direction-sensitive for random-walk
 	// measures) and sharded across cfg.Workers — for row-lazy measures
-	// (Katz, PageRank) this At-per-edge pass dominates setup time on large
-	// graphs. Weights are rescaled to mean 1 over the observed edges:
-	// raw magnitudes differ by orders of magnitude across measures (e.g.
-	// row-stochastic DeepWalk entries are O(1/d)), and a constant rescale
-	// of P only shifts the Theorem 3 optimum log(p_ij/(k·min(P))) by a
-	// constant while keeping the gradient scale — and hence the
-	// signal-to-noise ratio of the private updates — comparable across
-	// structure preferences. The sum runs serially in index order after
-	// the fill, so the rescale factor is bit-identical at any worker count.
+	// (Katz, PageRank) each distinct source's row is built once, and those
+	// row builds dominate setup time on large graphs. Weights are rescaled
+	// to mean 1 over the observed edges: raw magnitudes differ by orders
+	// of magnitude across measures (e.g. row-stochastic DeepWalk entries
+	// are O(1/d)), and a constant rescale of P only shifts the Theorem 3
+	// optimum log(p_ij/(k·min(P))) by a constant while keeping the
+	// gradient scale — and hence the signal-to-noise ratio of the private
+	// updates — comparable across structure preferences. The sum runs
+	// serially in index order after the fill, so the rescale factor is
+	// bit-identical at any worker count.
+	fillStart := time.Now()
 	weights := fillWeights(prox, subs, cfg.Workers)
 	var wsum float64
 	for _, w := range weights {
@@ -206,7 +192,7 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 	if wsum > 0 {
 		mathx.Scale(float64(len(weights))/wsum, weights)
 	}
-	stages.Subgraphs = time.Since(start)
+	stages.EdgeWeights = time.Since(fillStart)
 	// Line 3: initialize the weight matrices — dense, or spill-backed when
 	// MemoryBudget bounds residency below the dense footprint (DESIGN.md
 	// §15). The budget splits across Win and Wout: each matrix first gets

@@ -31,8 +31,9 @@ import (
 //
 // Proximity entries are keyed by graph pointer and only created for graphs
 // the Memo itself produced: transient graphs (e.g. per-seed link-prediction
-// training splits) fall back to the direct lazy measure, where one-shot
-// At-by-edge evaluation is cheaper than materializing every row.
+// training splits) fall back to the direct lazy measure, whose one-shot
+// weight fill builds only the rows it needs, each once — cheaper than
+// materializing every row.
 type Memo struct {
 	mu     sync.Mutex
 	graphs map[graphKey]*graphEntry

@@ -49,8 +49,9 @@ func BenchmarkComputeStatsWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkEdgeWeightsWorkers tracks the sharded per-edge evaluation on a
-// row-lazy measure, where each At call rebuilds a frontier.
+// BenchmarkEdgeWeightsWorkers tracks the sharded weight fill over a
+// graph's edges on a row-building measure, where PairWeights builds one
+// Katz row per distinct source.
 func BenchmarkEdgeWeightsWorkers(b *testing.B) {
 	g := graph.BarabasiAlbert(800, 4, xrand.New(1))
 	p := NewKatz(g, 0.05, 3)

@@ -2,6 +2,8 @@ package proximity
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"seprivgemb/internal/graph"
 )
@@ -15,9 +17,10 @@ import (
 // for the untruncated series to converge; the truncated form is always
 // finite but the same guidance keeps weights well-scaled.
 type Katz struct {
-	g    *graph.Graph
-	beta float64
-	l    int
+	g       *graph.Graph
+	beta    float64
+	l       int
+	scratch rowPool
 }
 
 // NewKatz returns the Katz proximity with damping beta truncated at walk
@@ -26,7 +29,7 @@ func NewKatz(g *graph.Graph, beta float64, maxLen int) *Katz {
 	if beta <= 0 || maxLen < 1 {
 		panic(fmt.Sprintf("proximity: NewKatz(beta=%g, maxLen=%d) invalid", beta, maxLen))
 	}
-	return &Katz{g: g, beta: beta, l: maxLen}
+	return &Katz{g: g, beta: beta, l: maxLen, scratch: rowPool{n: g.NumNodes()}}
 }
 
 // Name implements Proximity.
@@ -35,40 +38,51 @@ func (*Katz) Name() string { return "katz" }
 // NumNodes implements Proximity.
 func (k *Katz) NumNodes() int { return k.g.NumNodes() }
 
+func (*Katz) buildsRows() {}
+
 // Row implements Proximity. Cost is O(L·|E_reach|) via repeated sparse
-// frontier expansion from node i.
+// frontier expansion from node i: cur holds the walk counts A^l e_i on
+// the frontier, and each level adds β^l times the next counts into acc.
+// Frontiers are expanded in the deterministic order they were reached, so
+// the walk-count sums (exact integers below 2^53, and reproducible above)
+// never depend on scheduling.
 func (k *Katz) Row(i int) []Entry {
-	n := k.g.NumNodes()
-	cur := map[int32]float64{int32(i): 1} // walk-count vector (A^l e_i)
-	acc := make(map[int32]float64)
+	s := k.scratch.get()
+	defer k.scratch.put(s)
+	cur, next, acc := s.x, s.y, s.z
+	cur[i] = 1
+	frontier, nextFrontier := append(s.l0[:0], int32(i)), s.l1[:0]
+	reached := s.reached[:0]
 	scale := 1.0
-	for l := 1; l <= k.l; l++ {
-		next := make(map[int32]float64, len(cur)*2)
-		for u, c := range cur {
+	for l := 1; l <= k.l && len(frontier) > 0; l++ {
+		nextFrontier = nextFrontier[:0]
+		for _, u := range frontier {
+			c := cur[u]
+			cur[u] = 0
 			for _, v := range k.g.Neighbors(int(u)) {
+				if next[v] == 0 { // counts are >= 1 once reached
+					nextFrontier = append(nextFrontier, v)
+				}
 				next[v] += c
 			}
 		}
 		scale *= k.beta
-		for j, c := range next {
-			acc[j] += scale * c
+		for _, j := range nextFrontier {
+			if !s.seen[j] {
+				s.seen[j] = true
+				reached = append(reached, j)
+			}
+			acc[j] += scale * next[j]
 		}
-		cur = next
-		if len(cur) == 0 {
-			break
-		}
-		if len(cur) == n && l > 2 && k.l-l > 8 {
-			// Fully dense frontier: remaining terms still matter but the
-			// map no longer shrinks; keep going (correctness over speed).
-			continue
-		}
+		cur, next = next, cur
+		frontier, nextFrontier = nextFrontier, frontier
 	}
-	delete(acc, int32(i))
-	row := make([]Entry, 0, len(acc))
-	for j, p := range acc {
-		row = append(row, Entry{J: j, P: p})
+	for _, u := range frontier {
+		cur[u] = 0
 	}
-	return sortRow(row)
+	s.l0, s.l1 = frontier, nextFrontier
+	s.reached = reached
+	return s.collect(acc, i)
 }
 
 // At implements Proximity.
@@ -84,9 +98,10 @@ func (k *Katz) At(i, j int) float64 {
 // 1−alpha. Rows are computed with the Andersen–Chung–Lang forward-push
 // approximation to tolerance eps (residual per unit degree).
 type PageRank struct {
-	g     *graph.Graph
-	alpha float64
-	eps   float64
+	g       *graph.Graph
+	alpha   float64
+	eps     float64
+	scratch rowPool
 }
 
 // NewPageRank returns the PPR proximity with continuation probability alpha
@@ -95,7 +110,7 @@ func NewPageRank(g *graph.Graph, alpha, eps float64) *PageRank {
 	if alpha <= 0 || alpha >= 1 || eps <= 0 {
 		panic(fmt.Sprintf("proximity: NewPageRank(alpha=%g, eps=%g) invalid", alpha, eps))
 	}
-	return &PageRank{g: g, alpha: alpha, eps: eps}
+	return &PageRank{g: g, alpha: alpha, eps: eps, scratch: rowPool{n: g.NumNodes()}}
 }
 
 // Name implements Proximity.
@@ -104,16 +119,23 @@ func (*PageRank) Name() string { return "pagerank" }
 // NumNodes implements Proximity.
 func (p *PageRank) NumNodes() int { return p.g.NumNodes() }
 
-// Row implements Proximity via forward push from i.
+func (*PageRank) buildsRows() {}
+
+// Row implements Proximity via forward push from i: a FIFO queue of nodes
+// whose residual reached eps per unit degree, each pop settling 1−alpha of
+// its residual into est and spreading the rest over its neighbors.
 func (p *PageRank) Row(i int) []Entry {
-	est := make(map[int32]float64)
-	residual := map[int32]float64{int32(i): 1}
-	queue := []int32{int32(i)}
-	inQueue := map[int32]bool{int32(i): true}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		inQueue[u] = false
+	s := p.scratch.get()
+	defer p.scratch.put(s)
+	est, residual, queued := s.x, s.y, s.queued
+	reached := append(s.reached[:0], int32(i))
+	s.seen[i] = true
+	residual[i] = 1
+	queue := append(s.l0[:0], int32(i))
+	queued[i] = true
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		queued[u] = false
 		r := residual[u]
 		d := p.g.Degree(int(u))
 		if d == 0 {
@@ -129,19 +151,22 @@ func (p *PageRank) Row(i int) []Entry {
 		residual[u] = 0
 		share := p.alpha * r / float64(d)
 		for _, v := range p.g.Neighbors(int(u)) {
+			if !s.seen[v] {
+				s.seen[v] = true
+				reached = append(reached, v)
+			}
 			residual[v] += share
-			if !inQueue[v] && residual[v] >= p.eps*float64(p.g.Degree(int(v))) {
-				inQueue[v] = true
+			if !queued[v] && residual[v] >= p.eps*float64(p.g.Degree(int(v))) {
+				queued[v] = true
 				queue = append(queue, v)
 			}
 		}
 	}
-	delete(est, int32(i))
-	row := make([]Entry, 0, len(est))
-	for j, v := range est {
-		row = append(row, Entry{J: j, P: v})
+	for _, u := range reached {
+		residual[u] = 0
 	}
-	return sortRow(row)
+	s.l0, s.reached = queue, reached
+	return s.collect(est, i)
 }
 
 // At implements Proximity.
@@ -151,6 +176,54 @@ func (p *PageRank) At(i, j int) float64 {
 	}
 	return rowAt(p.Row(i), j)
 }
+
+// rowScratch is the node-indexed workspace of one Katz or PageRank row
+// build. Between builds every value is zero and every flag false; a build
+// records the nodes it touches in reached and resets only those, so its
+// cost follows the region it explores, not |V|.
+type rowScratch struct {
+	x, y, z      []float64
+	seen, queued []bool
+	l0, l1       []int32
+	reached      []int32
+}
+
+// collect returns the positive entries of vals over the reached nodes,
+// except the diagonal column i, in ascending column order, and resets
+// vals and seen on those nodes.
+func (s *rowScratch) collect(vals []float64, i int) []Entry {
+	slices.Sort(s.reached)
+	row := make([]Entry, 0, len(s.reached))
+	for _, j := range s.reached {
+		if v := vals[j]; v > 0 && int(j) != i {
+			row = append(row, Entry{J: j, P: v})
+		}
+		vals[j] = 0
+		s.seen[j] = false
+	}
+	return row
+}
+
+// rowPool recycles rowScratch workspaces sized for an n-node graph, so
+// concurrent row builds (PairWeights, MaterializeParallel) each hold one
+// without allocating O(|V|) per row.
+type rowPool struct {
+	n    int
+	pool sync.Pool
+}
+
+func (rp *rowPool) get() *rowScratch {
+	if s, ok := rp.pool.Get().(*rowScratch); ok {
+		return s
+	}
+	n := rp.n
+	return &rowScratch{
+		x: make([]float64, n), y: make([]float64, n), z: make([]float64, n),
+		seen: make([]bool, n), queued: make([]bool, n),
+	}
+}
+
+func (rp *rowPool) put(s *rowScratch) { rp.pool.Put(s) }
 
 // DeepWalk is the random-walk proximity of Yang et al. [22], the measure
 // behind SE-PrivGEmb_DW: the stationary window-2 co-occurrence frequency of

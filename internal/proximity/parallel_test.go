@@ -89,7 +89,8 @@ func TestComputeStatsWorkersEmptyProximity(t *testing.T) {
 	}
 }
 
-// TestEdgeWeightsWorkersMatchesSerial pins the sharded per-edge At pass.
+// TestEdgeWeightsWorkersMatchesSerial pins the sharded weight fill over a
+// graph's edges to the serial one.
 func TestEdgeWeightsWorkersMatchesSerial(t *testing.T) {
 	g := graph.BarabasiAlbert(150, 3, xrand.New(9))
 	measures := []Proximity{

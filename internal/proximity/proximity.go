@@ -60,62 +60,36 @@ func ComputeStats(p Proximity) Stats {
 }
 
 // ComputeStatsWorkers is ComputeStats with the row-scan fallback sharded
-// across `workers` goroutines. Each worker owns disjoint row blocks off a
-// dynamic cursor: RowSums[i] is written only by row i's owner
-// (index-addressed), and each worker tracks a private running minimum;
-// the final MinPositive folds the per-worker minima in worker order.
-// Every quantity is an exact comparison or a per-row sum whose addend
-// order the schedule cannot change, so the result is bit-identical to the
-// serial scan at any worker count. Measures with an analytic shortcut
-// never scan at all.
+// across `workers` goroutines (parallelBlocks): RowSums[i] is written
+// only by row i's owner (index-addressed), and each worker tracks a
+// private running minimum; the final MinPositive folds the per-worker
+// minima in worker order. Every quantity is an exact comparison or a
+// per-row sum whose addend order the schedule cannot change, so the
+// result is bit-identical to the serial scan at any worker count.
+// Measures with an analytic shortcut never scan at all.
 func ComputeStatsWorkers(p Proximity, workers int) Stats {
 	if a, ok := p.(analyticStats); ok {
 		return a.Stats()
 	}
 	n := p.NumNodes()
 	st := Stats{MinPositive: math.Inf(1), RowSums: make([]float64, n)}
-	scan := func(lo, hi int, min *float64) {
+	mins := make([]float64, max(min(workers, n), 1))
+	for w := range mins {
+		mins[w] = math.Inf(1)
+	}
+	parallelBlocks(n, workers, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for _, e := range p.Row(i) {
 				st.RowSums[i] += e.P
-				if e.P > 0 && e.P < *min {
-					*min = e.P
+				if e.P > 0 && e.P < mins[w] {
+					mins[w] = e.P
 				}
 			}
 		}
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		scan(0, n, &st.MinPositive)
-	} else {
-		mins := make([]float64, workers)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				mins[w] = math.Inf(1)
-				for {
-					lo := int(next.Add(statBlock)) - statBlock
-					if lo >= n {
-						return
-					}
-					hi := lo + statBlock
-					if hi > n {
-						hi = n
-					}
-					scan(lo, hi, &mins[w])
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, m := range mins {
-			if m < st.MinPositive {
-				st.MinPositive = m
-			}
+	})
+	for _, m := range mins {
+		if m < st.MinPositive {
+			st.MinPositive = m
 		}
 	}
 	if math.IsInf(st.MinPositive, 1) {
@@ -124,62 +98,122 @@ func ComputeStatsWorkers(p Proximity, workers int) Stats {
 	return st
 }
 
-// statBlock is the dynamic work-grant size of the sharded scans; like
-// MaterializeParallel's blocks it keeps skewed hub rows from idling the
-// pool near the end.
-const statBlock = 32
-
-// EdgeWeights evaluates p on every edge of g, in edge-list order. These are
-// the p_ij factors of the Eq. (5) objective. Zero-weight edges are kept
-// (their loss contribution is zero, exactly as the objective dictates).
-func EdgeWeights(p Proximity, g *graph.Graph) []float64 {
-	return EdgeWeightsWorkers(p, g, 1)
-}
-
-// EdgeWeightsWorkers is EdgeWeights with the per-edge At evaluation
-// sharded across `workers` goroutines. Each weight fills its own
-// edge-index slot and At is a pure read of the immutable graph (true for
-// every measure in this package, and required of custom measures handed
-// here), so the slice is bit-identical to the serial pass at any count.
-// The win is large for row-lazy measures (Katz, PageRank), whose At
-// rebuilds a whole row per call.
-func EdgeWeightsWorkers(p Proximity, g *graph.Graph, workers int) []float64 {
-	edges := g.Edges()
-	w := make([]float64, len(edges))
-	fill := func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			e := edges[idx]
-			w[idx] = p.At(int(e.U), int(e.V))
+// parallelBlocks runs fn over [0, n) in blocks of `block` indices handed
+// out off an atomic cursor to `workers` goroutines; w is the caller's
+// worker index in [0, workers). Dynamic blocks rather than contiguous
+// shards, because row costs are heavily skewed on power-law graphs (hub
+// rows of Katz/PageRank push far larger frontiers), and small grants keep
+// the pool busy to the last row. With one worker (or n <= block) fn runs
+// once, inline, over the whole range.
+func parallelBlocks(n, workers int, fn func(w, lo, hi int)) {
+	if workers <= 1 || n <= block {
+		if n > 0 {
+			fn(0, 0, n)
 		}
+		return
 	}
-	if workers > len(edges) {
-		workers = len(edges)
-	}
-	if workers <= 1 {
-		fill(0, len(edges))
-		return w
-	}
+	workers = min(workers, (n+block-1)/block)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for i := 0; i < workers; i++ {
+	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
-				lo := int(next.Add(statBlock)) - statBlock
-				if lo >= len(edges) {
+				lo := int(next.Add(block)) - block
+				if lo >= n {
 					return
 				}
-				hi := lo + statBlock
-				if hi > len(edges) {
-					hi = len(edges)
-				}
-				fill(lo, hi)
+				fn(w, lo, min(lo+block, n))
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// block is parallelBlocks' work-grant size.
+const block = 32
+
+// Pair is one oriented node pair (I, J) whose proximity p_IJ is wanted.
+type Pair struct {
+	I, J int32
+}
+
+// rowBuilder marks the measures whose At(i, j) is rowAt(Row(i), j): each
+// call builds the whole of row i (Katz's frontier expansion, PageRank's
+// forward push) to read one entry of it.
+type rowBuilder interface {
+	buildsRows()
+}
+
+// PairWeights evaluates p on every pair, in pair order: the structure-
+// preference fill, the p_ij factors of the Eq. (5) objective. Zero-weight
+// pairs are kept (their loss contribution is zero, exactly as the
+// objective dictates).
+//
+// For the row-building measures (Katz, PageRank) the pairs are grouped by
+// source with a stable counting sort and each source's row is built once,
+// so the fill costs one row build per distinct source instead of one per
+// pair; every other measure is evaluated with At per pair. Either way the
+// weights are exactly At's — a grouped weight is rowAt of the very row At
+// would have built — and each lands in its own pair-index slot, so the
+// slice is bit-identical to the serial per-pair pass at any worker count.
+// Row and At must be safe for concurrent use (true for every measure in
+// this package, and required of custom measures handed here).
+func PairWeights(p Proximity, pairs []Pair, workers int) []float64 {
+	w := make([]float64, len(pairs))
+	if _, ok := p.(rowBuilder); !ok {
+		parallelBlocks(len(pairs), workers, func(_, lo, hi int) {
+			for k := lo; k < hi; k++ {
+				w[k] = p.At(int(pairs[k].I), int(pairs[k].J))
+			}
+		})
+		return w
+	}
+	// bySource[start[i]:start[i+1]] lists the indices of source i's pairs.
+	n := p.NumNodes()
+	start := make([]int, n+1)
+	for _, pr := range pairs {
+		start[pr.I+1]++
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	bySource := make([]int, len(pairs))
+	fill := append([]int(nil), start[:n]...)
+	for k, pr := range pairs {
+		bySource[fill[pr.I]] = k
+		fill[pr.I]++
+	}
+	parallelBlocks(n, workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ks := bySource[start[i]:start[i+1]]
+			if len(ks) == 0 {
+				continue
+			}
+			row := p.Row(i)
+			for _, k := range ks {
+				w[k] = rowAt(row, int(pairs[k].J))
+			}
+		}
+	})
 	return w
+}
+
+// EdgeWeights evaluates p on every edge of g, in edge-list order
+// (PairWeights over the edges as (U, V) pairs).
+func EdgeWeights(p Proximity, g *graph.Graph) []float64 {
+	return EdgeWeightsWorkers(p, g, 1)
+}
+
+// EdgeWeightsWorkers is EdgeWeights across `workers` goroutines.
+func EdgeWeightsWorkers(p Proximity, g *graph.Graph, workers int) []float64 {
+	edges := g.Edges()
+	pairs := make([]Pair, len(edges))
+	for k, e := range edges {
+		pairs[k] = Pair{I: e.U, J: e.V}
+	}
+	return PairWeights(p, pairs, workers)
 }
 
 // rowAt searches a sorted sparse row for column j.
@@ -215,52 +249,19 @@ func Materialize(p Proximity) *Sparse {
 	return MaterializeParallel(p, 1)
 }
 
-// MaterializeParallel evaluates rows across `workers` goroutines. Rows
-// are index-addressed and Row is a pure function of (measure, graph, i),
-// so the result is identical at any worker count. Every measure in this
-// package supports concurrent Row calls (they only read the graph); a
-// custom Proximity handed here must as well.
-//
-// Work is handed out in small row blocks off an atomic cursor rather than
-// contiguous shards: row costs are heavily skewed on power-law graphs
-// (hub rows of Katz/PageRank push far larger frontiers), and dynamic
-// blocks keep the pool busy to the last row.
+// MaterializeParallel evaluates rows across `workers` goroutines
+// (parallelBlocks). Rows are index-addressed and Row is a pure function of
+// (measure, graph, i), so the result is identical at any worker count.
+// Every measure in this package supports concurrent Row calls (they only
+// read the graph); a custom Proximity handed here must as well.
 func MaterializeParallel(p Proximity, workers int) *Sparse {
 	n := p.NumNodes()
 	s := &Sparse{name: p.Name(), rows: make([][]Entry, n)}
-	fill := func(lo, hi int) {
+	parallelBlocks(n, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s.rows[i] = append([]Entry(nil), p.Row(i)...)
 		}
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fill(0, n)
-		return s
-	}
-	const block = 32
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(block)) - block
-				if lo >= n {
-					return
-				}
-				hi := lo + block
-				if hi > n {
-					hi = n
-				}
-				fill(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return s
 }
 

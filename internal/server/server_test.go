@@ -208,6 +208,7 @@ func TestStatusReportsStageTimings(t *testing.T) {
 		positive bool // must be > 0, not merely >= 0
 	}{
 		{"subgraphsMs", st.SubgraphsMs, false}, // one-shot setup can round to ~0 but never negative
+		{"edgeWeightsMs", st.EdgeWeightsMs, false},
 		{"gradientsMs", st.GradientsMs, true},
 		{"reduceMs", st.ReduceMs, true},
 		{"updateMs", st.UpdateMs, true},
@@ -220,7 +221,7 @@ func TestStatusReportsStageTimings(t *testing.T) {
 			t.Errorf("%s = %g, want > 0 after %d epochs", row.name, row.ms, final.Progress.Epoch+1)
 		}
 	}
-	if total := st.SubgraphsMs + st.GradientsMs + st.ReduceMs + st.UpdateMs; total > float64(final.Progress.ElapsedMs+1) {
+	if total := st.SubgraphsMs + st.EdgeWeightsMs + st.GradientsMs + st.ReduceMs + st.UpdateMs; total > float64(final.Progress.ElapsedMs+1) {
 		t.Errorf("stage total %.3fms exceeds elapsed %dms", total, final.Progress.ElapsedMs)
 	}
 }

@@ -62,10 +62,11 @@ func ProgressFrom(st core.EpochStats) *ProgressInfo {
 		DeltaSpent: st.DeltaSpent,
 		ElapsedMs:  st.Elapsed.Milliseconds(),
 		Stages: &StageInfo{
-			SubgraphsMs: ms(st.Stages.Subgraphs),
-			GradientsMs: ms(st.Stages.Gradients),
-			ReduceMs:    ms(st.Stages.Reduce),
-			UpdateMs:    ms(st.Stages.Update),
+			SubgraphsMs:   ms(st.Stages.Subgraphs),
+			EdgeWeightsMs: ms(st.Stages.EdgeWeights),
+			GradientsMs:   ms(st.Stages.Gradients),
+			ReduceMs:      ms(st.Stages.Reduce),
+			UpdateMs:      ms(st.Stages.Update),
 		},
 	}
 }

@@ -26,10 +26,10 @@ func TestJobEventGoldenJSON(t *testing.T) {
 				Type: "epoch", Job: "j0011223344556677", Seq: 3,
 				Progress: &ProgressInfo{
 					Epoch: 4, Loss: 0.25, EpsSpent: 1.5, DeltaSpent: 1e-6, ElapsedMs: 120,
-					Stages: &StageInfo{SubgraphsMs: 1.5, GradientsMs: 80.25, ReduceMs: 10, UpdateMs: 4},
+					Stages: &StageInfo{SubgraphsMs: 1.5, EdgeWeightsMs: 0.5, GradientsMs: 80.25, ReduceMs: 10, UpdateMs: 4},
 				},
 			},
-			want: `{"type":"epoch","job":"j0011223344556677","seq":3,"progress":{"epoch":4,"loss":0.25,"epsSpent":1.5,"deltaSpent":0.000001,"elapsedMs":120,"stages":{"subgraphsMs":1.5,"gradientsMs":80.25,"reduceMs":10,"updateMs":4}}}`,
+			want: `{"type":"epoch","job":"j0011223344556677","seq":3,"progress":{"epoch":4,"loss":0.25,"epsSpent":1.5,"deltaSpent":0.000001,"elapsedMs":120,"stages":{"subgraphsMs":1.5,"edgeWeightsMs":0.5,"gradientsMs":80.25,"reduceMs":10,"updateMs":4}}}`,
 		},
 		{
 			name: "done",
@@ -133,10 +133,11 @@ func TestProgressFrom(t *testing.T) {
 		Epoch: 7, Loss: 0.5, EpsSpent: 2.25, DeltaSpent: 1e-5,
 		Elapsed: 1500 * time.Millisecond,
 		Stages: core.StageTimings{
-			Subgraphs: 2 * time.Millisecond,
-			Gradients: 1200 * time.Millisecond,
-			Reduce:    150 * time.Microsecond,
-			Update:    3 * time.Millisecond,
+			Subgraphs:   2 * time.Millisecond,
+			EdgeWeights: 40 * time.Millisecond,
+			Gradients:   1200 * time.Millisecond,
+			Reduce:      150 * time.Microsecond,
+			Update:      3 * time.Millisecond,
 		},
 	}
 	p := ProgressFrom(st)
@@ -146,7 +147,7 @@ func TestProgressFrom(t *testing.T) {
 	if p.ElapsedMs != 1500 {
 		t.Errorf("ElapsedMs = %d, want 1500", p.ElapsedMs)
 	}
-	if p.Stages == nil || p.Stages.GradientsMs != 1200 || p.Stages.ReduceMs != 0.15 {
+	if p.Stages == nil || p.Stages.EdgeWeightsMs != 40 || p.Stages.GradientsMs != 1200 || p.Stages.ReduceMs != 0.15 {
 		t.Errorf("stage timings: %+v", p.Stages)
 	}
 }

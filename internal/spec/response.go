@@ -49,10 +49,11 @@ type ProgressInfo struct {
 // quick-scale jobs finish whole stages in microseconds, and an integer
 // millisecond field would round every one of them to zero.
 type StageInfo struct {
-	SubgraphsMs float64 `json:"subgraphsMs"`
-	GradientsMs float64 `json:"gradientsMs"`
-	ReduceMs    float64 `json:"reduceMs"`
-	UpdateMs    float64 `json:"updateMs"`
+	SubgraphsMs   float64 `json:"subgraphsMs"`
+	EdgeWeightsMs float64 `json:"edgeWeightsMs"`
+	GradientsMs   float64 `json:"gradientsMs"`
+	ReduceMs      float64 `json:"reduceMs"`
+	UpdateMs      float64 `json:"updateMs"`
 }
 
 // ResultResponse is the wire form of a finished job's outcome. Embedding

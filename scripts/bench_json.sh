@@ -83,14 +83,17 @@ function emit_sep() { if (n++) printf ",\n" }
 /^cpu: /  { sub(/^cpu: /, ""); cpu = $0 }
 /^Benchmark/ {
     name = $1; iters = $2
-    ns = "null"; bytes = "null"; allocs = "null"
+    ns = "null"; bytes = "null"; allocs = "null"; extra = ""
     for (i = 3; i < NF; i++) {
-        if ($(i+1) == "ns/op")     ns = $i
-        if ($(i+1) == "B/op")      bytes = $i
-        if ($(i+1) == "allocs/op") allocs = $i
+        unit = $(i+1)
+        if (unit == "ns/op")          ns = $i
+        else if (unit == "B/op")      bytes = $i
+        else if (unit == "allocs/op") allocs = $i
+        # b.ReportMetric units (e.g. weights-ns/op) are kept under their own name.
+        else if (unit ~ /\/op$/)      extra = extra sprintf(",\"%s\":%s", unit, $i)
     }
     emit_sep()
-    printf "  {\"pkg\":\"%s\",\"name\":\"%s\",\"iterations\":%s,\"ns_per_op\":%s,\"bytes_per_op\":%s,\"allocs_per_op\":%s}", pkg, name, iters, ns, bytes, allocs
+    printf "  {\"pkg\":\"%s\",\"name\":\"%s\",\"iterations\":%s,\"ns_per_op\":%s,\"bytes_per_op\":%s,\"allocs_per_op\":%s%s}", pkg, name, iters, ns, bytes, allocs, extra
 }
 BEGIN { print "[" ; n = 0 }
 END   {

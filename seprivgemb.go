@@ -97,7 +97,8 @@ func NewProximity(name string, g *Graph) (Proximity, error) {
 // matrix, sharding row construction across `workers` goroutines. Rows are
 // index-addressed, so the result is identical at any worker count. Use it
 // before repeated At/Row access to row-lazy measures (Katz and PageRank
-// recompute a whole row per At call otherwise).
+// recompute a whole row per At call otherwise; training's weight fill
+// needs no such step, since it builds each needed row once).
 func MaterializeProximity(p Proximity, workers int) Proximity {
 	return proximity.MaterializeParallel(p, workers)
 }

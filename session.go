@@ -214,8 +214,9 @@ func WithMemoryBudget(bytes int64) Option {
 }
 
 // WithCache materializes the proximity matrix once, lazily at the first
-// Run, sharded across the session's workers — a large win for row-lazy
-// measures (Katz, PageRank) and for sessions that Run more than once.
+// Run, sharded across the session's workers. It pays off for sessions
+// that Run more than once: a single Run's weight fill already builds each
+// needed row of a row-lazy measure (Katz, PageRank) only once.
 func WithCache() Option {
 	return func(s *Session) { s.cache = true }
 }
