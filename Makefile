@@ -1,8 +1,8 @@
 GO ?= go
 # Benchmark → JSON recording for the perf trajectory; bump per PR.
-BENCH_JSON ?= BENCH_pr14.json
+BENCH_JSON ?= BENCH_pr15.json
 # The previous PR's recording, the regression baseline for bench-diff.
-BENCH_BASE ?= BENCH_pr13.json
+BENCH_BASE ?= BENCH_pr14.json
 # The replica-set load report recorded by `make loadtest`.
 LOAD_JSON ?= BENCH_load_pr9.json
 # The sharded-stage benchmarks: the DP noise/update stage, the one-shot
@@ -10,8 +10,9 @@ LOAD_JSON ?= BENCH_load_pr9.json
 # lazy-Katz job too, with its weight-fill share as weights-ns/op), the
 # sharded evaluation metrics (PR 3), the sharded proximity stats/edge-weight
 # scans (PR 4), and the mathx kernel layer (PR 7) — unrolled reductions
-# plus the fused skip-gram kernels.
-BENCH_PAT ?= ApplyUpdate|GenerateSubgraphs|ProximityMaterialize|TrainWorkers|StrucEquWorkers|LinkAUCWorkers|ComputeStatsWorkers|EdgeWeightsWorkers|BenchmarkDot|BenchmarkNorm2Sq|BenchmarkAXPY|BenchmarkDotSigmoid|BenchmarkAXPY2|BenchmarkScaleTo2|BenchmarkClipScaleAXPY
+# plus the fused skip-gram kernels. StreamNormalAt times the counter
+# stream's normal sampler, one noise row per op.
+BENCH_PAT ?= StreamNormalAt|ApplyUpdate|GenerateSubgraphs|ProximityMaterialize|TrainWorkers|StrucEquWorkers|LinkAUCWorkers|ComputeStatsWorkers|EdgeWeightsWorkers|BenchmarkDot|BenchmarkNorm2Sq|BenchmarkAXPY|BenchmarkDotSigmoid|BenchmarkAXPY2|BenchmarkScaleTo2|BenchmarkClipScaleAXPY
 # Per-target fuzz budget for fuzz-kernels (Go's -fuzztime syntax).
 FUZZTIME ?= 10s
 

@@ -87,18 +87,12 @@ func NormalizeRows(x *mathx.Matrix) {
 // counter stream by flat element index — the deterministic-noise contract
 // the core trainer follows (noise is addressed by position, not by draw
 // order), which makes every baseline release bit-identical across repeated
-// runs of one config. Elements are consumed as Box–Muller pairs to
-// amortize the transcendentals.
+// runs of one config. Element k reads counter k.
 func AddRowNoise(x *mathx.Matrix, sd float64, s xrand.Stream) {
 	if sd <= 0 {
 		return
 	}
-	d := x.Data
-	for j := 0; 2*j < len(d); j++ {
-		a, b := s.NormalPairAt(uint64(j))
-		d[2*j] += sd * a
-		if 2*j+1 < len(d) {
-			d[2*j+1] += sd * b
-		}
+	for k := range x.Data {
+		x.Data[k] += sd * s.NormalAt(uint64(k))
 	}
 }

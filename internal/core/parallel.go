@@ -622,28 +622,19 @@ func (e *engine) unpinEpoch() {
 }
 
 // perturbRow applies dst[d] -= lr·(g[d] + sd·noise(epoch, matrix, row, d))
-// for every coordinate d, walking Box–Muller pairs to amortize the
-// transcendentals. g may be nil (an untouched row under StrategyNaive).
-// dp.GaussianMechanismAt is the standalone form of this pair walk; it is
-// fused with the gradient subtraction here so the hot path makes a single
-// pass over the row.
+// for every coordinate d, one counter-addressed ziggurat normal per
+// coordinate. g may be nil (an untouched row under StrategyNaive).
+// dp.GaussianMechanismAt is the standalone form of this draw; it is fused
+// with the gradient subtraction here so the hot path makes a single pass
+// over the row.
 func (e *engine) perturbRow(dst, g []float64, epoch int, matrix uint64, row int, lr, sd float64) {
 	sub := e.noise.Derive(noiseKey(epoch, matrix, row))
-	dim := len(dst)
-	gv := func(d int) float64 {
-		if g == nil {
-			return 0
+	for d := range dst {
+		var gd float64
+		if g != nil {
+			gd = g[d]
 		}
-		return g[d]
-	}
-	d := 0
-	for ; d+1 < dim; d += 2 {
-		z0, z1 := sub.NormalPairAt(uint64(d) / 2)
-		dst[d] -= lr * (gv(d) + sd*z0)
-		dst[d+1] -= lr * (gv(d+1) + sd*z1)
-	}
-	if d < dim {
-		dst[d] -= lr * (gv(d) + sd*sub.NormalAt(uint64(d)))
+		dst[d] -= lr * (gd + sd*sub.NormalAt(uint64(d)))
 	}
 }
 

@@ -39,11 +39,9 @@ func GaussianMechanism(x []float64, sensitivity, sigma float64, rng *xrand.RNG) 
 // GaussianMechanismAt is GaussianMechanism with index-addressed noise:
 // coordinate i receives sd·NormalAt(base+i) from the given counter stream
 // (xrand contract pattern 3), so callers can shard one logical noise
-// vector across workers — or re-derive any coordinate's noise later —
-// without a shared sequential RNG. base must be pair-aligned (even): the
-// Box–Muller pairs underneath span counters (2j, 2j+1), and a shard split
-// off-pair would assign different branch elements than the whole-vector
-// call — it panics rather than silently breaking bit-identity.
+// vector across workers at any offset — or re-derive any coordinate's
+// noise later — without a shared sequential RNG. Each coordinate reads
+// its own counter, so a shard's bits never depend on where it was cut.
 //
 // The privacy accounting is indifferent to the change: Theorems 4–5 bound
 // the mechanism by the DISTRIBUTION of its noise — i.i.d. N(0, sd²) per
@@ -53,20 +51,11 @@ func GaussianMechanismAt(x []float64, sensitivity, sigma float64, st xrand.Strea
 	if sensitivity < 0 || sigma < 0 {
 		panic(fmt.Sprintf("dp: GaussianMechanismAt(sensitivity=%g, sigma=%g) negative parameter", sensitivity, sigma))
 	}
-	if base&1 != 0 {
-		panic(fmt.Sprintf("dp: GaussianMechanismAt base %d must be pair-aligned (even)", base))
-	}
 	sd := sensitivity * sigma
 	if sd == 0 {
 		return
 	}
-	i := 0
-	for ; i+1 < len(x); i += 2 {
-		a, b := st.NormalPairAt((base + uint64(i)) / 2)
-		x[i] += sd * a
-		x[i+1] += sd * b
-	}
-	if i < len(x) {
+	for i := range x {
 		x[i] += sd * st.NormalAt(base+uint64(i))
 	}
 }

@@ -88,6 +88,25 @@ func TestGaussianMechanismAtIsIndexAddressed(t *testing.T) {
 	}
 }
 
+// TestGaussianMechanismAtShardsAtAnyOffset cuts one noise vector at every
+// offset, odd ones included: each coordinate reads its own counter, so
+// the shards reassemble the whole-vector bits.
+func TestGaussianMechanismAtShardsAtAnyOffset(t *testing.T) {
+	st := xrand.NewStream(3).Derive(8)
+	whole := make([]float64, 7)
+	GaussianMechanismAt(whole, 1, 2, st, 0)
+	for cut := 1; cut < len(whole); cut++ {
+		parts := make([]float64, len(whole))
+		GaussianMechanismAt(parts[:cut], 1, 2, st, 0)
+		GaussianMechanismAt(parts[cut:], 1, 2, st, uint64(cut))
+		for i := range whole {
+			if whole[i] != parts[i] {
+				t.Fatalf("cut %d, coordinate %d: %g sharded vs %g whole", cut, i, parts[i], whole[i])
+			}
+		}
+	}
+}
+
 func TestGaussianMechanismAtPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {
@@ -99,9 +118,6 @@ func TestGaussianMechanismAtPanics(t *testing.T) {
 	}
 	mustPanic("negative sigma", func() {
 		GaussianMechanismAt([]float64{1}, 1, -1, xrand.NewStream(1), 0)
-	})
-	mustPanic("odd base", func() {
-		GaussianMechanismAt([]float64{1, 2}, 1, 1, xrand.NewStream(1), 3)
 	})
 }
 

@@ -208,11 +208,21 @@ func fnv1a64(xs []float64) uint64 {
 // DESIGN.md §12 — the same single summation-order change re-pinned as
 // core.goldenEmbedding in the same commit. Distributions, architectures
 // and DP accounting are untouched.
+//
+// Migration note (one-counter ziggurat normals; was dpggan
+// 0xc6c2c15e4276c530, dpgvae 0xf5f9ccf8990082e1, gap 0xd27f93a1f65cbb64,
+// progap 0x5f7da1e551f6b379): the baselines draw their noise through
+// xrand.Stream.NormalAt
+// (baselines.AddRowNoise, nn's counter-addressed noise), which moved
+// from Box–Muller pairs to a one-counter ziggurat — the same sampler
+// change re-pinned as core.goldenEmbedding in the same commit. Each draw
+// is still N(0, 1) at the same address; architectures and DP accounting
+// are untouched.
 var goldenBaselines = map[string]uint64{
-	"dpggan": 0xc6c2c15e4276c530,
-	"dpgvae": 0xf5f9ccf8990082e1,
-	"gap":    0xd27f93a1f65cbb64,
-	"progap": 0x5f7da1e551f6b379,
+	"dpggan": 0x87da3bf4b663035c,
+	"dpgvae": 0x3909fa5d12525f66,
+	"gap":    0x8e39bb22faccd0a3,
+	"progap": 0xee17339d51700704,
 }
 
 // TestGoldenBaselineDeterminism trains each baseline twice per worker

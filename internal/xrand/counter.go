@@ -1,7 +1,5 @@
 package xrand
 
-import "math"
-
 // This file implements pattern 3 of the package's determinism contract: a
 // counter-based (index-addressable) random stream. Where *RNG is a
 // sequential generator whose draw ORDER is part of a run's identity, a
@@ -21,7 +19,8 @@ import "math"
 // base + (ctr+1)·γ. Every keyed substream is therefore exactly a SplitMix64
 // generator (a well-tested PRNG) addressed by index instead of by
 // iteration, and distinct keys select substreams whose seeds differ by a
-// full 64-bit avalanche.
+// full 64-bit avalanche. The normal sampler on top, NormalAt, is in
+// ziggurat.go.
 
 const (
 	// golden is the SplitMix64 Weyl increment (2^64 / φ, odd).
@@ -70,29 +69,4 @@ func (s Stream) Uint64At(ctr uint64) uint64 {
 // Float64At returns the uniform float64 in [0, 1) at counter ctr.
 func (s Stream) Float64At(ctr uint64) float64 {
 	return float64(s.Uint64At(ctr)>>11) / (1 << 53)
-}
-
-// NormalPairAt returns two independent standard normal variates for pair
-// index j, consuming counters 2j and 2j+1. It uses the non-rejecting
-// Box–Muller form (u1 is mapped to (0, 1] so the log is always finite),
-// computing both the cosine and sine branches of one transform — callers
-// filling vectors should iterate pairs to amortize the transcendentals.
-func (s Stream) NormalPairAt(j uint64) (float64, float64) {
-	u1 := (float64(s.Uint64At(2*j)>>11) + 1) / (1 << 53) // (0, 1]
-	u2 := s.Float64At(2*j + 1)                           // [0, 1)
-	r := math.Sqrt(-2 * math.Log(u1))
-	sin, cos := math.Sincos(2 * math.Pi * u2)
-	return r * cos, r * sin
-}
-
-// NormalAt returns the standard normal variate at index i: element i&1 of
-// NormalPairAt(i/2). Adjacent indices share one Box–Muller transform but
-// are independent (the cosine and sine branches of a shared radius/angle
-// pair are independent N(0,1) variates).
-func (s Stream) NormalAt(i uint64) float64 {
-	a, b := s.NormalPairAt(i / 2)
-	if i&1 == 0 {
-		return a
-	}
-	return b
 }

@@ -30,19 +30,6 @@ func TestStreamIsPure(t *testing.T) {
 	}
 }
 
-func TestStreamNormalAtMatchesPair(t *testing.T) {
-	sub := NewStream(9).Derive(3)
-	for j := uint64(0); j < 100; j++ {
-		a, b := sub.NormalPairAt(j)
-		if got := sub.NormalAt(2 * j); got != a {
-			t.Fatalf("NormalAt(%d) = %g, want pair first %g", 2*j, got, a)
-		}
-		if got := sub.NormalAt(2*j + 1); got != b {
-			t.Fatalf("NormalAt(%d) = %g, want pair second %g", 2*j+1, got, b)
-		}
-	}
-}
-
 // TestStreamNormalMoments checks mean/variance/kurtosis of NormalAt across
 // a contiguous counter range — the statistical-sanity half of the counter
 // stream's test contract.

@@ -33,7 +33,9 @@
 //     a pure function of (seed, key, counter), so any worker can compute
 //     any draw at any time and the result is bit-identical at every
 //     worker count. This is how core.Train shards its Eq. (6)/(9) noise
-//     stage and Algorithm 1's per-edge sampling.
+//     stage and Algorithm 1's per-edge sampling. Stream.NormalAt reads one
+//     counter per normal (a ziggurat, ziggurat.go), so any contiguous or
+//     scattered subset of coordinates can be drawn on its own.
 package xrand
 
 import (
