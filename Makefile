@@ -3,8 +3,6 @@ GO ?= go
 BENCH_JSON ?= BENCH_pr15.json
 # The previous PR's recording, the regression baseline for bench-diff.
 BENCH_BASE ?= BENCH_pr14.json
-# The replica-set load report recorded by `make loadtest`.
-LOAD_JSON ?= BENCH_load_pr9.json
 # The sharded-stage benchmarks: the DP noise/update stage, the one-shot
 # graph passes, the whole-train scaling curves (TrainWorkers matches the
 # lazy-Katz job too, with its weight-fill share as weights-ns/op), the
@@ -16,7 +14,7 @@ BENCH_PAT ?= StreamNormalAt|ApplyUpdate|GenerateSubgraphs|ProximityMaterialize|T
 # Per-target fuzz budget for fuzz-kernels (Go's -fuzztime syntax).
 FUZZTIME ?= 10s
 
-.PHONY: build test vet race fmt-check md-check bench-check bench bench-json bench-diff fuzz-kernels serve-smoke loadtest loadtest-smoke verify
+.PHONY: build test vet race fmt-check md-check bench-check bench bench-json bench-diff fuzz-kernels serve-smoke verify
 
 build:
 	$(GO) build ./...
@@ -86,19 +84,6 @@ fuzz-kernels:
 # a tiny inline job over real HTTP, poll it to done, and fetch the result.
 serve-smoke:
 	$(GO) run ./cmd/seprivd -selftest
-
-# Replica-set load test: two in-process replicas over one shared artifact
-# dir under a readers/writers mix; records rows/s and the read-latency
-# histogram as $(LOAD_JSON).
-loadtest:
-	$(GO) run ./cmd/loadgen -selfhost 2 -jobs 4 -writers 2 -readers 8 -duration 5s -out $(LOAD_JSON)
-	@cat $(LOAD_JSON)
-
-# The CI form: a short run that asserts the replica-set invariants —
-# zero duplicate trainings across the set and at least one row window
-# served by a replica the job was never submitted to.
-loadtest-smoke:
-	$(GO) run ./cmd/loadgen -selfhost 2 -jobs 3 -writers 1 -readers 4 -duration 2s -smoke -out $(LOAD_JSON)
 
 # Tier-1 verification in one command — the same gate
 # .github/workflows/ci.yml runs on every push/PR.

@@ -195,7 +195,7 @@ func TestHealthzReplicaIdentity(t *testing.T) {
 }
 
 // TestRemoteStatusResultRows: the status, result, and row-window routes
-// all answer on a replica that never saw the job, bit-identically to the
+// all answer on a replica that never saw the job, byte-identically to the
 // owner.
 func TestRemoteStatusResultRows(t *testing.T) {
 	a, b, _, svcB := replicaPair(t)
@@ -260,6 +260,11 @@ func TestRemoteStatusResultRows(t *testing.T) {
 	if page.Range == nil || page.Range.Next == "" || page.RowCount != 5 {
 		t.Fatalf("remote page: %+v", page)
 	}
+
+	// Every result page and row window reads byte for byte the same from
+	// the owner and from the peer.
+	paths := resultPaths(jr.ID)
+	sameReads(t, "peer replica", paths, rawReads(t, a, paths), rawReads(t, b, paths))
 
 	// Unknown everywhere is still 404.
 	resp, err := http.Get(b.URL + "/v1/jobs/j0123456789abcdef/result")

@@ -40,13 +40,20 @@
 // covers the FULL matrix regardless of the window served, so any page
 // can be verified against it.
 //
-// Replica serving: with a shared artifact store, a job ID this instance
-// never saw submitted — a peer replica's job — still answers on the
-// status, result, row-window, and events routes once its artifact lands:
-// the store is globbed by ID, the deduplication key is reconstructed and
-// re-verified from the artifact header, and rows decode through the same
-// indexed window machinery as local jobs. "Unknown job" therefore means
-// unknown to the whole set, not just this process.
+// Replica serving: the result and row-window routes have one handler
+// each, whichever process trained the job. The service hands them one
+// metadata record (service.ArtifactMeta) — built from the job itself when
+// it is in this process's table, decoded from the artifact header when it
+// is a peer replica's job or one this process has forgotten — and every
+// row window comes from Service.ResultRows, so the owner, a peer and the
+// owner after it forgot the job serve byte-identical bodies. With a shared
+// artifact store, a job ID this instance never saw submitted answers on
+// the status, result, row-window, and events routes once its artifact
+// lands: the store resolves the ID once (glob, then reconstruct and
+// re-verify the deduplication key from the artifact header), and rows
+// decode through the same indexed window machinery as local jobs.
+// "Unknown job" therefore means unknown to the whole set, not just this
+// process.
 //
 // Error mapping: malformed or unresolvable specs → 400, unknown job IDs
 // or malformed row windows → 400/404, result-before-done → 409, tenant
@@ -266,19 +273,28 @@ func (s *Server) status(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, jobView(j))
 		return
 	}
+	// A job this process never ran or has forgotten: the artifact records
+	// no lifecycle timeline, so its status is the one fact served.
 	if meta, ok := s.svc.ArtifactMeta(id); ok {
-		writeJSON(w, http.StatusOK, remoteJobView(meta))
+		writeJSON(w, http.StatusOK, jobResponse{ID: meta.JobID, Status: metaStatus(meta), Method: meta.Method})
 		return
 	}
 	writeError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
 }
 
-// finishedResult resolves {id} to a job that has finished with a result,
-// writing the 404/409/410/500 responses itself otherwise.
-func (s *Server) finishedResult(w http.ResponseWriter, r *http.Request) (*service.Job, *core.Result, bool) {
-	j, ok := s.lookup(w, r)
+// finished resolves {id} to the metadata record of a finished result:
+// the job's own for a job in this process's table, the artifact header's
+// for one this process never ran or has forgotten. It writes the
+// 404/409/410/500 responses itself otherwise.
+func (s *Server) finished(w http.ResponseWriter, r *http.Request) (*service.ArtifactMeta, bool) {
+	id := r.PathValue("id")
+	j, ok := s.svc.JobByID(id)
 	if !ok {
-		return nil, nil, false
+		if meta, ok := s.svc.ArtifactMeta(id); ok {
+			return meta, true
+		}
+		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
+		return nil, false
 	}
 	select {
 	case <-j.Done():
@@ -287,9 +303,9 @@ func (s *Server) finishedResult(w http.ResponseWriter, r *http.Request) (*servic
 			Error:  "job has not finished; poll GET /v1/jobs/{id}",
 			Status: j.Status().String(),
 		})
-		return nil, nil, false
+		return nil, false
 	}
-	res, err := j.Result()
+	meta, err := j.ResultMeta()
 	if err != nil {
 		// No result exists to serve, and there never will be under this ID
 		// unless resubmitted: the job was canceled while queued (never
@@ -300,30 +316,39 @@ func (s *Server) finishedResult(w http.ResponseWriter, r *http.Request) (*servic
 				Error:  "job was canceled before a result was produced",
 				Status: j.Status().String(),
 			})
-			return nil, nil, false
+			return nil, false
 		}
 		writeError(w, http.StatusInternalServerError, err.Error())
-		return nil, nil, false
+		return nil, false
 	}
-	return j, res, true
+	return meta, true
 }
 
-// resultMeta builds the window-independent part of a result response.
-func (s *Server) resultMeta(j *service.Job, res *core.Result) resultResponse {
-	emb := res.Embedding()
-	resp := resultResponse{
-		ID:           j.ID(),
-		Status:       j.Status().String(),
-		Method:       j.Method(),
-		Stopped:      res.Stopped.String(),
-		Epochs:       res.Epochs,
-		Nodes:        emb.Rows,
-		Dim:          emb.Cols,
-		EpsilonSpent: res.EpsilonSpent,
-		DeltaSpent:   res.DeltaSpent,
+// metaStatus is the lifecycle status a finished result implies: a run
+// canceled mid-training leaves a partial result, every other result is
+// done (and only completed runs are ever persisted).
+func metaStatus(meta *service.ArtifactMeta) string {
+	if meta.Stopped == core.StopCanceled {
+		return service.StatusCanceled.String()
 	}
-	if h, ok := j.EmbeddingHash(); ok {
-		resp.EmbeddingHash = fmt.Sprintf("%016x", h)
+	return service.StatusDone.String()
+}
+
+// resultView builds the window-independent part of a result response.
+func resultView(meta *service.ArtifactMeta) resultResponse {
+	resp := resultResponse{
+		ID:           meta.JobID,
+		Status:       metaStatus(meta),
+		Method:       meta.Method,
+		Stopped:      meta.Stopped.String(),
+		Epochs:       meta.Epochs,
+		Nodes:        meta.Nodes,
+		Dim:          meta.Dim,
+		EpsilonSpent: meta.EpsilonSpent,
+		DeltaSpent:   meta.DeltaSpent,
+	}
+	if meta.EmbeddingHash != 0 {
+		resp.EmbeddingHash = fmt.Sprintf("%016x", meta.EmbeddingHash)
 	}
 	return resp
 }
@@ -423,48 +448,39 @@ func embeddingRows(m *mathx.Matrix) [][]float64 {
 	return rows
 }
 
-// window serves rows [lo, hi) of a finished job's embedding through the
-// service's row-range path (artifact-indexed decode when available,
-// in-memory view otherwise).
-func (s *Server) window(w http.ResponseWriter, j *service.Job, lo, hi int) (*core.EmbeddingWindow, bool) {
-	win, err := s.svc.ResultRows(j.ID(), lo, hi)
+// window reads rows [lo, hi) of a finished job through
+// Service.ResultRows, the one row path whichever process trained the job,
+// writing a 400 itself on failure.
+func (s *Server) window(w http.ResponseWriter, id string, lo, hi int) ([][]float64, bool) {
+	win, err := s.svc.ResultRows(id, lo, hi)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return nil, false
 	}
-	return win, true
+	return embeddingRows(win.Rows), true
 }
 
 func (s *Server) result(w http.ResponseWriter, r *http.Request) {
-	if meta, ok := s.peerArtifact(r.PathValue("id")); ok {
-		s.resultRemote(w, r, meta)
-		return
-	}
-	j, res, ok := s.finishedResult(w, r)
+	meta, ok := s.finished(w, r)
 	if !ok {
 		return
 	}
-	emb := res.Embedding()
-	mode, lo, hi, limit, err := parseEmbedQuery(r.URL.Query(), emb.Rows, emb.Cols)
+	mode, lo, hi, limit, err := parseEmbedQuery(r.URL.Query(), meta.Nodes, meta.Dim)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	resp := s.resultMeta(j, res)
-	switch mode {
-	case embedFull:
-		resp.Embedding = embeddingRows(emb)
-		resp.RowCount = emb.Rows
-	case embedRange:
-		win, ok := s.window(w, j, lo, hi)
-		if !ok {
+	resp := resultView(meta)
+	if mode != embedNone {
+		if resp.Embedding, ok = s.window(w, meta.JobID, lo, hi); !ok {
 			return
 		}
-		resp.Embedding = embeddingRows(win.Rows)
 		resp.RowCount = hi - lo
+	}
+	if mode == embedRange {
 		rng := &rangeInfo{Offset: lo, Limit: limit}
-		if hi < emb.Rows {
-			rng.Next = fmt.Sprintf("/v1/jobs/%s/result?embedding=range&offset=%d&limit=%d", j.ID(), hi, limit)
+		if hi < meta.Nodes {
+			rng.Next = fmt.Sprintf("/v1/jobs/%s/result?embedding=range&offset=%d&limit=%d", meta.JobID, hi, limit)
 			w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", rng.Next, "next"))
 		}
 		resp.Range = rng
@@ -476,11 +492,7 @@ func (s *Server) result(w http.ResponseWriter, r *http.Request) {
 // row-window form of the result API, returning rows [lo, hi) with the
 // usual metadata and the full-matrix embeddingHash.
 func (s *Server) resultRows(w http.ResponseWriter, r *http.Request) {
-	if meta, ok := s.peerArtifact(r.PathValue("id")); ok {
-		s.resultRowsRemote(w, r, meta)
-		return
-	}
-	j, res, ok := s.finishedResult(w, r)
+	meta, ok := s.finished(w, r)
 	if !ok {
 		return
 	}
@@ -489,12 +501,10 @@ func (s *Server) resultRows(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	win, ok := s.window(w, j, lo, hi)
-	if !ok {
+	resp := resultView(meta)
+	if resp.Embedding, ok = s.window(w, meta.JobID, lo, hi); !ok {
 		return
 	}
-	resp := s.resultMeta(j, res)
-	resp.Embedding = embeddingRows(win.Rows)
 	resp.RowCount = hi - lo
 	resp.Range = &rangeInfo{Offset: lo, Limit: hi - lo}
 	writeJSON(w, http.StatusOK, resp)

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,8 +17,11 @@ import (
 	"seprivgemb"
 	"seprivgemb/internal/core"
 	"seprivgemb/internal/graph"
+	"seprivgemb/internal/mathx"
+	"seprivgemb/internal/proximity"
 	"seprivgemb/internal/service"
 	"seprivgemb/internal/spec"
+	"seprivgemb/internal/xrand"
 )
 
 // newTestServer stands up a Service + HTTP front-end; both are torn down
@@ -479,6 +484,63 @@ func fetchResult(t *testing.T, url string) (int, http.Header, resultResponse) {
 	return resp.StatusCode, resp.Header, rr
 }
 
+// resultPaths lists every read of a finished tinySpecJSON job (12 rows)
+// that the byte-identity tests compare across sources: each embedding
+// mode, every range page including the empty one past the end, and row
+// windows at the edges and in the middle.
+func resultPaths(id string) []string {
+	base := "/v1/jobs/" + id + "/result"
+	return []string{
+		base,
+		base + "?embedding=none",
+		base + "?embedding=full",
+		base + "?embedding=range",
+		base + "?embedding=range&offset=0&limit=5",
+		base + "?embedding=range&offset=5&limit=5",
+		base + "?embedding=range&offset=10&limit=5",
+		base + "?embedding=range&offset=12&limit=5",
+		base + "?offset=3",
+		base + "/rows/0-12",
+		base + "/rows/0-1",
+		base + "/rows/2-5",
+		base + "/rows/11-12",
+		base + "/rows/4-4",
+	}
+}
+
+// rawReads GETs each path from ts and returns, per path, the status code,
+// the Link header and the body verbatim.
+func rawReads(t *testing.T, ts *httptest.Server, paths []string) []string {
+	t.Helper()
+	out := make([]string, len(paths))
+	for i, path := range paths {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d %s", path, resp.StatusCode, body)
+		}
+		out[i] = fmt.Sprintf("%d\nLink: %s\n%s", resp.StatusCode, resp.Header.Get("Link"), body)
+	}
+	return out
+}
+
+// sameReads fails the test on the first path whose read differs.
+func sameReads(t *testing.T, what string, paths, want, got []string) {
+	t.Helper()
+	for i, path := range paths {
+		if got[i] != want[i] {
+			t.Errorf("%s: GET %s differs from the owner's read\nowner: %s\ngot:   %s", what, path, want[i], got[i])
+		}
+	}
+}
+
 // runTinyJob submits the tiny spec and returns its finished job ID plus
 // the full inlined embedding.
 func runTinyJob(t *testing.T, ts *httptest.Server, seed int) (string, resultResponse) {
@@ -639,6 +701,59 @@ func TestResultRowsServedFromArtifactStore(t *testing.T) {
 	}
 	if w.FullHash == 0 || fmt.Sprintf("%016x", w.FullHash) != full.EmbeddingHash {
 		t.Fatalf("ResultRows full hash %016x, want %s", w.FullHash, full.EmbeddingHash)
+	}
+}
+
+// TestSpilledResultReadsStayWindowed: on a spill-tier job served from
+// memory (no artifact store), the result metadata and a small row window
+// are read without materializing the embedding — each request allocates
+// less than the |V|×r matrix it describes.
+func TestSpilledResultReadsStayWindowed(t *testing.T) {
+	svc := service.New(service.Options{MaxWorkers: 1})
+	t.Cleanup(svc.Close)
+	g := graph.BarabasiAlbert(2048, 2, xrand.New(9))
+	cfg := core.DefaultConfig()
+	cfg.Dim = 128
+	cfg.K = 2
+	cfg.BatchSize = 8
+	cfg.MaxEpochs = 1
+	cfg.Seed = 1
+	cfg.MemoryBudget = cfg.MinMemoryBudget(g.NumNodes())
+	j, err := svc.Submit(g, proximity.NewDegree(g), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, spilled := res.Model.Win.(*mathx.SpillMatrix); !spilled {
+		t.Fatalf("test setup: Win is %T, want a spilled matrix", res.Model.Win)
+	}
+	winBytes := uint64(g.NumNodes() * cfg.Dim * 8)
+
+	h := New(svc).Handler()
+	allocated := func(path string) uint64 {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d %s", path, rec.Code, rec.Body)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, path := range []string{
+		"/v1/jobs/" + j.ID() + "/result?embedding=none",
+		"/v1/jobs/" + j.ID() + "/result/rows/100-116",
+	} {
+		allocated(path) // the first read computes and caches the full-matrix hash
+		if got := allocated(path); got >= winBytes {
+			t.Errorf("GET %s allocated %d bytes, not below the %d-byte embedding", path, got, winBytes)
+		}
 	}
 }
 
@@ -835,16 +950,22 @@ func TestResultPaginationFinalPage(t *testing.T) {
 
 // TestForgottenJobServedFromArtifactStore: once the job table forgets a
 // finished job under its retention limits, its ID still answers status,
-// result and row windows from the artifact store — and 404s without one.
+// result and row windows from the artifact store, byte-identically to the
+// reads served while it was in the table — and 404s without one.
 func TestForgottenJobServedFromArtifactStore(t *testing.T) {
 	ts, svc := newTestServer(t, service.Options{MaxWorkers: 1, ArtifactDir: t.TempDir(),
 		MemoLimits: service.Limits{MaxResults: 1}})
 	oldest, full := runTinyJob(t, ts, 31)
+	paths := resultPaths(oldest)
+	owner := rawReads(t, ts, paths)
 	runTinyJob(t, ts, 32)
 	runTinyJob(t, ts, 33)
 	if _, ok := svc.JobByID(oldest); ok {
 		t.Fatal("oldest job still in the table under MaxResults 1")
 	}
+	// Every result page and row window reads byte for byte as it did
+	// while the job was still in the table.
+	sameReads(t, "forgotten job", paths, owner, rawReads(t, ts, paths))
 	if code, jr := getStatus(t, ts, oldest); code != http.StatusOK || jr.Status != "done" {
 		t.Fatalf("status of forgotten job: HTTP %d %+v", code, jr)
 	}

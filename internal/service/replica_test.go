@@ -114,6 +114,42 @@ func TestReplicaRaceOneTrains(t *testing.T) {
 	}
 }
 
+// TestReplicaLeaseRaceRechecksStore is the lease race without scheduling
+// luck: replica b misses the store, and before its Acquire the peer a
+// trains the job, saves the artifact and releases the lease. b then wins
+// the free lease — and must serve a's artifact instead of training again.
+func TestReplicaLeaseRaceRechecksStore(t *testing.T) {
+	dir := t.TempDir()
+	a := replicaService(t, dir, "a", 0)
+	b := replicaService(t, dir, "b", 0)
+	var peerErr error
+	var once sync.Once
+	b.beforeAcquire = func(*Job) {
+		once.Do(func() {
+			j, err := a.SubmitSpec(ringSpec())
+			if err == nil {
+				_, err = j.Wait(context.Background())
+			}
+			peerErr = err
+		})
+	}
+	jB, hashB := waitSpec(t, b, ringSpec())
+	if peerErr != nil {
+		t.Fatal(peerErr)
+	}
+	_, hashA := waitSpec(t, a, ringSpec())
+	if hashA != hashB {
+		t.Fatalf("replicas served different bits: %016x vs %016x", hashA, hashB)
+	}
+	if a.Trainings() != 1 || b.Trainings() != 0 {
+		t.Fatalf("trainings a=%d b=%d, want a=1 b=0: b retrained a job its peer had just finished",
+			a.Trainings(), b.Trainings())
+	}
+	if _, held := b.ReplicaManager().Owner(jB.ID()); held {
+		t.Fatal("b kept the lease after serving the peer's artifact")
+	}
+}
+
 // TestReplicaTakeoverAfterOwnerCrash: the owner dies mid-train — modeled
 // as a lease that was granted but will never be heartbeated — and a peer
 // must wait out the TTL, take the lease over, retrain, and land on the

@@ -190,6 +190,9 @@ type Service struct {
 	wg      sync.WaitGroup
 	// now is the clock behind result retention (tests inject a fake one).
 	now func() time.Time
+	// beforeAcquire, when set, runs in trainOrFollow between the store
+	// check and the lease Acquire (tests land a peer's artifact there).
+	beforeAcquire func(*Job)
 
 	// trainings counts actual tr.Train invocations — NOT submissions, dedup
 	// adoptions, or artifact loads. The observable half of the dedup
@@ -616,47 +619,69 @@ func (s *Service) evictLocked(keep *Job) {
 	}
 }
 
-// ResultRows returns rows [lo, hi) of a finished job's embedding — the
-// row-range serving path. With an artifact store configured (and the job
-// completed, so its artifact is authoritative) the window is decoded
-// straight from the persisted artifact through its row-offset index, at
-// O(window·r) memory regardless of |V|; otherwise it falls back to an
-// O(1) view of the in-memory result. Either way the window carries the
-// full-embedding digest, so callers can verify a page against the hash
-// the whole-result API reports. The window's matrix may alias the shared
-// Result: treat it as read-only.
-func (s *Service) ResultRows(id string, lo, hi int) (*core.EmbeddingWindow, error) {
-	j, ok := s.JobByID(id)
-	if !ok {
-		// Not our job — but in a replica set it may be a peer's, and a
-		// completed peer job's artifact sits in the shared store under
-		// this very ID. Serving it straight off disk is what lets a
-		// client fetch rows from ANY replica, not just the one that
-		// happened to train.
-		if s.store != nil {
-			if w, err := s.store.LoadRowsByID(id, lo, hi); err == nil {
-				return w, nil
-			}
-		}
-		return nil, fmt.Errorf("service: unknown job %q", id)
-	}
+// ResultMeta returns the metadata record of the job's finished result —
+// the same record a replica that never ran the job decodes from the
+// artifact header (Store.MetaByID), so a result response reads alike
+// wherever it is served. The shape comes from the model without
+// materializing a spilled embedding, and the hash is the cached
+// EmbeddingHash. It fails for a job that has not finished, and returns the
+// job's error for one that finished without a result.
+func (j *Job) ResultMeta() (*ArtifactMeta, error) {
 	select {
 	case <-j.done:
 	default:
-		return nil, fmt.Errorf("service: job %s has not finished", id)
+		return nil, fmt.Errorf("service: job %s has not finished", j.id)
 	}
-	res, err := j.Result()
-	if err != nil || res == nil {
-		if err == nil {
-			err = fmt.Errorf("service: job %s finished without a result", id)
+	res, err := j.res, j.err
+	if err != nil {
+		return nil, err
+	}
+	if res == nil || res.Model == nil {
+		return nil, fmt.Errorf("service: job %s finished without a result", j.id)
+	}
+	hash, _ := j.EmbeddingHash()
+	return &ArtifactMeta{
+		JobID:         j.id,
+		Key:           j.key,
+		Method:        j.Method(),
+		Nodes:         res.Model.Win.NumRows(),
+		Dim:           res.Model.Win.NumCols(),
+		Epochs:        res.Epochs,
+		Stopped:       res.Stopped,
+		EpsilonSpent:  res.EpsilonSpent,
+		DeltaSpent:    res.DeltaSpent,
+		EmbeddingHash: hash,
+	}, nil
+}
+
+// ResultRows returns rows [lo, hi) of a finished job's embedding — the one
+// row-window path, whichever process trained the job. A job this process
+// never ran, or has forgotten, is read from the artifact store by ID. For
+// a job in the table, with a store configured and the run completed (so
+// its artifact is authoritative), the window is decoded straight from the
+// persisted artifact through its row-offset index, at O(window·r) memory
+// regardless of |V|; otherwise it is a window of the in-memory result (an
+// O(1) view on the dense tier, an O(window) copy on the spill tier).
+// Either way the window carries the full-embedding digest, so callers can
+// verify a page against the hash the whole-result API reports. The
+// window's matrix may alias the shared Result: treat it as read-only.
+func (s *Service) ResultRows(id string, lo, hi int) (*core.EmbeddingWindow, error) {
+	j, ok := s.JobByID(id)
+	if !ok {
+		if s.store == nil {
+			return nil, fmt.Errorf("service: unknown job %q", id)
 		}
+		return s.store.LoadRowsByID(id, lo, hi)
+	}
+	meta, err := j.ResultMeta()
+	if err != nil {
 		return nil, err
 	}
 	// A canceled partial is never persisted, and a stale artifact under
 	// the same key (e.g. a completed run from a previous process) would
 	// serve rows from a DIFFERENT matrix than the one this job reports —
 	// so the disk path is reserved for completed runs.
-	if s.store != nil && res.Stopped != core.StopCanceled {
+	if s.store != nil && meta.Stopped != core.StopCanceled {
 		if w, err := s.store.LoadRows(j.key, lo, hi); err == nil {
 			return w, nil
 		}
@@ -664,18 +689,16 @@ func (s *Service) ResultRows(id string, lo, hi int) (*core.EmbeddingWindow, erro
 		// back to memory; the in-memory result is
 		// authoritative and the window contract is identical.
 	}
-	m, err := res.Rows(lo, hi)
+	m, err := j.res.Rows(lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	hash, _ := j.EmbeddingHash()
-	emb := res.Embedding()
 	return &core.EmbeddingWindow{
 		Lo: lo, Hi: hi,
-		TotalRows: emb.Rows,
-		Dim:       emb.Cols,
+		TotalRows: meta.Nodes,
+		Dim:       meta.Dim,
 		Rows:      m,
-		FullHash:  hash,
+		FullHash:  meta.EmbeddingHash,
 	}, nil
 }
 
@@ -891,16 +914,16 @@ func (s *Service) finish(j *Job) {
 // and publish the outcome.
 func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximity.Proximity, cfg core.Config, materialize bool) {
 	defer s.wg.Done()
+	// The terminal stream event is published once done has closed: every
+	// exit path below has stored its terminal status by then, SSE
+	// subscribers see the event no matter which path ended the job, and a
+	// subscriber that sees it can read the result at once.
+	defer s.publishTerminal(j)
 	defer close(j.done)
 	defer s.finish(j)
 	// The finish stamp lands before done closes (defers run LIFO), so a
 	// waiter woken by Done always observes a non-zero finishedAt.
 	defer func() { j.finishedAt.Store(time.Now().UnixNano()) }()
-	// The terminal stream event is published first of all the defers:
-	// every exit path below has stored its terminal status by the time it
-	// returns, and SSE subscribers must see the event no matter which
-	// path ended the job.
-	defer s.publishTerminal(j)
 	n := s.slotsFor(cfg)
 	if err := s.acquire(ctx, j, n); err != nil {
 		// Canceled while queued: no training happened, so there is no
@@ -967,9 +990,11 @@ func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximit
 // protocol. Without a lease manager it trains directly (the single-
 // instance path, store-cached as before). With one, the loop per
 // iteration: serve the artifact if a peer already landed it; try to
-// acquire the job's lease and train if this replica wins (heartbeating
-// for the duration, persisting the artifact BEFORE releasing so no peer
-// can observe a gap between "lease gone" and "result present"); otherwise
+// acquire the job's lease and, if this replica wins, check the store once
+// more (a peer may have landed the artifact and released the lease since
+// the first check) and train only on a second miss (heartbeating for the
+// duration, persisting the artifact BEFORE releasing so no peer can
+// observe a gap between "lease gone" and "result present"); otherwise
 // follow — sleep a poll interval and re-check. A crashed owner stops
 // heartbeating, its lease expires, and the next iteration's Acquire takes
 // the job over, which is what makes every submitted spec eventually train
@@ -984,8 +1009,18 @@ func (s *Service) trainOrFollow(ctx context.Context, j *Job, tr methods.Trainer,
 		if s.lease == nil {
 			return s.train(ctx, j, tr, g, prox, cfg)
 		}
+		if s.beforeAcquire != nil {
+			s.beforeAcquire(j)
+		}
 		owned, err := s.lease.Acquire(j.id)
 		if err == nil && owned {
+			// A peer may have saved the artifact and released its lease
+			// between the Load above and this Acquire: the lease is free,
+			// but the job is already trained. Check again under the lease.
+			if cached, ok := s.store.Load(j.key); ok {
+				s.lease.Release(j.id)
+				return cached, nil
+			}
 			stop := s.lease.KeepAlive(j.id)
 			res, terr := s.train(ctx, j, tr, g, prox, cfg)
 			// train persists the artifact before returning, so the
@@ -1033,8 +1068,8 @@ func (s *Service) publishTerminal(j *Job) {
 	switch j.Status() {
 	case StatusDone:
 		ev.Type = "done"
-		if j.res != nil && j.res.Model != nil {
-			ev.EmbeddingHash = fmt.Sprintf("%016x", mathx.DigestMat(j.res.Model.Win))
+		if h, ok := j.EmbeddingHash(); ok {
+			ev.EmbeddingHash = fmt.Sprintf("%016x", h)
 		}
 	case StatusFailed:
 		ev.Type = "failed"
@@ -1066,8 +1101,9 @@ func (s *Service) Subscribe(jobID string) (<-chan spec.JobEvent, func()) {
 }
 
 // ArtifactMeta returns the persisted result metadata for a job ID served
-// from the shared artifact store — the replica-set path for jobs this
-// process never ran. False without a store or a matching artifact.
+// from the shared artifact store — the read path for jobs this process
+// never ran or has forgotten. False without a store or a matching
+// artifact.
 func (s *Service) ArtifactMeta(id string) (*ArtifactMeta, bool) {
 	if s.store == nil {
 		return nil, false

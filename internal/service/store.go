@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"seprivgemb/internal/core"
@@ -62,6 +63,13 @@ type Store struct {
 	// durable-tier twin of Service.Trainings, so a restart-resubmission
 	// test can assert "every cell came from disk".
 	hits atomic.Uint64
+	// byID caches MetaByID's verified hits: job ID → *ArtifactMeta. An
+	// artifact's bytes are a pure function of its key (training is
+	// deterministic and writes are atomic renames), so a verified record
+	// never goes stale; misses are not cached, because a peer's artifact
+	// may land at any moment. One small record per artifact a by-ID read
+	// has touched, bounded by the artifacts on disk.
+	byID sync.Map
 }
 
 // Hits returns how many Load calls served a persisted result.
@@ -285,40 +293,72 @@ func readArtifact(r io.Reader, key experiments.ResultKey) (*core.Result, error) 
 // serving a read, not deciding whether to retrain, so "no artifact", "bad
 // window", and "corrupt index" all deserve distinct reports.
 func (st *Store) LoadRows(key experiments.ResultKey, lo, hi int) (*core.EmbeddingWindow, error) {
-	f, err := os.Open(st.path(key))
+	a, err := openArtifact(st.path(key))
 	if err != nil {
 		return nil, fmt.Errorf("service: artifact for job %s: %w", JobID(key), err)
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
+	defer a.f.Close()
+	if err := a.check(key); err != nil {
 		return nil, fmt.Errorf("service: artifact for job %s: %w", JobID(key), err)
 	}
-	size := fi.Size()
-	ix, err := core.ReadRowIndex(f, size)
-	if err != nil {
-		return nil, fmt.Errorf("service: artifact for job %s: %w", JobID(key), err)
-	}
-	var hdr artifactHeader
-	if err := core.ReadFrameAt(f, 8, size, &hdr); err != nil {
-		return nil, fmt.Errorf("service: artifact for job %s: reading header: %w", JobID(key), err)
-	}
-	if err := checkHeader(&hdr, key); err != nil {
-		return nil, fmt.Errorf("service: artifact for job %s: %v", JobID(key), err)
-	}
-	if hdr.Nodes != ix.Rows || hdr.Dim != ix.Cols {
-		return nil, fmt.Errorf("service: artifact for job %s: header shape %dx%d disagrees with index %dx%d",
-			JobID(key), hdr.Nodes, hdr.Dim, ix.Rows, ix.Cols)
-	}
-	m, err := ix.DecodeRows(f, ix.Win, size, lo, hi)
+	m, err := a.ix.DecodeRows(a.f, a.ix.Win, a.size, lo, hi)
 	if err != nil {
 		return nil, fmt.Errorf("service: artifact for job %s: %w", JobID(key), err)
 	}
 	return &core.EmbeddingWindow{
 		Lo: lo, Hi: hi,
-		TotalRows: hdr.Nodes,
-		Dim:       hdr.Dim,
+		TotalRows: a.hdr.Nodes,
+		Dim:       a.hdr.Dim,
 		Rows:      m,
-		FullHash:  hdr.EmbeddingHash,
+		FullHash:  a.hdr.EmbeddingHash,
 	}, nil
+}
+
+// indexedArtifact is an open v3 artifact with its row index and head frame
+// decoded: what both a row window (LoadRows) and a by-ID metadata lookup
+// (MetaByID) read before anything else.
+type indexedArtifact struct {
+	f    *os.File
+	size int64
+	ix   *core.RowIndex
+	hdr  artifactHeader
+}
+
+// openArtifact opens the artifact at path and decodes its row index and
+// header. The caller closes a.f, and verifies the header with check
+// before trusting it.
+func openArtifact(path string) (*indexedArtifact, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	a := &indexedArtifact{f: f}
+	fi, err := f.Stat()
+	if err == nil {
+		a.size = fi.Size()
+		a.ix, err = core.ReadRowIndex(f, a.size)
+	}
+	if err == nil {
+		if err = core.ReadFrameAt(f, 8, a.size, &a.hdr); err != nil {
+			err = fmt.Errorf("reading header: %w", err)
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return a, nil
+}
+
+// check validates the header against key (checkHeader) and against the
+// row index's shape.
+func (a *indexedArtifact) check(key experiments.ResultKey) error {
+	if err := checkHeader(&a.hdr, key); err != nil {
+		return err
+	}
+	if a.hdr.Nodes != a.ix.Rows || a.hdr.Dim != a.ix.Cols {
+		return fmt.Errorf("header shape %dx%d disagrees with index %dx%d",
+			a.hdr.Nodes, a.hdr.Dim, a.ix.Rows, a.ix.Cols)
+	}
+	return nil
 }

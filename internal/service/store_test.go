@@ -237,3 +237,61 @@ func TestStorePathSanitization(t *testing.T) {
 		t.Fatalf("sanitized path %q escapes the store directory", p)
 	}
 }
+
+// FuzzArtifactByID feeds arbitrary bytes to the by-ID read path — a peer
+// replica's artifact, or a forgotten job's, as hostile disk input: the
+// bytes are stored under a real job ID's artifact name, then read through
+// the metadata lookup and Service.ResultRows. Reading must never panic. A
+// truncated artifact is always an error; the intact one reads back its
+// rows; and whenever a mutated file does yield a window (the format has no
+// checksum, so a flipped value decodes as a valid window), the window
+// agrees with the metadata record served for the same ID.
+func FuzzArtifactByID(f *testing.F) {
+	key := storeKey(5)
+	res := fakeResult(40, 5)
+	var buf bytes.Buffer
+	if err := writeArtifact(&buf, key, res); err != nil {
+		f.Fatal(err)
+	}
+	intact := buf.Bytes()
+	f.Add(intact)
+	for _, n := range []int{0, 7, 8, 64, len(intact) / 2, len(intact) - 17, len(intact) - 16, len(intact) - 1} {
+		f.Add(intact[:n])
+	}
+	id := JobID(key)
+	const lo, hi = 30, 40
+	want := res.Model.Win.(*mathx.Matrix).RowRange(lo, hi)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		s := New(Options{MaxWorkers: 1, ArtifactDir: dir})
+		defer s.Close()
+		if err := os.WriteFile(s.store.path(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		meta, metaOK := s.ArtifactMeta(id)
+		win, err := s.ResultRows(id, lo, hi)
+		switch {
+		case bytes.Equal(data, intact):
+			if !metaOK || err != nil {
+				t.Fatalf("intact artifact: meta ok=%v, rows err=%v", metaOK, err)
+			}
+			if !reflect.DeepEqual(win.Rows.Data, want.Data) {
+				t.Fatal("intact artifact: window diverges from the saved rows")
+			}
+		case bytes.HasPrefix(intact, data):
+			if metaOK || err == nil {
+				t.Fatalf("%d-byte truncation: meta ok=%v, rows err=%v", len(data), metaOK, err)
+			}
+		case err == nil:
+			if !metaOK {
+				t.Fatal("rows served for an ID whose metadata lookup failed")
+			}
+			if win.Rows.Rows != hi-lo || win.Rows.Cols != meta.Dim || win.TotalRows != meta.Nodes ||
+				win.Dim != meta.Dim || win.FullHash != meta.EmbeddingHash {
+				t.Fatalf("window %dx%d of %dx%d (hash %016x) disagrees with meta %+v",
+					win.Rows.Rows, win.Rows.Cols, win.TotalRows, win.Dim, win.FullHash, meta)
+			}
+		}
+	})
+}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -11,20 +10,23 @@ import (
 	"seprivgemb/internal/replica"
 )
 
-// This file is the by-job-ID face of the artifact store: the replica-set
-// serving path. A row-window request can land on ANY replica of a
-// shared-nothing set, including one that never saw the job submitted — it
-// has no Job in its table and no ResultKey to look the artifact up by.
-// What it does have is the job ID in the URL, and the store's filenames
-// start with exactly that ID. These methods glob the directory for the
-// ID, reconstruct the full deduplication key from the artifact's own
-// header (every key field is recorded there), verify the ID round-trips
+// This file is the by-job-ID face of the artifact store: the read path for
+// a job this process never ran (a peer replica's) or has since forgotten.
+// Such a request has no Job in the table and no ResultKey to look the
+// artifact up by — only the job ID in the URL, and the store's filenames
+// start with exactly that ID. MetaByID globs the directory for the ID,
+// reconstructs the full deduplication key from the artifact's own header
+// (every key field is recorded there), verifies the ID round-trips
 // (JobID(reconstructed key) == requested ID, the same authenticity check
-// the keyed path performs), and then serve through the ordinary indexed
-// row-window machinery.
+// the keyed path performs) and that the row index agrees with the header,
+// and remembers the outcome: the ID is resolved once per process. Every
+// later metadata read of it is answered from memory, and every row window
+// goes straight to the keyed LoadRows.
 
-// ArtifactMeta is the result metadata a replica can serve for a job it
-// never ran, decoded from the persisted artifact's header.
+// ArtifactMeta is the metadata record of a finished result: everything a
+// result response says besides the rows. Job.ResultMeta builds it for a
+// job in the table; MetaByID decodes it from a persisted artifact's
+// header, so a replica that never ran the job serves the same record.
 type ArtifactMeta struct {
 	JobID         string
 	Key           experiments.ResultKey
@@ -52,98 +54,67 @@ func ValidJobID(id string) bool {
 	return true
 }
 
-// findByJobID locates the artifact file whose name starts with id.
-func (st *Store) findByJobID(id string) (string, bool) {
-	if !ValidJobID(id) {
-		return "", false
+// MetaByID returns the persisted result metadata for a job ID, false on
+// any miss (no artifact, corrupt header or row index, ID mismatch).
+// Stopped is always StopCompleted: only completed runs are ever persisted.
+func (st *Store) MetaByID(id string) (*ArtifactMeta, bool) {
+	if v, ok := st.byID.Load(id); ok {
+		meta := *v.(*ArtifactMeta)
+		return &meta, true
 	}
-	matches, err := filepath.Glob(filepath.Join(st.dir, id+"-*.result.gob"))
-	if err != nil || len(matches) == 0 {
-		return "", false
+	if !ValidJobID(id) {
+		return nil, false
 	}
 	// Job IDs are 64-bit hashes; two artifacts sharing a prefix means two
 	// names for one job (impossible — path() is a pure function of the
 	// key) or tampering. Either way the first match's header check
 	// arbitrates.
-	return matches[0], true
-}
-
-// headerByJobID opens id's artifact and returns its verified header: the
-// key reconstructed from the header must hash back to the requested ID.
-func (st *Store) headerByJobID(id string) (*artifactHeader, experiments.ResultKey, bool) {
-	path, ok := st.findByJobID(id)
-	if !ok {
-		return nil, experiments.ResultKey{}, false
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, experiments.ResultKey{}, false
-	}
-	defer f.Close()
-	hdr, err := readArtifactHeader(f)
-	if err != nil {
-		return nil, experiments.ResultKey{}, false
-	}
-	key := experiments.ResultKey{
-		Method:    hdr.Method,
-		Graph:     hdr.GraphFingerprint,
-		Proximity: hdr.Proximity,
-		Config:    hdr.ConfigHash,
-	}
-	if JobID(key) != id {
-		return nil, experiments.ResultKey{}, false
-	}
-	return hdr, key, true
-}
-
-// readArtifactHeader decodes just the head frame of a v3 artifact.
-func readArtifactHeader(f *os.File) (*artifactHeader, error) {
-	cr, err := core.ReadStreamMagic(f)
-	if err != nil {
-		return nil, err
-	}
-	var hdr artifactHeader
-	if err := core.ReadFrameSeq(cr, &hdr); err != nil {
-		return nil, err
-	}
-	return &hdr, nil
-}
-
-// MetaByID returns the persisted result metadata for a job this process
-// never ran, false on any miss (no artifact, corrupt header, ID
-// mismatch). Stopped is always StopCompleted: only completed runs are
-// ever persisted.
-func (st *Store) MetaByID(id string) (*ArtifactMeta, bool) {
-	hdr, key, ok := st.headerByJobID(id)
-	if !ok {
+	matches, err := filepath.Glob(filepath.Join(st.dir, id+"-*.result.gob"))
+	if err != nil || len(matches) == 0 {
 		return nil, false
 	}
-	return &ArtifactMeta{
+	a, err := openArtifact(matches[0])
+	if err != nil {
+		return nil, false
+	}
+	defer a.f.Close()
+	key := experiments.ResultKey{
+		Method:    a.hdr.Method,
+		Graph:     a.hdr.GraphFingerprint,
+		Proximity: a.hdr.Proximity,
+		Config:    a.hdr.ConfigHash,
+	}
+	if JobID(key) != id || a.check(key) != nil {
+		return nil, false
+	}
+	meta := &ArtifactMeta{
 		JobID:         id,
 		Key:           key,
 		Method:        keyMethod(key),
-		Nodes:         hdr.Nodes,
-		Dim:           hdr.Dim,
-		Epochs:        hdr.Epochs,
-		Stopped:       core.StopReason(hdr.Stopped),
-		EpsilonSpent:  hdr.EpsilonSpent,
-		DeltaSpent:    hdr.DeltaSpent,
-		EmbeddingHash: hdr.EmbeddingHash,
-	}, true
+		Nodes:         a.hdr.Nodes,
+		Dim:           a.hdr.Dim,
+		Epochs:        a.hdr.Epochs,
+		Stopped:       core.StopReason(a.hdr.Stopped),
+		EpsilonSpent:  a.hdr.EpsilonSpent,
+		DeltaSpent:    a.hdr.DeltaSpent,
+		EmbeddingHash: a.hdr.EmbeddingHash,
+	}
+	st.byID.Store(id, meta)
+	out := *meta
+	return &out, true
 }
 
 // LoadRowsByID serves rows [lo, hi) of id's persisted embedding without a
-// ResultKey — the not-owner serving path of a replica set. The key is
-// reconstructed and verified from the artifact header, then the read goes
-// through the same indexed LoadRows as the keyed path, so the window
-// contract (O(window·r) memory, full-matrix digest attached) is
-// identical on every replica.
+// ResultKey. The key comes from MetaByID, then the read goes through the
+// same indexed LoadRows as the keyed path, so the window contract
+// (O(window·r) memory, full-matrix digest attached) is identical on every
+// replica.
 func (st *Store) LoadRowsByID(id string, lo, hi int) (*core.EmbeddingWindow, error) {
-	_, key, ok := st.headerByJobID(id)
+	meta, ok := st.MetaByID(id)
 	if !ok {
 		return nil, fmt.Errorf("service: no artifact for job %s in the shared store", id)
 	}
-	return st.LoadRows(key, lo, hi)
+	return st.LoadRows(meta.Key, lo, hi)
 }
 
 // startupSweepAge is the janitor's tmp-file grace on service startup:
