@@ -6,15 +6,15 @@ BENCH_BASE ?= BENCH_pr14.json
 # The sharded-stage benchmarks: the DP noise/update stage, the one-shot
 # graph passes, the whole-train scaling curves (TrainWorkers matches the
 # lazy-Katz job too, with its weight-fill share as weights-ns/op), the
-# sharded evaluation metrics (PR 3), the sharded proximity stats/edge-weight
-# scans (PR 4), and the mathx kernel layer (PR 7) — unrolled reductions
-# plus the fused skip-gram kernels. StreamNormalAt times the counter
-# stream's normal sampler, one noise row per op.
-BENCH_PAT ?= StreamNormalAt|ApplyUpdate|GenerateSubgraphs|ProximityMaterialize|TrainWorkers|StrucEquWorkers|LinkAUCWorkers|ComputeStatsWorkers|EdgeWeightsWorkers|BenchmarkDot|BenchmarkNorm2Sq|BenchmarkAXPY|BenchmarkDotSigmoid|BenchmarkAXPY2|BenchmarkScaleTo2|BenchmarkClipScaleAXPY
-# Per-target fuzz budget for fuzz-kernels (Go's -fuzztime syntax).
+# sharded evaluation metrics, the sharded proximity stats/edge-weight
+# scans, and the mathx vector kernels — the four-lane reductions and
+# AXPY. StreamNormalAt times the counter stream's normal sampler, one
+# noise row per op.
+BENCH_PAT ?= StreamNormalAt|ApplyUpdate|GenerateSubgraphs|ProximityMaterialize|TrainWorkers|StrucEquWorkers|LinkAUCWorkers|ComputeStatsWorkers|EdgeWeightsWorkers|BenchmarkDot|BenchmarkNorm2Sq|BenchmarkAXPY
+# Per-target fuzz budget for `make fuzz` (Go's -fuzztime syntax).
 FUZZTIME ?= 10s
 
-.PHONY: build test vet race fmt-check md-check bench-check bench bench-json bench-diff fuzz-kernels serve-smoke verify
+.PHONY: build test vet race fmt-check md-check bench-check bench bench-json bench-diff fuzz serve-smoke verify
 
 build:
 	$(GO) build ./...
@@ -71,13 +71,15 @@ bench-json:
 bench-diff:
 	sh scripts/bench_json.sh diff $(BENCH_BASE) $(BENCH_JSON)
 
-# Fuzz every mathx kernel against its naive oracle (see kernels_test.go
-# for which are bit-equality contracts and which tolerance ones). Go runs
-# one fuzz target per invocation, so iterate; $(FUZZTIME) bounds each.
-fuzz-kernels:
-	@for f in FuzzDot FuzzAXPY FuzzDotSigmoid FuzzAXPY2 FuzzScaleTo2 FuzzClipScaleAXPY; do \
-		echo "fuzz $$f ($(FUZZTIME))"; \
-		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) ./internal/mathx/ || exit 1; \
+# Run every Fuzz* target in the root module — discovered per package with
+# `go test -list`, so a new target joins without editing this file. Go
+# runs one fuzz target per invocation, so iterate; $(FUZZTIME) bounds each.
+fuzz:
+	@for pkg in $$($(GO) list ./...); do \
+		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$f ($(FUZZTIME))"; \
+			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		done; \
 	done
 
 # Serving smoke test: start the HTTP job server on a random port, submit

@@ -53,11 +53,11 @@ type StageTimings struct {
 	// 2): the proximity evaluated on every subgraph's positive pair, plus
 	// the mean-1 rescale.
 	EdgeWeights time.Duration
-	// Gradients is the per-epoch fused forward+backward stage, including
+	// Gradients is the per-epoch forward+backward stage, including
 	// the epoch's batch sampling (negligible next to the gradient math).
 	Gradients time.Duration
-	// Reduce is the batch-order, cache-blocked fold of per-example
-	// gradients into the row accumulators.
+	// Reduce is the batch-order fold of per-example gradients into the
+	// row accumulators.
 	Reduce time.Duration
 	// Update is the noise-and-apply stage: index-addressed DP noise plus
 	// the SGD writes to Win and Wout.

@@ -13,17 +13,16 @@ import (
 // Each epoch of Algorithm 2 splits into three stages; the compute and
 // update stages run on one persistent worker pool:
 //
-//  1. Gradient stage: for every sampled subgraph run the fused
-//     forward+backward pass (skipgram.LossGradients) and compute the
+//  1. Gradient stage: for every sampled subgraph run the one-pass
+//     forward+backward (skipgram.LossGradients) and compute the
 //     per-example clip FACTORS — the gradients themselves are left
 //     unscaled in their slots. The model is read-only here and the stage
 //     consumes NO randomness, so worker scheduling can never perturb the
 //     run's random stream (xrand contract pattern 1).
 //  2. Reduce stage: fold the B slots into the row accumulators
-//     single-threaded, replaying a batch-order plan over cache-sized
-//     column panels (reduceStage). The deferred clip factor is applied
-//     here by the fused scale-and-accumulate kernels, so each gradient
-//     row is swept once instead of once to clip and once to add.
+//     single-threaded, in batch order (reduceStage). The deferred clip
+//     factor is applied during the accumulate, so each gradient row is
+//     swept once instead of once to clip and once to add.
 //  3. Update stage: perturb-and-apply sharded across the pool, with noise
 //     addressed by (epoch, matrix, row, coordinate) on a counter-based
 //     stream (xrand contract pattern 3) — see applyUpdate.
@@ -97,8 +96,6 @@ type engine struct {
 	// write targets for the pool, and the serial path's scratch.
 	slots []slot
 	idx   []int // current epoch's sampled subgraph indices
-	// planIn/planOut are the reduce stage's reusable batch-order plans.
-	planIn, planOut []reduceEntry
 
 	// Worker pool (workers > 1): one channel per worker, so a span routed
 	// to index w always runs on goroutine w — the mechanism behind the
@@ -162,8 +159,6 @@ func newEngine(model *skipgram.Model, subs []Subgraph, weights []float64, cfg Co
 	for i := range e.slots {
 		e.slots[i].grads.Ensure(cfg.Dim, cfg.K)
 	}
-	e.planIn = make([]reduceEntry, 0, cfg.BatchSize)
-	e.planOut = make([]reduceEntry, 0, (cfg.K+1)*cfg.BatchSize)
 	if model != nil {
 		if sw, ok := model.Win.(*mathx.SpillMatrix); ok {
 			e.winSpill = sw
@@ -331,90 +326,15 @@ func (e *engine) computeStage(idx []int) float64 {
 	return lossSum
 }
 
-// reduceEntry is one deferred row-add of the reduction plan: dst += f·g,
-// or dst = f·g when first is set (the row's first touch of the epoch must
-// overwrite the dirty pooled vector).
-type reduceEntry struct {
-	dst, g []float64
-	f      float64
-	first  bool
-}
-
 // reduceStage folds the slots filled by computeStage into the row
-// accumulators. It first claims every destination row in batch order,
-// recording the adds as a plan, then replays the plan once per column
-// panel (reducePanelCols) so the accumulator rows a panel revisits stay
-// L1-resident instead of being evicted between adds by full-width sweeps.
-//
-// Determinism: for any fixed coordinate d, the plan entries touching d run
-// in plan order — batch order — in every panel layout, and the fused
-// kernels' per-coordinate arithmetic (one f·g[d] rounding, one add) does
-// not depend on the panel boundaries. Blocking therefore reorders only
-// ACROSS coordinates, never within one, and the reduction stays
-// bit-identical to the unblocked batch-order loop at any panel width
-// (pinned by TestReplayPlanPanelInvariance).
+// accumulators in batch order — the order the serial loop accumulates in —
+// applying each slot's deferred clip factor as it goes.
 func (e *engine) reduceStage(idx []int, accIn, accOut *rowAccumulator) {
-	e.planIn = e.planIn[:0]
-	e.planOut = e.planOut[:0]
 	for i := range idx {
 		sl := &e.slots[i]
-		dst, first := accIn.claim(int32(sl.grads.InRow))
-		e.planIn = append(e.planIn, reduceEntry{dst: dst, g: sl.grads.GIn, f: sl.fIn, first: first})
+		accIn.addScaled(int32(sl.grads.InRow), sl.fIn, sl.grads.GIn)
 		for t, row := range sl.grads.OutRows {
-			dst, first := accOut.claim(row)
-			e.planOut = append(e.planOut, reduceEntry{dst: dst, g: sl.grads.GOut[t], f: sl.fOut, first: first})
-		}
-	}
-	dim := e.cfg.Dim
-	replayPlan(e.planIn, dim, reducePanelCols(dim, len(accIn.rows)))
-	replayPlan(e.planOut, dim, reducePanelCols(dim, len(accOut.rows)))
-}
-
-// reduceL1Bytes is the cache budget one reduction panel aims its
-// destination working set at — half a typical 64 KiB L1d, leaving room
-// for the gradient rows streaming through.
-const reduceL1Bytes = 32 << 10
-
-// reducePanelCols picks the column-panel width for a reduction over
-// `rows` distinct destination rows of length dim: wide enough that panel
-// loop overhead stays negligible (>= 4 columns, 4-aligned so the fused
-// kernels run their unrolled bodies), narrow enough that the panel's
-// destination slices (8·rows·cols bytes) fit the L1 budget. Any width
-// yields bit-identical sums; this is purely a locality knob.
-func reducePanelCols(dim, rows int) int {
-	if rows < 1 {
-		rows = 1
-	}
-	cols := reduceL1Bytes / (8 * rows)
-	if cols >= dim {
-		return dim
-	}
-	cols &^= 3
-	if cols < 4 {
-		cols = 4
-	}
-	return cols
-}
-
-// replayPlan executes the plan's scale-and-accumulate adds over column
-// panels of the given width: all entries' columns [lo, hi) before any
-// entry's columns [hi, ...). Entries marked first overwrite (ScaleTo);
-// the rest accumulate (ClipScaleAXPY). A first-touch entry overwrites in
-// every panel, so the dirty pooled row is fully initialized panel by
-// panel.
-func replayPlan(plan []reduceEntry, dim, panel int) {
-	for lo := 0; lo < dim; lo += panel {
-		hi := lo + panel
-		if hi > dim {
-			hi = dim
-		}
-		for i := range plan {
-			en := &plan[i]
-			if en.first {
-				mathx.ScaleTo(en.dst[lo:hi], en.f, en.g[lo:hi])
-			} else {
-				mathx.ClipScaleAXPY(en.f, en.g[lo:hi], en.dst[lo:hi])
-			}
+			accOut.addScaled(row, sl.fOut, sl.grads.GOut[t])
 		}
 	}
 }

@@ -7,71 +7,20 @@ import (
 
 	"seprivgemb/internal/dp"
 	"seprivgemb/internal/graph"
+	"seprivgemb/internal/mathx"
 	"seprivgemb/internal/skipgram"
 	"seprivgemb/internal/xrand"
 )
 
-// dirtyVec returns a deterministically "dirty" vector — stand-in for a
-// pooled accumulator row holding last epoch's values.
-func dirtyVec(dim int, seed uint64) []float64 {
-	v := make([]float64, dim)
-	r := xrand.New(seed)
-	for i := range v {
-		v[i] = (r.Float64() - 0.5) * 100
+// add is the eager reference accumulate the reduce stage replaced:
+// claim the row, copy g over a first-touch vector, AXPY it in after.
+func (a *rowAccumulator) add(row int32, g []float64) {
+	dst, first := a.claim(row)
+	if first {
+		copy(dst, g)
+		return
 	}
-	return v
-}
-
-// TestReplayPlanPanelInvariance pins the cache-blocking contract of
-// DESIGN.md §12: replaying the same plan at ANY panel width — including
-// widths that split the unrolled kernels' 4-lane bodies and the scalar
-// tails differently — produces bit-identical accumulator rows, because
-// blocking reorders work across coordinates but never reorders the adds
-// within one.
-func TestReplayPlanPanelInvariance(t *testing.T) {
-	const dim = 37 // odd: every panel layout ends in a scalar tail
-	const nDst = 5
-	rng := xrand.New(99)
-	build := func() ([]reduceEntry, [][]float64) {
-		dsts := make([][]float64, nDst)
-		for d := range dsts {
-			dsts[d] = dirtyVec(dim, uint64(1000+d))
-		}
-		var plan []reduceEntry
-		seen := make([]bool, nDst)
-		// Interleave first-touch and accumulate entries across destinations,
-		// with clip factors both at and below 1.
-		for i := 0; i < 4*nDst; i++ {
-			d := rng.Intn(nDst)
-			g := make([]float64, dim)
-			rng.NormalVec(g, 1)
-			f := 1.0
-			if i%3 == 0 {
-				f = 0.25 + rng.Float64()
-			}
-			plan = append(plan, reduceEntry{dst: dsts[d], g: g, f: f, first: !seen[d]})
-			seen[d] = true
-		}
-		return plan, dsts
-	}
-	// Reference: single full-width pass.
-	refPlan, refDst := build()
-	// build consumes rng draws, so rebuild deterministically per width by
-	// re-seeding and replaying the same construction.
-	replayPlan(refPlan, dim, dim)
-	for _, panel := range []int{4, 8, 16, 36, dim + 5} {
-		rng = xrand.New(99)
-		plan, dsts := build()
-		replayPlan(plan, dim, panel)
-		for d := range dsts {
-			for c := range dsts[d] {
-				if math.Float64bits(dsts[d][c]) != math.Float64bits(refDst[d][c]) {
-					t.Fatalf("panel=%d: dst[%d][%d] = %v, full-width %v",
-						panel, d, c, dsts[d][c], refDst[d][c])
-				}
-			}
-		}
-	}
+	mathx.AXPY(1, g, dst)
 }
 
 // TestReduceStageMatchesEagerClip pins the deferred-clip-factor contract:
@@ -151,37 +100,6 @@ func TestReduceStageMatchesEagerClip(t *testing.T) {
 			compare("accIn", accIn, refIn)
 			compare("accOut", accOut, refOut)
 		})
-	}
-}
-
-// TestReducePanelCols checks the panel heuristic's invariants: full width
-// when the destination set fits the budget, otherwise a 4-aligned width of
-// at least 4, and a shrinking (never growing) width as rows grow.
-func TestReducePanelCols(t *testing.T) {
-	if got := reducePanelCols(128, 1); got != 128 {
-		t.Errorf("tiny row set: cols = %d, want full width 128", got)
-	}
-	if got := reducePanelCols(128, 1<<20); got != 4 {
-		t.Errorf("huge row set: cols = %d, want floor 4", got)
-	}
-	prev := 1 << 30
-	for _, rows := range []int{1, 8, 64, 512, 4096, 1 << 15} {
-		got := reducePanelCols(128, rows)
-		if got != 128 && (got%4 != 0 || got < 4) {
-			t.Errorf("rows=%d: cols = %d not 4-aligned >= 4", rows, got)
-		}
-		if got > 128 {
-			t.Errorf("rows=%d: cols = %d exceeds dim", rows, got)
-		}
-		if got > prev {
-			t.Errorf("rows=%d: cols grew from %d to %d", rows, prev, got)
-		}
-		prev = got
-	}
-	// Degenerate dims below the alignment floor still terminate replayPlan
-	// (a single over-wide panel).
-	if got := reducePanelCols(2, 1<<20); got < 2 {
-		t.Errorf("dim=2: cols = %d, want >= dim", got)
 	}
 }
 

@@ -257,10 +257,11 @@ func Train(g *graph.Graph, prox proximity.Proximity, cfg Config) (*Result, error
 // jointClipFactor returns the Eq. (3) joint-clip factor for the k+1 Wout
 // row-gradients of one example, treating their concatenation as a single
 // vector: 1 when its ℓ2 norm is within c, c/‖·‖ otherwise. The engine keeps
-// the factor in the slot and applies it during the reduction (one fused
-// scale-and-accumulate pass per row, DESIGN.md §12) instead of an in-place
-// Scale sweep here; the factor arithmetic — c/√(Σ‖r‖²) with the same
-// sq ≤ c² early-out — is unchanged, so deferring it moves no rounding.
+// the factor in the slot and applies it during the reduction (one
+// scale-and-accumulate pass per row, rowAccumulator.addScaled) instead of
+// an in-place Scale sweep here; the factor arithmetic — c/√(Σ‖r‖²) with
+// the same sq ≤ c² early-out — is unchanged, so deferring it moves no
+// rounding.
 func jointClipFactor(rows [][]float64, c float64) float64 {
 	if c <= 0 {
 		return 1
@@ -358,13 +359,22 @@ func (a *rowAccumulator) claim(row int32) (dst []float64, first bool) {
 	return dst, true
 }
 
-// add accumulates g into the row's running sum, claiming (and fully
-// overwriting) a pooled vector on the row's first touch of the epoch.
-func (a *rowAccumulator) add(row int32, g []float64) {
+// addScaled accumulates f*g into the row's running sum, overwriting the
+// claimed pooled vector on the row's first touch of the epoch. Each
+// product f*g[d] is rounded on its own before the add — the rounding an
+// in-place Scale of g followed by an add would perform — so applying a
+// deferred clip factor here is bit-identical to clip-then-accumulate.
+func (a *rowAccumulator) addScaled(row int32, f float64, g []float64) {
 	dst, first := a.claim(row)
+	dst = dst[:len(g)]
 	if first {
-		copy(dst, g)
+		for d, v := range g {
+			dst[d] = f * v
+		}
 		return
 	}
-	mathx.AXPY(1, g, dst)
+	for d, v := range g {
+		t := f * v
+		dst[d] += t
+	}
 }

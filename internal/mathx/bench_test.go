@@ -6,10 +6,10 @@ import (
 )
 
 // Kernel-level benchmarks for the bench-JSON trajectory (BENCH_pr7.json
-// and successors): the unrolled reductions and the fused skip-gram
-// kernels, each at the paper's r=128 row width plus a short and a long
-// variant to expose tail overhead and bandwidth limits. `make bench-json`
-// records them; `make bench-diff` trips on >10% ns/op regressions.
+// and successors): the four-lane reductions and AXPY, each at the paper's
+// r=128 row width plus a short and a long variant to expose tail overhead
+// and bandwidth limits. `make bench-json` records them; `make bench-diff`
+// trips on >10% ns/op regressions.
 
 var benchSizes = []int{16, 128, 1024}
 
@@ -56,59 +56,6 @@ func BenchmarkAXPY(b *testing.B) {
 			b.SetBytes(int64(24 * n))
 			for i := 0; i < b.N; i++ {
 				AXPY(1e-9, x, y)
-			}
-		})
-	}
-}
-
-func BenchmarkDotSigmoid(b *testing.B) {
-	for _, n := range benchSizes {
-		x, y := benchVecs(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(16 * n))
-			var s float64
-			for i := 0; i < b.N; i++ {
-				_, sig := DotSigmoid(x, y)
-				s += sig
-			}
-			sinkF = s
-		})
-	}
-}
-
-func BenchmarkAXPY2(b *testing.B) {
-	for _, n := range benchSizes {
-		x1, x2 := benchVecs(n)
-		y := fill(n, 303)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(32 * n))
-			for i := 0; i < b.N; i++ {
-				AXPY2(1e-9, x1, -1e-9, x2, y)
-			}
-		})
-	}
-}
-
-func BenchmarkScaleTo2(b *testing.B) {
-	for _, n := range benchSizes {
-		x, _ := benchVecs(n)
-		d1, d2 := make([]float64, n), make([]float64, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(24 * n))
-			for i := 0; i < b.N; i++ {
-				ScaleTo2(d1, 0.5, d2, -0.5, x)
-			}
-		})
-	}
-}
-
-func BenchmarkClipScaleAXPY(b *testing.B) {
-	for _, n := range benchSizes {
-		g, d := benchVecs(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(24 * n))
-			for i := 0; i < b.N; i++ {
-				ClipScaleAXPY(1e-9, g, d)
 			}
 		})
 	}

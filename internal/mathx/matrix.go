@@ -87,8 +87,3 @@ func (m *Matrix) MulVecT(dst, x []float64) {
 		AXPY(x[i], m.Row(i), dst)
 	}
 }
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	return Norm2(m.Data)
-}

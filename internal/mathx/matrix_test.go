@@ -77,8 +77,8 @@ func TestMatrixPanics(t *testing.T) {
 func TestMatrixZeroAndNorm(t *testing.T) {
 	m := NewMatrix(1, 2)
 	m.Data[0], m.Data[1] = 3, 4
-	if got := m.FrobeniusNorm(); got != 5 {
-		t.Fatalf("FrobeniusNorm = %g, want 5", got)
+	if got := Norm2(m.Data); got != 5 {
+		t.Fatalf("Norm2(Data) = %g, want 5", got)
 	}
 	m.Zero()
 	if m.Data[0] != 0 || m.Data[1] != 0 {

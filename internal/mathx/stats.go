@@ -72,20 +72,6 @@ func LogSumExp(xs []float64) float64 {
 	return m + math.Log(s)
 }
 
-// LogAdd returns log(exp(a)+exp(b)) stably.
-func LogAdd(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
-
 // LogBinomial returns log(n choose k) using log-gamma, valid for large n
 // where the binomial itself would overflow. It panics for k < 0 or k > n.
 func LogBinomial(n, k int) float64 {
@@ -102,12 +88,6 @@ func LogBinomial(n, k int) float64 {
 	return lg(float64(n)+1) - lg(float64(k)+1) - lg(float64(n-k)+1)
 }
 
-// Binomial returns (n choose k) as a float64; it saturates to +Inf rather
-// than overflowing for very large arguments.
-func Binomial(n, k int) float64 {
-	return math.Exp(LogBinomial(n, k))
-}
-
 // AlmostEqual reports whether a and b differ by at most tol, treating NaN
 // as never equal.
 func AlmostEqual(a, b, tol float64) bool {
@@ -115,14 +95,4 @@ func AlmostEqual(a, b, tol float64) bool {
 		return false
 	}
 	return math.Abs(a-b) <= tol
-}
-
-// RelativeError returns |a-b| / max(|b|, eps): the error of a relative to
-// reference b with a floor to avoid division by zero.
-func RelativeError(a, b float64) float64 {
-	denom := math.Abs(b)
-	if denom < 1e-12 {
-		denom = 1e-12
-	}
-	return math.Abs(a-b) / denom
 }

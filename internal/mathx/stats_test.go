@@ -91,19 +91,6 @@ func TestLogSumExp(t *testing.T) {
 	}
 }
 
-func TestLogAdd(t *testing.T) {
-	got := LogAdd(math.Log(2), math.Log(3))
-	if !AlmostEqual(got, math.Log(5), 1e-12) {
-		t.Errorf("LogAdd = %g, want log 5", got)
-	}
-	if got := LogAdd(math.Inf(-1), 7); got != 7 {
-		t.Errorf("LogAdd(-Inf, 7) = %g, want 7", got)
-	}
-	if got := LogAdd(7, math.Inf(-1)); got != 7 {
-		t.Errorf("LogAdd(7, -Inf) = %g, want 7", got)
-	}
-}
-
 func TestLogBinomial(t *testing.T) {
 	cases := []struct {
 		n, k int
@@ -121,7 +108,7 @@ func TestLogBinomial(t *testing.T) {
 		for k := 1; k < n; k += 3 {
 			lhs := math.Exp(LogBinomial(n, k))
 			rhs := math.Exp(LogBinomial(n-1, k-1)) + math.Exp(LogBinomial(n-1, k))
-			if RelativeError(lhs, rhs) > 1e-9 {
+			if math.Abs(lhs-rhs) > 1e-9*math.Abs(rhs) {
 				t.Errorf("Pascal rule fails at (%d, %d): %g vs %g", n, k, lhs, rhs)
 			}
 		}
@@ -135,16 +122,6 @@ func TestLogBinomialPanics(t *testing.T) {
 		}
 	}()
 	LogBinomial(3, 5)
-}
-
-func TestBinomialLargeDoesNotOverflowToNaN(t *testing.T) {
-	v := Binomial(500, 250)
-	if math.IsNaN(v) {
-		t.Fatal("Binomial(500, 250) is NaN")
-	}
-	if !math.IsInf(v, 1) && v <= 0 {
-		t.Fatalf("Binomial(500, 250) = %g, want positive or +Inf", v)
-	}
 }
 
 func TestDigestFloat64s(t *testing.T) {

@@ -2,13 +2,11 @@
 // used throughout the repository. Everything is float64 and allocation
 // patterns favour reuse: most mutating operations take a destination slice.
 //
-// The hot kernels are written hardware-shaped (DESIGN.md §12): reductions
-// carry four independent accumulators so the loop-carried floating-point
-// add latency overlaps, every kernel re-slices its operands up front so
-// the compiler can eliminate per-element bounds checks, and the fused
-// kernels in kernels.go collapse the skip-gram per-example access pattern
-// into single passes. Unrolled reductions change float64 summation order
-// (documented per function); element-wise kernels never do.
+// The reductions (Dot, Norm2Sq, EuclideanDistance) carry four independent
+// accumulators so the loop-carried floating-point add latency overlaps;
+// their summation order is part of the golden-hash contract (DESIGN.md
+// §12). Element-wise operations are plain loops that never reorder a
+// float64 operation, and AXPY rounds each product on its own.
 package mathx
 
 import (
@@ -44,78 +42,26 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// AXPY computes y += a*x in place. Element-wise: bit-identical to the
-// naive loop at every length. Each product is assigned to an explicit
-// intermediate, which the Go spec guarantees is rounded — so the result
-// cannot be contracted into a fused multiply-add on architectures whose
-// compilers would otherwise do so, and the kernel-layer bit-equality
-// contracts (DESIGN.md §12) are platform-independent.
+// AXPY computes y += a*x in place. Each product is assigned to an
+// explicit intermediate, which the Go spec guarantees is rounded — so the
+// result cannot be contracted into a fused multiply-add on architectures
+// whose compilers would otherwise do so, and training stays bit-identical
+// across platforms (DESIGN.md §12).
 func AXPY(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mathx: AXPY length mismatch %d != %d", len(x), len(y)))
 	}
 	y = y[:len(x)]
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		t0 := a * x[i]
-		t1 := a * x[i+1]
-		t2 := a * x[i+2]
-		t3 := a * x[i+3]
-		y[i] += t0
-		y[i+1] += t1
-		y[i+2] += t2
-		y[i+3] += t3
-	}
-	for ; i < len(x); i++ {
-		t := a * x[i]
+	for i, v := range x {
+		t := a * v
 		y[i] += t
 	}
 }
 
-// Scale multiplies every element of x by a in place. Element-wise:
-// bit-identical to the naive loop.
+// Scale multiplies every element of x by a in place.
 func Scale(a float64, x []float64) {
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
+	for i := range x {
 		x[i] *= a
-		x[i+1] *= a
-		x[i+2] *= a
-		x[i+3] *= a
-	}
-	for ; i < len(x); i++ {
-		x[i] *= a
-	}
-}
-
-// Add computes dst = x + y element-wise.
-func Add(dst, x, y []float64) {
-	x = x[:len(dst)]
-	y = y[:len(dst)]
-	i := 0
-	for ; i+4 <= len(dst); i += 4 {
-		dst[i] = x[i] + y[i]
-		dst[i+1] = x[i+1] + y[i+1]
-		dst[i+2] = x[i+2] + y[i+2]
-		dst[i+3] = x[i+3] + y[i+3]
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = x[i] + y[i]
-	}
-}
-
-// Sub computes dst = x - y element-wise.
-func Sub(dst, x, y []float64) {
-	x = x[:len(dst)]
-	y = y[:len(dst)]
-	i := 0
-	for ; i+4 <= len(dst); i += 4 {
-		dst[i] = x[i] - y[i]
-		dst[i+1] = x[i+1] - y[i+1]
-		dst[i+2] = x[i+2] - y[i+2]
-		dst[i+3] = x[i+3] - y[i+3]
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = x[i] - y[i]
 	}
 }
 
@@ -124,14 +70,6 @@ func Zero(x []float64) {
 	for i := range x {
 		x[i] = 0
 	}
-}
-
-// CopyInto copies src into dst and panics on length mismatch.
-func CopyInto(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("mathx: CopyInto length mismatch %d != %d", len(dst), len(src)))
-	}
-	copy(dst, src)
 }
 
 // Norm2 returns the Euclidean (ℓ2) norm of x. It is sqrt(Norm2Sq(x)), so
@@ -246,35 +184,6 @@ func SampleStdDev(x []float64) float64 {
 	}
 	_, m2 := welford(x)
 	return math.Sqrt(m2 / float64(len(x)-1))
-}
-
-// MinMax returns the smallest and largest elements of x.
-// It panics on an empty slice.
-func MinMax(x []float64) (min, max float64) {
-	if len(x) == 0 {
-		panic("mathx: MinMax of empty slice")
-	}
-	min, max = x[0], x[0]
-	for _, v := range x[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max
-}
-
-// Clamp limits v to the closed interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // ClipNorm2 rescales x in place so that its ℓ2 norm does not exceed c,

@@ -57,20 +57,6 @@ func TestScaleAndZero(t *testing.T) {
 	}
 }
 
-func TestAddSub(t *testing.T) {
-	x := []float64{1, 2}
-	y := []float64{3, 5}
-	dst := make([]float64, 2)
-	Add(dst, x, y)
-	if dst[0] != 4 || dst[1] != 7 {
-		t.Fatalf("Add = %v", dst)
-	}
-	Sub(dst, y, x)
-	if dst[0] != 2 || dst[1] != 3 {
-		t.Fatalf("Sub = %v", dst)
-	}
-}
-
 func TestNorms(t *testing.T) {
 	x := []float64{3, 4}
 	if got := Norm2(x); got != 5 {
@@ -117,19 +103,6 @@ func TestSampleStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 0})
-	if min != -1 || max != 7 {
-		t.Fatalf("MinMax = (%g, %g), want (-1, 7)", min, max)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp misbehaved")
-	}
-}
-
 func TestClipNorm2(t *testing.T) {
 	x := []float64{3, 4} // norm 5
 	pre := ClipNorm2(x, 1)
@@ -166,18 +139,4 @@ func TestClipNorm2Property(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestCopyInto(t *testing.T) {
-	dst := make([]float64, 3)
-	CopyInto(dst, []float64{1, 2, 3})
-	if dst[2] != 3 {
-		t.Fatalf("CopyInto = %v", dst)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CopyInto mismatch did not panic")
-		}
-	}()
-	CopyInto(dst, []float64{1})
 }

@@ -57,7 +57,9 @@ func ParseByteSize(s string) (int64, error) {
 		return 0, fmt.Errorf("invalid byte size %q", s)
 	}
 	b := math.Round(v * mult)
-	if b > math.MaxInt64 {
+	// 1<<63 is the first float64 above MaxInt64 (which rounds up to it),
+	// so any b that is not strictly below it would wrap int64.
+	if !(b < 1<<63) {
 		return 0, fmt.Errorf("byte size %q overflows", s)
 	}
 	return int64(b), nil

@@ -31,10 +31,24 @@ func TestParseByteSize(t *testing.T) {
 			t.Errorf("ParseByteSize(%q) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
-	bad := []string{"", "MiB", "-1", "-5MiB", "1XB", "1.2.3K", "10 bananas"}
+	bad := []string{"", "MiB", "-1", "-5MiB", "1XB", "1.2.3K", "10 bananas",
+		"9223372036854775807", "8388608TiB", "1e400"}
 	for _, in := range bad {
 		if got, err := ParseByteSize(in); err == nil {
 			t.Errorf("ParseByteSize(%q) = %d, want error", in, got)
 		}
 	}
+}
+
+// FuzzParseByteSize: any input either errors or parses to a non-negative
+// size — never a wrapped negative int64.
+func FuzzParseByteSize(f *testing.F) {
+	for _, s := range []string{"0", "4KiB", "1.5GiB", "9223372036854775807", "8388608TiB", "-1", "1e400", "0x1p62"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, err := ParseByteSize(s); err == nil && got < 0 {
+			t.Fatalf("ParseByteSize(%q) = %d with nil error", s, got)
+		}
+	})
 }

@@ -138,7 +138,8 @@ func TestSubmitRejections(t *testing.T) {
 		{"no graph source", `{"proximity":"degree","config":{"seed":1}}`, http.StatusBadRequest},
 		{"unknown dataset", `{"graph":{"dataset":{"name":"no-such","seed":1}},"proximity":"degree","config":{"seed":1}}`, http.StatusBadRequest},
 		{"unknown proximity", `{"graph":{"inline":{"nodes":4,"edges":[[0,1],[1,2]]}},"proximity":"no-such","config":{"seed":1}}`, http.StatusBadRequest},
-		{"self-loop edge", `{"graph":{"inline":{"nodes":4,"edges":[[1,1]]}},"proximity":"degree","config":{"seed":1}}`, http.StatusBadRequest},
+		{"self-loop edge", `{"graph":{"inline":{"nodes":2,"edges":[[1,1]]}},"proximity":"degree","config":{"seed":1}}`, http.StatusBadRequest},
+		{"inline nodes beyond 2·edges", `{"graph":{"inline":{"nodes":4000000000,"edges":[[0,1]]}},"proximity":"degree","config":{"seed":1}}`, http.StatusBadRequest},
 		{"escaping file path", `{"graph":{"file":{"path":"../x"}},"proximity":"degree","config":{"seed":1}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

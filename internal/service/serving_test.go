@@ -288,7 +288,7 @@ func TestSubmitSpecResolutionErrors(t *testing.T) {
 			Proximity: "degree", Config: spec.ConfigSpec{Seed: 1}},
 		{Graph: spec.GraphSource{Dataset: &spec.DatasetSource{Name: "power", Seed: 1}},
 			Proximity: "no-such-measure", Config: spec.ConfigSpec{Seed: 1}},
-		{Graph: spec.GraphSource{Inline: &spec.InlineSource{Nodes: 4, Edges: [][2]int{{0, 0}}}},
+		{Graph: spec.GraphSource{Inline: &spec.InlineSource{Nodes: 2, Edges: [][2]int{{0, 0}}}},
 			Proximity: "degree", Config: spec.ConfigSpec{Seed: 1}}, // self-loop
 		{Graph: spec.GraphSource{File: &spec.FileSource{Path: "g.txt"}},
 			Proximity: "degree", Config: spec.ConfigSpec{Seed: 1}}, // no GraphDir

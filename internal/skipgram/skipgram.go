@@ -129,21 +129,14 @@ func (m *Model) Gradients(ex Example, g *Grads) {
 	m.LossGradients(ex, g)
 }
 
-// LossGradients computes L_nov AND its Eq. (7)/(8) gradients in one fused
-// forward+backward pass (DESIGN.md §12). Per positive/negative Wout row
-// the kernel sequence is dot → sigmoid → gradient-emit while the row is
-// cache-resident — the separate Loss forward pass the training loop used
-// to make re-read every row and recomputed every inner product; here each
-// loss term reuses the gradient pass's dot. Negatives are walked in pairs
-// so the v_i accumulation (AXPY2) makes one read-modify-write sweep over
-// GIn per pair and both Wout row emits (ScaleTo2) share a single read of
-// v_i.
+// LossGradients computes L_nov AND its Eq. (7)/(8) gradients in one
+// forward+backward pass: per positive/negative Wout row it takes the dot
+// once, then derives the loss term, the GIn accumulation and the Wout row
+// gradient from it.
 //
 // Numerics: the loss terms accumulate in the same order as the standalone
-// Loss — positive first, then negatives in sample order — and the GIn
-// additions keep that order per coordinate (AXPY2 is a read-order-only
-// fusion), so the fused pass is bit-identical to the unfused
-// Loss-then-Gradients composition it replaced (pinned by
+// Loss — positive first, then negatives in sample order — so the pass is
+// bit-identical to the Loss-then-Gradients composition (pinned by
 // TestLossGradientsMatchesComposition).
 func (m *Model) LossGradients(ex Example, g *Grads) float64 {
 	g.Ensure(m.Dim, len(ex.Negs))
@@ -153,41 +146,32 @@ func (m *Model) LossGradients(ex Example, g *Grads) float64 {
 
 	// Positive node (n = 0 in Eq. (7): indicator is 1).
 	vj := m.Wout.Row(int(ex.J))
-	dotJ, sigJ := mathx.DotSigmoid(vj, vi)
-	coefJ := ex.W * (sigJ - 1)
+	dotJ := mathx.Dot(vj, vi)
+	coefJ := ex.W * (mathx.Sigmoid(dotJ) - 1)
 	mathx.AXPY(coefJ, vj, g.GIn)
 	g.OutRows[0] = ex.J
-	mathx.ScaleTo(g.GOut[0], coefJ, vi)
+	scaleTo(g.GOut[0], coefJ, vi)
 	loss := -mathx.LogSigmoid(dotJ)
 
-	// Negative nodes (indicator is 0), two per sweep.
-	t := 0
-	for ; t+1 < len(ex.Negs); t += 2 {
-		n1, n2 := ex.Negs[t], ex.Negs[t+1]
-		vn1 := m.Wout.Row(int(n1))
-		vn2 := m.Wout.Row(int(n2))
-		dot1, sig1 := mathx.DotSigmoid(vn1, vi)
-		dot2, sig2 := mathx.DotSigmoid(vn2, vi)
-		coef1 := ex.W * sig1
-		coef2 := ex.W * sig2
-		mathx.AXPY2(coef1, vn1, coef2, vn2, g.GIn)
-		g.OutRows[t+1] = n1
-		g.OutRows[t+2] = n2
-		mathx.ScaleTo2(g.GOut[t+1], coef1, g.GOut[t+2], coef2, vi)
-		loss -= mathx.LogSigmoid(-dot1)
-		loss -= mathx.LogSigmoid(-dot2)
-	}
-	if t < len(ex.Negs) {
-		n := ex.Negs[t]
+	// Negative nodes (indicator is 0).
+	for t, n := range ex.Negs {
 		vn := m.Wout.Row(int(n))
-		dotN, sigN := mathx.DotSigmoid(vn, vi)
-		coefN := ex.W * sigN
+		dotN := mathx.Dot(vn, vi)
+		coefN := ex.W * mathx.Sigmoid(dotN)
 		mathx.AXPY(coefN, vn, g.GIn)
 		g.OutRows[t+1] = n
-		mathx.ScaleTo(g.GOut[t+1], coefN, vi)
+		scaleTo(g.GOut[t+1], coefN, vi)
 		loss -= mathx.LogSigmoid(-dotN)
 	}
 	return ex.W * loss
+}
+
+// scaleTo writes dst = a*x.
+func scaleTo(dst []float64, a float64, x []float64) {
+	dst = dst[:len(x)]
+	for d, v := range x {
+		dst[d] = a * v
+	}
 }
 
 // Loss returns L_nov(v_i, v_j, p_ij) for the example at the current

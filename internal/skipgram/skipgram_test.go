@@ -135,9 +135,9 @@ func TestGradientsBufferReuse(t *testing.T) {
 	}
 }
 
-// naiveGradients is the pre-fusion per-example backward pass — one Dot,
+// naiveGradients is the reference per-example backward pass — one Dot,
 // one Sigmoid, and separate Zero+AXPY emits per row — kept as the oracle
-// for the fused LossGradients.
+// for LossGradients.
 func naiveGradients(m *Model, ex Example, g *Grads) {
 	g.Ensure(m.Dim, len(ex.Negs))
 	vi := m.Win.Row(int(ex.I))
@@ -159,34 +159,34 @@ func naiveGradients(m *Model, ex Example, g *Grads) {
 	}
 }
 
-// TestLossGradientsMatchesComposition pins the fusion contract: the fused
-// forward+backward must be BIT-identical to the unfused Loss call plus
-// the naive per-row gradient pass, at even and odd negative counts (the
-// pairwise sweep has a tail) including k = 0.
+// TestLossGradientsMatchesComposition pins the one-pass contract: the
+// forward+backward must be BIT-identical to the separate Loss call plus
+// the naive per-row gradient pass, at even and odd negative counts
+// including k = 0.
 func TestLossGradientsMatchesComposition(t *testing.T) {
-	m := testModel(t, 12, 7) // odd dim exercises the kernels' scalar tails
+	m := testModel(t, 12, 7) // odd dim exercises the reductions' scalar tails
 	for _, negs := range [][]int32{nil, {4}, {4, 6}, {4, 6, 8}, {4, 6, 8, 10, 11}} {
 		ex := Example{I: 2, J: 3, Negs: negs, W: 1.3}
-		var fused, naive Grads
-		gotLoss := m.LossGradients(ex, &fused)
+		var got, naive Grads
+		gotLoss := m.LossGradients(ex, &got)
 		naiveGradients(m, ex, &naive)
 		wantLoss := m.Loss(ex)
 		if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
-			t.Errorf("k=%d: fused loss %g != Loss %g", len(negs), gotLoss, wantLoss)
+			t.Errorf("k=%d: LossGradients loss %g != Loss %g", len(negs), gotLoss, wantLoss)
 		}
-		for d := range fused.GIn {
-			if math.Float64bits(fused.GIn[d]) != math.Float64bits(naive.GIn[d]) {
-				t.Errorf("k=%d: GIn[%d] fused %g != naive %g", len(negs), d, fused.GIn[d], naive.GIn[d])
+		for d := range got.GIn {
+			if math.Float64bits(got.GIn[d]) != math.Float64bits(naive.GIn[d]) {
+				t.Errorf("k=%d: GIn[%d] got %g != naive %g", len(negs), d, got.GIn[d], naive.GIn[d])
 			}
 		}
-		for r := range fused.OutRows {
-			if fused.OutRows[r] != naive.OutRows[r] {
-				t.Fatalf("k=%d: OutRows[%d] = %d, want %d", len(negs), r, fused.OutRows[r], naive.OutRows[r])
+		for r := range got.OutRows {
+			if got.OutRows[r] != naive.OutRows[r] {
+				t.Fatalf("k=%d: OutRows[%d] = %d, want %d", len(negs), r, got.OutRows[r], naive.OutRows[r])
 			}
-			for d := range fused.GOut[r] {
-				if math.Float64bits(fused.GOut[r][d]) != math.Float64bits(naive.GOut[r][d]) {
-					t.Errorf("k=%d: GOut[%d][%d] fused %g != naive %g",
-						len(negs), r, d, fused.GOut[r][d], naive.GOut[r][d])
+			for d := range got.GOut[r] {
+				if math.Float64bits(got.GOut[r][d]) != math.Float64bits(naive.GOut[r][d]) {
+					t.Errorf("k=%d: GOut[%d][%d] got %g != naive %g",
+						len(negs), r, d, got.GOut[r][d], naive.GOut[r][d])
 				}
 			}
 		}

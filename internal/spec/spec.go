@@ -82,8 +82,9 @@ type DatasetSource struct {
 }
 
 // InlineSource is an edge list carried in the request. Node IDs must lie
-// in [0, Nodes); self-loops and duplicate edges are rejected at
-// resolution, matching graph.Builder semantics.
+// in [0, Nodes), and Nodes may not exceed 2·len(Edges) (validation);
+// self-loops and duplicate edges are rejected at resolution, matching
+// graph.Builder semantics.
 type InlineSource struct {
 	Nodes int      `json:"nodes"`
 	Edges [][2]int `json:"edges"`
@@ -150,6 +151,13 @@ func (s *JobSpec) Validate() error {
 		}
 		if len(s.Graph.Inline.Edges) == 0 {
 			return fmt.Errorf("spec: inline graph has no edges")
+		}
+		// Nodes sizes the graph's allocations before admission; nodes
+		// beyond 2·|E| could only be isolated, so this cap ties the
+		// allocation to the request body instead of a bare integer.
+		if s.Graph.Inline.Nodes > 2*len(s.Graph.Inline.Edges) {
+			return fmt.Errorf("spec: inline graph declares %d nodes but %d edges can touch at most %d",
+				s.Graph.Inline.Nodes, len(s.Graph.Inline.Edges), 2*len(s.Graph.Inline.Edges))
 		}
 	}
 	if s.Graph.File != nil {

@@ -129,11 +129,12 @@ func TestValidateRejections(t *testing.T) {
 		in   string
 	}{
 		{"no graph source", `{"proximity":"deepwalk","config":{"seed":1}}`},
-		{"two graph sources", `{"graph":{"dataset":{"name":"power","seed":1},"inline":{"nodes":4,"edges":[[0,1]]}},"proximity":"dw","config":{"seed":1}}`},
+		{"two graph sources", `{"graph":{"dataset":{"name":"power","seed":1},"inline":{"nodes":2,"edges":[[0,1]]}},"proximity":"dw","config":{"seed":1}}`},
 		{"no proximity", `{"graph":{"dataset":{"name":"power","seed":1}},"config":{"seed":1}}`},
 		{"empty dataset name", `{"graph":{"dataset":{"seed":1}},"proximity":"dw","config":{"seed":1}}`},
 		{"inline too small", `{"graph":{"inline":{"nodes":1,"edges":[[0,0]]}},"proximity":"dw","config":{"seed":1}}`},
 		{"inline no edges", `{"graph":{"inline":{"nodes":4,"edges":[]}},"proximity":"dw","config":{"seed":1}}`},
+		{"inline nodes beyond 2·edges", `{"graph":{"inline":{"nodes":4000000000,"edges":[[0,1]]}},"proximity":"dw","config":{"seed":1}}`},
 		{"absolute file path", `{"graph":{"file":{"path":"/etc/passwd"}},"proximity":"dw","config":{"seed":1}}`},
 		{"escaping file path", `{"graph":{"file":{"path":"../secrets/g.txt"}},"proximity":"dw","config":{"seed":1}}`},
 		{"bad strategy", `{"graph":{"dataset":{"name":"power","seed":1}},"proximity":"dw","config":{"seed":1,"strategy":"extreme"}}`},
