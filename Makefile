@@ -6,11 +6,11 @@ BENCH_BASE ?= BENCH_pr14.json
 # The sharded-stage benchmarks: the DP noise/update stage, the one-shot
 # graph passes, the whole-train scaling curves (TrainWorkers matches the
 # lazy-Katz job too, with its weight-fill share as weights-ns/op), the
-# sharded evaluation metrics, the sharded proximity stats/edge-weight
-# scans, and the mathx vector kernels — the four-lane reductions and
+# sharded evaluation metrics, the sharded edge-weight fill, and the mathx
+# vector kernels — the four-lane reductions and
 # AXPY. StreamNormalAt times the counter stream's normal sampler, one
 # noise row per op.
-BENCH_PAT ?= StreamNormalAt|ApplyUpdate|GenerateSubgraphs|ProximityMaterialize|TrainWorkers|StrucEquWorkers|LinkAUCWorkers|ComputeStatsWorkers|EdgeWeightsWorkers|BenchmarkDot|BenchmarkNorm2Sq|BenchmarkAXPY
+BENCH_PAT ?= StreamNormalAt|ApplyUpdate|GenerateSubgraphs|ProximityMaterialize|TrainWorkers|StrucEquWorkers|LinkAUCWorkers|EdgeWeightsWorkers|BenchmarkDot|BenchmarkNorm2Sq|BenchmarkAXPY
 # Per-target fuzz budget for `make fuzz` (Go's -fuzztime syntax).
 FUZZTIME ?= 10s
 

@@ -32,7 +32,6 @@ import (
 	"strings"
 	"syscall"
 
-	"seprivgemb/internal/baselines"
 	"seprivgemb/internal/datasets"
 	"seprivgemb/internal/dp"
 	"seprivgemb/internal/experiments"
@@ -276,9 +275,10 @@ func table6(p params) []labeled {
 var baselineLegend = map[string]string{"dpggan": "DPGGAN", "dpgvae": "DPGVAE", "gap": "GAP", "progap": "ProGAP"}
 
 // figure builds Figure 3 or 4: all eight methods across ε. The baselines
-// share one sweep (their rows sort into legend order) at the baselines'
-// own optimizer defaults; the SE variants are one sweep each, the
-// non-private SE-GEmb counterparts appearing as flat utility ceilings.
+// share one sweep (their rows sort into legend order) at their own
+// optimizer setting (batch 64, η = 0.05, C = 1); the SE variants are one
+// sweep each, the non-private SE-GEmb counterparts appearing as flat
+// utility ceilings.
 // Link prediction trains the SE variants for -epochs-lp.
 func figure(title, metric string, names []string) experiment {
 	return experiment{title, func(p params) []labeled {
@@ -287,10 +287,9 @@ func figure(title, metric string, names []string) experiment {
 		if metric == spec.MetricLinkAUC {
 			seedBase, epochs = 400, p.epochsLP
 		}
-		bc := baselines.DefaultConfig()
 		runs := []labeled{{
 			sp: p.sweepOver(names, []string{"dpggan", "dpgvae", "gap", "progap"}, "deepwalk", eps, seedBase,
-				spec.ConfigSpec{Dim: p.dim, MaxEpochs: p.baseEps, BatchSize: bc.BatchSize, LearningRate: bc.LearningRate, Clip: bc.Clip}, metric),
+				spec.ConfigSpec{Dim: p.dim, MaxEpochs: p.baseEps, BatchSize: 64, LearningRate: 0.05, Clip: 1}, metric),
 			label: func(r spec.SweepTableRow) string { return baselineLegend[r.Method] },
 		}}
 		for _, v := range []struct{ label, prox string }{{"DW", "deepwalk"}, {"Deg", "degree"}} {

@@ -1,7 +1,13 @@
-// Package baselines defines the common interface and configuration of the
-// four published competitors the paper evaluates against: DPGGAN and DPGVAE
-// (Yang et al., IJCAI 2021), GAP (Sajadmanesh et al., USENIX Security 2023)
-// and ProGAP (Sajadmanesh & Gatica-Perez, WSDM 2024).
+// Package baselines implements the four published competitors the paper
+// evaluates against, one file and one plain function each: DPGGAN and
+// DPGVAE (Yang et al., IJCAI 2021), GAP (Sajadmanesh et al., USENIX
+// Security 2023) and ProGAP (Sajadmanesh & Gatica-Perez, WSDM 2024).
+// Every method has the signature
+//
+//	func(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error)
+//
+// and is served through the internal/methods registry, which maps a
+// core.Config onto Config and lifts Result into a core.Result.
 //
 // These are simplified-faithful Go reimplementations (DESIGN.md §2,
 // substitution 2): each preserves the original's privacy mechanism — where
@@ -9,20 +15,26 @@
 // substrate, because those mechanisms are what the paper's comparative
 // discussion attributes the utility rankings to.
 //
-// Baselines follow the same serving contract as the core trainer: training
-// honors context cancellation at epoch/hop granularity, every DP noise draw
-// is addressed through a counter-based xrand.Stream (so repeated runs of
-// one config are bit-identical, the dedup currency of internal/service),
-// and a Result reports the privacy actually spent alongside the embedding.
+// Baselines follow the same serving contract as the core trainer: each
+// method checks cfg.Validate first, honors context cancellation at
+// epoch/hop granularity (a canceled run returns ctx.Err() and no partial —
+// baselines are cheap enough to restart), draws every DP noise sample
+// through a counter-based xrand.Stream (so repeated runs of one config are
+// bit-identical, the dedup currency of internal/service), and reports the
+// privacy actually spent alongside the embedding.
 package baselines
 
 import (
-	"context"
 	"fmt"
 
-	"seprivgemb/internal/graph"
 	"seprivgemb/internal/mathx"
 )
+
+// hops is the number of aggregation hops (GAP) or stages (ProGAP). It is
+// fixed: core.Config has no counterpart, and adding one would change
+// core.Config.Hash and so every golden hash and artifact of the paper
+// method (DESIGN.md §11).
+const hops = 2
 
 // Config collects the hyperparameters shared by all baseline methods.
 type Config struct {
@@ -34,24 +46,7 @@ type Config struct {
 	BatchSize    int     // per-epoch example batch
 	LearningRate float64
 	Clip         float64 // per-example gradient clipping threshold
-	Hops         int     // aggregation hops/stages (GAP and ProGAP)
 	Seed         uint64
-}
-
-// DefaultConfig mirrors the paper's shared evaluation settings where they
-// apply (r=128, σ=5, δ=1e-5) with baseline-typical optimization defaults.
-func DefaultConfig() Config {
-	return Config{
-		Dim:          128,
-		Epsilon:      3.5,
-		Delta:        1e-5,
-		Sigma:        5,
-		Epochs:       200,
-		BatchSize:    64,
-		LearningRate: 0.05,
-		Clip:         1,
-		Hops:         2,
-	}
 }
 
 // Validate rejects configurations no baseline can train under — above all
@@ -77,8 +72,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("baselines: learning rate %g must be positive", c.LearningRate)
 	case c.Clip <= 0:
 		return fmt.Errorf("baselines: clip threshold %g must be positive", c.Clip)
-	case c.Hops < 1:
-		return fmt.Errorf("baselines: hops %d must be >= 1", c.Hops)
 	}
 	return nil
 }
@@ -100,18 +93,4 @@ type Result struct {
 	// StoppedByBudget reports an accountant-forced early stop (the
 	// premature convergence the paper attributes to the DPSGD baselines).
 	StoppedByBudget bool
-}
-
-// Method is a private graph-embedding baseline: it trains on a graph and
-// releases an embedding whose publication satisfies the configured (ε, δ)
-// guarantee under the method's own threat model.
-//
-// The contract matches the core trainer's: Train checks cfg.Validate
-// first, honors ctx at epoch/hop boundaries (a canceled run returns
-// ctx.Err() and no partial — baselines are cheap enough to restart), and
-// is bit-identical across repeated runs of one (graph, config) because
-// all noise is drawn from counter-addressed streams.
-type Method interface {
-	Name() string
-	Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error)
 }

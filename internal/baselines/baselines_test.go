@@ -111,9 +111,17 @@ func TestAddRowNoise(t *testing.T) {
 	}
 }
 
-func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.Dim != 128 || cfg.Sigma != 5 || cfg.Delta != 1e-5 {
-		t.Errorf("DefaultConfig deviates from the paper: %+v", cfg)
+// testConfig is the paper's shared evaluation setting (r=128, σ=5,
+// δ=1e-5) with baseline-typical optimization values; tests narrow it.
+func testConfig() Config {
+	return Config{
+		Dim:          128,
+		Epsilon:      3.5,
+		Delta:        1e-5,
+		Sigma:        5,
+		Epochs:       200,
+		BatchSize:    64,
+		LearningRate: 0.05,
+		Clip:         1,
 	}
 }

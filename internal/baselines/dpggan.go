@@ -1,4 +1,20 @@
-// Package dpggan implements a simplified-faithful DPGGAN baseline (Yang et
+package baselines
+
+import (
+	"context"
+	"fmt"
+
+	"seprivgemb/internal/dp"
+	"seprivgemb/internal/graph"
+	"seprivgemb/internal/mathx"
+	"seprivgemb/internal/nn"
+	"seprivgemb/internal/xrand"
+)
+
+// zDim is the width of the generator's latent input.
+const zDim = 32
+
+// DPGGAN trains a simplified-faithful DPGGAN baseline (Yang et
 // al., "Secure deep graph generation with link differential privacy",
 // IJCAI 2021): a graph GAN whose discriminator is trained with DPSGD
 // (per-example clipping + Gaussian noise) under an RDP accountant, stopping
@@ -10,33 +26,7 @@
 // discriminator gradients, with early stopping at small ε — is preserved,
 // which is what drives this method's behaviour in the paper's figures
 // (premature convergence at tight budgets).
-package dpggan
-
-import (
-	"context"
-	"fmt"
-
-	"seprivgemb/internal/baselines"
-	"seprivgemb/internal/dp"
-	"seprivgemb/internal/graph"
-	"seprivgemb/internal/mathx"
-	"seprivgemb/internal/nn"
-	"seprivgemb/internal/xrand"
-)
-
-// Method is the DPGGAN baseline.
-type Method struct{}
-
-// New returns the baseline.
-func New() *Method { return &Method{} }
-
-// Name implements baselines.Method.
-func (*Method) Name() string { return "DPGGAN" }
-
-const zDim = 32
-
-// Train implements baselines.Method.
-func (*Method) Train(ctx context.Context, g *graph.Graph, cfg baselines.Config) (*baselines.Result, error) {
+func DPGGAN(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("dpggan: %w", err)
 	}
@@ -52,7 +42,7 @@ func (*Method) Train(ctx context.Context, g *graph.Graph, cfg baselines.Config) 
 	// sequential rng: index-addressed draws are what make repeated runs of
 	// one config bit-identical (the serving layer's dedup currency).
 	noise := xrand.NewStream(cfg.Seed ^ 0x47414e)
-	feat := baselines.ProjectAdjacency(g, cfg.Dim, rng)
+	feat := ProjectAdjacency(g, cfg.Dim, rng)
 
 	// Discriminator: feature → hidden (the embedding) → real/fake logit.
 	disc := nn.NewMLP([]int{cfg.Dim, cfg.Dim, 1}, []nn.Activation{nn.Tanh, nn.Identity}, rng)
@@ -126,7 +116,7 @@ func (*Method) Train(ctx context.Context, g *graph.Graph, cfg baselines.Config) 
 	}
 	eps, _ := acct.EpsilonFor(cfg.Delta)
 	dHat, _ := acct.DeltaFor(cfg.Epsilon)
-	return &baselines.Result{
+	return &Result{
 		Embedding:       emb,
 		Epochs:          epochs,
 		EpsilonSpent:    eps,

@@ -1,10 +1,9 @@
-package dpggan
+package baselines
 
 import (
 	"context"
 	"testing"
 
-	"seprivgemb/internal/baselines"
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/xrand"
 )
@@ -13,19 +12,19 @@ func TestDiscriminatorLearnsUnderGenerousBudget(t *testing.T) {
 	// With ample budget and epochs the discriminator should move away from
 	// its initialization (embeddings differ between 1 and many epochs).
 	g := graph.BarabasiAlbert(60, 3, xrand.New(5))
-	cfg := baselines.DefaultConfig()
+	cfg := testConfig()
 	cfg.Dim = 16
 	cfg.BatchSize = 16
 	cfg.Epsilon = 50
 	cfg.Seed = 6
 
 	cfg.Epochs = 1
-	one, err := New().Train(context.Background(), g, cfg)
+	one, err := DPGGAN(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Epochs = 30
-	many, err := New().Train(context.Background(), g, cfg)
+	many, err := DPGGAN(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +40,11 @@ func TestDiscriminatorLearnsUnderGenerousBudget(t *testing.T) {
 
 func TestHiddenLayerIsEmbedding(t *testing.T) {
 	g := graph.BarabasiAlbert(40, 2, xrand.New(7))
-	cfg := baselines.DefaultConfig()
+	cfg := testConfig()
 	cfg.Dim = 20
 	cfg.BatchSize = 8
 	cfg.Epochs = 2
-	res, err := New().Train(context.Background(), g, cfg)
+	res, err := DPGGAN(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,10 @@
-// Package dpgvae implements a simplified-faithful DPGVAE baseline (Yang et
-// al., IJCAI 2021): a variational autoencoder over node features trained
-// end-to-end with DPSGD under an RDP accountant, publishing the encoder
-// means μ as the node embedding.
-//
-// Simplifications vs. the original mirror dpggan's: JL-projected adjacency
-// rows as inputs and compact MLPs, with the DPSGD budget mechanics — and
-// therefore the premature-convergence behaviour at small ε — preserved.
-package dpgvae
+package baselines
 
 import (
 	"context"
 	"fmt"
 	"math"
 
-	"seprivgemb/internal/baselines"
 	"seprivgemb/internal/dp"
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/mathx"
@@ -21,20 +12,18 @@ import (
 	"seprivgemb/internal/xrand"
 )
 
-// Method is the DPGVAE baseline.
-type Method struct{}
-
-// New returns the baseline.
-func New() *Method { return &Method{} }
-
-// Name implements baselines.Method.
-func (*Method) Name() string { return "DPGVAE" }
-
 // kl weight in the per-example loss.
 const klWeight = 1e-3
 
-// Train implements baselines.Method.
-func (*Method) Train(ctx context.Context, g *graph.Graph, cfg baselines.Config) (*baselines.Result, error) {
+// DPGVAE trains a simplified-faithful DPGVAE baseline (Yang et
+// al., IJCAI 2021): a variational autoencoder over node features trained
+// end-to-end with DPSGD under an RDP accountant, publishing the encoder
+// means μ as the node embedding.
+//
+// Simplifications vs. the original mirror DPGGAN's: JL-projected adjacency
+// rows as inputs and compact MLPs, with the DPSGD budget mechanics — and
+// therefore the premature-convergence behaviour at small ε — preserved.
+func DPGVAE(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("dpgvae: %w", err)
 	}
@@ -47,9 +36,9 @@ func (*Method) Train(ctx context.Context, g *graph.Graph, cfg baselines.Config) 
 	}
 	rng := xrand.New(cfg.Seed ^ 0x564145) // "VAE"
 	// Counter-addressed DP noise, keyed (epoch, network): bit-identical
-	// repeats of one config, independent of draw order (see dpggan).
+	// repeats of one config, independent of draw order (see DPGGAN).
 	noise := xrand.NewStream(cfg.Seed ^ 0x564145)
-	feat := baselines.ProjectAdjacency(g, cfg.Dim, rng)
+	feat := ProjectAdjacency(g, cfg.Dim, rng)
 
 	// Encoder emits [μ ‖ logvar]; decoder reconstructs the feature.
 	enc := nn.NewMLP([]int{cfg.Dim, cfg.Dim, 2 * cfg.Dim},
@@ -127,7 +116,7 @@ func (*Method) Train(ctx context.Context, g *graph.Graph, cfg baselines.Config) 
 	}
 	eps, _ := acct.EpsilonFor(cfg.Delta)
 	dHat, _ := acct.DeltaFor(cfg.Epsilon)
-	return &baselines.Result{
+	return &Result{
 		Embedding:       emb,
 		Epochs:          epochs,
 		EpsilonSpent:    eps,

@@ -1,22 +1,21 @@
-package dpgvae
+package baselines
 
 import (
 	"context"
 	"math"
 	"testing"
 
-	"seprivgemb/internal/baselines"
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/xrand"
 )
 
 func TestEncoderMeansAreFinite(t *testing.T) {
 	g := graph.BarabasiAlbert(50, 2, xrand.New(8))
-	cfg := baselines.DefaultConfig()
+	cfg := testConfig()
 	cfg.Dim = 16
 	cfg.BatchSize = 16
 	cfg.Epochs = 5
-	res, err := New().Train(context.Background(), g, cfg)
+	res, err := DPGVAE(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +36,11 @@ func TestStructurallyEquivalentNodesGetSimilarMeans(t *testing.T) {
 	_ = b.AddEdge(1, 3)
 	_ = b.AddEdge(4, 5)
 	g := b.Build()
-	cfg := baselines.DefaultConfig()
+	cfg := testConfig()
 	cfg.Dim = 8
 	cfg.BatchSize = 4
 	cfg.Epochs = 3
-	res, err := New().Train(context.Background(), g, cfg)
+	res, err := DPGVAE(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,9 @@
-package gap
+package baselines
 
 import (
 	"context"
 	"testing"
 
-	"seprivgemb/internal/baselines"
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/mathx"
 	"seprivgemb/internal/xrand"
@@ -14,7 +13,7 @@ func TestMoreNoiseWithTighterBudget(t *testing.T) {
 	// Embeddings at ε=0.3 must be farther from the noise-free aggregation
 	// than embeddings at ε=8 — the monotonicity behind Figure 3's GAP curve.
 	g := graph.BarabasiAlbert(120, 3, xrand.New(1))
-	cfg := baselines.DefaultConfig()
+	cfg := testConfig()
 	cfg.Dim = 16
 	cfg.Seed = 2
 
@@ -22,7 +21,7 @@ func TestMoreNoiseWithTighterBudget(t *testing.T) {
 	dist := func(eps float64) float64 {
 		c := cfg
 		c.Epsilon = eps
-		res, err := New().Train(context.Background(), g, c)
+		res, err := GAP(context.Background(), g, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,17 +39,17 @@ func TestMoreNoiseWithTighterBudget(t *testing.T) {
 }
 
 // noiseFreeAggregate replays GAP's pipeline without noise.
-func noiseFreeAggregate(g *graph.Graph, cfg baselines.Config) *mathx.Matrix {
+func noiseFreeAggregate(g *graph.Graph, cfg Config) *mathx.Matrix {
 	rng := xrand.New(cfg.Seed ^ 0x474150)
-	x := baselines.RandomFeatures(g.NumNodes(), cfg.Dim, rng)
+	x := RandomFeatures(g.NumNodes(), cfg.Dim, rng)
 	sum := mathx.NewMatrix(g.NumNodes(), cfg.Dim)
 	cur := x
-	for hop := 0; hop < cfg.Hops; hop++ {
-		agg := baselines.AggregateRaw(g, cur, false)
+	for hop := 0; hop < hops; hop++ {
+		agg := AggregateRaw(g, cur, false)
 		sum.AddScaled(1, agg)
 		cur = agg.Clone()
-		baselines.NormalizeRows(cur)
+		NormalizeRows(cur)
 	}
-	mathx.Scale(1/float64(cfg.Hops), sum.Data)
+	mathx.Scale(1/float64(hops), sum.Data)
 	return sum
 }

@@ -1,22 +1,17 @@
-package baselines_test
+package baselines
 
 import (
 	"context"
 	"math"
 	"testing"
 
-	"seprivgemb/internal/baselines"
-	"seprivgemb/internal/baselines/dpggan"
-	"seprivgemb/internal/baselines/dpgvae"
-	"seprivgemb/internal/baselines/gap"
-	"seprivgemb/internal/baselines/progap"
 	"seprivgemb/internal/eval"
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/xrand"
 )
 
-func quickConfig() baselines.Config {
-	cfg := baselines.DefaultConfig()
+func quickConfig() Config {
+	cfg := testConfig()
 	cfg.Dim = 16
 	cfg.Epochs = 10
 	cfg.BatchSize = 16
@@ -24,26 +19,28 @@ func quickConfig() baselines.Config {
 	return cfg
 }
 
-func methods() []baselines.Method {
-	return []baselines.Method{dpggan.New(), dpgvae.New(), gap.New(), progap.New()}
-}
+// methods lists the four baselines in the paper's presentation order.
+var methods = []struct {
+	name  string
+	train func(context.Context, *graph.Graph, Config) (*Result, error)
+}{{"DPGGAN", DPGGAN}, {"DPGVAE", DPGVAE}, {"GAP", GAP}, {"ProGAP", ProGAP}}
 
 func TestAllMethodsProduceFiniteEmbeddings(t *testing.T) {
 	g := graph.BarabasiAlbert(80, 3, xrand.New(7))
 	cfg := quickConfig()
-	for _, m := range methods() {
-		res, err := m.Train(context.Background(), g, cfg)
+	for _, m := range methods {
+		res, err := m.train(context.Background(), g, cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
+			t.Fatalf("%s: %v", m.name, err)
 		}
 		emb := res.Embedding
 		if emb.Rows != g.NumNodes() || emb.Cols != cfg.Dim {
 			t.Fatalf("%s: embedding %dx%d, want %dx%d",
-				m.Name(), emb.Rows, emb.Cols, g.NumNodes(), cfg.Dim)
+				m.name, emb.Rows, emb.Cols, g.NumNodes(), cfg.Dim)
 		}
 		for _, v := range emb.Data {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("%s: non-finite embedding value", m.Name())
+				t.Fatalf("%s: non-finite embedding value", m.name)
 			}
 		}
 	}
@@ -53,34 +50,19 @@ func TestMethodsDeterministic(t *testing.T) {
 	g := graph.BarabasiAlbert(60, 2, xrand.New(8))
 	cfg := quickConfig()
 	cfg.Epochs = 3
-	for _, makeM := range []func() baselines.Method{
-		func() baselines.Method { return dpggan.New() },
-		func() baselines.Method { return dpgvae.New() },
-		func() baselines.Method { return gap.New() },
-		func() baselines.Method { return progap.New() },
-	} {
-		a, err := makeM().Train(context.Background(), g, cfg)
+	for _, m := range methods {
+		a, err := m.train(context.Background(), g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := makeM().Train(context.Background(), g, cfg)
+		b, err := m.train(context.Background(), g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := makeM().Name()
 		for i := range a.Embedding.Data {
 			if a.Embedding.Data[i] != b.Embedding.Data[i] {
-				t.Fatalf("%s not deterministic", name)
+				t.Fatalf("%s not deterministic", m.name)
 			}
-		}
-	}
-}
-
-func TestMethodNames(t *testing.T) {
-	want := map[string]bool{"DPGGAN": true, "DPGVAE": true, "GAP": true, "ProGAP": true}
-	for _, m := range methods() {
-		if !want[m.Name()] {
-			t.Errorf("unexpected method name %q", m.Name())
 		}
 	}
 }
@@ -93,27 +75,15 @@ func TestGAPCapturesSomeStructure(t *testing.T) {
 	g := graph.StochasticBlockModel(150, 3, 0.3, 0.01, xrand.New(9))
 	cfg := quickConfig()
 	cfg.Epsilon = 8
-	res, err := gap.New().Train(context.Background(), g, cfg)
+	res, err := GAP(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	se := eval.StrucEqu(g, res.Embedding)
-	random := baselines.RandomFeatures(g.NumNodes(), cfg.Dim, xrand.New(10))
+	random := RandomFeatures(g.NumNodes(), cfg.Dim, xrand.New(10))
 	seRandom := eval.StrucEqu(g, random)
 	if se <= seRandom {
 		t.Errorf("GAP StrucEqu %g not above random baseline %g", se, seRandom)
-	}
-}
-
-func TestGAPHopsValidation(t *testing.T) {
-	g := graph.BarabasiAlbert(40, 2, xrand.New(11))
-	cfg := quickConfig()
-	cfg.Hops = 0
-	if _, err := gap.New().Train(context.Background(), g, cfg); err == nil {
-		t.Error("hops=0 accepted by GAP")
-	}
-	if _, err := progap.New().Train(context.Background(), g, cfg); err == nil {
-		t.Error("hops=0 accepted by ProGAP")
 	}
 }
 
@@ -121,10 +91,10 @@ func TestGANVAEBatchValidation(t *testing.T) {
 	g := graph.BarabasiAlbert(20, 2, xrand.New(12))
 	cfg := quickConfig()
 	cfg.BatchSize = 100
-	if _, err := dpggan.New().Train(context.Background(), g, cfg); err == nil {
+	if _, err := DPGGAN(context.Background(), g, cfg); err == nil {
 		t.Error("oversized batch accepted by DPGGAN")
 	}
-	if _, err := dpgvae.New().Train(context.Background(), g, cfg); err == nil {
+	if _, err := DPGVAE(context.Background(), g, cfg); err == nil {
 		t.Error("oversized batch accepted by DPGVAE")
 	}
 }
@@ -132,13 +102,13 @@ func TestGANVAEBatchValidation(t *testing.T) {
 func TestTightBudgetStopsGANEarly(t *testing.T) {
 	// With a very small ε the accountant must stop the GAN well before its
 	// epoch limit; the run should still return a usable embedding — the
-	// "premature convergence" the paper attributes to these baselines.
+	// "premature convergence" the paper attributes to these
 	g := graph.BarabasiAlbert(60, 2, xrand.New(13))
 	cfg := quickConfig()
 	cfg.Epsilon = 0.01
 	cfg.Sigma = 1
 	cfg.Epochs = 100000 // would take forever if the stop failed
-	res, err := dpggan.New().Train(context.Background(), g, cfg)
+	res, err := DPGGAN(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,17 @@
-// Package progap implements a simplified-faithful ProGAP baseline
+package baselines
+
+import (
+	"context"
+	"fmt"
+
+	"seprivgemb/internal/dp"
+	"seprivgemb/internal/graph"
+	"seprivgemb/internal/mathx"
+	"seprivgemb/internal/nn"
+	"seprivgemb/internal/xrand"
+)
+
+// ProGAP trains a simplified-faithful ProGAP baseline
 // (Sajadmanesh & Gatica-Perez, "ProGAP: Progressive graph neural networks
 // with differential privacy guarantees", WSDM 2024). ProGAP refines GAP by
 // training progressively: each stage aggregates the previous stage's
@@ -7,31 +20,7 @@
 // each stage reuses the perturbed output of the one before instead of
 // re-aggregating raw features, signal accumulates better per unit of
 // budget, which is why the paper observes ProGAP slightly above GAP.
-package progap
-
-import (
-	"context"
-	"fmt"
-
-	"seprivgemb/internal/baselines"
-	"seprivgemb/internal/dp"
-	"seprivgemb/internal/graph"
-	"seprivgemb/internal/mathx"
-	"seprivgemb/internal/nn"
-	"seprivgemb/internal/xrand"
-)
-
-// Method is the ProGAP baseline.
-type Method struct{}
-
-// New returns the baseline.
-func New() *Method { return &Method{} }
-
-// Name implements baselines.Method.
-func (*Method) Name() string { return "ProGAP" }
-
-// Train implements baselines.Method.
-func (*Method) Train(ctx context.Context, g *graph.Graph, cfg baselines.Config) (*baselines.Result, error) {
+func ProGAP(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("progap: %w", err)
 	}
@@ -43,15 +32,15 @@ func (*Method) Train(ctx context.Context, g *graph.Graph, cfg baselines.Config) 
 	// Per-stage release noise from a counter stream keyed by stage, so
 	// repeated runs of one config release identical bits.
 	noise := xrand.NewStream(cfg.Seed ^ 0x50524f)
-	x := baselines.RandomFeatures(n, cfg.Dim, rng)
+	x := RandomFeatures(n, cfg.Dim, rng)
 
 	// One noisy aggregation release per stage.
-	sigma := dp.CalibrateGaussianSigma(cfg.Epsilon, cfg.Delta, cfg.Hops)
+	sigma := dp.CalibrateGaussianSigma(cfg.Epsilon, cfg.Delta, hops)
 
 	// Jumping-knowledge accumulator over the noisy stage releases.
 	jk := mathx.NewMatrix(n, cfg.Dim)
 	cur := x
-	for stage := 0; stage < cfg.Hops; stage++ {
+	for stage := 0; stage < hops; stage++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -59,18 +48,18 @@ func (*Method) Train(ctx context.Context, g *graph.Graph, cfg baselines.Config) 
 		// replaces its input, then release with calibrated noise. The raw
 		// (unnormalized) release keeps the degree-scaled signal; only the
 		// next stage's input is renormalized for sensitivity.
-		agg := baselines.AggregateRaw(g, cur, true)
-		baselines.AddRowNoise(agg, sigma, noise.Derive(uint64(stage)))
+		agg := AggregateRaw(g, cur, true)
+		AddRowNoise(agg, sigma, noise.Derive(uint64(stage)))
 		jk.AddScaled(1, agg)
 		// Stage transformation: a fixed random expansion + tanh, the
 		// training-free stand-in for the stage's learned module (applied to
 		// already-private data: pure post-processing).
 		cur = transform(agg, rng.Split())
 	}
-	mathx.Scale(1/float64(cfg.Hops), jk.Data)
-	return &baselines.Result{
+	mathx.Scale(1/float64(hops), jk.Data)
+	return &Result{
 		Embedding:    jk,
-		Epochs:       cfg.Hops,
+		Epochs:       hops,
 		EpsilonSpent: cfg.Epsilon,
 		DeltaSpent:   cfg.Delta,
 	}, nil
@@ -95,6 +84,6 @@ func transform(x *mathx.Matrix, rng *xrand.RNG) *mathx.Matrix {
 			dst[d] = nn.Tanh.Apply(tmp[d])
 		}
 	}
-	baselines.NormalizeRows(out)
+	NormalizeRows(out)
 	return out
 }

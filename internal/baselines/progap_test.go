@@ -1,11 +1,9 @@
-package progap
+package baselines
 
 import (
 	"context"
 	"testing"
 
-	"seprivgemb/internal/baselines"
-	"seprivgemb/internal/baselines/gap"
 	"seprivgemb/internal/eval"
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/xrand"
@@ -16,17 +14,17 @@ func TestProGAPAtLeastMatchesGAPOnStructure(t *testing.T) {
 	// progressive stages reuse perturbed signal instead of re-aggregating
 	// raw features. Checked at a generous budget where both have signal.
 	g := graph.BarabasiAlbert(150, 4, xrand.New(3))
-	cfg := baselines.DefaultConfig()
+	cfg := testConfig()
 	cfg.Dim = 24
 	cfg.Epsilon = 3.5
 	var pro, plain float64
 	for seed := uint64(0); seed < 3; seed++ {
 		cfg.Seed = seed
-		resP, err := New().Train(context.Background(), g, cfg)
+		resP, err := ProGAP(context.Background(), g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resG, err := gap.New().Train(context.Background(), g, cfg)
+		resG, err := GAP(context.Background(), g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,14 +33,5 @@ func TestProGAPAtLeastMatchesGAPOnStructure(t *testing.T) {
 	}
 	if pro < plain-0.15 {
 		t.Errorf("ProGAP mean StrucEqu %g far below GAP %g", pro/3, plain/3)
-	}
-}
-
-func TestStagesValidation(t *testing.T) {
-	g := graph.BarabasiAlbert(30, 2, xrand.New(4))
-	cfg := baselines.DefaultConfig()
-	cfg.Hops = 0
-	if _, err := New().Train(context.Background(), g, cfg); err == nil {
-		t.Error("zero stages accepted")
 	}
 }

@@ -268,7 +268,7 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 			hdr.Version, checkpointVersion)
 	}
 	ck := checkpointFromHeader(hdr)
-	if ck.Win, ck.Wout, err = ReadIndexedMatricesSeq(cr, hdr.Nodes, hdr.Dim); err != nil {
+	if ck.Win, ck.Wout, err = ReadIndexedMatricesSeq(cr, hdr.Nodes, hdr.Dim, 0); err != nil {
 		return nil, fmt.Errorf("core: decoding checkpoint matrices: %w", err)
 	}
 	return ck, nil

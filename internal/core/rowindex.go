@@ -165,17 +165,42 @@ func readFrameInto(r io.Reader, v any, scratch *[]byte, limit int64) error {
 	if n > uint64(limit) {
 		return fmt.Errorf("frame claims %d bytes, limit %d", n, limit)
 	}
-	if uint64(cap(*scratch)) < n {
-		*scratch = make([]byte, n)
-	}
-	buf := (*scratch)[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readClaimed(r, *scratch, int(n))
+	*scratch = buf
+	if err != nil {
 		return fmt.Errorf("reading %d-byte frame: %w", n, err)
 	}
 	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(v); err != nil {
 		return fmt.Errorf("decoding frame: %w", err)
 	}
 	return nil
+}
+
+// frameAllocStep is how far a frame read may allocate ahead of the bytes
+// it has received: one step holds a whole chunk frame, so the usual read
+// allocates once.
+const frameAllocStep = 128 << 10
+
+// readClaimed reads exactly n bytes from r, reusing buf's capacity. A
+// length prefix is a claim, not a proof, so beyond that capacity the
+// buffer grows only as bytes arrive — never more than max(bytes read,
+// frameAllocStep) ahead of them — and a prefix that overstates the stream
+// costs memory in proportion to the bytes actually there.
+func readClaimed(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, len(buf)+max(len(buf), frameAllocStep)))
+			copy(grown, buf)
+			buf = grown
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // ReadFrameSeq decodes the next frame of a sequential v3 stream into v.
@@ -330,37 +355,49 @@ func WriteIndexedMats(fw *FrameWriter, win, wout mathx.Mat) error {
 // frame. The recorded index is cross-checked against the offsets actually
 // observed while reading, so a reordered, truncated, or spliced stream is
 // rejected even on the streaming path that never seeks.
-func ReadIndexedMatricesSeq(cr *CountingReader, rows, cols int) (win, wout []float64, err error) {
+//
+// The rows×cols shape comes from the caller's header, which is a claim,
+// not a proof. size is the stream's total byte length when the caller
+// knows it (a file), or 0 when it does not. Every value encodes to at
+// least one byte, so a known size rejects a shape the stream cannot hold
+// and otherwise lets each matrix be allocated once; with an unknown size
+// each matrix grows as its chunk frames arrive. Either way memory stays
+// proportional to the bytes read.
+func ReadIndexedMatricesSeq(cr *CountingReader, rows, cols int, size int64) (win, wout []float64, err error) {
 	if rows < 0 || cols < 0 || (cols > 0 && rows > int(^uint(0)>>1)/cols) {
 		return nil, nil, fmt.Errorf("core: impossible shape %dx%d", rows, cols)
 	}
 	total := rows * cols
-	chunks := chunkCount(total, chunkFloats)
+	prealloc := 0
+	if size > 0 {
+		if int64(total) > (size-cr.Offset())/2 {
+			return nil, nil, fmt.Errorf("core: shape %dx%d cannot fit in a %d-byte stream", rows, cols, size)
+		}
+		prealloc = total
+	}
 	seen := &RowIndex{ChunkFloats: chunkFloats, Rows: rows, Cols: cols}
 	var scratch []byte
-	readMatrix := func(dst []float64) ([]int64, error) {
-		offs := make([]int64, 0, chunks)
+	readMatrix := func() ([]float64, []int64, error) {
+		dst := make([]float64, 0, prealloc)
+		offs := make([]int64, 0, chunkCount(prealloc, chunkFloats))
 		var blk []float64
-		for off := 0; off < total; {
+		for len(dst) < total {
 			start := cr.Offset()
 			if err := readFrameInto(cr, &blk, &scratch, maxFrameBytes); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			if off+len(blk) > total {
-				return nil, fmt.Errorf("chunk overruns expected %d values", total)
+			if len(dst)+len(blk) > total {
+				return nil, nil, fmt.Errorf("chunk overruns expected %d values", total)
 			}
-			copy(dst[off:], blk)
-			off += len(blk)
+			dst = append(dst, blk...)
 			offs = append(offs, start)
 		}
-		return offs, nil
+		return dst, offs, nil
 	}
-	win = make([]float64, total)
-	if seen.Win, err = readMatrix(win); err != nil {
+	if win, seen.Win, err = readMatrix(); err != nil {
 		return nil, nil, fmt.Errorf("core: reading Win chunks: %w", err)
 	}
-	wout = make([]float64, total)
-	if seen.Wout, err = readMatrix(wout); err != nil {
+	if wout, seen.Wout, err = readMatrix(); err != nil {
 		return nil, nil, fmt.Errorf("core: reading Wout chunks: %w", err)
 	}
 	indexStart := cr.Offset()

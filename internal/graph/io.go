@@ -26,7 +26,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		return id
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024) // grows with the longest line, up to 1 MiB
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

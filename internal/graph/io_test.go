@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -84,4 +85,36 @@ func TestReadEdgeListFileMissing(t *testing.T) {
 	if _, err := ReadEdgeListFile("/nonexistent/path/graph.txt"); err == nil {
 		t.Error("missing file did not error")
 	}
+}
+
+// FuzzReadEdgeList feeds arbitrary text to the edge-list parser, which
+// reads operator-supplied graph files. It returns an error or a graph
+// with no more nodes than the ids the input names — never a panic, and
+// memory within a fixed allowance plus a constant multiple of the input.
+func FuzzReadEdgeList(f *testing.F) {
+	for _, s := range []string{
+		"# comment\n% another\n0 1\n1 2\n2 0\n2 2\n1 0\n",
+		"10 20 0.5\n20 30\n",
+		"0\n",
+		"a b\n",
+		"-1 99999999999\n",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := ReadEdgeList(strings.NewReader(input))
+		runtime.ReadMemStats(&after)
+		if n, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+512*len(input)); n > bound {
+			t.Fatalf("parsing %d bytes allocated %d, want <= %d", len(input), n, bound)
+		}
+		if err != nil {
+			return
+		}
+		if ids := 2 * strings.Count(input+"\n", "\n"); g.NumNodes() > ids {
+			t.Fatalf("%d nodes from %d bytes", g.NumNodes(), len(input))
+		}
+	})
 }

@@ -1,14 +1,14 @@
 // Package methods is the trainer registry of the serving stack: one
 // namespace in which the paper's method (sepriv) and every reproduced
-// baseline (dpggan, dpgvae, gap, progap) are served through a single
-// Trainer interface. Before this registry existed the baselines were dead
-// code behind the Session/JobSpec/HTTP stack — reachable only by direct Go
-// calls — so the serving system could answer for exactly one method and
-// the paper's comparison tables could not be produced server-side.
+// baseline (dpggan, dpgvae, gap, progap) are served. A registry entry is a
+// Method: its listing (Info) plus one train function with a uniform
+// (ctx, graph, proximity, config, hooks) → core.Result signature, over
+// which the service layer applies dedup, quotas, priority admission,
+// artifacts and row-window serving without knowing which method runs.
 //
 // The registry is deliberately static (a fixed map, no Register function):
 // the method name is part of the deduplication key, the job ID, and the
-// artifact filename, so the name→trainer mapping must be identical in
+// artifact filename, so the name→method mapping must be identical in
 // every process that shares an artifact directory. A dynamic registry
 // would let two servers disagree about what "gap" means while trusting
 // each other's artifacts.
@@ -21,10 +21,6 @@ import (
 	"strings"
 
 	"seprivgemb/internal/baselines"
-	"seprivgemb/internal/baselines/dpggan"
-	"seprivgemb/internal/baselines/dpgvae"
-	"seprivgemb/internal/baselines/gap"
-	"seprivgemb/internal/baselines/progap"
 	"seprivgemb/internal/core"
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/mathx"
@@ -36,36 +32,32 @@ import (
 // every spec and submission that does not name a method explicitly.
 const Default = "sepriv"
 
-// Trainer is one served training method: a uniform (ctx, graph, config,
-// hooks) → Result contract over which the service layer applies dedup,
-// quotas, priority admission, artifacts, and row-window serving without
-// knowing which method runs. The core trainer implements it directly;
-// baselines are adapted (their own Config is derived from core.Config and
-// their Result lifted into core.Result, so the wire shapes stay uniform).
-type Trainer interface {
-	// Name returns the canonical registry name.
-	Name() string
-	// Describe returns the one-line human description served by
-	// GET /v1/methods.
-	Describe() string
-	// UsesProximity reports whether the method consumes the structure
-	// preference; the service skips proximity materialization for methods
-	// that don't (the baselines train on features, not edge weights).
-	UsesProximity() bool
+// Method is one registry entry: the listing served by GET /v1/methods and
+// the function that trains the method.
+type Method struct {
+	Info
 	// Train runs the method. Cancellation granularity is per epoch (or
 	// hop); sepriv returns a partial, resumable Result on cancel while the
 	// baselines return ctx.Err() (they are cheap enough to restart).
-	Train(ctx context.Context, g *graph.Graph, prox proximity.Proximity, cfg core.Config, hooks core.Hooks) (*core.Result, error)
+	Train func(ctx context.Context, g *graph.Graph, prox proximity.Proximity, cfg core.Config, hooks core.Hooks) (*core.Result, error)
 }
 
-// registry maps canonical names to trainers. Keys are the wire names; see
+// registry maps canonical names to methods. Keys are the wire names; see
 // Canonical for the accepted spellings.
-var registry = map[string]Trainer{
-	Default:  seprivTrainer{},
-	"dpggan": baselineTrainer{m: dpggan.New(), desc: "DPGGAN (Yang et al., IJCAI 2021): graph GAN, DPSGD discriminator under an RDP accountant"},
-	"dpgvae": baselineTrainer{m: dpgvae.New(), desc: "DPGVAE (Yang et al., IJCAI 2021): graph VAE trained with DPSGD, encoder means released"},
-	"gap":    baselineTrainer{m: gap.New(), desc: "GAP (Sajadmanesh et al., USENIX Security 2023): noisy multi-hop aggregation of random features"},
-	"progap": baselineTrainer{m: progap.New(), desc: "ProGAP (Sajadmanesh & Gatica-Perez, WSDM 2024): progressive staged aggregation, jumping knowledge"},
+var registry = map[string]Method{
+	Default: {
+		Info: Info{
+			Name:          Default,
+			Description:   "SE-PrivGEmb (the paper's method): structure-preference private skip-gram embedding",
+			Default:       true,
+			UsesProximity: true,
+		},
+		Train: core.TrainContext,
+	},
+	"dpggan": baseline("dpggan", "DPGGAN (Yang et al., IJCAI 2021): graph GAN, DPSGD discriminator under an RDP accountant", baselines.DPGGAN),
+	"dpgvae": baseline("dpgvae", "DPGVAE (Yang et al., IJCAI 2021): graph VAE trained with DPSGD, encoder means released", baselines.DPGVAE),
+	"gap":    baseline("gap", "GAP (Sajadmanesh et al., USENIX Security 2023): noisy multi-hop aggregation of random features", baselines.GAP),
+	"progap": baseline("progap", "ProGAP (Sajadmanesh & Gatica-Perez, WSDM 2024): progressive staged aggregation, jumping knowledge", baselines.ProGAP),
 }
 
 // aliases maps accepted alternative spellings onto canonical names.
@@ -91,12 +83,12 @@ func Canonical(name string) (string, error) {
 	return n, nil
 }
 
-// Get returns the trainer registered under name (after Canonical
+// Get returns the method registered under name (after Canonical
 // resolution).
-func Get(name string) (Trainer, error) {
+func Get(name string) (Method, error) {
 	n, err := Canonical(name)
 	if err != nil {
-		return nil, err
+		return Method{}, err
 	}
 	return registry[n], nil
 }
@@ -116,7 +108,7 @@ func Names() []string {
 type Info struct {
 	// Name is the canonical registry name ("sepriv", "gap", ...).
 	Name string
-	// Description is the trainer's one-line description.
+	// Description is the method's one-line description.
 	Description string
 	// Default marks the method selected when a spec names none.
 	Default bool
@@ -130,13 +122,7 @@ type Info struct {
 func List() []Info {
 	out := make([]Info, 0, len(registry))
 	for _, n := range Names() {
-		tr := registry[n]
-		out = append(out, Info{
-			Name:          n,
-			Description:   tr.Describe(),
-			Default:       n == Default,
-			UsesProximity: tr.UsesProximity(),
-		})
+		out = append(out, registry[n].Info)
 	}
 	return out
 }
@@ -146,8 +132,7 @@ func List() []Info {
 // serving layer maps the error to ErrInvalidSpec → 400) rather than fail a
 // job at training time. For the default method the core trainer's own
 // validation (which needs the resolved graph anyway) is authoritative; for
-// baselines the derived baselines.Config is validated, which is what
-// rejects a non-positive privacy budget or δ ∉ (0,1) at submit.
+// a baseline it is the same check the baseline's Train runs first.
 func ValidateConfig(name string, g *graph.Graph, cfg core.Config) error {
 	n, err := Canonical(name)
 	if err != nil {
@@ -156,69 +141,57 @@ func ValidateConfig(name string, g *graph.Graph, cfg core.Config) error {
 	if n == Default {
 		return nil
 	}
+	return validateBaseline(n, g, cfg)
+}
+
+// validateBaseline rejects what a baseline cannot honor: a memory budget,
+// a non-private run, and any config whose derived baselines.Config is
+// invalid (a non-positive privacy budget, δ ∉ (0,1), ...).
+func validateBaseline(name string, g *graph.Graph, cfg core.Config) error {
 	if cfg.MemoryBudget > 0 {
-		return fmt.Errorf("methods: %s does not support a training memory budget (the out-of-core spill tier is %s-only)", n, Default)
+		return fmt.Errorf("methods: %s does not support a training memory budget (the out-of-core spill tier is %s-only)", name, Default)
 	}
 	if !cfg.Private {
-		return fmt.Errorf("methods: %s has no non-private variant (private=false is only meaningful for %s)", n, Default)
+		return fmt.Errorf("methods: %s has no non-private variant (private=false is only meaningful for %s)", name, Default)
 	}
 	if err := BaselineConfig(cfg, g).Validate(); err != nil {
-		return fmt.Errorf("methods: %s: %w", n, err)
+		return fmt.Errorf("methods: %s: %w", name, err)
 	}
 	return nil
 }
 
-// seprivTrainer serves the paper's own method: a direct pass-through to
-// core.TrainContext (Algorithm 2 and its non-private counterpart).
-type seprivTrainer struct{}
-
-func (seprivTrainer) Name() string { return Default }
-func (seprivTrainer) Describe() string {
-	return "SE-PrivGEmb (the paper's method): structure-preference private skip-gram embedding"
-}
-func (seprivTrainer) UsesProximity() bool { return true }
-func (seprivTrainer) Train(ctx context.Context, g *graph.Graph, prox proximity.Proximity, cfg core.Config, hooks core.Hooks) (*core.Result, error) {
-	return core.TrainContext(ctx, g, prox, cfg, hooks)
-}
-
-// baselineTrainer adapts a baselines.Method onto the Trainer contract.
-type baselineTrainer struct {
-	m    baselines.Method
-	desc string
-}
-
-func (b baselineTrainer) Name() string        { return strings.ToLower(b.m.Name()) }
-func (b baselineTrainer) Describe() string    { return b.desc }
-func (b baselineTrainer) UsesProximity() bool { return false }
-
-// Train maps core.Config onto the baseline hyperparameters, runs the
-// method, and lifts its Result into the core shape the serving stack
+// baseline builds the registry entry of one baseline: Train validates cfg
+// as ValidateConfig does, maps it onto the baseline hyperparameters, runs
+// train, and lifts its Result into the core shape the serving stack
 // speaks. The proximity argument is ignored (baselines train on features);
 // hooks are ignored too — baselines neither checkpoint nor stream
 // per-epoch stats, and a Resume request is rejected rather than silently
 // dropped.
-func (b baselineTrainer) Train(ctx context.Context, g *graph.Graph, prox proximity.Proximity, cfg core.Config, hooks core.Hooks) (*core.Result, error) {
-	if hooks.Resume != nil {
-		return nil, fmt.Errorf("methods: %s does not support checkpoint resume", b.Name())
+func baseline(name, desc string, train func(context.Context, *graph.Graph, baselines.Config) (*baselines.Result, error)) Method {
+	return Method{
+		Info: Info{Name: name, Description: desc},
+		Train: func(ctx context.Context, g *graph.Graph, _ proximity.Proximity, cfg core.Config, hooks core.Hooks) (*core.Result, error) {
+			if hooks.Resume != nil {
+				return nil, fmt.Errorf("methods: %s does not support checkpoint resume", name)
+			}
+			if err := validateBaseline(name, g, cfg); err != nil {
+				return nil, err
+			}
+			rep, err := train(ctx, g, BaselineConfig(cfg, g))
+			if err != nil {
+				return nil, err
+			}
+			return liftResult(rep), nil
+		},
 	}
-	if !cfg.Private {
-		return nil, fmt.Errorf("methods: %s has no non-private variant", b.Name())
-	}
-	bcfg := BaselineConfig(cfg, g)
-	rep, err := b.m.Train(ctx, g, bcfg)
-	if err != nil {
-		return nil, err
-	}
-	return liftResult(rep), nil
 }
 
 // BaselineConfig derives the baseline hyperparameters from a resolved
 // core.Config: the shared fields (dim, privacy budget, DPSGD knobs, seed)
 // map one to one, MaxEpochs becomes the epoch cap, and the batch — which
-// baselines sample from NODES, not edges — is clamped to |V|. Hops stays
-// at the baseline default: it has no core.Config counterpart, and adding
-// one would change core.Config.Hash and so invalidate every golden hash
-// and artifact for the paper method (see DESIGN.md §11).
+// baselines sample from NODES, not edges — is clamped to |V|. The GAP
+// family's hop count has no core.Config counterpart; it is fixed inside
+// internal/baselines (DESIGN.md §11).
 func BaselineConfig(cfg core.Config, g *graph.Graph) baselines.Config {
 	bcfg := baselines.Config{
 		Dim:          cfg.Dim,
@@ -229,7 +202,6 @@ func BaselineConfig(cfg core.Config, g *graph.Graph) baselines.Config {
 		BatchSize:    cfg.BatchSize,
 		LearningRate: cfg.LearningRate,
 		Clip:         cfg.Clip,
-		Hops:         baselines.DefaultConfig().Hops,
 		Seed:         cfg.Seed,
 	}
 	if n := g.NumNodes(); bcfg.BatchSize > n {

@@ -68,12 +68,12 @@ func TestRegistryListing(t *testing.T) {
 		if info.UsesProximity != (info.Name == Default) {
 			t.Errorf("%s UsesProximity = %v", info.Name, info.UsesProximity)
 		}
-		tr, err := Get(info.Name)
+		m, err := Get(info.Name)
 		if err != nil {
 			t.Fatalf("Get(%q): %v", info.Name, err)
 		}
-		if tr.Name() != info.Name {
-			t.Errorf("Get(%q).Name() = %q", info.Name, tr.Name())
+		if m.Info != info || m.Train == nil {
+			t.Errorf("Get(%q) = %+v, listed as %+v", info.Name, m.Info, info)
 		}
 	}
 	if defaults != 1 {
@@ -148,29 +148,41 @@ func TestBaselineConfigMapping(t *testing.T) {
 	}
 }
 
-// TestBaselineTrainerRejections: the adapters refuse what they cannot
-// honor instead of silently dropping it.
+// TestBaselineTrainerRejections: a baseline's Train refuses what it
+// cannot honor instead of silently dropping it, and rejects every config
+// ValidateConfig rejects — Train is what a Session calls, with no
+// submission-time check in front of it.
 func TestBaselineTrainerRejections(t *testing.T) {
 	g := graph.BarabasiAlbert(20, 2, xrand.New(3))
-	tr, err := Get("gap")
+	m, err := Get("gap")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
 	cfg.Dim = 8
 
-	if _, err := tr.Train(context.Background(), g, nil, cfg, core.Hooks{Resume: &core.Checkpoint{}}); err == nil {
+	if _, err := m.Train(context.Background(), g, nil, cfg, core.Hooks{Resume: &core.Checkpoint{}}); err == nil {
 		t.Error("baseline accepted a resume checkpoint")
 	}
 	nonPriv := cfg
 	nonPriv.Private = false
-	if _, err := tr.Train(context.Background(), g, nil, nonPriv, core.Hooks{}); err == nil {
-		t.Error("baseline accepted a non-private config")
+	budget := cfg
+	budget.MemoryBudget = 1
+	badEps := cfg
+	badEps.Epsilon = 0
+	for name, bad := range map[string]core.Config{"non-private": nonPriv, "memory-budget": budget, "zero-epsilon": badEps} {
+		verr := ValidateConfig("gap", g, bad)
+		if verr == nil {
+			t.Errorf("ValidateConfig accepted a %s config", name)
+		}
+		if _, err := m.Train(context.Background(), g, nil, bad, core.Hooks{}); err == nil || verr == nil || err.Error() != verr.Error() {
+			t.Errorf("%s config: Train error %v, ValidateConfig error %v", name, err, verr)
+		}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tr.Train(ctx, g, nil, cfg, core.Hooks{}); err == nil {
+	if _, err := m.Train(ctx, g, nil, cfg, core.Hooks{}); err == nil {
 		t.Error("baseline ignored a canceled context")
 	}
 }
@@ -237,14 +249,14 @@ func TestGoldenBaselineDeterminism(t *testing.T) {
 
 	for name, want := range goldenBaselines {
 		t.Run(name, func(t *testing.T) {
-			tr, err := Get(name)
+			m, err := Get(name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4} {
 				cfg := base
 				cfg.Workers = workers
-				res, err := tr.Train(context.Background(), g, nil, cfg, core.Hooks{})
+				res, err := m.Train(context.Background(), g, nil, cfg, core.Hooks{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -34,32 +34,18 @@ func BenchmarkProximityMaterialize(b *testing.B) {
 	}
 }
 
-// BenchmarkComputeStatsWorkers tracks the sharded Stats row scan (the
-// Theorem 3 min(P)/row-sum pass) on a scan-path measure.
-func BenchmarkComputeStatsWorkers(b *testing.B) {
-	g := graph.BarabasiAlbert(1500, 4, xrand.New(1))
-	p := NewDeepWalk(g)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("x%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ComputeStatsWorkers(p, w)
-			}
-		})
-	}
-}
-
 // BenchmarkEdgeWeightsWorkers tracks the sharded weight fill over a
-// graph's edges on a row-building measure, where PairWeights builds one
-// Katz row per distinct source.
+// graph's edges (PairWeights over edgePairs) on a row-building measure,
+// where PairWeights builds one Katz row per distinct source.
 func BenchmarkEdgeWeightsWorkers(b *testing.B) {
 	g := graph.BarabasiAlbert(800, 4, xrand.New(1))
 	p := NewKatz(g, 0.05, 3)
+	pairs := edgePairs(g)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("x%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				EdgeWeightsWorkers(p, g, w)
+				PairWeights(p, pairs, w)
 			}
 		})
 	}

@@ -105,36 +105,6 @@ func (p *PreferentialAttachment) Row(i int) []Entry {
 	return row
 }
 
-// Stats implements the analytic shortcut: the smallest positive entry over
-// distinct pairs is the product of the two smallest positive degrees (they
-// belong to different nodes since the diagonal is excluded), and row sums
-// are d_i·(D − d_i)/d_max² with D = Σ_j d_j.
-func (p *PreferentialAttachment) Stats() Stats {
-	n := p.g.NumNodes()
-	st := Stats{RowSums: make([]float64, n)}
-	var total float64
-	min1, min2 := 0, 0 // two smallest positive degrees
-	for _, d := range p.deg {
-		total += float64(d)
-		if d <= 0 {
-			continue
-		}
-		switch {
-		case min1 == 0 || d < min1:
-			min1, min2 = d, min1
-		case min2 == 0 || d < min2:
-			min2 = d
-		}
-	}
-	if min1 > 0 && min2 > 0 {
-		st.MinPositive = float64(min1) * float64(min2) / p.norm
-	}
-	for i := 0; i < n; i++ {
-		st.RowSums[i] = float64(p.deg[i]) * (total - float64(p.deg[i])) / p.norm
-	}
-	return st
-}
-
 // Degree is the paper's "node degree proximity" (SE-PrivGEmb_Deg): it scores
 // a pair by the normalized product of endpoint degrees, identical in form to
 // preferential attachment. It is listed separately because the paper

@@ -212,11 +212,7 @@ func TestPairWeightsMatchesAt(t *testing.T) {
 			}
 			measures = append(measures, p)
 		}
-		wc, err := NewWalkCooccurrence(g, WalkConfig{WalksPerNode: 2, WalkLength: 8, Window: 3, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		measures = append(measures, wc, Materialize(NewKatz(g, 0.05, 4)))
+		measures = append(measures, Materialize(NewKatz(g, 0.05, 4)))
 		for _, p := range measures {
 			for _, workers := range []int{1, 2, 7, 100000} {
 				w := PairWeights(p, pairs, workers)

@@ -42,55 +42,8 @@ func TestMaterializeParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestComputeStatsWorkersMatchesSerial pins the sharded row-scan fallback:
-// MinPositive and every RowSums entry must equal the serial scan bit for
-// bit at any worker count. DeepWalk and Katz take the scan path; the
-// degree-product measure exercises the analytic shortcut (which must be
-// identical regardless of workers, since it never scans).
-func TestComputeStatsWorkersMatchesSerial(t *testing.T) {
-	g := graph.BarabasiAlbert(150, 3, xrand.New(8))
-	measures := []Proximity{
-		NewDeepWalk(g),
-		NewKatz(g, 0.05, 4),
-		NewPreferentialAttachment(g),
-	}
-	for _, p := range measures {
-		serial := ComputeStats(p)
-		for _, workers := range []int{2, 4, 7, 300} {
-			par := ComputeStatsWorkers(p, workers)
-			if par.MinPositive != serial.MinPositive {
-				t.Fatalf("%s workers=%d: MinPositive %v vs serial %v",
-					p.Name(), workers, par.MinPositive, serial.MinPositive)
-			}
-			if len(par.RowSums) != len(serial.RowSums) {
-				t.Fatalf("%s workers=%d: %d row sums vs %d",
-					p.Name(), workers, len(par.RowSums), len(serial.RowSums))
-			}
-			for i := range serial.RowSums {
-				if par.RowSums[i] != serial.RowSums[i] {
-					t.Fatalf("%s workers=%d: RowSums[%d] = %v vs serial %v",
-						p.Name(), workers, i, par.RowSums[i], serial.RowSums[i])
-				}
-			}
-		}
-	}
-}
-
-// TestComputeStatsWorkersEmptyProximity pins the no-positive-entries edge
-// case through the parallel path: MinPositive folds per-worker infinities
-// down to 0, exactly like the serial scan.
-func TestComputeStatsWorkersEmptyProximity(t *testing.T) {
-	empty := NewSparse("empty", make([][]Entry, 50))
-	for _, workers := range []int{1, 4} {
-		st := ComputeStatsWorkers(empty, workers)
-		if st.MinPositive != 0 {
-			t.Errorf("workers=%d: MinPositive = %v, want 0", workers, st.MinPositive)
-		}
-	}
-}
-
 // TestEdgeWeightsWorkersMatchesSerial pins the sharded weight fill over a
-// graph's edges to the serial one.
+// graph's edges (PairWeights over edgePairs) to the serial one.
 func TestEdgeWeightsWorkersMatchesSerial(t *testing.T) {
 	g := graph.BarabasiAlbert(150, 3, xrand.New(9))
 	measures := []Proximity{
@@ -99,9 +52,9 @@ func TestEdgeWeightsWorkersMatchesSerial(t *testing.T) {
 		NewPageRank(g, 0.85, 1e-4),
 	}
 	for _, p := range measures {
-		serial := EdgeWeights(p, g)
+		serial := PairWeights(p, edgePairs(g), 1)
 		for _, workers := range []int{2, 4, 7, 10000} { // 10000 > |E| exercises the clamp
-			par := EdgeWeightsWorkers(p, g, workers)
+			par := PairWeights(p, edgePairs(g), workers)
 			if len(par) != len(serial) {
 				t.Fatalf("%s workers=%d: %d weights vs %d", p.Name(), workers, len(par), len(serial))
 			}

@@ -1,24 +1,20 @@
 // Package proximity implements the node-proximity measures of Definition 4:
-// functions p_ij = g(N(vi), N(vj), G) quantifying structural closeness. The
-// paper's structure-preference mechanism consumes a proximity in three ways:
-//
-//  1. as the per-edge loss weight p_ij in Eq. (5),
-//  2. through min(P) = min{p_ij | p_ij > 0} in the Theorem 3 optimum, and
-//  3. through the row sums Σ_j p_ij of the negative-sampling analysis.
+// functions p_ij = g(N(vi), N(vj), G) quantifying structural closeness.
+// Training consumes a proximity in one way: as the per-pair loss weight
+// p_ij of Eq. (5), filled by PairWeights. The paper's other two uses —
+// min(P) = min{p_ij | p_ij > 0} in the Theorem 3 optimum and the row sums
+// Σ_j p_ij of the negative-sampling analysis — are analysis, not code:
+// they justify uniform negative sampling and need no value at run time.
 //
 // Measures are exposed behind the Proximity interface with lazily computed
 // sparse rows, so that O(|V|²) matrices never have to be materialized for
-// large graphs. Stats (min positive entry, row sums) are computed by a row
-// scan unless a measure provides an analytic shortcut.
+// large graphs.
 package proximity
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"seprivgemb/internal/graph"
 )
 
 // Entry is one positive entry of a sparse proximity row.
@@ -37,65 +33,6 @@ type Proximity interface {
 	NumNodes() int
 	Row(i int) []Entry
 	At(i, j int) float64
-}
-
-// Stats carries the derived quantities Theorem 3 needs.
-type Stats struct {
-	// MinPositive is min(P) = min{p_ij : p_ij > 0} over all pairs.
-	MinPositive float64
-	// RowSums[i] = Σ_j p_ij.
-	RowSums []float64
-}
-
-// analyticStats is implemented by measures that can produce Stats without a
-// full row scan (e.g. degree products).
-type analyticStats interface {
-	Stats() Stats
-}
-
-// ComputeStats returns the Stats of p, using the measure's analytic
-// shortcut when available and a full row scan otherwise.
-func ComputeStats(p Proximity) Stats {
-	return ComputeStatsWorkers(p, 1)
-}
-
-// ComputeStatsWorkers is ComputeStats with the row-scan fallback sharded
-// across `workers` goroutines (parallelBlocks): RowSums[i] is written
-// only by row i's owner (index-addressed), and each worker tracks a
-// private running minimum; the final MinPositive folds the per-worker
-// minima in worker order. Every quantity is an exact comparison or a
-// per-row sum whose addend order the schedule cannot change, so the
-// result is bit-identical to the serial scan at any worker count.
-// Measures with an analytic shortcut never scan at all.
-func ComputeStatsWorkers(p Proximity, workers int) Stats {
-	if a, ok := p.(analyticStats); ok {
-		return a.Stats()
-	}
-	n := p.NumNodes()
-	st := Stats{MinPositive: math.Inf(1), RowSums: make([]float64, n)}
-	mins := make([]float64, max(min(workers, n), 1))
-	for w := range mins {
-		mins[w] = math.Inf(1)
-	}
-	parallelBlocks(n, workers, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for _, e := range p.Row(i) {
-				st.RowSums[i] += e.P
-				if e.P > 0 && e.P < mins[w] {
-					mins[w] = e.P
-				}
-			}
-		}
-	})
-	for _, m := range mins {
-		if m < st.MinPositive {
-			st.MinPositive = m
-		}
-	}
-	if math.IsInf(st.MinPositive, 1) {
-		st.MinPositive = 0
-	}
-	return st
 }
 
 // parallelBlocks runs fn over [0, n) in blocks of `block` indices handed
@@ -198,22 +135,6 @@ func PairWeights(p Proximity, pairs []Pair, workers int) []float64 {
 		}
 	})
 	return w
-}
-
-// EdgeWeights evaluates p on every edge of g, in edge-list order
-// (PairWeights over the edges as (U, V) pairs).
-func EdgeWeights(p Proximity, g *graph.Graph) []float64 {
-	return EdgeWeightsWorkers(p, g, 1)
-}
-
-// EdgeWeightsWorkers is EdgeWeights across `workers` goroutines.
-func EdgeWeightsWorkers(p Proximity, g *graph.Graph, workers int) []float64 {
-	edges := g.Edges()
-	pairs := make([]Pair, len(edges))
-	for k, e := range edges {
-		pairs[k] = Pair{I: e.U, J: e.V}
-	}
-	return PairWeights(p, pairs, workers)
 }
 
 // rowAt searches a sorted sparse row for column j.

@@ -121,30 +121,13 @@ func TestPreferentialAttachment(t *testing.T) {
 	if got, want := pa.At(0, 2), 2.0*3/9; math.Abs(got-want) > 1e-12 {
 		t.Errorf("PA(0,2) = %g, want %g", got, want)
 	}
-	st := ComputeStats(pa)
-	// min positive over distinct pairs = d3*d0/9 = 1*2/9.
-	if math.Abs(st.MinPositive-2.0/9) > 1e-12 {
-		t.Errorf("PA min(P) = %g, want 2/9", st.MinPositive)
+	// Row 3 sums to d3·(D − d3)/9 = 1·(8 − 1)/9.
+	var sum float64
+	for _, e := range pa.Row(3) {
+		sum += e.P
 	}
-	// Row sum for node 3: d3*(D-d3)/9 = 1*(8-1)/9.
-	if math.Abs(st.RowSums[3]-7.0/9) > 1e-12 {
-		t.Errorf("PA rowsum(3) = %g, want 7/9", st.RowSums[3])
-	}
-}
-
-func TestAnalyticStatsMatchScan(t *testing.T) {
-	g := graph.ErdosRenyi(20, 50, xrand.New(3))
-	pa := NewPreferentialAttachment(g)
-	analytic := ComputeStats(pa)
-	// Force a scan through the Sparse materialization.
-	scan := ComputeStats(Materialize(pa))
-	if math.Abs(analytic.MinPositive-scan.MinPositive) > 1e-9 {
-		t.Errorf("min(P): analytic %g vs scan %g", analytic.MinPositive, scan.MinPositive)
-	}
-	for i := range analytic.RowSums {
-		if math.Abs(analytic.RowSums[i]-scan.RowSums[i]) > 1e-9 {
-			t.Errorf("rowsum(%d): analytic %g vs scan %g", i, analytic.RowSums[i], scan.RowSums[i])
-		}
+	if math.Abs(sum-7.0/9) > 1e-12 {
+		t.Errorf("PA row 3 sums to %g, want 7/9", sum)
 	}
 }
 
@@ -241,29 +224,28 @@ func TestDeepWalkSymmetric(t *testing.T) {
 	}
 }
 
+// edgePairs returns g's edges as (U, V) pairs, in edge-list order.
+func edgePairs(g *graph.Graph) []Pair {
+	edges := g.Edges()
+	pairs := make([]Pair, len(edges))
+	for k, e := range edges {
+		pairs[k] = Pair{I: e.U, J: e.V}
+	}
+	return pairs
+}
+
+// TestEdgeWeights: the weight fill over a graph's edges yields At of each
+// edge, in edge-list order.
 func TestEdgeWeights(t *testing.T) {
 	g := pathWithTriangle(t)
 	dw := NewDeepWalk(g)
-	w := EdgeWeights(dw, g)
+	w := PairWeights(dw, edgePairs(g), 1)
 	if len(w) != g.NumEdges() {
-		t.Fatalf("EdgeWeights length %d, want %d", len(w), g.NumEdges())
+		t.Fatalf("%d edge weights, want %d", len(w), g.NumEdges())
 	}
 	for idx, e := range g.Edges() {
 		if want := dw.At(int(e.U), int(e.V)); w[idx] != want {
 			t.Errorf("edge %d weight %g, want %g", idx, w[idx], want)
-		}
-	}
-}
-
-func TestComputeStatsEmptyGraph(t *testing.T) {
-	g := graph.NewBuilder(5).Build()
-	st := ComputeStats(NewCommonNeighbors(g))
-	if st.MinPositive != 0 {
-		t.Errorf("min(P) on empty graph = %g, want 0", st.MinPositive)
-	}
-	for i, s := range st.RowSums {
-		if s != 0 {
-			t.Errorf("rowsum(%d) = %g, want 0", i, s)
 		}
 	}
 }

@@ -24,18 +24,7 @@ func (s *Service) resolve(sp spec.JobSpec) (*graph.Graph, proximity.Proximity, c
 	if err != nil {
 		return nil, nil, cfg, err
 	}
-	var g *graph.Graph
-	switch {
-	case sp.Graph.Dataset != nil:
-		d := sp.Graph.Dataset
-		g, err = s.opts.Memo.Dataset(d.Name, d.Scale, d.Seed)
-	case sp.Graph.Inline != nil:
-		g, err = buildInline(sp.Graph.Inline)
-	case sp.Graph.File != nil:
-		g, err = s.loadFile(sp.Graph.File)
-	default:
-		err = fmt.Errorf("spec has no graph source") // Validate precludes this
-	}
+	g, err := s.ResolveGraph(sp.Graph)
 	if err != nil {
 		return nil, nil, cfg, err
 	}
@@ -50,6 +39,23 @@ func (s *Service) resolve(sp spec.JobSpec) (*graph.Graph, proximity.Proximity, c
 		return nil, nil, cfg, err
 	}
 	return g, prox, cfg, nil
+}
+
+// ResolveGraph builds a spec's graph — resolve's first step, and the
+// service's sweep.Resolver: datasets come from the memo (so sweep
+// expansion warms exactly the cache cell submissions will hit), inline and
+// file sources are built per request.
+func (s *Service) ResolveGraph(src spec.GraphSource) (*graph.Graph, error) {
+	switch {
+	case src.Dataset != nil:
+		return s.opts.Memo.Dataset(src.Dataset.Name, src.Dataset.Scale, src.Dataset.Seed)
+	case src.Inline != nil:
+		return buildInline(src.Inline)
+	case src.File != nil:
+		return s.loadFile(src.File)
+	default:
+		return nil, fmt.Errorf("spec has no graph source")
+	}
 }
 
 // buildInline assembles a request-carried edge list, enforcing the graph

@@ -194,7 +194,7 @@ type Service struct {
 	// check and the lease Acquire (tests land a peer's artifact there).
 	beforeAcquire func(*Job)
 
-	// trainings counts actual tr.Train invocations — NOT submissions, dedup
+	// trainings counts actual Method.Train invocations — NOT submissions, dedup
 	// adoptions, or artifact loads. The observable half of the dedup
 	// contract: a resubmitted sweep asserting "zero retraining" asserts
 	// this counter.
@@ -940,7 +940,7 @@ func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximit
 	cfg.Workers = n
 	j.startedAt.Store(time.Now().UnixNano())
 	j.status.Store(int32(StatusRunning))
-	tr, err := methods.Get(j.key.Method)
+	m, err := methods.Get(j.key.Method)
 	if err != nil {
 		// Unreachable after submit's canonicalization; belt-and-braces for a
 		// key restored from elsewhere.
@@ -956,7 +956,7 @@ func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximit
 	// proximity.TestAtMatchesMaterializedEverywhere). Methods that never
 	// read the proximity (the feature-based baselines) skip the build; the
 	// measure still participates in the dedup key.
-	if materialize && tr.UsesProximity() {
+	if materialize && m.UsesProximity {
 		mp, err := s.opts.Memo.Proximity(g, prox.Name(), n)
 		if err != nil {
 			j.err = err
@@ -967,7 +967,7 @@ func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximit
 	}
 	// The job's ctx flows into the training loop (epoch-granular stop) and
 	// into a follower's lease poll.
-	res, err := s.trainOrFollow(ctx, j, tr, g, prox, cfg)
+	res, err := s.trainOrFollow(ctx, j, m, g, prox, cfg)
 	j.res, j.err = res, err
 	switch {
 	case err != nil:
@@ -999,7 +999,7 @@ func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximit
 // heartbeating, its lease expires, and the next iteration's Acquire takes
 // the job over, which is what makes every submitted spec eventually train
 // exactly once on exactly one live replica.
-func (s *Service) trainOrFollow(ctx context.Context, j *Job, tr methods.Trainer, g *graph.Graph, prox proximity.Proximity, cfg core.Config) (*core.Result, error) {
+func (s *Service) trainOrFollow(ctx context.Context, j *Job, m methods.Method, g *graph.Graph, prox proximity.Proximity, cfg core.Config) (*core.Result, error) {
 	for {
 		if s.store != nil {
 			if cached, ok := s.store.Load(j.key); ok {
@@ -1007,7 +1007,7 @@ func (s *Service) trainOrFollow(ctx context.Context, j *Job, tr methods.Trainer,
 			}
 		}
 		if s.lease == nil {
-			return s.train(ctx, j, tr, g, prox, cfg)
+			return s.train(ctx, j, m, g, prox, cfg)
 		}
 		if s.beforeAcquire != nil {
 			s.beforeAcquire(j)
@@ -1022,7 +1022,7 @@ func (s *Service) trainOrFollow(ctx context.Context, j *Job, tr methods.Trainer,
 				return cached, nil
 			}
 			stop := s.lease.KeepAlive(j.id)
-			res, terr := s.train(ctx, j, tr, g, prox, cfg)
+			res, terr := s.train(ctx, j, m, g, prox, cfg)
 			// train persists the artifact before returning, so the
 			// release below never exposes a trained-but-unpublished job.
 			stop()
@@ -1043,9 +1043,9 @@ func (s *Service) trainOrFollow(ctx context.Context, j *Job, tr methods.Trainer,
 // train runs the actual training, publishing per-epoch progress to both
 // the polled job view and the event stream, and persists completed
 // results to the store before returning.
-func (s *Service) train(ctx context.Context, j *Job, tr methods.Trainer, g *graph.Graph, prox proximity.Proximity, cfg core.Config) (*core.Result, error) {
+func (s *Service) train(ctx context.Context, j *Job, m methods.Method, g *graph.Graph, prox proximity.Proximity, cfg core.Config) (*core.Result, error) {
 	s.trainings.Add(1)
-	res, err := tr.Train(ctx, g, prox, cfg, core.Hooks{
+	res, err := m.Train(ctx, g, prox, cfg, core.Hooks{
 		Epoch: func(st core.EpochStats) {
 			j.stats.Store(st)
 			s.events.Publish(j.id, spec.JobEvent{Type: "epoch", Progress: spec.ProgressFrom(st)})

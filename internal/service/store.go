@@ -192,7 +192,11 @@ func (st *Store) Load(key experiments.ResultKey) (*core.Result, bool) {
 		return nil, false
 	}
 	defer f.Close()
-	res, err := readArtifact(f, key)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, false
+	}
+	res, err := readArtifact(f, fi.Size(), key)
 	if err != nil {
 		return nil, false
 	}
@@ -266,7 +270,8 @@ func (hdr *artifactHeader) result(win, wout []float64) *core.Result {
 	}
 }
 
-func readArtifact(r io.Reader, key experiments.ResultKey) (*core.Result, error) {
+// readArtifact decodes the size-byte artifact stream r.
+func readArtifact(r io.Reader, size int64, key experiments.ResultKey) (*core.Result, error) {
 	cr, err := core.ReadStreamMagic(r)
 	if err != nil {
 		return nil, err
@@ -278,7 +283,7 @@ func readArtifact(r io.Reader, key experiments.ResultKey) (*core.Result, error) 
 	if err := checkHeader(&hdr, key); err != nil {
 		return nil, err
 	}
-	win, wout, err := core.ReadIndexedMatricesSeq(cr, hdr.Nodes, hdr.Dim)
+	win, wout, err := core.ReadIndexedMatricesSeq(cr, hdr.Nodes, hdr.Dim, size)
 	if err != nil {
 		return nil, err
 	}

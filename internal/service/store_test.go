@@ -160,6 +160,44 @@ func TestStoreRejectsCorruptArtifacts(t *testing.T) {
 	})
 }
 
+// TestLoadHostileShapeIsMiss: an artifact whose header matches the key
+// but claims a 2^17×2^17 shape in a few hundred bytes is a clean miss that
+// allocates under 1 MiB — one corrupt file in a shared store must not
+// crash every replica that loads it.
+func TestLoadHostileShapeIsMiss(t *testing.T) {
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := storeKey(6)
+	var buf bytes.Buffer
+	fw := core.NewFrameWriter(&buf)
+	if err := fw.WriteStreamMagic(); err != nil {
+		t.Fatal(err)
+	}
+	hdr := artifactHeader{Version: artifactVersion, GraphFingerprint: key.Graph, Method: keyMethod(key),
+		Proximity: key.Proximity, ConfigHash: key.Config, Nodes: 1 << 17, Dim: 1 << 17}
+	if _, err := fw.WriteFrame(&hdr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.WriteFrame(make([]float64, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.path(key), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, ok := st.Load(key)
+	runtime.ReadMemStats(&after)
+	if ok {
+		t.Error("Load accepted an artifact claiming a 2^17×2^17 shape")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("Load of a %d-byte artifact allocated %d bytes, want < 1 MiB", buf.Len(), n)
+	}
+}
+
 // TestArtifactGoldenBytes pins the bytes writeArtifact produces, so the
 // "byte-identical artifacts" contract is checked directly rather than
 // through a round trip that a symmetric writer/reader change would pass.

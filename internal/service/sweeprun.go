@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"seprivgemb/internal/experiments"
-	"seprivgemb/internal/graph"
 	"seprivgemb/internal/spec"
 	"seprivgemb/internal/sweep"
 )
@@ -421,21 +420,4 @@ func (sw *Sweep) complete() {
 		_ = sw.svc.store.SaveSweep(res)
 	}
 	close(sw.done)
-}
-
-// ResolveGraph implements sweep.Resolver over the service's resolution
-// machinery: datasets come from the memo (so expansion warms exactly the
-// cache cell submissions will hit), inline and file sources resolve like
-// any JobSpec's.
-func (s *Service) ResolveGraph(src spec.GraphSource) (*graph.Graph, error) {
-	switch {
-	case src.Dataset != nil:
-		return s.opts.Memo.Dataset(src.Dataset.Name, src.Dataset.Scale, src.Dataset.Seed)
-	case src.Inline != nil:
-		return buildInline(src.Inline)
-	case src.File != nil:
-		return s.loadFile(src.File)
-	default:
-		return nil, fmt.Errorf("spec has no graph source")
-	}
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -182,4 +183,33 @@ func TestReadEventsNameMismatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("mismatched event name accepted")
 	}
+}
+
+// FuzzReadEvents feeds arbitrary bytes to the SSE reader, which parses a
+// peer's or server's event stream. It returns an error or delivers events
+// whose type agrees with their SSE name — never a panic, and memory
+// within a fixed allowance plus a constant multiple of the input.
+func FuzzReadEvents(f *testing.F) {
+	var sb strings.Builder
+	_ = WriteEvent(&sb, epoch(0))
+	_ = WriteComment(&sb, "ping")
+	_ = WriteEvent(&sb, spec.JobEvent{Type: "done", Job: "j1", Seq: 1, Status: "done", EmbeddingHash: "0123456789abcdef"})
+	for _, s := range []string{
+		sb.String(),
+		"event: done\ndata: {\"type\":\"epoch\",\"job\":\"j1\",\"seq\":0}\n\n",
+		"data: {\n\n",
+		"data: {\"type\":\"epoch\"}",
+		":only a comment\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_ = ReadEvents(strings.NewReader(input), func(spec.JobEvent) bool { return true })
+		runtime.ReadMemStats(&after)
+		if n, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+256*len(input)); n > bound {
+			t.Fatalf("reading %d bytes allocated %d, want <= %d", len(input), n, bound)
+		}
+	})
 }

@@ -66,26 +66,38 @@ func TestParseGraphAndScorer(t *testing.T) {
 	}
 }
 
+// TestBaselinesExposed: the four baselines are listed by Methods() and
+// train through a Session selected by name — the facade's one path to
+// them.
 func TestBaselinesExposed(t *testing.T) {
-	methods := seprivgemb.Baselines()
-	if len(methods) != 4 {
-		t.Fatalf("want 4 baselines, got %d", len(methods))
+	var names []string
+	for _, m := range seprivgemb.Methods() {
+		if m.Name != seprivgemb.DefaultMethod {
+			names = append(names, m.Name)
+		}
+	}
+	if len(names) != 4 {
+		t.Fatalf("want 4 baselines, got %v", names)
 	}
 	g, err := seprivgemb.GenerateDataset("power", 0.05, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := seprivgemb.DefaultBaselineConfig()
+	prox, err := seprivgemb.NewProximity("deepwalk", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := seprivgemb.DefaultConfig()
 	cfg.Dim = 16
-	cfg.Epochs = 3
+	cfg.MaxEpochs = 3
 	cfg.BatchSize = 16
-	for _, m := range methods {
-		res, err := m.Train(context.Background(), g, cfg)
+	for _, name := range names {
+		res, err := seprivgemb.NewSession(g, prox, seprivgemb.WithConfig(cfg), seprivgemb.WithMethod(name)).Run(context.Background())
 		if err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if res.Embedding.Rows != g.NumNodes() {
-			t.Fatalf("%s: wrong embedding shape", m.Name())
+		if res.Embedding().NumRows() != g.NumNodes() {
+			t.Fatalf("%s: wrong embedding shape", name)
 		}
 	}
 }

@@ -249,10 +249,12 @@ func WithResume(ck *Checkpoint) Option {
 // WithMethod selects the training method by registry name: "sepriv" (the
 // default), "dpggan", "dpgvae", "gap", or "progap" — see Methods for the
 // listing. Baselines ignore proximity (it is required only for job
-// identity when submitting through a Service) and the checkpoint/resume
-// hooks; they map Config onto their own hyperparameters (MaxEpochs → epoch
-// cap, BatchSize clamped to |V|) and are always private. An unknown name
-// fails at Run.
+// identity when submitting through a Service) and the epoch and
+// checkpoint hooks; they map Config onto their own hyperparameters
+// (MaxEpochs → epoch cap, BatchSize clamped to |V|) and are always
+// private. Run rejects a baseline with WithResume, WithMemoryBudget or a
+// non-private Config — the configs Service.SubmitMethod rejects — and
+// fails on an unknown name.
 func WithMethod(name string) Option {
 	return func(s *Session) { s.method = name }
 }
@@ -283,18 +285,18 @@ func (s *Session) Config() Config { return s.cfg }
 // are otherwise reserved for invalid graphs, configs, checkpoints, or
 // method names. A nil ctx behaves as context.Background().
 func (s *Session) Run(ctx context.Context) (*Result, error) {
-	tr, err := methods.Get(s.method)
+	m, err := methods.Get(s.method)
 	if err != nil {
 		return nil, err
 	}
 	s.matOnce.Do(func() {
 		// Materialization only pays off for methods that read the measure;
 		// the feature-based baselines never do.
-		if s.cache && tr.UsesProximity() {
+		if s.cache && m.UsesProximity {
 			s.prox = MaterializeProximity(s.prox, s.cfg.Workers)
 		}
 	})
-	return tr.Train(ctx, s.g, s.prox, s.cfg, s.hooks)
+	return m.Train(ctx, s.g, s.prox, s.cfg, s.hooks)
 }
 
 // Service queues concurrent training jobs behind one worker budget,

@@ -61,6 +61,19 @@ func TestSessionMatchesTrain(t *testing.T) {
 	}
 }
 
+// TestSessionBaselineRejectsMemoryBudget: a Session rejects a baseline
+// with a memory budget, as Service.SubmitMethod does
+// (service.TestBaselineRejectsMemoryBudget), instead of training in
+// memory and dropping the budget.
+func TestSessionBaselineRejectsMemoryBudget(t *testing.T) {
+	g, prox, cfg := sessionTestInputs(t)
+	_, err := seprivgemb.NewSession(g, prox, seprivgemb.WithConfig(cfg),
+		seprivgemb.WithMethod("gap"), seprivgemb.WithMemoryBudget(1)).Run(context.Background())
+	if err == nil {
+		t.Fatal("Session trained gap under a memory budget")
+	}
+}
+
 // TestSessionCancelResumeAcceptance is the PR's acceptance criterion at the
 // facade: Session.Run with a canceled context returns a partial Result
 // whose checkpoint, resumed to completion (through the wire format),
