@@ -10,7 +10,7 @@ BENCH_BASE ?= BENCH_pr14.json
 # vector kernels — the four-lane reductions and
 # AXPY. StreamNormalAt times the counter stream's normal sampler, one
 # noise row per op.
-BENCH_PAT ?= StreamNormalAt|ApplyUpdate|GenerateSubgraphs|ProximityMaterialize|TrainWorkers|StrucEquWorkers|LinkAUCWorkers|EdgeWeightsWorkers|BenchmarkDot|BenchmarkNorm2Sq|BenchmarkAXPY
+BENCH_PAT ?= StreamNormalAt|ApplyUpdate|GenerateSubgraphs|TrainWorkers|StrucEquWorkers|LinkAUCWorkers|EdgeWeightsWorkers|BenchmarkDot|BenchmarkNorm2Sq|BenchmarkAXPY
 # Per-target fuzz budget for `make fuzz` (Go's -fuzztime syntax).
 FUZZTIME ?= 10s
 
@@ -85,7 +85,7 @@ fuzz:
 # Serving smoke test: start the HTTP job server on a random port, submit
 # a tiny inline job over real HTTP, poll it to done, and fetch the result.
 serve-smoke:
-	$(GO) run ./cmd/seprivd -selftest
+	$(GO) run ./cmd/sepriv serve -selftest
 
 # Tier-1 verification in one command — the same gate
 # .github/workflows/ci.yml runs on every push/PR.

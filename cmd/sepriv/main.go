@@ -19,10 +19,10 @@
 // spend, and — with -checkpoint — a snapshot file from which a later
 // invocation resumes bit-identically (same flags, same file).
 //
-// `sepriv serve [flags]` runs the HTTP job service instead (the same
-// server as the seprivd binary): training requests arrive as declarative
-// JSON JobSpecs on POST /v1/jobs and are queued, deduplicated, and
-// optionally persisted across restarts. See internal/server.
+// `sepriv serve [flags]` runs the HTTP job service instead: training
+// requests arrive as declarative JSON JobSpecs on POST /v1/jobs and are
+// queued, deduplicated, and optionally persisted across restarts. See
+// internal/server.
 //
 // `sepriv fetch -addr URL -job ID [-rows lo:hi] [-out f.tsv]` retrieves a
 // finished job's embedding from such a server as TSV — one explicit row
@@ -81,32 +81,31 @@ func main() {
 		}
 	}
 	var (
-		graphPath   = flag.String("graph", "", "edge-list file to train on")
-		dataset     = flag.String("dataset", "", "simulated dataset name (alternative to -graph)")
-		scale       = flag.Float64("scale", 0.1, "dataset scale when using -dataset")
-		method      = flag.String("method", seprivgemb.DefaultMethod, "training method: "+methodList())
-		proxName    = flag.String("prox", "deepwalk", "structure preference (deepwalk, degree, cn, pa, aa, ra, katz, pagerank)")
-		dim         = flag.Int("dim", 128, "embedding dimension r")
-		k           = flag.Int("k", 5, "negative sampling number")
-		batch       = flag.Int("batch", 128, "batch size B")
-		epochs      = flag.Int("epochs", 200, "maximum training epochs")
-		lr          = flag.Float64("lr", 0.1, "learning rate eta")
-		clip        = flag.Float64("clip", 2, "gradient clipping threshold C")
-		sigma       = flag.Float64("sigma", 5, "Gaussian noise multiplier")
-		eps         = flag.Float64("eps", 3.5, "privacy budget epsilon")
-		delta       = flag.Float64("delta", 1e-5, "privacy parameter delta")
-		naive       = flag.Bool("naive", false, "use the naive Eq. (6) perturbation instead of non-zero Eq. (9)")
-		nonPriv     = flag.Bool("non-private", false, "train the non-private SE-GEmb counterpart")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for the parallel training and evaluation stages (results are seed-deterministic at any count)")
-		memBudget   = flag.String("mem-budget", "", "bound the run's resident weight-state bytes, e.g. 256MiB: rows spill to a temp file and results stay bit-identical (empty = in-memory)")
-		materialize = flag.Bool("materialize", false, "materialize the proximity matrix up front, sharded across -workers (the weight fill otherwise builds each needed katz/pagerank row once)")
-		ckptPath    = flag.String("checkpoint", "", "checkpoint file: resumed from when it exists, written on interrupt or completion")
-		progress    = flag.Int("progress", 0, "print loss and privacy spend every N epochs (0 disables)")
-		outPath     = flag.String("out", "", "write the embedding as TSV to this file")
-		doEval      = flag.Bool("eval", true, "evaluate StrucEqu and link-prediction AUC")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file on exit (kernel-level perf attribution without a rebuild)")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		graphPath  = flag.String("graph", "", "edge-list file to train on")
+		dataset    = flag.String("dataset", "", "simulated dataset name (alternative to -graph)")
+		scale      = flag.Float64("scale", 0.1, "dataset scale when using -dataset")
+		method     = flag.String("method", seprivgemb.DefaultMethod, "training method: "+methodList())
+		proxName   = flag.String("prox", "deepwalk", "structure preference (deepwalk, degree, cn, pa, aa, ra, katz, pagerank)")
+		dim        = flag.Int("dim", 128, "embedding dimension r")
+		k          = flag.Int("k", 5, "negative sampling number")
+		batch      = flag.Int("batch", 128, "batch size B")
+		epochs     = flag.Int("epochs", 200, "maximum training epochs")
+		lr         = flag.Float64("lr", 0.1, "learning rate eta")
+		clip       = flag.Float64("clip", 2, "gradient clipping threshold C")
+		sigma      = flag.Float64("sigma", 5, "Gaussian noise multiplier")
+		eps        = flag.Float64("eps", 3.5, "privacy budget epsilon")
+		delta      = flag.Float64("delta", 1e-5, "privacy parameter delta")
+		naive      = flag.Bool("naive", false, "use the naive Eq. (6) perturbation instead of non-zero Eq. (9)")
+		nonPriv    = flag.Bool("non-private", false, "train the non-private SE-GEmb counterpart")
+		seed       = flag.Uint64("seed", 1, "random seed")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for the parallel training and evaluation stages (results are seed-deterministic at any count)")
+		memBudget  = flag.String("mem-budget", "", "bound the run's resident weight-state bytes, e.g. 256MiB: rows spill to a temp file and results stay bit-identical (empty = in-memory)")
+		ckptPath   = flag.String("checkpoint", "", "checkpoint file: resumed from when it exists, written on interrupt or completion")
+		progress   = flag.Int("progress", 0, "print loss and privacy spend every N epochs (0 disables)")
+		outPath    = flag.String("out", "", "write the embedding as TSV to this file")
+		doEval     = flag.Bool("eval", true, "evaluate StrucEqu and link-prediction AUC")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file on exit (kernel-level perf attribution without a rebuild)")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 	stopProf, err := startProfiles(*cpuProfile, *memProfile)
@@ -188,12 +187,6 @@ func main() {
 	opts := []seprivgemb.Option{
 		seprivgemb.WithConfig(cfg),
 		seprivgemb.WithMethod(methodName),
-	}
-	if *materialize {
-		// Materialize every row up front, sharded across the workers;
-		// without it the weight fill builds only the rows it needs, once
-		// per distinct source.
-		opts = append(opts, seprivgemb.WithCache())
 	}
 	if *progress > 0 {
 		every := *progress

@@ -36,10 +36,9 @@
 // bounded retention of finished jobs (MemoLimits), and an optional on-disk
 // artifact store that survives process restarts and serves forgotten
 // jobs by ID — and the HTTP front-end
-// (cmd/seprivd, or `sepriv serve`) serves the same contract as JSON on
-// POST /v1/jobs. One spec, any transport, one training run: identical
-// specs deduplicate onto a single job with a stable ID and a shared
-// Result.
+// (`sepriv serve`) serves the same contract as JSON on POST /v1/jobs.
+// One spec, any transport, one training run: identical specs
+// deduplicate onto a single job with a stable ID and a shared Result.
 //
 // Every trainer is served through one method registry (DESIGN.md §11):
 // the paper's algorithm is the default, and the four baselines submit by
@@ -74,7 +73,7 @@
 // holds. POST /v1/sweeps and `sepriv sweep -spec sweep.json` speak the
 // same contract over HTTP; examples/sweep is the walkthrough.
 //
-// The server scales out as a replica set (DESIGN.md §14): N seprivd
+// The server scales out as a replica set (DESIGN.md §14): N server
 // instances sharing one artifact directory coordinate purely through
 // atomic lease files in the store — a spec submitted to any replica
 // trains on exactly one (create-exclusive grant, TTL heartbeat,
@@ -94,7 +93,7 @@
 // execution knob exactly like Workers: results are bit-identical at every
 // budget, budgets never enter job identity, and checkpoints resume across
 // differing budgets. Servers cap per-job footprints with
-// ServiceOptions.MaxTrainingBytes (`seprivd -max-train-mem`); the README
+// ServiceOptions.MaxTrainingBytes (`sepriv serve -max-train-mem`); the README
 // "Capacity planning" section works the arithmetic. examples/outofcore is
 // the walkthrough.
 //

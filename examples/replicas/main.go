@@ -1,4 +1,4 @@
-// The replica-set walkthrough (DESIGN.md §14): two seprivd instances
+// The replica-set walkthrough (DESIGN.md §14): two server instances
 // share one artifact directory and nothing else — no coordinator, no
 // RPC between them. A spec submitted to replica A trains exactly once
 // (ownership is leased through an atomic lease file in the shared

@@ -2,7 +2,7 @@
 // private graph embedding — a data owner runs the embedding service, and
 // analysts submit declarative JobSpecs over HTTP without ever holding the
 // graph object. This example plays both parts in one process: it starts
-// the seprivd server on a random local port, then drives it as a pure
+// the `sepriv serve` server on a random local port, then drives it as a pure
 // HTTP client — submit, poll progress, fetch the result — and shows the
 // cross-transport guarantee: the identical spec submitted through the Go
 // API lands on the same job, the same training run, the same embedding

@@ -1,7 +1,7 @@
-// Package experiments holds the dataset and proximity Memo that spec
-// resolution reads, and ResultKey, the deduplication key of a training
-// run. The paper's tables and figures are regenerated by cmd/experiments
-// as sweeps over the service layer, which owns trained results.
+// Package experiments holds the dataset Memo that spec resolution reads,
+// and ResultKey, the deduplication key of a training run. The paper's
+// tables and figures are regenerated by cmd/experiments as sweeps over the
+// service layer, which owns trained results.
 package experiments
 
 import (
@@ -12,33 +12,22 @@ import (
 	"seprivgemb/internal/proximity"
 )
 
-// Memo is the graph-side cache: a sweep evaluates the same (dataset,
-// scale, measure) combination in hundreds of cells (method × ε × seed),
-// and a server sees the same dataset named by many requests. A Memo
-// computes each artifact once and shares it:
+// Memo is the dataset cache: a sweep evaluates the same (dataset, scale)
+// combination in hundreds of cells (method × ε × seed), and a server sees
+// the same dataset named by many requests. A Memo generates each
+// simulated dataset graph, keyed by (name, scale, seed), once and shares
+// it.
 //
-//   - simulated dataset graphs, keyed by (name, scale, seed);
-//   - materialized proximity matrices, keyed by (graph, measure) — built
-//     with MaterializeParallel so even the first cell to need one gets the
-//     sharded construction.
-//
-// Graphs are immutable and Sparse proximities are read-only after
-// materialization, so sharing across goroutines is safe. Each key is
+// Graphs are immutable, so sharing across goroutines is safe. Each key is
 // computed exactly once (sync.Once per entry); concurrent requesters block
 // on the winner rather than duplicating work. Entries are unbounded: their
-// population is bounded by the datasets named, not by traffic. Trained
-// results are not cached here — the service's job table owns them.
-//
-// Proximity entries are keyed by graph pointer and only created for graphs
-// the Memo itself produced: transient graphs (e.g. per-seed link-prediction
-// training splits) fall back to the direct lazy measure, whose one-shot
-// weight fill builds only the rows it needs, each once — cheaper than
-// materializing every row.
+// population is bounded by the datasets named, not by traffic. Proximity
+// measures are not cached: a job's weight fill builds from the lazy
+// measure only the rows its sampled pairs need. Trained results are not
+// cached here either — the service's job table owns them.
 type Memo struct {
 	mu     sync.Mutex
 	graphs map[graphKey]*graphEntry
-	prox   map[proxKey]*proxEntry
-	known  map[*graph.Graph]bool
 }
 
 // ResultKey identifies a training run up to bit-identical output: the
@@ -65,30 +54,15 @@ type graphKey struct {
 	seed  uint64
 }
 
-type proxKey struct {
-	g       *graph.Graph
-	measure string
-}
-
 type graphEntry struct {
 	once sync.Once
 	g    *graph.Graph
 	err  error
 }
 
-type proxEntry struct {
-	once sync.Once
-	p    *proximity.Sparse
-	err  error
-}
-
 // NewMemo returns an empty cache.
 func NewMemo() *Memo {
-	return &Memo{
-		graphs: make(map[graphKey]*graphEntry),
-		prox:   make(map[proxKey]*proxEntry),
-		known:  make(map[*graph.Graph]bool),
-	}
+	return &Memo{graphs: make(map[graphKey]*graphEntry)}
 }
 
 // Dataset returns the simulated benchmark dataset at (name, scale, seed),
@@ -114,43 +88,16 @@ func (m *Memo) Dataset(name string, scale float64, seed uint64) (*graph.Graph, e
 	m.mu.Unlock()
 	e.once.Do(func() {
 		e.g, e.err = datasets.Generate(name, scale, seed)
-		if e.err == nil {
-			m.mu.Lock()
-			m.known[e.g] = true
-			m.mu.Unlock()
-		}
 	})
 	return e.g, e.err
 }
 
-// Proximity resolves measure over g through the Memo: Memo-managed graphs
-// get a materialized, cached matrix (built across `workers` goroutines);
-// foreign graphs get the direct lazy measure, uncached.
+// Proximity returns the lazy measure over g; the Memo keeps no proximity
+// state and workers is unused.
+//
+// Deprecated: call proximity.ByName.
 func (m *Memo) Proximity(g *graph.Graph, measure string, workers int) (proximity.Proximity, error) {
-	m.mu.Lock()
-	if !m.known[g] {
-		m.mu.Unlock()
-		return proximity.ByName(measure, g)
-	}
-	key := proxKey{g, measure}
-	e, ok := m.prox[key]
-	if !ok {
-		e = &proxEntry{}
-		m.prox[key] = e
-	}
-	m.mu.Unlock()
-	e.once.Do(func() {
-		p, err := proximity.ByName(measure, g)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.p = proximity.MaterializeParallel(p, workers)
-	})
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e.p, nil
+	return proximity.ByName(measure, g)
 }
 
 // GraphCacheLen reports how many simulated graphs the Memo retains —

@@ -31,40 +31,39 @@ func TestMemoDatasetSharing(t *testing.T) {
 	}
 }
 
+// TestMemoProximitySharing: what a dataset's jobs share through the Memo
+// is the graph, never a proximity matrix. Proximity over the shared graph
+// is the lazy measure itself, and it leaves no entry behind.
 func TestMemoProximitySharing(t *testing.T) {
 	m := NewMemo()
 	g, err := m.Dataset("power", 0.05, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := m.Proximity(g, "deepwalk", 2)
+	h, err := m.Dataset("power", 0.05, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Proximity(g, "deepwalk", 1)
+	if g != h {
+		t.Fatal("cached dataset not shared (distinct pointers for one key)")
+	}
+	p, err := m.Proximity(g, "deepwalk", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Error("cached proximity not shared")
-	}
-	if _, ok := a.(*proximity.Sparse); !ok {
-		t.Errorf("cached proximity is %T, want materialized *proximity.Sparse", a)
-	}
-	// The materialized matrix must agree with the lazy measure everywhere.
-	direct := proximity.NewDeepWalk(g)
-	for i := 0; i < g.NumNodes(); i += 7 {
-		for j := 0; j < g.NumNodes(); j += 11 {
-			if a.At(i, j) != direct.At(i, j) {
-				t.Fatalf("cached At(%d,%d) = %g, direct %g", i, j, a.At(i, j), direct.At(i, j))
-			}
-		}
+	if _, ok := p.(*proximity.DeepWalk); !ok {
+		t.Errorf("Proximity returned %T, want the lazy *proximity.DeepWalk", p)
 	}
 	if _, err := m.Proximity(g, "no-such-measure", 1); err == nil {
-		t.Error("unknown measure did not error through the cache")
+		t.Error("unknown measure did not error")
+	}
+	if n := m.GraphCacheLen(); n != 1 {
+		t.Errorf("GraphCacheLen = %d, want 1", n)
 	}
 }
 
+// TestMemoForeignGraphFallsBack: a graph the Memo did not generate never
+// enters it, and gets the same lazy measure a Memo graph gets.
 func TestMemoForeignGraphFallsBack(t *testing.T) {
 	m := NewMemo()
 	foreign := graph.BarabasiAlbert(40, 2, xrand.New(3))
@@ -72,8 +71,11 @@ func TestMemoForeignGraphFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.(*proximity.Sparse); ok {
-		t.Error("foreign graph was materialized; expected the lazy measure")
+	if _, ok := p.(*proximity.DeepWalk); !ok {
+		t.Errorf("Proximity returned %T, want the lazy *proximity.DeepWalk", p)
+	}
+	if n := m.GraphCacheLen(); n != 0 {
+		t.Errorf("GraphCacheLen = %d after a foreign graph, want 0", n)
 	}
 }
 
@@ -96,10 +98,6 @@ func TestMemoConcurrent(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := m.Proximity(g, "degree", 1); err != nil {
-				t.Error(err)
-				return
-			}
 			mu.Lock()
 			seen[g] = true
 			mu.Unlock()
@@ -108,6 +106,9 @@ func TestMemoConcurrent(t *testing.T) {
 	wg.Wait()
 	if len(seen) != 1 {
 		t.Errorf("%d distinct graphs for one key, want 1", len(seen))
+	}
+	if n := m.GraphCacheLen(); n != 1 {
+		t.Errorf("GraphCacheLen = %d, want 1", n)
 	}
 }
 
@@ -129,12 +130,7 @@ func TestMemoDatasetCanonicalScale(t *testing.T) {
 	if _, err := m.Dataset("no-such-dataset", 1, 3); err == nil {
 		t.Error("unknown dataset did not error")
 	}
-	// Memo-managed graphs materialize through Proximity.
-	p, err := m.Proximity(a, "deepwalk", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p.(*proximity.Sparse); !ok {
-		t.Errorf("Proximity returned %T, want materialized *proximity.Sparse", p)
+	if n := m.GraphCacheLen(); n != 1 {
+		t.Errorf("GraphCacheLen = %d, want 1 (one canonical key; the failed name adds none)", n)
 	}
 }

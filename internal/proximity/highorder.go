@@ -205,8 +205,8 @@ func (s *rowScratch) collect(vals []float64, i int) []Entry {
 }
 
 // rowPool recycles rowScratch workspaces sized for an n-node graph, so
-// concurrent row builds (PairWeights, MaterializeParallel) each hold one
-// without allocating O(|V|) per row.
+// concurrent row builds (PairWeights' workers) each hold one without
+// allocating O(|V|) per row.
 type rowPool struct {
 	n    int
 	pool sync.Pool

@@ -151,9 +151,10 @@ func TestDenseRowsMatchMapReference(t *testing.T) {
 
 // TestKatzRowReproducibleBeyondExactCounts: on a dense graph the walk
 // counts of length 12 pass 2^53, where float64 sums stop being exact and
-// their order matters. Every build of a row, at any worker count, must
-// still return the same bits — summing the frontier in map iteration
-// order made most entries differ from build to build.
+// their order matters. Every build of a row (Materialize's, or the
+// weight fill's at any worker count) must still return the same bits;
+// summing the frontier in map iteration order made most entries differ
+// from build to build.
 func TestKatzRowReproducibleBeyondExactCounts(t *testing.T) {
 	g := graph.ErdosRenyi(120, 3500, xrand.New(3))
 	k := NewKatz(g, 0.1, 12)
@@ -161,11 +162,21 @@ func TestKatzRowReproducibleBeyondExactCounts(t *testing.T) {
 		t.Fatalf("typical walk counts reach only ~%g; the test needs counts far past 2^53", count)
 	}
 	want := Materialize(k)
+	n := g.NumNodes()
+	pairs := make([]Pair, 0, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			pairs = append(pairs, Pair{int32(i), int32(j)})
+		}
+	}
 	for _, workers := range []int{1, 3} {
 		for pass := 0; pass < 3; pass++ {
-			got := MaterializeParallel(k, workers)
-			for i := 0; i < g.NumNodes(); i++ {
-				sameRow(t, "katz", i, got.Row(i), want.Row(i))
+			got := PairWeights(k, pairs, workers)
+			for x, pr := range pairs {
+				if w := want.At(int(pr.I), int(pr.J)); got[x] != w {
+					t.Fatalf("workers=%d pass %d: weight(%d,%d) = %v, want %v",
+						workers, pass, pr.I, pr.J, got[x], w)
+				}
 			}
 		}
 	}

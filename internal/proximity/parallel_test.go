@@ -7,41 +7,6 @@ import (
 	"seprivgemb/internal/xrand"
 )
 
-// TestMaterializeParallelMatchesSerial pins the sharded row construction:
-// every worker count must produce exactly the serial Sparse, for measures
-// across the cost spectrum (closed-form DeepWalk, frontier-expanding Katz,
-// push-based PageRank).
-func TestMaterializeParallelMatchesSerial(t *testing.T) {
-	g := graph.BarabasiAlbert(150, 3, xrand.New(8))
-	measures := []Proximity{
-		NewDeepWalk(g),
-		NewDegree(g),
-		NewKatz(g, 0.05, 4),
-		NewPageRank(g, 0.85, 1e-4),
-	}
-	for _, p := range measures {
-		serial := Materialize(p)
-		for _, workers := range []int{2, 4, 7, 300} { // 300 > |V| exercises the clamp
-			par := MaterializeParallel(p, workers)
-			if par.NumNodes() != serial.NumNodes() {
-				t.Fatalf("%s workers=%d: %d nodes vs %d", p.Name(), workers, par.NumNodes(), serial.NumNodes())
-			}
-			for i := 0; i < serial.NumNodes(); i++ {
-				a, b := serial.Row(i), par.Row(i)
-				if len(a) != len(b) {
-					t.Fatalf("%s workers=%d row %d: %d entries vs %d", p.Name(), workers, i, len(b), len(a))
-				}
-				for k := range a {
-					if a[k] != b[k] {
-						t.Fatalf("%s workers=%d row %d entry %d: %+v vs %+v",
-							p.Name(), workers, i, k, b[k], a[k])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestEdgeWeightsWorkersMatchesSerial pins the sharded weight fill over a
 // graph's edges (PairWeights over edgePairs) to the serial one.
 func TestEdgeWeightsWorkersMatchesSerial(t *testing.T) {
@@ -71,10 +36,10 @@ func TestEdgeWeightsWorkersMatchesSerial(t *testing.T) {
 // TestAtMatchesMaterializedEverywhere pins the contract the serving
 // layer's dedup rests on: a measure NAME identifies one numeric function,
 // so the lazy At and the materialized row must agree bit for bit on every
-// pair (floating-point addend order included — see DeepWalk.At). Without
-// this, a spec-resolved (materialized) submission and an in-memory (lazy)
-// one would deduplicate onto one job yet train ULP-different embeddings
-// depending on which arrived first.
+// pair (floating-point addend order included — see DeepWalk.At). The
+// weight fill reads At for some measures and whole rows for others
+// (PairWeights), so without this one measure name would train
+// ULP-different embeddings depending on the path its weights took.
 func TestAtMatchesMaterializedEverywhere(t *testing.T) {
 	g := graph.BarabasiAlbert(120, 3, xrand.New(5))
 	for _, name := range []string{

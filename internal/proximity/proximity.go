@@ -36,16 +36,15 @@ type Proximity interface {
 }
 
 // parallelBlocks runs fn over [0, n) in blocks of `block` indices handed
-// out off an atomic cursor to `workers` goroutines; w is the caller's
-// worker index in [0, workers). Dynamic blocks rather than contiguous
-// shards, because row costs are heavily skewed on power-law graphs (hub
-// rows of Katz/PageRank push far larger frontiers), and small grants keep
-// the pool busy to the last row. With one worker (or n <= block) fn runs
-// once, inline, over the whole range.
-func parallelBlocks(n, workers int, fn func(w, lo, hi int)) {
+// out off an atomic cursor to `workers` goroutines. Dynamic blocks rather
+// than contiguous shards, because row costs are heavily skewed on
+// power-law graphs (hub rows of Katz/PageRank push far larger frontiers),
+// and small grants keep the pool busy to the last row. With one worker
+// (or n <= block) fn runs once, inline, over the whole range.
+func parallelBlocks(n, workers int, fn func(lo, hi int)) {
 	if workers <= 1 || n <= block {
 		if n > 0 {
-			fn(0, 0, n)
+			fn(0, n)
 		}
 		return
 	}
@@ -61,7 +60,7 @@ func parallelBlocks(n, workers int, fn func(w, lo, hi int)) {
 				if lo >= n {
 					return
 				}
-				fn(w, lo, min(lo+block, n))
+				fn(lo, min(lo+block, n))
 			}
 		}()
 	}
@@ -100,7 +99,7 @@ type rowBuilder interface {
 func PairWeights(p Proximity, pairs []Pair, workers int) []float64 {
 	w := make([]float64, len(pairs))
 	if _, ok := p.(rowBuilder); !ok {
-		parallelBlocks(len(pairs), workers, func(_, lo, hi int) {
+		parallelBlocks(len(pairs), workers, func(lo, hi int) {
 			for k := lo; k < hi; k++ {
 				w[k] = p.At(int(pairs[k].I), int(pairs[k].J))
 			}
@@ -122,7 +121,7 @@ func PairWeights(p Proximity, pairs []Pair, workers int) []float64 {
 		bySource[fill[pr.I]] = k
 		fill[pr.I]++
 	}
-	parallelBlocks(n, workers, func(_, lo, hi int) {
+	parallelBlocks(n, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ks := bySource[start[i]:start[i+1]]
 			if len(ks) == 0 {
@@ -158,8 +157,9 @@ func sortRow(row []Entry) []Entry {
 	return out
 }
 
-// Sparse is a fully materialized proximity matrix, mainly for tests and for
-// caching expensive measures on small graphs.
+// Sparse is a fully materialized proximity matrix, for tests: the
+// reference the lazy measures are checked against. Training never builds
+// one; its weight fill reads the lazy measure (PairWeights).
 type Sparse struct {
 	name string
 	rows [][]Entry
@@ -167,22 +167,10 @@ type Sparse struct {
 
 // Materialize evaluates every row of p into a Sparse copy.
 func Materialize(p Proximity) *Sparse {
-	return MaterializeParallel(p, 1)
-}
-
-// MaterializeParallel evaluates rows across `workers` goroutines
-// (parallelBlocks). Rows are index-addressed and Row is a pure function of
-// (measure, graph, i), so the result is identical at any worker count.
-// Every measure in this package supports concurrent Row calls (they only
-// read the graph); a custom Proximity handed here must as well.
-func MaterializeParallel(p Proximity, workers int) *Sparse {
-	n := p.NumNodes()
-	s := &Sparse{name: p.Name(), rows: make([][]Entry, n)}
-	parallelBlocks(n, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s.rows[i] = append([]Entry(nil), p.Row(i)...)
-		}
-	})
+	s := &Sparse{name: p.Name(), rows: make([][]Entry, p.NumNodes())}
+	for i := range s.rows {
+		s.rows[i] = append([]Entry(nil), p.Row(i)...)
+	}
 	return s
 }
 

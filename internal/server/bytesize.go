@@ -8,8 +8,8 @@ import (
 )
 
 // ParseByteSize parses a human-readable byte size for the memory flags
-// (`sepriv -mem-budget`, `seprivd -max-train-mem`): a non-negative number
-// with an optional unit suffix. Binary suffixes (KiB, MiB, GiB, TiB — and
+// (`sepriv -mem-budget`, `sepriv serve -max-train-mem`): a non-negative
+// number with an optional unit suffix. Binary suffixes (KiB, MiB, GiB, TiB — and
 // their single-letter shorthands K, M, G, T) multiply by powers of 1024;
 // decimal suffixes (KB, MB, GB, TB) by powers of 1000; "B" or no suffix
 // means bytes. Case does not matter and the mantissa may be fractional

@@ -20,13 +20,12 @@ import (
 	"seprivgemb/internal/service"
 )
 
-// Main is the entry point shared by `seprivd` and `sepriv serve`: parse
-// flags, stand up a Service + HTTP front-end, and run until SIGINT/SIGTERM,
-// then drain gracefully (stop accepting, cancel in-flight jobs at their
-// next epoch boundary, wait for them to settle). Returns the process exit
-// code.
+// Main is the entry point of `sepriv serve`: parse flags, stand up a
+// Service + HTTP front-end, and run until SIGINT/SIGTERM, then drain
+// gracefully (stop accepting, cancel in-flight jobs at their next epoch
+// boundary, wait for them to settle). Returns the process exit code.
 func Main(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("seprivd", flag.ContinueOnError)
+	fs := flag.NewFlagSet("sepriv serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		addr        = fs.String("addr", "127.0.0.1:8470", "listen address (host:port; port 0 picks a free port)")
@@ -54,19 +53,19 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	if *maxTrainMem != "" {
 		capBytes, err := ParseByteSize(*maxTrainMem)
 		if err != nil {
-			fmt.Fprintf(stderr, "seprivd: -max-train-mem: %v\n", err)
+			fmt.Fprintf(stderr, "sepriv serve: -max-train-mem: %v\n", err)
 			return 2
 		}
 		opts.MaxTrainingBytes = capBytes
 	}
 	if *replicaID != "" {
 		if *artifactDir == "" {
-			fmt.Fprintln(stderr, "seprivd: -replica-id requires -artifact-dir (the shared store is the lease substrate)")
+			fmt.Fprintln(stderr, "sepriv serve: -replica-id requires -artifact-dir (the shared store is the lease substrate)")
 			return 2
 		}
 		mgr, err := replica.NewManager(*artifactDir, *replicaID, *leaseTTL)
 		if err != nil {
-			fmt.Fprintf(stderr, "seprivd: %v\n", err)
+			fmt.Fprintf(stderr, "sepriv serve: %v\n", err)
 			return 1
 		}
 		opts.Replica = mgr
@@ -78,14 +77,14 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	svc := service.New(opts)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintf(stderr, "seprivd: %v\n", err)
+		fmt.Fprintf(stderr, "sepriv serve: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "seprivd: listening on http://%s\n", ln.Addr())
-	fmt.Fprintf(stdout, "seprivd: methods: %s (default %s)\n",
+	fmt.Fprintf(stdout, "sepriv serve: listening on http://%s\n", ln.Addr())
+	fmt.Fprintf(stdout, "sepriv serve: methods: %s (default %s)\n",
 		strings.Join(methods.Names(), ", "), methods.Default)
 	if opts.Replica != nil {
-		fmt.Fprintf(stdout, "seprivd: replica %q in the set sharing %s (lease TTL %v)\n",
+		fmt.Fprintf(stdout, "sepriv serve: replica %q in the set sharing %s (lease TTL %v)\n",
 			*replicaID, *artifactDir, *leaseTTL)
 	}
 	httpSrv := &http.Server{Handler: New(svc).Handler()}
@@ -99,18 +98,18 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	code := 0
 	if *selftest {
 		if err := Selftest(fmt.Sprintf("http://%s", ln.Addr()), stdout); err != nil {
-			fmt.Fprintf(stderr, "seprivd: selftest: %v\n", err)
+			fmt.Fprintf(stderr, "sepriv serve: selftest: %v\n", err)
 			code = 1
 		} else {
-			fmt.Fprintln(stdout, "seprivd: selftest OK")
+			fmt.Fprintln(stdout, "sepriv serve: selftest OK")
 		}
 		stop()
 	} else {
 		select {
 		case <-ctx.Done():
-			fmt.Fprintln(stdout, "seprivd: shutting down")
+			fmt.Fprintln(stdout, "sepriv serve: shutting down")
 		case err := <-serveErr:
-			fmt.Fprintf(stderr, "seprivd: serve: %v\n", err)
+			fmt.Fprintf(stderr, "sepriv serve: %v\n", err)
 			svc.CancelAll()
 			svc.Close()
 			return 1

@@ -141,6 +141,7 @@ func TestSubmitRejections(t *testing.T) {
 		{"self-loop edge", `{"graph":{"inline":{"nodes":2,"edges":[[1,1]]}},"proximity":"degree","config":{"seed":1}}`, http.StatusBadRequest},
 		{"inline nodes beyond 2·edges", `{"graph":{"inline":{"nodes":4000000000,"edges":[[0,1]]}},"proximity":"degree","config":{"seed":1}}`, http.StatusBadRequest},
 		{"escaping file path", `{"graph":{"file":{"path":"../x"}},"proximity":"degree","config":{"seed":1}}`, http.StatusBadRequest},
+		{"dataset scale above 1", `{"graph":{"dataset":{"name":"chameleon","scale":1e9,"seed":1}},"proximity":"deepwalk","config":{"seed":1}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, _ := postSpec(t, ts, tc.body)

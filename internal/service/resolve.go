@@ -15,10 +15,9 @@ import (
 // dataset@scale+seed is built once per process no matter how many specs
 // name it; inline and file graphs are per-request (their results still
 // deduplicate downstream — the job key is the graph FINGERPRINT, which
-// identical edge lists share). The proximity returned here is the cheap
-// LAZY measure — enough for the dedup key (canonical Name) and validation;
-// the expensive materialization happens inside the admitted run, under
-// the job's worker slots (service.run).
+// identical edge lists share). The proximity returned here is the lazy
+// measure the job trains on: its canonical Name keys the dedup, and the
+// weight fill builds only the rows of the pairs the run samples.
 func (s *Service) resolve(sp spec.JobSpec) (*graph.Graph, proximity.Proximity, core.Config, error) {
 	cfg, err := sp.Config.CoreConfig()
 	if err != nil {

@@ -70,10 +70,10 @@ type Options struct {
 	// single wide job can never starve the service of slots it could
 	// legally grant.
 	MaxWorkers int
-	// Memo supplies the cache of simulated datasets and materialized
-	// proximities that spec resolution reads; nil gets the service a
-	// private one. It holds no training results: those live only in the
-	// job table, bounded by MemoLimits.
+	// Memo supplies the cache of simulated datasets that spec resolution
+	// reads; nil gets the service a private one. It holds no proximity
+	// and no training results: those live only in the job table, bounded
+	// by MemoLimits.
 	Memo *experiments.Memo
 	// MemoLimits bounds the finished jobs the job table keeps in memory,
 	// and with them their trained embeddings (see Limits). The zero value
@@ -723,7 +723,7 @@ func (s *Service) SubmitMethod(method string, g *graph.Graph, prox proximity.Pro
 	if err := methods.ValidateConfig(method, g, cfg); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
-	return s.submit(method, g, prox, cfg, 0, "", false)
+	return s.submit(method, g, prox, cfg, 0, "")
 }
 
 // SubmitSpec resolves a declarative JobSpec — graph source, proximity by
@@ -731,8 +731,8 @@ func (s *Service) SubmitMethod(method string, g *graph.Graph, prox proximity.Pro
 // The single submission currency of the serving surface: the HTTP
 // front-end and Go callers both land here, so identical specs deduplicate
 // across transports onto one training run. Resolution reuses the memo for
-// simulated datasets; proximity materialization is deferred into the
-// admitted run (see run), so submission stays cheap.
+// simulated datasets, and the job trains on the lazy measure exactly as a
+// Submit of the same arguments does.
 func (s *Service) SubmitSpec(sp spec.JobSpec) (*Job, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
@@ -769,16 +769,13 @@ func (s *Service) SubmitSpec(sp spec.JobSpec) (*Job, error) {
 	if err := methods.ValidateConfig(sp.Method, g, cfg); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
-	return s.submit(sp.Method, g, prox, cfg, sp.Priority, sp.Tenant, true)
+	return s.submit(sp.Method, g, prox, cfg, sp.Priority, sp.Tenant)
 }
 
-// submit is the shared admission path of both transports. materialize
-// asks the run to swap the (cheap, lazy) proximity for the memo's
-// materialized matrix once it holds worker slots (only honoured for
-// methods that consume proximity). The method name is canonicalized into
-// the key here, so "" and "sepriv" — and any future alias — land on one
-// job.
-func (s *Service) submit(method string, g *graph.Graph, prox proximity.Proximity, cfg core.Config, priority int, tenant string, materialize bool) (*Job, error) {
+// submit is the shared admission path of both transports, and both train
+// on the proximity they hand in. The method name is canonicalized into the
+// key here, so "" and "sepriv" — and any future alias — land on one job.
+func (s *Service) submit(method string, g *graph.Graph, prox proximity.Proximity, cfg core.Config, priority int, tenant string) (*Job, error) {
 	mname, err := methods.Canonical(method)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
@@ -851,7 +848,7 @@ func (s *Service) submit(method string, g *graph.Graph, prox proximity.Proximity
 	s.jobs[key] = j
 	s.byID[j.id] = j
 	s.wg.Add(1)
-	go s.run(ctx, j, g, prox, cfg, materialize)
+	go s.run(ctx, j, g, prox, cfg)
 	return j, nil
 }
 
@@ -912,7 +909,7 @@ func (s *Service) finish(j *Job) {
 // run executes one job: wait for slots (priority-ordered), train —
 // consulting the artifact store first and persisting fresh completions —
 // and publish the outcome.
-func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximity.Proximity, cfg core.Config, materialize bool) {
+func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximity.Proximity, cfg core.Config) {
 	defer s.wg.Done()
 	// The terminal stream event is published once done has closed: every
 	// exit path below has stored its terminal status by then, SSE
@@ -947,23 +944,6 @@ func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximit
 		j.err = err
 		j.status.Store(int32(StatusFailed))
 		return
-	}
-	// Spec-resolved jobs swap the lazy measure for the memo's materialized
-	// matrix HERE, under the slots just acquired — submission-time
-	// materialization would run outside the worker budget and block the
-	// transport. Safe to swap: lazy At and materialized rows are
-	// bit-identical for every registered measure (the dedup contract,
-	// proximity.TestAtMatchesMaterializedEverywhere). Methods that never
-	// read the proximity (the feature-based baselines) skip the build; the
-	// measure still participates in the dedup key.
-	if materialize && m.UsesProximity {
-		mp, err := s.opts.Memo.Proximity(g, prox.Name(), n)
-		if err != nil {
-			j.err = err
-			j.status.Store(int32(StatusFailed))
-			return
-		}
-		prox = mp
 	}
 	// The job's ctx flows into the training loop (epoch-granular stop) and
 	// into a follower's lease poll.

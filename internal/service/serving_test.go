@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -275,6 +276,43 @@ func TestSubmitSpecCrossAPIDedup(t *testing.T) {
 	}
 	if hash64(res.Embedding().Data) != hash64(want.Embedding().Data) {
 		t.Fatal("spec-submitted result diverges from direct Train")
+	}
+}
+
+// TestSubmitSpecTrainsLazily: a dataset-sourced job trains on the lazy
+// measure, as a Go submission does, so it never builds the full proximity
+// matrix. Degree's would be dense, |V|²·16 bytes (46 MiB on this graph);
+// the job's whole allocation between submit and done stays far below it.
+func TestSubmitSpecTrainsLazily(t *testing.T) {
+	s := New(Options{MaxWorkers: 1})
+	defer s.Close()
+	sp := spec.JobSpec{
+		Graph:     spec.GraphSource{Dataset: &spec.DatasetSource{Name: "power", Scale: 0.35, Seed: 1}},
+		Proximity: "degree",
+		Config:    spec.ConfigSpec{Dim: 8, BatchSize: 16, MaxEpochs: 2, Seed: 1},
+	}
+	g, err := s.ResolveGraph(sp.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse := uint64(g.NumNodes()) * uint64(g.NumNodes()) * 16
+	if sparse < 40<<20 {
+		t.Fatalf("%d nodes: the dense matrix (%d bytes) is too small to tell apart", g.NumNodes(), sparse)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	j, err := s.SubmitSpec(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const allocBound = 8 << 20
+	if delta := after.TotalAlloc - before.TotalAlloc; delta > allocBound {
+		t.Errorf("dataset degree job allocated %d bytes, want <= %d (the dense matrix is %d)",
+			delta, allocBound, sparse)
 	}
 }
 

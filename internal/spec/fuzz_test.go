@@ -7,8 +7,9 @@ import (
 
 // The wire decoders face untrusted request bodies: whatever bytes arrive,
 // Decode/DecodeSweep must return an error or a spec that passes
-// Validate — never panic. The seeds are the valid and invalid bodies the
-// HTTP server tests submit.
+// Validate — never panic — and an accepted dataset source never asks for
+// more than the dataset's own size (scale at most 1). The seeds are the
+// valid and invalid bodies the HTTP server tests submit.
 
 const wheelEdges = `[[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[6,7],[7,8],[8,9],[9,10],[10,11],[11,0],[0,6],[1,7],[2,8],[3,9]]`
 
@@ -23,6 +24,7 @@ var jobBodySeeds = []string{
 	`{"graph":{"inline":{"nodes":2,"edges":[[1,1]]}},"proximity":"degree","config":{"seed":1}}`,
 	`{"graph":{"inline":{"nodes":4000000000,"edges":[[0,1]]}},"proximity":"degree","config":{"seed":1}}`,
 	`{"graph":{"file":{"path":"../x"}},"proximity":"degree","config":{"seed":1}}`,
+	`{"graph":{"dataset":{"name":"chameleon","scale":1e9,"seed":1}},"proximity":"deepwalk","config":{"seed":1}}`,
 }
 
 var sweepBodySeeds = []string{
@@ -48,6 +50,9 @@ func FuzzDecodeJobSpec(f *testing.F) {
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("Decode accepted a spec Validate rejects: %v", err)
+		}
+		if ds := s.Graph.Dataset; ds != nil && !(ds.Scale <= 1) {
+			t.Fatalf("Decode accepted dataset scale %g", ds.Scale)
 		}
 	})
 }

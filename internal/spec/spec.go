@@ -11,8 +11,7 @@
 // A JobSpec is declarative: it never carries object references, only
 // names and values. Resolution (turning the spec into a live graph,
 // proximity, and core.Config) happens in internal/service, where the
-// sweep cache memoizes simulated datasets and materialized proximities
-// across identical requests.
+// memo shares simulated datasets across identical requests.
 package spec
 
 import (
@@ -75,7 +74,8 @@ type DatasetSource struct {
 	// Name is one of the six benchmark datasets ("chameleon", "ppi",
 	// "power", "arxiv", "blogcatalog", "dblp").
 	Name string `json:"name"`
-	// Scale multiplies the node count; <= 0 selects the dataset default.
+	// Scale multiplies the node count, at most 1; <= 0 selects the
+	// dataset default.
 	Scale float64 `json:"scale,omitempty"`
 	// Seed seeds the simulation.
 	Seed uint64 `json:"seed"`
@@ -142,6 +142,11 @@ func (s *JobSpec) Validate() error {
 		n++
 		if s.Graph.Dataset.Name == "" {
 			return fmt.Errorf("spec: dataset source needs a name")
+		}
+		// The scale sizes the simulation before admission can see its node
+		// count, so it may only shrink a dataset.
+		if sc := s.Graph.Dataset.Scale; !(sc <= 1) {
+			return fmt.Errorf("spec: dataset scale %g is above 1", sc)
 		}
 	}
 	if s.Graph.Inline != nil {

@@ -132,6 +132,7 @@ func TestValidateRejections(t *testing.T) {
 		{"two graph sources", `{"graph":{"dataset":{"name":"power","seed":1},"inline":{"nodes":2,"edges":[[0,1]]}},"proximity":"dw","config":{"seed":1}}`},
 		{"no proximity", `{"graph":{"dataset":{"name":"power","seed":1}},"config":{"seed":1}}`},
 		{"empty dataset name", `{"graph":{"dataset":{"seed":1}},"proximity":"dw","config":{"seed":1}}`},
+		{"dataset scale above 1", `{"graph":{"dataset":{"name":"chameleon","scale":1e9,"seed":1}},"proximity":"dw","config":{"seed":1}}`},
 		{"inline too small", `{"graph":{"inline":{"nodes":1,"edges":[[0,0]]}},"proximity":"dw","config":{"seed":1}}`},
 		{"inline no edges", `{"graph":{"inline":{"nodes":4,"edges":[]}},"proximity":"dw","config":{"seed":1}}`},
 		{"inline nodes beyond 2·edges", `{"graph":{"inline":{"nodes":4000000000,"edges":[[0,1]]}},"proximity":"dw","config":{"seed":1}}`},

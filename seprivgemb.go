@@ -93,16 +93,6 @@ func NewProximity(name string, g *Graph) (Proximity, error) {
 	return proximity.ByName(name, g)
 }
 
-// MaterializeProximity evaluates every row of p into an in-memory sparse
-// matrix, sharding row construction across `workers` goroutines. Rows are
-// index-addressed, so the result is identical at any worker count. Use it
-// before repeated At/Row access to row-lazy measures (Katz and PageRank
-// recompute a whole row per At call otherwise; training's weight fill
-// needs no such step, since it builds each needed row once).
-func MaterializeProximity(p Proximity, workers int) Proximity {
-	return proximity.MaterializeParallel(p, workers)
-}
-
 // DefaultConfig returns the paper's experimental settings: r=128, k=5,
 // B=128, η=0.1, C=2, σ=5, ε=3.5, δ=1e-5, 200 epochs, non-zero perturbation.
 func DefaultConfig() Config { return core.DefaultConfig() }

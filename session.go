@@ -3,7 +3,6 @@ package seprivgemb
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"seprivgemb/internal/core"
@@ -168,17 +167,14 @@ var DecodeCheckpointRows = core.DecodeCheckpointRows
 // Session is one configured training run behind the job-oriented API:
 // construct with NewSession, then drive it with Run. A Session is
 // immutable after construction and may be Run multiple times — each Run
-// is an independent, identically seeded (hence identical) training run;
-// concurrent Runs are safe (the WithCache materialization is guarded by a
-// sync.Once).
+// is an independent, identically seeded (hence identical) training run,
+// and concurrent Runs are safe.
 type Session struct {
-	g       *Graph
-	prox    Proximity
-	cfg     Config
-	method  string
-	hooks   core.Hooks
-	cache   bool
-	matOnce sync.Once
+	g      *Graph
+	prox   Proximity
+	cfg    Config
+	method string
+	hooks  core.Hooks
 }
 
 // Option configures a Session at construction.
@@ -211,14 +207,6 @@ func WithWorkers(n int) Option {
 // set) fail validation at Run. Only the default method supports a budget.
 func WithMemoryBudget(bytes int64) Option {
 	return func(s *Session) { s.cfg.MemoryBudget = bytes }
-}
-
-// WithCache materializes the proximity matrix once, lazily at the first
-// Run, sharded across the session's workers. It pays off for sessions
-// that Run more than once: a single Run's weight fill already builds each
-// needed row of a row-lazy measure (Katz, PageRank) only once.
-func WithCache() Option {
-	return func(s *Session) { s.cache = true }
 }
 
 // WithEpochHook registers a per-epoch observer: called synchronously on
@@ -289,13 +277,6 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.matOnce.Do(func() {
-		// Materialization only pays off for methods that read the measure;
-		// the feature-based baselines never do.
-		if s.cache && m.UsesProximity {
-			s.prox = MaterializeProximity(s.prox, s.cfg.Workers)
-		}
-	})
 	return m.Train(ctx, s.g, s.prox, s.cfg, s.hooks)
 }
 
@@ -346,8 +327,7 @@ func (s *Service) SubmitMethod(method string, g *Graph, prox Proximity, cfg Conf
 }
 
 // SubmitSpec enqueues a declarative JobSpec: the graph source is resolved
-// (simulated datasets and their materialized proximities are memoized per
-// service), the wire config mapped onto the paper defaults, and the job
+// (simulated datasets are memoized per service), the wire config mapped onto the paper defaults, and the job
 // admitted under the spec's priority and tenant quota. A spec identical to
 // one submitted over HTTP — or through this method, or whose resolved
 // arguments match a plain Submit — shares that job and its one Result.

@@ -135,34 +135,6 @@ func TestSessionCancelResumeAcceptance(t *testing.T) {
 	}
 }
 
-// TestSessionWithCache: materializing the proximity must not change the
-// result (row caching is a pure evaluation-speed trade).
-func TestSessionWithCache(t *testing.T) {
-	g, _, cfg := sessionTestInputs(t)
-	// PageRank is row-lazy — the measure WithCache exists for.
-	prox, err := seprivgemb.NewProximity("pagerank", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := seprivgemb.NewSession(g, prox, seprivgemb.WithConfig(cfg)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prox2, err := seprivgemb.NewProximity("pagerank", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := seprivgemb.NewSession(g, prox2,
-		seprivgemb.WithConfig(cfg), seprivgemb.WithCache(), seprivgemb.WithWorkers(2),
-	).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if embHash(cached.Embedding().Data) != embHash(plain.Embedding().Data) {
-		t.Fatal("WithCache changed the trained embedding")
-	}
-}
-
 // TestServiceFacade: submissions through the exported Service dedupe and
 // match direct training.
 func TestServiceFacade(t *testing.T) {
