@@ -1,7 +1,8 @@
 GO ?= go
 # Benchmark → JSON recording for the perf trajectory; bump per PR.
 BENCH_JSON ?= BENCH_pr15.json
-# The previous PR's recording, the regression baseline for bench-diff.
+# The previous PR's recording, the local regression baseline for
+# bench-diff (CI benchmarks the base commit on its own runner instead).
 BENCH_BASE ?= BENCH_pr14.json
 # The sharded-stage benchmarks: the DP noise/update stage, the one-shot
 # graph passes, the whole-train scaling curves (TrainWorkers matches the

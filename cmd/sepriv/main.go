@@ -46,6 +46,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -54,6 +55,7 @@ import (
 	"syscall"
 
 	"seprivgemb"
+	"seprivgemb/internal/replica"
 	"seprivgemb/internal/server"
 )
 
@@ -342,42 +344,26 @@ func readCheckpoint(path string) (*seprivgemb.Checkpoint, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return seprivgemb.DecodeCheckpoint(bufio.NewReader(f))
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return seprivgemb.DecodeCheckpoint(f, fi.Size())
 }
 
-// writeCheckpoint replaces path atomically (write-to-temp then rename), so
-// a crash mid-write leaves the previous good snapshot intact — the "lose
-// at most one cadence" guarantee depends on never truncating in place.
+// writeCheckpoint replaces path atomically and durably
+// (replica.WriteFileAtomic), so a crash mid-write leaves the previous good
+// snapshot intact — the "lose at most one cadence" guarantee depends on
+// never truncating in place — and a snapshot reported written survives a
+// crash.
 func writeCheckpoint(path string, ck *seprivgemb.Checkpoint) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	if err := ck.Encode(w); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	// Flush to stable storage before the rename: without the fsync a
-	// power loss could persist the rename ahead of the data blocks,
-	// replacing the previous good snapshot with a truncated file.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return replica.WriteFileAtomic(path, func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
+		if err := ck.Encode(bw); err != nil {
+			return err
+		}
+		return bw.Flush()
+	})
 }
 
 func writeTSV(path string, emb *seprivgemb.Matrix) error {

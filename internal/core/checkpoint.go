@@ -235,40 +235,46 @@ func (ck *Checkpoint) Encode(w io.Writer) error {
 		return fmt.Errorf("core: encoding checkpoint: %d/%d values for shape %dx%d",
 			len(ck.Win), len(ck.Wout), ck.Nodes, ck.Dim)
 	}
-	fw := NewFrameWriter(w)
-	if err := fw.WriteStreamMagic(); err != nil {
-		return fmt.Errorf("core: encoding checkpoint magic: %w", err)
-	}
 	hdr := ck.header()
-	if _, err := fw.WriteFrame(&hdr); err != nil {
-		return fmt.Errorf("core: encoding checkpoint header: %w", err)
-	}
 	win := &mathx.Matrix{Rows: ck.Nodes, Cols: ck.Dim, Data: ck.Win}
 	wout := &mathx.Matrix{Rows: ck.Nodes, Cols: ck.Dim, Data: ck.Wout}
-	if err := WriteIndexedMats(fw, win, wout); err != nil {
-		return fmt.Errorf("core: encoding checkpoint matrices: %w", err)
+	if err := WriteIndexed(w, &hdr, win, wout); err != nil {
+		return fmt.Errorf("core: encoding checkpoint: %w", err)
 	}
 	return nil
 }
 
-// DecodeCheckpoint reads a checkpoint written by Encode. A stream in any
-// other format — including those of earlier builds — is an error naming
-// the version this build reads; rerunning the job reproduces the state.
-func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	cr, err := ReadStreamMagic(r)
+// openCheckpoint opens the size-byte checkpoint stream ra and checks its
+// header's version and its shape against the row index.
+func openCheckpoint(ra io.ReaderAt, size int64) (*RowIndex, *checkpointHeader, error) {
+	var hdr checkpointHeader
+	ix, err := OpenIndexed(ra, size, &hdr)
+	if err != nil {
+		return nil, nil, err
+	}
+	if hdr.Version != checkpointVersion {
+		return nil, nil, fmt.Errorf("core: checkpoint claims format v%d, this build reads v%d",
+			hdr.Version, checkpointVersion)
+	}
+	if hdr.Nodes != ix.Rows || hdr.Dim != ix.Cols {
+		return nil, nil, fmt.Errorf("core: checkpoint header shape %dx%d disagrees with index %dx%d",
+			hdr.Nodes, hdr.Dim, ix.Rows, ix.Cols)
+	}
+	return ix, &hdr, nil
+}
+
+// DecodeCheckpoint reads a checkpoint written by Encode from ra, a stream
+// of size bytes (e.g. an *os.File and its Stat size, or a bytes.Reader).
+// A stream in any other format — including those of earlier builds — is
+// an error naming the version this build reads; rerunning the job
+// reproduces the state.
+func DecodeCheckpoint(ra io.ReaderAt, size int64) (*Checkpoint, error) {
+	ix, hdr, err := openCheckpoint(ra, size)
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
 	}
-	var hdr checkpointHeader
-	if err := ReadFrameSeq(cr, &hdr); err != nil {
-		return nil, fmt.Errorf("core: decoding checkpoint header: %w", err)
-	}
-	if hdr.Version != checkpointVersion {
-		return nil, fmt.Errorf("core: checkpoint claims format v%d, this build reads v%d",
-			hdr.Version, checkpointVersion)
-	}
-	ck := checkpointFromHeader(hdr)
-	if ck.Win, ck.Wout, err = ReadIndexedMatricesSeq(cr, hdr.Nodes, hdr.Dim, 0); err != nil {
+	ck := checkpointFromHeader(*hdr)
+	if ck.Win, ck.Wout, err = ix.DecodeAll(ra, size); err != nil {
 		return nil, fmt.Errorf("core: decoding checkpoint matrices: %w", err)
 	}
 	return ck, nil
@@ -280,21 +286,9 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 // ra is the checkpoint stream (e.g. an *os.File or bytes.Reader) and size
 // its total byte length.
 func DecodeCheckpointRows(ra io.ReaderAt, size int64, lo, hi int) (*EmbeddingWindow, error) {
-	ix, err := ReadRowIndex(ra, size)
+	ix, _, err := openCheckpoint(ra, size)
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint row window: %w", err)
-	}
-	var hdr checkpointHeader
-	if err := ReadFrameAt(ra, 8, size, &hdr); err != nil {
-		return nil, fmt.Errorf("core: checkpoint row window: reading header: %w", err)
-	}
-	if hdr.Version != checkpointVersion {
-		return nil, fmt.Errorf("core: checkpoint claims format v%d, this build reads v%d",
-			hdr.Version, checkpointVersion)
-	}
-	if hdr.Nodes != ix.Rows || hdr.Dim != ix.Cols {
-		return nil, fmt.Errorf("core: checkpoint header shape %dx%d disagrees with index %dx%d",
-			hdr.Nodes, hdr.Dim, ix.Rows, ix.Cols)
 	}
 	m, err := ix.DecodeRows(ra, ix.Win, size, lo, hi)
 	if err != nil {

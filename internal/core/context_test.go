@@ -131,7 +131,7 @@ func TestCancelResumeGolden(t *testing.T) {
 			if err := part.Checkpoint.Encode(&buf); err != nil {
 				t.Fatal(err)
 			}
-			ck, err := DecodeCheckpoint(&buf)
+			ck, err := decodeBytes(buf.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -34,7 +34,10 @@ import (
 // definition — negligible against 64 KiB — and buys random access: any
 // frame decodes in isolation given its offset, which is what lets a
 // windowed read seek straight to the two or three chunks covering its
-// rows instead of replaying the whole stream.
+// rows instead of replaying the whole stream. There is one writer,
+// WriteIndexed, and one reader: OpenIndexed locates the index and the
+// header, and every decode — a window or both matrices whole — goes
+// through the index.
 const (
 	streamMagicV3 uint64 = 0x5345505633494458 // "SEPV3IDX"
 	indexMagicV3  uint64 = 0x5345505633524f57 // "SEPV3ROW"
@@ -67,41 +70,30 @@ type EmbeddingWindow struct {
 	FullHash uint64
 }
 
-// FrameWriter writes the v3 frame stream, tracking the absolute byte
+// frameWriter writes the v3 frame stream, tracking the absolute byte
 // offset of everything it emits so the index can be built as a side effect
 // of writing the chunks.
-type FrameWriter struct {
+type frameWriter struct {
 	w    io.Writer
 	off  int64
 	buf  bytes.Buffer
 	word [8]byte
 }
 
-// NewFrameWriter wraps w, counting offsets from w's current position as 0.
-func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
-
-// Offset returns the absolute byte offset of the next write.
-func (fw *FrameWriter) Offset() int64 { return fw.off }
-
-func (fw *FrameWriter) writeRaw(p []byte) error {
+func (fw *frameWriter) writeRaw(p []byte) error {
 	n, err := fw.w.Write(p)
 	fw.off += int64(n)
 	return err
 }
 
-func (fw *FrameWriter) writeWord(v uint64) error {
+func (fw *frameWriter) writeWord(v uint64) error {
 	binary.BigEndian.PutUint64(fw.word[:], v)
 	return fw.writeRaw(fw.word[:])
 }
 
-// WriteStreamMagic emits the 8-byte v3 stream marker; it must be the first
-// write, so readers can reject any other stream before decoding a byte of
-// it.
-func (fw *FrameWriter) WriteStreamMagic() error { return fw.writeWord(streamMagicV3) }
-
-// WriteFrame gob-encodes v with a fresh encoder and writes it as one
+// writeFrame gob-encodes v with a fresh encoder and writes it as one
 // length-prefixed frame, returning the frame's starting byte offset.
-func (fw *FrameWriter) WriteFrame(v any) (int64, error) {
+func (fw *frameWriter) writeFrame(v any) (int64, error) {
 	start := fw.off
 	fw.buf.Reset()
 	if err := gob.NewEncoder(&fw.buf).Encode(v); err != nil {
@@ -113,119 +105,37 @@ func (fw *FrameWriter) WriteFrame(v any) (int64, error) {
 	return start, fw.writeRaw(fw.buf.Bytes())
 }
 
-// writeTrailer emits the fixed 16-byte tail pointing back at the index.
-func (fw *FrameWriter) writeTrailer(indexOff int64) error {
-	if err := fw.writeWord(uint64(indexOff)); err != nil {
-		return err
+// readFrameAt decodes the frame starting at byte off of ra into v, reusing
+// *scratch for the payload, and returns the offset just past the frame.
+// end is where the frame must end by (the stream's size less the trailer,
+// or the index offset for the header). A length prefix is a claim, not a
+// proof: one reaching past end, or past maxFrameBytes, is rejected before
+// anything is allocated for it, so a payload buffer never outgrows the
+// bytes actually there.
+func readFrameAt(ra io.ReaderAt, off, end int64, v any, scratch *[]byte) (int64, error) {
+	if off < 0 || off+8 > end {
+		return 0, fmt.Errorf("frame offset %d outside the %d bytes of frames", off, end)
 	}
-	return fw.writeWord(indexMagicV3)
-}
-
-// CountingReader tracks the absolute stream position of sequential reads.
-// All v3 frame reads are exact (io.ReadFull of a declared length), so the
-// count equals the byte offset within the stream — which is how a
-// sequential decode cross-checks the recorded index offsets.
-type CountingReader struct {
-	r   io.Reader
-	off int64
-}
-
-func (cr *CountingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.off += int64(n)
-	return n, err
-}
-
-// Offset returns the number of bytes consumed so far.
-func (cr *CountingReader) Offset() int64 { return cr.off }
-
-// ReadStreamMagic consumes the 8-byte v3 stream marker from r and returns
-// a CountingReader positioned after it. Any other head is an error: the v3
-// indexed stream is the only format this build reads.
-func ReadStreamMagic(r io.Reader) (*CountingReader, error) {
-	var head [8]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return nil, fmt.Errorf("core: reading stream head: %w", err)
-	}
-	if binary.BigEndian.Uint64(head[:]) != streamMagicV3 {
-		return nil, errNotV3
-	}
-	return &CountingReader{r: r, off: 8}, nil
-}
-
-// readFrameInto reads one length-prefixed frame from r into v, reusing
-// *scratch for the payload. limit bounds the declared payload length
-// (maxFrameBytes when the caller knows nothing tighter).
-func readFrameInto(r io.Reader, v any, scratch *[]byte, limit int64) error {
+	sr := io.NewSectionReader(ra, off, end-off)
 	var word [8]byte
-	if _, err := io.ReadFull(r, word[:]); err != nil {
-		return fmt.Errorf("reading frame length: %w", err)
+	if _, err := io.ReadFull(sr, word[:]); err != nil {
+		return 0, fmt.Errorf("reading frame length: %w", err)
 	}
 	n := binary.BigEndian.Uint64(word[:])
-	if n > uint64(limit) {
-		return fmt.Errorf("frame claims %d bytes, limit %d", n, limit)
+	if limit := min(end-off-8, maxFrameBytes); n > uint64(limit) {
+		return 0, fmt.Errorf("frame claims %d bytes, limit %d", n, limit)
 	}
-	buf, err := readClaimed(r, *scratch, int(n))
-	*scratch = buf
-	if err != nil {
-		return fmt.Errorf("reading %d-byte frame: %w", n, err)
+	if uint64(cap(*scratch)) < n {
+		*scratch = make([]byte, n)
+	}
+	buf := (*scratch)[:n]
+	if _, err := io.ReadFull(sr, buf); err != nil {
+		return 0, fmt.Errorf("reading %d-byte frame: %w", n, err)
 	}
 	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(v); err != nil {
-		return fmt.Errorf("decoding frame: %w", err)
+		return 0, fmt.Errorf("decoding frame: %w", err)
 	}
-	return nil
-}
-
-// frameAllocStep is how far a frame read may allocate ahead of the bytes
-// it has received: one step holds a whole chunk frame, so the usual read
-// allocates once.
-const frameAllocStep = 128 << 10
-
-// readClaimed reads exactly n bytes from r, reusing buf's capacity. A
-// length prefix is a claim, not a proof, so beyond that capacity the
-// buffer grows only as bytes arrive — never more than max(bytes read,
-// frameAllocStep) ahead of them — and a prefix that overstates the stream
-// costs memory in proportion to the bytes actually there.
-func readClaimed(r io.Reader, buf []byte, n int) ([]byte, error) {
-	buf = buf[:0]
-	for len(buf) < n {
-		if len(buf) == cap(buf) {
-			grown := make([]byte, len(buf), min(n, len(buf)+max(len(buf), frameAllocStep)))
-			copy(grown, buf)
-			buf = grown
-		}
-		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
-		buf = buf[:len(buf)+k]
-		if err != nil {
-			return buf, err
-		}
-	}
-	return buf, nil
-}
-
-// ReadFrameSeq decodes the next frame of a sequential v3 stream into v.
-func ReadFrameSeq(cr *CountingReader, v any) error {
-	var scratch []byte
-	return readFrameInto(cr, v, &scratch, maxFrameBytes)
-}
-
-// ReadFrameAt decodes the frame starting at byte off of a random-access
-// stream of the given total size into v.
-func ReadFrameAt(ra io.ReaderAt, off, size int64, v any) error {
-	var scratch []byte
-	return readFrameAtInto(ra, off, size, v, &scratch)
-}
-
-func readFrameAtInto(ra io.ReaderAt, off, size int64, v any, scratch *[]byte) error {
-	if off < 0 || off+8 > size {
-		return fmt.Errorf("frame offset %d outside %d-byte stream", off, size)
-	}
-	limit := size - off - 8
-	if limit > maxFrameBytes {
-		limit = maxFrameBytes
-	}
-	sr := io.NewSectionReader(ra, off, size-off)
-	return readFrameInto(sr, v, scratch, limit)
+	return off + 8 + int64(n), nil
 }
 
 // RowIndex maps matrix rows to the chunk frames of a v3 indexed stream.
@@ -235,6 +145,11 @@ type RowIndex struct {
 	ChunkFloats int // values per full chunk frame
 	Rows, Cols  int
 	Win, Wout   []int64
+	// headerEnd and indexOff are where the header frame ends and where
+	// the index frame starts. OpenIndexed sets them (they are not part of
+	// the encoded index) so DecodeAll can check that the chunk frames
+	// tile the bytes between the two.
+	headerEnd, indexOff int64
 }
 
 // chunkValues returns how many values chunk c of a Rows×Cols matrix holds
@@ -256,14 +171,19 @@ func chunkCount(total, per int) int {
 }
 
 // validate rejects an index that could not have been written by
-// WriteIndexedMats over a size-byte stream: wrong chunk counts,
-// non-increasing or out-of-range offsets, or an impossible shape.
+// WriteIndexed over a size-byte stream: a foreign chunk size, an
+// impossible shape, more values than the stream has bytes for, wrong
+// chunk counts, or non-increasing or out-of-range offsets. Every value
+// encodes to at least one byte in each matrix, so Rows·Cols ≤ size/2, and
+// a whole-matrix decode allocates in proportion to the stream's bytes.
 func (ix *RowIndex) validate(size int64) error {
 	switch {
-	case ix.ChunkFloats < 1:
-		return fmt.Errorf("index chunk size %d", ix.ChunkFloats)
+	case ix.ChunkFloats != chunkFloats:
+		return fmt.Errorf("index chunk size %d, want %d", ix.ChunkFloats, chunkFloats)
 	case ix.Rows < 0 || ix.Cols < 0 || (ix.Cols > 0 && ix.Rows > int(^uint(0)>>1)/ix.Cols):
 		return fmt.Errorf("index claims impossible shape %dx%d", ix.Rows, ix.Cols)
+	case int64(ix.Rows*ix.Cols) > size/2:
+		return fmt.Errorf("index shape %dx%d cannot fit in a %d-byte stream", ix.Rows, ix.Cols, size)
 	}
 	want := chunkCount(ix.Rows*ix.Cols, ix.ChunkFloats)
 	if len(ix.Win) != want || len(ix.Wout) != want {
@@ -287,12 +207,12 @@ func (ix *RowIndex) validate(size int64) error {
 // through its LRU window. Chunk boundaries fall at multiples of
 // chunkFloats over the flattened row-major array, independent of row
 // width and storage tier, so equal values always encode to equal bytes.
-func writeChunkFramesMat(fw *FrameWriter, m mathx.Mat) ([]int64, error) {
+func writeChunkFramesMat(fw *frameWriter, m mathx.Mat) ([]int64, error) {
 	rows, cols := m.NumRows(), m.NumCols()
 	offs := make([]int64, 0, chunkCount(rows*cols, chunkFloats))
 	buf := make([]float64, 0, chunkFloats)
 	flush := func() error {
-		start, err := fw.WriteFrame(buf)
+		start, err := fw.writeFrame(buf)
 		if err != nil {
 			return err
 		}
@@ -324,16 +244,24 @@ func writeChunkFramesMat(fw *FrameWriter, m mathx.Mat) ([]int64, error) {
 	return offs, nil
 }
 
-// WriteIndexedMats writes the chunk frames of both matrices, the RowIndex
-// frame, and the trailer — the whole stream after the caller's header
-// frame. It never needs either matrix dense: one 64 KiB block is the
-// largest thing buffered, so the artifact store persists a spill-backed
-// result at O(chunk) memory, and a checkpoint's slices stream as-is.
-func WriteIndexedMats(fw *FrameWriter, win, wout mathx.Mat) error {
+// WriteIndexed writes a whole v3 stream to w: the stream magic, hdr (a
+// caller-defined gob struct) as the header frame, the chunk frames of
+// both matrices, the RowIndex frame, and the trailer. It never needs
+// either matrix dense: one 64 KiB block is the largest thing buffered, so
+// the artifact store persists a spill-backed result at O(chunk) memory,
+// and a checkpoint's slices stream as-is.
+func WriteIndexed(w io.Writer, hdr any, win, wout mathx.Mat) error {
 	rows, cols := win.NumRows(), win.NumCols()
 	if wout.NumRows() != rows || wout.NumCols() != cols {
 		return fmt.Errorf("core: indexed write of mismatched shapes %dx%d and %dx%d",
 			rows, cols, wout.NumRows(), wout.NumCols())
+	}
+	fw := &frameWriter{w: w}
+	if err := fw.writeWord(streamMagicV3); err != nil {
+		return err
+	}
+	if _, err := fw.writeFrame(hdr); err != nil {
+		return err
 	}
 	ix := &RowIndex{ChunkFloats: chunkFloats, Rows: rows, Cols: cols}
 	var err error
@@ -343,101 +271,23 @@ func WriteIndexedMats(fw *FrameWriter, win, wout mathx.Mat) error {
 	if ix.Wout, err = writeChunkFramesMat(fw, wout); err != nil {
 		return err
 	}
-	start, err := fw.WriteFrame(ix)
+	start, err := fw.writeFrame(ix)
 	if err != nil {
 		return err
 	}
-	return fw.writeTrailer(start)
+	if err := fw.writeWord(uint64(start)); err != nil {
+		return err
+	}
+	return fw.writeWord(indexMagicV3)
 }
 
-// ReadIndexedMatricesSeq reads both matrices, the index frame, and the
-// trailer from a sequential v3 stream positioned just after its header
-// frame. The recorded index is cross-checked against the offsets actually
-// observed while reading, so a reordered, truncated, or spliced stream is
-// rejected even on the streaming path that never seeks.
-//
-// The rows×cols shape comes from the caller's header, which is a claim,
-// not a proof. size is the stream's total byte length when the caller
-// knows it (a file), or 0 when it does not. Every value encodes to at
-// least one byte, so a known size rejects a shape the stream cannot hold
-// and otherwise lets each matrix be allocated once; with an unknown size
-// each matrix grows as its chunk frames arrive. Either way memory stays
-// proportional to the bytes read.
-func ReadIndexedMatricesSeq(cr *CountingReader, rows, cols int, size int64) (win, wout []float64, err error) {
-	if rows < 0 || cols < 0 || (cols > 0 && rows > int(^uint(0)>>1)/cols) {
-		return nil, nil, fmt.Errorf("core: impossible shape %dx%d", rows, cols)
-	}
-	total := rows * cols
-	prealloc := 0
-	if size > 0 {
-		if int64(total) > (size-cr.Offset())/2 {
-			return nil, nil, fmt.Errorf("core: shape %dx%d cannot fit in a %d-byte stream", rows, cols, size)
-		}
-		prealloc = total
-	}
-	seen := &RowIndex{ChunkFloats: chunkFloats, Rows: rows, Cols: cols}
-	var scratch []byte
-	readMatrix := func() ([]float64, []int64, error) {
-		dst := make([]float64, 0, prealloc)
-		offs := make([]int64, 0, chunkCount(prealloc, chunkFloats))
-		var blk []float64
-		for len(dst) < total {
-			start := cr.Offset()
-			if err := readFrameInto(cr, &blk, &scratch, maxFrameBytes); err != nil {
-				return nil, nil, err
-			}
-			if len(dst)+len(blk) > total {
-				return nil, nil, fmt.Errorf("chunk overruns expected %d values", total)
-			}
-			dst = append(dst, blk...)
-			offs = append(offs, start)
-		}
-		return dst, offs, nil
-	}
-	if win, seen.Win, err = readMatrix(); err != nil {
-		return nil, nil, fmt.Errorf("core: reading Win chunks: %w", err)
-	}
-	if wout, seen.Wout, err = readMatrix(); err != nil {
-		return nil, nil, fmt.Errorf("core: reading Wout chunks: %w", err)
-	}
-	indexStart := cr.Offset()
-	var ix RowIndex
-	if err := readFrameInto(cr, &ix, &scratch, maxFrameBytes); err != nil {
-		return nil, nil, fmt.Errorf("core: reading row index: %w", err)
-	}
-	if ix.ChunkFloats != seen.ChunkFloats || ix.Rows != rows || ix.Cols != cols ||
-		!int64sEqual(ix.Win, seen.Win) || !int64sEqual(ix.Wout, seen.Wout) {
-		return nil, nil, fmt.Errorf("core: row index does not match the chunk frames it describes")
-	}
-	var trailer [trailerBytes]byte
-	if _, err := io.ReadFull(cr, trailer[:]); err != nil {
-		return nil, nil, fmt.Errorf("core: reading index trailer: %w", err)
-	}
-	if got := int64(binary.BigEndian.Uint64(trailer[:8])); got != indexStart {
-		return nil, nil, fmt.Errorf("core: trailer points at %d, index frame is at %d", got, indexStart)
-	}
-	if binary.BigEndian.Uint64(trailer[8:]) != indexMagicV3 {
-		return nil, nil, fmt.Errorf("core: corrupt index trailer magic")
-	}
-	return win, wout, nil
-}
-
-func int64sEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ReadRowIndex locates and validates the RowIndex of a random-access v3
-// stream. A stream without the leading v3 magic, or with a damaged index
-// or trailer, returns a descriptive error.
-func ReadRowIndex(ra io.ReaderAt, size int64) (*RowIndex, error) {
+// OpenIndexed reads the trailer, the validated RowIndex and the header
+// frame (decoded into hdr) of the size-byte v3 stream ra. Everything
+// after it — a row window (DecodeRows) or both matrices whole (DecodeAll)
+// — goes through the returned index. A stream without the leading v3
+// magic, or with a damaged trailer, index or header, is a descriptive
+// error.
+func OpenIndexed(ra io.ReaderAt, size int64, hdr any) (*RowIndex, error) {
 	var head [8]byte
 	if size >= 8 {
 		if _, err := ra.ReadAt(head[:], 0); err != nil {
@@ -461,14 +311,37 @@ func ReadRowIndex(ra io.ReaderAt, size int64) (*RowIndex, error) {
 	if indexOff < 8 || indexOff >= size-trailerBytes {
 		return nil, fmt.Errorf("core: index offset %d outside stream of %d bytes", indexOff, size)
 	}
-	var ix RowIndex
-	if err := ReadFrameAt(ra, indexOff, size-trailerBytes, &ix); err != nil {
+	var (
+		ix      RowIndex
+		scratch []byte
+	)
+	if _, err := readFrameAt(ra, indexOff, size-trailerBytes, &ix, &scratch); err != nil {
 		return nil, fmt.Errorf("core: reading row index: %w", err)
 	}
 	if err := ix.validate(size); err != nil {
 		return nil, fmt.Errorf("core: invalid row index: %w", err)
 	}
+	ix.indexOff = indexOff
+	var err error
+	if ix.headerEnd, err = readFrameAt(ra, 8, indexOff, hdr, &scratch); err != nil {
+		return nil, fmt.Errorf("core: reading header: %w", err)
+	}
 	return &ix, nil
+}
+
+// readChunk decodes chunk c of one matrix, whose frame starts at off, into
+// *blk and returns the offset just past the frame. A chunk that does not
+// hold exactly the values the index assigns it is an error.
+func (ix *RowIndex) readChunk(ra io.ReaderAt, size, off int64, c int, blk *[]float64, scratch *[]byte) (int64, error) {
+	*blk = (*blk)[:0]
+	end, err := readFrameAt(ra, off, size-trailerBytes, blk, scratch)
+	if err != nil {
+		return 0, fmt.Errorf("reading chunk %d: %w", c, err)
+	}
+	if n, want := len(*blk), ix.chunkValues(c); n != want {
+		return 0, fmt.Errorf("chunk %d holds %d values, index expects %d", c, n, want)
+	}
+	return end, nil
 }
 
 // DecodeRows decodes rows [lo, hi) of one matrix of an indexed stream,
@@ -493,12 +366,8 @@ func (ix *RowIndex) DecodeRows(ra io.ReaderAt, offsets []int64, size int64, lo, 
 		scratch []byte
 	)
 	for c := first; c <= last; c++ {
-		blk = blk[:0]
-		if err := readFrameAtInto(ra, offsets[c], size-trailerBytes, &blk, &scratch); err != nil {
-			return nil, fmt.Errorf("core: reading chunk %d: %w", c, err)
-		}
-		if len(blk) != ix.chunkValues(c) {
-			return nil, fmt.Errorf("core: chunk %d holds %d values, index expects %d", c, len(blk), ix.chunkValues(c))
+		if _, err := ix.readChunk(ra, size, offsets[c], c, &blk, &scratch); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
 		// Copy the intersection of this chunk's value range with the
 		// window's value range.
@@ -513,4 +382,44 @@ func (ix *RowIndex) DecodeRows(ra io.ReaderAt, offsets []int64, size int64, lo, 
 		copy(out.Data[s-lo*ix.Cols:e-lo*ix.Cols], blk[s-base:e-base])
 	}
 	return out, nil
+}
+
+// DecodeAll decodes both matrices whole from the stream OpenIndexed opened
+// ix on. It also checks that the frames tile the stream — the first chunk
+// starts where the header ends, each chunk where the previous frame ended,
+// and the index where the last chunk ended — so a spliced, padded or
+// reordered stream is an error even when every offset the index records
+// lands on a frame. validate bounded Rows·Cols by the stream's size, so
+// each matrix is allocated once, in proportion to the bytes on disk.
+func (ix *RowIndex) DecodeAll(ra io.ReaderAt, size int64) (win, wout []float64, err error) {
+	next := ix.headerEnd
+	var (
+		blk     []float64
+		scratch []byte
+	)
+	decode := func(offsets []int64) ([]float64, error) {
+		dst := make([]float64, 0, ix.Rows*ix.Cols)
+		for c, off := range offsets {
+			if off != next {
+				return nil, fmt.Errorf("chunk %d at %d, previous frame ended at %d", c, off, next)
+			}
+			end, err := ix.readChunk(ra, size, off, c, &blk, &scratch)
+			if err != nil {
+				return nil, err
+			}
+			dst = append(dst, blk...)
+			next = end
+		}
+		return dst, nil
+	}
+	if win, err = decode(ix.Win); err != nil {
+		return nil, nil, fmt.Errorf("core: Win: %w", err)
+	}
+	if wout, err = decode(ix.Wout); err != nil {
+		return nil, nil, fmt.Errorf("core: Wout: %w", err)
+	}
+	if ix.indexOff != next {
+		return nil, nil, fmt.Errorf("core: index at %d, last frame ended at %d", ix.indexOff, next)
+	}
+	return win, wout, nil
 }

@@ -37,7 +37,7 @@ func TestCheckpointWindowedDecodeMatchesFull(t *testing.T) {
 	} {
 		ck := chunkCheckpoint(tc.nodes, tc.dim)
 		raw := encodeToBytes(t, ck)
-		full, err := DecodeCheckpoint(bytes.NewReader(raw))
+		full, err := decodeBytes(raw)
 		if err != nil {
 			t.Fatalf("%dx%d: full decode: %v", tc.nodes, tc.dim, err)
 		}
@@ -85,7 +85,7 @@ func TestDecodeRejectsNonV3Streams(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	_, err := DecodeCheckpoint(bytes.NewReader(raw))
+	_, err := decodeBytes(raw)
 	if err == nil || !strings.Contains(err.Error(), "v3") {
 		t.Errorf("full decode of a non-v3 stream: err = %v, want an error naming v3", err)
 	}
@@ -108,8 +108,8 @@ func TestRowWindowRejectsCorruption(t *testing.T) {
 		if err == nil {
 			t.Errorf("corrupt trailer: err = %v, want a corruption error", err)
 		}
-		// The sequential full decode must reject it too.
-		if _, err := DecodeCheckpoint(bytes.NewReader(bad)); err == nil {
+		// The full decode must reject it too.
+		if _, err := decodeBytes(bad); err == nil {
 			t.Error("full decode accepted a corrupt trailer")
 		}
 	})
@@ -124,7 +124,7 @@ func TestRowWindowRejectsCorruption(t *testing.T) {
 		if err == nil {
 			t.Errorf("zeroed index: err = %v, want a corruption error", err)
 		}
-		if _, err := DecodeCheckpoint(bytes.NewReader(bad)); err == nil {
+		if _, err := decodeBytes(bad); err == nil {
 			t.Error("full decode accepted a zeroed index")
 		}
 	})
@@ -207,7 +207,7 @@ func TestTrainedWindowGoldenAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(win.Rows.Data, append([]float64{}, mem.Data...)) {
 			t.Errorf("workers=%d: windowed artifact decode diverges from the in-memory embedding", workers)
 		}
-		full, err := DecodeCheckpoint(bytes.NewReader(raw))
+		full, err := decodeBytes(raw)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,21 +54,30 @@ func Get(name string) (Spec, error) {
 	return s, nil
 }
 
-// Generate simulates the named dataset at the given scale (node-count
-// multiplier; <= 0 selects the dataset's default) with a deterministic
-// seed. The returned graph approximately matches |E|/|V| of the original.
-func Generate(name string, scale float64, seed uint64) (*graph.Graph, error) {
+// Nodes returns how many nodes Generate simulates for the named dataset
+// at the given scale (node-count multiplier; <= 0 selects the dataset's
+// default), at least 16 — known without generating anything.
+func Nodes(name string, scale float64) (int, error) {
 	spec, err := Get(name)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if scale <= 0 {
 		scale = spec.DefaultScale
 	}
-	n := int(float64(spec.Nodes) * scale)
-	if n < 16 {
-		n = 16
+	return max(16, int(float64(spec.Nodes)*scale)), nil
+}
+
+// Generate simulates the named dataset at the given scale (node-count
+// multiplier; <= 0 selects the dataset's default) with a deterministic
+// seed. The returned graph has Nodes(name, scale) nodes and approximately
+// matches |E|/|V| of the original.
+func Generate(name string, scale float64, seed uint64) (*graph.Graph, error) {
+	n, err := Nodes(name, scale)
+	if err != nil {
+		return nil, err
 	}
+	spec := specs[name]
 	meanDeg := 2 * float64(spec.Edges) / float64(spec.Nodes)
 	rng := xrand.New(seed ^ hashName(name))
 	switch name {

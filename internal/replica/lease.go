@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -261,20 +262,38 @@ func (m *Manager) steal(path string) bool {
 }
 
 // writeLease atomically replaces jobID's lease with a freshly-stamped one
-// owned by this replica (tmp + fsync + rename + directory fsync, the
-// store's write discipline).
+// owned by this replica (WriteFileAtomic).
 func (m *Manager) writeLease(jobID, path string, acquired time.Time) error {
 	li := m.info(jobID, acquired)
 	data, err := json.Marshal(li)
 	if err != nil {
 		return err
 	}
+	if err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	m.held[jobID] = li
+	m.mu.Unlock()
+	return nil
+}
+
+// WriteFileAtomic replaces path with the bytes write produces: it writes a
+// sibling ".tmp" file, fsyncs it, renames it over path, and fsyncs the
+// directory so the rename itself survives a crash — once it returns nil,
+// the new file is durable. On any failure the temp file is removed and
+// path keeps its previous contents; a crash mid-write leaves the ".tmp"
+// partial for SweepDir to reap.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(data)
+	err = write(f)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -288,13 +307,7 @@ func (m *Manager) writeLease(jobID, path string, acquired time.Time) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := syncDir(m.dir); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	m.held[jobID] = li
-	m.mu.Unlock()
-	return nil
+	return syncDir(filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory so the renames and links into it survive a

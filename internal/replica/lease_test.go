@@ -2,7 +2,9 @@ package replica
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -332,5 +334,34 @@ func TestAcquireContention(t *testing.T) {
 		if strings.Contains(e.Name(), ".tmp") || strings.Contains(e.Name(), ".stale-") {
 			t.Errorf("stray staging file left behind: %s", e.Name())
 		}
+	}
+}
+
+// TestWriteFileAtomicFailureKeepsPrevious: a writer that fails midway
+// leaves the previous file byte-for-byte intact and no ".tmp" behind.
+func TestWriteFileAtomicFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.result.gob")
+	if err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write([]byte("previous"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("torn")); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the writer's error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "previous" {
+		t.Fatalf("previous file now %q (err %v), want it intact", got, err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: stat err = %v", err)
 	}
 }

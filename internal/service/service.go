@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"seprivgemb/internal/core"
+	"seprivgemb/internal/datasets"
 	"seprivgemb/internal/experiments"
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/mathx"
@@ -758,6 +759,21 @@ func (s *Service) SubmitSpec(sp spec.JobSpec) (*Job, error) {
 			ErrQuotaExceeded, sp.Tenant, n)
 	}
 	s.mu.Unlock()
+	// A dataset's node count is known before it is generated, and the
+	// memory cap depends on nothing else, so an oversized dataset spec is
+	// refused before it costs a generation and a memo entry. Errors in
+	// the method or config fall through to resolve and submit, which also
+	// re-check the cap on the resolved graph.
+	if ds := sp.Graph.Dataset; ds != nil {
+		n, nerr := datasets.Nodes(ds.Name, ds.Scale)
+		cfg, cerr := sp.Config.CoreConfig()
+		mname, merr := methods.Canonical(sp.Method)
+		if nerr == nil && cerr == nil && merr == nil {
+			if err := s.checkMemoryCap(mname, n, cfg); err != nil {
+				return nil, err
+			}
+		}
+	}
 	g, prox, cfg, err := s.resolve(sp)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
@@ -772,6 +788,26 @@ func (s *Service) SubmitSpec(sp spec.JobSpec) (*Job, error) {
 	return s.submit(sp.Method, g, prox, cfg, sp.Priority, sp.Tenant)
 }
 
+// checkMemoryCap is per-job memory admission: a job's resident training
+// state on a graph of the given node count — its MemoryBudget on the
+// spill tier, the dense 2·|V|·r·8 bytes otherwise — must fit the server's
+// cap. Rejecting at submission (not at training time) keeps an oversized
+// graph a 400 with an actionable remedy: the error names the spill budget
+// that would make the same spec admissible for the default method.
+func (s *Service) checkMemoryCap(mname string, nodes int, cfg core.Config) error {
+	limit := s.opts.MaxTrainingBytes
+	need := cfg.TrainingStateBytes(nodes)
+	if limit <= 0 || need <= limit {
+		return nil
+	}
+	if min := cfg.MinMemoryBudget(nodes); mname == methods.Default && min <= limit {
+		return fmt.Errorf("%w: training state (%d bytes) exceeds the server's %d-byte cap; set config.memoryBudget between %d and %d to train under the cap",
+			ErrInvalidSpec, need, limit, min, limit)
+	}
+	return fmt.Errorf("%w: training state (%d bytes) exceeds the server's %d-byte cap",
+		ErrInvalidSpec, need, limit)
+}
+
 // submit is the shared admission path of both transports, and both train
 // on the proximity they hand in. The method name is canonicalized into the
 // key here, so "" and "sepriv" — and any future alias — land on one job.
@@ -780,20 +816,8 @@ func (s *Service) submit(method string, g *graph.Graph, prox proximity.Proximity
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
-	// Per-job memory admission: a job's resident training state — its
-	// MemoryBudget on the spill tier, the dense 2·|V|·r·8 bytes otherwise —
-	// must fit the server's cap. Rejecting here (not at training time)
-	// keeps an oversized graph a 400 with an actionable remedy: the error
-	// names the spill budget that would make the same spec admissible.
-	if limit := s.opts.MaxTrainingBytes; limit > 0 {
-		if need := cfg.TrainingStateBytes(g.NumNodes()); need > limit {
-			if min := cfg.MinMemoryBudget(g.NumNodes()); mname == methods.Default && min <= limit {
-				return nil, fmt.Errorf("%w: training state (%d bytes) exceeds the server's %d-byte cap; set config.memoryBudget between %d and %d to train under the cap",
-					ErrInvalidSpec, need, limit, min, limit)
-			}
-			return nil, fmt.Errorf("%w: training state (%d bytes) exceeds the server's %d-byte cap",
-				ErrInvalidSpec, need, limit)
-		}
+	if err := s.checkMemoryCap(mname, g.NumNodes(), cfg); err != nil {
+		return nil, err
 	}
 	key := experiments.ResultKey{
 		Method:    mname,

@@ -504,7 +504,8 @@ func TestNonV3ArtifactIsRetrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.ReadStreamMagic(bytes.NewReader(raw)); err != nil {
+	var hdr artifactHeader
+	if _, err := core.OpenIndexed(bytes.NewReader(raw), int64(len(raw)), &hdr); err != nil {
 		t.Fatalf("artifact on disk after retraining is not v3: %v", err)
 	}
 
@@ -524,6 +525,86 @@ func TestNonV3ArtifactIsRetrained(t *testing.T) {
 		if !reflect.DeepEqual(w.Rows.Data, append([]float64{}, mem.Data...)) {
 			t.Errorf("%s window diverges from the in-memory rows", name)
 		}
+	}
+}
+
+// TestWrongEmbeddingHashIsRetrained: the header's EmbeddingHash is the one
+// checksum an artifact carries, so a file whose Win disagrees with it —
+// here the job's own key, shape and values under EmbeddingHash^1 — is a
+// Load miss. The job retrains once, rewrites the artifact, and its hash
+// agrees with the metadata served for the same ID.
+func TestWrongEmbeddingHashIsRetrained(t *testing.T) {
+	sp := ringSpec()
+	ref := New(Options{MaxWorkers: 1})
+	jr, err := ref.SubmitSpec(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := jr.Wait(context.Background())
+	ref.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := jr.Key()
+	hdr := newArtifactHeader(key, want)
+	hdr.EmbeddingHash ^= 1
+	var buf bytes.Buffer
+	if err := core.WriteIndexed(&buf, &hdr, want.Model.Win, want.Model.Wout); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.path(key), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Load(key); ok {
+		t.Fatal("Load accepted an artifact whose Win disagrees with its EmbeddingHash")
+	}
+
+	s := New(Options{MaxWorkers: 1, ArtifactDir: dir})
+	defer s.Close()
+	j, err := s.SubmitSpec(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Trainings(); n != 1 {
+		t.Fatalf("trainings = %d, want exactly 1 (the mismatched file must be a miss)", n)
+	}
+	wantHash := mathx.DigestMat(want.Model.Win)
+	got, ok := j.EmbeddingHash()
+	meta, metaOK := s.ArtifactMeta(j.ID())
+	if !ok || got != wantHash || !metaOK || meta.EmbeddingHash != wantHash {
+		t.Fatalf("job hash %016x (ok=%v), meta %+v (ok=%v), want %016x", got, ok, meta, metaOK, wantHash)
+	}
+	if _, ok := st.Load(key); !ok {
+		t.Fatal("the retrained artifact does not load")
+	}
+}
+
+// TestMemoryCapRejectionIsFree: a dataset spec whose training state
+// exceeds MaxTrainingBytes is refused from the dataset's node count alone,
+// before the graph is generated or memoized.
+func TestMemoryCapRejectionIsFree(t *testing.T) {
+	memo := experiments.NewMemo()
+	s := New(Options{MaxWorkers: 1, MaxTrainingBytes: 1 << 20, Memo: memo})
+	defer s.Close()
+	sp := spec.JobSpec{
+		Graph:     spec.GraphSource{Dataset: &spec.DatasetSource{Name: "chameleon", Scale: 1, Seed: 1}},
+		Proximity: "deepwalk",
+		Config:    spec.ConfigSpec{Dim: 128, MaxEpochs: 2, Seed: 1},
+	}
+	if _, err := s.SubmitSpec(sp); !errors.Is(err, ErrInvalidSpec) {
+		t.Fatalf("err = %v, want ErrInvalidSpec", err)
+	}
+	if n := memo.GraphCacheLen(); n != 0 {
+		t.Fatalf("a rejected submission grew the graph cache to %d entries", n)
 	}
 }
 

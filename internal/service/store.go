@@ -14,6 +14,7 @@ import (
 	"seprivgemb/internal/experiments"
 	"seprivgemb/internal/mathx"
 	"seprivgemb/internal/methods"
+	"seprivgemb/internal/replica"
 	"seprivgemb/internal/skipgram"
 	"seprivgemb/internal/spec"
 )
@@ -107,57 +108,19 @@ func sanitizeName(name string) string {
 	}, name)
 }
 
-// Save persists a completed result atomically (see writeFileAtomic), the
-// same crash discipline as CLI checkpoints: a torn write leaves the
-// previous artifact — or no artifact — never a corrupt one.
+// Save persists a completed result atomically (see
+// replica.WriteFileAtomic), the same crash discipline as CLI checkpoints
+// and replica leases: a torn write leaves the previous artifact — or no
+// artifact — never a corrupt one.
 func (st *Store) Save(key experiments.ResultKey, res *core.Result) error {
-	return writeFileAtomic(st.path(key), func(w io.Writer) error {
+	return replica.WriteFileAtomic(st.path(key), func(w io.Writer) error {
 		return writeArtifact(w, key, res)
 	})
 }
 
-// writeFileAtomic replaces path with the bytes write produces: it writes a
-// sibling ".tmp" file, fsyncs it, renames it over path, and fsyncs the
-// directory so the rename itself survives a crash — once it returns nil,
-// the new file is durable. On any failure the temp file is removed and
-// path keeps its previous contents.
-func writeFileAtomic(path string, write func(io.Writer) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	err = dir.Sync()
-	if cerr := dir.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func writeArtifact(w io.Writer, key experiments.ResultKey, res *core.Result) error {
-	fw := core.NewFrameWriter(w)
-	if err := fw.WriteStreamMagic(); err != nil {
-		return err
-	}
-	hdr := artifactHeader{
+// newArtifactHeader is the header frame persisted for res under key.
+func newArtifactHeader(key experiments.ResultKey, res *core.Result) artifactHeader {
+	return artifactHeader{
 		Version:          artifactVersion,
 		GraphFingerprint: key.Graph,
 		Method:           keyMethod(key),
@@ -173,35 +136,37 @@ func writeArtifact(w io.Writer, key experiments.ResultKey, res *core.Result) err
 		LossHistory:      res.LossHistory,
 		EmbeddingHash:    mathx.DigestMat(res.Model.Win),
 	}
-	if _, err := fw.WriteFrame(&hdr); err != nil {
-		return err
-	}
-	// The Mat-streaming writer persists spill-backed results at O(chunk)
-	// memory; for dense results it emits byte-identical frames to the
-	// []float64 path.
-	return core.WriteIndexedMats(fw, res.Model.Win, res.Model.Wout)
+}
+
+// writeArtifact streams res's v3 artifact. The Mat-streaming writer
+// persists spill-backed results at O(chunk) memory; for dense results it
+// emits byte-identical frames.
+func writeArtifact(w io.Writer, key experiments.ResultKey, res *core.Result) error {
+	hdr := newArtifactHeader(key, res)
+	return core.WriteIndexed(w, &hdr, res.Model.Win, res.Model.Wout)
 }
 
 // Load retrieves the persisted result for key, reporting false on any
 // miss: absent file, version skew, key mismatch (hash collision or a
-// renamed file), or corruption. A false simply means the service retrains
-// — the store can never poison a response.
+// renamed file), or corruption — including a Win whose digest disagrees
+// with the header's EmbeddingHash, the one checksum the format carries.
+// A false simply means the service retrains — the store can never poison
+// a response.
 func (st *Store) Load(key experiments.ResultKey) (*core.Result, bool) {
-	f, err := os.Open(st.path(key))
+	a, err := openArtifact(st.path(key))
 	if err != nil {
 		return nil, false
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
+	defer a.f.Close()
+	if a.check(key) != nil {
 		return nil, false
 	}
-	res, err := readArtifact(f, fi.Size(), key)
-	if err != nil {
+	win, wout, err := a.ix.DecodeAll(a.f, a.size)
+	if err != nil || mathx.DigestFloat64s(win) != a.hdr.EmbeddingHash {
 		return nil, false
 	}
 	st.hits.Add(1)
-	return res, true
+	return a.hdr.result(win, wout), true
 }
 
 // sweepPath places a sweep artifact. Sweep IDs are "s" + 16 hex digits —
@@ -219,7 +184,7 @@ func (st *Store) SaveSweep(res *spec.SweepResultResponse) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(st.sweepPath(res.ID), func(w io.Writer) error {
+	return replica.WriteFileAtomic(st.sweepPath(res.ID), func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	})
@@ -268,26 +233,6 @@ func (hdr *artifactHeader) result(win, wout []float64) *core.Result {
 		DeltaSpent:      hdr.DeltaSpent,
 		LossHistory:     hdr.LossHistory,
 	}
-}
-
-// readArtifact decodes the size-byte artifact stream r.
-func readArtifact(r io.Reader, size int64, key experiments.ResultKey) (*core.Result, error) {
-	cr, err := core.ReadStreamMagic(r)
-	if err != nil {
-		return nil, err
-	}
-	var hdr artifactHeader
-	if err := core.ReadFrameSeq(cr, &hdr); err != nil {
-		return nil, err
-	}
-	if err := checkHeader(&hdr, key); err != nil {
-		return nil, err
-	}
-	win, wout, err := core.ReadIndexedMatricesSeq(cr, hdr.Nodes, hdr.Dim, size)
-	if err != nil {
-		return nil, err
-	}
-	return hdr.result(win, wout), nil
 }
 
 // LoadRows decodes only rows [lo, hi) of the persisted embedding for key,
@@ -341,12 +286,7 @@ func openArtifact(path string) (*indexedArtifact, error) {
 	fi, err := f.Stat()
 	if err == nil {
 		a.size = fi.Size()
-		a.ix, err = core.ReadRowIndex(f, a.size)
-	}
-	if err == nil {
-		if err = core.ReadFrameAt(f, 8, a.size, &a.hdr); err != nil {
-			err = fmt.Errorf("reading header: %w", err)
-		}
+		a.ix, err = core.OpenIndexed(f, a.size, &a.hdr)
 	}
 	if err != nil {
 		f.Close()

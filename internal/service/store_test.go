@@ -3,9 +3,9 @@ package service
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
+	"encoding/gob"
 	"encoding/hex"
-	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -93,35 +93,6 @@ func TestStoreRoundTripAndRows(t *testing.T) {
 	}
 }
 
-// TestWriteFileAtomicFailureKeepsPrevious: a writer that fails midway
-// leaves the previous file byte-for-byte intact and no ".tmp" behind.
-func TestWriteFileAtomicFailureKeepsPrevious(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "a.result.gob")
-	if err := writeFileAtomic(path, func(w io.Writer) error {
-		_, err := w.Write([]byte("previous"))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("disk full")
-	err := writeFileAtomic(path, func(w io.Writer) error {
-		if _, err := w.Write([]byte("torn")); err != nil {
-			return err
-		}
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the writer's error", err)
-	}
-	if got, err := os.ReadFile(path); err != nil || string(got) != "previous" {
-		t.Fatalf("previous file now %q (err %v), want it intact", got, err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("temp file left behind: stat err = %v", err)
-	}
-}
-
 // TestStoreRejectsCorruptArtifacts: a damaged index or truncated file is
 // a loud error on the windowed path and a clean miss (retrain) on Load —
 // never a wrong answer.
@@ -163,38 +134,58 @@ func TestStoreRejectsCorruptArtifacts(t *testing.T) {
 // TestLoadHostileShapeIsMiss: an artifact whose header matches the key
 // but claims a 2^17×2^17 shape in a few hundred bytes is a clean miss that
 // allocates under 1 MiB — one corrupt file in a shared store must not
-// crash every replica that loads it.
+// crash every replica that loads it. The claim is made twice: by the
+// header over a real one-chunk index, and by the row index itself behind
+// a well-formed trailer.
 func TestLoadHostileShapeIsMiss(t *testing.T) {
 	st, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := storeKey(6)
-	var buf bytes.Buffer
-	fw := core.NewFrameWriter(&buf)
-	if err := fw.WriteStreamMagic(); err != nil {
-		t.Fatal(err)
-	}
 	hdr := artifactHeader{Version: artifactVersion, GraphFingerprint: key.Graph, Method: keyMethod(key),
 		Proximity: key.Proximity, ConfigHash: key.Config, Nodes: 1 << 17, Dim: 1 << 17}
-	if _, err := fw.WriteFrame(&hdr); err != nil {
+	var real bytes.Buffer
+	small := mathx.NewMatrix(1, 8)
+	if err := core.WriteIndexed(&real, &hdr, small, small); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fw.WriteFrame(make([]float64, 8)); err != nil {
+	headerClaim := real.Bytes()
+	var h artifactHeader
+	ix, err := core.OpenIndexed(bytes.NewReader(headerClaim), int64(len(headerClaim)), &h)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(st.path(key), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+
+	// The same header under an index claiming the shape, spelled out frame
+	// by frame ([8-byte length][gob]) between the real stream's two magics.
+	frame := func(v any) []byte {
+		var p bytes.Buffer
+		if err := gob.NewEncoder(&p).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return append(binary.BigEndian.AppendUint64(nil, uint64(p.Len())), p.Bytes()...)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, ok := st.Load(key)
-	runtime.ReadMemStats(&after)
-	if ok {
-		t.Error("Load accepted an artifact claiming a 2^17×2^17 shape")
-	}
-	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
-		t.Errorf("Load of a %d-byte artifact allocated %d bytes, want < 1 MiB", buf.Len(), n)
+	indexClaim := append(headerClaim[:8:8], frame(&hdr)...)
+	indexOff := len(indexClaim)
+	indexClaim = append(indexClaim, frame(&core.RowIndex{ChunkFloats: ix.ChunkFloats, Rows: 1 << 17, Cols: 1 << 17})...)
+	indexClaim = binary.BigEndian.AppendUint64(indexClaim, uint64(indexOff))
+	indexClaim = append(indexClaim, headerClaim[len(headerClaim)-8:]...)
+
+	for name, raw := range map[string][]byte{"header": headerClaim, "index": indexClaim} {
+		if err := os.WriteFile(st.path(key), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, ok := st.Load(key)
+		runtime.ReadMemStats(&after)
+		if ok {
+			t.Errorf("%s claim: Load accepted an artifact claiming a 2^17×2^17 shape", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s claim: Load of a %d-byte artifact allocated %d bytes, want < 1 MiB", name, len(raw), n)
+		}
 	}
 }
 
@@ -276,14 +267,16 @@ func TestStorePathSanitization(t *testing.T) {
 	}
 }
 
-// FuzzArtifactByID feeds arbitrary bytes to the by-ID read path — a peer
-// replica's artifact, or a forgotten job's, as hostile disk input: the
-// bytes are stored under a real job ID's artifact name, then read through
-// the metadata lookup and Service.ResultRows. Reading must never panic. A
-// truncated artifact is always an error; the intact one reads back its
-// rows; and whenever a mutated file does yield a window (the format has no
-// checksum, so a flipped value decodes as a valid window), the window
-// agrees with the metadata record served for the same ID.
+// FuzzArtifactByID feeds arbitrary bytes to the artifact read paths — a
+// peer replica's artifact, or a forgotten job's, as hostile disk input:
+// the bytes are stored under a real job ID's artifact name, then read
+// through the metadata lookup, Service.ResultRows and the full Store.Load.
+// Reading must never panic. A truncated artifact is always an error or a
+// miss; the intact one reads back its rows and loads whole; whenever a
+// mutated file does yield a window (a window is not checked against the
+// header's EmbeddingHash, so a flipped value decodes as a valid window),
+// the window agrees with the metadata record served for the same ID; and
+// a full load allocates no more than FuzzDecodeCheckpoint allows.
 func FuzzArtifactByID(f *testing.F) {
 	key := storeKey(5)
 	res := fakeResult(40, 5)
@@ -309,17 +302,32 @@ func FuzzArtifactByID(f *testing.F) {
 		}
 		meta, metaOK := s.ArtifactMeta(id)
 		win, err := s.ResultRows(id, lo, hi)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		full, loadOK := s.store.Load(key)
+		runtime.ReadMemStats(&after)
+		// FuzzDecodeCheckpoint's bound: a fixed allowance, encoding/gob's
+		// 10 MiB claim cap, and a constant multiple of the input.
+		if n, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+10<<20+256*len(data)); n > bound {
+			t.Fatalf("loading %d bytes allocated %d, want <= %d", len(data), n, bound)
+		}
+		if loadOK && (!metaOK || mathx.DigestMat(full.Model.Win) != meta.EmbeddingHash) {
+			t.Fatalf("loaded a result whose hash disagrees with the metadata (meta ok=%v)", metaOK)
+		}
 		switch {
 		case bytes.Equal(data, intact):
-			if !metaOK || err != nil {
-				t.Fatalf("intact artifact: meta ok=%v, rows err=%v", metaOK, err)
+			if !metaOK || err != nil || !loadOK {
+				t.Fatalf("intact artifact: meta ok=%v, rows err=%v, load ok=%v", metaOK, err, loadOK)
 			}
 			if !reflect.DeepEqual(win.Rows.Data, want.Data) {
 				t.Fatal("intact artifact: window diverges from the saved rows")
 			}
+			if !reflect.DeepEqual(full.Model.Win, res.Model.Win) {
+				t.Fatal("intact artifact: loaded Win diverges from the saved one")
+			}
 		case bytes.HasPrefix(intact, data):
-			if metaOK || err == nil {
-				t.Fatalf("%d-byte truncation: meta ok=%v, rows err=%v", len(data), metaOK, err)
+			if metaOK || err == nil || loadOK {
+				t.Fatalf("%d-byte truncation: meta ok=%v, rows err=%v, load ok=%v", len(data), metaOK, err, loadOK)
 			}
 		case err == nil:
 			if !metaOK {

@@ -153,7 +153,10 @@ const (
 )
 
 // DecodeCheckpoint reads a checkpoint previously written with
-// Checkpoint.Encode (e.g. from a file), for use with WithResume.
+// Checkpoint.Encode, for use with WithResume. ra is the stream (an
+// *os.File or *bytes.Reader) and size its byte length, as for
+// DecodeCheckpointRows; a stream in any other format, or one whose frames
+// do not tile it exactly, is an error.
 var DecodeCheckpoint = core.DecodeCheckpoint
 
 // DecodeCheckpointRows decodes only rows [lo, hi) of the embedding matrix

@@ -118,7 +118,7 @@ func TestSessionCancelResumeAcceptance(t *testing.T) {
 		if err := partial.Checkpoint.Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
-		ck, err := seprivgemb.DecodeCheckpoint(&buf)
+		ck, err := seprivgemb.DecodeCheckpoint(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 		if err != nil {
 			t.Fatal(err)
 		}
