@@ -92,7 +92,12 @@ func AddRowNoise(x *mathx.Matrix, sd float64, s xrand.Stream) {
 	if sd <= 0 {
 		return
 	}
-	for k := range x.Data {
-		x.Data[k] += sd * s.NormalAt(uint64(k))
+	z := make([]float64, x.Cols)
+	for r := 0; r < x.Rows; r++ {
+		row := x.Row(r)
+		s.NormalsAt(z, uint64(r*x.Cols))
+		for c := range row {
+			row[c] += sd * z[c]
+		}
 	}
 }

@@ -10,14 +10,14 @@ import (
 	"seprivgemb/internal/xrand"
 )
 
-// BenchmarkApplyUpdate measures the perturb-and-apply stage in isolation —
-// the serial tail PR 2 shards. Sub-benchmarks are strategy × worker count;
-// the output matrix is bit-identical across worker counts (the stage's
+// BenchmarkApplyUpdate measures the perturb-and-apply stage in isolation at
+// the paper's r = 128. Sub-benchmarks are strategy × worker count; the
+// output matrix is bit-identical across worker counts (the stage's
 // determinism contract), so sub-benchmarks differ in wall-clock and
-// per-worker CPU split only. Allocations should stay flat across worker
-// counts: the accumulator pool is pre-sized and noise is computed in
-// registers off the counter stream. Speedups manifest on multi-core hosts;
-// see `make bench-json` / BENCH_pr2.json for the recorded trajectory.
+// per-worker CPU split only. Allocations stay at one closure per call at
+// every worker count: the accumulator vectors are pre-sized and each
+// worker fills its own noise row. Speedups manifest on multi-core hosts;
+// `make bench-json` records the trajectory.
 func BenchmarkApplyUpdate(b *testing.B) {
 	const numNodes = 4096
 	strategies := []struct {
@@ -31,12 +31,12 @@ func BenchmarkApplyUpdate(b *testing.B) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%sx%d", strat.label, workers), func(b *testing.B) {
 				cfg := DefaultConfig()
-				cfg.Dim = 64
+				cfg.Dim = 128
 				cfg.Strategy = strat.s
 				cfg.Workers = workers
 				// Populate an accumulator with a realistic touched-row set:
 				// (k+2)·B adds spread over the node range.
-				acc := newRowAccumulator(cfg.Dim, (cfg.K+2)*cfg.BatchSize)
+				acc := newRowAccumulator(cfg.Dim, (cfg.K+2)*cfg.BatchSize, numNodes)
 				rng := xrand.New(7)
 				gvec := make([]float64, cfg.Dim)
 				for i := 0; i < (cfg.K+2)*cfg.BatchSize; i++ {

@@ -44,8 +44,9 @@ func (s StopReason) String() string {
 // one-shot setup stages (Algorithm 1's subgraphs, then the structure-
 // preference weight fill) and the three per-epoch stages of the engine.
 // The per-stage clocks are cumulative over the run so far, so Total()
-// plus hook/accountant overhead approximates EpochStats.Elapsed; a
-// resumed run counts from the resume.
+// plus hook overhead approximates EpochStats.Elapsed; the accountant
+// step, also outside Total(), adds one cached vector per epoch and is
+// negligible. A resumed run counts from the resume.
 type StageTimings struct {
 	// Subgraphs is Algorithm 1's subgraph pass (line 2 of Algorithm 2).
 	Subgraphs time.Duration
@@ -235,7 +236,6 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 
 	res := &Result{Model: model}
 	startEpoch := 0
-	noiseFloor := 0 // epochs of naive noise the restored matrices carry
 	if ck := hooks.Resume; ck != nil {
 		// Row-wise restore loads the dense checkpoint matrices into
 		// whichever tier THIS run selected — a run may resume under a
@@ -243,7 +243,6 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 		// since the budget is outside the config hash.
 		mathx.CopyIntoMat(model.Win, ck.Win)
 		mathx.CopyIntoMat(model.Wout, ck.Wout)
-		noiseFloor = ck.Epoch
 		rng.Restore(ck.RNG)
 		if cfg.Private {
 			noise = xrand.StreamFromState(ck.Noise)
@@ -270,22 +269,17 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 
 	eng := newEngine(model, subs, weights, cfg, noise)
 	defer eng.close()
-	// A checkpoint is captured only after finalizeNoise, so restored
-	// matrices are fully noised through their epoch — mark that floor.
-	eng.setNoiseFloor(noiseFloor)
 	// An epoch touches at most B distinct Win rows (one center per
-	// example) and (k+1)·B distinct Wout rows; pre-sizing the pools keeps
-	// the accumulators allocation-free on the hot path.
-	accIn := newRowAccumulator(cfg.Dim, cfg.BatchSize)
-	accOut := newRowAccumulator(cfg.Dim, (cfg.K+1)*cfg.BatchSize)
+	// example) and (k+1)·B distinct Wout rows; pre-sizing the vectors
+	// keeps the accumulators allocation-free on the hot path.
+	accIn := newRowAccumulator(cfg.Dim, cfg.BatchSize, g.NumNodes())
+	accOut := newRowAccumulator(cfg.Dim, (cfg.K+1)*cfg.BatchSize, g.NumNodes())
 
 	// emitCheckpoint snapshots the run at the current epoch boundary,
-	// records it on the Result, and feeds the Checkpoint hook. Deferred
-	// naive noise is settled first so the captured matrices equal the
-	// eager path's state at this boundary (capture is dense — O(|V|·r) —
-	// even for spilled runs; DESIGN.md §15 records the limitation).
+	// records it on the Result, and feeds the Checkpoint hook (capture is
+	// dense — O(|V|·r) — even for spilled runs; DESIGN.md §15 records the
+	// limitation).
 	emitCheckpoint := func() {
-		eng.finalizeNoise(res.Epochs)
 		res.Checkpoint = captureCheckpoint(g, cfg, model, rng, noise, acct, res)
 		if hooks.Checkpoint != nil {
 			hooks.Checkpoint(res.Checkpoint)
@@ -309,11 +303,8 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 		accIn.reset()
 		accOut.reset()
 		// Spill tier: pin the chunks covering the batch's touched rows for
-		// the whole epoch (so the parallel stages never fault or evict),
-		// then settle any naive noise those rows deferred — BEFORE the
-		// gradient stage reads them.
+		// the whole epoch, so the parallel stages never fault or evict.
 		eng.pinEpoch(idx)
-		eng.catchUpEpoch(idx, epoch)
 		// Per-example losses, unscaled gradients and clip factors (the
 		// stage that parallelizes across cfg.Workers)...
 		lossSum := eng.computeStage(idx)
@@ -369,9 +360,6 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 		}
 	}
 	res.Stages = stages // covers runs whose loop never entered (resume at budget)
-	// Settle all deferred naive noise before the model escapes: the
-	// returned matrices must equal the eager path's bit for bit.
-	eng.finalizeNoise(res.Epochs)
 	// Final snapshot for callers that asked for checkpoints, unless the
 	// periodic cadence already produced one at this exact boundary.
 	if (hooks.CheckpointEvery > 0 || hooks.Checkpoint != nil) &&

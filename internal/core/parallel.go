@@ -99,10 +99,17 @@ type engine struct {
 
 	// Worker pool (workers > 1): one channel per worker, so a span routed
 	// to index w always runs on goroutine w — the mechanism behind the
-	// update stage's row ownership (see forOwnerSegments).
-	task func(lo, hi int)
+	// update stage's row ownership (see forOwnerSegments). Tasks receive
+	// w, so per-worker scratch needs no locking.
+	task func(w, lo, hi int)
 	jobs []chan span
 	wg   sync.WaitGroup
+
+	// z holds one noise row per worker for the update stage (private runs
+	// only), and zero is the all-zero gradient row of an untouched row
+	// under StrategyNaive.
+	z    [][]float64
+	zero []float64
 
 	// owned is the fixed row-ownership partition of the update stage:
 	// worker w owns the contiguous model row range owned[w] for the life
@@ -120,14 +127,6 @@ type engine struct {
 	winSpill, woutSpill *mathx.SpillMatrix
 	pinsIn, pinsOut     []int32
 	pinBuf              []int32
-
-	// Lazy naive noise (spill runs under StrategyNaive): instead of the
-	// eager |V|×r noise sweep per epoch, untouched rows defer their noise
-	// and catch up — in epoch order, bit-identically — when next touched
-	// or at finalizeNoise. lastIn/lastOut[r] is the epoch count whose
-	// noise row r has absorbed.
-	lazyNaive       bool
-	lastIn, lastOut []int32
 }
 
 // newEngine builds the engine for one Train call. For workers > 1 it
@@ -164,16 +163,13 @@ func newEngine(model *skipgram.Model, subs []Subgraph, weights []float64, cfg Co
 			e.winSpill = sw
 			e.woutSpill, _ = model.Wout.(*mathx.SpillMatrix)
 		}
-		// The lazy path exists for the spill tier — an eager naive sweep
-		// would fault every chunk of both matrices every epoch — but its
-		// catch-up replay is bit-identical to the eager sweep (see
-		// applyUpdate), so activating it is a residency decision only.
-		e.lazyNaive = e.winSpill != nil && cfg.Private && cfg.Strategy == StrategyNaive
-		if e.lazyNaive {
-			n := model.Win.NumRows()
-			e.lastIn = make([]int32, n)
-			e.lastOut = make([]int32, n)
+	}
+	if cfg.Private {
+		e.z = make([][]float64, max(e.workers, 1))
+		for w := range e.z {
+			e.z[w] = make([]float64, cfg.Dim)
 		}
+		e.zero = make([]float64, cfg.Dim)
 	}
 	if e.workers > 1 {
 		e.jobs = make([]chan span, e.workers)
@@ -196,7 +192,7 @@ func (e *engine) close() {
 // task on each.
 func (e *engine) workerLoop(w int) {
 	for sp := range e.jobs[w] {
-		e.task(sp.lo, sp.hi)
+		e.task(w, sp.lo, sp.hi)
 		e.wg.Done()
 	}
 }
@@ -205,13 +201,13 @@ func (e *engine) workerLoop(w int) {
 // inline and in order when serial. Dispatch is always from the single
 // Train goroutine, so installing e.task before the sends is race-free (the
 // channel send happens-before the worker's read).
-func (e *engine) dispatch(spans []span, task func(lo, hi int)) {
+func (e *engine) dispatch(spans []span, task func(w, lo, hi int)) {
 	if len(spans) == 0 {
 		return
 	}
 	if e.jobs == nil || len(spans) == 1 {
-		for _, sp := range spans {
-			task(sp.lo, sp.hi)
+		for w, sp := range spans {
+			task(w, sp.lo, sp.hi)
 		}
 		return
 	}
@@ -226,12 +222,12 @@ func (e *engine) dispatch(spans []span, task func(lo, hi int)) {
 
 // forSpans runs task over [0, n) — inline when serial, sharded into
 // near-equal contiguous spans across the pool otherwise.
-func (e *engine) forSpans(n int, task func(lo, hi int)) {
+func (e *engine) forSpans(n int, task func(w, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	if e.jobs == nil || e.workers <= 1 || n == 1 {
-		task(0, n)
+		task(0, 0, n)
 		return
 	}
 	e.dispatch(splitSpans(n, e.workers), task)
@@ -262,12 +258,12 @@ func (e *engine) ownership(nRows int) []span {
 // accumulators are complete before this dispatch — so ownership moves no
 // arithmetic and the result stays bit-identical to any other layout
 // (disjoint rows, index-addressed noise).
-func (e *engine) forOwnerSegments(rows []int32, nRows int, task func(lo, hi int)) {
+func (e *engine) forOwnerSegments(rows []int32, nRows int, task func(w, lo, hi int)) {
 	if len(rows) == 0 {
 		return
 	}
 	if e.jobs == nil || e.workers <= 1 {
-		task(0, len(rows))
+		task(0, 0, len(rows))
 		return
 	}
 	owned := e.ownership(nRows)
@@ -314,7 +310,7 @@ func (e *engine) computeSub(si int, sl *slot) {
 // the pool otherwise), and returns the batch loss summed in batch order.
 func (e *engine) computeStage(idx []int) float64 {
 	e.idx = idx
-	e.forSpans(len(idx), func(lo, hi int) {
+	e.forSpans(len(idx), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e.computeSub(e.idx[i], &e.slots[i])
 		}
@@ -366,9 +362,9 @@ func (e *engine) applyUpdate(w mathx.Mat, acc *rowAccumulator, epoch int, matrix
 	nRows := w.NumRows()
 	if !cfg.Private {
 		rows := acc.sortedRows()
-		e.forOwnerSegments(rows, nRows, func(lo, hi int) {
+		e.forOwnerSegments(rows, nRows, func(_, lo, hi int) {
 			for _, row := range rows[lo:hi] {
-				mathx.AXPY(-lr, acc.rows[row], w.Row(int(row)))
+				mathx.AXPY(-lr, acc.row(row), w.Row(int(row)))
 			}
 		})
 		return
@@ -379,130 +375,26 @@ func (e *engine) applyUpdate(w mathx.Mat, acc *rowAccumulator, epoch int, matrix
 		// sensitivity C tolerated by the mechanism.
 		sd := cfg.Clip * cfg.Sigma
 		rows := acc.sortedRows()
-		e.forOwnerSegments(rows, nRows, func(lo, hi int) {
+		e.forOwnerSegments(rows, nRows, func(wk, lo, hi int) {
 			for _, row := range rows[lo:hi] {
-				e.perturbRow(w.Row(int(row)), acc.rows[row], epoch, matrix, int(row), lr, sd)
+				e.perturbRow(w.Row(int(row)), acc.row(row), e.z[wk], epoch, matrix, int(row), lr, sd)
 			}
 		})
 	case StrategyNaive:
 		// Eq. (6): noise at the worst-case sensitivity S_∇v = B·C lands on
 		// every row of the |V|×r gradient, touched or not.
 		sd := float64(cfg.BatchSize) * cfg.Clip * cfg.Sigma
-		if e.lazyNaive {
-			// Lazy path (spill tier): only the epoch's touched rows are
-			// visited now — catchUpEpoch already replayed their deferred
-			// noise before the gradient stage read them, so each touched
-			// row needs exactly its epoch-`epoch` fused grad+noise op here.
-			// Untouched rows owe this epoch's pure-noise op and will
-			// receive it on their next touch or at finalizeNoise.
-			last := e.lastNoised(matrix)
-			rows := acc.sortedRows()
-			e.forOwnerSegments(rows, nRows, func(lo, hi int) {
-				for _, row := range rows[lo:hi] {
-					e.perturbRow(w.Row(int(row)), acc.rows[row], epoch, matrix, int(row), lr, sd)
-					last[row] = int32(epoch + 1)
-				}
-			})
-			return
-		}
-		e.dispatch(e.ownership(nRows), func(lo, hi int) {
+		e.dispatch(e.ownership(nRows), func(wk, lo, hi int) {
 			for r := lo; r < hi; r++ {
-				e.perturbRow(w.Row(r), acc.rows[int32(r)], epoch, matrix, r, lr, sd)
+				g := acc.row(int32(r))
+				if g == nil {
+					g = e.zero
+				}
+				e.perturbRow(w.Row(r), g, e.z[wk], epoch, matrix, r, lr, sd)
 			}
 		})
 	default:
 		panic(fmt.Sprintf("core: unknown strategy %v", cfg.Strategy))
-	}
-}
-
-// lastNoised returns the lazy-noise epoch counters for the given matrix.
-func (e *engine) lastNoised(matrix uint64) []int32 {
-	if matrix == matWin {
-		return e.lastIn
-	}
-	return e.lastOut
-}
-
-// setNoiseFloor marks every row of both matrices as having absorbed all
-// naive noise through epoch — the resume entry point: a checkpoint is
-// captured only after finalizeNoise, so the restored matrices are exactly
-// at that floor.
-func (e *engine) setNoiseFloor(epoch int) {
-	if !e.lazyNaive || epoch == 0 {
-		return
-	}
-	for i := range e.lastIn {
-		e.lastIn[i] = int32(epoch)
-	}
-	for i := range e.lastOut {
-		e.lastOut[i] = int32(epoch)
-	}
-}
-
-// finalizeNoise replays every deferred naive-noise row up through `epochs`
-// completed epochs. TrainContext calls it at every boundary where the
-// matrices escape the engine — checkpoint capture, cancellation, run end —
-// so no observer ever sees a matrix missing noise the eager path would
-// have applied. The sweep is serial and row-ascending: chunk-sequential
-// over a spill file, and pure per-row replay, so it cannot perturb the
-// bit-contract.
-func (e *engine) finalizeNoise(epochs int) {
-	if !e.lazyNaive || epochs == 0 {
-		return
-	}
-	sd := float64(e.cfg.BatchSize) * e.cfg.Clip * e.cfg.Sigma
-	lr := e.cfg.LearningRate
-	for _, m := range []struct {
-		w    mathx.Mat
-		id   uint64
-		last []int32
-	}{{e.model.Win, matWin, e.lastIn}, {e.model.Wout, matWout, e.lastOut}} {
-		for r := range m.last {
-			if int(m.last[r]) >= epochs {
-				continue
-			}
-			dst := m.w.Row(r)
-			for ep := int(m.last[r]); ep < epochs; ep++ {
-				e.perturbRow(dst, nil, ep, m.id, r, lr, sd)
-			}
-			m.last[r] = int32(epochs)
-		}
-	}
-}
-
-// catchUpEpoch replays the deferred naive noise owed to every row the
-// epoch's batch touches, bringing them current through epoch-1 BEFORE the
-// gradient stage reads them. This is the step that makes the lazy path
-// bit-identical to the eager sweep: an untouched row's eager update is the
-// pure-noise op dst[d] -= lr·(0 + sd·z), and 0 + x == x exactly in
-// float64, so replaying those ops per row in epoch order — before any
-// reader — executes the identical FP operations in the identical
-// per-coordinate order, just later in wall-clock. Rows may repeat in the
-// batch; the per-row counters make the replay idempotent. Must run after
-// pinEpoch (it faults the same chunks the pin set holds).
-func (e *engine) catchUpEpoch(idx []int, epoch int) {
-	if !e.lazyNaive || epoch == 0 {
-		return
-	}
-	sd := float64(e.cfg.BatchSize) * e.cfg.Clip * e.cfg.Sigma
-	lr := e.cfg.LearningRate
-	catch := func(w mathx.Mat, matrix uint64, last []int32, row int32) {
-		if int(last[row]) >= epoch {
-			return
-		}
-		dst := w.Row(int(row))
-		for ep := int(last[row]); ep < epoch; ep++ {
-			e.perturbRow(dst, nil, ep, matrix, int(row), lr, sd)
-		}
-		last[row] = int32(epoch)
-	}
-	for _, si := range idx {
-		s := e.subs[si]
-		catch(e.model.Win, matWin, e.lastIn, s.I)
-		catch(e.model.Wout, matWout, e.lastOut, s.J)
-		for _, n := range s.Negs {
-			catch(e.model.Wout, matWout, e.lastOut, n)
-		}
 	}
 }
 
@@ -543,18 +435,15 @@ func (e *engine) unpinEpoch() {
 
 // perturbRow applies dst[d] -= lr·(g[d] + sd·noise(epoch, matrix, row, d))
 // for every coordinate d, one counter-addressed ziggurat normal per
-// coordinate. g may be nil (an untouched row under StrategyNaive).
-// dp.GaussianMechanismAt is the standalone form of this draw; it is fused
-// with the gradient subtraction here so the hot path makes a single pass
-// over the row.
-func (e *engine) perturbRow(dst, g []float64, epoch int, matrix uint64, row int, lr, sd float64) {
-	sub := e.noise.Derive(noiseKey(epoch, matrix, row))
+// coordinate: the row's noise is filled into the scratch z, then one loop
+// applies gradient and noise together. dp.GaussianMechanismAt is the
+// standalone form of this draw.
+func (e *engine) perturbRow(dst, g, z []float64, epoch int, matrix uint64, row int, lr, sd float64) {
+	z = z[:len(dst)]
+	g = g[:len(dst)]
+	e.noise.Derive(noiseKey(epoch, matrix, row)).NormalsAt(z, 0)
 	for d := range dst {
-		var gd float64
-		if g != nil {
-			gd = g[d]
-		}
-		dst[d] -= lr * (gd + sd*sub.NormalAt(uint64(d)))
+		dst[d] -= lr * (g[d] + sd*z[d])
 	}
 }
 

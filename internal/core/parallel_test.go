@@ -139,7 +139,7 @@ func TestApplyUpdateParallelMatchesSerial(t *testing.T) {
 				base.Private = private
 				base.Strategy = strat
 				// Build one accumulator shared (read-only) by all runs.
-				acc := newRowAccumulator(base.Dim, touched)
+				acc := newRowAccumulator(base.Dim, touched, numRows)
 				grng := xrand.New(31)
 				gvec := make([]float64, base.Dim)
 				for i := 0; i < touched; i++ {

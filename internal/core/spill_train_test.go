@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"strings"
 	"testing"
 
 	"seprivgemb/internal/graph"
@@ -32,8 +33,7 @@ func spillConfig() Config {
 
 // TestSpillMatchesDense is the tentpole determinism contract: the same
 // config trained on the spill tier — under any admissible budget, at any
-// worker count, under either perturbation strategy — is bit-identical to
-// the in-memory run.
+// worker count, private or not — is bit-identical to the in-memory run.
 func TestSpillMatchesDense(t *testing.T) {
 	g := spillGraph(t)
 	base := spillConfig()
@@ -51,7 +51,6 @@ func TestSpillMatchesDense(t *testing.T) {
 		private  bool
 	}{
 		{"nonzero", StrategyNonZero, true},
-		{"naive", StrategyNaive, true},
 		{"nonprivate", StrategyNonZero, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,15 +102,13 @@ func TestSpillMatchesDense(t *testing.T) {
 // TestSpillResumeSmallerBudget checks that the memory budget is a pure
 // execution knob across checkpoint/resume: a run checkpointed under one
 // budget resumes under a SMALLER budget (or none at all) and still lands
-// bit-identical to the uninterrupted in-memory run. Covers both
-// strategies — naive exercises the lazy-noise floor restored from the
-// checkpoint epoch.
+// bit-identical to the uninterrupted in-memory run.
 func TestSpillResumeSmallerBudget(t *testing.T) {
 	g := spillGraph(t)
 	for _, strat := range []struct {
 		name     string
 		strategy Strategy
-	}{{"nonzero", StrategyNonZero}, {"naive", StrategyNaive}} {
+	}{{"nonzero", StrategyNonZero}} {
 		t.Run(strat.name, func(t *testing.T) {
 			cfg := spillConfig()
 			cfg.Strategy = strat.strategy
@@ -170,8 +167,9 @@ func TestSpillResumeSmallerBudget(t *testing.T) {
 }
 
 // TestSpillBudgetValidation pins the admission contract: budgets below the
-// pinned working set are rejected with an actionable error, and a budget
-// at or above the dense footprint falls back to the dense tier.
+// pinned working set are rejected with an actionable error, the private
+// naive strategy is rejected with any budget, and a budget at or above the
+// dense footprint falls back to the dense tier.
 func TestSpillBudgetValidation(t *testing.T) {
 	g := spillGraph(t)
 	cfg := spillConfig()
@@ -185,6 +183,19 @@ func TestSpillBudgetValidation(t *testing.T) {
 	cfg.MemoryBudget = -1
 	if _, err := Train(g, proximity.NewDegree(g), cfg); err == nil {
 		t.Error("negative budget was accepted")
+	}
+
+	naive := cfg
+	naive.Strategy = StrategyNaive
+	for _, budget := range []int64{3 << 20, cfg.DenseStateBytes(g.NumNodes())} {
+		naive.MemoryBudget = budget
+		if _, err := Train(g, proximity.NewDegree(g), naive); err == nil || !strings.Contains(err.Error(), "naive") {
+			t.Errorf("naive strategy with a %d B budget: err = %v, want a rejection naming the strategy", budget, err)
+		}
+	}
+	naive.Private, naive.MemoryBudget = false, 3<<20 // the strategy is ignored without noise
+	if _, err := Train(g, proximity.NewDegree(g), naive); err != nil {
+		t.Errorf("non-private run with the naive strategy and a budget: %v", err)
 	}
 
 	cfg.MemoryBudget = cfg.DenseStateBytes(g.NumNodes())

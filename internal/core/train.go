@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/mathx"
@@ -68,8 +68,9 @@ type Config struct {
 	// weight matrices. 0 (the default) trains fully in memory; a positive
 	// budget smaller than the dense 2·|V|·r·8 bytes selects the spill tier
 	// (mathx.SpillMatrix): resident rows become an LRU window of 64 KiB
-	// chunks over an unlinked backing file, and the naive strategy's
-	// per-epoch |V|×r noise pass turns lazy (parallel.go). Like Workers,
+	// chunks over an unlinked backing file. The private naive strategy
+	// perturbs every row each epoch and so trains in memory only:
+	// validation rejects it with a positive budget. Like Workers,
 	// the budget is an execution knob, not an identity: results are
 	// bit-identical at every budget (and excluded from Config.Hash), so
 	// dedup, job IDs, and artifacts are unaffected. A positive budget below
@@ -156,6 +157,10 @@ func (c Config) validate(g *graph.Graph) error {
 		return fmt.Errorf("core: worker count %d must be >= 0", c.Workers)
 	case c.MemoryBudget < 0:
 		return fmt.Errorf("core: memory budget %d must be >= 0", c.MemoryBudget)
+	}
+	if c.Private && c.Strategy == StrategyNaive && c.MemoryBudget > 0 {
+		return fmt.Errorf("core: the naive strategy does not support a memory budget " +
+			"(its noise lands on every row each epoch, so it trains in memory only)")
 	}
 	if c.spillActive(g.NumNodes()) {
 		if min := c.MinMemoryBudget(g.NumNodes()); c.MemoryBudget < min {
@@ -290,80 +295,87 @@ func clipJoint(rows [][]float64, c float64) {
 }
 
 // rowAccumulator sums per-example gradient rows into a sparse matrix-shaped
-// accumulator keyed by row index. The pool is pre-sized at construction
-// (one contiguous backing array), so the per-epoch hot path neither
-// allocates nor zeroes: the first add to a row copies over whatever the
-// pooled vector last held, and later adds accumulate in place.
+// accumulator keyed by row index. slot[row] is one plus the index of the
+// row's vector in vecs (0 for a row untouched this epoch), and touched
+// lists the rows holding a vector, so reset costs the touched count, not
+// |V|. The vectors are pre-sized at construction (one contiguous backing
+// array), so the per-epoch hot path neither allocates nor zeroes: the
+// first add to a row overwrites whatever its vector last held, and later
+// adds accumulate in place.
 type rowAccumulator struct {
-	dim  int
-	rows map[int32][]float64
-	pool [][]float64
-	// scratch backs sortedRows so the per-epoch, per-matrix index sort
-	// reuses one allocation for the life of the accumulator.
-	scratch []int32
+	dim     int
+	slot    []int32
+	touched []int32
+	vecs    [][]float64
 }
 
-// newRowAccumulator pre-sizes the pool for maxRows distinct touched rows.
-// add falls back to a fresh allocation only if a caller underestimates
-// maxRows, so sizing is a performance contract, not a correctness one.
-func newRowAccumulator(dim, maxRows int) *rowAccumulator {
-	a := &rowAccumulator{dim: dim, rows: make(map[int32][]float64, maxRows)}
-	if maxRows > 0 {
-		backing := make([]float64, dim*maxRows)
-		a.pool = make([][]float64, maxRows)
-		for i := range a.pool {
-			a.pool[i] = backing[i*dim : (i+1)*dim : (i+1)*dim]
-		}
+// newRowAccumulator builds the accumulator of an nRows-row matrix and
+// pre-sizes vectors for maxRows distinct touched rows. claim falls back to
+// a fresh allocation only if a caller underestimates maxRows, so sizing
+// is a performance contract, not a correctness one.
+func newRowAccumulator(dim, maxRows, nRows int) *rowAccumulator {
+	a := &rowAccumulator{
+		dim:     dim,
+		slot:    make([]int32, nRows),
+		touched: make([]int32, 0, maxRows),
+		vecs:    make([][]float64, maxRows),
+	}
+	backing := make([]float64, dim*maxRows)
+	for i := range a.vecs {
+		a.vecs[i] = backing[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	return a
 }
 
-// reset returns every touched row to the pool. Rows are NOT zeroed: add
+// reset forgets every touched row. Vectors are NOT zeroed: addScaled
 // overwrites on first touch, so clearing here would be redundant work on
 // the hot path.
 func (a *rowAccumulator) reset() {
-	for k, v := range a.rows {
-		a.pool = append(a.pool, v)
-		delete(a.rows, k)
+	for _, r := range a.touched {
+		a.slot[r] = 0
 	}
+	a.touched = a.touched[:0]
+}
+
+// row returns the row's accumulated vector, or nil when the row was not
+// touched this epoch.
+func (a *rowAccumulator) row(r int32) []float64 {
+	if k := a.slot[r]; k > 0 {
+		return a.vecs[k-1]
+	}
+	return nil
 }
 
 // sortedRows returns the touched row indices in ascending order. The
-// returned slice aliases the accumulator's scratch buffer and is valid
-// until the next sortedRows call.
+// returned slice is the accumulator's own touched list, sorted in place,
+// and is valid until the next claim or reset.
 func (a *rowAccumulator) sortedRows() []int32 {
-	rows := a.scratch[:0]
-	for r := range a.rows {
-		rows = append(rows, r)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-	a.scratch = rows
-	return rows
+	slices.Sort(a.touched)
+	return a.touched
 }
 
-// claim returns the row's accumulator vector, taking one from the pool on
-// the row's first touch of the epoch. A first-touch vector is DIRTY — it
-// still holds whatever the previous epoch left in it — so the caller must
-// fully overwrite it before (or while) accumulating into it.
+// claim returns the row's accumulator vector, taking the next free vector
+// on the row's first touch of the epoch. A first-touch vector is DIRTY —
+// it still holds whatever the previous epoch left in it — so the caller
+// must fully overwrite it before (or while) accumulating into it.
 func (a *rowAccumulator) claim(row int32) (dst []float64, first bool) {
-	if got, ok := a.rows[row]; ok {
-		return got, false
+	if k := a.slot[row]; k > 0 {
+		return a.vecs[k-1], false
 	}
-	if n := len(a.pool); n > 0 {
-		dst = a.pool[n-1]
-		a.pool = a.pool[:n-1]
-	} else {
-		dst = make([]float64, a.dim)
+	n := len(a.touched)
+	if n == len(a.vecs) {
+		a.vecs = append(a.vecs, make([]float64, a.dim))
 	}
-	a.rows[row] = dst
-	return dst, true
+	a.touched = append(a.touched, row)
+	a.slot[row] = int32(n + 1)
+	return a.vecs[n], true
 }
 
 // addScaled accumulates f*g into the row's running sum, overwriting the
-// claimed pooled vector on the row's first touch of the epoch. Each
-// product f*g[d] is rounded on its own before the add — the rounding an
-// in-place Scale of g followed by an add would perform — so applying a
-// deferred clip factor here is bit-identical to clip-then-accumulate.
+// claimed vector on the row's first touch of the epoch. Each product
+// f*g[d] is rounded on its own before the add — the rounding an in-place
+// Scale of g followed by an add would perform — so applying a deferred
+// clip factor here is bit-identical to clip-then-accumulate.
 func (a *rowAccumulator) addScaled(row int32, f float64, g []float64) {
 	dst, first := a.claim(row)
 	dst = dst[:len(g)]

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"seprivgemb/internal/dp"
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/mathx"
 	"seprivgemb/internal/proximity"
@@ -92,6 +94,68 @@ func TestTrainPrivateAccountsBudget(t *testing.T) {
 	}
 }
 
+// TestTrainSpendMatchesFreshAccountant is the privacy invariant on the
+// running engine: the ε and δ̂ a private run reports equal those of a fresh
+// dp.Accountant composed res.Epochs times at γ = B/|E| — for a run that
+// completes, one the budget stops, and one resumed from a checkpoint. The
+// graph is large enough (γ ≈ 0.03) that subsampling amplifies the RDP
+// bound, so the reported spend depends on γ.
+func TestTrainSpendMatchesFreshAccountant(t *testing.T) {
+	g := graph.BarabasiAlbert(400, 3, xrand.New(42))
+	check := func(label string, cfg Config, res *Result) {
+		t.Helper()
+		acct := dp.NewAccountant(nil)
+		for i := 0; i < res.Epochs; i++ {
+			acct.AddGaussianStep(float64(cfg.BatchSize)/float64(g.NumEdges()), cfg.Sigma)
+		}
+		eps, _ := acct.EpsilonFor(cfg.Delta)
+		delta, _ := acct.DeltaFor(cfg.Epsilon)
+		if math.Float64bits(res.EpsilonSpent) != math.Float64bits(eps) ||
+			math.Float64bits(res.DeltaSpent) != math.Float64bits(delta) {
+			t.Errorf("%s: after %d epochs the run reports ε=%v δ̂=%v, a fresh accountant ε=%v δ̂=%v",
+				label, res.Epochs, res.EpsilonSpent, res.DeltaSpent, eps, delta)
+		}
+	}
+
+	stop := smallConfig()
+	stop.Sigma, stop.Epsilon = 1.5, 1 // spent at epoch 11 of 30
+	res, err := Train(g, proximity.NewDegree(g), stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.StoppedByBudget {
+		t.Fatalf("budget run did not stop on its budget after %d epochs", res.Epochs)
+	}
+	check("budget-stopped", stop, res)
+
+	cfg := smallConfig()
+	full, err := Train(g, proximity.NewDegree(g), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Stopped != StopCompleted {
+		t.Fatalf("run stopped at epoch %d: %v", full.Epochs, full.Stopped)
+	}
+	check("completed", cfg, full)
+
+	leg1 := cfg
+	leg1.MaxEpochs = 12
+	part, err := TrainContext(context.Background(), g, proximity.NewDegree(g), leg1,
+		Hooks{Checkpoint: func(*Checkpoint) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := TrainContext(context.Background(), g, proximity.NewDegree(g), cfg,
+		Hooks{Resume: part.Checkpoint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Epochs != cfg.MaxEpochs {
+		t.Fatalf("resumed run ended at epoch %d, want %d", resumed.Epochs, cfg.MaxEpochs)
+	}
+	check("resumed", cfg, resumed)
+}
+
 func TestTrainStopsOnBudget(t *testing.T) {
 	g := smallGraph(t)
 	cfg := smallConfig()
@@ -175,7 +239,7 @@ func TestApplyUpdateNonZeroTouchesOnlyAccumulatedRows(t *testing.T) {
 	cfg.Strategy = StrategyNonZero
 	w := mathx.NewMatrix(10, cfg.Dim)
 	orig := w.Clone()
-	acc := newRowAccumulator(cfg.Dim, 4)
+	acc := newRowAccumulator(cfg.Dim, 4, 10)
 	gvec := make([]float64, cfg.Dim)
 	gvec[0] = 1
 	acc.add(3, gvec)
@@ -201,7 +265,7 @@ func TestApplyUpdateNaiveTouchesAllRows(t *testing.T) {
 	cfg.Strategy = StrategyNaive
 	w := mathx.NewMatrix(10, cfg.Dim)
 	orig := w.Clone()
-	acc := newRowAccumulator(cfg.Dim, 4)
+	acc := newRowAccumulator(cfg.Dim, 4, 10)
 	applyWith(cfg, w, acc, 0, matWin, 6)
 	for r := 0; r < 10; r++ {
 		changed := false
@@ -226,7 +290,7 @@ func TestApplyUpdateNoiseScales(t *testing.T) {
 		c := cfg
 		c.Strategy = strategy
 		w := mathx.NewMatrix(2, c.Dim)
-		acc := newRowAccumulator(c.Dim, 1)
+		acc := newRowAccumulator(c.Dim, 1, 2)
 		acc.add(0, make([]float64, c.Dim)) // row 0 touched with zero grad
 		applyWith(c, w, acc, 0, matWin, 9)
 		return mathx.StdDev(w.Row(0))
@@ -266,21 +330,21 @@ func TestClipJoint(t *testing.T) {
 }
 
 func TestRowAccumulator(t *testing.T) {
-	acc := newRowAccumulator(3, 2)
+	acc := newRowAccumulator(3, 2, 6)
 	acc.add(1, []float64{1, 2, 3})
 	acc.add(1, []float64{1, 1, 1})
 	acc.add(5, []float64{9, 0, 0})
-	if got := acc.rows[1]; got[0] != 2 || got[1] != 3 || got[2] != 4 {
+	if got := acc.row(1); got[0] != 2 || got[1] != 3 || got[2] != 4 {
 		t.Errorf("row 1 accumulated to %v", got)
 	}
 	acc.reset()
-	if len(acc.rows) != 0 {
+	if len(acc.touched) != 0 || acc.row(1) != nil || acc.row(5) != nil {
 		t.Error("reset left rows behind")
 	}
 	// Reuse of a pooled (dirty) vector: the first add must fully overwrite
 	// whatever the previous epoch left in it.
 	acc.add(2, []float64{1, 1, 1})
-	if got := acc.rows[2]; got[0] != 1 || got[1] != 1 || got[2] != 1 {
+	if got := acc.row(2); got[0] != 1 || got[1] != 1 || got[2] != 1 {
 		t.Errorf("first add after reuse did not overwrite: %v", got)
 	}
 }
@@ -288,12 +352,12 @@ func TestRowAccumulator(t *testing.T) {
 func TestRowAccumulatorOverflowsPool(t *testing.T) {
 	// Undersized pool (and maxRows = 0) must still be correct, just slower.
 	for _, maxRows := range []int{0, 1} {
-		acc := newRowAccumulator(2, maxRows)
+		acc := newRowAccumulator(2, maxRows, 4)
 		for r := int32(0); r < 4; r++ {
 			acc.add(r, []float64{float64(r), 1})
 		}
 		for r := int32(0); r < 4; r++ {
-			if got := acc.rows[r]; got[0] != float64(r) || got[1] != 1 {
+			if got := acc.row(r); got[0] != float64(r) || got[1] != 1 {
 				t.Fatalf("maxRows=%d: row %d = %v", maxRows, r, got)
 			}
 		}

@@ -55,8 +55,10 @@ func GaussianMechanismAt(x []float64, sensitivity, sigma float64, st xrand.Strea
 	if sd == 0 {
 		return
 	}
+	z := make([]float64, len(x))
+	st.NormalsAt(z, base)
 	for i := range x {
-		x[i] += sd * st.NormalAt(base+uint64(i))
+		x[i] += sd * z[i]
 	}
 }
 

@@ -107,6 +107,10 @@ type Accountant struct {
 	orders []int
 	eps    []float64 // accumulated ε at each order
 	steps  int
+	// step caches the per-order RDP of one step at (gamma, sigma), the
+	// parameters of the last AddGaussianStep; empty until the first.
+	step         []float64
+	gamma, sigma float64
 }
 
 // NewAccountant returns an accountant over the given orders
@@ -128,10 +132,19 @@ func (a *Accountant) Steps() int { return a.steps }
 
 // AddGaussianStep composes one epoch of the subsampled Gaussian mechanism
 // with sampling rate gamma and noise multiplier sigma (Algorithm 2 line 8,
-// γ = B/|E|).
+// γ = B/|E|). The per-order vector is computed once per (gamma, sigma)
+// and reused while they stay the same, which a training run's do; the
+// totals are the same sums, in the same order, as recomputing each step.
 func (a *Accountant) AddGaussianStep(gamma, sigma float64) {
-	for i, ord := range a.orders {
-		a.eps[i] += SubsampledGaussianRDP(ord, gamma, sigma)
+	if len(a.step) == 0 || gamma != a.gamma || sigma != a.sigma {
+		step := make([]float64, len(a.orders))
+		for i, ord := range a.orders {
+			step[i] = SubsampledGaussianRDP(ord, gamma, sigma)
+		}
+		a.step, a.gamma, a.sigma = step, gamma, sigma
+	}
+	for i, v := range a.step {
+		a.eps[i] += v
 	}
 	a.steps++
 }

@@ -214,3 +214,44 @@ func TestSubsampledRDPPropertyBounds(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAccountantStepCacheMatchesRecompute pins AddGaussianStep's cached
+// per-order vector to per-step recomputation, bit for bit, across changes
+// of γ and σ together and of each alone, a change back, and a restore
+// through NewAccountantFromState between steps — and checks that a
+// repeated step allocates nothing.
+func TestAccountantStepCacheMatchesRecompute(t *testing.T) {
+	type params struct{ gamma, sigma float64 }
+	a, b := params{128.0 / 7000, 5}, params{0.05, 1.3}
+	sigmaOnly, gammaOnly := params{a.gamma, 2.5}, params{b.gamma, 2.5}
+	seq := []params{a, a, a, b, b, a, sigmaOnly, sigmaOnly, gammaOnly, a, b}
+	const restoreAfter = 4
+
+	acct := NewAccountant(nil)
+	want := make([]float64, len(DefaultOrders()))
+	for k, p := range seq {
+		if k == restoreAfter {
+			var err error
+			if acct, err = NewAccountantFromState(acct.State()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		acct.AddGaussianStep(p.gamma, p.sigma)
+		for i, ord := range DefaultOrders() {
+			want[i] += SubsampledGaussianRDP(ord, p.gamma, p.sigma)
+		}
+		st := acct.State()
+		for i, got := range st.Eps {
+			if math.Float64bits(got) != math.Float64bits(want[i]) {
+				t.Fatalf("step %d order %d: cached total %v, recomputed %v", k, st.Orders[i], got, want[i])
+			}
+		}
+		if st.Steps != k+1 {
+			t.Fatalf("step %d: Steps = %d", k, st.Steps)
+		}
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() { acct.AddGaussianStep(b.gamma, b.sigma) }); allocs != 0 {
+		t.Errorf("repeated AddGaussianStep allocates %.1f objects per call, want 0", allocs)
+	}
+}

@@ -8,6 +8,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"seprivgemb/internal/mathx"
 	"seprivgemb/internal/xrand"
@@ -220,15 +221,17 @@ func (g *Grads) AddNoise(sd float64, s xrand.Stream) {
 	if sd <= 0 {
 		return
 	}
+	var z []float64
 	for i := range g.W {
 		ls := s.Derive(uint64(i))
-		w := g.W[i].Data
+		w, b := g.W[i].Data, g.B[i]
+		z = slices.Grow(z[:0], len(w)+len(b))[:len(w)+len(b)]
+		ls.NormalsAt(z, 0)
 		for d := range w {
-			w[d] += sd * ls.NormalAt(uint64(d))
+			w[d] += sd * z[d]
 		}
-		off := uint64(len(w))
-		for d := range g.B[i] {
-			g.B[i][d] += sd * ls.NormalAt(off+uint64(d))
+		for d := range b {
+			b[d] += sd * z[len(w)+d]
 		}
 	}
 }

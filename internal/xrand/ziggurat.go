@@ -59,6 +59,22 @@ func (s Stream) NormalAt(i uint64) float64 {
 	return s.Derive(i).normalSlow(bits)
 }
 
+// NormalsAt fills dst[k] with NormalAt(base+k) for every k: the same
+// draws, bit for bit, with the core-rectangle test inlined so a noise row
+// costs one counter hash and one compare per coordinate.
+func (s Stream) NormalsAt(dst []float64, base uint64) {
+	for k := range dst {
+		i := base + uint64(k)
+		bits := mix64(s.base + (i+1)*golden)
+		j := bits & 0xff
+		if x := float64(int64(bits>>11)) * 0x1p-53 * zigX[j]; x < zigX[j+1] {
+			dst[k] = withSign(x, bits)
+			continue
+		}
+		dst[k] = s.Derive(i).normalSlow(bits)
+	}
+}
+
 // withSign returns x (≥ 0) negated when bit 8 of bits is set.
 func withSign(x float64, bits uint64) float64 {
 	return math.Float64frombits(math.Float64bits(x) | (bits&0x100)<<55)

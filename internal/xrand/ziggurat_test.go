@@ -109,6 +109,41 @@ func TestStreamNormalSlowBranches(t *testing.T) {
 	t.Logf("%d wedge draws (%d retried) and %d tail draws", len(wedge), len(retries), len(tail))
 }
 
+// TestNormalsAtMatchesNormalAt pins the row fill to the scalar sampler:
+// NormalsAt(dst, base) must equal NormalAt(base+k) bit for bit, over many
+// substreams and offsets (one that wraps past 2^64 among them), on rows
+// long enough that the wedge and tail branches are taken.
+func TestNormalsAtMatchesNormalAt(t *testing.T) {
+	root := NewStream(2025)
+	row := make([]float64, 1000)
+	var wedge, tail int
+	for key := uint64(0); key < 64; key++ {
+		sub := root.Derive(key)
+		for _, base := range []uint64{0, 1, 997, 1 << 40, ^uint64(0) - 500} {
+			sub.NormalsAt(row, base)
+			for k, got := range row {
+				i := base + uint64(k)
+				if want := sub.NormalAt(i); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("key %d base %d: NormalsAt[%d] = %v, NormalAt(%d) = %v", key, base, k, got, i, want)
+				}
+				bits := sub.Uint64At(i)
+				j := bits & 0xff
+				if x := float64(bits>>11) * 0x1p-53 * zigX[j]; x >= zigX[j+1] {
+					if j == 0 {
+						tail++
+					} else {
+						wedge++
+					}
+				}
+			}
+		}
+	}
+	if wedge == 0 || tail == 0 {
+		t.Fatalf("slow branches not exercised: %d wedge and %d tail draws", wedge, tail)
+	}
+	t.Logf("%d wedge and %d tail draws", wedge, tail)
+}
+
 func FuzzStreamNormalAt(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint64(0))
 	f.Add(uint64(42), uint64(7), uint64(1<<63))
@@ -177,6 +212,17 @@ func BenchmarkStreamNormalAt(b *testing.B) {
 		for d := range row {
 			row[d] = sub.NormalAt(uint64(d))
 		}
+	}
+	sinkF = row[0]
+}
+
+// BenchmarkStreamNormalsAt fills the same rows as BenchmarkStreamNormalAt
+// through the row fill.
+func BenchmarkStreamNormalsAt(b *testing.B) {
+	s := NewStream(1)
+	row := make([]float64, 128)
+	for k := uint64(0); b.Loop(); k++ {
+		s.Derive(k).NormalsAt(row, 0)
 	}
 	sinkF = row[0]
 }
