@@ -26,16 +26,14 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Fail on any file gofmt would rewrite (the CI hygiene gate). The
-# examples/ tree is gated explicitly — it holds runnable walkthroughs
-# that readers copy verbatim, so drift there is doc drift.
+# Fail on any file gofmt would rewrite (the CI hygiene gate).
 fmt-check:
-	@out=$$(gofmt -l . && gofmt -l examples); if [ -n "$$out" ]; then \
-		echo "gofmt needed on:"; echo "$$out" | sort -u; exit 1; \
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Markdown hygiene: link-check README/DESIGN/ROADMAP (and examples/) and
-# fail on dangling heading anchors — DESIGN.md is 15 cross-referenced
+# Markdown hygiene: link-check README/DESIGN/ROADMAP and the other root
+# markdown files and fail on dangling heading anchors — DESIGN.md is 15 cross-referenced
 # sections now, so a renamed heading must break CI, not a reader.
 md-check:
 	$(GO) run ./scripts/mdcheck .
@@ -47,10 +45,12 @@ md-check:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Race-detect the concurrent paths (the parallel training engine and the
-# service's job queue and sweep orchestrator live under internal/).
+# Race-detect the concurrent paths: the parallel training engine and the
+# service's job queue and sweep orchestrator live under internal/, and the
+# root package's Examples drive a Service and a sweep through the public
+# API. cmd/ is left out: cmd/experiments alone takes minutes under -race.
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race . ./internal/...
 
 # Root training-engine benchmarks; BenchmarkTrainWorkers tracks the
 # parallel engine's scaling curve.

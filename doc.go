@@ -71,7 +71,7 @@
 // retrains a cell; failed cells are recorded and excluded rather than
 // failing the sweep, and Cancel stops only cells no other submitter
 // holds. POST /v1/sweeps and `sepriv sweep -spec sweep.json` speak the
-// same contract over HTTP; examples/sweep is the walkthrough.
+// same contract over HTTP; ExampleService_SubmitSweep is the walkthrough.
 //
 // The server scales out as a replica set (DESIGN.md §14): N server
 // instances sharing one artifact directory coordinate purely through
@@ -81,8 +81,7 @@
 // serves the result, row windows, and events off the shared disk.
 // GET /v1/jobs/{id}/events streams per-epoch progress and the terminal
 // outcome over SSE, on owners and non-owners alike; NewReplicaManager +
-// ServiceOptions.Replica expose the same mode to the Go API, and
-// examples/replicas is the walkthrough.
+// ServiceOptions.Replica expose the same mode to the Go API.
 //
 // Training state is bounded too (DESIGN.md §15): by default a run holds
 // its two |V|×r weight matrices in memory, but WithMemoryBudget (or
@@ -94,8 +93,8 @@
 // budget, budgets never enter job identity, and checkpoints resume across
 // differing budgets. Servers cap per-job footprints with
 // ServiceOptions.MaxTrainingBytes (`sepriv serve -max-train-mem`); the README
-// "Capacity planning" section works the arithmetic. examples/outofcore is
-// the walkthrough.
+// "Capacity planning" section works the arithmetic. ExampleWithMemoryBudget
+// is the walkthrough.
 //
 // Training is deterministic in cfg.Seed and, with cfg.Workers > 1, runs
 // subgraph generation, the per-epoch gradient stage AND the DP noise/update

@@ -147,7 +147,7 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := cfg.validate(g); err != nil {
+	if err := cfg.Validate(g); err != nil {
 		return nil, err
 	}
 	// Reject a mismatched checkpoint before the O(|E|) setup below —

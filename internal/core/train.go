@@ -136,7 +136,10 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) validate(g *graph.Graph) error {
+// Validate reports whether cfg can train on g: the checks TrainContext
+// runs before any setup, exported so the serving layer can reject a bad
+// submission up front instead of failing the job.
+func (c Config) Validate(g *graph.Graph) error {
 	switch {
 	case g.NumEdges() == 0:
 		return fmt.Errorf("core: graph has no edges to train on")

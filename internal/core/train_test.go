@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"seprivgemb/internal/datasets"
 	"seprivgemb/internal/dp"
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/mathx"
@@ -304,6 +305,85 @@ func TestApplyUpdateNoiseScales(t *testing.T) {
 	gotNaive := estimate(StrategyNaive)
 	if math.Abs(gotNaive-wantNaive)/wantNaive > 0.1 {
 		t.Errorf("naive noise sd = %g, want approx %g", gotNaive, wantNaive)
+	}
+}
+
+// TestTrainNoiseCalibration checks the Eq. (6)/(9) noise scale on the
+// running engine, not on one isolated update. Two one-epoch private runs
+// at one seed differ only in the clip bound C. With C far above every
+// gradient norm nothing is clipped, so both runs share their
+// initialization, gradients and noise draws, and they differ by exactly
+// the noise term η·σ·ΔC·z. Under the non-zero strategy only the rows the
+// batch touched move (at most B Win rows and (K+1)·B Wout rows), with sd
+// η·ΔC·σ; under the naive strategy every row moves, with B times that sd.
+func TestTrainNoiseCalibration(t *testing.T) {
+	g, err := datasets.Generate("power", 0.2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumNodes()
+	base := DefaultConfig()
+	base.Dim = 64
+	base.MaxEpochs = 1
+	base.Seed = 1
+	const c1, c2 = 1e6, 2e6
+	run := func(strategy Strategy, clip float64) *Result {
+		cfg := base
+		cfg.Strategy, cfg.Clip = strategy, clip
+		res, err := TrainContext(context.Background(), g, proximity.NewDegree(g), cfg, Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	b := base.BatchSize
+	for _, tc := range []struct {
+		strategy        Strategy
+		scale           float64 // noise sd in units of η·ΔC·σ
+		maxWin, maxWout int     // rows the update may move
+	}{
+		{StrategyNonZero, 1, b, (base.K + 1) * b},
+		{StrategyNaive, float64(b), n, n},
+	} {
+		lo, hi := run(tc.strategy, c1), run(tc.strategy, c2)
+		want := tc.scale * base.LearningRate * (c2 - c1) * base.Sigma
+		for _, m := range []struct {
+			name    string
+			lo, hi  mathx.Mat
+			maxRows int
+		}{
+			{"Win", lo.Model.Win, hi.Model.Win, tc.maxWin},
+			{"Wout", lo.Model.Wout, hi.Model.Wout, tc.maxWout},
+		} {
+			var diffs []float64
+			moved := 0
+			for i := 0; i < n; i++ {
+				rl, rh := m.lo.Row(i), m.hi.Row(i)
+				same := true
+				for d := range rl {
+					same = same && rl[d] == rh[d]
+				}
+				if same {
+					continue
+				}
+				moved++
+				for d := range rl {
+					diffs = append(diffs, rh[d]-rl[d])
+				}
+			}
+			if moved == 0 || moved > m.maxRows {
+				t.Errorf("%v %s: noise moved %d rows, want 1..%d (every other row bit-equal)",
+					tc.strategy, m.name, moved, m.maxRows)
+				continue
+			}
+			if tc.strategy == StrategyNaive && moved != n {
+				t.Errorf("naive %s: noise moved %d of %d rows, want all", m.name, moved, n)
+			}
+			if sd := mathx.StdDev(diffs); math.Abs(sd/want-1) > 0.05 {
+				t.Errorf("%v %s: noise sd over %d moved rows = %g, want %g within 5%%",
+					tc.strategy, m.name, moved, sd, want)
+			}
+		}
 	}
 }
 

@@ -130,16 +130,16 @@ func List() []Info {
 // ValidateConfig checks cfg against the named method's admission
 // requirements — the checks that must reject a submission up front (the
 // serving layer maps the error to ErrInvalidSpec → 400) rather than fail a
-// job at training time. For the default method the core trainer's own
-// validation (which needs the resolved graph anyway) is authoritative; for
-// a baseline it is the same check the baseline's Train runs first.
+// job at training time. Each is the same check the method's Train runs
+// first: core.Config.Validate for the default method, validateBaseline
+// for a baseline.
 func ValidateConfig(name string, g *graph.Graph, cfg core.Config) error {
 	n, err := Canonical(name)
 	if err != nil {
 		return err
 	}
 	if n == Default {
-		return nil
+		return cfg.Validate(g)
 	}
 	return validateBaseline(n, g, cfg)
 }

@@ -87,6 +87,7 @@ func TestRegistryListing(t *testing.T) {
 func TestValidateConfig(t *testing.T) {
 	g := graph.BarabasiAlbert(30, 2, xrand.New(3))
 	ok := core.DefaultConfig()
+	ok.BatchSize = g.NumEdges()
 
 	if err := ValidateConfig("", g, ok); err != nil {
 		t.Errorf("default method rejected a default config: %v", err)
@@ -118,6 +119,15 @@ func TestValidateConfig(t *testing.T) {
 	badDelta.Delta = 1.5
 	if err := ValidateConfig("progap", g, badDelta); err == nil {
 		t.Error("delta > 1 accepted for a baseline")
+	}
+	// The default method runs the core trainer's own validation.
+	if err := ValidateConfig(Default, g, badDelta); err == nil {
+		t.Error("delta > 1 accepted for the default method")
+	}
+	bigBatch := ok
+	bigBatch.BatchSize = g.NumEdges() + 1
+	if err := ValidateConfig(Default, g, bigBatch); err == nil {
+		t.Error("batch above |E| accepted for the default method")
 	}
 }
 

@@ -111,7 +111,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // The wire shapes live in internal/spec, next to JobSpec, so clients
-// (sepriv fetch, examples, external tooling) decode exactly what the
+// (sepriv fetch, the bench client, external tooling) decode exactly what the
 // server encodes — the response half of the serving contract. Local
 // aliases keep the handlers readable.
 type (

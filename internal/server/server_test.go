@@ -142,6 +142,8 @@ func TestSubmitRejections(t *testing.T) {
 		{"inline nodes beyond 2·edges", `{"graph":{"inline":{"nodes":4000000000,"edges":[[0,1]]}},"proximity":"degree","config":{"seed":1}}`, http.StatusBadRequest},
 		{"escaping file path", `{"graph":{"file":{"path":"../x"}},"proximity":"degree","config":{"seed":1}}`, http.StatusBadRequest},
 		{"dataset scale above 1", `{"graph":{"dataset":{"name":"chameleon","scale":1e9,"seed":1}},"proximity":"deepwalk","config":{"seed":1}}`, http.StatusBadRequest},
+		{"naive strategy with a memory budget", `{"graph":{"inline":{"nodes":4,"edges":[[0,1],[1,2],[2,3]]}},"proximity":"degree","config":{"seed":1,"strategy":"naive","memoryBudget":1024}}`, http.StatusBadRequest},
+		{"memory budget below one epoch's rows", `{"graph":{"inline":{"nodes":4,"edges":[[0,1],[1,2],[2,3]]}},"proximity":"degree","config":{"seed":1,"memoryBudget":1}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, _ := postSpec(t, ts, tc.body)

@@ -96,3 +96,28 @@ func TestBaselineRejectsMemoryBudget(t *testing.T) {
 		t.Errorf("rejection does not explain the budget restriction: %v", err)
 	}
 }
+
+// TestDefaultMethodConfigRejectedAtSubmit: a config the core trainer
+// would refuse is a 400 on the Go API too, not a job that fails at
+// training time.
+func TestDefaultMethodConfigRejectedAtSubmit(t *testing.T) {
+	g := testGraph()
+	s := New(Options{MaxWorkers: 1})
+	defer s.Close()
+	naive := testCfg()
+	naive.Strategy = core.StrategyNaive
+	naive.MemoryBudget = 1024
+	tiny := testCfg()
+	tiny.MemoryBudget = 1
+	batch := testCfg()
+	batch.BatchSize = g.NumEdges() + 1
+	for name, cfg := range map[string]core.Config{
+		"naive with a memory budget": naive,
+		"one-byte memory budget":     tiny,
+		"batch above |E|":            batch,
+	} {
+		if _, err := s.Submit(g, proximity.NewDegree(g), cfg); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("%s: err = %v, want ErrInvalidSpec", name, err)
+		}
+	}
+}

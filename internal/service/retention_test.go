@@ -2,12 +2,16 @@ package service
 
 import (
 	"context"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"seprivgemb/internal/core"
+	"seprivgemb/internal/graph"
 	"seprivgemb/internal/proximity"
+	"seprivgemb/internal/xrand"
 )
 
 // fakeClock drives the job table's TTL logic deterministically.
@@ -165,17 +169,23 @@ func TestInFlightJobNeverEvicted(t *testing.T) {
 // that trains again.
 func TestFailedJobsAreNotAdopted(t *testing.T) {
 	s := newClockedService(t, Options{MaxWorkers: 1}, &fakeClock{t: time.Unix(1000, 0)})
-	g := testGraph()
+	// Submit rejects any config the trainer would, so a job fails only
+	// on a resource error at training time: here the spill file of a
+	// budgeted run cannot be created.
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	big := graph.BarabasiAlbert(2048, 2, xrand.New(9))
 	bad := testCfg()
-	bad.BatchSize = g.NumEdges() + 1 // rejected by core.Train
-	failed, err := s.Submit(g, proximity.NewDeepWalk(g), bad)
+	bad.Dim, bad.K, bad.BatchSize = 128, 2, 8
+	bad.MemoryBudget = bad.MinMemoryBudget(big.NumNodes())
+	failed, err := s.Submit(big, proximity.NewDegree(big), bad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := failed.Wait(context.Background()); err == nil || failed.Status() != StatusFailed {
-		t.Fatalf("oversized batch: status %v, err %v; want failed", failed.Status(), err)
+	if _, err := failed.Wait(context.Background()); err == nil || failed.Status() != StatusFailed ||
+		!strings.Contains(err.Error(), "spill file") {
+		t.Fatalf("unwritable spill dir: status %v, err %v; want failed on the spill file", failed.Status(), err)
 	}
-	again, err := s.Submit(g, proximity.NewDeepWalk(g), bad)
+	again, err := s.Submit(big, proximity.NewDegree(big), bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +193,10 @@ func TestFailedJobsAreNotAdopted(t *testing.T) {
 		t.Fatal("a failed job was adopted by its resubmission")
 	}
 	if _, err := again.Wait(context.Background()); err == nil {
-		t.Fatal("resubmitted oversized batch succeeded")
+		t.Fatal("resubmission with an unwritable spill dir succeeded")
 	}
+
+	g := testGraph()
 
 	long := testCfg()
 	long.MaxEpochs = 10000

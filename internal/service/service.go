@@ -721,9 +721,6 @@ func (s *Service) Submit(g *graph.Graph, prox proximity.Proximity, cfg core.Conf
 // methods and configs the method rejects (e.g. a non-positive privacy
 // budget for a baseline) fail with ErrInvalidSpec.
 func (s *Service) SubmitMethod(method string, g *graph.Graph, prox proximity.Proximity, cfg core.Config) (*Job, error) {
-	if err := methods.ValidateConfig(method, g, cfg); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
-	}
 	return s.submit(method, g, prox, cfg, 0, "")
 }
 
@@ -759,33 +756,34 @@ func (s *Service) SubmitSpec(sp spec.JobSpec) (*Job, error) {
 			ErrQuotaExceeded, sp.Tenant, n)
 	}
 	s.mu.Unlock()
-	// A dataset's node count is known before it is generated, and the
-	// memory cap depends on nothing else, so an oversized dataset spec is
-	// refused before it costs a generation and a memo entry. Errors in
-	// the method or config fall through to resolve and submit, which also
-	// re-check the cap on the resolved graph.
-	if ds := sp.Graph.Dataset; ds != nil {
-		n, nerr := datasets.Nodes(ds.Name, ds.Scale)
-		cfg, cerr := sp.Config.CoreConfig()
-		mname, merr := methods.Canonical(sp.Method)
-		if nerr == nil && cerr == nil && merr == nil {
-			if err := s.checkMemoryCap(mname, n, cfg); err != nil {
-				return nil, err
-			}
-		}
+	if err := s.checkDatasetCap(sp.Graph, sp.Method, sp.Config); err != nil {
+		return nil, err
 	}
 	g, prox, cfg, err := s.resolve(sp)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
-	// Method-specific config validation needs the resolved graph (batch
-	// clamping) and so runs after resolution but before admission: a
-	// baseline spec with a non-positive privacy budget must be a 400, not a
-	// job that fails at training time.
-	if err := methods.ValidateConfig(sp.Method, g, cfg); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
-	}
 	return s.submit(sp.Method, g, prox, cfg, sp.Priority, sp.Tenant)
+}
+
+// checkDatasetCap is memory admission before resolution: a dataset's node
+// count is known before it is generated, and the memory cap depends on
+// nothing else, so an oversized dataset source is refused before it costs
+// a generation and a memo entry. Other sources, and errors in the method
+// or config, pass here and are caught by resolve and submit, which also
+// re-check the cap on the resolved graph.
+func (s *Service) checkDatasetCap(src spec.GraphSource, method string, cs spec.ConfigSpec) error {
+	ds := src.Dataset
+	if ds == nil {
+		return nil
+	}
+	n, nerr := datasets.Nodes(ds.Name, ds.Scale)
+	cfg, cerr := cs.CoreConfig()
+	mname, merr := methods.Canonical(method)
+	if nerr != nil || cerr != nil || merr != nil {
+		return nil
+	}
+	return s.checkMemoryCap(mname, n, cfg)
 }
 
 // checkMemoryCap is per-job memory admission: a job's resident training
@@ -811,9 +809,15 @@ func (s *Service) checkMemoryCap(mname string, nodes int, cfg core.Config) error
 // submit is the shared admission path of both transports, and both train
 // on the proximity they hand in. The method name is canonicalized into the
 // key here, so "" and "sepriv" — and any future alias — land on one job.
+// The method's config validation runs here too, on the resolved graph: a
+// config the trainer would reject is a 400, not a job that fails at
+// training time.
 func (s *Service) submit(method string, g *graph.Graph, prox proximity.Proximity, cfg core.Config, priority int, tenant string) (*Job, error) {
 	mname, err := methods.Canonical(method)
 	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
+	}
+	if err := methods.ValidateConfig(mname, g, cfg); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
 	if err := s.checkMemoryCap(mname, g.NumNodes(), cfg); err != nil {

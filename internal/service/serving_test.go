@@ -588,9 +588,9 @@ func TestWrongEmbeddingHashIsRetrained(t *testing.T) {
 	}
 }
 
-// TestMemoryCapRejectionIsFree: a dataset spec whose training state
-// exceeds MaxTrainingBytes is refused from the dataset's node count alone,
-// before the graph is generated or memoized.
+// TestMemoryCapRejectionIsFree: a dataset spec, or a sweep with a dataset
+// cell, whose training state exceeds MaxTrainingBytes is refused from the
+// dataset's node count alone, before the graph is generated or memoized.
 func TestMemoryCapRejectionIsFree(t *testing.T) {
 	memo := experiments.NewMemo()
 	s := New(Options{MaxWorkers: 1, MaxTrainingBytes: 1 << 20, Memo: memo})
@@ -603,8 +603,23 @@ func TestMemoryCapRejectionIsFree(t *testing.T) {
 	if _, err := s.SubmitSpec(sp); !errors.Is(err, ErrInvalidSpec) {
 		t.Fatalf("err = %v, want ErrInvalidSpec", err)
 	}
+	if _, err := s.SubmitSweep(datasetSweep(sp.Graph)); !errors.Is(err, ErrInvalidSpec) {
+		t.Fatalf("sweep: err = %v, want ErrInvalidSpec", err)
+	}
 	if n := memo.GraphCacheLen(); n != 0 {
 		t.Fatalf("a rejected submission grew the graph cache to %d entries", n)
+	}
+}
+
+// datasetSweep is a valid one-cell sweep over src at r = 128.
+func datasetSweep(src spec.GraphSource) *spec.SweepSpec {
+	return &spec.SweepSpec{
+		Graphs:    []spec.GraphSource{src},
+		Methods:   []string{"sepriv"},
+		Epsilons:  []float64{1},
+		Seeds:     []uint64{1},
+		Proximity: "degree",
+		Config:    spec.ConfigSpec{Dim: 128, MaxEpochs: 1},
 	}
 }
 
@@ -645,12 +660,20 @@ func TestQuotaRejectionIsFree(t *testing.T) {
 }
 
 // TestSubmitAfterCloseSentinel: the closed error classifies via ErrClosed
-// on both submission paths.
+// on every submission path, and a refused sweep generates no dataset.
 func TestSubmitAfterCloseSentinel(t *testing.T) {
-	s := New(Options{MaxWorkers: 1})
+	memo := experiments.NewMemo()
+	s := New(Options{MaxWorkers: 1, Memo: memo})
 	s.Close()
 	if _, err := s.SubmitSpec(ringSpec()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SubmitSpec after Close: %v, want ErrClosed", err)
+	}
+	power := spec.GraphSource{Dataset: &spec.DatasetSource{Name: "power", Scale: 0.1, Seed: 1}}
+	if _, err := s.SubmitSweep(datasetSweep(power)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SubmitSweep after Close: %v, want ErrClosed", err)
+	}
+	if n := memo.GraphCacheLen(); n != 0 {
+		t.Fatalf("a sweep refused after Close grew the graph cache to %d entries", n)
 	}
 	g := ringGraph(t)
 	if _, err := s.Submit(g, proximity.NewDegree(g), testCfg()); !errors.Is(err, ErrClosed) {

@@ -214,7 +214,22 @@ func (sc *sweepCell) liveStatus() string {
 // Expansion failures (empty axes, an unresolvable graph source, a config
 // contradicting its axes) reject the whole sweep with ErrInvalidSpec;
 // per-cell failures past expansion are recorded in the completed sweep.
+// Expansion generates every dataset axis, so a closed service and a
+// dataset cell over the memory cap are refused before it.
 func (s *Service) SubmitSweep(sp *spec.SweepSpec) (*Sweep, error) {
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
+	}
+	for _, src := range sp.Graphs {
+		for _, m := range sp.Methods {
+			if err := s.checkDatasetCap(src, m, sp.Config); err != nil {
+				return nil, err
+			}
+		}
+	}
 	plan, err := sweep.Expand(sp, s)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)

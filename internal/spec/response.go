@@ -2,7 +2,7 @@ package spec
 
 // This file is the response half of the wire contract: the JSON shapes
 // the HTTP front-end (internal/server) answers with. They live here, next
-// to JobSpec, so a Go client — sepriv fetch, the examples, external
+// to JobSpec, so a Go client — sepriv fetch, the bench client, external
 // tooling — and the server decode and encode the very same types; the
 // JSON layout is part of the serving contract and is covered by the
 // handler table tests and the serve-smoke selftest.

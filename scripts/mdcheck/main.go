@@ -1,9 +1,9 @@
 // Command mdcheck is the markdown hygiene gate (`make md-check`): it
-// scans the repository's markdown files — README, DESIGN, ROADMAP, and
-// anything under examples/ — and fails on links that point at files that
-// do not exist or at heading anchors that are not defined ("dangling
+// scans the markdown files at the repository root — README, DESIGN,
+// ROADMAP and the rest — and fails on links that point at files that do
+// not exist or at heading anchors that are not defined ("dangling
 // anchors"). DESIGN.md is fifteen cross-referenced sections now; a
-// renamed heading or a moved example must break CI, not a reader.
+// renamed heading or a moved file must break CI, not a reader.
 //
 // Checked: inline links [text](target) and images. Targets that are
 // absolute URLs (scheme://, mailto:) are skipped, as are targets that
@@ -15,7 +15,6 @@ package main
 
 import (
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -119,17 +118,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Collect the file set: *.md at the root plus everything under
-	// examples/ (markdown there, and the link targets may be .go files).
-	var files []string
-	rootMD, _ := filepath.Glob(filepath.Join(rootAbs, "*.md"))
-	files = append(files, rootMD...)
-	_ = filepath.WalkDir(filepath.Join(rootAbs, "examples"), func(p string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(p, ".md") {
-			files = append(files, p)
-		}
-		return nil
-	})
+	files, _ := filepath.Glob(filepath.Join(rootAbs, "*.md"))
 
 	bad := 0
 	report := func(file, line, target, why string) {
