@@ -84,6 +84,41 @@ func BenchmarkTrainWorkersLazyKatz(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainDatasetJob is the training job of the end-to-end
+// benchmark's train-dataset workload — chameleon at scale 0.35, DeepWalk
+// proximity, the paper's DefaultConfig, serial — without the HTTP and
+// service layers around it. Beside ns/op it reports the three per-epoch
+// engine stages from Result.Stages (gradients-, reduce- and update-ns/op),
+// so a change to the engine gets a same-shape number per stage.
+func BenchmarkTrainDatasetJob(b *testing.B) {
+	g, err := GenerateDataset("chameleon", 0.35, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prox, err := NewProximity("deepwalk", g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	var st StageTimings
+	for i := 0; b.Loop(); i++ {
+		cfg.Seed = uint64(i)
+		res, err := NewSession(g, prox, WithConfig(cfg)).Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		st.Gradients += res.Stages.Gradients
+		st.Reduce += res.Stages.Reduce
+		st.Update += res.Stages.Update
+	}
+	for _, m := range []struct {
+		d    time.Duration
+		unit string
+	}{{st.Gradients, "gradients-ns/op"}, {st.Reduce, "reduce-ns/op"}, {st.Update, "update-ns/op"}} {
+		b.ReportMetric(float64(m.d.Nanoseconds())/float64(b.N), m.unit)
+	}
+}
+
 // BenchmarkTrainPrivateStep measures the core private training loop itself
 // (one full SE-PrivGEmb run at quick scale), isolating Algorithm 2 from the
 // evaluation harness.

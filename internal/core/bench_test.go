@@ -5,19 +5,21 @@ import (
 	"testing"
 
 	"seprivgemb/internal/graph"
-	"seprivgemb/internal/mathx"
 	"seprivgemb/internal/proximity"
+	"seprivgemb/internal/skipgram"
 	"seprivgemb/internal/xrand"
 )
 
-// BenchmarkApplyUpdate measures the perturb-and-apply stage in isolation at
-// the paper's r = 128. Sub-benchmarks are strategy × worker count; the
-// output matrix is bit-identical across worker counts (the stage's
-// determinism contract), so sub-benchmarks differ in wall-clock and
-// per-worker CPU split only. Allocations stay at one closure per call at
-// every worker count: the accumulator vectors are pre-sized and each
-// worker fills its own noise row. Speedups manifest on multi-core hosts;
-// `make bench-json` records the trajectory.
+// BenchmarkApplyUpdate measures the update stage in isolation at the
+// paper's r = 128 and K = 5: one op is one epoch's replay-perturb-apply
+// over Wout then Win (engine.update), from B = 128 slots of random rank-1
+// gradients grouped over random touched rows. Sub-benchmarks are
+// strategy × worker count; the matrices are bit-identical across worker
+// counts (the stage's determinism contract), so sub-benchmarks differ in
+// wall-clock and per-worker CPU split only. Allocations stay at one
+// closure per matrix at every worker count: the replay scratch is one row
+// per worker and the noise is drawn inside the apply loop. Speedups
+// manifest on multi-core hosts; `make bench-json` records the trajectory.
 func BenchmarkApplyUpdate(b *testing.B) {
 	const numNodes = 4096
 	strategies := []struct {
@@ -31,25 +33,29 @@ func BenchmarkApplyUpdate(b *testing.B) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%sx%d", strat.label, workers), func(b *testing.B) {
 				cfg := DefaultConfig()
-				cfg.Dim = 128
 				cfg.Strategy = strat.s
 				cfg.Workers = workers
-				// Populate an accumulator with a realistic touched-row set:
-				// (k+2)·B adds spread over the node range.
-				acc := newRowAccumulator(cfg.Dim, (cfg.K+2)*cfg.BatchSize, numNodes)
 				rng := xrand.New(7)
-				gvec := make([]float64, cfg.Dim)
-				for i := 0; i < (cfg.K+2)*cfg.BatchSize; i++ {
-					rng.NormalVec(gvec, 1)
-					acc.add(int32(rng.Intn(numNodes)), gvec)
-				}
-				w := mathx.NewMatrix(numNodes, cfg.Dim)
-				eng := newEngine(nil, nil, nil, cfg, xrand.NewStream(1))
+				model := skipgram.New(numNodes, cfg.Dim, rng)
+				eng := newEngine(model, nil, nil, cfg, xrand.NewStream(1))
 				defer eng.close()
+				for i := range eng.slots {
+					sl := &eng.slots[i]
+					in := int32(rng.Intn(numNodes))
+					eng.inRows = append(eng.inRows, in)
+					for range cfg.K + 1 {
+						eng.outRows = append(eng.outRows, int32(rng.Intn(numNodes)))
+					}
+					rng.NormalVec(sl.grads.GIn, 1)
+					rng.NormalVec(sl.grads.Coef, 1)
+					sl.grads.VI = model.Win.Row(int(in))
+					sl.fIn, sl.fOut = rng.Float64(), rng.Float64()
+				}
+				eng.groupStage(numNodes)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					eng.applyUpdate(w, acc, i, matWin)
+					eng.update(i)
 				}
 			})
 		}

@@ -57,11 +57,13 @@ type StageTimings struct {
 	// Gradients is the per-epoch forward+backward stage, including
 	// the epoch's batch sampling (negligible next to the gradient math).
 	Gradients time.Duration
-	// Reduce is the batch-order fold of per-example gradients into the
-	// row accumulators.
+	// Reduce is the grouping pass that lists each touched row's
+	// per-example contributions in batch order; the sums themselves are
+	// replayed inside Update.
 	Reduce time.Duration
-	// Update is the noise-and-apply stage: index-addressed DP noise plus
-	// the SGD writes to Win and Wout.
+	// Update is the replay-and-apply stage: each touched row's batch
+	// gradient summed from its contributions, index-addressed DP noise,
+	// and the SGD writes to Wout and Win.
 	Update time.Duration
 }
 
@@ -269,11 +271,6 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 
 	eng := newEngine(model, subs, weights, cfg, noise)
 	defer eng.close()
-	// An epoch touches at most B distinct Win rows (one center per
-	// example) and (k+1)·B distinct Wout rows; pre-sizing the vectors
-	// keeps the accumulators allocation-free on the hot path.
-	accIn := newRowAccumulator(cfg.Dim, cfg.BatchSize, g.NumNodes())
-	accOut := newRowAccumulator(cfg.Dim, (cfg.K+1)*cfg.BatchSize, g.NumNodes())
 
 	// emitCheckpoint snapshots the run at the current epoch boundary,
 	// records it on the Result, and feeds the Checkpoint hook (capture is
@@ -300,29 +297,28 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 		// Line 5: sample B subgraphs uniformly at random (without
 		// replacement; Definition 6 with γ = B/|E|).
 		idx := rng.SampleWithoutReplacement(len(subs), cfg.BatchSize)
-		accIn.reset()
-		accOut.reset()
+		eng.touchRows(idx)
 		// Spill tier: pin the chunks covering the batch's touched rows for
 		// the whole epoch, so the parallel stages never fault or evict.
-		eng.pinEpoch(idx)
-		// Per-example losses, unscaled gradients and clip factors (the
-		// stage that parallelizes across cfg.Workers)...
+		eng.pinEpoch()
+		// Per-example losses, rank-1 gradients and clip factors (the stage
+		// that parallelizes across cfg.Workers)...
 		lossSum := eng.computeStage(idx)
 		res.LossHistory = append(res.LossHistory, lossSum/float64(cfg.BatchSize))
 		now := time.Now()
 		stages.Gradients += now.Sub(stageClock)
 		stageClock = now
-		// ...then reduced into the row accumulators in batch order over
-		// cache-sized column panels, clip factors folded in.
-		eng.reduceStage(idx, accIn, accOut)
+		// ...then each touched row's contributions are grouped in batch
+		// order...
+		eng.groupStage(g.NumNodes())
 		now = time.Now()
 		stages.Reduce += now.Sub(stageClock)
 		stageClock = now
 
-		// Lines 6–7: perturb and apply the updates to Win and Wout,
-		// sharded across the pool with index-addressed noise.
-		eng.applyUpdate(model.Win, accIn, epoch, matWin)
-		eng.applyUpdate(model.Wout, accOut, epoch, matWout)
+		// ...and lines 6–7 replay, perturb and apply each row's summed
+		// gradient, sharded across the pool by row owner with
+		// index-addressed noise.
+		eng.update(epoch)
 		eng.unpinEpoch()
 		stages.Update += time.Since(stageClock)
 		res.Epochs = epoch + 1

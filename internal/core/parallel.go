@@ -10,38 +10,41 @@ import (
 )
 
 // This file implements the deterministic parallel engine behind Train.
-// Each epoch of Algorithm 2 splits into three stages; the compute and
+// Each epoch of Algorithm 2 splits into three stages; the gradient and
 // update stages run on one persistent worker pool:
 //
 //  1. Gradient stage: for every sampled subgraph run the one-pass
 //     forward+backward (skipgram.LossGradients) and compute the
-//     per-example clip FACTORS — the gradients themselves are left
-//     unscaled in their slots. The model is read-only here and the stage
-//     consumes NO randomness, so worker scheduling can never perturb the
-//     run's random stream (xrand contract pattern 1).
-//  2. Reduce stage: fold the B slots into the row accumulators
-//     single-threaded, in batch order (reduceStage). The deferred clip
-//     factor is applied during the accumulate, so each gradient row is
-//     swept once instead of once to clip and once to add.
-//  3. Update stage: perturb-and-apply sharded across the pool, with noise
-//     addressed by (epoch, matrix, row, coordinate) on a counter-based
-//     stream (xrand contract pattern 3) — see applyUpdate.
+//     per-example clip FACTORS. A slot keeps the Win row-gradient, the
+//     k+1 Wout coefficients c_t (Eq. (8) makes every Wout row-gradient
+//     the rank-1 c_t·v_I) and a view of v_I — O(r+k) floats, not
+//     (k+2)·r. The model is read-only here and the stage consumes NO
+//     randomness, so worker scheduling can never perturb the run's random
+//     stream (xrand contract pattern 1).
+//  2. Grouping (the Stages.Reduce clock): a counting sort lists each
+//     touched row's contributions in batch order (rowGroups). No
+//     gradient float moves here.
+//  3. Update stage: per touched row, replay its contributions into one
+//     per-worker r-float scratch in batch order, then perturb and apply
+//     it, sharded across the pool by row owner, with noise addressed by
+//     (epoch, matrix, row, coordinate) on a counter-based stream (xrand
+//     contract pattern 3) — see applyUpdate. Wout goes first: its
+//     replay reads the pre-update Win rows v_I.
 //
 // Determinism contract: a fixed Config.Seed yields bit-identical Results
 // at every worker count, and Workers > 1 matches the serial Workers <= 1
 // path bit for bit. Floating-point addition is not associative, so naive
 // per-shard partial sums would change with the shard layout; instead each
 // worker writes its examples' gradients into a pre-indexed slot (one per
-// batch position) and the reduction replays them single-threaded in batch
-// order — exactly the order the serial loop accumulates in. The only cost
-// over per-shard accumulators is O(B·(k+2)·dim) slot memory (< 1 MiB at
-// the paper's settings) and a serial reduction that is ~6x cheaper than
-// the gradient computation it orders. The serial path uses the same slots
-// and the same two stages (workers <= 1 just runs the compute loop
-// inline), so there is exactly one numerical path.
+// batch position), and every row's sum is replayed by the one worker that
+// owns the row, over its contributions in batch order — exactly the order
+// the serial loop accumulates in. The serial path uses the same slots,
+// groups and replay (workers <= 1 just runs every loop inline), so there
+// is exactly one numerical path.
 //
-// The update stage needs no reduction at all: noise is a pure function of
-// its (epoch, matrix, row, coordinate) index, rows are disjoint write
+// The update stage needs no cross-worker reduction at all: a row's
+// contributions are read-only slots, noise is a pure function of its
+// (epoch, matrix, row, coordinate) index, rows are disjoint write
 // targets, and each row's arithmetic is confined to one worker, so the
 // shard layout cannot move a single floating-point operation.
 //
@@ -55,8 +58,9 @@ import (
 type span struct{ lo, hi int }
 
 // slot holds the gradient stage's output for one batch position: the
-// example's loss, its UNSCALED gradients, and the Eq. (3) clip factors
-// (1 when the norm is within the threshold) the reduction will fold in.
+// example's loss, its UNSCALED gradients in rank-1 form, and the Eq. (3)
+// clip factors (1 when the norm is within the threshold) the update's
+// replay folds in.
 type slot struct {
 	loss      float64
 	fIn, fOut float64
@@ -97,6 +101,14 @@ type engine struct {
 	slots []slot
 	idx   []int // current epoch's sampled subgraph indices
 
+	// inRows and outRows list the epoch's touched rows once per
+	// contribution, in batch order: slot i's center I at inRows[i], and
+	// its J and K negatives at outRows[i·(K+1) : (i+1)·(K+1)]. They feed
+	// the spill pins and the grouping; groupIn/groupOut list each touched
+	// row's contributions as positions into them.
+	inRows, outRows   []int32
+	groupIn, groupOut rowGroups
+
 	// Worker pool (workers > 1): one channel per worker, so a span routed
 	// to index w always runs on goroutine w — the mechanism behind the
 	// update stage's row ownership (see forOwnerSegments). Tasks receive
@@ -105,10 +117,10 @@ type engine struct {
 	jobs []chan span
 	wg   sync.WaitGroup
 
-	// z holds one noise row per worker for the update stage (private runs
-	// only), and zero is the all-zero gradient row of an untouched row
-	// under StrategyNaive.
-	z    [][]float64
+	// grad holds one r-float row-gradient scratch per worker for the
+	// update stage's replay, and zero is the all-zero gradient row of an
+	// untouched row under StrategyNaive.
+	grad [][]float64
 	zero []float64
 
 	// owned is the fixed row-ownership partition of the update stage:
@@ -126,7 +138,6 @@ type engine struct {
 	// concurrently (mathx.SpillMatrix's pin contract).
 	winSpill, woutSpill *mathx.SpillMatrix
 	pinsIn, pinsOut     []int32
-	pinBuf              []int32
 }
 
 // newEngine builds the engine for one Train call. For workers > 1 it
@@ -164,13 +175,11 @@ func newEngine(model *skipgram.Model, subs []Subgraph, weights []float64, cfg Co
 			e.woutSpill, _ = model.Wout.(*mathx.SpillMatrix)
 		}
 	}
-	if cfg.Private {
-		e.z = make([][]float64, max(e.workers, 1))
-		for w := range e.z {
-			e.z[w] = make([]float64, cfg.Dim)
-		}
-		e.zero = make([]float64, cfg.Dim)
+	e.grad = make([][]float64, max(e.workers, 1))
+	for w := range e.grad {
+		e.grad[w] = make([]float64, cfg.Dim)
 	}
+	e.zero = make([]float64, cfg.Dim)
 	if e.workers > 1 {
 		e.jobs = make([]chan span, e.workers)
 		for w := 0; w < e.workers; w++ {
@@ -253,11 +262,11 @@ func (e *engine) ownership(nRows int) []span {
 // map: worker w receives exactly the slice of rows falling in its owned
 // range, so every weight row is written by one fixed goroutine for the
 // whole run (stable cache/NUMA placement), not by whichever worker the
-// epoch's touched-row count happened to assign it to. Foreign-row gradient
-// contributions were already exchanged at the reduce barrier — the
-// accumulators are complete before this dispatch — so ownership moves no
-// arithmetic and the result stays bit-identical to any other layout
-// (disjoint rows, index-addressed noise).
+// epoch's touched-row count happened to assign it to. The owner reads a
+// row's contributions from the slots, which the gradient stage finished
+// before this dispatch, and replays them in batch order, so ownership
+// moves no arithmetic and the result stays bit-identical to any other
+// layout (disjoint rows, index-addressed noise).
 func (e *engine) forOwnerSegments(rows []int32, nRows int, task func(w, lo, hi int)) {
 	if len(rows) == 0 {
 		return
@@ -287,10 +296,10 @@ func (e *engine) forOwnerSegments(rows []int32, nRows int, task func(w, lo, hi i
 //
 // Clipping (Eq. (3)) is split from scaling: the Win part's factor comes
 // from the single row ∂L/∂v_i, the Wout part's from the joint norm over
-// its k+1 touched rows. The factors use exactly the thresholds and
-// quotients of the former in-place dp.Clip/clipJoint passes (n > C ⇒ C/n
-// and sq > C² ⇒ C/√sq), and the reduction applies f·g[d] with one rounding
-// per coordinate — the same one the in-place Scale performed — so the
+// its k+1 rank-1 rows fl(c_t·v_I) (rank1ClipFactor). The factors use
+// exactly the thresholds and quotients of an in-place clip (n > C ⇒ C/n
+// and sq > C² ⇒ C/√sq), and the update's replay applies f·g[d] with one
+// rounding per coordinate — the one an in-place Scale performs — so the
 // deferred form is bit-identical to clip-then-accumulate.
 func (e *engine) computeSub(si int, sl *slot) {
 	s := e.subs[si]
@@ -301,7 +310,7 @@ func (e *engine) computeSub(si int, sl *slot) {
 		if n := mathx.Norm2(sl.grads.GIn); n > c {
 			sl.fIn = c / n
 		}
-		sl.fOut = jointClipFactor(sl.grads.GOut, c)
+		sl.fOut = rank1ClipFactor(sl.grads.Coef, sl.grads.VI, c)
 	}
 }
 
@@ -322,22 +331,71 @@ func (e *engine) computeStage(idx []int) float64 {
 	return lossSum
 }
 
-// reduceStage folds the slots filled by computeStage into the row
-// accumulators in batch order — the order the serial loop accumulates in —
-// applying each slot's deferred clip factor as it goes.
-func (e *engine) reduceStage(idx []int, accIn, accOut *rowAccumulator) {
-	for i := range idx {
-		sl := &e.slots[i]
-		accIn.addScaled(int32(sl.grads.InRow), sl.fIn, sl.grads.GIn)
-		for t, row := range sl.grads.OutRows {
-			accOut.addScaled(row, sl.fOut, sl.grads.GOut[t])
+// touchRows lists the epoch's touched rows once per contribution, in
+// batch order, into inRows and outRows. Every subgraph carries exactly K
+// negatives (GenerateSubgraphs), so slot i's Wout contributions sit at
+// outRows[i·(K+1) : (i+1)·(K+1)].
+func (e *engine) touchRows(idx []int) {
+	e.inRows, e.outRows = e.inRows[:0], e.outRows[:0]
+	for _, si := range idx {
+		s := e.subs[si]
+		e.inRows = append(e.inRows, s.I)
+		e.outRows = append(e.outRows, s.J)
+		e.outRows = append(e.outRows, s.Negs...)
+	}
+}
+
+// groupStage groups the epoch's contributions by touched row (the
+// Stages.Reduce clock). Rows are sorted only when a pool will shard them
+// by owner; the serial update walks them in first-touch order.
+func (e *engine) groupStage(nRows int) {
+	sorted := e.jobs != nil
+	e.groupIn.build(e.inRows, nRows, sorted)
+	e.groupOut.build(e.outRows, nRows, sorted)
+}
+
+// rowGrad replays one touched row's contributions (group positions into
+// inRows or outRows), in batch order, into dst: the first as f·g, each
+// later one as t := f·g; dst += t — so the sum is bit-identical to the
+// accumulate of clipped example gradients. Every contribution is a scaled
+// vector g = fl(c·v): a Wout one is slot i's f_out times the rank-1 row
+// fl(c_t·v_I), formed in registers and never stored; a Win one is slot
+// i's f_in times GIn, with c = 1 (exact).
+func (e *engine) rowGrad(dst []float64, matrix uint64, contribs []int32) {
+	dst = dst[:e.cfg.Dim]
+	k1 := int32(e.cfg.K + 1)
+	for n, p := range contribs {
+		var f, c float64
+		var v []float64
+		if matrix == matWin {
+			sl := &e.slots[p]
+			f, c, v = sl.fIn, 1, sl.grads.GIn
+		} else {
+			sl := &e.slots[p/k1]
+			f, c, v = sl.fOut, sl.grads.Coef[p%k1], sl.grads.VI
+		}
+		v = v[:len(dst)]
+		if n == 0 {
+			for d, x := range v {
+				g := c * x
+				dst[d] = f * g
+			}
+			continue
+		}
+		for d, x := range v {
+			g := c * x
+			t := f * g
+			dst[d] += t
 		}
 	}
 }
 
-// applyUpdate perturbs the accumulated batch gradient per the configured
-// strategy and applies W -= η·(Σ clipped grads + noise), Eq. (6)/(9),
-// sharding rows across the worker pool.
+// applyUpdate replays, perturbs and applies the batch gradient of one
+// matrix per the configured strategy — W -= η·(Σ clipped grads + noise),
+// Eq. (6)/(9) — sharding rows across the worker pool by owner. Each
+// touched row's gradient is summed by rowGrad into the owning worker's
+// scratch and applied in the same task, so no |touched|×r accumulator
+// exists. update orders the two matrices.
 //
 // Batch semantics: the B clipped example gradients are summed, not
 // averaged. Eq. (9) writes a 1/B prefactor, but folding it into η (i.e.
@@ -351,76 +409,74 @@ func (e *engine) reduceStage(idx []int, accIn, accOut *rowAccumulator) {
 // common post-factor η is post-processing.
 //
 // Noise is index-addressed, not drawn sequentially: coordinate d of row r
-// receives sd·NormalAt(d) on the substream keyed by (epoch, matrix, r).
-// The draw is a pure function of that address (DESIGN.md §6 pattern 3),
-// so sharding rows across workers — in any layout, at any count — yields
+// receives sd·NormalAt(d) on the substream keyed by (epoch, matrix, r),
+// drawn inside the apply loop (xrand.Stream.NoisyStep). The draw is a
+// pure function of that address (DESIGN.md §6 pattern 3), so sharding
+// rows across workers — in any layout, at any count — yields
 // bit-identical matrices, and each row's noise is also independent of
 // which other rows the batch touched.
-func (e *engine) applyUpdate(w mathx.Mat, acc *rowAccumulator, epoch int, matrix uint64) {
+func (e *engine) applyUpdate(w mathx.Mat, grp *rowGroups, epoch int, matrix uint64) {
 	cfg := &e.cfg
 	lr := cfg.LearningRate
 	nRows := w.NumRows()
-	if !cfg.Private {
-		rows := acc.sortedRows()
-		e.forOwnerSegments(rows, nRows, func(_, lo, hi int) {
-			for _, row := range rows[lo:hi] {
-				mathx.AXPY(-lr, acc.row(row), w.Row(int(row)))
-			}
-		})
-		return
-	}
-	switch cfg.Strategy {
-	case StrategyNonZero:
-		// Eq. (9): Ñ adds noise only to non-zero rows, at the per-row
-		// sensitivity C tolerated by the mechanism.
-		sd := cfg.Clip * cfg.Sigma
-		rows := acc.sortedRows()
-		e.forOwnerSegments(rows, nRows, func(wk, lo, hi int) {
-			for _, row := range rows[lo:hi] {
-				e.perturbRow(w.Row(int(row)), acc.row(row), e.z[wk], epoch, matrix, int(row), lr, sd)
-			}
-		})
-	case StrategyNaive:
+	if cfg.Private && cfg.Strategy == StrategyNaive {
 		// Eq. (6): noise at the worst-case sensitivity S_∇v = B·C lands on
 		// every row of the |V|×r gradient, touched or not.
 		sd := float64(cfg.BatchSize) * cfg.Clip * cfg.Sigma
 		e.dispatch(e.ownership(nRows), func(wk, lo, hi int) {
 			for r := lo; r < hi; r++ {
-				g := acc.row(int32(r))
-				if g == nil {
-					g = e.zero
+				g := e.zero
+				if contribs := grp.of(int32(r)); contribs != nil {
+					g = e.grad[wk]
+					e.rowGrad(g, matrix, contribs)
 				}
-				e.perturbRow(w.Row(r), g, e.z[wk], epoch, matrix, r, lr, sd)
+				e.noise.Derive(noiseKey(epoch, matrix, r)).NoisyStep(w.Row(r), g, lr, sd)
 			}
 		})
-	default:
+		return
+	}
+	if cfg.Private && cfg.Strategy != StrategyNonZero {
 		panic(fmt.Sprintf("core: unknown strategy %v", cfg.Strategy))
 	}
+	// Eq. (9): Ñ adds noise only to non-zero rows, at the per-row
+	// sensitivity C tolerated by the mechanism; non-private runs apply
+	// the plain sum.
+	sd := cfg.Clip * cfg.Sigma
+	e.forOwnerSegments(grp.rows, nRows, func(wk, lo, hi int) {
+		g := e.grad[wk]
+		for n := lo; n < hi; n++ {
+			row := int(grp.rows[n])
+			e.rowGrad(g, matrix, grp.group(n))
+			if cfg.Private {
+				e.noise.Derive(noiseKey(epoch, matrix, row)).NoisyStep(w.Row(row), g, lr, sd)
+			} else {
+				mathx.AXPY(-lr, g, w.Row(row))
+			}
+		}
+	})
+}
+
+// update runs the epoch's update stage on the model: Wout first, because
+// its replay reads the Win rows v_I as the gradient stage saw them, then
+// Win.
+func (e *engine) update(epoch int) {
+	e.applyUpdate(e.model.Wout, &e.groupOut, epoch, matWout)
+	e.applyUpdate(e.model.Win, &e.groupIn, epoch, matWin)
 }
 
 // pinEpoch pins the spill-tier chunks covering every row the epoch's
 // sampled batch will touch — Win: the B center rows; Wout: the (K+1)·B
-// positive and negative rows — so the parallel stages below never fault a
-// chunk in or evict one (the engine's side of mathx.SpillMatrix's pin
-// contract; Config.MinMemoryBudget guarantees the pin set fits). No-op on
-// the dense tier.
-func (e *engine) pinEpoch(idx []int) {
+// positive and negative rows, as listed by touchRows — so the parallel
+// stages below never fault a chunk in or evict one (the engine's side of
+// mathx.SpillMatrix's pin contract; Config.MinMemoryBudget guarantees the
+// pin set fits). The pins also keep every slot's v_I view valid until the
+// update has read it. No-op on the dense tier.
+func (e *engine) pinEpoch() {
 	if e.winSpill == nil {
 		return
 	}
-	rows := e.pinBuf[:0]
-	for _, si := range idx {
-		rows = append(rows, e.subs[si].I)
-	}
-	e.pinsIn = e.winSpill.Pin(rows)
-	rows = rows[:0]
-	for _, si := range idx {
-		s := e.subs[si]
-		rows = append(rows, s.J)
-		rows = append(rows, s.Negs...)
-	}
-	e.pinsOut = e.woutSpill.Pin(rows)
-	e.pinBuf = rows[:0]
+	e.pinsIn = e.winSpill.Pin(e.inRows)
+	e.pinsOut = e.woutSpill.Pin(e.outRows)
 }
 
 // unpinEpoch releases pinEpoch's chunks. No-op on the dense tier.
@@ -431,20 +487,6 @@ func (e *engine) unpinEpoch() {
 	e.winSpill.Unpin(e.pinsIn)
 	e.woutSpill.Unpin(e.pinsOut)
 	e.pinsIn, e.pinsOut = nil, nil
-}
-
-// perturbRow applies dst[d] -= lr·(g[d] + sd·noise(epoch, matrix, row, d))
-// for every coordinate d, one counter-addressed ziggurat normal per
-// coordinate: the row's noise is filled into the scratch z, then one loop
-// applies gradient and noise together. dp.GaussianMechanismAt is the
-// standalone form of this draw.
-func (e *engine) perturbRow(dst, g, z []float64, epoch int, matrix uint64, row int, lr, sd float64) {
-	z = z[:len(dst)]
-	g = g[:len(dst)]
-	e.noise.Derive(noiseKey(epoch, matrix, row)).NormalsAt(z, 0)
-	for d := range dst {
-		dst[d] -= lr * (g[d] + sd*z[d])
-	}
 }
 
 // splitSpans cuts [0, n) into at most w contiguous non-empty spans of

@@ -138,13 +138,14 @@ func TestApplyUpdateParallelMatchesSerial(t *testing.T) {
 				base := smallConfig()
 				base.Private = private
 				base.Strategy = strat
-				// Build one accumulator shared (read-only) by all runs.
-				acc := newRowAccumulator(base.Dim, touched, numRows)
+				// One contribution list shared (read-only) by all runs.
 				grng := xrand.New(31)
-				gvec := make([]float64, base.Dim)
-				for i := 0; i < touched; i++ {
-					grng.NormalVec(gvec, 1)
-					acc.add(int32(grng.Intn(numRows)), gvec)
+				rows := make([]int32, touched)
+				gs := make([][]float64, touched)
+				for i := range rows {
+					gs[i] = make([]float64, base.Dim)
+					grng.NormalVec(gs[i], 1)
+					rows[i] = int32(grng.Intn(numRows))
 				}
 				init := mathx.NewMatrix(numRows, base.Dim)
 				grng.NormalVec(init.Data, 1)
@@ -155,7 +156,7 @@ func TestApplyUpdateParallelMatchesSerial(t *testing.T) {
 					w := init.Clone()
 					for epoch := 0; epoch < 3; epoch++ {
 						for _, mat := range []uint64{matWin, matWout} {
-							applyWith(cfg, w, acc, epoch, mat, 17)
+							applyWith(cfg, w, rows, gs, epoch, mat, 17)
 						}
 					}
 					return w

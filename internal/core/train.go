@@ -262,134 +262,100 @@ func Train(g *graph.Graph, prox proximity.Proximity, cfg Config) (*Result, error
 	return TrainContext(context.Background(), g, prox, cfg, Hooks{})
 }
 
-// jointClipFactor returns the Eq. (3) joint-clip factor for the k+1 Wout
+// rank1ClipFactor returns the Eq. (3) joint-clip factor for the k+1 Wout
 // row-gradients of one example, treating their concatenation as a single
-// vector: 1 when its ℓ2 norm is within c, c/‖·‖ otherwise. The engine keeps
-// the factor in the slot and applies it during the reduction (one
-// scale-and-accumulate pass per row, rowAccumulator.addScaled) instead of
-// an in-place Scale sweep here; the factor arithmetic — c/√(Σ‖r‖²) with
-// the same sq ≤ c² early-out — is unchanged, so deferring it moves no
-// rounding.
-func jointClipFactor(rows [][]float64, c float64) float64 {
-	if c <= 0 {
-		return 1
-	}
+// vector: 1 when its ℓ2 norm is within c, c/‖·‖ otherwise. Row t is the
+// rank-1 c_t·v_I (skipgram.Grads), and its squared norm is summed over
+// the rounded products fl(c_t·v_I[d]) in Norm2Sq's lane order
+// (mathx.ScaledNorm2Sq), so the factor equals the one computed over the
+// written-out rows bit for bit without writing them. The engine keeps the
+// factor in the slot and applies it during the update's replay instead of
+// an in-place Scale sweep.
+func rank1ClipFactor(coef, vi []float64, c float64) float64 {
 	var sq float64
-	for _, r := range rows {
-		sq += mathx.Norm2Sq(r)
+	for _, ct := range coef {
+		sq += mathx.ScaledNorm2Sq(ct, vi)
 	}
+	return clipFactor(sq, c)
+}
+
+// clipFactor is the Eq. (3) factor for a vector of squared ℓ2 norm sq: 1
+// when sq ≤ c², c/√sq otherwise.
+func clipFactor(sq, c float64) float64 {
 	if sq <= c*c {
 		return 1
 	}
 	return c / math.Sqrt(sq)
 }
 
-// clipJoint rescales the concatenation of rows to ℓ2 norm at most c — the
-// eager in-place form of jointClipFactor, kept for callers that need the
-// clipped rows themselves rather than a deferred factor.
-func clipJoint(rows [][]float64, c float64) {
-	f := jointClipFactor(rows, c)
-	if f == 1 {
-		return
-	}
-	for _, r := range rows {
-		mathx.Scale(f, r)
-	}
+// rowGroups lists one matrix's touched rows for an epoch, each with its
+// contributions — positions into the epoch's per-contribution row list
+// (engine.touchRows) — in batch order. build is a counting sort over at
+// most (K+1)·B entries: count per row, prefix-sum into segments, then one
+// stable placement pass. The buffers are sized once, and forgetting an
+// epoch costs its touched-row count, not |V|.
+type rowGroups struct {
+	id       []int32 // id[row] = 1 + the row's index in rows; 0 when untouched
+	rows     []int32 // touched rows: first-touch order, or ascending when sorted
+	start    []int32 // row n's contributions are contribs[start[n]:start[n+1]]
+	contribs []int32
 }
 
-// rowAccumulator sums per-example gradient rows into a sparse matrix-shaped
-// accumulator keyed by row index. slot[row] is one plus the index of the
-// row's vector in vecs (0 for a row untouched this epoch), and touched
-// lists the rows holding a vector, so reset costs the touched count, not
-// |V|. The vectors are pre-sized at construction (one contiguous backing
-// array), so the per-epoch hot path neither allocates nor zeroes: the
-// first add to a row overwrites whatever its vector last held, and later
-// adds accumulate in place.
-type rowAccumulator struct {
-	dim     int
-	slot    []int32
-	touched []int32
-	vecs    [][]float64
+// build groups keys — the row of every contribution, in batch order — for
+// an nRows-row matrix. sorted orders the touched rows ascending, the
+// layout forOwnerSegments shards by owner.
+func (g *rowGroups) build(keys []int32, nRows int, sorted bool) {
+	if len(g.id) != nRows {
+		g.id = make([]int32, nRows)
+	}
+	for _, r := range g.rows {
+		g.id[r] = 0
+	}
+	g.rows = g.rows[:0]
+	for _, r := range keys {
+		if g.id[r] == 0 {
+			g.rows = append(g.rows, r)
+			g.id[r] = int32(len(g.rows))
+		}
+	}
+	if sorted {
+		slices.Sort(g.rows)
+		for n, r := range g.rows {
+			g.id[r] = int32(n + 1)
+		}
+	}
+	// start[n+1] counts row n's contributions, then the prefix sum turns
+	// start[n] into the row's segment offset.
+	g.start = slices.Grow(g.start[:0], len(g.rows)+1)[:len(g.rows)+1]
+	clear(g.start)
+	for _, r := range keys {
+		g.start[g.id[r]]++
+	}
+	for n := 1; n < len(g.start); n++ {
+		g.start[n] += g.start[n-1]
+	}
+	// Place each contribution at its row's next free position; start[n]
+	// advances to row n's end, so shifting right by one restores offsets.
+	g.contribs = slices.Grow(g.contribs[:0], len(keys))[:len(keys)]
+	for p, r := range keys {
+		n := g.id[r] - 1
+		g.contribs[g.start[n]] = int32(p)
+		g.start[n]++
+	}
+	copy(g.start[1:], g.start)
+	g.start[0] = 0
 }
 
-// newRowAccumulator builds the accumulator of an nRows-row matrix and
-// pre-sizes vectors for maxRows distinct touched rows. claim falls back to
-// a fresh allocation only if a caller underestimates maxRows, so sizing
-// is a performance contract, not a correctness one.
-func newRowAccumulator(dim, maxRows, nRows int) *rowAccumulator {
-	a := &rowAccumulator{
-		dim:     dim,
-		slot:    make([]int32, nRows),
-		touched: make([]int32, 0, maxRows),
-		vecs:    make([][]float64, maxRows),
-	}
-	backing := make([]float64, dim*maxRows)
-	for i := range a.vecs {
-		a.vecs[i] = backing[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	return a
+// group returns the n-th touched row's contributions in batch order.
+func (g *rowGroups) group(n int) []int32 {
+	return g.contribs[g.start[n]:g.start[n+1]]
 }
 
-// reset forgets every touched row. Vectors are NOT zeroed: addScaled
-// overwrites on first touch, so clearing here would be redundant work on
-// the hot path.
-func (a *rowAccumulator) reset() {
-	for _, r := range a.touched {
-		a.slot[r] = 0
-	}
-	a.touched = a.touched[:0]
-}
-
-// row returns the row's accumulated vector, or nil when the row was not
-// touched this epoch.
-func (a *rowAccumulator) row(r int32) []float64 {
-	if k := a.slot[r]; k > 0 {
-		return a.vecs[k-1]
+// of returns row's contributions in batch order, or nil when the epoch
+// did not touch it.
+func (g *rowGroups) of(row int32) []int32 {
+	if n := g.id[row]; n > 0 {
+		return g.group(int(n - 1))
 	}
 	return nil
-}
-
-// sortedRows returns the touched row indices in ascending order. The
-// returned slice is the accumulator's own touched list, sorted in place,
-// and is valid until the next claim or reset.
-func (a *rowAccumulator) sortedRows() []int32 {
-	slices.Sort(a.touched)
-	return a.touched
-}
-
-// claim returns the row's accumulator vector, taking the next free vector
-// on the row's first touch of the epoch. A first-touch vector is DIRTY —
-// it still holds whatever the previous epoch left in it — so the caller
-// must fully overwrite it before (or while) accumulating into it.
-func (a *rowAccumulator) claim(row int32) (dst []float64, first bool) {
-	if k := a.slot[row]; k > 0 {
-		return a.vecs[k-1], false
-	}
-	n := len(a.touched)
-	if n == len(a.vecs) {
-		a.vecs = append(a.vecs, make([]float64, a.dim))
-	}
-	a.touched = append(a.touched, row)
-	a.slot[row] = int32(n + 1)
-	return a.vecs[n], true
-}
-
-// addScaled accumulates f*g into the row's running sum, overwriting the
-// claimed vector on the row's first touch of the epoch. Each product
-// f*g[d] is rounded on its own before the add — the rounding an in-place
-// Scale of g followed by an add would perform — so applying a deferred
-// clip factor here is bit-identical to clip-then-accumulate.
-func (a *rowAccumulator) addScaled(row int32, f float64, g []float64) {
-	dst, first := a.claim(row)
-	dst = dst[:len(g)]
-	if first {
-		for d, v := range g {
-			dst[d] = f * v
-		}
-		return
-	}
-	for d, v := range g {
-		t := f * v
-		dst[d] += t
-	}
 }

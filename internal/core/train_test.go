@@ -227,12 +227,31 @@ func TestTrainValidation(t *testing.T) {
 	}
 }
 
-// applyWith runs one perturb-and-apply pass through a fresh engine at the
-// config's worker count, seeding the noise stream directly.
-func applyWith(cfg Config, w *mathx.Matrix, acc *rowAccumulator, epoch int, matrix uint64, noiseSeed uint64) {
+// applyWith runs one perturb-and-apply pass of matrix w through a fresh
+// engine at the config's worker count, seeding the noise stream directly.
+// Contribution p touches rows[p] with the unclipped gradient gs[p]: for
+// Win it is slot p's GIn, for Wout slot p's one rank-1 context row
+// 1·v_I with v_I = gs[p] (the engine runs at K = 0, one context row per
+// slot).
+func applyWith(cfg Config, w *mathx.Matrix, rows []int32, gs [][]float64, epoch int, matrix uint64, noiseSeed uint64) {
+	cfg.K = 0
 	eng := newEngine(nil, nil, nil, cfg, xrand.NewStream(noiseSeed))
 	defer eng.close()
-	eng.applyUpdate(w, acc, epoch, matrix)
+	eng.slots = make([]slot, len(rows))
+	for p, g := range gs {
+		sl := &eng.slots[p]
+		sl.fIn, sl.fOut = 1, 1
+		sl.grads.GIn, sl.grads.VI = g, g
+		sl.grads.Coef = []float64{1}
+	}
+	grp := &eng.groupIn
+	if matrix == matWout {
+		eng.outRows, grp = rows, &eng.groupOut
+	} else {
+		eng.inRows = rows
+	}
+	eng.groupStage(w.NumRows())
+	eng.applyUpdate(w, grp, epoch, matrix)
 }
 
 func TestApplyUpdateNonZeroTouchesOnlyAccumulatedRows(t *testing.T) {
@@ -240,11 +259,9 @@ func TestApplyUpdateNonZeroTouchesOnlyAccumulatedRows(t *testing.T) {
 	cfg.Strategy = StrategyNonZero
 	w := mathx.NewMatrix(10, cfg.Dim)
 	orig := w.Clone()
-	acc := newRowAccumulator(cfg.Dim, 4, 10)
 	gvec := make([]float64, cfg.Dim)
 	gvec[0] = 1
-	acc.add(3, gvec)
-	applyWith(cfg, w, acc, 0, matWin, 5)
+	applyWith(cfg, w, []int32{3}, [][]float64{gvec}, 0, matWin, 5)
 	for r := 0; r < 10; r++ {
 		changed := false
 		for d := 0; d < cfg.Dim; d++ {
@@ -266,8 +283,7 @@ func TestApplyUpdateNaiveTouchesAllRows(t *testing.T) {
 	cfg.Strategy = StrategyNaive
 	w := mathx.NewMatrix(10, cfg.Dim)
 	orig := w.Clone()
-	acc := newRowAccumulator(cfg.Dim, 4, 10)
-	applyWith(cfg, w, acc, 0, matWin, 6)
+	applyWith(cfg, w, nil, nil, 0, matWin, 6)
 	for r := 0; r < 10; r++ {
 		changed := false
 		for d := 0; d < cfg.Dim; d++ {
@@ -291,9 +307,8 @@ func TestApplyUpdateNoiseScales(t *testing.T) {
 		c := cfg
 		c.Strategy = strategy
 		w := mathx.NewMatrix(2, c.Dim)
-		acc := newRowAccumulator(c.Dim, 1, 2)
-		acc.add(0, make([]float64, c.Dim)) // row 0 touched with zero grad
-		applyWith(c, w, acc, 0, matWin, 9)
+		// Row 0 touched with a zero gradient.
+		applyWith(c, w, []int32{0}, [][]float64{make([]float64, c.Dim)}, 0, matWin, 9)
 		return mathx.StdDev(w.Row(0))
 	}
 	wantNonZero := cfg.LearningRate * cfg.Clip * cfg.Sigma
@@ -406,41 +421,6 @@ func TestClipJoint(t *testing.T) {
 	clipJoint(small, 1)
 	if small[0][0] != 0.1 {
 		t.Error("clipJoint modified a small gradient")
-	}
-}
-
-func TestRowAccumulator(t *testing.T) {
-	acc := newRowAccumulator(3, 2, 6)
-	acc.add(1, []float64{1, 2, 3})
-	acc.add(1, []float64{1, 1, 1})
-	acc.add(5, []float64{9, 0, 0})
-	if got := acc.row(1); got[0] != 2 || got[1] != 3 || got[2] != 4 {
-		t.Errorf("row 1 accumulated to %v", got)
-	}
-	acc.reset()
-	if len(acc.touched) != 0 || acc.row(1) != nil || acc.row(5) != nil {
-		t.Error("reset left rows behind")
-	}
-	// Reuse of a pooled (dirty) vector: the first add must fully overwrite
-	// whatever the previous epoch left in it.
-	acc.add(2, []float64{1, 1, 1})
-	if got := acc.row(2); got[0] != 1 || got[1] != 1 || got[2] != 1 {
-		t.Errorf("first add after reuse did not overwrite: %v", got)
-	}
-}
-
-func TestRowAccumulatorOverflowsPool(t *testing.T) {
-	// Undersized pool (and maxRows = 0) must still be correct, just slower.
-	for _, maxRows := range []int{0, 1} {
-		acc := newRowAccumulator(2, maxRows, 4)
-		for r := int32(0); r < 4; r++ {
-			acc.add(r, []float64{float64(r), 1})
-		}
-		for r := int32(0); r < 4; r++ {
-			if got := acc.row(r); got[0] != float64(r) || got[1] != 1 {
-				t.Fatalf("maxRows=%d: row %d = %v", maxRows, r, got)
-			}
-		}
 	}
 }
 

@@ -6,8 +6,8 @@ import "math"
 // engine's weight storage. The dense *Matrix is the default implementation;
 // *SpillMatrix (spill.go) is the out-of-core one, keeping only an LRU
 // window of rows resident over a backing file. Extracting the interface is
-// what lets every hot loop — the gradient pass, the reduction, the
-// noise-and-apply update — run unchanged over either tier (DESIGN.md §15).
+// what lets every hot loop — the gradient pass and the replay-and-apply
+// update — run unchanged over either tier (DESIGN.md §15).
 //
 // Row returns a MUTABLE view of one row. For a dense matrix the view is
 // permanently valid; for a spill-backed matrix it is valid until the next

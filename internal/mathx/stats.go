@@ -50,6 +50,35 @@ func LogSigmoid(x float64) float64 {
 	return x - math.Log1p(math.Exp(x))
 }
 
+// SigmoidLogs returns Sigmoid(x), LogSigmoid(x) and LogSigmoid(-x), each
+// bit-identical to the standalone call, from one math.Exp and one
+// math.Log1p: all three evaluate the same exp(−|x|) (taken as exp(−x) or
+// exp(x) on exactly the branches the standalone forms take), and the two
+// logs share log1p of it. The skip-gram pass needs σ and one log σ per
+// dot product; this halves its transcendental calls.
+func SigmoidLogs(x float64) (sig, logSig, logSigNeg float64) {
+	var e float64
+	if x >= 0 {
+		e = math.Exp(-x)
+		sig = 1 / (1 + e)
+	} else {
+		e = math.Exp(x)
+		sig = e / (1 + e)
+	}
+	l := math.Log1p(e)
+	if x >= 0 {
+		logSig = -l
+	} else {
+		logSig = x - l
+	}
+	if -x >= 0 {
+		logSigNeg = -l
+	} else {
+		logSigNeg = -x - l
+	}
+	return sig, logSig, logSigNeg
+}
+
 // LogSumExp returns log(Σ exp(xs)) computed stably.
 // It returns -Inf for an empty input.
 func LogSumExp(xs []float64) float64 {

@@ -77,6 +77,38 @@ func TestLogSigmoid(t *testing.T) {
 	}
 }
 
+// TestSigmoidLogsMatchesStandalone pins the shared-exp helper to the
+// standalone Sigmoid and LogSigmoid bit for bit — NaN payloads included —
+// at the branch edges (±0), the underflow and overflow ranges and the
+// infinities.
+func TestSigmoidLogsMatchesStandalone(t *testing.T) {
+	xs := []float64{0, 1, 700, 1e-300, 5e-324, 36.7, 745.2, math.Inf(1), math.NaN()}
+	for _, x := range append(xs, negateAll(xs)...) {
+		sig, logSig, logSigNeg := SigmoidLogs(x)
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"Sigmoid", sig, Sigmoid(x)},
+			{"LogSigmoid", logSig, LogSigmoid(x)},
+			{"LogSigmoid(-x)", logSigNeg, LogSigmoid(-x)},
+		} {
+			if math.Float64bits(c.got) != math.Float64bits(c.want) {
+				t.Errorf("%s at x=%g (bits %#x): got %v (bits %#x), want %v (bits %#x)",
+					c.name, x, math.Float64bits(x), c.got, math.Float64bits(c.got), c.want, math.Float64bits(c.want))
+			}
+		}
+	}
+}
+
+func negateAll(xs []float64) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = -x
+	}
+	return out
+}
+
 func TestLogSumExp(t *testing.T) {
 	xs := []float64{math.Log(1), math.Log(2), math.Log(3)}
 	if got := LogSumExp(xs); !AlmostEqual(got, math.Log(6), 1e-12) {

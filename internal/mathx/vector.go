@@ -98,6 +98,28 @@ func Norm2Sq(x []float64) float64 {
 	return s
 }
 
+// ScaledNorm2Sq returns Norm2Sq of the vector a·x — each element rounded
+// as fl(a·x[i]) before it is squared, summed in Norm2Sq's lane order —
+// without materializing it, so it equals Norm2Sq of that written-out
+// vector bit for bit.
+func ScaledNorm2Sq(a float64, x []float64) float64 {
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		x0, x1, x2, x3 := a*x[i], a*x[i+1], a*x[i+2], a*x[i+3]
+		s0 += x0 * x0
+		s1 += x1 * x1
+		s2 += x2 * x2
+		s3 += x3 * x3
+	}
+	s := (s0 + s1) + (s2 + s3)
+	for ; i < len(x); i++ {
+		v := a * x[i]
+		s += v * v
+	}
+	return s
+}
+
 // EuclideanDistance returns ||x-y||₂.
 //
 // Summation order: the same 4-lane scheme as Dot, over the squared

@@ -70,6 +70,28 @@ func TestNorms(t *testing.T) {
 	}
 }
 
+// TestScaledNorm2SqMatchesMaterialized pins ScaledNorm2Sq(a, x) to
+// Norm2Sq of the written-out vector fl(a·x) bit for bit, across lengths
+// that exercise the four-lane body and every tail length.
+func TestScaledNorm2SqMatchesMaterialized(t *testing.T) {
+	f := func(a float64, raw []float64) bool {
+		for n := 0; n <= len(raw); n++ {
+			x := raw[:n]
+			ax := make([]float64, n)
+			for i, v := range x {
+				ax[i] = a * v
+			}
+			if math.Float64bits(ScaledNorm2Sq(a, x)) != math.Float64bits(Norm2Sq(ax)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestMeanVarianceStdDev(t *testing.T) {
 	x := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(x); got != 5 {

@@ -40,15 +40,22 @@ func (k *Katz) NumNodes() int { return k.g.NumNodes() }
 
 func (*Katz) buildsRows() {}
 
-// Row implements Proximity. Cost is O(L·|E_reach|) via repeated sparse
-// frontier expansion from node i: cur holds the walk counts A^l e_i on
-// the frontier, and each level adds β^l times the next counts into acc.
-// Frontiers are expanded in the deterministic order they were reached, so
-// the walk-count sums (exact integers below 2^53, and reproducible above)
-// never depend on scheduling.
+// Row implements Proximity: the sparse form of build's row.
 func (k *Katz) Row(i int) []Entry {
 	s := k.scratch.get()
 	defer k.scratch.put(s)
+	return s.collect(k.build(s, i), i)
+}
+
+// build runs row i in s and returns its dense values: acc[j] for every
+// node j it reached (s.reached), zero elsewhere; the caller resets s
+// (collect or reset). Cost is O(L·|E_reach|) via repeated sparse frontier
+// expansion from node i: cur holds the walk counts A^l e_i on the
+// frontier, and each level adds β^l times the next counts into acc.
+// Frontiers are expanded in the deterministic order they were reached, so
+// the walk-count sums (exact integers below 2^53, and reproducible above)
+// never depend on scheduling.
+func (k *Katz) build(s *rowScratch, i int) []float64 {
 	cur, next, acc := s.x, s.y, s.z
 	cur[i] = 1
 	frontier, nextFrontier := append(s.l0[:0], int32(i)), s.l1[:0]
@@ -82,7 +89,7 @@ func (k *Katz) Row(i int) []Entry {
 	}
 	s.l0, s.l1 = frontier, nextFrontier
 	s.reached = reached
-	return s.collect(acc, i)
+	return acc
 }
 
 // At implements Proximity.
@@ -121,12 +128,18 @@ func (p *PageRank) NumNodes() int { return p.g.NumNodes() }
 
 func (*PageRank) buildsRows() {}
 
-// Row implements Proximity via forward push from i: a FIFO queue of nodes
-// whose residual reached eps per unit degree, each pop settling 1−alpha of
-// its residual into est and spreading the rest over its neighbors.
+// Row implements Proximity: the sparse form of build's row.
 func (p *PageRank) Row(i int) []Entry {
 	s := p.scratch.get()
 	defer p.scratch.put(s)
+	return s.collect(p.build(s, i), i)
+}
+
+// build runs row i in s and returns its dense values, as Katz.build does,
+// via forward push from i: a FIFO queue of nodes whose residual reached
+// eps per unit degree, each pop settling 1−alpha of its residual into est
+// and spreading the rest over its neighbors.
+func (p *PageRank) build(s *rowScratch, i int) []float64 {
 	est, residual, queued := s.x, s.y, s.queued
 	reached := append(s.reached[:0], int32(i))
 	s.seen[i] = true
@@ -166,7 +179,7 @@ func (p *PageRank) Row(i int) []Entry {
 		residual[u] = 0
 	}
 	s.l0, s.reached = queue, reached
-	return s.collect(est, i)
+	return est
 }
 
 // At implements Proximity.
@@ -188,20 +201,37 @@ type rowScratch struct {
 	reached      []int32
 }
 
-// collect returns the positive entries of vals over the reached nodes,
-// except the diagonal column i, in ascending column order, and resets
-// vals and seen on those nodes.
+// collect returns the positive entries of a built row's dense values
+// over the reached nodes, except the diagonal column i, in ascending
+// column order, and resets the scratch.
 func (s *rowScratch) collect(vals []float64, i int) []Entry {
 	slices.Sort(s.reached)
 	row := make([]Entry, 0, len(s.reached))
 	for _, j := range s.reached {
-		if v := vals[j]; v > 0 && int(j) != i {
+		if v := entry(vals, i, int(j)); v != 0 {
 			row = append(row, Entry{J: j, P: v})
 		}
+	}
+	s.reset(vals)
+	return row
+}
+
+// entry returns column j of row i's dense values as the sparse Row holds
+// it: 0 on the diagonal and for any value not > 0.
+func entry(vals []float64, i, j int) float64 {
+	if v := vals[j]; v > 0 && j != i {
+		return v
+	}
+	return 0
+}
+
+// reset zeroes vals and seen on the reached nodes, readying s for the
+// next build without sorting or collecting the row.
+func (s *rowScratch) reset(vals []float64) {
+	for _, j := range s.reached {
 		vals[j] = 0
 		s.seen[j] = false
 	}
-	return row
 }
 
 // rowPool recycles rowScratch workspaces sized for an n-node graph, so

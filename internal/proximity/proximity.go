@@ -91,9 +91,10 @@ type rowBuilder interface {
 // source with a stable counting sort and each source's row is built once,
 // so the fill costs one row build per distinct source instead of one per
 // pair; every other measure is evaluated with At per pair. Either way the
-// weights are exactly At's — a grouped weight is rowAt of the very row At
-// would have built — and each lands in its own pair-index slot, so the
-// slice is bit-identical to the serial per-pair pass at any worker count.
+// weights are exactly At's — a grouped weight is the entry of the very
+// row At would have built, read from its dense values (denseBuild) — and
+// each lands in its own pair-index slot, so the slice is bit-identical to
+// the serial per-pair pass at any worker count.
 // Row and At must be safe for concurrent use (true for every measure in
 // this package, and required of custom measures handed here).
 func PairWeights(p Proximity, pairs []Pair, workers int) []float64 {
@@ -121,19 +122,50 @@ func PairWeights(p Proximity, pairs []Pair, workers int) []float64 {
 		bySource[fill[pr.I]] = k
 		fill[pr.I]++
 	}
+	build, pool := denseBuild(p)
 	parallelBlocks(n, workers, func(lo, hi int) {
+		var s *rowScratch
+		if build != nil {
+			s = pool.get()
+			defer pool.put(s)
+		}
 		for i := lo; i < hi; i++ {
 			ks := bySource[start[i]:start[i+1]]
 			if len(ks) == 0 {
 				continue
 			}
-			row := p.Row(i)
-			for _, k := range ks {
-				w[k] = rowAt(row, int(pairs[k].J))
+			if build == nil {
+				row := p.Row(i)
+				for _, k := range ks {
+					w[k] = rowAt(row, int(pairs[k].J))
+				}
+				continue
 			}
+			vals := build(s, i)
+			for _, k := range ks {
+				w[k] = entry(vals, i, int(pairs[k].J))
+			}
+			s.reset(vals)
 		}
 	})
 	return w
+}
+
+// denseBuild returns the dense row build of this package's row-building
+// measures and the scratch pool it runs in, so PairWeights reads each
+// paired column straight from the build's values — no sorted []Entry is
+// built, allocated and binary-searched — through the same build Row
+// collects from. It returns nil for any other measure, including a type
+// that embeds Katz or PageRank: such a wrapper may override Row, and its
+// Row stays the source of truth.
+func denseBuild(p Proximity) (func(*rowScratch, int) []float64, *rowPool) {
+	switch q := p.(type) {
+	case *Katz:
+		return q.build, &q.scratch
+	case *PageRank:
+		return q.build, &q.scratch
+	}
+	return nil, nil
 }
 
 // rowAt searches a sorted sparse row for column j.

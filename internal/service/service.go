@@ -529,6 +529,14 @@ func (j *Job) EmbeddingHash() (uint64, bool) {
 	return j.hashVal, j.hashOK
 }
 
+// seedHash records Win's digest, computed while persisting the job's
+// artifact or verified while adopting it from the store, as the job's
+// EmbeddingHash, so the O(|V|·r) digest runs once per job. It must be
+// called before done closes, while no reader can have run the Once.
+func (j *Job) seedHash(h uint64) {
+	j.hashOnce.Do(func() { j.hashVal, j.hashOK = h, true })
+}
+
 // JobID returns the stable job identifier for a deduplication key (the ID
 // a submission with that key would receive). The default method keeps the
 // pre-registry hash preimage, so every job ID (and on-disk artifact) minted
@@ -656,16 +664,15 @@ func (j *Job) ResultMeta() (*ArtifactMeta, error) {
 }
 
 // ResultRows returns rows [lo, hi) of a finished job's embedding — the one
-// row-window path, whichever process trained the job. A job this process
-// never ran, or has forgotten, is read from the artifact store by ID. For
-// a job in the table, with a store configured and the run completed (so
-// its artifact is authoritative), the window is decoded straight from the
-// persisted artifact through its row-offset index, at O(window·r) memory
-// regardless of |V|; otherwise it is a window of the in-memory result (an
-// O(1) view on the dense tier, an O(window) copy on the spill tier).
-// Either way the window carries the full-embedding digest, so callers can
-// verify a page against the hash the whole-result API reports. The
-// window's matrix may alias the shared Result: treat it as read-only.
+// row-window path, whichever process trained the job. A job in the table
+// is served from its in-memory result, which is authoritative (an O(1)
+// view on the dense tier, an O(window) copy on the spill tier). A job this
+// process never ran, or has forgotten, is read from the artifact store by
+// ID, decoded through the artifact's row-offset index at O(window·r)
+// memory regardless of |V|. Either way the window carries the
+// full-embedding digest, so callers can verify a page against the hash
+// the whole-result API reports. The window's matrix may alias the shared
+// Result: treat it as read-only.
 func (s *Service) ResultRows(id string, lo, hi int) (*core.EmbeddingWindow, error) {
 	j, ok := s.JobByID(id)
 	if !ok {
@@ -677,18 +684,6 @@ func (s *Service) ResultRows(id string, lo, hi int) (*core.EmbeddingWindow, erro
 	meta, err := j.ResultMeta()
 	if err != nil {
 		return nil, err
-	}
-	// A canceled partial is never persisted, and a stale artifact under
-	// the same key (e.g. a completed run from a previous process) would
-	// serve rows from a DIFFERENT matrix than the one this job reports —
-	// so the disk path is reserved for completed runs.
-	if s.store != nil && meta.Stopped != core.StopCanceled {
-		if w, err := s.store.LoadRows(j.key, lo, hi); err == nil {
-			return w, nil
-		}
-		// Any store miss (no artifact, another format, corruption) falls
-		// back to memory; the in-memory result is
-		// authoritative and the window contract is identical.
 	}
 	m, err := j.res.Rows(lo, hi)
 	if err != nil {
@@ -1010,7 +1005,7 @@ func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximit
 func (s *Service) trainOrFollow(ctx context.Context, j *Job, m methods.Method, g *graph.Graph, prox proximity.Proximity, cfg core.Config) (*core.Result, error) {
 	for {
 		if s.store != nil {
-			if cached, ok := s.store.Load(j.key); ok {
+			if cached, ok := s.adopt(j); ok {
 				return cached, nil
 			}
 		}
@@ -1025,7 +1020,7 @@ func (s *Service) trainOrFollow(ctx context.Context, j *Job, m methods.Method, g
 			// A peer may have saved the artifact and released its lease
 			// between the Load above and this Acquire: the lease is free,
 			// but the job is already trained. Check again under the lease.
-			if cached, ok := s.store.Load(j.key); ok {
+			if cached, ok := s.adopt(j); ok {
 				s.lease.Release(j.id)
 				return cached, nil
 			}
@@ -1061,10 +1056,23 @@ func (s *Service) train(ctx context.Context, j *Job, m methods.Method, g *graph.
 	})
 	if err == nil && res.Stopped != core.StopCanceled && s.store != nil {
 		// Best-effort persistence: a failed write degrades restart
-		// warmth, never the in-flight response.
-		_ = s.store.Save(j.key, res)
+		// warmth, never the in-flight response. The artifact header and
+		// the job share one digest of Win.
+		digest := mathx.DigestMat(res.Model.Win)
+		j.seedHash(digest)
+		_ = s.store.save(j.key, res, digest)
 	}
 	return res, err
+}
+
+// adopt loads j's persisted result from the store, seeding the job's
+// embedding hash from the header digest the load verified.
+func (s *Service) adopt(j *Job) (*core.Result, bool) {
+	res, digest, ok := s.store.load(j.key)
+	if ok {
+		j.seedHash(digest)
+	}
+	return res, ok
 }
 
 // publishTerminal emits the job's exactly-once terminal stream event,

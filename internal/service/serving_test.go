@@ -3,8 +3,10 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -446,6 +448,14 @@ func TestArtifactStoreSurvivesRestart(t *testing.T) {
 	if res2.Epochs != res1.Epochs || res2.Stopped != res1.Stopped {
 		t.Fatalf("artifact-served metadata drifted: %+v vs %+v", res2.Epochs, res1.Epochs)
 	}
+	// Both jobs report the one digest of Win: the trained job the one it
+	// wrote into the header, the adopted job the one Load verified.
+	want := mathx.DigestMat(res1.Model.Win)
+	for name, j := range map[string]*Job{"trained": j1, "adopted": j2} {
+		if got, ok := j.EmbeddingHash(); !ok || got != want {
+			t.Errorf("%s job EmbeddingHash = %016x (ok=%v), want %016x", name, got, ok, want)
+		}
+	}
 }
 
 // TestNonV3ArtifactIsRetrained pins the store's one-format rule: a file
@@ -552,7 +562,7 @@ func TestWrongEmbeddingHashIsRetrained(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := jr.Key()
-	hdr := newArtifactHeader(key, want)
+	hdr := newArtifactHeader(key, want, mathx.DigestMat(want.Model.Win))
 	hdr.EmbeddingHash ^= 1
 	var buf bytes.Buffer
 	if err := core.WriteIndexed(&buf, &hdr, want.Model.Win, want.Model.Wout); err != nil {
@@ -585,6 +595,71 @@ func TestWrongEmbeddingHashIsRetrained(t *testing.T) {
 	}
 	if _, ok := st.Load(key); !ok {
 		t.Fatal("the retrained artifact does not load")
+	}
+}
+
+// TestResultRowsServesTableJobFromMemory: a finished job still in the
+// table is served from its in-memory result, which is authoritative, not
+// from its artifact. After the job completes, the sign of Win[0][0] is
+// flipped in place inside the artifact's first Win chunk: gob writes a
+// float64 as its little-endian bytes with leading zero bytes dropped, so
+// flipping the top bit of the last one negates the value and leaves the
+// frame decodable and the header and row index valid — only the whole-Win
+// digest Load checks would notice. The store's own by-ID window must show
+// the flipped value (the tamper took) while ResultRows returns the
+// in-memory one.
+func TestResultRowsServesTableJobFromMemory(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Options{MaxWorkers: 1, ArtifactDir: dir})
+	defer s.Close()
+	j, err := s.SubmitSpec(ringSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := st.path(j.Key())
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr artifactHeader
+	ix, err := core.OpenIndexed(bytes.NewReader(raw), int64(len(raw)), &hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.Model.Win.Row(0)[0]
+	var le [8]byte
+	binary.LittleEndian.PutUint64(le[:], math.Float64bits(want))
+	needle := bytes.TrimLeft(le[:], "\x00")
+	at := bytes.Index(raw[ix.Win[0]:], needle)
+	if want == 0 || at < 0 {
+		t.Fatalf("Win[0][0] = %v not found in the first Win chunk", want)
+	}
+	raw[int(ix.Win[0])+at+len(needle)-1] ^= 0x80
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	disk, err := st.LoadRowsByID(j.ID(), 0, 1)
+	if err != nil {
+		t.Fatalf("tampered artifact no longer decodes: %v", err)
+	}
+	if got := disk.Rows.At(0, 0); got != -want {
+		t.Fatalf("artifact Win[0][0] = %v after the flip, want %v", got, -want)
+	}
+	w, err := s.ResultRows(j.ID(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Rows.At(0, 0); got != want {
+		t.Fatalf("ResultRows Win[0][0] = %v, want the in-memory %v (served from disk?)", got, want)
 	}
 }
 

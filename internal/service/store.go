@@ -113,13 +113,19 @@ func sanitizeName(name string) string {
 // and replica leases: a torn write leaves the previous artifact — or no
 // artifact — never a corrupt one.
 func (st *Store) Save(key experiments.ResultKey, res *core.Result) error {
+	return st.save(key, res, mathx.DigestMat(res.Model.Win))
+}
+
+// save is Save with Win's digest already computed by the caller.
+func (st *Store) save(key experiments.ResultKey, res *core.Result, digest uint64) error {
 	return replica.WriteFileAtomic(st.path(key), func(w io.Writer) error {
-		return writeArtifact(w, key, res)
+		return writeArtifact(w, key, res, digest)
 	})
 }
 
-// newArtifactHeader is the header frame persisted for res under key.
-func newArtifactHeader(key experiments.ResultKey, res *core.Result) artifactHeader {
+// newArtifactHeader is the header frame persisted for res under key;
+// digest is mathx.DigestMat of res's Win.
+func newArtifactHeader(key experiments.ResultKey, res *core.Result, digest uint64) artifactHeader {
 	return artifactHeader{
 		Version:          artifactVersion,
 		GraphFingerprint: key.Graph,
@@ -134,15 +140,15 @@ func newArtifactHeader(key experiments.ResultKey, res *core.Result) artifactHead
 		EpsilonSpent:     res.EpsilonSpent,
 		DeltaSpent:       res.DeltaSpent,
 		LossHistory:      res.LossHistory,
-		EmbeddingHash:    mathx.DigestMat(res.Model.Win),
+		EmbeddingHash:    digest,
 	}
 }
 
 // writeArtifact streams res's v3 artifact. The Mat-streaming writer
 // persists spill-backed results at O(chunk) memory; for dense results it
 // emits byte-identical frames.
-func writeArtifact(w io.Writer, key experiments.ResultKey, res *core.Result) error {
-	hdr := newArtifactHeader(key, res)
+func writeArtifact(w io.Writer, key experiments.ResultKey, res *core.Result, digest uint64) error {
+	hdr := newArtifactHeader(key, res, digest)
 	return core.WriteIndexed(w, &hdr, res.Model.Win, res.Model.Wout)
 }
 
@@ -153,20 +159,26 @@ func writeArtifact(w io.Writer, key experiments.ResultKey, res *core.Result) err
 // A false simply means the service retrains — the store can never poison
 // a response.
 func (st *Store) Load(key experiments.ResultKey) (*core.Result, bool) {
+	res, _, ok := st.load(key)
+	return res, ok
+}
+
+// load is Load that also returns the verified EmbeddingHash.
+func (st *Store) load(key experiments.ResultKey) (*core.Result, uint64, bool) {
 	a, err := openArtifact(st.path(key))
 	if err != nil {
-		return nil, false
+		return nil, 0, false
 	}
 	defer a.f.Close()
 	if a.check(key) != nil {
-		return nil, false
+		return nil, 0, false
 	}
 	win, wout, err := a.ix.DecodeAll(a.f, a.size)
 	if err != nil || mathx.DigestFloat64s(win) != a.hdr.EmbeddingHash {
-		return nil, false
+		return nil, 0, false
 	}
 	st.hits.Add(1)
-	return a.hdr.result(win, wout), true
+	return a.hdr.result(win, wout), a.hdr.EmbeddingHash, true
 }
 
 // sweepPath places a sweep artifact. Sweep IDs are "s" + 16 hex digits —

@@ -194,7 +194,8 @@ func TestLoadHostileShapeIsMiss(t *testing.T) {
 // through a round trip that a symmetric writer/reader change would pass.
 func TestArtifactGoldenBytes(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeArtifact(&buf, storeKey(3), fakeResult(200, 16)); err != nil {
+	res := fakeResult(200, 16)
+	if err := writeArtifact(&buf, storeKey(3), res, mathx.DigestMat(res.Model.Win)); err != nil {
 		t.Fatal(err)
 	}
 	const want = "46d693ab07fa81e047244c21a003e5d274e4540490bfb1ada9c50aa3bd858ab6"
@@ -281,7 +282,7 @@ func FuzzArtifactByID(f *testing.F) {
 	key := storeKey(5)
 	res := fakeResult(40, 5)
 	var buf bytes.Buffer
-	if err := writeArtifact(&buf, key, res); err != nil {
+	if err := writeArtifact(&buf, key, res, mathx.DigestMat(res.Model.Win)); err != nil {
 		f.Fatal(err)
 	}
 	intact := buf.Bytes()

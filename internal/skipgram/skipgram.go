@@ -79,20 +79,27 @@ type Example struct {
 }
 
 // Grads holds the sparse gradient of L_nov for a single example: one row
-// against Win and 1+len(Negs) rows against Wout. Buffers are reused across
-// calls to avoid per-example allocation in the training loop.
+// against Win and 1+len(Negs) rows against Wout. By Eq. (8) every Wout
+// row-gradient is rank-1 — ∂L/∂v_n = c_n·v_I — so Grads keeps the k+1
+// coefficients and a view of v_I instead of k+1 materialized rows; OutGrad
+// writes one out when a caller needs it. Buffers are reused across calls
+// to avoid per-example allocation in the training loop.
 type Grads struct {
 	InRow int       // row index into Win (the center node I)
 	GIn   []float64 // ∂L/∂v_I, length Dim
+	// VI is the Win row v_I the pass read — a view, not a copy, so it is
+	// valid until that row is next written (or, on the spill tier,
+	// unpinned).
+	VI []float64
 
-	OutRows []int32     // J followed by the negatives
-	GOut    [][]float64 // ∂L/∂v_row for each entry of OutRows
+	OutRows []int32   // J followed by the negatives
+	Coef    []float64 // c_t with ∂L/∂v_{OutRows[t]} = Coef[t]·v_I
 }
 
 // Ensure sizes the buffers for dim and k negatives. Gradients calls it on
 // every invocation, so callers normally never need to; parallel training
-// engines call it up front to pre-size one Grads per worker (or per batch
-// slot) outside the hot loop, keeping the gradient stage allocation-free.
+// engines call it up front to pre-size one Grads per batch slot outside
+// the hot loop, keeping the gradient stage allocation-free.
 func (g *Grads) Ensure(dim, k int) {
 	if cap(g.GIn) < dim {
 		g.GIn = make([]float64, dim)
@@ -102,17 +109,23 @@ func (g *Grads) Ensure(dim, k int) {
 	if cap(g.OutRows) < need {
 		g.OutRows = make([]int32, need)
 	}
+	if cap(g.Coef) < need {
+		g.Coef = make([]float64, need)
+	}
 	g.OutRows = g.OutRows[:need]
-	for cap(g.GOut) < need {
-		g.GOut = append(g.GOut[:cap(g.GOut)], nil)
+	g.Coef = g.Coef[:need]
+}
+
+// OutGrad writes the t-th Wout row-gradient ∂L/∂v_{OutRows[t]} into dst
+// (length Dim) and returns it: dst[d] = Coef[t]·VI[d], one rounding per
+// coordinate.
+func (g *Grads) OutGrad(t int, dst []float64) []float64 {
+	c := g.Coef[t]
+	dst = dst[:len(g.VI)]
+	for d, v := range g.VI {
+		dst[d] = c * v
 	}
-	g.GOut = g.GOut[:need]
-	for i := range g.GOut {
-		if cap(g.GOut[i]) < dim {
-			g.GOut[i] = make([]float64, dim)
-		}
-		g.GOut[i] = g.GOut[i][:dim]
-	}
+	return dst
 }
 
 // Gradients computes the Eq. (7)/(8) gradients of L_nov at the current
@@ -131,8 +144,9 @@ func (m *Model) Gradients(ex Example, g *Grads) {
 
 // LossGradients computes L_nov AND its Eq. (7)/(8) gradients in one
 // forward+backward pass: per positive/negative Wout row it takes the dot
-// once, then derives the loss term, the GIn accumulation and the Wout row
-// gradient from it.
+// once, then derives the loss term, the GIn accumulation and the Wout
+// coefficient from it, with one exponential (mathx.SigmoidLogs) for both
+// σ and log σ.
 //
 // Numerics: the loss terms accumulate in the same order as the standalone
 // Loss — positive first, then negatives in sample order — so the pass is
@@ -142,36 +156,31 @@ func (m *Model) LossGradients(ex Example, g *Grads) float64 {
 	g.Ensure(m.Dim, len(ex.Negs))
 	vi := m.Win.Row(int(ex.I))
 	g.InRow = int(ex.I)
+	g.VI = vi
 	mathx.Zero(g.GIn)
 
 	// Positive node (n = 0 in Eq. (7): indicator is 1).
 	vj := m.Wout.Row(int(ex.J))
 	dotJ := mathx.Dot(vj, vi)
-	coefJ := ex.W * (mathx.Sigmoid(dotJ) - 1)
+	sig, logSig, _ := mathx.SigmoidLogs(dotJ)
+	coefJ := ex.W * (sig - 1)
 	mathx.AXPY(coefJ, vj, g.GIn)
 	g.OutRows[0] = ex.J
-	scaleTo(g.GOut[0], coefJ, vi)
-	loss := -mathx.LogSigmoid(dotJ)
+	g.Coef[0] = coefJ
+	loss := -logSig
 
 	// Negative nodes (indicator is 0).
 	for t, n := range ex.Negs {
 		vn := m.Wout.Row(int(n))
 		dotN := mathx.Dot(vn, vi)
-		coefN := ex.W * mathx.Sigmoid(dotN)
+		sig, _, logSigNeg := mathx.SigmoidLogs(dotN)
+		coefN := ex.W * sig
 		mathx.AXPY(coefN, vn, g.GIn)
 		g.OutRows[t+1] = n
-		scaleTo(g.GOut[t+1], coefN, vi)
-		loss -= mathx.LogSigmoid(-dotN)
+		g.Coef[t+1] = coefN
+		loss -= logSigNeg
 	}
 	return ex.W * loss
-}
-
-// scaleTo writes dst = a*x.
-func scaleTo(dst []float64, a float64, x []float64) {
-	dst = dst[:len(x)]
-	for d, v := range x {
-		dst[d] = a * v
-	}
 }
 
 // Loss returns L_nov(v_i, v_j, p_ij) for the example at the current

@@ -95,14 +95,19 @@ func TestGradientsMatchFiniteDifferences(t *testing.T) {
 			t.Errorf("GIn[%d] = %g, numeric %g", d, g.GIn[d], want)
 		}
 	}
-	// ∂L/∂v_j and ∂L/∂v_n (Wout rows).
+	// ∂L/∂v_j and ∂L/∂v_n (Wout rows), written out from their rank-1
+	// form before the finite differences perturb v_i.
+	out := make([][]float64, len(g.OutRows))
+	for t2 := range out {
+		out[t2] = g.OutGrad(t2, make([]float64, m.Dim))
+	}
 	for t2, row := range g.OutRows {
 		vr := m.Wout.Row(int(row))
 		for d := 0; d < m.Dim; d++ {
 			want := numGrad(vr, d)
-			if math.Abs(g.GOut[t2][d]-want) > 1e-5 {
-				t.Errorf("GOut[%d][%d] (node %d) = %g, numeric %g",
-					t2, d, row, g.GOut[t2][d], want)
+			if math.Abs(out[t2][d]-want) > 1e-5 {
+				t.Errorf("OutGrad(%d)[%d] (node %d) = %g, numeric %g",
+					t2, d, row, out[t2][d], want)
 			}
 		}
 	}
@@ -136,57 +141,58 @@ func TestGradientsBufferReuse(t *testing.T) {
 }
 
 // naiveGradients is the reference per-example backward pass — one Dot,
-// one Sigmoid, and separate Zero+AXPY emits per row — kept as the oracle
-// for LossGradients.
-func naiveGradients(m *Model, ex Example, g *Grads) {
-	g.Ensure(m.Dim, len(ex.Negs))
+// one standalone Sigmoid per row, and each Wout row-gradient written out
+// as fl(coef·v_i) — kept as the oracle for LossGradients.
+func naiveGradients(m *Model, ex Example) (gIn []float64, outRows []int32, gOut [][]float64) {
 	vi := m.Win.Row(int(ex.I))
-	g.InRow = int(ex.I)
-	mathx.Zero(g.GIn)
-	vj := m.Wout.Row(int(ex.J))
-	coefJ := ex.W * (mathx.Sigmoid(mathx.Dot(vj, vi)) - 1)
-	mathx.AXPY(coefJ, vj, g.GIn)
-	g.OutRows[0] = ex.J
-	mathx.Zero(g.GOut[0])
-	mathx.AXPY(coefJ, vi, g.GOut[0])
-	for t, n := range ex.Negs {
-		vn := m.Wout.Row(int(n))
-		coefN := ex.W * mathx.Sigmoid(mathx.Dot(vn, vi))
-		mathx.AXPY(coefN, vn, g.GIn)
-		g.OutRows[t+1] = n
-		mathx.Zero(g.GOut[t+1])
-		mathx.AXPY(coefN, vi, g.GOut[t+1])
+	gIn = make([]float64, m.Dim)
+	emit := func(row int32, coef float64) {
+		vr := m.Wout.Row(int(row))
+		mathx.AXPY(coef, vr, gIn)
+		g := make([]float64, m.Dim)
+		for d, v := range vi {
+			g[d] = coef * v
+		}
+		outRows = append(outRows, row)
+		gOut = append(gOut, g)
 	}
+	emit(ex.J, ex.W*(mathx.Sigmoid(mathx.Dot(m.Wout.Row(int(ex.J)), vi))-1))
+	for _, n := range ex.Negs {
+		emit(n, ex.W*mathx.Sigmoid(mathx.Dot(m.Wout.Row(int(n)), vi)))
+	}
+	return gIn, outRows, gOut
 }
 
 // TestLossGradientsMatchesComposition pins the one-pass contract: the
-// forward+backward must be BIT-identical to the separate Loss call plus
-// the naive per-row gradient pass, at even and odd negative counts
-// including k = 0.
+// forward+backward — its shared-exp σ/log σ and its rank-1 Wout rows —
+// must be BIT-identical to the separate Loss call plus the naive per-row
+// gradient pass, at even and odd negative counts including k = 0.
 func TestLossGradientsMatchesComposition(t *testing.T) {
 	m := testModel(t, 12, 7) // odd dim exercises the reductions' scalar tails
 	for _, negs := range [][]int32{nil, {4}, {4, 6}, {4, 6, 8}, {4, 6, 8, 10, 11}} {
 		ex := Example{I: 2, J: 3, Negs: negs, W: 1.3}
-		var got, naive Grads
+		var got Grads
 		gotLoss := m.LossGradients(ex, &got)
-		naiveGradients(m, ex, &naive)
+		gIn, outRows, gOut := naiveGradients(m, ex)
 		wantLoss := m.Loss(ex)
 		if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
 			t.Errorf("k=%d: LossGradients loss %g != Loss %g", len(negs), gotLoss, wantLoss)
 		}
 		for d := range got.GIn {
-			if math.Float64bits(got.GIn[d]) != math.Float64bits(naive.GIn[d]) {
-				t.Errorf("k=%d: GIn[%d] got %g != naive %g", len(negs), d, got.GIn[d], naive.GIn[d])
+			if math.Float64bits(got.GIn[d]) != math.Float64bits(gIn[d]) {
+				t.Errorf("k=%d: GIn[%d] got %g != naive %g", len(negs), d, got.GIn[d], gIn[d])
 			}
 		}
+		row := make([]float64, m.Dim)
 		for r := range got.OutRows {
-			if got.OutRows[r] != naive.OutRows[r] {
-				t.Fatalf("k=%d: OutRows[%d] = %d, want %d", len(negs), r, got.OutRows[r], naive.OutRows[r])
+			if got.OutRows[r] != outRows[r] {
+				t.Fatalf("k=%d: OutRows[%d] = %d, want %d", len(negs), r, got.OutRows[r], outRows[r])
 			}
-			for d := range got.GOut[r] {
-				if math.Float64bits(got.GOut[r][d]) != math.Float64bits(naive.GOut[r][d]) {
-					t.Errorf("k=%d: GOut[%d][%d] got %g != naive %g",
-						len(negs), r, d, got.GOut[r][d], naive.GOut[r][d])
+			got.OutGrad(r, row)
+			for d := range row {
+				if math.Float64bits(row[d]) != math.Float64bits(gOut[r][d]) {
+					t.Errorf("k=%d: OutGrad(%d)[%d] got %g != naive %g",
+						len(negs), r, d, row[d], gOut[r][d])
 				}
 			}
 		}
@@ -200,10 +206,13 @@ func TestGradientStepDecreasesLoss(t *testing.T) {
 	var g Grads
 	m.Gradients(ex, &g)
 	const lr = 0.1
-	mathx.AXPY(-lr, g.GIn, m.Win.Row(int(ex.I)))
-	for t2, row := range g.OutRows {
-		mathx.AXPY(-lr, g.GOut[t2], m.Wout.Row(int(row)))
+	// Write the Wout rows out first: their rank-1 form reads v_i, which
+	// the Win step moves.
+	row := make([]float64, m.Dim)
+	for t2, r := range g.OutRows {
+		mathx.AXPY(-lr, g.OutGrad(t2, row), m.Wout.Row(int(r)))
 	}
+	mathx.AXPY(-lr, g.GIn, m.Win.Row(int(ex.I)))
 	after := m.Loss(ex)
 	if after >= before {
 		t.Errorf("gradient step did not decrease loss: %g -> %g", before, after)
@@ -246,6 +255,7 @@ func TestTheorem3FixedPoint(t *testing.T) {
 		m.Wout.(*mathx.Matrix).Data[i] = (r.Float64() - 0.5) * 0.1
 	}
 	var g Grads
+	gj := make([]float64, dim)
 	for iter := 0; iter < 40000; iter++ {
 		lr := 0.1
 		if iter > 20000 {
@@ -270,10 +280,11 @@ func TestTheorem3FixedPoint(t *testing.T) {
 				cn := float64(k) * minP * mathx.Sigmoid(m.Score(int(i), int(j)))
 				vi := m.Win.Row(int(i))
 				vj := m.Wout.Row(int(j))
+				g.OutGrad(0, gj)
 				mathx.AXPY(cn, vj, g.GIn)
-				mathx.AXPY(cn, vi, g.GOut[0])
+				mathx.AXPY(cn, vi, gj)
 				mathx.AXPY(-lr, g.GIn, vi)
-				mathx.AXPY(-lr, g.GOut[0], vj)
+				mathx.AXPY(-lr, gj, vj)
 			}
 		}
 	}

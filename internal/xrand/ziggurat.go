@@ -75,6 +75,25 @@ func (s Stream) NormalsAt(dst []float64, base uint64) {
 	}
 }
 
+// NoisyStep applies dst[k] -= lr·(g[k] + sd·NormalAt(k)) for every k: the
+// Gaussian-mechanism gradient step with NormalsAt's draw fused into the
+// apply loop, so no noise row is written and read back. Each draw equals
+// NormalAt(k) bit for bit. len(g) must be at least len(dst).
+func (s Stream) NoisyStep(dst, g []float64, lr, sd float64) {
+	g = g[:len(dst)]
+	for k := range dst {
+		bits := mix64(s.base + (uint64(k)+1)*golden)
+		j := bits & 0xff
+		var z float64
+		if x := float64(int64(bits>>11)) * 0x1p-53 * zigX[j]; x < zigX[j+1] {
+			z = withSign(x, bits)
+		} else {
+			z = s.Derive(uint64(k)).normalSlow(bits)
+		}
+		dst[k] -= lr * (g[k] + sd*z)
+	}
+}
+
 // withSign returns x (≥ 0) negated when bit 8 of bits is set.
 func withSign(x float64, bits uint64) float64 {
 	return math.Float64frombits(math.Float64bits(x) | (bits&0x100)<<55)

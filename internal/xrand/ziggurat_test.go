@@ -144,6 +144,35 @@ func TestNormalsAtMatchesNormalAt(t *testing.T) {
 	t.Logf("%d wedge and %d tail draws", wedge, tail)
 }
 
+// TestNoisyStepMatchesNormalsAt pins the fused step to the two-pass form
+// it replaces — fill the noise row with NormalsAt, then apply
+// dst[k] -= lr·(g[k] + sd·z[k]) — bit for bit, on rows long enough that
+// the slow branches are taken.
+func TestNoisyStepMatchesNormalsAt(t *testing.T) {
+	root := NewStream(77)
+	rng := New(3)
+	const n = 1000
+	g, z := make([]float64, n), make([]float64, n)
+	got, want := make([]float64, n), make([]float64, n)
+	for key := uint64(0); key < 32; key++ {
+		sub := root.Derive(key)
+		rng.NormalVec(g, 1)
+		rng.NormalVec(want, 1)
+		copy(got, want)
+		lr, sd := rng.Float64(), 10*rng.Float64()
+		sub.NormalsAt(z, 0)
+		for k := range want {
+			want[k] -= lr * (g[k] + sd*z[k])
+		}
+		sub.NoisyStep(got, g, lr, sd)
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("key %d coord %d: NoisyStep %v, two-pass %v", key, k, got[k], want[k])
+			}
+		}
+	}
+}
+
 func FuzzStreamNormalAt(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint64(0))
 	f.Add(uint64(42), uint64(7), uint64(1<<63))
