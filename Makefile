@@ -1,9 +1,9 @@
 GO ?= go
 # Benchmark → JSON recording for the perf trajectory; bump per PR.
-BENCH_JSON ?= BENCH_pr23.json
+BENCH_JSON ?= BENCH_pr24.json
 # The previous PR's recording, the local regression baseline for
 # bench-diff (CI benchmarks the base commit on its own runner instead).
-BENCH_BASE ?= BENCH_pr21.json
+BENCH_BASE ?= BENCH_pr23.json
 # The sharded-stage benchmarks: the DP noise/update stage, the one-shot
 # graph passes, the whole-train scaling curves (TrainWorkers matches the
 # lazy-Katz job too, with its weight-fill share as weights-ns/op), the
@@ -12,7 +12,9 @@ BENCH_BASE ?= BENCH_pr21.json
 # AXPY. StreamNormalAt times the counter stream's normal sampler, one
 # noise row per op, and StreamNormalsAt the row fill. TrainDatasetJob is
 # the end-to-end train-dataset job without the HTTP stack, reporting its
-# gradients/reduce/update split per op.
+# gradients/reduce/update split per op. TrainWorkersSpill also reports
+# the bytes its spill runs read and wrote (spill-read-B/op,
+# spill-write-B/op).
 BENCH_PAT ?= StreamNormalAt|StreamNormalsAt|ApplyUpdate|GenerateSubgraphs|TrainWorkers|TrainDatasetJob|StrucEquWorkers|LinkAUCWorkers|EdgeWeightsWorkers|BenchmarkDot|BenchmarkNorm2Sq|BenchmarkAXPY
 # Per-target fuzz budget for `make fuzz` (Go's -fuzztime syntax).
 FUZZTIME ?= 10s

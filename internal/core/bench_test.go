@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"seprivgemb/internal/graph"
+	"seprivgemb/internal/mathx"
 	"seprivgemb/internal/proximity"
 	"seprivgemb/internal/skipgram"
 	"seprivgemb/internal/xrand"
@@ -82,7 +83,9 @@ func BenchmarkGenerateSubgraphs(b *testing.B) {
 // beside the same run in memory, at two worker counts: the per-op ratio
 // of spill to dense is the tier's overhead (DESIGN.md §15). The graph and
 // config are the spill tests' (a 3 MiB budget between the ~2.1 MiB
-// minimum and the 4 MiB dense footprint), with 20 epochs.
+// minimum and the 4 MiB dense footprint), with 20 epochs. The spill runs
+// also report the bytes each run moved to and from its spill files
+// (spill-read-B/op, spill-write-B/op).
 func BenchmarkTrainWorkersSpill(b *testing.B) {
 	g := graph.BarabasiAlbert(2048, 2, xrand.New(9))
 	prox := proximity.NewDeepWalk(g)
@@ -97,11 +100,25 @@ func BenchmarkTrainWorkersSpill(b *testing.B) {
 				cfg.MemoryBudget = tier.budget
 				cfg.Workers = workers
 				b.ReportAllocs()
+				var io mathx.SpillStats
 				for i := 0; i < b.N; i++ {
 					cfg.Seed = uint64(i)
-					if _, err := Train(g, prox, cfg); err != nil {
+					res, err := Train(g, prox, cfg)
+					if err != nil {
 						b.Fatal(err)
 					}
+					for _, m := range []mathx.Mat{res.Model.Win, res.Model.Wout} {
+						if sm, ok := m.(*mathx.SpillMatrix); ok {
+							st := sm.Stats()
+							io.BytesRead += st.BytesRead
+							io.BytesWritten += st.BytesWritten
+							sm.Close()
+						}
+					}
+				}
+				if tier.budget > 0 {
+					b.ReportMetric(float64(io.BytesRead)/float64(b.N), "spill-read-B/op")
+					b.ReportMetric(float64(io.BytesWritten)/float64(b.N), "spill-write-B/op")
 				}
 			})
 		}

@@ -141,7 +141,9 @@ func fillWeights(prox proximity.Proximity, subs []Subgraph, workers int) []float
 // not an error — with Stopped == StopCanceled, Epochs recording how many
 // epochs ran, and Result.Checkpoint holding a snapshot that resumes the run
 // bit-identically (pass it back via Hooks.Resume). An error return is
-// reserved for invalid configs, graphs, or checkpoints.
+// reserved for invalid configs, graphs, or checkpoints, and for a failed
+// read or write of the spill tier's backing file (wrapping a
+// *mathx.SpillError).
 //
 // The zero Hooks value makes TrainContext(context.Background(), ...)
 // equivalent to Train(...) bit for bit.
@@ -198,21 +200,18 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 	stages.EdgeWeights = time.Since(fillStart)
 	// Line 3: initialize the weight matrices — dense, or spill-backed when
 	// MemoryBudget bounds residency below the dense footprint (DESIGN.md
-	// §15). The budget splits across Win and Wout: each matrix first gets
-	// the floor its per-epoch pin set needs (B center rows vs (K+1)·B
-	// context rows), then half the surplus. A resumed run re-draws the
-	// initialization (keeping the RNG aligned with the original stream) and
-	// then overwrites both matrices and the RNG from the checkpoint.
+	// §15), split between Win and Wout by Config.spillShares. A resumed
+	// run re-draws the initialization (keeping the RNG aligned with the
+	// original stream) and then overwrites both matrices and the RNG from
+	// the checkpoint.
 	var model *skipgram.Model
 	if n := g.NumNodes(); cfg.spillActive(n) {
-		minWin := mathx.MinSpillBudget(n, cfg.Dim, cfg.BatchSize)
-		minWout := mathx.MinSpillBudget(n, cfg.Dim, (cfg.K+1)*cfg.BatchSize)
-		extra := cfg.MemoryBudget - minWin - minWout
-		spillWin, err := mathx.NewSpillMatrix(n, cfg.Dim, minWin+extra/2, "")
+		winBudget, woutBudget := cfg.spillShares(n)
+		spillWin, err := mathx.NewSpillMatrix(n, cfg.Dim, winBudget, "")
 		if err != nil {
 			return nil, fmt.Errorf("core: spill tier for Win: %w", err)
 		}
-		spillWout, err := mathx.NewSpillMatrix(n, cfg.Dim, minWout+extra-extra/2, "")
+		spillWout, err := mathx.NewSpillMatrix(n, cfg.Dim, woutBudget, "")
 		if err != nil {
 			spillWin.Close()
 			return nil, fmt.Errorf("core: spill tier for Wout: %w", err)
@@ -291,6 +290,9 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 			res.Stopped = StopCanceled
 			res.Stages = stages
 			emitCheckpoint()
+			if err := res.SpillErr(); err != nil {
+				return nil, fmt.Errorf("core: spill tier: %w", err)
+			}
 			return res, nil
 		}
 		stageClock := time.Now()
@@ -299,8 +301,11 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 		idx := rng.SampleWithoutReplacement(len(subs), cfg.BatchSize)
 		eng.touchRows(idx)
 		// Spill tier: pin the chunks covering the batch's touched rows for
-		// the whole epoch, so the parallel stages never fault or evict.
-		eng.pinEpoch()
+		// the whole epoch, so the parallel stages never fault or evict. A
+		// spill I/O failure (here or in any earlier fault) fails the run.
+		if err := eng.pinEpoch(); err != nil {
+			return nil, fmt.Errorf("core: spill tier: %w", err)
+		}
 		// Per-example losses, rank-1 gradients and clip factors (the stage
 		// that parallelizes across cfg.Workers)...
 		lossSum := eng.computeStage(idx)
@@ -361,6 +366,9 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 	if (hooks.CheckpointEvery > 0 || hooks.Checkpoint != nil) &&
 		(res.Checkpoint == nil || res.Checkpoint.Epoch != res.Epochs) {
 		emitCheckpoint()
+	}
+	if err := res.SpillErr(); err != nil {
+		return nil, fmt.Errorf("core: spill tier: %w", err)
 	}
 	return res, nil
 }

@@ -466,17 +466,27 @@ func (e *engine) update(epoch int) {
 
 // pinEpoch pins the spill-tier chunks covering every row the epoch's
 // sampled batch will touch — Win: the B center rows; Wout: the (K+1)·B
-// positive and negative rows, as listed by touchRows — so the parallel
-// stages below never fault a chunk in or evict one (the engine's side of
-// mathx.SpillMatrix's pin contract; Config.MinMemoryBudget guarantees the
-// pin set fits). The pins also keep every slot's v_I view valid until the
-// update has read it. No-op on the dense tier.
-func (e *engine) pinEpoch() {
+// positive and negative rows, as listed by touchRows — and reads those
+// rows in, so the parallel stages below never fault a chunk in or evict
+// one (the engine's side of mathx.SpillMatrix's pin contract;
+// Config.MinMemoryBudget guarantees the pin set fits). The pins also keep
+// every slot's v_I view valid until the update has read it. It returns the
+// spill tier's sticky I/O error, with nothing left pinned. No-op on the
+// dense tier.
+func (e *engine) pinEpoch() error {
 	if e.winSpill == nil {
-		return
+		return nil
 	}
-	e.pinsIn = e.winSpill.Pin(e.inRows)
-	e.pinsOut = e.woutSpill.Pin(e.outRows)
+	var err error
+	if e.pinsIn, err = e.winSpill.Pin(e.inRows); err != nil {
+		return err
+	}
+	if e.pinsOut, err = e.woutSpill.Pin(e.outRows); err != nil {
+		e.winSpill.Unpin(e.pinsIn)
+		e.pinsIn = nil
+		return err
+	}
+	return nil
 }
 
 // unpinEpoch releases pinEpoch's chunks. No-op on the dense tier.

@@ -211,6 +211,7 @@ func writeChunkFramesMat(fw *frameWriter, m mathx.Mat) ([]int64, error) {
 	rows, cols := m.NumRows(), m.NumCols()
 	offs := make([]int64, 0, chunkCount(rows*cols, chunkFloats))
 	buf := make([]float64, 0, chunkFloats)
+	scratch := make([]float64, cols)
 	flush := func() error {
 		start, err := fw.writeFrame(buf)
 		if err != nil {
@@ -221,7 +222,7 @@ func writeChunkFramesMat(fw *frameWriter, m mathx.Mat) ([]int64, error) {
 		return nil
 	}
 	for i := 0; i < rows; i++ {
-		row := mathx.ReadRow(m, i)
+		row := mathx.ReadRow(m, i, scratch)
 		for len(row) > 0 {
 			take := chunkFloats - len(buf)
 			if take > len(row) {

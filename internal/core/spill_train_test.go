@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"seprivgemb/internal/graph"
@@ -259,5 +262,121 @@ func TestSpillResidencyBounded(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	if ms.HeapAlloc > 192<<20 {
 		t.Errorf("HeapAlloc = %d MiB after budgeted training, want well under the dense 256 MiB", ms.HeapAlloc>>20)
+	}
+}
+
+// TestSpillSharesFitBudget: the Win/Wout split never hands out more than
+// MemoryBudget, never gives a matrix more than it takes to hold the whole
+// matrix resident, and still covers each matrix's pin floor. When Wout's
+// floor already covers all of Wout (the train-spill benchmark shape:
+// 22,440 nodes, 351 chunks, a 352-chunk floor, a 32 MiB budget), the
+// surplus Wout cannot use goes to Win.
+func TestSpillSharesFitBudget(t *testing.T) {
+	const chunk = 64 << 10
+	for _, tc := range []struct {
+		nodes  int
+		cfg    Config
+		budget int64
+	}{
+		{2048, spillConfig(), 3 << 20},
+		{2048, spillConfig(), spillConfig().MinMemoryBudget(2048)},
+		{22440, DefaultConfig(), 32 << 20},
+		{22440, DefaultConfig(), DefaultConfig().MinMemoryBudget(22440)},
+		{1 << 20, DefaultConfig(), 256 << 20},
+	} {
+		cfg := tc.cfg
+		cfg.MemoryBudget = tc.budget
+		if !cfg.spillActive(tc.nodes) || tc.budget < cfg.MinMemoryBudget(tc.nodes) {
+			t.Fatalf("%d nodes, %d B: not an admissible spill budget", tc.nodes, tc.budget)
+		}
+		win, wout := cfg.spillShares(tc.nodes)
+		full := mathx.SpillFullBytes(tc.nodes, cfg.Dim)
+		if win+wout > tc.budget {
+			t.Errorf("%d nodes, %d B: shares %d + %d exceed the budget", tc.nodes, tc.budget, win, wout)
+		}
+		if win > full || wout > full {
+			t.Errorf("%d nodes, %d B: shares %d, %d exceed the %d B matrix", tc.nodes, tc.budget, win, wout, full)
+		}
+		if floor := mathx.MinSpillBudget(tc.nodes, cfg.Dim, cfg.BatchSize); win < min(floor, full) {
+			t.Errorf("%d nodes, %d B: Win share %d below its floor %d", tc.nodes, tc.budget, win, floor)
+		}
+		if floor := mathx.MinSpillBudget(tc.nodes, cfg.Dim, (cfg.K+1)*cfg.BatchSize); wout < min(floor, full) {
+			t.Errorf("%d nodes, %d B: Wout share %d below its floor %d", tc.nodes, tc.budget, wout, floor)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.MemoryBudget = 32 << 20
+	if win, wout := cfg.spillShares(22440); wout != 351*chunk || win != (512-351)*chunk {
+		t.Errorf("train-spill shape: shares %d + %d chunks, want 161 + 351", win/chunk, wout/chunk)
+	}
+}
+
+// TestSpilledResultConcurrentRows: several goroutines read random row
+// windows of one spilled result, with digests of the whole embedding
+// racing them, under a budget small enough that the reads keep evicting
+// chunks and recycling their slabs. Every window is bit-equal to the
+// dense run's rows and every digest to the dense digest. Run it under
+// -race (make race).
+func TestSpilledResultConcurrentRows(t *testing.T) {
+	g := spillGraph(t)
+	cfg := spillConfig()
+	dense, err := Train(g, proximity.NewDegree(g), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MemoryBudget = cfg.MinMemoryBudget(g.NumNodes())
+	res, err := Train(g, proximity.NewDegree(g), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win, ok := res.Model.Win.(*mathx.SpillMatrix)
+	if !ok {
+		t.Fatalf("budgeted run trained on the dense tier (%T)", res.Model.Win)
+	}
+	want := dense.Model.Win.(*mathx.Matrix)
+	wantDigest := mathx.DigestMat(want)
+	n := g.NumNodes()
+	evictions := win.Stats().Evictions
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for r := 0; r < 6; r++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			rng := xrand.New(seed)
+			for k := 0; k < 60; k++ {
+				lo := rng.Intn(n)
+				hi := min(n, lo+1+rng.Intn(200))
+				w, err := res.Rows(lo, hi)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i := range w.Data {
+					if math.Float64bits(w.Data[i]) != math.Float64bits(want.Data[lo*want.Cols+i]) {
+						errs <- fmt.Errorf("window [%d, %d) differs from the dense rows at value %d", lo, hi, i)
+						return
+					}
+				}
+			}
+		}(uint64(r))
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := mathx.DigestMat(win); got != wantDigest {
+				errs <- fmt.Errorf("digest %x racing the readers, dense %x", got, wantDigest)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if win.Stats().Evictions == evictions {
+		t.Error("the readers never evicted a chunk; shrink the budget")
 	}
 }

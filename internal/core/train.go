@@ -98,6 +98,21 @@ func (c Config) MinMemoryBudget(nodes int) int64 {
 		mathx.MinSpillBudget(nodes, c.Dim, (c.K+1)*c.BatchSize)
 }
 
+// spillShares splits MemoryBudget between Win and Wout for a spilled run
+// on `nodes` nodes. Each matrix first gets the floor its per-epoch pin set
+// needs (B center rows vs (K+1)·B context rows), then half the surplus;
+// no share exceeds the budget that keeps its whole matrix resident, and
+// what one matrix cannot use goes to the other.
+func (c Config) spillShares(nodes int) (win, wout int64) {
+	minWin := mathx.MinSpillBudget(nodes, c.Dim, c.BatchSize)
+	minWout := mathx.MinSpillBudget(nodes, c.Dim, (c.K+1)*c.BatchSize)
+	full := mathx.SpillFullBytes(nodes, c.Dim)
+	win = min(minWin+(c.MemoryBudget-minWin-minWout)/2, full)
+	wout = min(c.MemoryBudget-win, full)
+	win = min(c.MemoryBudget-wout, full)
+	return win, wout
+}
+
 // spillActive reports whether this config trains on the spill tier for a
 // graph of `nodes` nodes: a positive budget strictly below the dense
 // footprint.
@@ -231,16 +246,33 @@ func (r *Result) Embedding() *mathx.Matrix { return mathx.Materialize(r.Model.Wi
 // copy read through the LRU cache, never a full materialization. Results
 // are shared across deduplicated submissions, so the view must be treated
 // as read-only. An out-of-range window is an error rather than a panic:
-// serving layers turn it into a 400.
+// serving layers turn it into a 400. So is a spill-tier I/O failure (a
+// *mathx.SpillError).
 func (r *Result) Rows(lo, hi int) (*mathx.Matrix, error) {
 	win := r.Model.Win
 	if lo < 0 || hi < lo || hi > win.NumRows() {
 		return nil, fmt.Errorf("core: row window [%d, %d) outside embedding with %d rows", lo, hi, win.NumRows())
 	}
 	if sm, ok := win.(*mathx.SpillMatrix); ok {
-		return sm.ReadRows(lo, hi), nil
+		return sm.ReadRows(lo, hi)
 	}
 	return win.(*mathx.Matrix).RowRange(lo, hi), nil
+}
+
+// SpillErr returns the first I/O error of the spill tier under r's model
+// (a *mathx.SpillError), nil if none or on the dense tier. TrainContext
+// checks it at every epoch's pin barrier and before it returns; callers
+// that go on to read a spilled result (digest, artifact write) check it
+// again afterwards.
+func (r *Result) SpillErr() error {
+	for _, m := range []mathx.Mat{r.Model.Win, r.Model.Wout} {
+		if sm, ok := m.(*mathx.SpillMatrix); ok {
+			if err := sm.Err(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Train runs SE-PrivGEmb (Algorithm 2) — or its non-private SE-GEmb

@@ -11,28 +11,33 @@ import "math"
 //
 // Row returns a MUTABLE view of one row. For a dense matrix the view is
 // permanently valid; for a spill-backed matrix it is valid until the next
-// operation that may evict (see SpillMatrix.Row for the exact contract —
-// the training engine pins each epoch's touched rows before its parallel
-// stages, so views live exactly as long as the stage that reads them).
+// operation that may evict, after which it may show another row (see
+// SpillMatrix for the exact contract — the training engine pins each
+// epoch's touched rows before its parallel stages, so views live exactly
+// as long as the stage that reads them; readers of a finished, shared
+// matrix go through ReadRow).
 type Mat interface {
 	NumRows() int
 	NumCols() int
 	Row(i int) []float64
 }
 
-// ViewRower is the optional read-only access an out-of-core Mat provides:
-// ViewRow is Row without the write-back bookkeeping, so streaming readers
-// (digests, artifact encoders) do not force every visited row to be
-// rewritten to the backing file on eviction.
-type ViewRower interface {
-	ViewRow(i int) []float64
+// RowCopier is the read access an out-of-core Mat provides: CopyRow
+// copies row i into dst under the matrix's own lock, so the read stays
+// correct while other readers fault, evict and recycle slabs (a Row view
+// carries no such guarantee), and it does not mark the row for
+// write-back.
+type RowCopier interface {
+	CopyRow(dst []float64, i int)
 }
 
-// ReadRow returns row i of m for reading, via ViewRow when m offers it.
-// Callers must not mutate the returned slice.
-func ReadRow(m Mat, i int) []float64 {
-	if v, ok := m.(ViewRower); ok {
-		return v.ViewRow(i)
+// ReadRow returns row i of m for reading: the row itself for a matrix
+// without CopyRow (the dense tier, no copy), otherwise a copy in scratch,
+// which must hold NumCols values. Callers must not mutate the result.
+func ReadRow(m Mat, i int, scratch []float64) []float64 {
+	if c, ok := m.(RowCopier); ok {
+		c.CopyRow(scratch, i)
+		return scratch
 	}
 	return m.Row(i)
 }
@@ -54,7 +59,7 @@ func Materialize(m Mat) *Matrix {
 	}
 	out := NewMatrix(m.NumRows(), m.NumCols())
 	for i := 0; i < m.NumRows(); i++ {
-		copy(out.Row(i), ReadRow(m, i))
+		copy(out.Row(i), ReadRow(m, i, out.Row(i)))
 	}
 	return out
 }
@@ -67,7 +72,8 @@ func CopyOut(m Mat) []float64 {
 	rows, cols := m.NumRows(), m.NumCols()
 	out := make([]float64, rows*cols)
 	for i := 0; i < rows; i++ {
-		copy(out[i*cols:(i+1)*cols], ReadRow(m, i))
+		dst := out[i*cols : (i+1)*cols]
+		copy(dst, ReadRow(m, i, dst))
 	}
 	return out
 }
@@ -95,8 +101,9 @@ func DigestMat(m Mat) uint64 {
 		return DigestFloat64s(d.Data)
 	}
 	h := NewFNV64()
+	scratch := make([]float64, m.NumCols())
 	for i := 0; i < m.NumRows(); i++ {
-		for _, x := range ReadRow(m, i) {
+		for _, x := range ReadRow(m, i, scratch) {
 			h.Word(math.Float64bits(x))
 		}
 	}

@@ -2,9 +2,9 @@ package mathx
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"unsafe"
 )
@@ -12,7 +12,7 @@ import (
 // float64sAsBytes reinterprets xs as its raw in-memory bytes, native
 // endianness. The spill file is process-private (unlinked at creation) and
 // never read by another machine, so byte order portability is moot and the
-// zero-copy view keeps chunk I/O at memcpy speed.
+// zero-copy view keeps row I/O at memcpy speed.
 func float64sAsBytes(xs []float64) []byte {
 	if len(xs) == 0 {
 		return nil
@@ -25,54 +25,110 @@ func float64sAsBytes(xs []float64) []byte {
 // (core/rowindex.go), so the out-of-core tier and the artifact/checkpoint
 // writers stay aligned on one I/O granularity. Unlike v3 stream frames
 // (length-prefixed gob, append-only) the spill file stores chunks as raw
-// fixed-stride native-endian float64 so chunks can be rewritten in place;
+// fixed-stride native-endian float64 so rows can be rewritten in place;
 // DESIGN.md §15 documents the layout.
 const SpillChunkFloats = 8192
 
 // SpillChunkBytes is the byte size of a full spill chunk.
 const SpillChunkBytes = SpillChunkFloats * 8
 
-// spillChunk is one resident window of the backing file. Slabs are never
-// reused after eviction — every load allocates fresh — so row views handed
-// out while the chunk was resident stay memory-safe (merely stale) if the
-// chunk is evicted and reloaded.
-type spillChunk struct {
-	data    []float64 // rowsIn(chunk)·cols values
-	dirty   bool      // mutated since load; written back on eviction
-	pins    int       // eviction is forbidden while > 0
-	lastUse uint64    // LRU tick
+// bitset is a fixed-size bit vector over row or chunk indices.
+type bitset []uint64
+
+func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b bitset) unset(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
+func (b bitset) unsetRange(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		b.unset(i)
+	}
 }
 
+// spillChunk is the residency state of one 64 KiB window of the backing
+// file. The slab is the unit of residency; rows inside it are the unit of
+// I/O, tracked by the matrix's present and dirty row bitsets.
+type spillChunk struct {
+	data       []float64 // rowsIn(chunk)·cols values while resident, nil otherwise
+	pins       int       // eviction is forbidden while > 0
+	prev, next int32     // LRU list links among resident chunks; -1 ends the list
+	written    bool      // some row was written back; until then the chunk reads as zeros
+}
+
+// SpillStats counts a spill matrix's traffic with its backing file.
+type SpillStats struct {
+	Reads, Writes           int64 // pread and pwrite calls
+	BytesRead, BytesWritten int64
+	Evictions               int64 // chunks dropped from residency
+}
+
+// SpillError is a failed read or write-back of a spill matrix's backing
+// file. The first one is sticky: the matrix's contents are no longer
+// trustworthy, so Pin, Flush, Err and ReadRows return it from then on.
+type SpillError struct {
+	Op    string // "read" or "write"
+	Chunk int
+	Err   error
+}
+
+func (e *SpillError) Error() string {
+	return fmt.Sprintf("mathx: spill %s of chunk %d: %v", e.Op, e.Chunk, e.Err)
+}
+
+func (e *SpillError) Unwrap() error { return e.Err }
+
 // SpillMatrix is a file-backed Mat: a rows×cols float64 matrix whose
-// resident state is an LRU window of 64 KiB chunks over an anonymous
+// resident state is an LRU window of 64 KiB chunk slabs over an anonymous
 // (created-then-unlinked) temp file, bounded by a byte budget. It is the
 // out-of-core training tier selected by Config.MemoryBudget.
 //
-// Concurrency: all methods are safe for concurrent use, but the Row/ViewRow
-// slices they return are views into resident slabs — valid only until an
-// operation that may evict. The training engine makes that window explicit
-// with the pin discipline: Pin the rows an epoch will touch, run the
-// parallel stages (which then only ever hit pinned, unevictable chunks),
-// Unpin. Rows outside any pin are still accessible; they fault their chunk
-// in and may evict the least-recently-used unpinned chunk.
+// I/O is row-granular. A chunk becomes resident without I/O; each row in
+// it is read from the file only when first needed (a present bit) and
+// written back on eviction only if it was handed out mutably (a dirty
+// bit). Pin reads just the pinned rows; any other miss fills the chunk's
+// absent rows, so a streaming reader still does one pread per chunk. Runs
+// of consecutive rows coalesce into one pread or pwrite.
+//
+// Concurrency: all methods are safe for concurrent use, but the Row
+// slices they return are views into resident slabs, which are recycled:
+// an evicted chunk's slab is reused for the next chunk to load. A view
+// is therefore valid only until an operation that may evict its chunk,
+// and after that it may show another chunk's rows. The training engine
+// makes that window explicit with the pin discipline: Pin the rows an
+// epoch will touch, run the parallel stages (which then only ever hit
+// pinned, unevictable chunks), Unpin. A reader that can race another
+// reader of an unpinned matrix — serving a finished result — copies rows
+// out under the matrix's lock instead: CopyRow, ReadRows, and the
+// mathx helpers built on ReadRow.
 //
 // Budget overage: if every resident chunk is pinned and a new chunk must
 // load, the matrix grows past its budget rather than deadlock; the
 // high-water mark (MaxResidentBytes) records it. Callers that need a hard
 // guarantee size their pin sets with MinSpillBudget.
+//
+// I/O errors do not panic: the first one is recorded (SpillError) and
+// returned by the next Pin, Flush or Err, and the matrix keeps serving
+// whatever its slabs hold.
 type SpillMatrix struct {
 	rows, cols int
 	chunkRows  int // rows per chunk: max(1, SpillChunkFloats/cols)
-	numChunks  int
 
 	budgetChunks int // resident ceiling (soft under all-pinned pressure)
 
-	mu          sync.Mutex
-	file        *os.File
-	resident    map[int]*spillChunk
-	tick        uint64
-	maxResident int  // high-water resident chunk count
-	closed      bool // Close called; file gone
+	mu       sync.Mutex
+	file     *os.File
+	chunks   []spillChunk // indexed by chunk; data == nil when not resident
+	present  bitset       // rows whose resident slab holds their current value
+	dirty    bitset       // present rows handed out mutably since their fill
+	mark     bitset       // Pin's row marks, cleared before it returns
+	pinMark  bitset       // Pin's chunk marks, cleared as they are visited
+	mru, lru int32        // resident list ends, -1 when nothing is resident
+
+	resident    int // resident chunk count
+	maxResident int // high-water resident chunk count
+	stats       SpillStats
+	err         error // first I/O failure, sticky
+	closed      bool  // Close called; file gone
 }
 
 // SpillChunkRows returns the rows-per-chunk stride a spill matrix with the
@@ -88,24 +144,33 @@ func SpillChunkRows(cols int) int {
 	return cr
 }
 
+// spillChunks returns the chunk count of a rows×cols spill matrix (at
+// least one) and its chunk stride in bytes.
+func spillChunks(rows, cols int) (numChunks int, stride int64) {
+	cr := SpillChunkRows(cols)
+	numChunks = (rows + cr - 1) / cr
+	if numChunks < 1 {
+		numChunks = 1
+	}
+	return numChunks, int64(cr) * int64(cols) * 8
+}
+
 // MinSpillBudget returns the smallest byte budget under which a spill
 // matrix of the given shape can keep `rows` arbitrary rows pinned at once
 // plus one spare chunk for streaming reads: (min(rows, numChunks)+1)
 // chunks. The worst case is each pinned row landing in a distinct chunk.
 func MinSpillBudget(totalRows, cols, rows int) int64 {
-	cr := SpillChunkRows(cols)
-	numChunks := (totalRows + cr - 1) / cr
-	if numChunks < 1 {
-		numChunks = 1
-	}
-	need := rows
-	if need > numChunks {
-		need = numChunks
-	}
-	return int64(need+1) * int64(chunkStrideBytes(cr, cols))
+	numChunks, stride := spillChunks(totalRows, cols)
+	return int64(min(rows, numChunks)+1) * stride
 }
 
-func chunkStrideBytes(chunkRows, cols int) int { return chunkRows * cols * 8 }
+// SpillFullBytes returns the budget at which a rows×cols spill matrix
+// holds every chunk resident, never below the two chunks NewSpillMatrix
+// requires: a budget beyond it buys nothing.
+func SpillFullBytes(rows, cols int) int64 {
+	numChunks, stride := spillChunks(rows, cols)
+	return int64(max(numChunks, 2)) * stride
+}
 
 // NewSpillMatrix creates a zeroed rows×cols spill matrix bounded by
 // budgetBytes of resident chunk slabs. The backing file is created in
@@ -117,13 +182,8 @@ func NewSpillMatrix(rows, cols int, budgetBytes int64, dir string) (*SpillMatrix
 	if rows < 0 || cols <= 0 {
 		return nil, fmt.Errorf("mathx: NewSpillMatrix(%d, %d): invalid shape", rows, cols)
 	}
-	cr := SpillChunkRows(cols)
-	numChunks := (rows + cr - 1) / cr
-	if numChunks < 1 {
-		numChunks = 1
-	}
-	stride := chunkStrideBytes(cr, cols)
-	budgetChunks := int(budgetBytes / int64(stride))
+	numChunks, stride := spillChunks(rows, cols)
+	budgetChunks := int(budgetBytes / stride)
 	if budgetChunks < 2 {
 		return nil, fmt.Errorf("mathx: spill budget %d B below two %d B chunks", budgetBytes, stride)
 	}
@@ -138,20 +198,25 @@ func NewSpillMatrix(rows, cols int, budgetBytes int64, dir string) (*SpillMatrix
 		f.Close()
 		return nil, fmt.Errorf("mathx: unlink spill file: %w", err)
 	}
-	// Sparse-extend to full size so unwritten chunks read back as zeros,
+	// Sparse-extend to full size so unwritten rows read back as zeros,
 	// matching NewMatrix's zeroed allocation.
-	if err := f.Truncate(int64(numChunks) * int64(stride)); err != nil {
+	if err := f.Truncate(int64(numChunks) * stride); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("mathx: size spill file: %w", err)
 	}
 	m := &SpillMatrix{
 		rows:         rows,
 		cols:         cols,
-		chunkRows:    cr,
-		numChunks:    numChunks,
+		chunkRows:    SpillChunkRows(cols),
 		budgetChunks: budgetChunks,
 		file:         f,
-		resident:     make(map[int]*spillChunk),
+		chunks:       make([]spillChunk, numChunks),
+		present:      newBitset(rows),
+		dirty:        newBitset(rows),
+		mark:         newBitset(rows),
+		pinMark:      newBitset(numChunks),
+		mru:          -1,
+		lru:          -1,
 	}
 	runtime.SetFinalizer(m, func(sm *SpillMatrix) { sm.Close() })
 	return m, nil
@@ -163,168 +228,289 @@ func (m *SpillMatrix) NumRows() int { return m.rows }
 // NumCols implements Mat.
 func (m *SpillMatrix) NumCols() int { return m.cols }
 
-// rowsIn returns how many rows chunk c actually holds (the last chunk may
-// be short).
-func (m *SpillMatrix) rowsIn(c int) int {
-	n := m.rows - c*m.chunkRows
-	if n > m.chunkRows {
-		n = m.chunkRows
-	}
-	return n
+// rowRange returns chunk c's rows [lo, hi) (the last chunk may be short).
+func (m *SpillMatrix) rowRange(c int) (lo, hi int) {
+	lo = c * m.chunkRows
+	return lo, min(lo+m.chunkRows, m.rows)
 }
 
-// load faults chunk c into residency, evicting the LRU unpinned chunk if
-// the budget is full. Caller holds m.mu. I/O failure panics: the spill
-// file is process-private state, and a torn read/write under it is not a
-// recoverable condition for a training loop mid-epoch (DESIGN.md §15
-// failure matrix).
+// rowsOf returns the slab values of rows [a, b) of resident chunk c.
+func (m *SpillMatrix) rowsOf(c, a, b int) []float64 {
+	lo, _ := m.rowRange(c)
+	return m.chunks[c].data[(a-lo)*m.cols : (b-lo)*m.cols]
+}
+
+// runs calls fn on each maximal run [a, b) of consecutive rows of chunk c
+// for which in holds.
+func (m *SpillMatrix) runs(c int, in func(i int) bool, fn func(a, b int)) {
+	lo, hi := m.rowRange(c)
+	for a := lo; a < hi; a++ {
+		if !in(a) {
+			continue
+		}
+		b := a + 1
+		for b < hi && in(b) {
+			b++
+		}
+		fn(a, b)
+		a = b
+	}
+}
+
+// fail records the first I/O error. Caller holds m.mu.
+func (m *SpillMatrix) fail(op string, c int, err error) {
+	if m.err == nil {
+		m.err = &SpillError{Op: op, Chunk: c, Err: err}
+	}
+}
+
+// unlink removes resident chunk c from the LRU list. Caller holds m.mu.
+func (m *SpillMatrix) unlink(c int) {
+	ch := &m.chunks[c]
+	if ch.prev >= 0 {
+		m.chunks[ch.prev].next = ch.next
+	} else {
+		m.mru = ch.next
+	}
+	if ch.next >= 0 {
+		m.chunks[ch.next].prev = ch.prev
+	} else {
+		m.lru = ch.prev
+	}
+}
+
+// pushMRU puts chunk c at the most-recently-used end. Caller holds m.mu.
+func (m *SpillMatrix) pushMRU(c int) {
+	ch := &m.chunks[c]
+	ch.prev, ch.next = -1, m.mru
+	if m.mru >= 0 {
+		m.chunks[m.mru].prev = int32(c)
+	} else {
+		m.lru = int32(c)
+	}
+	m.mru = int32(c)
+}
+
+// load makes chunk c resident, with every row absent and no I/O. If the
+// budget is full it evicts the LRU unpinned chunk and takes over its slab,
+// so a warm window allocates nothing. Caller holds m.mu.
 func (m *SpillMatrix) load(c int) *spillChunk {
 	if m.closed {
 		panic("mathx: SpillMatrix used after Close")
 	}
-	if ch, ok := m.resident[c]; ok {
-		m.tick++
-		ch.lastUse = m.tick
+	ch := &m.chunks[c]
+	if ch.data != nil {
+		if m.mru != int32(c) {
+			m.unlink(c)
+			m.pushMRU(c)
+		}
 		return ch
 	}
-	for len(m.resident) >= m.budgetChunks {
-		if !m.evictLRU() {
+	var slab []float64
+	for m.resident >= m.budgetChunks {
+		victim, ok := m.evictLRU()
+		if !ok {
 			break // everything pinned: grow past budget rather than deadlock
 		}
+		slab = victim
 	}
-	nr := m.rowsIn(c)
-	ch := &spillChunk{data: make([]float64, nr*m.cols)}
-	buf := float64sAsBytes(ch.data)
-	if _, err := m.file.ReadAt(buf, int64(c)*int64(chunkStrideBytes(m.chunkRows, m.cols))); err != nil {
-		panic(fmt.Sprintf("mathx: spill read chunk %d: %v", c, err))
+	lo, hi := m.rowRange(c)
+	if n := (hi - lo) * m.cols; cap(slab) >= n {
+		ch.data = slab[:n]
+	} else {
+		ch.data = make([]float64, n)
 	}
-	m.tick++
-	ch.lastUse = m.tick
-	m.resident[c] = ch
-	if len(m.resident) > m.maxResident {
-		m.maxResident = len(m.resident)
-	}
+	m.pushMRU(c)
+	m.resident++
+	m.maxResident = max(m.maxResident, m.resident)
 	return ch
 }
 
-// evictLRU writes back and drops the least-recently-used unpinned chunk.
-// Returns false when every resident chunk is pinned. Caller holds m.mu.
-func (m *SpillMatrix) evictLRU() bool {
-	victim, found := -1, false
-	var oldest uint64
-	for c, ch := range m.resident {
-		if ch.pins > 0 {
-			continue
+// fill makes the absent rows of resident chunk c present — only those
+// marked in want when want is non-nil — with one pread per run of
+// consecutive rows, or by zeroing them while the chunk has never been
+// written back. A failed read leaves its rows absent. Caller holds m.mu.
+func (m *SpillMatrix) fill(c int, want bitset) {
+	ch := &m.chunks[c]
+	m.runs(c, func(i int) bool {
+		return !m.present.has(i) && (want == nil || want.has(i))
+	}, func(a, b int) {
+		dst := m.rowsOf(c, a, b)
+		if ch.written {
+			buf := float64sAsBytes(dst)
+			if _, err := m.file.ReadAt(buf, int64(a)*int64(m.cols)*8); err != nil {
+				m.fail("read", c, err)
+				return
+			}
+			m.stats.Reads++
+			m.stats.BytesRead += int64(len(buf))
+		} else {
+			clear(dst)
 		}
-		if !found || ch.lastUse < oldest {
-			victim, oldest, found = c, ch.lastUse, true
+		for i := a; i < b; i++ {
+			m.present.set(i)
 		}
-	}
-	if !found {
-		return false
-	}
-	m.writeBack(victim, m.resident[victim])
-	delete(m.resident, victim)
-	return true
+	})
 }
 
-func (m *SpillMatrix) writeBack(c int, ch *spillChunk) {
-	if !ch.dirty {
-		return
+// writeBack writes chunk c's dirty rows to the file, one pwrite per run,
+// and marks them clean. Caller holds m.mu.
+func (m *SpillMatrix) writeBack(c int) {
+	ch := &m.chunks[c]
+	m.runs(c, m.dirty.has, func(a, b int) {
+		buf := float64sAsBytes(m.rowsOf(c, a, b))
+		if _, err := m.file.WriteAt(buf, int64(a)*int64(m.cols)*8); err != nil {
+			m.fail("write", c, err)
+		} else {
+			ch.written = true
+			m.stats.Writes++
+			m.stats.BytesWritten += int64(len(buf))
+		}
+		m.dirty.unsetRange(a, b)
+	})
+}
+
+// evictLRU writes back the least-recently-used unpinned chunk's dirty
+// rows, drops it from residency and returns its slab for reuse. Returns
+// false when every resident chunk is pinned. Caller holds m.mu.
+func (m *SpillMatrix) evictLRU() ([]float64, bool) {
+	c := int(m.lru)
+	for c >= 0 && m.chunks[c].pins > 0 {
+		c = int(m.chunks[c].prev)
 	}
-	buf := float64sAsBytes(ch.data)
-	if _, err := m.file.WriteAt(buf, int64(c)*int64(chunkStrideBytes(m.chunkRows, m.cols))); err != nil {
-		panic(fmt.Sprintf("mathx: spill write chunk %d: %v", c, err))
+	if c < 0 {
+		return nil, false
 	}
-	ch.dirty = false
+	m.writeBack(c)
+	m.unlink(c)
+	lo, hi := m.rowRange(c)
+	m.present.unsetRange(lo, hi)
+	ch := &m.chunks[c]
+	slab := ch.data
+	ch.data = nil
+	m.resident--
+	m.stats.Evictions++
+	return slab, true
+}
+
+// rowLocked returns row i's slab values, faulting in its chunk and filling
+// the chunk's absent rows on a miss. Caller holds m.mu.
+func (m *SpillMatrix) rowLocked(i int) []float64 {
+	if i < 0 || i >= m.rows {
+		panic(fmt.Sprintf("mathx: row %d out of range [0,%d)", i, m.rows))
+	}
+	c := i / m.chunkRows
+	m.load(c)
+	if !m.present.has(i) {
+		m.fill(c, nil)
+	}
+	return m.rowsOf(c, i, i+1)
 }
 
 // Row implements Mat: a mutable view of row i, valid until the next
 // operation that may evict its chunk (never while the row is pinned). The
-// chunk is marked dirty, so it will be written back on eviction.
+// row is marked dirty, so it will be written back on eviction.
 func (m *SpillMatrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mathx: Row(%d) out of range [0,%d)", i, m.rows))
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ch := m.load(i / m.chunkRows)
-	ch.dirty = true
-	r := i % m.chunkRows
-	return ch.data[r*m.cols : (r+1)*m.cols]
+	row := m.rowLocked(i)
+	m.dirty.set(i)
+	return row
 }
 
-// ViewRow implements ViewRower: like Row but read-only, so a clean chunk
-// visited by a streaming reader (digest, artifact encode) is dropped on
-// eviction instead of rewritten. Mutating the returned slice corrupts the
-// residency invariants; don't.
-func (m *SpillMatrix) ViewRow(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mathx: ViewRow(%d) out of range [0,%d)", i, m.rows))
-	}
+// CopyRow implements RowCopier: it copies row i into dst under the
+// matrix's lock, without marking the row dirty, so a clean row visited by
+// a streaming reader (digest, artifact encode) is dropped on eviction
+// instead of rewritten, and concurrent readers never see a recycled slab.
+func (m *SpillMatrix) CopyRow(dst []float64, i int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ch := m.load(i / m.chunkRows)
-	r := i % m.chunkRows
-	return ch.data[r*m.cols : (r+1)*m.cols]
+	copy(dst, m.rowLocked(i))
 }
 
-// Pin faults in the chunks covering rows and holds them unevictable until
-// the matching Unpin. Duplicate rows are fine (deduplicated to chunks, one
-// pin per chunk per call). Returns the distinct chunk list for Unpin.
-func (m *SpillMatrix) Pin(rows []int32) []int32 {
-	chunks := m.chunkSet(rows)
+// Pin makes resident the chunks covering rows, reads those of the rows
+// not yet present, and holds the chunks unevictable until the matching
+// Unpin. Duplicate rows are fine (one pin per chunk per call). Returns
+// the sorted distinct chunk list for Unpin, or the matrix's sticky I/O
+// error, in which case nothing stays pinned.
+func (m *SpillMatrix) Pin(rows []int32) ([]int32, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, c := range chunks {
-		m.load(int(c)).pins++
+	if m.err != nil {
+		return nil, m.err
 	}
-	return chunks
+	for _, r := range rows {
+		m.mark.set(int(r))
+		m.pinMark.set(int(r) / m.chunkRows)
+	}
+	var chunks []int32
+	for w, word := range m.pinMark {
+		for ; word != 0; word &= word - 1 {
+			c := w*64 + bits.TrailingZeros64(word)
+			chunks = append(chunks, int32(c))
+			m.load(c).pins++
+			m.fill(c, m.mark)
+		}
+		m.pinMark[w] = 0
+	}
+	for _, r := range rows {
+		m.mark.unset(int(r))
+	}
+	if m.err != nil {
+		m.unpinLocked(chunks)
+		return nil, m.err
+	}
+	return chunks, nil
 }
 
 // Unpin releases a pin set returned by Pin.
 func (m *SpillMatrix) Unpin(chunks []int32) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.unpinLocked(chunks)
+}
+
+func (m *SpillMatrix) unpinLocked(chunks []int32) {
 	for _, c := range chunks {
-		ch, ok := m.resident[int(c)]
-		if !ok || ch.pins == 0 {
+		ch := &m.chunks[c]
+		if ch.data == nil || ch.pins == 0 {
 			panic(fmt.Sprintf("mathx: Unpin of unpinned chunk %d", c))
 		}
 		ch.pins--
 	}
 }
 
-// chunkSet maps a row list to its sorted, deduplicated chunk list.
-func (m *SpillMatrix) chunkSet(rows []int32) []int32 {
-	if len(rows) == 0 {
-		return nil
-	}
-	set := make(map[int32]struct{}, len(rows))
-	for _, r := range rows {
-		set[r/int32(m.chunkRows)] = struct{}{}
-	}
-	out := make([]int32, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // ReadRows copies rows [lo, hi) into a fresh dense matrix. Unlike the
 // dense Matrix.RowRange view this is O(window) copy, not O(1) aliasing —
-// the price of the backing tier — but it is safe to hold indefinitely and
-// never dirties chunks.
-func (m *SpillMatrix) ReadRows(lo, hi int) *Matrix {
+// the price of the backing tier — but it is safe to hold indefinitely,
+// safe against concurrent readers, and never dirties rows. It returns the
+// matrix's sticky I/O error, if any, instead of a window.
+func (m *SpillMatrix) ReadRows(lo, hi int) (*Matrix, error) {
 	if lo < 0 || hi < lo || hi > m.rows {
 		panic(fmt.Sprintf("mathx: ReadRows(%d, %d) outside [0,%d]", lo, hi, m.rows))
 	}
 	out := NewMatrix(hi-lo, m.cols)
 	for i := lo; i < hi; i++ {
-		copy(out.Row(i-lo), m.ViewRow(i))
+		m.CopyRow(out.Row(i-lo), i)
 	}
-	return out
+	if err := m.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Err returns the first I/O error the matrix hit, nil if none.
+func (m *SpillMatrix) Err() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.err
+}
+
+// Stats returns the matrix's I/O counters since creation.
+func (m *SpillMatrix) Stats() SpillStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.stats
 }
 
 // ResidentBytes returns the bytes currently held in resident slabs.
@@ -332,8 +518,8 @@ func (m *SpillMatrix) ResidentBytes() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var n int64
-	for _, ch := range m.resident {
-		n += int64(len(ch.data)) * 8
+	for c := m.mru; c >= 0; c = m.chunks[c].next {
+		n += int64(len(m.chunks[c].data)) * 8
 	}
 	return n
 }
@@ -345,23 +531,24 @@ func (m *SpillMatrix) ResidentBytes() int64 {
 func (m *SpillMatrix) MaxResidentBytes() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return int64(m.maxResident) * int64(chunkStrideBytes(m.chunkRows, m.cols))
+	return int64(m.maxResident) * int64(m.chunkRows*m.cols*8)
 }
 
 // BudgetBytes returns the resident ceiling in bytes (chunk-granular).
 func (m *SpillMatrix) BudgetBytes() int64 {
-	return int64(m.budgetChunks) * int64(chunkStrideBytes(m.chunkRows, m.cols))
+	return int64(m.budgetChunks) * int64(m.chunkRows*m.cols*8)
 }
 
-// Flush writes every dirty resident chunk back to the file without
-// evicting, so a subsequent crash loses nothing (checkpoint boundaries
-// call this before capturing).
-func (m *SpillMatrix) Flush() {
+// Flush writes every dirty resident row back to the file without
+// evicting, so a subsequent crash loses nothing, and returns the sticky
+// I/O error, if any.
+func (m *SpillMatrix) Flush() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for c, ch := range m.resident {
-		m.writeBack(c, ch)
+	for c := m.mru; c >= 0; c = m.chunks[c].next {
+		m.writeBack(int(c))
 	}
+	return m.err
 }
 
 // Close releases the backing file descriptor; the already-unlinked file's
@@ -373,7 +560,8 @@ func (m *SpillMatrix) Close() error {
 		return nil
 	}
 	m.closed = true
-	m.resident = nil
+	m.chunks = nil
+	m.mru, m.lru = -1, -1
 	runtime.SetFinalizer(m, nil)
 	return m.file.Close()
 }

@@ -1,7 +1,12 @@
 package mathx
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -22,11 +27,32 @@ func newTestSpill(t *testing.T, rows, cols int, budget int64) *SpillMatrix {
 	return sm
 }
 
+// chunkStride is the byte size of one chunk of a spill matrix with cols
+// columns.
+func chunkStride(cols int) int64 {
+	_, stride := spillChunks(1, cols)
+	return stride
+}
+
+// readRow returns a copy of row i, read the way shared readers do.
+func readRow(sm *SpillMatrix, i int) []float64 {
+	return ReadRow(sm, i, make([]float64, sm.NumCols()))
+}
+
+func mustPin(t *testing.T, sm *SpillMatrix, rows []int32) []int32 {
+	t.Helper()
+	pins, err := sm.Pin(rows)
+	if err != nil {
+		t.Fatalf("Pin: %v", err)
+	}
+	return pins
+}
+
 func TestSpillMatrixRoundTripAcrossEvictions(t *testing.T) {
 	const rows, cols = 1000, 16 // chunkRows = 512, 2 chunks... make it spill harder
 	// Use a shape with many chunks: 8192/16 = 512 rows/chunk → 2 chunks.
 	// Shrink chunk pressure instead by a wide matrix: cols=1024 → 8 rows/chunk.
-	sm := newTestSpill(t, rows, 1024, 4*int64(chunkStrideBytes(SpillChunkRows(1024), 1024)))
+	sm := newTestSpill(t, rows, 1024, 4*chunkStride(1024))
 	if got := sm.NumRows(); got != rows {
 		t.Fatalf("NumRows = %d, want %d", got, rows)
 	}
@@ -38,7 +64,7 @@ func TestSpillMatrixRoundTripAcrossEvictions(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		want := make([]float64, 1024)
 		fillRow(want, i)
-		got := sm.ViewRow(i)
+		got := readRow(sm, i)
 		for d := range want {
 			if got[d] != want[d] {
 				t.Fatalf("row %d col %d = %v, want %v", i, d, got[d], want[d])
@@ -51,7 +77,7 @@ func TestSpillMatrixRoundTripAcrossEvictions(t *testing.T) {
 func TestSpillMatrixZeroInitialized(t *testing.T) {
 	sm := newTestSpill(t, 300, 64, 1<<20)
 	for _, i := range []int{0, 17, 128, 299} {
-		for d, v := range sm.ViewRow(i) {
+		for d, v := range readRow(sm, i) {
 			if v != 0 {
 				t.Fatalf("fresh row %d col %d = %v, want 0", i, d, v)
 			}
@@ -61,14 +87,14 @@ func TestSpillMatrixZeroInitialized(t *testing.T) {
 
 func TestSpillMatrixBudgetEnforced(t *testing.T) {
 	const cols = 512 // 16 rows/chunk
-	stride := int64(chunkStrideBytes(SpillChunkRows(cols), cols))
+	stride := chunkStride(cols)
 	sm := newTestSpill(t, 1600, cols, 3*stride) // 100 chunks, 3 resident
 	for i := 0; i < 1600; i++ {
 		fillRow(sm.Row(i), i)
 	}
 	// Random-order reads to churn the LRU.
 	for i := 0; i < 1600; i += 97 {
-		sm.ViewRow(i)
+		readRow(sm, i)
 	}
 	if got := sm.MaxResidentBytes(); got > 3*stride {
 		t.Fatalf("MaxResidentBytes = %d, want <= %d", got, 3*stride)
@@ -80,12 +106,12 @@ func TestSpillMatrixBudgetEnforced(t *testing.T) {
 
 func TestSpillMatrixPinHoldsViews(t *testing.T) {
 	const cols = 1024 // 8 rows/chunk
-	stride := int64(chunkStrideBytes(SpillChunkRows(cols), cols))
+	stride := chunkStride(cols)
 	sm := newTestSpill(t, 256, cols, 2*stride)
 	// Pin rows in two distinct chunks (the whole budget), then touch a
 	// third chunk: the matrix must grow past budget rather than evict a
 	// pinned chunk, and the pinned views must stay live.
-	pins := sm.Pin([]int32{0, 100})
+	pins := mustPin(t, sm, []int32{0, 100})
 	v0 := sm.Row(0)
 	fillRow(v0, 0)
 	sm.Row(200)[0] = 42 // third chunk: over-budget load
@@ -95,13 +121,13 @@ func TestSpillMatrixPinHoldsViews(t *testing.T) {
 	sm.Unpin(pins)
 	want := make([]float64, cols)
 	fillRow(want, 0)
-	got := sm.ViewRow(0)
+	got := readRow(sm, 0)
 	for d := range want {
 		if got[d] != want[d] {
 			t.Fatalf("row 0 col %d = %v, want %v", d, got[d], want[d])
 		}
 	}
-	if sm.ViewRow(200)[0] != 42 {
+	if readRow(sm, 200)[0] != 42 {
 		t.Fatalf("row 200 lost over-budget write")
 	}
 }
@@ -121,7 +147,10 @@ func TestSpillMatrixReadRows(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		fillRow(sm.Row(i), i)
 	}
-	w := sm.ReadRows(123, 321)
+	w, err := sm.ReadRows(123, 321)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if w.Rows != 321-123 || w.Cols != 32 {
 		t.Fatalf("window shape %dx%d", w.Rows, w.Cols)
 	}
@@ -194,10 +223,179 @@ func TestMinSpillBudgetCoversPins(t *testing.T) {
 	for c := 0; c < 10; c++ {
 		pinRows = append(pinRows, int32(c*64))
 	}
-	pins := sm.Pin(pinRows)
-	sm.ViewRow(rows - 1) // the +1 streaming spare
+	pins := mustPin(t, sm, pinRows)
+	readRow(sm, rows-1) // the +1 streaming spare
 	if got := sm.MaxResidentBytes(); got > budget {
 		t.Fatalf("resident %d exceeded MinSpillBudget %d", got, budget)
 	}
 	sm.Unpin(pins)
+}
+
+// TestSpillPinReadsOnlyPinnedRows: one pinned epoch on a cold matrix
+// reads exactly its distinct pinned rows, one pread per run of
+// consecutive rows; an unpinned miss fills the whole chunk in one pread;
+// eviction writes back only the rows handed out mutably.
+func TestSpillPinReadsOnlyPinnedRows(t *testing.T) {
+	const rows, cols = 4096, 128 // 64 rows/chunk, 64 chunks
+	rowBytes := int64(cols * 8)
+	sm := newTestSpill(t, rows, cols, 4*chunkStride(cols))
+	for i := 0; i < rows; i++ {
+		fillRow(sm.Row(i), i)
+	}
+	// Only the last four chunks are resident now; chunks 0–2 are cold.
+	before := sm.Stats()
+	pins := mustPin(t, sm, []int32{131, 0, 2, 1, 5, 64, 130, 2, 0})
+	got := sm.Stats()
+	if n := got.BytesRead - before.BytesRead; n != 7*rowBytes {
+		t.Errorf("pin read %d B, want the 7 distinct rows' %d B", n, 7*rowBytes)
+	}
+	if n := got.Reads - before.Reads; n != 4 {
+		t.Errorf("pin issued %d preads, want 4 runs ([0,3) [5] [64] [130,132))", n)
+	}
+	for _, i := range []int{0, 1, 2, 5, 64, 130, 131} {
+		want := make([]float64, cols)
+		fillRow(want, i)
+		if r := readRow(sm, i); r[0] != want[0] || r[cols-1] != want[cols-1] {
+			t.Fatalf("pinned row %d = %v..., want %v...", i, r[0], want[0])
+		}
+	}
+	if sm.Stats().Reads != got.Reads {
+		t.Errorf("reading pinned rows back did I/O")
+	}
+	sm.Row(5)[0] = -1 // the only row handed out mutably
+	sm.Unpin(pins)
+
+	// A cold unpinned read fills its whole chunk in one pread.
+	before = sm.Stats()
+	readRow(sm, 10*64+3)
+	if d := sm.Stats(); d.Reads-before.Reads != 1 || d.BytesRead-before.BytesRead != chunkStride(cols) {
+		t.Errorf("cold unpinned read: %d preads / %d B, want 1 / %d B",
+			d.Reads-before.Reads, d.BytesRead-before.BytesRead, chunkStride(cols))
+	}
+	// Stream four more cold chunks through: chunks 0–2 are evicted, and
+	// only row 5 is written back.
+	before = sm.Stats()
+	for c := 11; c < 15; c++ {
+		readRow(sm, c*64)
+	}
+	d := sm.Stats()
+	if d.Evictions-before.Evictions != 4 {
+		t.Errorf("evictions = %d, want 4", d.Evictions-before.Evictions)
+	}
+	if d.Writes-before.Writes != 1 || d.BytesWritten-before.BytesWritten != rowBytes {
+		t.Errorf("write-back: %d pwrites / %d B, want 1 / %d B",
+			d.Writes-before.Writes, d.BytesWritten-before.BytesWritten, rowBytes)
+	}
+	if r := readRow(sm, 5); r[0] != -1 || r[1] != 5*1e3+1+0.25 {
+		t.Errorf("row 5 after write-back = %v, %v", r[0], r[1])
+	}
+}
+
+// TestSpillEvictionRecyclesSlabs: once the window is warm, streaming
+// through evicting chunks allocates nothing — each load takes over its
+// victim's slab — and after pins forced the window past its budget the
+// next loads evict it back within the budget.
+func TestSpillEvictionRecyclesSlabs(t *testing.T) {
+	const rows, cols = 4096, 128 // 64 rows/chunk
+	budget := 3 * chunkStride(cols)
+	sm := newTestSpill(t, rows, cols, budget)
+	dst := make([]float64, cols)
+	stream := func() {
+		for i := 0; i < rows; i += 64 {
+			sm.CopyRow(dst, i)
+		}
+	}
+	stream()
+	if n := testing.AllocsPerRun(5, stream); n != 0 {
+		t.Errorf("streaming 64 evicting chunks allocated %v times per pass, want 0", n)
+	}
+	sm.Unpin(mustPin(t, sm, []int32{0, 64, 128, 192, 256, 320})) // six chunks, budget three
+	if got := sm.ResidentBytes(); got != 6*chunkStride(cols) {
+		t.Fatalf("resident %d B after pinning six chunks", got)
+	}
+	stream()
+	if got := sm.ResidentBytes(); got > budget {
+		t.Errorf("resident %d B after streaming, budget %d B", got, budget)
+	}
+}
+
+// TestSpillWriteErrorIsSticky: a failed write-back poisons the matrix
+// instead of panicking — Pin, Flush, Err and ReadRows report a
+// *SpillError from then on.
+func TestSpillWriteErrorIsSticky(t *testing.T) {
+	const cols = 1024 // 8 rows/chunk
+	sm := newTestSpill(t, 64, cols, 2*chunkStride(cols))
+	for i := 0; i < 16; i++ { // chunks 0 and 1, both dirty
+		fillRow(sm.Row(i), i)
+	}
+	// Swap the backing file for a read-only handle of the same size.
+	ro := filepath.Join(t.TempDir(), "ro.bin")
+	if err := os.WriteFile(ro, make([]byte, 8*chunkStride(cols)), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := sm.file
+	sm.file = f
+	t.Cleanup(func() { rw.Close() })
+
+	sm.Row(16)[0] = 1 // evicts dirty chunk 0: its pwrite fails
+	var se *SpillError
+	if err := sm.Err(); !errors.As(err, &se) || se.Op != "write" || se.Chunk != 0 {
+		t.Fatalf("Err() = %v, want a write error on chunk 0", err)
+	}
+	if pins, err := sm.Pin([]int32{40}); !errors.As(err, &se) || pins != nil {
+		t.Errorf("Pin = (%v, %v), want (nil, the write error)", pins, err)
+	}
+	if err := sm.Flush(); !errors.As(err, &se) {
+		t.Errorf("Flush = %v, want the write error", err)
+	}
+	if _, err := sm.ReadRows(0, 4); !errors.As(err, &se) {
+		t.Errorf("ReadRows = %v, want the write error", err)
+	}
+}
+
+// TestSpillConcurrentReadersUnderEviction: racing readers of an unpinned
+// spill matrix under a two-chunk budget — every read faults, evicts and
+// recycles a slab — each see exact rows.
+func TestSpillConcurrentReadersUnderEviction(t *testing.T) {
+	const rows, cols = 512, 256 // 32 rows/chunk, 16 chunks
+	sm := newTestSpill(t, rows, cols, 2*chunkStride(cols))
+	for i := 0; i < rows; i++ {
+		fillRow(sm.Row(i), i)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int) {
+			defer wg.Done()
+			want := make([]float64, cols)
+			for k := 0; k < 200; k++ {
+				lo := (seed*7919 + k*104729) % rows
+				hi := min(lo+1+k%40, rows)
+				w, err := sm.ReadRows(lo, hi)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i := lo; i < hi; i++ {
+					fillRow(want, i)
+					for d, v := range w.Row(i - lo) {
+						if v != want[d] {
+							errs <- fmt.Errorf("row %d col %d = %v, want %v", i, d, v, want[d])
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }

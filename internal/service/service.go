@@ -1059,6 +1059,11 @@ func (s *Service) train(ctx context.Context, j *Job, m methods.Method, g *graph.
 		// warmth, never the in-flight response. The artifact header and
 		// the job share one digest of Win.
 		digest := mathx.DigestMat(res.Model.Win)
+		if serr := res.SpillErr(); serr != nil {
+			// The digest read a spill tier that failed after training:
+			// neither it nor the rows can be trusted, so the job fails.
+			return nil, fmt.Errorf("core: spill tier: %w", serr)
+		}
 		j.seedHash(digest)
 		_ = s.store.save(j.key, res, digest)
 	}
