@@ -107,14 +107,15 @@ func BenchmarkTrainWorkersSpill(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
+					b.StopTimer()
 					for _, m := range []mathx.Mat{res.Model.Win, res.Model.Wout} {
 						if sm, ok := m.(*mathx.SpillMatrix); ok {
 							st := sm.Stats()
 							io.BytesRead += st.BytesRead
 							io.BytesWritten += st.BytesWritten
-							sm.Close()
 						}
 					}
+					b.StartTimer()
 				}
 				if tier.budget > 0 {
 					b.ReportMetric(float64(io.BytesRead)/float64(b.N), "spill-read-B/op")

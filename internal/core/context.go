@@ -112,7 +112,8 @@ type Hooks struct {
 	// final one). The checkpoint is deep-copied and immutable; the hook is
 	// called on the training goroutine, after the same epoch's Epoch hook.
 	// Setting Checkpoint without CheckpointEvery emits only the final
-	// snapshot.
+	// snapshot. A snapshot captured after a spill-tier I/O failure is
+	// never delivered: the run fails with the error instead.
 	Checkpoint func(*Checkpoint)
 	// Resume, when non-nil, restores the run from a checkpoint instead of
 	// starting at epoch 0. The config and graph must match the recorded
@@ -248,6 +249,7 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 		if cfg.Private {
 			noise = xrand.StreamFromState(ck.Noise)
 			if acct, err = dp.NewAccountantFromState(ck.Accountant); err != nil {
+				res.CloseSpill()
 				return nil, err
 			}
 		}
@@ -271,15 +273,29 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 	eng := newEngine(model, subs, weights, cfg, noise)
 	defer eng.close()
 
+	// spillFailed ends a run whose spill tier hit an I/O error, closing
+	// its spill files so their disk blocks are freed at once.
+	spillFailed := func(err error) (*Result, error) {
+		res.CloseSpill()
+		return nil, fmt.Errorf("core: spill tier: %w", err)
+	}
 	// emitCheckpoint snapshots the run at the current epoch boundary,
 	// records it on the Result, and feeds the Checkpoint hook (capture is
 	// dense — O(|V|·r) — even for spilled runs; DESIGN.md §15 records the
-	// limitation).
-	emitCheckpoint := func() {
-		res.Checkpoint = captureCheckpoint(g, cfg, model, rng, noise, acct, res)
-		if hooks.Checkpoint != nil {
-			hooks.Checkpoint(res.Checkpoint)
+	// limitation). A capture that read a failed spill tier holds zeros or
+	// stale rows, so it reaches neither the hook — which may persist it
+	// over the last good snapshot — nor the Result; the spill error is
+	// returned instead.
+	emitCheckpoint := func() error {
+		ck := captureCheckpoint(g, cfg, model, rng, noise, acct, res)
+		if err := res.SpillErr(); err != nil {
+			return err
 		}
+		res.Checkpoint = ck
+		if hooks.Checkpoint != nil {
+			hooks.Checkpoint(ck)
+		}
+		return nil
 	}
 
 	for epoch := startEpoch; epoch < cfg.MaxEpochs; epoch++ {
@@ -289,9 +305,8 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 		if ctx.Err() != nil {
 			res.Stopped = StopCanceled
 			res.Stages = stages
-			emitCheckpoint()
-			if err := res.SpillErr(); err != nil {
-				return nil, fmt.Errorf("core: spill tier: %w", err)
+			if err := emitCheckpoint(); err != nil {
+				return spillFailed(err)
 			}
 			return res, nil
 		}
@@ -304,7 +319,7 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 		// the whole epoch, so the parallel stages never fault or evict. A
 		// spill I/O failure (here or in any earlier fault) fails the run.
 		if err := eng.pinEpoch(); err != nil {
-			return nil, fmt.Errorf("core: spill tier: %w", err)
+			return spillFailed(err)
 		}
 		// Per-example losses, rank-1 gradients and clip factors (the stage
 		// that parallelizes across cfg.Workers)...
@@ -354,7 +369,9 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 			})
 		}
 		if hooks.CheckpointEvery > 0 && (epoch+1)%hooks.CheckpointEvery == 0 {
-			emitCheckpoint()
+			if err := emitCheckpoint(); err != nil {
+				return spillFailed(err)
+			}
 		}
 		if stopBudget {
 			break
@@ -365,10 +382,12 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 	// periodic cadence already produced one at this exact boundary.
 	if (hooks.CheckpointEvery > 0 || hooks.Checkpoint != nil) &&
 		(res.Checkpoint == nil || res.Checkpoint.Epoch != res.Epochs) {
-		emitCheckpoint()
+		if err := emitCheckpoint(); err != nil {
+			return spillFailed(err)
+		}
 	}
 	if err := res.SpillErr(); err != nil {
-		return nil, fmt.Errorf("core: spill tier: %w", err)
+		return spillFailed(err)
 	}
 	return res, nil
 }

@@ -207,6 +207,8 @@ func (ix *RowIndex) validate(size int64) error {
 // through its LRU window. Chunk boundaries fall at multiples of
 // chunkFloats over the flattened row-major array, independent of row
 // width and storage tier, so equal values always encode to equal bytes.
+// It fails with the matrix's spill error (mathx.MatErr) if one is set once
+// every row is read.
 func writeChunkFramesMat(fw *frameWriter, m mathx.Mat) ([]int64, error) {
 	rows, cols := m.NumRows(), m.NumCols()
 	offs := make([]int64, 0, chunkCount(rows*cols, chunkFloats))
@@ -242,7 +244,7 @@ func writeChunkFramesMat(fw *frameWriter, m mathx.Mat) ([]int64, error) {
 			return nil, err
 		}
 	}
-	return offs, nil
+	return offs, mathx.MatErr(m)
 }
 
 // WriteIndexed writes a whole v3 stream to w: the stream magic, hdr (a

@@ -236,8 +236,17 @@ type Result struct {
 // spill-backed run it MATERIALIZES the full |V|×r matrix — an O(|V|·r)
 // allocation that defeats the budget, kept as the compatibility escape
 // hatch for whole-matrix consumers (eval, figures). Budget-conscious
-// callers use Rows, which stays O(window) on every tier.
-func (r *Result) Embedding() *mathx.Matrix { return mathx.Materialize(r.Model.Win) }
+// callers use Rows, which stays O(window) on every tier. Embedding
+// panics with the *mathx.SpillError if the spill tier's backing file
+// failed (SpillErr), rather than return rows it could not read; Rows
+// returns that error instead.
+func (r *Result) Embedding() *mathx.Matrix {
+	emb := mathx.Materialize(r.Model.Win)
+	if err := mathx.MatErr(r.Model.Win); err != nil {
+		panic(err)
+	}
+	return emb
+}
 
 // Rows returns rows [lo, hi) of the published embedding — the in-memory
 // half of the partial-embedding serving contract (the artifact store's
@@ -261,18 +270,25 @@ func (r *Result) Rows(lo, hi int) (*mathx.Matrix, error) {
 
 // SpillErr returns the first I/O error of the spill tier under r's model
 // (a *mathx.SpillError), nil if none or on the dense tier. TrainContext
-// checks it at every epoch's pin barrier and before it returns; callers
-// that go on to read a spilled result (digest, artifact write) check it
-// again afterwards.
+// checks it at every epoch's pin barrier, after every checkpoint capture
+// and before it returns; callers that go on to read a spilled result
+// (digest, artifact write) check it again afterwards.
 func (r *Result) SpillErr() error {
+	if err := mathx.MatErr(r.Model.Win); err != nil {
+		return err
+	}
+	return mathx.MatErr(r.Model.Wout)
+}
+
+// CloseSpill closes the spill tier's backing files of a result that will
+// not be read again, so a failed job frees its disk blocks at once
+// instead of at a finalizer. No-op on the dense tier.
+func (r *Result) CloseSpill() {
 	for _, m := range []mathx.Mat{r.Model.Win, r.Model.Wout} {
 		if sm, ok := m.(*mathx.SpillMatrix); ok {
-			if err := sm.Err(); err != nil {
-				return err
-			}
+			sm.Close()
 		}
 	}
-	return nil
 }
 
 // Train runs SE-PrivGEmb (Algorithm 2) — or its non-private SE-GEmb

@@ -42,6 +42,17 @@ func ReadRow(m Mat, i int, scratch []float64) []float64 {
 	return m.Row(i)
 }
 
+// MatErr returns the sticky I/O error of an out-of-core m (a
+// *SpillError), nil for a dense matrix or a healthy spill matrix. A
+// caller that copied rows out of m through ReadRow checks it afterwards:
+// a failed read copies zeros, not an error.
+func MatErr(m Mat) error {
+	if sm, ok := m.(*SpillMatrix); ok {
+		return sm.Err()
+	}
+	return nil
+}
+
 // NumRows implements Mat.
 func (m *Matrix) NumRows() int { return m.Rows }
 

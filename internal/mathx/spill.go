@@ -107,8 +107,11 @@ func (e *SpillError) Unwrap() error { return e.Err }
 // guarantee size their pin sets with MinSpillBudget.
 //
 // I/O errors do not panic: the first one is recorded (SpillError) and
-// returned by the next Pin, Flush or Err, and the matrix keeps serving
-// whatever its slabs hold.
+// returned by the next Pin, Flush or Err, and from then on reads may
+// return zeros (a failed read) or the file's older value (a lost
+// write-back), never another row's values. A reader that copies out a
+// spilled matrix — a digest, a checkpoint, an artifact — checks Err
+// afterwards and discards the copy if it is set.
 type SpillMatrix struct {
 	rows, cols int
 	chunkRows  int // rows per chunk: max(1, SpillChunkFloats/cols)
@@ -329,7 +332,9 @@ func (m *SpillMatrix) load(c int) *spillChunk {
 // fill makes the absent rows of resident chunk c present — only those
 // marked in want when want is non-nil — with one pread per run of
 // consecutive rows, or by zeroing them while the chunk has never been
-// written back. A failed read leaves its rows absent. Caller holds m.mu.
+// written back. A failed read zeroes its rows, so they never show the
+// recycled slab's previous chunk, and leaves them absent. Caller holds
+// m.mu.
 func (m *SpillMatrix) fill(c int, want bitset) {
 	ch := &m.chunks[c]
 	m.runs(c, func(i int) bool {
@@ -339,6 +344,7 @@ func (m *SpillMatrix) fill(c int, want bitset) {
 		if ch.written {
 			buf := float64sAsBytes(dst)
 			if _, err := m.file.ReadAt(buf, int64(a)*int64(m.cols)*8); err != nil {
+				clear(dst)
 				m.fail("read", c, err)
 				return
 			}
@@ -409,12 +415,15 @@ func (m *SpillMatrix) rowLocked(i int) []float64 {
 
 // Row implements Mat: a mutable view of row i, valid until the next
 // operation that may evict its chunk (never while the row is pinned). The
-// row is marked dirty, so it will be written back on eviction.
+// row is marked dirty, so it will be written back on eviction — unless
+// its read failed: an absent row is never written over the file.
 func (m *SpillMatrix) Row(i int) []float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	row := m.rowLocked(i)
-	m.dirty.set(i)
+	if m.present.has(i) {
+		m.dirty.set(i)
+	}
 	return row
 }
 

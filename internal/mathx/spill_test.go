@@ -357,6 +357,54 @@ func TestSpillWriteErrorIsSticky(t *testing.T) {
 	}
 }
 
+// TestSpillReadErrorNeverShowsForeignRows: a failed read leaves the
+// row zeroed rather than showing the recycled slab's previous chunk, and
+// a row whose read failed is never written back over its good file value,
+// even if it was handed out mutably.
+func TestSpillReadErrorNeverShowsForeignRows(t *testing.T) {
+	const cols = 1024 // 8 rows/chunk
+	sm := newTestSpill(t, 64, cols, 2*chunkStride(cols))
+	for i := 0; i < 64; i++ {
+		fillRow(sm.Row(i), i)
+	}
+	if err := sm.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Swap the backing file for a write-only handle: every pread fails.
+	f, err := os.OpenFile(filepath.Join(t.TempDir(), "wo.bin"), os.O_CREATE|os.O_WRONLY, 0o600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := sm.file
+	sm.file = f
+
+	// Chunk 0 takes over the slab of chunk 6, which holds rows 48–55.
+	for d, v := range readRow(sm, 3) {
+		if v != 0 {
+			t.Fatalf("row 3 after a failed read: col %d = %v, want 0", d, v)
+		}
+	}
+	var se *SpillError
+	if err := sm.Err(); !errors.As(err, &se) || se.Op != "read" || se.Chunk != 0 {
+		t.Fatalf("Err() = %v, want a read error on chunk 0", err)
+	}
+	writes := sm.Stats().Writes
+	sm.Row(3)[0] = -1 // handed out mutably, but never read in
+	readRow(sm, 2*8)  // two more loads evict chunk 0
+	readRow(sm, 3*8)
+	if n := sm.Stats().Writes - writes; n != 0 {
+		t.Errorf("evicting a chunk whose read failed issued %d pwrites, want 0", n)
+	}
+
+	sm.file = rw
+	f.Close()
+	want := make([]float64, cols)
+	fillRow(want, 3)
+	if r := readRow(sm, 3); r[0] != want[0] || r[cols-1] != want[cols-1] {
+		t.Errorf("row 3 on file = %v..., want its own %v...", r[0], want[0])
+	}
+}
+
 // TestSpillConcurrentReadersUnderEviction: racing readers of an unpinned
 // spill matrix under a two-chunk budget — every read faults, evicts and
 // recycles a slab — each see exact rows.

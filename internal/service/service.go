@@ -1059,13 +1059,16 @@ func (s *Service) train(ctx context.Context, j *Job, m methods.Method, g *graph.
 		// warmth, never the in-flight response. The artifact header and
 		// the job share one digest of Win.
 		digest := mathx.DigestMat(res.Model.Win)
+		_ = s.store.save(j.key, res, digest)
 		if serr := res.SpillErr(); serr != nil {
-			// The digest read a spill tier that failed after training:
-			// neither it nor the rows can be trusted, so the job fails.
+			// The digest or the artifact write read a spill tier that
+			// failed after training (the store commits no artifact then):
+			// neither the digest nor the rows can be trusted, so the job
+			// fails and its spill files are freed now.
+			res.CloseSpill()
 			return nil, fmt.Errorf("core: spill tier: %w", serr)
 		}
 		j.seedHash(digest)
-		_ = s.store.save(j.key, res, digest)
 	}
 	return res, err
 }

@@ -21,8 +21,9 @@ import (
 
 // TestSpillWriteFailureFailsJobNotService: when a running job's spill
 // file stops accepting writes, the job fails with a *mathx.SpillError at
-// its next pin barrier — no panic takes the process down — and the
-// service goes on to train the next job.
+// its next pin barrier — no panic takes the process down — its spill
+// files are closed at once, and the service goes on to train the next
+// job.
 //
 // The fault is injected below the Go runtime: once the job has trained an
 // epoch, each of its spill file descriptors is replaced (dup3) by a
@@ -64,6 +65,9 @@ func TestSpillWriteFailureFailsJobNotService(t *testing.T) {
 	}
 	if j.Status() != StatusFailed {
 		t.Fatalf("status = %v, want failed", j.Status())
+	}
+	if n := makeSpillFilesReadOnly(t, dir); n != 0 {
+		t.Errorf("failed job left %d spill files open", n)
 	}
 
 	g := testGraph()
