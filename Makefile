@@ -1,9 +1,9 @@
 GO ?= go
 # Benchmark → JSON recording for the perf trajectory; bump per PR.
-BENCH_JSON ?= BENCH_pr24.json
+BENCH_JSON ?= BENCH_pr25.json
 # The previous PR's recording, the local regression baseline for
 # bench-diff (CI benchmarks the base commit on its own runner instead).
-BENCH_BASE ?= BENCH_pr23.json
+BENCH_BASE ?= BENCH_pr24.json
 # The sharded-stage benchmarks: the DP noise/update stage, the one-shot
 # graph passes, the whole-train scaling curves (TrainWorkers matches the
 # lazy-Katz job too, with its weight-fill share as weights-ns/op), the
@@ -14,8 +14,12 @@ BENCH_BASE ?= BENCH_pr23.json
 # the end-to-end train-dataset job without the HTTP stack, reporting its
 # gradients/reduce/update split per op. TrainWorkersSpill also reports
 # the bytes its spill runs read and wrote (spill-read-B/op,
-# spill-write-B/op).
-BENCH_PAT ?= StreamNormalAt|StreamNormalsAt|ApplyUpdate|GenerateSubgraphs|TrainWorkers|TrainDatasetJob|StrucEquWorkers|LinkAUCWorkers|EdgeWeightsWorkers|BenchmarkDot|BenchmarkNorm2Sq|BenchmarkAXPY
+# spill-write-B/op). WriteIndexed and DecodeRows time the v3 artifact
+# writer on a train-spill-sized pair and the row-window and whole-stream
+# readers; their allocs/op stay constant per call.
+BENCH_PAT ?= StreamNormalAt|StreamNormalsAt|ApplyUpdate|GenerateSubgraphs|TrainWorkers|TrainDatasetJob|StrucEquWorkers|LinkAUCWorkers|EdgeWeightsWorkers|BenchmarkDot|BenchmarkNorm2Sq|BenchmarkAXPY|WriteIndexed|DecodeRows
+# Runs per benchmark in a recording; bench-diff compares their medians.
+BENCH_COUNT ?= 3
 # Per-target fuzz budget for `make fuzz` (Go's -fuzztime syntax).
 FUZZTIME ?= 10s
 
@@ -63,13 +67,14 @@ bench:
 
 # Record the sharded-stage benchmarks as JSON (run on a multi-core host to
 # see the worker-count sub-benchmarks separate; single-CPU containers show
-# flat curves). Emits $(BENCH_JSON) in the repo root.
+# flat curves), $(BENCH_COUNT) runs each. Emits $(BENCH_JSON) in the repo
+# root.
 bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchmem ./... \
+	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchmem -count $(BENCH_COUNT) ./... \
 		| tee /dev/stderr | sh scripts/bench_json.sh > $(BENCH_JSON)
 
 # Compare $(BENCH_JSON) against the previous PR's recording; fails on any
-# benchmark whose ns/op regressed by more than 10%. A missing baseline
+# benchmark whose median ns/op over its runs regressed by more than 10%. A missing baseline
 # (fresh checkout, expired CI artifact) skips the check rather than
 # blocking — the comparison is a tripwire for the same-host trajectory,
 # not a cross-host truth.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"testing"
 
 	"seprivgemb/internal/graph"
@@ -124,4 +126,70 @@ func BenchmarkTrainWorkersSpill(b *testing.B) {
 			})
 		}
 	}
+}
+
+// benchPair returns a rows×cols Win/Wout pair of normal draws: like
+// trained weights, nearly every value needs gob's full 9-byte encoding.
+func benchPair(rows, cols int) (win, wout *mathx.Matrix) {
+	rng := xrand.New(5)
+	win, wout = mathx.NewMatrix(rows, cols), mathx.NewMatrix(rows, cols)
+	rng.NormalVec(win.Data, 1)
+	rng.NormalVec(wout.Data, 1)
+	return win, wout
+}
+
+// BenchmarkWriteIndexed writes the v3 stream of a dense pair the size of
+// the train-spill workload's (22,440 × 128, 43.8 MiB of state, 702 chunk
+// frames) to io.Discard. Every chunk frame is built in the writer's one
+// reused buffer, so allocs/op is a small constant per call, not per frame.
+func BenchmarkWriteIndexed(b *testing.B) {
+	const rows, cols = 22440, 128
+	win, wout := benchPair(rows, cols)
+	hdr := checkpointHeader{Version: checkpointVersion, Nodes: rows, Dim: cols}
+	b.SetBytes(2 * rows * cols * 8)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := WriteIndexed(io.Discard, &hdr, win, wout); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeRows reads row windows of one (1 chunk) and eight chunk
+// frames from an in-memory 4,096 × 128 stream, and both matrices whole
+// (DecodeAll). Decoding a chunk allocates nothing beyond the output, so
+// the two windows' allocs/op are equal.
+func BenchmarkDecodeRows(b *testing.B) {
+	const rows, cols = 4096, 128
+	win, wout := benchPair(rows, cols)
+	var buf bytes.Buffer
+	hdr := checkpointHeader{Version: checkpointVersion, Nodes: rows, Dim: cols}
+	if err := WriteIndexed(&buf, &hdr, win, wout); err != nil {
+		b.Fatal(err)
+	}
+	ra, size := bytes.NewReader(buf.Bytes()), int64(buf.Len())
+	ix, err := OpenIndexed(ra, size, &hdr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{64, 512} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(n * cols * 8))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ix.DecodeRows(ra, ix.Win, size, 1024, 1024+n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("all", func(b *testing.B) {
+		b.SetBytes(2 * rows * cols * 8)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := ix.DecodeAll(ra, size); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

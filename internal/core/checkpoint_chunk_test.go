@@ -74,12 +74,25 @@ func decodeBytes(raw []byte) (*Checkpoint, error) {
 	return DecodeCheckpoint(bytes.NewReader(raw), int64(len(raw)))
 }
 
-// forge writes a v3 stream of hdr and the given chunk frames — win's,
-// then wout's — under an index that records their offsets but claims a
-// rows×cols shape, closed by a valid trailer: framing WriteIndexed's own
-// checks never let through, so a test reaches the reader's checks behind
-// the trailer.
+// forge writes a v3 stream of hdr and the given chunks — win's, then
+// wout's — as gob frames under an index that records their offsets but
+// claims a rows×cols shape, closed by a valid trailer: framing
+// WriteIndexed's own checks never let through, so a test reaches the
+// reader's checks behind the trailer.
 func forge(t *testing.T, hdr any, rows, cols int, win, wout [][]float64) []byte {
+	t.Helper()
+	payloads := func(chunks [][]float64) [][]byte {
+		var ps [][]byte
+		for _, c := range chunks {
+			ps = append(ps, gobPayload(t, c))
+		}
+		return ps
+	}
+	return forgeFrames(t, hdr, rows, cols, payloads(win), payloads(wout))
+}
+
+// forgeFrames is forge over raw chunk payloads.
+func forgeFrames(t *testing.T, hdr any, rows, cols int, win, wout [][]byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	fw := &frameWriter{w: &buf}
@@ -89,13 +102,12 @@ func forge(t *testing.T, hdr any, rows, cols int, win, wout [][]float64) []byte 
 		_, err = fw.writeFrame(hdr)
 	}
 	for _, m := range []struct {
-		chunks [][]float64
+		chunks [][]byte
 		offs   *[]int64
 	}{{win, &ix.Win}, {wout, &ix.Wout}} {
-		for _, c := range m.chunks {
-			off, werr := fw.writeFrame(c)
-			err = errors.Join(err, werr)
-			*m.offs = append(*m.offs, off)
+		for _, p := range m.chunks {
+			*m.offs = append(*m.offs, fw.off)
+			err = errors.Join(err, fw.writeWord(uint64(len(p))), fw.writeRaw(p))
 		}
 	}
 	if err := errors.Join(err, reindex(fw, ix)); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"seprivgemb/internal/mathx"
 	"seprivgemb/internal/skipgram"
@@ -51,7 +52,9 @@ import (
 // Synchronization: slots (stage 1) and rows (stage 3) are disjoint per
 // work item, so workers never share a write target. The jobs channel send
 // happens-before the worker's reads, and wg.Wait happens-after its
-// writes, so consecutive stages are properly ordered without locks.
+// writes, so consecutive stages are properly ordered without locks. A
+// worker's panic is recovered on the worker and re-raised by dispatch once
+// every span of the stage has finished.
 
 // span is a half-open range [lo, hi) of work positions handed to one
 // worker as a unit.
@@ -116,6 +119,9 @@ type engine struct {
 	task func(w, lo, hi int)
 	jobs []chan span
 	wg   sync.WaitGroup
+	// panicked holds the first panic a worker recovered from during the
+	// current dispatch, which re-raises it on the Train goroutine.
+	panicked atomic.Pointer[any]
 
 	// grad holds one r-float row-gradient scratch per worker for the
 	// update stage's replay, and zero is the all-zero gradient row of an
@@ -201,9 +207,22 @@ func (e *engine) close() {
 // task on each.
 func (e *engine) workerLoop(w int) {
 	for sp := range e.jobs[w] {
-		e.task(w, sp.lo, sp.hi)
-		e.wg.Done()
+		e.runSpan(w, sp)
 	}
+}
+
+// runSpan runs the current task on one span and marks it done. A panic in
+// the task is recovered and kept for dispatch: left alone, a panic on a
+// pool goroutine ends the process, while re-raised on the Train goroutine
+// it reaches whoever called Train — the service fails that one job.
+func (e *engine) runSpan(w int, sp span) {
+	defer e.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicked.CompareAndSwap(nil, &r)
+		}
+	}()
+	e.task(w, sp.lo, sp.hi)
 }
 
 // dispatch runs task over the given spans, routing spans[i] to worker i —
@@ -227,6 +246,9 @@ func (e *engine) dispatch(spans []span, task func(w, lo, hi int)) {
 	}
 	e.wg.Wait()
 	e.task = nil
+	if p := e.panicked.Swap(nil); p != nil {
+		panic(*p)
+	}
 }
 
 // forSpans runs task over [0, n) — inline when serial, sharded into

@@ -249,3 +249,34 @@ func TestSplitSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerPanicReachesDispatcher: a panic in a pool worker's task is
+// re-raised on the dispatching goroutine once every span has finished —
+// not on the worker, where it would end the process — and the pool goes
+// on serving the next dispatch.
+func TestWorkerPanicReachesDispatcher(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	e := newEngine(nil, nil, nil, cfg, xrand.Stream{})
+	defer e.close()
+	var ran [2]bool
+	spans := []span{{0, 1}, {1, 2}}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		e.dispatch(spans, func(w, _, _ int) {
+			ran[w] = true
+			if w == 1 {
+				panic("worker 1 failed")
+			}
+		})
+		return nil
+	}()
+	if got != "worker 1 failed" || !ran[0] || !ran[1] {
+		t.Fatalf("dispatch recovered %v with spans run %v, want worker 1's panic after both spans", got, ran)
+	}
+	ran = [2]bool{}
+	e.dispatch(spans, func(w, _, _ int) { ran[w] = true })
+	if !ran[0] || !ran[1] {
+		t.Fatalf("dispatch after a panic ran spans %v, want both", ran)
+	}
+}

@@ -40,7 +40,9 @@ type Proximity interface {
 // than contiguous shards, because row costs are heavily skewed on
 // power-law graphs (hub rows of Katz/PageRank push far larger frontiers),
 // and small grants keep the pool busy to the last row. With one worker
-// (or n <= block) fn runs once, inline, over the whole range.
+// (or n <= block) fn runs once, inline, over the whole range. A panic in
+// fn on a pool goroutine is re-raised on the caller's once the pool has
+// stopped, where a recover can reach it.
 func parallelBlocks(n, workers int, fn func(lo, hi int)) {
 	if workers <= 1 || n <= block {
 		if n > 0 {
@@ -49,12 +51,21 @@ func parallelBlocks(n, workers int, fn func(lo, hi int)) {
 		return
 	}
 	workers = min(workers, (n+block-1)/block)
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		next     atomic.Int64
+		panicked atomic.Pointer[any]
+		wg       sync.WaitGroup
+	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, &r)
+					next.Store(int64(n)) // the other workers stop at their next grant
+				}
+			}()
 			for {
 				lo := int(next.Add(block)) - block
 				if lo >= n {
@@ -65,6 +76,9 @@ func parallelBlocks(n, workers int, fn func(lo, hi int)) {
 		}()
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(*p)
+	}
 }
 
 // block is parallelBlocks' work-grant size.

@@ -944,6 +944,15 @@ func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximit
 	// The finish stamp lands before done closes (defers run LIFO), so a
 	// waiter woken by Done always observes a non-zero finishedAt.
 	defer func() { j.finishedAt.Store(time.Now().UnixNano()) }()
+	// A panic in the job — on this goroutine, or re-raised here from the
+	// training pools — fails this job only, and the service goes on
+	// serving; the deferred bookkeeping above still runs.
+	defer func() {
+		if r := recover(); r != nil {
+			j.res, j.err = nil, fmt.Errorf("service: job panicked: %v", r)
+			j.status.Store(int32(StatusFailed))
+		}
+	}()
 	n := s.slotsFor(cfg)
 	if err := s.acquire(ctx, j, n); err != nil {
 		// Canceled while queued: no training happened, so there is no
@@ -1024,13 +1033,13 @@ func (s *Service) trainOrFollow(ctx context.Context, j *Job, m methods.Method, g
 				s.lease.Release(j.id)
 				return cached, nil
 			}
-			stop := s.lease.KeepAlive(j.id)
-			res, terr := s.train(ctx, j, m, g, prox, cfg)
 			// train persists the artifact before returning, so the
-			// release below never exposes a trained-but-unpublished job.
-			stop()
-			s.lease.Release(j.id)
-			return res, terr
+			// release never exposes a trained-but-unpublished job. The
+			// heartbeat stops and the lease goes even if train panics.
+			stop := s.lease.KeepAlive(j.id)
+			defer s.lease.Release(j.id)
+			defer stop()
+			return s.train(ctx, j, m, g, prox, cfg)
 		}
 		// Follower: a peer owns the job (or the lease directory hiccuped
 		// — an I/O error is retried on the same cadence rather than

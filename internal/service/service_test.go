@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -283,5 +284,41 @@ func TestSubmitAfterClose(t *testing.T) {
 	s.Close()
 	if _, err := s.Submit(testGraph(), proximity.NewDeepWalk(testGraph()), testCfg()); err == nil {
 		t.Fatal("Submit after Close succeeded")
+	}
+}
+
+// panickingProximity is a measure whose At panics, so a job on it panics
+// in its edge-weight fill — on the fill's pool goroutines when the job
+// has more than one worker.
+type panickingProximity struct{ proximity.Proximity }
+
+func (panickingProximity) Name() string        { return "panicking" }
+func (panickingProximity) At(_, _ int) float64 { panic("proximity At failed") }
+
+// TestJobPanicFailsJobNotService: a panic inside a 2-worker job, raised on
+// one of its pool goroutines, fails that job with the panic's text, and
+// the service goes on to train the next job.
+func TestJobPanicFailsJobNotService(t *testing.T) {
+	s := New(Options{MaxWorkers: 2})
+	defer s.Close()
+	g := testGraph()
+	cfg := testCfg()
+	cfg.Workers = 2
+	j, err := s.Submit(g, panickingProximity{proximity.NewDegree(g)}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); err == nil || !strings.Contains(err.Error(), "proximity At failed") {
+		t.Fatalf("panicking job: err = %v, want the panic's text", err)
+	}
+	if j.Status() != StatusFailed {
+		t.Fatalf("panicking job: status %v, want failed", j.Status())
+	}
+	next, err := s.Submit(g, proximity.NewDegree(g), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := next.Wait(context.Background()); err != nil || next.Status() != StatusDone {
+		t.Fatalf("job after the panic: status %v, err %v", next.Status(), err)
 	}
 }

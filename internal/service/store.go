@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -52,6 +53,16 @@ type artifactHeader struct {
 	LossHistory     []float64
 	// EmbeddingHash is mathx.DigestFloat64s over the full Win.
 	EmbeddingHash uint64
+}
+
+// init numbers artifactHeader in gob right after core's frame types, at a
+// fixed point of every program that imports this package: gob writes a
+// type's process-wide id into every frame, so an artifact's bytes must not
+// depend on what else the process encoded first (see core's init).
+func init() {
+	if err := gob.NewEncoder(io.Discard).Encode(artifactHeader{}); err != nil {
+		panic(err)
+	}
 }
 
 // Store persists completed training results under one directory, so a

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -189,19 +190,49 @@ func TestLoadHostileShapeIsMiss(t *testing.T) {
 	}
 }
 
-// TestArtifactGoldenBytes pins the bytes writeArtifact produces, so the
-// "byte-identical artifacts" contract is checked directly rather than
-// through a round trip that a symmetric writer/reader change would pass.
-func TestArtifactGoldenBytes(t *testing.T) {
+// artifactGoldenSHA256 pins the bytes writeArtifact produces for
+// fakeResult(200, 16) under storeKey(3).
+const artifactGoldenSHA256 = "b5abe88eebf7aa7f63c8f93b7e15c3bd0c7854532e3d38196a30997079cb58f2"
+
+// goldenArtifactSHA256 returns the sha256 of that artifact.
+func goldenArtifactSHA256(t *testing.T) string {
+	t.Helper()
 	var buf bytes.Buffer
 	res := fakeResult(200, 16)
 	if err := writeArtifact(&buf, storeKey(3), res, mathx.DigestMat(res.Model.Win)); err != nil {
 		t.Fatal(err)
 	}
-	const want = "46d693ab07fa81e047244c21a003e5d274e4540490bfb1ada9c50aa3bd858ab6"
 	sum := sha256.Sum256(buf.Bytes())
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Errorf("artifact sha256 = %s, want %s", got, want)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestArtifactGoldenBytes pins the bytes writeArtifact produces, so the
+// "byte-identical artifacts" contract is checked directly rather than
+// through a round trip that a symmetric writer/reader change would pass.
+func TestArtifactGoldenBytes(t *testing.T) {
+	if got := goldenArtifactSHA256(t); got != artifactGoldenSHA256 {
+		t.Errorf("artifact sha256 = %s, want %s", got, artifactGoldenSHA256)
+	}
+}
+
+// TestArtifactBytesIgnoreGobHistory: gob numbers types process-wide on
+// first use and every frame carries the numbers, so an artifact's bytes
+// must not depend on what the process encoded before it. A checkpoint and
+// a type gob has never seen, encoded first, leave the pin unchanged.
+func TestArtifactBytesIgnoreGobHistory(t *testing.T) {
+	ck := &core.Checkpoint{Version: 3, Nodes: 1, Dim: 2, Win: []float64{1, 2}, Wout: []float64{3, 4}}
+	if err := ck.Encode(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	type foreign struct {
+		Weights []float64
+		Names   map[string]int
+	}
+	if err := gob.NewEncoder(io.Discard).Encode(foreign{Names: map[string]int{"a": 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := goldenArtifactSHA256(t); got != artifactGoldenSHA256 {
+		t.Errorf("artifact sha256 after other gob encodes = %s, want %s", got, artifactGoldenSHA256)
 	}
 }
 

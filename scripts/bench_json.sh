@@ -10,9 +10,11 @@
 #   go test -run '^$' -bench . -benchmem ./... | scripts/bench_json.sh
 #
 # Diff mode: compare two recordings by (pkg, name) and fail on regression.
-# A benchmark present in both files whose ns_per_op grew by more than
-# MAX_PCT (default 10) is a regression; added/removed benchmarks are only
-# noted. Names are matched without go test's -GOMAXPROCS suffix, so
+# A recording may hold several runs of a benchmark (`go test -count N`);
+# each side is summarised by its median ns_per_op, so one noisy run does
+# not flag. A benchmark present in both files whose median grew by more
+# than MAX_PCT (default 10) is a regression; added/removed benchmarks are
+# only noted. Names are matched without go test's -GOMAXPROCS suffix, so
 # recordings from hosts with different CPU counts line up. A missing OLD
 # file is a warning, not a failure — fresh checkouts
 # and expired CI artifacts must not block the build — and host lines are
@@ -53,20 +55,37 @@ if [ "${1:-}" = "diff" ]; then
         NS = substr(line, RSTART + 12, RLENGTH - 12) + 0
         return NS > 0
     }
-    FNR == NR { if (parse($0)) base[K] = NS; next }
+    # median returns the median of runs[K, 1..n] (insertion sort; n is
+    # the -count of the recording, a handful).
+    function median(runs, K, n,    v, i, j, x) {
+        for (i = 1; i <= n; i++) {
+            x = runs[K, i]
+            for (j = i - 1; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]
+            v[j + 1] = x
+        }
+        return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+    }
+    FNR == NR { if (parse($0)) oldruns[K, ++oldn[K]] = NS; next }
     {
         if (!parse($0)) next
-        seen[K] = 1
-        if (!(K in base)) { printf "  new   %-60s %12.1f ns/op\n", K, NS; next }
-        delta = (NS - base[K]) / base[K] * 100
-        marker = "  ok   "
-        if (delta > max_pct) { marker = "  REGR "; regressions++ }
-        printf "%s%-60s %12.1f -> %12.1f ns/op  (%+.1f%%)\n", marker, K, base[K], NS, delta
+        if (!(K in newn)) order[++keys] = K
+        newruns[K, ++newn[K]] = NS
     }
     END {
-        for (K in base) if (!(K in seen)) printf "  gone  %s\n", K
+        for (k = 1; k <= keys; k++) {
+            K = order[k]
+            now = median(newruns, K, newn[K])
+            if (!(K in oldn)) { printf "  new   %-60s %12.1f ns/op\n", K, now; continue }
+            was = median(oldruns, K, oldn[K])
+            delta = (now - was) / was * 100
+            marker = "  ok   "
+            if (delta > max_pct) { marker = "  REGR "; regressions++ }
+            printf "%s%-60s %12.1f -> %12.1f ns/op  (%+.1f%%, medians of %d/%d)\n", \
+                marker, K, was, now, delta, oldn[K], newn[K]
+        }
+        for (K in oldn) if (!(K in newn)) printf "  gone  %s\n", K
         if (regressions) {
-            printf "bench_json.sh: %d benchmark(s) regressed more than %s%% between %s and %s\n", \
+            printf "bench_json.sh: %d benchmark(s) regressed more than %s%% (median) between %s and %s\n", \
                 regressions, max_pct, oldname, newname
             exit 1
         }
