@@ -33,7 +33,7 @@ import (
 //
 // Every frame is [8-byte big-endian payload length][payload], and every
 // payload is what a FRESH gob.Encoder writes for one value: the type
-// definition, then the value. Repeating the definition per frame (12 bytes
+// definition, then the value. Repeating the definition per frame (24 bytes
 // for a chunk's []float64) is negligible against 64 KiB and buys random
 // access: any frame decodes
 // in isolation given its offset, which is what lets a windowed read seek
@@ -57,11 +57,6 @@ const (
 	// values), comfortably under this bound.
 	maxFrameBytes = 16 << 20
 )
-
-// maxChunkPayload bounds a chunk frame's payload: chunkFloats values of at
-// most 9 bytes each, behind a type definition and message headers of well
-// under 64 bytes.
-const maxChunkPayload = chunkFloats*9 + 64
 
 // errNotV3 reports a stream that does not open with the v3 magic.
 var errNotV3 = errors.New("core: not a v3 indexed stream (this build reads only v3)")
@@ -122,11 +117,11 @@ func (fw *frameWriter) writeFrame(v any) (int64, error) {
 // Gob numbers a type the first time the process encodes it (user ids
 // start at 64) and writes that number into every frame, so left alone a
 // frame's bytes would depend on what the process happened to encode
-// first. init encodes the frame types in a fixed order before any other
-// code in a program that imports this package can, which pins their ids
-// — checkpointHeader and the types it contains, then []float64 (already
-// numbered as a checkpointHeader field), then RowIndex; the artifact
-// store's header follows at its own package init. It then derives the
+// first. init encodes the frame types in a fixed order, before any code
+// that imports this package runs (none of the packages it imports uses
+// gob), which pins their ids: checkpointHeader and the types it contains,
+// among them []float64, then RowIndex; the artifact store's header
+// follows at its own package init. It then derives the
 // fixed parts of a chunk frame from gob itself: floatsTypeDef, the whole
 // type-definition message for []float64, and floatsTypeID, its id in
 // gob's integer encoding, which opens the value message.
@@ -168,25 +163,8 @@ func appendGobUint(b []byte, x uint64) []byte {
 
 // gobUint reads one gob unsigned integer from the front of p, returning
 // it and its width in bytes; ok is false when p does not start with one.
-// Like gob, it accepts a non-minimal width. The common case — at least 9
-// bytes left — is one big-endian load, with the bytes past the width
-// shifted out, and inlines into the chunk parser's value loop.
+// Like gob, it accepts a non-minimal width.
 func gobUint(p []byte) (x uint64, width int, ok bool) {
-	if len(p) < 9 {
-		return gobUintShort(p)
-	}
-	if p[0] < 0x80 {
-		return uint64(p[0]), 1, true
-	}
-	n := -int(int8(p[0]))
-	if n > 8 {
-		return 0, 0, false
-	}
-	return binary.BigEndian.Uint64(p[1:9]) >> (64 - 8*n), 1 + n, true
-}
-
-// gobUintShort is gobUint for fewer than 9 bytes.
-func gobUintShort(p []byte) (x uint64, width int, ok bool) {
 	if len(p) == 0 {
 		return 0, 0, false
 	}
@@ -196,6 +174,9 @@ func gobUintShort(p []byte) (x uint64, width int, ok bool) {
 	n := -int(int8(p[0]))
 	if n > 8 || len(p) <= n {
 		return 0, 0, false
+	}
+	if len(p) >= 9 { // one load, the bytes past the n wanted shifted out
+		return binary.BigEndian.Uint64(p[1:9]) >> (64 - 8*n), 1 + n, true
 	}
 	for _, c := range p[1 : 1+n] {
 		x = x<<8 | uint64(c)
@@ -259,8 +240,7 @@ func readFrame(ra io.ReaderAt, off, end int64, scratch *[]byte) ([]byte, int64, 
 		return nil, 0, fmt.Errorf("frame offset %d outside the %d bytes of frames", off, end)
 	}
 	if cap(*scratch) < 8 {
-		// Sized so that one allocation serves every chunk frame.
-		*scratch = make([]byte, 0, maxChunkPayload)
+		*scratch = make([]byte, 8)
 	}
 	word := (*scratch)[:8]
 	if err := readAt(ra, word, off); err != nil {
@@ -429,6 +409,14 @@ func (ix *RowIndex) chunkValues(c int) int {
 	return ix.ChunkFloats
 }
 
+// chunkScratch returns a frame buffer no chunk frame of the matrix pair
+// outgrows — each value takes at most 9 bytes, behind a type definition
+// and message headers of well under 64 — so one allocation per decode
+// call serves every chunk it reads.
+func (ix *RowIndex) chunkScratch() []byte {
+	return make([]byte, 0, 9*min(ix.ChunkFloats, ix.Rows*ix.Cols)+64)
+}
+
 // chunkCount is the number of chunk frames each matrix spans.
 func chunkCount(total, per int) int {
 	if total == 0 {
@@ -517,7 +505,8 @@ func writeChunkFramesMat(fw *frameWriter, m mathx.Mat) ([]int64, error) {
 // WriteIndexed writes a whole v3 stream to w: the stream magic, hdr (a
 // caller-defined gob struct) as the header frame, the chunk frames of
 // both matrices, the RowIndex frame, and the trailer. It never needs
-// either matrix dense: one 64 KiB block is the largest thing buffered, so
+// either matrix dense: one chunk is the largest thing buffered (its 64 KiB
+// of values and its frame, built in one buffer reused for every chunk), so
 // the artifact store persists a spill-backed result at O(chunk) memory,
 // and a checkpoint's slices stream as-is.
 func WriteIndexed(w io.Writer, hdr any, win, wout mathx.Mat) error {
@@ -631,7 +620,7 @@ func (ix *RowIndex) DecodeRows(ra io.ReaderAt, offsets []int64, size int64, lo, 
 	if last >= len(offsets) {
 		return nil, fmt.Errorf("core: window needs chunk %d, index has %d", last, len(offsets))
 	}
-	var scratch []byte
+	scratch := ix.chunkScratch()
 	for c := first; c <= last; c++ {
 		// Decode the intersection of this chunk's value range with the
 		// window's straight into the window.
@@ -654,7 +643,7 @@ func (ix *RowIndex) DecodeRows(ra io.ReaderAt, offsets []int64, size int64, lo, 
 // each matrix is allocated once, in proportion to the bytes on disk.
 func (ix *RowIndex) DecodeAll(ra io.ReaderAt, size int64) (win, wout []float64, err error) {
 	next := ix.headerEnd
-	var scratch []byte
+	scratch := ix.chunkScratch()
 	decode := func(offsets []int64) ([]float64, error) {
 		dst := make([]float64, ix.Rows*ix.Cols)
 		for c, off := range offsets {

@@ -41,8 +41,8 @@ type Proximity interface {
 // power-law graphs (hub rows of Katz/PageRank push far larger frontiers),
 // and small grants keep the pool busy to the last row. With one worker
 // (or n <= block) fn runs once, inline, over the whole range. A panic in
-// fn on a pool goroutine is re-raised on the caller's once the pool has
-// stopped, where a recover can reach it.
+// fn on a pool goroutine is re-raised on the caller's goroutine once the
+// pool has stopped, where a recover can reach it.
 func parallelBlocks(n, workers int, fn func(lo, hi int)) {
 	if workers <= 1 || n <= block {
 		if n > 0 {
