@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -217,9 +218,20 @@ func TestArtifactGoldenBytes(t *testing.T) {
 
 // TestArtifactBytesIgnoreGobHistory: gob numbers types process-wide on
 // first use and every frame carries the numbers, so an artifact's bytes
-// must not depend on what the process encoded before it. A checkpoint and
-// a type gob has never seen, encoded first, leave the pin unchanged.
+// must not depend on what the process encoded before it. In a fresh
+// process — where nothing but package init has touched gob, so the test
+// does not depend on which tests ran before it — a checkpoint and a type
+// gob has never seen, encoded first, leave the pin unchanged.
 func TestArtifactBytesIgnoreGobHistory(t *testing.T) {
+	const child = "SEPRIV_TEST_GOB_HISTORY"
+	if os.Getenv(child) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestArtifactBytesIgnoreGobHistory$", "-test.count=1")
+		cmd.Env = append(os.Environ(), child+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("fresh process: %v\n%s", err, out)
+		}
+		return
+	}
 	ck := &core.Checkpoint{Version: 3, Nodes: 1, Dim: 2, Win: []float64{1, 2}, Wout: []float64{3, 4}}
 	if err := ck.Encode(io.Discard); err != nil {
 		t.Fatal(err)
