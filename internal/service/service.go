@@ -949,7 +949,7 @@ func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximit
 	// serving; the deferred bookkeeping above still runs.
 	defer func() {
 		if r := recover(); r != nil {
-			j.res, j.err = nil, fmt.Errorf("service: job panicked: %v", r)
+			j.err = fmt.Errorf("service: job panicked: %v", r)
 			j.status.Store(int32(StatusFailed))
 		}
 	}()
