@@ -14,12 +14,10 @@ BENCH_BASE ?= BENCH_pr24.json
 # the end-to-end train-dataset job without the HTTP stack, reporting its
 # gradients/reduce/update split per op. TrainWorkersSpill also reports
 # the bytes its spill runs read and wrote (spill-read-B/op,
-# spill-write-B/op). WriteIndexed and DecodeRows time the v3 artifact
-# writer on a train-spill-sized pair and the row-window and whole-stream
-# readers; their allocs/op stay constant per call.
+# spill-write-B/op). WriteIndexed times the v3 artifact writer on a
+# train-spill-sized pair (its allocs/op stay constant per call), and
+# DecodeRows the row-window and whole-stream readers.
 BENCH_PAT ?= StreamNormalAt|StreamNormalsAt|ApplyUpdate|GenerateSubgraphs|TrainWorkers|TrainDatasetJob|StrucEquWorkers|LinkAUCWorkers|EdgeWeightsWorkers|BenchmarkDot|BenchmarkNorm2Sq|BenchmarkAXPY|WriteIndexed|DecodeRows
-# Runs per benchmark in a recording; bench-diff compares their medians.
-BENCH_COUNT ?= 3
 # Per-target fuzz budget for `make fuzz` (Go's -fuzztime syntax).
 FUZZTIME ?= 10s
 
@@ -67,17 +65,18 @@ bench:
 
 # Record the sharded-stage benchmarks as JSON (run on a multi-core host to
 # see the worker-count sub-benchmarks separate; single-CPU containers show
-# flat curves), $(BENCH_COUNT) runs each. Emits $(BENCH_JSON) in the repo
-# root.
+# flat curves). Each benchmark runs 3 times, so that bench-diff can
+# compare medians and one noisy run does not flag. Emits $(BENCH_JSON) in
+# the repo root.
 bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchmem -count $(BENCH_COUNT) ./... \
+	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchmem -count 3 ./... \
 		| tee /dev/stderr | sh scripts/bench_json.sh > $(BENCH_JSON)
 
 # Compare $(BENCH_JSON) against the previous PR's recording; fails on any
-# benchmark whose median ns/op over its runs regressed by more than 10%. A missing baseline
-# (fresh checkout, expired CI artifact) skips the check rather than
-# blocking — the comparison is a tripwire for the same-host trajectory,
-# not a cross-host truth.
+# benchmark whose median ns/op over its runs regressed by more than 10%.
+# A missing baseline (fresh checkout, expired CI artifact) skips the check
+# rather than blocking — the comparison is a tripwire for the same-host
+# trajectory, not a cross-host truth.
 bench-diff:
 	sh scripts/bench_json.sh diff $(BENCH_BASE) $(BENCH_JSON)
 

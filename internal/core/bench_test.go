@@ -157,8 +157,7 @@ func BenchmarkWriteIndexed(b *testing.B) {
 
 // BenchmarkDecodeRows reads row windows of one (1 chunk) and eight chunk
 // frames from an in-memory 4,096 × 128 stream, and both matrices whole
-// (DecodeAll). Decoding a chunk allocates nothing beyond the output, so
-// the two windows' allocs/op are equal.
+// (DecodeAll): the reader's cost per chunk, a fresh gob.Decoder each.
 func BenchmarkDecodeRows(b *testing.B) {
 	const rows, cols = 4096, 128
 	win, wout := benchPair(rows, cols)

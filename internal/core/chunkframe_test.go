@@ -101,12 +101,11 @@ func sameBits(a, b []float64) bool {
 // TestFloatsFrameMatchesGob is the writer's contract: for every chunk
 // length 1…chunkFloats, writeFloatsFrame emits an 8-byte length and then
 // exactly the bytes a fresh gob.Encoder writes for the same values in the
-// same process, and decodeFloatsFrame reads them back bit for bit.
+// same process.
 func TestFloatsFrameMatchesGob(t *testing.T) {
 	vals := frameValues(chunkFloats)
 	var buf bytes.Buffer
 	fw := &frameWriter{w: &buf}
-	got := make([]float64, chunkFloats)
 	for n := 1; n <= chunkFloats; n++ {
 		buf.Reset()
 		off := fw.off
@@ -122,17 +121,12 @@ func TestFloatsFrameMatchesGob(t *testing.T) {
 		if fw.off != off+int64(len(frame)) {
 			t.Fatalf("n=%d: writer offset advanced %d, wrote %d", n, fw.off-off, len(frame))
 		}
-		if err := decodeFloatsFrame(frame[8:], n, 0, got[:n]); err != nil || !sameBits(got[:n], vals[:n]) {
-			t.Fatalf("n=%d: round trip: err %v or values differ", n, err)
-		}
 	}
 }
 
 // TestChunkFrameAnyTypeID: a stream carries whatever id its writer's
 // process gave []float64, named or not, so chunk frames under foreign ids
-// still load — through DecodeCheckpoint and a row window — and gob
-// decodes the same frames to the same values. A frame that differs from
-// the layout anywhere else is an error.
+// still load — through DecodeCheckpoint and a row window.
 func TestChunkFrameAnyTypeID(t *testing.T) {
 	ck := chunkCheckpoint(130, 64)
 	cut := func(m []float64) [][]float64 { return [][]float64{m[:chunkFloats], m[chunkFloats:]} }
@@ -143,12 +137,7 @@ func TestChunkFrameAnyTypeID(t *testing.T) {
 		frames := func(m []float64) [][]byte {
 			var ps [][]byte
 			for _, c := range cut(m) {
-				p := floatsPayload(tc.tid, tc.named, c)
-				var viaGob []float64
-				if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&viaGob); err != nil || !sameBits(viaGob, c) {
-					t.Fatalf("id %d named=%v: gob decodes the payload to other values (err %v)", tc.tid, tc.named, err)
-				}
-				ps = append(ps, p)
+				ps = append(ps, floatsPayload(tc.tid, tc.named, c))
 			}
 			return ps
 		}
@@ -163,83 +152,43 @@ func TestChunkFrameAnyTypeID(t *testing.T) {
 			t.Fatalf("id %d named=%v: row window: err %v or values differ", tc.tid, tc.named, err)
 		}
 	}
-
-	vals := []float64{1, 2}
-	good := floatsPayload(70, true, vals)
-	_, val71, _ := gobMessage(floatsPayload(71, true, vals)) // the value message under id 71
-	_, val70, _ := gobMessage(good)
-	for name, p := range map[string][]byte{
-		"id below gob's user ids": floatsPayload(63, true, vals),
-		"id past int32":           floatsPayload(math.MaxInt32+1, false, vals),
-		"value id differs":        append(good[:len(good)-len(val70):len(good)-len(val70)], val71...),
-		"trailing byte":           append(bytes.Clone(good), 0),
-		"truncated":               good[:len(good)-1],
-		"other element type":      bytes.Replace(good, []byte{0x01, 0x08}, []byte{0x01, 0x06}, 1),
-		"other name":              bytes.Replace(good, []byte("[]float64"), []byte("[]float32"), 1),
-	} {
-		if err := decodeFloatsFrame(p, len(vals), 0, make([]float64, len(vals))); err == nil {
-			t.Errorf("%s: payload accepted", name)
-		}
-	}
 }
 
-// FuzzChunkFrame differentially fuzzes the chunk parser against gob:
-// whenever decodeFloatsFrame accepts a payload, a fresh gob.Decoder must
-// decode it too, to bit-equal values, and a partial decode must equal the
-// same slice of them. The seeds are writer output and frames under other
-// type ids.
+// FuzzChunkFrame differentially fuzzes the chunk writer against gob: the
+// input, read as float64 bit patterns, is written by writeFloatsFrame,
+// whose bytes must equal a fresh gob.Encoder's for the same values, and
+// the frame must read back through readFrameAt bit for bit. The seeds
+// hold the special values of frameValues.
 func FuzzChunkFrame(f *testing.F) {
 	vals := frameValues(300)
-	var buf bytes.Buffer
-	fw := &frameWriter{w: &buf}
 	for _, n := range []int{1, 2, 19, 300} {
-		buf.Reset()
-		if _, err := fw.writeFloatsFrame(vals[:n]); err != nil {
-			f.Fatal(err)
+		seed := make([]byte, 0, 8*n)
+		for _, v := range vals[:n] {
+			seed = binary.BigEndian.AppendUint64(seed, math.Float64bits(v))
 		}
-		f.Add(bytes.Clone(buf.Bytes()[8:]))
-	}
-	for _, tid := range []int64{64, 70, 200, 1 << 20} {
-		f.Add(floatsPayload(tid, tid%2 == 0, vals[:7]))
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
-		want := declaredCount(p)
-		got := make([]float64, want)
-		if decodeFloatsFrame(p, want, 0, got) != nil {
+		n := min(len(p)/8, chunkFloats)
+		if n == 0 {
 			return
 		}
-		var viaGob []float64
-		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&viaGob); err != nil {
-			t.Fatalf("accepted a payload gob rejects: %v", err)
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.BigEndian.Uint64(p[8*i:]))
 		}
-		if !sameBits(got, viaGob) {
-			t.Fatalf("decoded %v, gob decodes %v", got, viaGob)
+		var buf bytes.Buffer
+		fw := &frameWriter{w: &buf}
+		if _, err := fw.writeFloatsFrame(vals); err != nil {
+			t.Fatal(err)
 		}
-		skip := want / 3
-		part := make([]float64, want/2)
-		if err := decodeFloatsFrame(p, want, skip, part); err != nil || !sameBits(part, viaGob[skip:skip+len(part)]) {
-			t.Fatalf("partial decode [%d, %d): err %v or values differ", skip, skip+len(part), err)
+		if !bytes.Equal(buf.Bytes()[8:], gobPayload(t, vals)) {
+			t.Fatalf("%d values: frame payload differs from gob's", n)
+		}
+		var got []float64
+		var scratch []byte
+		if _, err := readFrameAt(bytes.NewReader(buf.Bytes()), 0, int64(buf.Len()), &got, &scratch); err != nil || !sameBits(got, vals) {
+			t.Fatalf("%d values: read back: err %v or values differ", n, err)
 		}
 	})
-}
-
-// declaredCount returns the value count p's value message declares, when
-// p gets that far and the count is small; 0 otherwise.
-func declaredCount(p []byte) int {
-	_, p, err := gobMessage(p)
-	if err != nil {
-		return 0
-	}
-	val, _, err := gobMessage(p)
-	if err != nil {
-		return 0
-	}
-	if _, val, _ = gobTypeID(val, 1); len(val) < 2 {
-		return 0
-	}
-	n, _, ok := gobUint(val[1:])
-	if !ok || n > 1<<16 {
-		return 0
-	}
-	return int(n)
 }

@@ -272,6 +272,15 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 
 	eng := newEngine(model, subs, weights, cfg, noise)
 	defer eng.close()
+	// A panic ends the run with no result to hand back, so its spill files
+	// are closed on the way out rather than left to a finalizer — a
+	// process that recovers the panic (the service) outlives them.
+	defer func() {
+		if r := recover(); r != nil {
+			res.CloseSpill()
+			panic(r)
+		}
+	}()
 
 	// spillFailed ends a run whose spill tier hit an I/O error, closing
 	// its spill files so their disk blocks are freed at once.

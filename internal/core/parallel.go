@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"seprivgemb/internal/mathx"
+	"seprivgemb/internal/panicx"
 	"seprivgemb/internal/skipgram"
 	"seprivgemb/internal/xrand"
 )
@@ -53,8 +54,8 @@ import (
 // work item, so workers never share a write target. The jobs channel send
 // happens-before the worker's reads, and wg.Wait happens-after its
 // writes, so consecutive stages are properly ordered without locks. A
-// worker's panic is recovered on the worker and re-raised by dispatch once
-// every span of the stage has finished.
+// worker's panic is recovered on the worker, with the worker's stack, and
+// re-raised by dispatch once every span of the stage has finished.
 
 // span is a half-open range [lo, hi) of work positions handed to one
 // worker as a unit.
@@ -121,7 +122,7 @@ type engine struct {
 	wg   sync.WaitGroup
 	// panicked holds the first panic a worker recovered from during the
 	// current dispatch, which re-raises it on the Train goroutine.
-	panicked atomic.Pointer[any]
+	panicked atomic.Pointer[panicx.Error]
 
 	// grad holds one r-float row-gradient scratch per worker for the
 	// update stage's replay, and zero is the all-zero gradient row of an
@@ -212,14 +213,15 @@ func (e *engine) workerLoop(w int) {
 }
 
 // runSpan runs the current task on one span and marks it done. A panic in
-// the task is recovered and kept for dispatch: left alone, a panic on a
-// pool goroutine ends the process, while re-raised on the Train goroutine
-// it reaches whoever called Train — the service fails that one job.
+// the task is recovered, with this worker's stack, and kept for dispatch:
+// left alone, a panic on a pool goroutine ends the process, while
+// re-raised on the Train goroutine it reaches whoever called Train — the
+// service fails that one job.
 func (e *engine) runSpan(w int, sp span) {
 	defer e.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
-			e.panicked.CompareAndSwap(nil, &r)
+			e.panicked.CompareAndSwap(nil, panicx.Recovered(r))
 		}
 	}()
 	e.task(w, sp.lo, sp.hi)
@@ -247,7 +249,7 @@ func (e *engine) dispatch(spans []span, task func(w, lo, hi int)) {
 	e.wg.Wait()
 	e.task = nil
 	if p := e.panicked.Swap(nil); p != nil {
-		panic(*p)
+		panic(p)
 	}
 }
 

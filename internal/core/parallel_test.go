@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/mathx"
+	"seprivgemb/internal/panicx"
 	"seprivgemb/internal/proximity"
 	"seprivgemb/internal/xrand"
 )
@@ -252,8 +254,8 @@ func TestSplitSpans(t *testing.T) {
 
 // TestWorkerPanicReachesDispatcher: a panic in a pool worker's task is
 // re-raised on the dispatching goroutine once every span has finished —
-// not on the worker, where it would end the process — and the pool goes
-// on serving the next dispatch.
+// not on the worker, where it would end the process — with the worker's
+// stack, and the pool goes on serving the next dispatch.
 func TestWorkerPanicReachesDispatcher(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 2
@@ -271,8 +273,12 @@ func TestWorkerPanicReachesDispatcher(t *testing.T) {
 		})
 		return nil
 	}()
-	if got != "worker 1 failed" || !ran[0] || !ran[1] {
+	p, ok := got.(*panicx.Error)
+	if !ok || p.Value != "worker 1 failed" || !ran[0] || !ran[1] {
 		t.Fatalf("dispatch recovered %v with spans run %v, want worker 1's panic after both spans", got, ran)
+	}
+	if !strings.Contains(string(p.Stack), "runSpan") {
+		t.Fatalf("recovered panic's stack is not the worker's:\n%s", p.Stack)
 	}
 	ran = [2]bool{}
 	e.dispatch(spans, func(w, _, _ int) { ran[w] = true })

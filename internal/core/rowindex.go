@@ -35,16 +35,15 @@ import (
 // payload is what a FRESH gob.Encoder writes for one value: the type
 // definition, then the value. Repeating the definition per frame (24 bytes
 // for a chunk's []float64) is negligible against 64 KiB and buys random
-// access: any frame decodes
-// in isolation given its offset, which is what lets a windowed read seek
-// straight to the two or three chunks covering its rows instead of
-// replaying the whole stream. The header and index frames go through
-// encoding/gob; the chunk frames are encoded and parsed by hand
-// (writeFloatsFrame, decodeFloatsFrame), byte for byte as gob would, so
-// neither side builds an encoder or decoder per 64 KiB. There is one
-// writer, WriteIndexed, and one reader: OpenIndexed locates the index and
-// the header, and every decode — a window or both matrices whole — goes
-// through the index.
+// access: any frame decodes in isolation given its offset, which is what
+// lets a windowed read seek straight to the two or three chunks covering
+// its rows instead of replaying the whole stream. The header and index
+// frames are encoded by encoding/gob; the chunk frames are encoded by
+// hand (writeFloatsFrame), byte for byte as gob would, so the writer
+// builds no encoder per 64 KiB. Every frame is decoded by a fresh
+// gob.Decoder. There is one writer, WriteIndexed, and one reader:
+// OpenIndexed locates the index and the header, and every decode — a
+// window or both matrices whole — goes through the index.
 const (
 	streamMagicV3 uint64 = 0x5345505633494458 // "SEPV3IDX"
 	indexMagicV3  uint64 = 0x5345505633524f57 // "SEPV3ROW"
@@ -121,10 +120,10 @@ func (fw *frameWriter) writeFrame(v any) (int64, error) {
 // that imports this package runs (none of the packages it imports uses
 // gob), which pins their ids: checkpointHeader and the types it contains,
 // among them []float64, then RowIndex; the artifact store's header
-// follows at its own package init. It then derives the
-// fixed parts of a chunk frame from gob itself: floatsTypeDef, the whole
-// type-definition message for []float64, and floatsTypeID, its id in
-// gob's integer encoding, which opens the value message.
+// follows at its own package init. It then derives the fixed parts of a
+// chunk frame from gob itself: floatsTypeDef, the whole type-definition
+// message for []float64, and floatsTypeID, its id in gob's integer
+// encoding, which opens the value message.
 var floatsTypeDef, floatsTypeID []byte
 
 func init() {
@@ -137,15 +136,14 @@ func init() {
 	if err := gob.NewEncoder(&buf).Encode([]float64{0}); err != nil {
 		panic(err)
 	}
-	// buf holds [len][type definition] [len][id 00 01 00].
+	// buf holds [len][type definition] [len][id 00 01 00], both messages
+	// short enough for a one-byte length.
 	b := buf.Bytes()
-	n, w, ok := gobUint(b)
-	if !ok || uint64(len(b)-w) < n {
-		panic("core: unexpected gob type definition for []float64")
+	if b[0] >= 0x80 || len(b) < 1+int(b[0])+5 {
+		panic("core: unexpected gob encoding of []float64")
 	}
-	floatsTypeDef = b[:w+int(n)]
-	_, w, _ = gobUint(b[len(floatsTypeDef):])
-	floatsTypeID = b[len(floatsTypeDef)+w : len(b)-3]
+	floatsTypeDef = b[:1+b[0]]
+	floatsTypeID = b[len(floatsTypeDef)+1 : len(b)-3]
 }
 
 // appendGobUint appends x in gob's unsigned-integer encoding: one byte
@@ -159,29 +157,6 @@ func appendGobUint(b []byte, x uint64) []byte {
 	b = append(b, byte(-n))
 	b = binary.BigEndian.AppendUint64(b, x<<(64-8*n))
 	return b[:len(b)-(8-n)]
-}
-
-// gobUint reads one gob unsigned integer from the front of p, returning
-// it and its width in bytes; ok is false when p does not start with one.
-// Like gob, it accepts a non-minimal width.
-func gobUint(p []byte) (x uint64, width int, ok bool) {
-	if len(p) == 0 {
-		return 0, 0, false
-	}
-	if p[0] < 0x80 {
-		return uint64(p[0]), 1, true
-	}
-	n := -int(int8(p[0]))
-	if n > 8 || len(p) <= n {
-		return 0, 0, false
-	}
-	if len(p) >= 9 { // one load, the bytes past the n wanted shifted out
-		return binary.BigEndian.Uint64(p[1:9]) >> (64 - 8*n), 1 + n, true
-	}
-	for _, c := range p[1 : 1+n] {
-		x = x<<8 | uint64(c)
-	}
-	return x, 1 + n, true
 }
 
 // gobFloat is gob's wire form of a float64: its bits, byte-reversed so
@@ -216,173 +191,37 @@ func (fw *frameWriter) writeFloatsFrame(vals []float64) (int64, error) {
 	return off, fw.writeRaw(b[start:])
 }
 
-// readAt fills p from ra at off; a short read is an error.
-func readAt(ra io.ReaderAt, p []byte, off int64) error {
-	n, err := ra.ReadAt(p, off)
-	if n == len(p) {
-		return nil
-	}
-	if err == nil || err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// readFrame reads the payload of the frame starting at byte off of ra into
-// *scratch and returns it with the offset just past the frame. end is
-// where the frame must end by (the stream's size less the trailer, or the
-// index offset for the header). A length prefix is a claim, not a proof:
-// one reaching past end, or past maxFrameBytes, is rejected before
+// readFrameAt decodes the frame starting at byte off of ra into v, reusing
+// *scratch for the payload, and returns the offset just past the frame.
+// end is where the frame must end by (the stream's size less the trailer,
+// or the index offset for the header). A length prefix is a claim, not a
+// proof: one reaching past end, or past maxFrameBytes, is rejected before
 // anything is allocated for it, so a payload buffer never outgrows the
 // bytes actually there.
-func readFrame(ra io.ReaderAt, off, end int64, scratch *[]byte) ([]byte, int64, error) {
+func readFrameAt(ra io.ReaderAt, off, end int64, v any, scratch *[]byte) (int64, error) {
 	if off < 0 || off+8 > end {
-		return nil, 0, fmt.Errorf("frame offset %d outside the %d bytes of frames", off, end)
+		return 0, fmt.Errorf("frame offset %d outside the %d bytes of frames", off, end)
 	}
-	if cap(*scratch) < 8 {
-		*scratch = make([]byte, 8)
+	sr := io.NewSectionReader(ra, off, end-off)
+	var word [8]byte
+	if _, err := io.ReadFull(sr, word[:]); err != nil {
+		return 0, fmt.Errorf("reading frame length: %w", err)
 	}
-	word := (*scratch)[:8]
-	if err := readAt(ra, word, off); err != nil {
-		return nil, 0, fmt.Errorf("reading frame length: %w", err)
-	}
-	n := binary.BigEndian.Uint64(word)
+	n := binary.BigEndian.Uint64(word[:])
 	if limit := min(end-off-8, maxFrameBytes); n > uint64(limit) {
-		return nil, 0, fmt.Errorf("frame claims %d bytes, limit %d", n, limit)
+		return 0, fmt.Errorf("frame claims %d bytes, limit %d", n, limit)
 	}
 	if uint64(cap(*scratch)) < n {
 		*scratch = make([]byte, n)
 	}
 	buf := (*scratch)[:n]
-	if err := readAt(ra, buf, off+8); err != nil {
-		return nil, 0, fmt.Errorf("reading %d-byte frame: %w", n, err)
-	}
-	return buf, off + 8 + int64(n), nil
-}
-
-// readFrameAt gob-decodes the frame starting at byte off of ra into v (see
-// readFrame) and returns the offset just past the frame.
-func readFrameAt(ra io.ReaderAt, off, end int64, v any, scratch *[]byte) (int64, error) {
-	buf, next, err := readFrame(ra, off, end, scratch)
-	if err != nil {
-		return 0, err
+	if _, err := io.ReadFull(sr, buf); err != nil {
+		return 0, fmt.Errorf("reading %d-byte frame: %w", n, err)
 	}
 	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(v); err != nil {
 		return 0, fmt.Errorf("decoding frame: %w", err)
 	}
-	return next, nil
-}
-
-// errChunkFrame reports a chunk payload outside the one layout
-// decodeFloatsFrame accepts.
-var errChunkFrame = errors.New("not a gob-encoded []float64 chunk")
-
-// gobMessage splits the gob message [len][body] off the front of p.
-func gobMessage(p []byte) (body, rest []byte, err error) {
-	n, w, ok := gobUint(p)
-	if !ok || n > uint64(len(p)-w) {
-		return nil, nil, errChunkFrame
-	}
-	return p[w : w+int(n)], p[w+int(n):], nil
-}
-
-// gobTypeID reads a gob-encoded type id t off the front of p when it is
-// sign·t for some user id t (64 ≤ t ≤ MaxInt32, gob's id range), sign
-// being +1 or −1; ok is false otherwise.
-func gobTypeID(p []byte, sign int64) (t int64, rest []byte, ok bool) {
-	u, w, ok := gobUint(p)
-	if !ok {
-		return 0, nil, false
-	}
-	v := int64(u >> 1) // gob's zig-zag integer: the low bit is the sign
-	if u&1 != 0 {
-		v = ^v
-	}
-	t = v * sign
-	return t, p[w:], t >= 64 && t <= math.MaxInt32
-}
-
-// The fixed bytes of gob's type definition of []float64, around its id t:
-// wireType.SliceT opens a sliceType whose CommonType carries t, then
-// Elem is gob's float (id 4) and the three structs close. Gob names the
-// type "[]float64" when it first numbers it as a struct field (the
-// canonical ids do: checkpointHeader.LossHistory), and leaves the name
-// out when it first numbers it as a top-level value.
-var (
-	floatsDefHead    = []byte{0x02, 0x01}                             // SliceT, CommonType
-	floatsDefNamed   = append([]byte{0x01, 0x09}, "[]float64\x01"...) // Name "[]float64", then Id
-	floatsDefUnnamed = []byte{0x02}                                   // Id, no Name
-	floatsDefTail    = []byte{0x00, 0x01, 0x08, 0x00, 0x00}           // end CommonType, Elem float, end, end
-)
-
-// decodeFloatsFrame parses p, the payload of one chunk frame, which must
-// hold exactly want values, and stores values [skip, skip+len(dst)) of
-// them in dst. It accepts exactly the layout a fresh gob.Encoder writes
-// for a []float64, under any user type id t, since a stream carries
-// whatever id its writer's process assigned:
-//
-//	[len] int(−t) 02 01 [01 09 "[]float64" 01 | 02] int(t) 00 01 08 00 00
-//	[len] int(t) 00 [count] [count uints]
-//
-// — the type definition, then the value — with every length consistent
-// and nothing after the value. That is a strict subset of what gob
-// decodes, and gob decodes every payload it accepts to the same values
-// (FuzzChunkFrame checks both).
-func decodeFloatsFrame(p []byte, want, skip int, dst []float64) error {
-	def, p, err := gobMessage(p)
-	if err != nil {
-		return err
-	}
-	val, p, err := gobMessage(p)
-	if err != nil {
-		return err
-	}
-	if len(p) != 0 {
-		return errChunkFrame
-	}
-	t, def, ok := gobTypeID(def, -1)
-	if !ok || !bytes.HasPrefix(def, floatsDefHead) {
-		return errChunkFrame
-	}
-	def = def[len(floatsDefHead):]
-	switch {
-	case bytes.HasPrefix(def, floatsDefNamed):
-		def = def[len(floatsDefNamed):]
-	case bytes.HasPrefix(def, floatsDefUnnamed):
-		def = def[len(floatsDefUnnamed):]
-	default:
-		return errChunkFrame
-	}
-	if id, def, ok := gobTypeID(def, 1); !ok || id != t || !bytes.Equal(def, floatsDefTail) {
-		return errChunkFrame
-	}
-	// The value: a singleton (field delta 0) slice of t.
-	id, val, ok := gobTypeID(val, 1)
-	if !ok || id != t || len(val) == 0 || val[0] != 0 {
-		return errChunkFrame
-	}
-	count, w, ok := gobUint(val[1:])
-	if !ok {
-		return errChunkFrame
-	}
-	if count != uint64(want) {
-		return fmt.Errorf("holds %d values, index expects %d", count, want)
-	}
-	val = val[1+w:]
-	for k := range want {
-		u, w, ok := gobUint(val)
-		if !ok {
-			return errChunkFrame
-		}
-		val = val[w:]
-		if j := k - skip; uint(j) < uint(len(dst)) {
-			dst[j] = math.Float64frombits(bits.ReverseBytes64(u))
-		}
-	}
-	if len(val) != 0 {
-		return errChunkFrame
-	}
-	return nil
+	return off + 8 + int64(n), nil
 }
 
 // RowIndex maps matrix rows to the chunk frames of a v3 indexed stream.
@@ -407,14 +246,6 @@ func (ix *RowIndex) chunkValues(c int) int {
 		return rest
 	}
 	return ix.ChunkFloats
-}
-
-// chunkScratch returns a frame buffer no chunk frame of the matrix pair
-// outgrows — each value takes at most 9 bytes, behind a type definition
-// and message headers of well under 64 — so one allocation per decode
-// call serves every chunk it reads.
-func (ix *RowIndex) chunkScratch() []byte {
-	return make([]byte, 0, 9*min(ix.ChunkFloats, ix.Rows*ix.Cols)+64)
 }
 
 // chunkCount is the number of chunk frames each matrix spans.
@@ -588,17 +419,17 @@ func OpenIndexed(ra io.ReaderAt, size int64, hdr any) (*RowIndex, error) {
 	return &ix, nil
 }
 
-// readChunk decodes chunk c of one matrix, whose frame starts at off, and
-// stores its values [skip, skip+len(dst)) in dst; it returns the offset
-// just past the frame. A chunk that does not hold exactly the values the
-// index assigns it is an error.
-func (ix *RowIndex) readChunk(ra io.ReaderAt, size, off int64, c, skip int, dst []float64, scratch *[]byte) (int64, error) {
-	p, end, err := readFrame(ra, off, size-trailerBytes, scratch)
-	if err == nil {
-		err = decodeFloatsFrame(p, ix.chunkValues(c), skip, dst)
-	}
+// readChunk decodes chunk c of one matrix, whose frame starts at off, into
+// *blk and returns the offset just past the frame. A chunk that does not
+// hold exactly the values the index assigns it is an error.
+func (ix *RowIndex) readChunk(ra io.ReaderAt, size, off int64, c int, blk *[]float64, scratch *[]byte) (int64, error) {
+	*blk = (*blk)[:0]
+	end, err := readFrameAt(ra, off, size-trailerBytes, blk, scratch)
 	if err != nil {
-		return 0, fmt.Errorf("chunk %d: %w", c, err)
+		return 0, fmt.Errorf("reading chunk %d: %w", c, err)
+	}
+	if n, want := len(*blk), ix.chunkValues(c); n != want {
+		return 0, fmt.Errorf("chunk %d holds %d values, index expects %d", c, n, want)
 	}
 	return end, nil
 }
@@ -620,16 +451,25 @@ func (ix *RowIndex) DecodeRows(ra io.ReaderAt, offsets []int64, size int64, lo, 
 	if last >= len(offsets) {
 		return nil, fmt.Errorf("core: window needs chunk %d, index has %d", last, len(offsets))
 	}
-	scratch := ix.chunkScratch()
+	var (
+		blk     []float64
+		scratch []byte
+	)
 	for c := first; c <= last; c++ {
-		// Decode the intersection of this chunk's value range with the
-		// window's straight into the window.
-		base := c * ix.ChunkFloats
-		s := max(base, lo*ix.Cols)
-		e := min(base+ix.chunkValues(c), hi*ix.Cols)
-		if _, err := ix.readChunk(ra, size, offsets[c], c, s-base, out.Data[s-lo*ix.Cols:e-lo*ix.Cols], &scratch); err != nil {
+		if _, err := ix.readChunk(ra, size, offsets[c], c, &blk, &scratch); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
+		// Copy the intersection of this chunk's value range with the
+		// window's value range.
+		base := c * ix.ChunkFloats
+		s, e := base, base+len(blk)
+		if w := lo * ix.Cols; s < w {
+			s = w
+		}
+		if w := hi * ix.Cols; e > w {
+			e = w
+		}
+		copy(out.Data[s-lo*ix.Cols:e-lo*ix.Cols], blk[s-base:e-base])
 	}
 	return out, nil
 }
@@ -643,18 +483,21 @@ func (ix *RowIndex) DecodeRows(ra io.ReaderAt, offsets []int64, size int64, lo, 
 // each matrix is allocated once, in proportion to the bytes on disk.
 func (ix *RowIndex) DecodeAll(ra io.ReaderAt, size int64) (win, wout []float64, err error) {
 	next := ix.headerEnd
-	scratch := ix.chunkScratch()
+	var (
+		blk     []float64
+		scratch []byte
+	)
 	decode := func(offsets []int64) ([]float64, error) {
-		dst := make([]float64, ix.Rows*ix.Cols)
+		dst := make([]float64, 0, ix.Rows*ix.Cols)
 		for c, off := range offsets {
 			if off != next {
 				return nil, fmt.Errorf("chunk %d at %d, previous frame ended at %d", c, off, next)
 			}
-			base := c * ix.ChunkFloats
-			end, err := ix.readChunk(ra, size, off, c, 0, dst[base:base+ix.chunkValues(c)], &scratch)
+			end, err := ix.readChunk(ra, size, off, c, &blk, &scratch)
 			if err != nil {
 				return nil, err
 			}
+			dst = append(dst, blk...)
 			next = end
 		}
 		return dst, nil

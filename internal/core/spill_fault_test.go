@@ -142,3 +142,32 @@ func TestSpilledResultReadsFailLoudly(t *testing.T) {
 		t.Errorf("WriteIndexed = %v, want the spill error", err)
 	}
 }
+
+// TestPanickingRunClosesSpill: a spilled run that panics — here in its
+// Epoch hook, after an epoch has trained — closes its spill files before
+// the panic leaves TrainContext, so a caller that recovers it (the
+// service, which keeps serving) does not hold their disk blocks until a
+// finalizer runs.
+func TestPanickingRunClosesSpill(t *testing.T) {
+	dir := spillTempDir(t)
+	g := spillGraph(t)
+	cfg := spillConfig()
+	cfg.Workers = 2
+	cfg.MemoryBudget = cfg.MinMemoryBudget(g.NumNodes())
+	open := -1
+	hooks := Hooks{Epoch: func(st EpochStats) {
+		open = len(spillFDs(t, dir))
+		panic("epoch hook failed")
+	}}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		TrainContext(context.Background(), g, proximity.NewDegree(g), cfg, hooks)
+		return nil
+	}()
+	if got != "epoch hook failed" || open != 2 {
+		t.Fatalf("TrainContext panicked with %v, %d spill files open in the hook; want the hook's panic with Win's and Wout's", got, open)
+	}
+	if fds := spillFDs(t, dir); len(fds) != 0 {
+		t.Errorf("panicked run left %d spill files open", len(fds))
+	}
+}

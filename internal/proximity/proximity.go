@@ -15,6 +15,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"seprivgemb/internal/panicx"
 )
 
 // Entry is one positive entry of a sparse proximity row.
@@ -42,7 +44,8 @@ type Proximity interface {
 // and small grants keep the pool busy to the last row. With one worker
 // (or n <= block) fn runs once, inline, over the whole range. A panic in
 // fn on a pool goroutine is re-raised on the caller's goroutine once the
-// pool has stopped, where a recover can reach it.
+// pool has stopped, where a recover can reach it, as a *panicx.Error that
+// keeps the pool goroutine's stack.
 func parallelBlocks(n, workers int, fn func(lo, hi int)) {
 	if workers <= 1 || n <= block {
 		if n > 0 {
@@ -53,7 +56,7 @@ func parallelBlocks(n, workers int, fn func(lo, hi int)) {
 	workers = min(workers, (n+block-1)/block)
 	var (
 		next     atomic.Int64
-		panicked atomic.Pointer[any]
+		panicked atomic.Pointer[panicx.Error]
 		wg       sync.WaitGroup
 	)
 	wg.Add(workers)
@@ -62,7 +65,7 @@ func parallelBlocks(n, workers int, fn func(lo, hi int)) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					panicked.CompareAndSwap(nil, &r)
+					panicked.CompareAndSwap(nil, panicx.Recovered(r))
 					next.Store(int64(n)) // the other workers stop at their next grant
 				}
 			}()
@@ -77,7 +80,7 @@ func parallelBlocks(n, workers int, fn func(lo, hi int)) {
 	}
 	wg.Wait()
 	if p := panicked.Load(); p != nil {
-		panic(*p)
+		panic(p)
 	}
 }
 

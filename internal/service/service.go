@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"log"
 	"math"
 	"runtime"
 	"sync"
@@ -43,6 +44,7 @@ import (
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/mathx"
 	"seprivgemb/internal/methods"
+	"seprivgemb/internal/panicx"
 	"seprivgemb/internal/proximity"
 	"seprivgemb/internal/replica"
 	"seprivgemb/internal/spec"
@@ -946,10 +948,15 @@ func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximit
 	defer func() { j.finishedAt.Store(time.Now().UnixNano()) }()
 	// A panic in the job — on this goroutine, or re-raised here from the
 	// training pools — fails this job only, and the service goes on
-	// serving; the deferred bookkeeping above still runs.
+	// serving; the deferred bookkeeping above still runs. The job's error
+	// carries the panic's text, and its stack — the pool goroutine's when
+	// a pool re-raised it — goes to the standard logger, as net/http does
+	// for a panicking handler.
 	defer func() {
 		if r := recover(); r != nil {
-			j.err = fmt.Errorf("service: job panicked: %v", r)
+			p := panicx.Recovered(r)
+			log.Printf("service: job %s panicked: %v\n%s", j.id, p.Value, p.Stack)
+			j.err = fmt.Errorf("service: job panicked: %w", p)
 			j.status.Store(int32(StatusFailed))
 		}
 	}()

@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log"
 	"math"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -296,9 +299,13 @@ func (panickingProximity) Name() string        { return "panicking" }
 func (panickingProximity) At(_, _ int) float64 { panic("proximity At failed") }
 
 // TestJobPanicFailsJobNotService: a panic inside a 2-worker job, raised on
-// one of its pool goroutines, fails that job with the panic's text, and
-// the service goes on to train the next job.
+// one of its pool goroutines, fails that job with the panic's text, logs
+// the stack of the goroutine that panicked, and the service goes on to
+// train the next job.
 func TestJobPanicFailsJobNotService(t *testing.T) {
+	var logged bytes.Buffer // written before the job's done closes, read after
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
 	s := New(Options{MaxWorkers: 2})
 	defer s.Close()
 	g := testGraph()
@@ -313,6 +320,10 @@ func TestJobPanicFailsJobNotService(t *testing.T) {
 	}
 	if j.Status() != StatusFailed {
 		t.Fatalf("panicking job: status %v, want failed", j.Status())
+	}
+	if out := logged.String(); !strings.Contains(out, "proximity At failed") ||
+		!strings.Contains(out, "panickingProximity.At(") || !strings.Contains(out, "parallelBlocks.func") {
+		t.Fatalf("log does not hold the panic and its pool goroutine's stack:\n%s", out)
 	}
 	next, err := s.Submit(g, proximity.NewDegree(g), cfg)
 	if err != nil {
