@@ -1,0 +1,73 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"seprivgemb/internal/mathx"
+	"seprivgemb/internal/proximity"
+)
+
+// TestKernelsMatchGoLoops trains every update path twice — with the
+// AVX-512 kernels cleared (mathx.UseAVX512 = false), then with them on —
+// and requires bit-identical Win and Wout: the non-zero strategy private
+// and not, and the naive strategy, at a width the kernels cover whole
+// (128) and one with a tail (132), at one and two workers, dense and (for
+// the strategies that spill) under a memory budget. On a host without
+// AVX-512 only the Go side runs, and the test says so.
+func TestKernelsMatchGoLoops(t *testing.T) {
+	host := mathx.UseAVX512
+	defer func() { mathx.UseAVX512 = host }()
+	if !host {
+		t.Log("no AVX-512 on this host: only the Go loops run, kernel side skipped")
+	}
+	g := spillGraph(t)
+	for _, tc := range []struct {
+		name     string
+		strategy Strategy
+		private  bool
+		spills   bool
+	}{
+		{"nonzero", StrategyNonZero, true, true},
+		{"nonprivate", StrategyNonZero, false, true},
+		{"naive", StrategyNaive, true, false},
+	} {
+		for _, dim := range []int{128, 132} {
+			cfg := spillConfig()
+			cfg.Dim = dim
+			cfg.MaxEpochs = 4
+			cfg.Strategy, cfg.Private = tc.strategy, tc.private
+			budgets := []int64{0}
+			if tc.spills {
+				budgets = append(budgets, (cfg.MinMemoryBudget(g.NumNodes())+cfg.DenseStateBytes(g.NumNodes()))/2)
+			}
+			for _, budget := range budgets {
+				for _, workers := range []int{1, 2} {
+					name := fmt.Sprintf("%s/dim=%d/budget=%d/workers=%d", tc.name, dim, budget, workers)
+					t.Run(name, func(t *testing.T) {
+						cfg.MemoryBudget, cfg.Workers = budget, workers
+						var digests [][2]uint64
+						for _, kernels := range []bool{false, true} {
+							if kernels && !host {
+								break
+							}
+							mathx.UseAVX512 = kernels
+							res, err := Train(g, proximity.NewDegree(g), cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if _, spilled := res.Model.Win.(*mathx.SpillMatrix); spilled != (budget > 0) {
+								t.Fatalf("spill tier %v, want %v", spilled, budget > 0)
+							}
+							digests = append(digests, [2]uint64{mathx.DigestMat(res.Model.Win), mathx.DigestMat(res.Model.Wout)})
+							res.CloseSpill()
+						}
+						if len(digests) == 2 && digests[0] != digests[1] {
+							t.Errorf("Win/Wout digests %x with the Go loops, %x with the kernels", digests[0], digests[1])
+						}
+					})
+				}
+			}
+		}
+	}
+}

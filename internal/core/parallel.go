@@ -398,18 +398,10 @@ func (e *engine) rowGrad(dst []float64, matrix uint64, contribs []int32) {
 			sl := &e.slots[p/k1]
 			f, c, v = sl.fOut, sl.grads.Coef[p%k1], sl.grads.VI
 		}
-		v = v[:len(dst)]
 		if n == 0 {
-			for d, x := range v {
-				g := c * x
-				dst[d] = f * g
-			}
-			continue
-		}
-		for d, x := range v {
-			g := c * x
-			t := f * g
-			dst[d] += t
+			mathx.ScaledSet(dst, f, c, v)
+		} else {
+			mathx.ScaledAdd(dst, f, c, v)
 		}
 	}
 }

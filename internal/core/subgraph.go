@@ -12,9 +12,9 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"seprivgemb/internal/graph"
+	"seprivgemb/internal/panicx"
 	"seprivgemb/internal/xrand"
 )
 
@@ -65,11 +65,12 @@ func GenerateSubgraphs(g *graph.Graph, k int, ns NegSampling, rng *xrand.RNG) ([
 }
 
 // GenerateSubgraphsWorkers is GenerateSubgraphs sharded across `workers`
-// goroutines. Each edge's randomness — orientation coin plus negative
-// sampling — comes from a sequential RNG seeded off a counter stream at
-// the edge's index (xrand contract pattern 3), so the result is
-// bit-identical at every worker count; the parent rng is consumed exactly
-// once (for the stream root) regardless of workers.
+// goroutines in dynamic blocks of edges (panicx.Blocks). Each edge's
+// randomness — orientation coin plus negative sampling — comes from a
+// sequential RNG seeded off a counter stream at the edge's index (xrand
+// contract pattern 3), so the result is bit-identical at every worker
+// count and under any schedule; the parent rng is consumed exactly once
+// (for the stream root) regardless of workers.
 func GenerateSubgraphsWorkers(g *graph.Graph, k int, ns NegSampling, rng *xrand.RNG, workers int) ([]Subgraph, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: negative sampling number k=%d must be >= 1", k)
@@ -98,7 +99,7 @@ func GenerateSubgraphsWorkers(g *graph.Graph, k int, ns NegSampling, rng *xrand.
 	// edge — disjoint write targets for the workers, one allocation total.
 	negs := make([]int32, len(edges)*k)
 	gen := func(lo, hi int) {
-		var erng xrand.RNG // one reseedable RNG per span, not per edge
+		var erng xrand.RNG // one reseedable RNG per block, not per edge
 		for ei := lo; ei < hi; ei++ {
 			erng.Reseed(st.Derive(uint64(ei)).Uint64At(0))
 			// Orient the undirected edge uniformly at random so that center
@@ -134,19 +135,11 @@ func GenerateSubgraphsWorkers(g *graph.Graph, k int, ns NegSampling, rng *xrand.
 			subs[ei] = s
 		}
 	}
-	spans := splitSpans(len(edges), workers)
-	if len(spans) <= 1 {
-		gen(0, len(edges))
-		return subs, nil
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(spans))
-	for _, sp := range spans {
-		go func(sp span) {
-			defer wg.Done()
-			gen(sp.lo, sp.hi)
-		}(sp)
-	}
-	wg.Wait()
+	panicx.Blocks(len(edges), workers, edgeBlock, func(_, lo, hi int) { gen(lo, hi) })
 	return subs, nil
 }
+
+// edgeBlock is the subgraph pool's work-grant size in edges: each edge
+// is only K rejection-sampled negatives, so a grant batches many edges
+// per cursor update.
+const edgeBlock = 256

@@ -2,11 +2,11 @@ package eval
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/mathx"
+	"seprivgemb/internal/panicx"
 )
 
 // This file shards the two evaluation hot paths — StrucEqu's O(|V|²) pair
@@ -25,47 +25,23 @@ func pairBase(i, n int) int {
 	return i*(n-1) - i*(i-1)/2
 }
 
-// parallelRows runs fn(i) for every i in [0, n) across `workers`
-// goroutines, handing out rows in chunks from an atomic cursor. Dynamic
-// chunking balances the triangular row costs (row 0 has n−1 pairs, row
-// n−2 has one) without affecting output: rows write to disjoint
-// index-addressed slots, so the schedule is invisible in the result.
-func parallelRows(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+// rowBlock is the pools' work-grant size in rows (panicx.Blocks): small,
+// because StrucEqu's row costs are triangular (row 0 has n−1 pairs, row
+// n−2 has one); rows write to disjoint index-addressed slots, so the
+// schedule is invisible in the result.
+const rowBlock = 16
+
+// commonNeighborsAbove adds |N(i) ∩ N(j)| to count[j] for every j > i by
+// a two-hop walk i → u → j, and leaves count[j] for j ≤ i untouched. One
+// row costs Σ_{u ∈ N(i)} deg(u) instead of a sorted-list merge per pair.
+func commonNeighborsAbove(g *graph.Graph, i int, count []int32) {
+	for _, u := range g.Neighbors(i) {
+		nb := g.Neighbors(int(u))
+		k, _ := slices.BinarySearch(nb, int32(i+1))
+		for _, j := range nb[k:] {
+			count[j]++
 		}
-		return
 	}
-	const chunk = 16
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(chunk)) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // StrucEquWorkers is StrucEqu with the pair scan sharded across `workers`
@@ -79,17 +55,26 @@ func StrucEquWorkers(g *graph.Graph, emb *mathx.Matrix, workers int) float64 {
 	total := n * (n - 1) / 2
 	adjD := make([]float64, total)
 	embD := make([]float64, total)
-	parallelRows(workers, n-1, func(i int) {
-		di := float64(g.Degree(i))
-		base := pairBase(i, n)
-		for j := i + 1; j < n; j++ {
-			sq := di + float64(g.Degree(j)) - 2*float64(g.CommonNeighbors(i, j))
-			if sq < 0 {
-				sq = 0 // guard floating rounding; exact arithmetic is integral
+	counts := make([][]int32, max(workers, 1)) // per worker, zero between rows
+	panicx.Blocks(n-1, workers, rowBlock, func(w, lo, hi int) {
+		if counts[w] == nil {
+			counts[w] = make([]int32, n)
+		}
+		cn := counts[w]
+		for i := lo; i < hi; i++ {
+			commonNeighborsAbove(g, i, cn)
+			di := float64(g.Degree(i))
+			base := pairBase(i, n)
+			for j := i + 1; j < n; j++ {
+				sq := di + float64(g.Degree(j)) - 2*float64(cn[j])
+				cn[j] = 0 // the walk touched only slots above i
+				if sq < 0 {
+					sq = 0 // guard floating rounding; exact arithmetic is integral
+				}
+				at := base + (j - i - 1)
+				adjD[at] = math.Sqrt(sq)
+				embD[at] = mathx.EuclideanDistance(emb.Row(i), emb.Row(j))
 			}
-			at := base + (j - i - 1)
-			adjD[at] = math.Sqrt(sq)
-			embD[at] = mathx.EuclideanDistance(emb.Row(i), emb.Row(j))
 		}
 	})
 	return mathx.Pearson(adjD, embD)
@@ -106,13 +91,14 @@ func StrucEquWorkers(g *graph.Graph, emb *mathx.Matrix, workers int) float64 {
 func LinkAUCWorkers(split *LinkSplit, score Scorer, workers int) float64 {
 	pos := make([]float64, len(split.TestPos))
 	neg := make([]float64, len(split.TestNeg))
-	parallelRows(workers, len(split.TestPos), func(i int) {
-		e := split.TestPos[i]
-		pos[i] = score(int(e.U), int(e.V))
-	})
-	parallelRows(workers, len(split.TestNeg), func(i int) {
-		e := split.TestNeg[i]
-		neg[i] = score(int(e.U), int(e.V))
-	})
+	scoreAll := func(links []graph.Edge, out []float64) {
+		panicx.Blocks(len(links), workers, rowBlock, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				out[i] = score(int(links[i].U), int(links[i].V))
+			}
+		})
+	}
+	scoreAll(split.TestPos, pos)
+	scoreAll(split.TestNeg, neg)
 	return AUC(pos, neg)
 }

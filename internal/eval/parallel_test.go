@@ -59,6 +59,54 @@ func TestStrucEquWorkersEquivalence(t *testing.T) {
 	}
 }
 
+// TestCommonNeighborsAboveMatchesMerge: the two-hop counts equal
+// graph.CommonNeighbors for every pair j > i and leave the slots at or
+// below i at zero, on random graphs of several shapes (hubs, dense
+// blocks, isolated nodes).
+func TestCommonNeighborsAboveMatchesMerge(t *testing.T) {
+	for _, g := range []*graph.Graph{
+		graph.ErdosRenyi(90, 700, xrand.New(1)),
+		graph.ErdosRenyi(60, 20, xrand.New(2)),
+		graph.BarabasiAlbert(150, 4, xrand.New(3)),
+		graph.StochasticBlockModel(80, 3, 0.4, 0.02, xrand.New(4)),
+	} {
+		n := g.NumNodes()
+		cn := make([]int32, n)
+		for i := 0; i < n; i++ {
+			clear(cn)
+			commonNeighborsAbove(g, i, cn)
+			for j := 0; j < n; j++ {
+				want := 0
+				if j > i {
+					want = g.CommonNeighbors(i, j)
+				}
+				if int(cn[j]) != want {
+					t.Fatalf("n=%d |E|=%d: count[%d][%d] = %d, want %d", n, g.NumEdges(), i, j, cn[j], want)
+				}
+			}
+		}
+	}
+}
+
+// TestStrucEquWorkersRandomGraphs: on random graphs of several shapes,
+// StrucEquWorkers at 1, 2 and 4 workers equals the serial per-pair scan
+// bit for bit.
+func TestStrucEquWorkersRandomGraphs(t *testing.T) {
+	for k, g := range []*graph.Graph{
+		graph.ErdosRenyi(90, 700, xrand.New(5)),
+		graph.StochasticBlockModel(80, 3, 0.4, 0.02, xrand.New(6)),
+		graph.WattsStrogatz(100, 6, 0.2, xrand.New(7)),
+	} {
+		emb := randomEmbedding(g.NumNodes(), 9, uint64(k))
+		want := serialStrucEqu(g, emb)
+		for _, workers := range []int{1, 2, 4} {
+			if got := StrucEquWorkers(g, emb, workers); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("graph %d workers=%d: StrucEqu %v, serial %v", k, workers, got, want)
+			}
+		}
+	}
+}
+
 // TestLinkAUCWorkersEquivalence: sharded scoring must reproduce the serial
 // AUC bit for bit at every worker count.
 func TestLinkAUCWorkersEquivalence(t *testing.T) {

@@ -7,6 +7,12 @@
 // their summation order is part of the golden-hash contract (DESIGN.md
 // §12). Element-wise operations are plain loops that never reorder a
 // float64 operation, and AXPY rounds each product on its own.
+//
+// On amd64 with AVX-512 (UseAVX512, probed once at init), ScaledSet,
+// ScaledAdd and AXPY run an assembly kernel eight lanes wide that
+// performs, lane by lane, the Go loop's operations in its operand order,
+// so the bits are the same; the Go loops are the path everywhere else
+// and the reference the kernel is tested against.
 package mathx
 
 import (
@@ -47,14 +53,38 @@ func Dot(x, y []float64) float64 {
 // result cannot be contracted into a fused multiply-add on architectures
 // whose compilers would otherwise do so, and training stays bit-identical
 // across platforms (DESIGN.md §12).
+//
+// With UseAVX512 it runs as ScaledAdd(y, 1, a, x), which is exact: the
+// extra factor 1 leaves every product a·x[i], NaN payloads included.
 func AXPY(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mathx: AXPY length mismatch %d != %d", len(x), len(y)))
 	}
 	y = y[:len(x)]
-	for i, v := range x {
-		t := a * v
+	for i := scaledWide(y, x, 1, a, true); i < len(x); i++ {
+		t := a * x[i]
 		y[i] += t
+	}
+}
+
+// ScaledSet sets dst[d] = f·(c·x[d]), each product rounded on its own.
+// len(x) must be at least len(dst).
+func ScaledSet(dst []float64, f, c float64, x []float64) {
+	x = x[:len(dst)]
+	for d := scaledWide(dst, x, f, c, false); d < len(dst); d++ {
+		g := c * x[d]
+		dst[d] = f * g
+	}
+}
+
+// ScaledAdd adds f·(c·x[d]) to dst[d], each product rounded on its own.
+// len(x) must be at least len(dst).
+func ScaledAdd(dst []float64, f, c float64, x []float64) {
+	x = x[:len(dst)]
+	for d := scaledWide(dst, x, f, c, true); d < len(dst); d++ {
+		g := c * x[d]
+		t := f * g
+		dst[d] += t
 	}
 }
 

@@ -1,12 +1,9 @@
 package proximity
 
 import (
-	"strings"
-	"sync/atomic"
 	"testing"
 
 	"seprivgemb/internal/graph"
-	"seprivgemb/internal/panicx"
 	"seprivgemb/internal/xrand"
 )
 
@@ -61,32 +58,5 @@ func TestAtMatchesMaterializedEverywhere(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestParallelBlocksPanicReachesCaller: a panic in a pool goroutine is
-// re-raised on the caller's goroutine once the pool has stopped, where a
-// recover can reach it, with the pool goroutine's stack.
-func TestParallelBlocksPanicReachesCaller(t *testing.T) {
-	var calls atomic.Int64
-	got := func() (r any) {
-		defer func() { r = recover() }()
-		parallelBlocks(64*block, 2, func(lo, _ int) {
-			calls.Add(1)
-			if lo == 3*block {
-				panic("block 3 failed")
-			}
-		})
-		return nil
-	}()
-	p, ok := got.(*panicx.Error)
-	if !ok || p.Value != "block 3 failed" {
-		t.Fatalf("parallelBlocks recovered %v, want block 3's panic", got)
-	}
-	if !strings.Contains(string(p.Stack), "parallelBlocks.func") {
-		t.Fatalf("recovered panic's stack is not the pool goroutine's:\n%s", p.Stack)
-	}
-	if n := calls.Load(); n < 4 || n > 64 {
-		t.Fatalf("%d blocks ran, want block 3 and at most all 64", n)
 	}
 }

@@ -13,8 +13,6 @@ package proximity
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"seprivgemb/internal/panicx"
 )
@@ -37,54 +35,7 @@ type Proximity interface {
 	At(i, j int) float64
 }
 
-// parallelBlocks runs fn over [0, n) in blocks of `block` indices handed
-// out off an atomic cursor to `workers` goroutines. Dynamic blocks rather
-// than contiguous shards, because row costs are heavily skewed on
-// power-law graphs (hub rows of Katz/PageRank push far larger frontiers),
-// and small grants keep the pool busy to the last row. With one worker
-// (or n <= block) fn runs once, inline, over the whole range. A panic in
-// fn on a pool goroutine is re-raised on the caller's goroutine once the
-// pool has stopped, where a recover can reach it, as a *panicx.Error that
-// keeps the pool goroutine's stack.
-func parallelBlocks(n, workers int, fn func(lo, hi int)) {
-	if workers <= 1 || n <= block {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	workers = min(workers, (n+block-1)/block)
-	var (
-		next     atomic.Int64
-		panicked atomic.Pointer[panicx.Error]
-		wg       sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicked.CompareAndSwap(nil, panicx.Recovered(r))
-					next.Store(int64(n)) // the other workers stop at their next grant
-				}
-			}()
-			for {
-				lo := int(next.Add(block)) - block
-				if lo >= n {
-					return
-				}
-				fn(lo, min(lo+block, n))
-			}
-		}()
-	}
-	wg.Wait()
-	if p := panicked.Load(); p != nil {
-		panic(p)
-	}
-}
-
-// block is parallelBlocks' work-grant size.
+// block is the fill pool's work-grant size (panicx.Blocks).
 const block = 32
 
 // Pair is one oriented node pair (I, J) whose proximity p_IJ is wanted.
@@ -117,7 +68,7 @@ type rowBuilder interface {
 func PairWeights(p Proximity, pairs []Pair, workers int) []float64 {
 	w := make([]float64, len(pairs))
 	if _, ok := p.(rowBuilder); !ok {
-		parallelBlocks(len(pairs), workers, func(lo, hi int) {
+		panicx.Blocks(len(pairs), workers, block, func(_, lo, hi int) {
 			for k := lo; k < hi; k++ {
 				w[k] = p.At(int(pairs[k].I), int(pairs[k].J))
 			}
@@ -140,7 +91,7 @@ func PairWeights(p Proximity, pairs []Pair, workers int) []float64 {
 		fill[pr.I]++
 	}
 	build, pool := denseBuild(p)
-	parallelBlocks(n, workers, func(lo, hi int) {
+	panicx.Blocks(n, workers, block, func(_, lo, hi int) {
 		var s *rowScratch
 		if build != nil {
 			s = pool.get()

@@ -322,7 +322,7 @@ func TestJobPanicFailsJobNotService(t *testing.T) {
 		t.Fatalf("panicking job: status %v, want failed", j.Status())
 	}
 	if out := logged.String(); !strings.Contains(out, "proximity At failed") ||
-		!strings.Contains(out, "panickingProximity.At(") || !strings.Contains(out, "parallelBlocks.func") {
+		!strings.Contains(out, "panickingProximity.At(") || !strings.Contains(out, "panicx.Blocks.func") {
 		t.Fatalf("log does not hold the panic and its pool goroutine's stack:\n%s", out)
 	}
 	next, err := s.Submit(g, proximity.NewDegree(g), cfg)

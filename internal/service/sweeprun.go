@@ -17,10 +17,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"sync"
 	"time"
 
+	"seprivgemb/internal/core"
 	"seprivgemb/internal/experiments"
+	"seprivgemb/internal/panicx"
 	"seprivgemb/internal/spec"
 	"seprivgemb/internal/sweep"
 )
@@ -367,7 +370,7 @@ func (sw *Sweep) watchCell(sc *sweepCell, waiters *sync.WaitGroup) {
 		sw.record(sc, cellFailed, nil, err.Error())
 	default:
 		_ = sw.svc.acquire(context.Background(), nil, 1) // never fails: no deadline
-		v, everr := sc.c.Evaluate(res)
+		v, everr := sw.evaluate(sc, res)
 		sw.svc.release(1)
 		if everr != nil {
 			sw.record(sc, cellFailed, nil, everr.Error())
@@ -375,6 +378,22 @@ func (sw *Sweep) watchCell(sc *sweepCell, waiters *sync.WaitGroup) {
 		}
 		sw.record(sc, cellDone, &v, "")
 	}
+}
+
+// evaluate scores a cell's result. A panic while scoring — a spill tier
+// that failed or closed after training (core.Result.Embedding), an
+// embedding that does not fit its graph — fails this cell only: it comes
+// back as the cell's error, and its stack goes to the standard logger, as
+// Service.run logs a job's.
+func (sw *Sweep) evaluate(sc *sweepCell, res *core.Result) (v float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p := panicx.Recovered(r)
+			log.Printf("service: sweep %s cell %s panicked while scoring: %v\n%s", sw.id, sc.jobID, p.Value, p.Stack)
+			err = fmt.Errorf("service: scoring panicked: %w", p)
+		}
+	}()
+	return sc.c.Evaluate(res)
 }
 
 // record publishes a cell's terminal state and signals the feeder. The

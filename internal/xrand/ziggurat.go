@@ -15,6 +15,12 @@ import "math"
 // assembly switches to FMA instructions on CPUs that have them. The
 // tables are built from R, V and f(R) with Sqrt, Log, + and ÷ only, and
 // the wedge test compares in the log domain.
+//
+// NoisyStep has an AVX-512 kernel on amd64 (ziggurat_amd64.s, selected
+// by mathx.UseAVX512): the counter hash, the layer lookup and the core-
+// rectangle step run eight coordinates wide with the Go loop's
+// operations and operand order, so the bits are the same, and the draws
+// outside the core come back as a mask for normalSlow to finish here.
 
 // Ziggurat constants for f(x) = exp(-x²/2) with 256 layers of equal area,
 // rounded from 50-digit values. zigR is the base layer's abscissa, where
@@ -81,7 +87,7 @@ func (s Stream) NormalsAt(dst []float64, base uint64) {
 // NormalAt(k) bit for bit. len(g) must be at least len(dst).
 func (s Stream) NoisyStep(dst, g []float64, lr, sd float64) {
 	g = g[:len(dst)]
-	for k := range dst {
+	for k := s.noisyStepWide(dst, g, lr, sd); k < len(dst); k++ {
 		bits := mix64(s.base + (uint64(k)+1)*golden)
 		j := bits & 0xff
 		var z float64

@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"seprivgemb/internal/mathx"
 )
 
 // TestStreamNormalKS applies a one-sample Kolmogorov–Smirnov test of
@@ -254,4 +256,30 @@ func BenchmarkStreamNormalsAt(b *testing.B) {
 		s.Derive(k).NormalsAt(row, 0)
 	}
 	sinkF = row[0]
+}
+
+// BenchmarkNoisyStep applies one r = 128 private step per op, a fresh
+// substream each time, on the Go loop and on the AVX-512 kernel (skipped
+// on a host without AVX-512).
+func BenchmarkNoisyStep(b *testing.B) {
+	host := mathx.UseAVX512
+	defer func() { mathx.UseAVX512 = host }()
+	for _, path := range []struct {
+		name    string
+		kernels bool
+	}{{"go", false}, {"avx512", true}} {
+		b.Run(path.name, func(b *testing.B) {
+			if path.kernels && !host {
+				b.Skip("no AVX-512 on this host")
+			}
+			mathx.UseAVX512 = path.kernels
+			s := NewStream(1)
+			dst, g := make([]float64, 128), make([]float64, 128)
+			New(2).NormalVec(g, 1e-3)
+			for k := uint64(0); b.Loop(); k++ {
+				s.Derive(k).NoisyStep(dst, g, 0.025, 1.7)
+			}
+			sinkF = dst[0]
+		})
+	}
 }
