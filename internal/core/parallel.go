@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -319,10 +320,14 @@ func (e *engine) forOwnerSegments(rows []int32, nRows int, task func(w, lo, hi i
 // apart.
 //
 // Clipping (Eq. (3)) is split from scaling: the Win part's factor comes
-// from the single row ∂L/∂v_i, the Wout part's from the joint norm over
-// its k+1 rank-1 rows fl(c_t·v_I) (rank1ClipFactor). The factors use
-// exactly the thresholds and quotients of an in-place clip (n > C ⇒ C/n
-// and sq > C² ⇒ C/√sq), and the update's replay applies f·g[d] with one
+// from the single row ∂L/∂v_i, whose squared norm LossGradients returns
+// as Norm2Sq(GIn); the Wout part's from the joint norm of its k+1
+// rank-1 rows fl(c_t·v_I), treated as one vector. Their squared norms
+// are summed over the rounded products fl(c_t·v_I[d]) in Norm2Sq's lane
+// order, the rows in t order (mathx.SumScaledNorm2Sq), which is the
+// norm of the written-out rows bit for bit. The factors use exactly the
+// thresholds and quotients of an in-place clip (n > C ⇒ C/n and
+// sq > C² ⇒ C/√sq), and the update's replay applies f·g[d] with one
 // rounding per coordinate — the one an in-place Scale performs — so the
 // deferred form is bit-identical to clip-then-accumulate.
 func (e *engine) computeSub(si int, sl *slot) {
@@ -331,10 +336,10 @@ func (e *engine) computeSub(si int, sl *slot) {
 	sl.loss = e.model.LossGradients(ex, &sl.grads)
 	sl.fIn, sl.fOut = 1, 1
 	if c := e.cfg.Clip; c > 0 {
-		if n := mathx.Norm2(sl.grads.GIn); n > c {
+		if n := math.Sqrt(sl.grads.GInSq); n > c { // mathx.Norm2(GIn)
 			sl.fIn = c / n
 		}
-		sl.fOut = rank1ClipFactor(sl.grads.Coef, sl.grads.VI, c)
+		sl.fOut = clipFactor(mathx.SumScaledNorm2Sq(sl.grads.Coef, sl.grads.VI), c)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 )
 
 // clipJoint rescales the concatenation of rows to ℓ2 norm at most c: the
-// eager in-place form of the engine's deferred rank1ClipFactor, kept as
+// eager in-place form of the engine's deferred Wout clip factor, kept as
 // the reference the fused update is pinned against.
 func clipJoint(rows [][]float64, c float64) {
 	var sq float64

@@ -310,23 +310,6 @@ func Train(g *graph.Graph, prox proximity.Proximity, cfg Config) (*Result, error
 	return TrainContext(context.Background(), g, prox, cfg, Hooks{})
 }
 
-// rank1ClipFactor returns the Eq. (3) joint-clip factor for the k+1 Wout
-// row-gradients of one example, treating their concatenation as a single
-// vector: 1 when its ℓ2 norm is within c, c/‖·‖ otherwise. Row t is the
-// rank-1 c_t·v_I (skipgram.Grads), and its squared norm is summed over
-// the rounded products fl(c_t·v_I[d]) in Norm2Sq's lane order
-// (mathx.ScaledNorm2Sq), so the factor equals the one computed over the
-// written-out rows bit for bit without writing them. The engine keeps the
-// factor in the slot and applies it during the update's replay instead of
-// an in-place Scale sweep.
-func rank1ClipFactor(coef, vi []float64, c float64) float64 {
-	var sq float64
-	for _, ct := range coef {
-		sq += mathx.ScaledNorm2Sq(ct, vi)
-	}
-	return clipFactor(sq, c)
-}
-
 // clipFactor is the Eq. (3) factor for a vector of squared ℓ2 norm sq: 1
 // when sq ≤ c², c/√sq otherwise.
 func clipFactor(sq, c float64) float64 {

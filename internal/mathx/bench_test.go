@@ -60,3 +60,46 @@ func BenchmarkAXPY(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRowKernels times the three per-example row operations at one
+// skip-gram example's shape (k+1 = 6 rows of r = 128) with the Go loops
+// and, on a host that has them, the AVX-512 kernels.
+func BenchmarkRowKernels(b *testing.B) {
+	const k1, n = 6, 128
+	x := fill(n, 301)
+	coef := fill(k1, 302)
+	rows := make([][]float64, k1)
+	for i := range rows {
+		rows[i] = fill(n, uint64(303+i))
+	}
+	out, dst := make([]float64, k1), make([]float64, n)
+	ops := []struct {
+		name string
+		run  func() float64
+	}{
+		{"DotRows", func() float64 { DotRows(out, x, rows); return out[0] }},
+		{"SumScaledNorm2Sq", func() float64 { return SumScaledNorm2Sq(coef, x) }},
+		{"AXPYRows", func() float64 { return AXPYRows(dst, coef, rows) }},
+	}
+	host := UseAVX512
+	defer func() { UseAVX512 = host }()
+	for _, op := range ops {
+		for _, kernels := range []bool{false, true} {
+			name := op.name + "/go"
+			if kernels {
+				name = op.name + "/avx512"
+			}
+			b.Run(name, func(b *testing.B) {
+				if kernels && !host {
+					b.Skip("no AVX-512 on this host")
+				}
+				UseAVX512 = kernels
+				var s float64
+				for i := 0; i < b.N; i++ {
+					s += op.run()
+				}
+				sinkF = s
+			})
+		}
+	}
+}

@@ -15,6 +15,15 @@ func xgetbv0() uint32
 //go:noescape
 func scaledAVX512(dst, x *float64, n int, f, c float64, add bool)
 
+//go:noescape
+func dotRowsAVX512(out *[8]float64, x *float64, rows *[8]*float64, pairs, n int)
+
+//go:noescape
+func scaledNorm2SqAVX512(out, coef *[8]float64, x *float64, n int)
+
+//go:noescape
+func axpyRowsAVX512(dst, coef *float64, rows *[]float64, k, n int) float64
+
 // hasAVX512 reports AVX512F (leaf 7 EBX bit 16) and AVX512DQ (bit 17),
 // enabled by the OS: OSXSAVE (leaf 1 ECX bit 27) set, and XCR0 saving
 // SSE, AVX, the opmask and both halves of the zmm registers (0xe6).
@@ -39,4 +48,47 @@ func scaledWide(dst, x []float64, f, c float64, add bool) int {
 	}
 	scaledAVX512(&dst[0], &x[0], n, f, c, add)
 	return n
+}
+
+// dotRowsWide runs the kernel for the first min(8, len(rows)) rows over
+// the longest multiple-of-4 prefix of x when UseAVX512 is set, leaving
+// each row's combined lane sum in out, and returns the row count and the
+// prefix length; 0, 0 otherwise. Every row is len(x) long.
+func dotRowsWide(out *[8]float64, x []float64, rows [][]float64) (k, n int) {
+	n = len(x) &^ 3
+	if !UseAVX512 || n == 0 || len(rows) == 0 {
+		return 0, 0
+	}
+	k = min(len(rows), 8)
+	var p [8]*float64
+	for t := range p[:(k+1)&^1] {
+		p[t] = &rows[min(t, k-1)][0] // an odd last pair repeats its row
+	}
+	dotRowsAVX512(out, &x[0], &p, (k+1)/2, n)
+	return k, n
+}
+
+// scaledNorm2SqWide is dotRowsWide for ScaledNorm2Sq: the first
+// min(8, len(coef)) coefficients' combined lane sums over x's longest
+// multiple-of-4 prefix.
+func scaledNorm2SqWide(out *[8]float64, coef, x []float64) (k, n int) {
+	n = len(x) &^ 3
+	if !UseAVX512 || n == 0 || len(coef) == 0 {
+		return 0, 0
+	}
+	var c [8]float64
+	k = copy(c[:], coef)
+	scaledNorm2SqAVX512(out, &c, &x[0], n)
+	return k, n
+}
+
+// axpyRowsWide runs the AXPYRows kernel over the longest multiple-of-4
+// prefix of dst when UseAVX512 is set, and returns its length and its
+// Norm2Sq before the tail; 0, 0 otherwise. Every row is len(dst) long.
+func axpyRowsWide(dst, coef []float64, rows [][]float64) (n int, sq float64) {
+	n = len(dst) &^ 3
+	if !UseAVX512 || n == 0 || len(coef) == 0 {
+		return 0, 0
+	}
+	return n, axpyRowsAVX512(&dst[0], &coef[0], &rows[0], len(coef), n)
 }

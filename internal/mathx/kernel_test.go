@@ -2,14 +2,16 @@ package mathx
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 )
 
-// This file runs the AVX-512 scaled kernel (ScaledSet, ScaledAdd and
-// AXPY on hosts that have it) against the Go loops it stands in for,
-// bit for bit, by clearing UseAVX512 for the Go side. On a host without
-// AVX-512 both sides are the Go loop and the tests say so.
+// This file runs the AVX-512 kernels (behind ScaledSet, ScaledAdd, AXPY,
+// DotRows, SumScaledNorm2Sq and AXPYRows on hosts that have them) against
+// the Go loops they stand in for, bit for bit, by clearing UseAVX512 for
+// the Go side. On a host without AVX-512 both sides are the Go loop and
+// the tests say so.
 
 // specials are the values whose bits an element-wise kernel must carry
 // exactly: signed zeros, subnormals, infinities and NaNs with payloads
@@ -51,11 +53,8 @@ func scaledCase(t testing.TB, name string, dst []float64, op func(dst []float64)
 			want = out
 		}
 	})
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s n=%d: [%d] kernel %v (%#x), Go %v (%#x)", name, len(dst), i,
-				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-		}
+	if ran {
+		sameBits(t, fmt.Sprintf("%s n=%d", name, len(dst)), got, want)
 	}
 	return ran
 }
@@ -116,5 +115,137 @@ func FuzzScaledKernel(f *testing.F) {
 		scaledCase(t, "ScaledSet", dst, func(d []float64) { ScaledSet(d, a, b, x) })
 		scaledCase(t, "ScaledAdd", dst, func(d []float64) { ScaledAdd(d, a, b, x) })
 		scaledCase(t, "AXPY", dst, func(d []float64) { AXPY(b, x, d) })
+	})
+}
+
+// sameBits fails on the first element whose bits differ.
+func sameBits(t testing.TB, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: [%d] kernel %v (%#x), Go %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// rowsCase runs DotRows, SumScaledNorm2Sq and AXPYRows over one example's
+// rows on both paths and compares every output bit. The Go side is
+// Dot per row, ScaledNorm2Sq per coefficient and Zero, AXPY and Norm2Sq.
+func rowsCase(t testing.TB, x, coef []float64, rows [][]float64) bool {
+	t.Helper()
+	var want, got []float64
+	ran := kernelSides(t, func(kernel bool) {
+		dots := make([]float64, len(rows))
+		DotRows(dots, x, rows)
+		gin := make([]float64, len(x))
+		for i := range gin {
+			gin[i] = specials[i%len(specials)] // overwritten: AXPYRows zeroes first
+		}
+		ginSq := AXPYRows(gin, coef, rows)
+		out := append(append(dots, gin...), ginSq, SumScaledNorm2Sq(coef, x))
+		if kernel {
+			got = out
+		} else {
+			want = out
+		}
+	})
+	if ran {
+		sameBits(t, fmt.Sprintf("k+1=%d n=%d: dots, GIn, ‖GIn‖², Σ‖c·x‖²", len(rows), len(x)), got, want)
+	}
+	dots := make([]float64, len(rows))
+	for i, r := range rows {
+		dots[i] = Dot(r, x)
+	}
+	sameBits(t, "DotRows against Dot", want[:len(rows)], dots)
+	return ran
+}
+
+// tiny scales coefficients into the range where fl(c·x[d])² is
+// subnormal or rounds to zero.
+var tiny = []float64{1, 0x1p-520, 0x1p-540, 0x1p-560, 0x1p-568, 0x1p-575, 0x1p-600, 0x1p-1050}
+
+// TestRowKernelsMatchGo covers k+1 from 1 to 17 (more than two groups of
+// eight lanes) and every length 0–300, with ±0, subnormals, ±Inf and NaN
+// payloads in x, the rows and the coefficients in two of three cases, and
+// coefficients scaled by tiny in the third.
+func TestRowKernelsMatchGo(t *testing.T) {
+	var ran bool
+	for k1 := 1; k1 <= 17; k1++ {
+		for n := 0; n <= 300; n++ {
+			seed := uint64(k1*1000 + n)
+			x := fill(n, seed)
+			coef := fill(k1, seed+7)
+			rows := make([][]float64, k1)
+			for i := range rows {
+				rows[i] = fill(n, seed+uint64(100*i)+13)
+			}
+			if (n+k1)%3 != 0 {
+				for i := (n + k1) % 4; i < n; i += 3 + k1%4 {
+					x[i] = specials[(i+k1)%len(specials)]
+					r := rows[(i*5)%k1]
+					r[(i*7)%n] = specials[(i*3+n)%len(specials)]
+				}
+				coef[n%k1] = specials[(n/3+k1)%len(specials)]
+			} else {
+				// Coefficients that make some scaled squares subnormal
+				// (x here is at most about 2^30), all of them round to
+				// +0, or are subnormal themselves.
+				for i := range coef {
+					coef[i] *= tiny[(i+n)%len(tiny)]
+				}
+			}
+			ran = rowsCase(t, x, coef, rows)
+		}
+	}
+	if ran {
+		t.Log("compared the AVX-512 row kernels with the Go loops")
+	} else {
+		t.Log("no AVX-512 on this host: only the Go loops ran, kernel side skipped")
+	}
+}
+
+// FuzzRowKernels compares the paths on raw bit patterns: the first byte
+// picks k+1 (1–17), the next two the length (0–300), and every float of
+// x, the rows and the coefficients is any 64-bit value.
+func FuzzRowKernels(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(append([]byte{5, 128, 0}, make([]byte, 8*(128*7+6))...))
+	raw := []byte{16, 19, 0}
+	for i := 0; i < 19*18+17; i++ {
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(specials[(i*5)%len(specials)]))
+	}
+	f.Add(raw)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		k1, n := 1, 0
+		if len(data) >= 3 {
+			k1 = 1 + int(data[0])%17
+			n = int(binary.LittleEndian.Uint16(data[1:])) % 301
+		}
+		word := func(i int) float64 {
+			if off := 3 + 8*i; off+8 <= len(data) {
+				return math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
+			}
+			return float64(i)*0.75 - 3
+		}
+		x, coef := make([]float64, n), make([]float64, k1)
+		rows := make([][]float64, k1)
+		w := 0
+		for i := range x {
+			x[i] = word(w)
+			w++
+		}
+		for r := range rows {
+			rows[r] = make([]float64, n)
+			for i := range rows[r] {
+				rows[r][i] = word(w)
+				w++
+			}
+		}
+		for i := range coef {
+			coef[i] = word(w)
+			w++
+		}
+		rowsCase(t, x, coef, rows)
 	})
 }

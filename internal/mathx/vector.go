@@ -11,8 +11,16 @@
 // On amd64 with AVX-512 (UseAVX512, probed once at init), ScaledSet,
 // ScaledAdd and AXPY run an assembly kernel eight lanes wide that
 // performs, lane by lane, the Go loop's operations in its operand order,
-// so the bits are the same; the Go loops are the path everywhere else
-// and the reference the kernel is tested against.
+// so the bits are the same. DotRows, SumScaledNorm2Sq and AXPYRows — the
+// k+1 reductions of one skip-gram example — run kernels that go wide
+// across the rows, each row in its Go loop's association. The operands
+// of one add or multiply may come in either order there: IEEE addition
+// and multiplication are commutative bit for bit unless an operand is a
+// NaN, a NaN anywhere makes the result NaN, and a NaN result is
+// recomputed by the Go loop, whose payload depends on its compiled
+// operand order (which differs between default, race and fuzzing
+// builds). The Go loops are the path everywhere else and the reference
+// the kernels are tested against.
 package mathx
 
 import (
@@ -148,6 +156,121 @@ func ScaledNorm2Sq(a float64, x []float64) float64 {
 		s += v * v
 	}
 	return s
+}
+
+// DotRows sets out[t] = Dot(rows[t], x) for every row: the k+1 dots of
+// one skip-gram example against its center row. With UseAVX512 a kernel
+// takes the rows eight at a time over x's longest multiple-of-4 prefix,
+// each in Dot's four lanes and combine; the tail is the loop below, in
+// Dot's order, and a NaN result is recomputed by Dot, so every result
+// equals its Dot bit for bit.
+// It panics if a row's length differs from len(x).
+func DotRows(out, x []float64, rows [][]float64) {
+	checkRows("DotRows", rows, len(x))
+	out = out[:len(rows)]
+	var part [8]float64
+	for len(rows) > 0 {
+		k, i := dotRowsWide(&part, x, rows)
+		if k == 0 {
+			break
+		}
+		for t, r := range rows[:k] {
+			s := part[t]
+			for j := i; j < len(x); j++ {
+				s += x[j] * r[j]
+			}
+			if s != s {
+				s = Dot(r, x)
+			}
+			out[t] = s
+		}
+		out, rows = out[k:], rows[k:]
+	}
+	for t, r := range rows { // no kernel
+		out[t] = Dot(r, x)
+	}
+}
+
+// SumScaledNorm2Sq returns Σ_t ScaledNorm2Sq(coef[t], x), summed in t
+// order: the squared norm of the concatenated rank-1 rows fl(c_t·x).
+// With UseAVX512 a kernel takes the coefficients eight at a time, one per
+// lane, over x's longest multiple-of-4 prefix in ScaledNorm2Sq's lane
+// order; the tail is a loop in its order. A NaN sum is recomputed by the
+// Go loop.
+func SumScaledNorm2Sq(coef, x []float64) float64 {
+	if sq, ok := sumScaledNorm2SqWide(coef, x); ok && sq == sq {
+		return sq
+	}
+	var sq float64
+	for _, c := range coef {
+		sq += ScaledNorm2Sq(c, x)
+	}
+	return sq
+}
+
+// sumScaledNorm2SqWide is SumScaledNorm2Sq on the kernel; false when
+// there is none.
+func sumScaledNorm2SqWide(coef, x []float64) (float64, bool) {
+	var sq float64
+	var part [8]float64
+	for len(coef) > 0 {
+		k, i := scaledNorm2SqWide(&part, coef, x)
+		if k == 0 {
+			return 0, false
+		}
+		for t, c := range coef[:k] {
+			s := part[t]
+			for _, xd := range x[i:] {
+				v := xd * c
+				s += v * v
+			}
+			sq += s
+		}
+		coef = coef[k:]
+	}
+	return sq, true
+}
+
+// AXPYRows sets dst to Σ_t coef[t]·rows[t], over the first len(coef)
+// rows, and returns Norm2Sq(dst): the Win gradient of one skip-gram
+// example and its squared norm. Each element is
+// ((0 + rows[0][d]·coef[0]) + rows[1][d]·coef[1]) + …, the order of
+// Zero(dst) followed by AXPY(coef[t], rows[t], dst) for each t, which is
+// what runs without AVX-512. With it, a kernel makes one pass over dst's
+// longest multiple-of-4 prefix that also sums the squares in Norm2Sq's
+// lanes and combine; the tail is Zero, AXPY and Norm2Sq's tail loop. A
+// NaN anywhere in dst makes the norm NaN, and then the Go loops redo dst.
+// It panics if a row's length differs from len(dst).
+func AXPYRows(dst, coef []float64, rows [][]float64) float64 {
+	checkRows("AXPYRows", rows, len(dst))
+	rows = rows[:len(coef)]
+	if i, sq := axpyRowsWide(dst, coef, rows); i > 0 {
+		tail := dst[i:]
+		Zero(tail)
+		for t, c := range coef {
+			AXPY(c, rows[t][i:], tail)
+		}
+		for _, g := range tail {
+			sq += g * g
+		}
+		if sq == sq {
+			return sq
+		}
+	}
+	Zero(dst)
+	for t, c := range coef {
+		AXPY(c, rows[t], dst)
+	}
+	return Norm2Sq(dst)
+}
+
+// checkRows panics unless every row is n long, which the kernels read.
+func checkRows(op string, rows [][]float64, n int) {
+	for t, r := range rows {
+		if len(r) != n {
+			panic(fmt.Sprintf("mathx: %s row %d length %d != %d", op, t, len(r), n))
+		}
+	}
 }
 
 // EuclideanDistance returns ||x-y||₂.

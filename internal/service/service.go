@@ -196,6 +196,9 @@ type Service struct {
 	// beforeAcquire, when set, runs in trainOrFollow between the store
 	// check and the lease Acquire (tests land a peer's artifact there).
 	beforeAcquire func(*Job)
+	// afterTrain, when set, runs in train on each finished result before
+	// its digest is taken (tests break the result's spill tier there).
+	afterTrain func(*core.Result)
 
 	// trainings counts actual Method.Train invocations — NOT submissions, dedup
 	// adoptions, or artifact loads. The observable half of the dedup
@@ -939,7 +942,9 @@ func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximit
 	// The terminal stream event is published once done has closed: every
 	// exit path below has stored its terminal status by then, SSE
 	// subscribers see the event no matter which path ended the job, and a
-	// subscriber that sees it can read the result at once.
+	// subscriber that sees it can read the result at once. It runs after
+	// the recover below, so it reads only the job's cached state: a done
+	// job's digest was taken by train or adopt, never here.
 	defer s.publishTerminal(j)
 	defer close(j.done)
 	defer s.finish(j)
@@ -1061,7 +1066,10 @@ func (s *Service) trainOrFollow(ctx context.Context, j *Job, m methods.Method, g
 
 // train runs the actual training, publishing per-epoch progress to both
 // the polled job view and the event stream, and persists completed
-// results to the store before returning.
+// results to the store before returning. It takes the digest of Win for
+// every finished training, with or without a store, so the read of a
+// spill tier that can no longer be read panics or fails here, under
+// run's recover, and not in publishTerminal.
 func (s *Service) train(ctx context.Context, j *Job, m methods.Method, g *graph.Graph, prox proximity.Proximity, cfg core.Config) (*core.Result, error) {
 	s.trainings.Add(1)
 	res, err := m.Train(ctx, g, prox, cfg, core.Hooks{
@@ -1070,12 +1078,17 @@ func (s *Service) train(ctx context.Context, j *Job, m methods.Method, g *graph.
 			s.events.Publish(j.id, spec.JobEvent{Type: "epoch", Progress: spec.ProgressFrom(st)})
 		},
 	})
-	if err == nil && res.Stopped != core.StopCanceled && s.store != nil {
-		// Best-effort persistence: a failed write degrades restart
-		// warmth, never the in-flight response. The artifact header and
-		// the job share one digest of Win.
+	if err == nil && res.Stopped != core.StopCanceled {
+		if s.afterTrain != nil {
+			s.afterTrain(res)
+		}
+		// The artifact header and the job share one digest of Win.
 		digest := mathx.DigestMat(res.Model.Win)
-		_ = s.store.save(j.key, res, digest)
+		if s.store != nil {
+			// Best-effort persistence: a failed write degrades restart
+			// warmth, never the in-flight response.
+			_ = s.store.save(j.key, res, digest)
+		}
 		if serr := res.SpillErr(); serr != nil {
 			// The digest or the artifact write read a spill tier that
 			// failed after training (the store commits no artifact then):

@@ -65,12 +65,12 @@ func TestSweepCellScoringPanicFailsCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The job's terminal event reads the digest through the same Once;
-	// taking it here first keeps that read off the closed tier.
+	// train took the digest before the job finished, so closing the tier
+	// leaves the job's hash readable.
+	res.CloseSpill()
 	if _, ok := j.EmbeddingHash(); !ok {
 		t.Fatal("finished cell job has no embedding hash")
 	}
-	res.CloseSpill()
 
 	sp.Seeds = []uint64{1, 2}
 	sp.Eval.SamplePairs = 2000
@@ -98,5 +98,48 @@ func TestSweepCellScoringPanicFailsCell(t *testing.T) {
 	}
 	if _, err := next.Wait(context.Background()); err != nil || next.Status() != StatusDone {
 		t.Fatalf("job after the scoring panic: status %v, err %v", next.Status(), err)
+	}
+}
+
+// TestUnreadableSpillTierFailsJobWithoutStore: a service with no artifact
+// store takes the digest of a finished job's Win in train, under the
+// job's recover. A spilled job whose tier can no longer be read (closed
+// here, once training returns) fails there with the panic's text,
+// instead of panicking in the terminal event after the recover and
+// ending the process; the service goes on to train the next job.
+func TestUnreadableSpillTierFailsJobWithoutStore(t *testing.T) {
+	var logged bytes.Buffer // written before the job's done closes, read after
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	s := New(Options{MaxWorkers: 1})
+	defer s.Close()
+	s.afterTrain = func(res *core.Result) { res.CloseSpill() }
+
+	big := graph.BarabasiAlbert(2048, 2, xrand.New(9))
+	cfg := testCfg()
+	cfg.Dim, cfg.K, cfg.BatchSize, cfg.MaxEpochs = 128, 2, 8, 2
+	cfg.MemoryBudget = cfg.MinMemoryBudget(big.NumNodes())
+	j, err := s.Submit(big, proximity.NewDegree(big), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); err == nil || !strings.Contains(err.Error(), "used after Close") {
+		t.Fatalf("job with a closed spill tier: err = %v, want the digest's panic", err)
+	}
+	if j.Status() != StatusFailed {
+		t.Fatalf("status = %v, want failed", j.Status())
+	}
+	if _, ok := j.EmbeddingHash(); ok {
+		t.Error("failed job reports an embedding hash")
+	}
+
+	s.afterTrain = nil // the job's train has returned: done closed after it
+	g := testGraph()
+	next, err := s.Submit(g, proximity.NewDegree(g), testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := next.Wait(context.Background()); err != nil || next.Status() != StatusDone {
+		t.Fatalf("job after the spill failure: status %v, err %v", next.Status(), err)
 	}
 }

@@ -87,6 +87,9 @@ type Example struct {
 type Grads struct {
 	InRow int       // row index into Win (the center node I)
 	GIn   []float64 // ∂L/∂v_I, length Dim
+	// GInSq is mathx.Norm2Sq(GIn), bit for bit, summed in the pass that
+	// writes GIn.
+	GInSq float64
 	// VI is the Win row v_I the pass read — a view, not a copy, so it is
 	// valid until that row is next written (or, on the spill tier,
 	// unpinned).
@@ -94,6 +97,8 @@ type Grads struct {
 
 	OutRows []int32   // J followed by the negatives
 	Coef    []float64 // c_t with ∂L/∂v_{OutRows[t]} = Coef[t]·v_I
+
+	out [][]float64 // views of the Wout rows OutRows, for one pass
 }
 
 // Ensure sizes the buffers for dim and k negatives. Gradients calls it on
@@ -112,8 +117,12 @@ func (g *Grads) Ensure(dim, k int) {
 	if cap(g.Coef) < need {
 		g.Coef = make([]float64, need)
 	}
+	if cap(g.out) < need {
+		g.out = make([][]float64, need)
+	}
 	g.OutRows = g.OutRows[:need]
 	g.Coef = g.Coef[:need]
+	g.out = g.out[:need]
 }
 
 // OutGrad writes the t-th Wout row-gradient ∂L/∂v_{OutRows[t]} into dst
@@ -143,43 +152,43 @@ func (m *Model) Gradients(ex Example, g *Grads) {
 }
 
 // LossGradients computes L_nov AND its Eq. (7)/(8) gradients in one
-// forward+backward pass: per positive/negative Wout row it takes the dot
-// once, then derives the loss term, the GIn accumulation and the Wout
-// coefficient from it, with one exponential (mathx.SigmoidLogs) for both
-// σ and log σ.
+// forward+backward pass over the example's k+1 Wout rows: it takes their
+// views, then all k+1 dots (mathx.DotRows), then per row the loss term
+// and the coefficient c_t from one exponential (mathx.SigmoidLogs) for
+// both σ and log σ, then GIn = Σ_t c_t·v_t and its squared norm in one
+// pass (mathx.AXPYRows). Every view must stay valid for the whole pass,
+// as dense rows and pinned spill-tier rows do (the engine pins an
+// epoch's rows before its gradient stage).
 //
-// Numerics: the loss terms accumulate in the same order as the standalone
-// Loss — positive first, then negatives in sample order — so the pass is
-// bit-identical to the Loss-then-Gradients composition (pinned by
-// TestLossGradientsMatchesComposition).
+// Numerics: each dot is mathx.Dot's, the loss terms accumulate in the
+// same order as the standalone Loss — positive first, then negatives in
+// sample order — and GIn's adds in the order of Zero followed by one AXPY
+// per row, so the pass is bit-identical to the Loss-then-Gradients
+// composition (pinned by TestLossGradientsMatchesComposition).
 func (m *Model) LossGradients(ex Example, g *Grads) float64 {
 	g.Ensure(m.Dim, len(ex.Negs))
 	vi := m.Win.Row(int(ex.I))
 	g.InRow = int(ex.I)
 	g.VI = vi
-	mathx.Zero(g.GIn)
+	g.OutRows[0] = ex.J
+	copy(g.OutRows[1:], ex.Negs)
+	for t, n := range g.OutRows {
+		g.out[t] = m.Wout.Row(int(n))
+	}
+	mathx.DotRows(g.Coef, vi, g.out) // the dots, replaced by c_t below
 
 	// Positive node (n = 0 in Eq. (7): indicator is 1).
-	vj := m.Wout.Row(int(ex.J))
-	dotJ := mathx.Dot(vj, vi)
-	sig, logSig, _ := mathx.SigmoidLogs(dotJ)
-	coefJ := ex.W * (sig - 1)
-	mathx.AXPY(coefJ, vj, g.GIn)
-	g.OutRows[0] = ex.J
-	g.Coef[0] = coefJ
+	sig, logSig, _ := mathx.SigmoidLogs(g.Coef[0])
+	g.Coef[0] = ex.W * (sig - 1)
 	loss := -logSig
 
 	// Negative nodes (indicator is 0).
-	for t, n := range ex.Negs {
-		vn := m.Wout.Row(int(n))
-		dotN := mathx.Dot(vn, vi)
-		sig, _, logSigNeg := mathx.SigmoidLogs(dotN)
-		coefN := ex.W * sig
-		mathx.AXPY(coefN, vn, g.GIn)
-		g.OutRows[t+1] = n
-		g.Coef[t+1] = coefN
+	for t := 1; t < len(g.Coef); t++ {
+		sig, _, logSigNeg := mathx.SigmoidLogs(g.Coef[t])
+		g.Coef[t] = ex.W * sig
 		loss -= logSigNeg
 	}
+	g.GInSq = mathx.AXPYRows(g.GIn, g.Coef, g.out)
 	return ex.W * loss
 }
 
