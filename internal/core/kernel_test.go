@@ -11,10 +11,11 @@ import (
 // TestKernelsMatchGoLoops trains every update path twice — with the
 // AVX-512 kernels cleared (mathx.UseAVX512 = false), then with them on —
 // and requires bit-identical Win and Wout: the non-zero strategy private
-// and not, and the naive strategy, at K = 1, 5 and 8 negatives (for the
-// gradient kernels: one row pair, three, and a full group of eight rows
-// plus a padded odd one), at a width the kernels cover whole (128) and
-// ones with a tail (130, 132), at one and two workers, dense and (for
+// and not, and the naive strategy, at spillConfig's K and at K = 1, 5
+// and 8 negatives (for the gradient kernels: one row pair, three, and a
+// full group of eight rows plus a padded odd one), at a width the
+// kernels cover whole (128) and ones with a tail (130, 132), at one and
+// two workers, dense and (for
 // the strategies that spill) under a memory budget. On a host without
 // AVX-512 only the Go side runs, and the test says so.
 func TestKernelsMatchGoLoops(t *testing.T) {
@@ -34,10 +35,18 @@ func TestKernelsMatchGoLoops(t *testing.T) {
 		{"nonprivate", StrategyNonZero, false, true},
 		{"naive", StrategyNaive, true, false},
 	} {
-		for _, shape := range [][2]int{{1, 128}, {1, 130}, {1, 132}, {5, 128}, {5, 130}, {5, 132}, {8, 128}, {8, 130}, {8, 132}} {
+		// K = 0 keeps spillConfig's K and four epochs; those cases are
+		// named without a K segment.
+		for _, shape := range [][2]int{{0, 128}, {0, 132}, {1, 128}, {1, 130}, {1, 132}, {5, 128}, {5, 130}, {5, 132}, {8, 128}, {8, 130}, {8, 132}} {
 			cfg := spillConfig()
-			cfg.K, cfg.Dim = shape[0], shape[1]
-			cfg.MaxEpochs = 3
+			cfg.Dim = shape[1]
+			kSeg := ""
+			if shape[0] > 0 {
+				cfg.K, cfg.MaxEpochs = shape[0], 3
+				kSeg = fmt.Sprintf("/K=%d", cfg.K)
+			} else {
+				cfg.MaxEpochs = 4
+			}
 			cfg.Strategy, cfg.Private = tc.strategy, tc.private
 			budgets := []int64{0}
 			if tc.spills {
@@ -45,7 +54,7 @@ func TestKernelsMatchGoLoops(t *testing.T) {
 			}
 			for _, budget := range budgets {
 				for _, workers := range []int{1, 2} {
-					name := fmt.Sprintf("%s/K=%d/dim=%d/budget=%d/workers=%d", tc.name, cfg.K, cfg.Dim, budget, workers)
+					name := fmt.Sprintf("%s%s/dim=%d/budget=%d/workers=%d", tc.name, kSeg, cfg.Dim, budget, workers)
 					t.Run(name, func(t *testing.T) {
 						cfg.MemoryBudget, cfg.Workers = budget, workers
 						var digests [][2]uint64
