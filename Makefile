@@ -1,9 +1,9 @@
 GO ?= go
 # Benchmark → JSON recording for the perf trajectory; bump per PR.
-BENCH_JSON ?= BENCH_pr27.json
+BENCH_JSON ?= BENCH_pr28.json
 # The previous PR's recording, the local regression baseline for
 # bench-diff (CI benchmarks the base commit on its own runner instead).
-BENCH_BASE ?= BENCH_pr26.json
+BENCH_BASE ?= BENCH_pr27.json
 # The sharded-stage benchmarks: the DP noise/update stage, the one-shot
 # graph passes, the whole-train scaling curves (TrainWorkers matches the
 # lazy-Katz job too, with its weight-fill share as weights-ns/op), the
@@ -17,12 +17,13 @@ BENCH_BASE ?= BENCH_pr26.json
 # operations, each on the Go loops (go) and the AVX-512 kernels
 # (avx512). TrainDatasetJob is
 # the end-to-end train-dataset job without the HTTP stack, reporting its
-# gradients/reduce/update split per op. TrainWorkersSpill also reports
+# gradients/reduce/update split per op, and TrainSpillJob the same for
+# the train-spill job, with its spill traffic. TrainWorkersSpill also reports
 # the bytes its spill runs read and wrote (spill-read-B/op,
 # spill-write-B/op). WriteIndexed times the v3 artifact writer on a
 # train-spill-sized pair (its allocs/op stay constant per call), and
 # DecodeRows the row-window and whole-stream readers.
-BENCH_PAT ?= StreamNormalAt|StreamNormalsAt|NoisyStep|ApplyUpdate|GenerateSubgraphs|TrainWorkers|TrainDatasetJob|StrucEquWorkers|LinkAUCWorkers|EdgeWeightsWorkers|BenchmarkDot|BenchmarkNorm2Sq|BenchmarkAXPY|BenchmarkLossGradients|BenchmarkRowKernels|WriteIndexed|DecodeRows
+BENCH_PAT ?= StreamNormalAt|StreamNormalsAt|NoisyStep|ApplyUpdate|GenerateSubgraphs|TrainWorkers|TrainDatasetJob|TrainSpillJob|StrucEquWorkers|LinkAUCWorkers|EdgeWeightsWorkers|BenchmarkDot|BenchmarkNorm2Sq|BenchmarkAXPY|BenchmarkLossGradients|BenchmarkRowKernels|WriteIndexed|DecodeRows
 # Per-target fuzz budget for `make fuzz` (Go's -fuzztime syntax).
 FUZZTIME ?= 10s
 

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"seprivgemb/internal/mathx"
 )
 
 // BenchmarkTrainWorkers measures the parallel gradient engine on the
@@ -116,6 +118,64 @@ func BenchmarkTrainDatasetJob(b *testing.B) {
 		unit string
 	}{{st.Gradients, "gradients-ns/op"}, {st.Reduce, "reduce-ns/op"}, {st.Update, "update-ns/op"}} {
 		b.ReportMetric(float64(m.d.Nanoseconds())/float64(b.N), m.unit)
+	}
+}
+
+// BenchmarkTrainSpillJob is the training job of the end-to-end
+// benchmark's train-spill workload — dblp at scale 0.01, DeepWalk
+// proximity, the paper's DefaultConfig, a 32 MiB memory budget (the
+// dense state would be 43.8 MiB) and two workers — without the HTTP and
+// service layers around it. Beside ns/op it reports the three per-epoch
+// engine stages (gradients-, reduce- and update-ns/op; on this tier the
+// gradients clock also holds the epoch pins' spill I/O) and the bytes
+// each job moved to and from its spill files (spill-read-B/op,
+// spill-write-B/op).
+func BenchmarkTrainSpillJob(b *testing.B) {
+	g, err := GenerateDataset("dblp", 0.01, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prox, err := NewProximity("deepwalk", g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.MemoryBudget = 32 << 20
+	cfg.Workers = 2
+	cfg.BatchSize = min(cfg.BatchSize, g.NumEdges())
+	var st StageTimings
+	var io mathx.SpillStats
+	for i := 0; b.Loop(); i++ {
+		cfg.Seed = uint64(i)
+		res, err := NewSession(g, prox, WithConfig(cfg)).Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		st.Gradients += res.Stages.Gradients
+		st.Reduce += res.Stages.Reduce
+		st.Update += res.Stages.Update
+		for _, m := range []mathx.Mat{res.Model.Win, res.Model.Wout} {
+			sm, ok := m.(*mathx.SpillMatrix)
+			if !ok {
+				b.Fatalf("the %d MiB budget trained on the dense tier", cfg.MemoryBudget>>20)
+			}
+			s := sm.Stats()
+			io.BytesRead += s.BytesRead
+			io.BytesWritten += s.BytesWritten
+		}
+		res.CloseSpill()
+	}
+	for _, m := range []struct {
+		v    float64
+		unit string
+	}{
+		{float64(st.Gradients.Nanoseconds()), "gradients-ns/op"},
+		{float64(st.Reduce.Nanoseconds()), "reduce-ns/op"},
+		{float64(st.Update.Nanoseconds()), "update-ns/op"},
+		{float64(io.BytesRead), "spill-read-B/op"},
+		{float64(io.BytesWritten), "spill-write-B/op"},
+	} {
+		b.ReportMetric(m.v/float64(b.N), m.unit)
 	}
 }
 

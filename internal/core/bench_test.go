@@ -54,6 +54,9 @@ func BenchmarkApplyUpdate(b *testing.B) {
 					sl.grads.VI = model.Win.Row(int(in))
 					sl.fIn, sl.fOut = rng.Float64(), rng.Float64()
 				}
+				if err := eng.pinEpoch(); err != nil {
+					b.Fatal(err)
+				}
 				eng.groupStage(numNodes)
 				b.ReportAllocs()
 				b.ResetTimer()

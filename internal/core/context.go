@@ -54,8 +54,13 @@ type StageTimings struct {
 	// 2): the proximity evaluated on every subgraph's positive pair, plus
 	// the mean-1 rescale.
 	EdgeWeights time.Duration
-	// Gradients is the per-epoch forward+backward stage, including
-	// the epoch's batch sampling (negligible next to the gradient math).
+	// Gradients is the per-epoch forward+backward stage, plus what
+	// precedes it each epoch: batch sampling and resolving the touched
+	// rows' views. On the dense tier those are negligible next to the
+	// gradient math. On the spill tier the views come from pinning, so
+	// this clock also holds the pins' preads and the write-back pwrites
+	// of the chunks they evict, which can outweigh the gradient math:
+	// read it as gradients plus spill faults.
 	Gradients time.Duration
 	// Reduce is the grouping pass that lists each touched row's
 	// per-example contributions in batch order; the sums themselves are
@@ -63,7 +68,8 @@ type StageTimings struct {
 	Reduce time.Duration
 	// Update is the replay-and-apply stage: each touched row's batch
 	// gradient summed from its contributions, index-addressed DP noise,
-	// and the SGD writes to Wout and Win.
+	// and the SGD writes to Wout and Win. On the spill tier it also holds
+	// the release of the epoch's pins.
 	Update time.Duration
 }
 
@@ -323,11 +329,11 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 		// Line 5: sample B subgraphs uniformly at random (without
 		// replacement; Definition 6 with γ = B/|E|).
 		idx := rng.SampleWithoutReplacement(len(subs), cfg.BatchSize)
-		eng.touchRows(idx)
-		// Spill tier: pin the chunks covering the batch's touched rows for
-		// the whole epoch, so the parallel stages never fault or evict. A
-		// spill I/O failure (here or in any earlier fault) fails the run.
-		if err := eng.pinEpoch(); err != nil {
+		// Resolve the batch's touched rows into views for the whole epoch;
+		// on the spill tier this pins their chunks and reads them in, so
+		// the parallel stages never fault, evict or lock. A spill I/O
+		// failure (here or in any earlier fault) fails the run.
+		if err := eng.touchRows(idx); err != nil {
 			return spillFailed(err)
 		}
 		// Per-example losses, rank-1 gradients and clip factors (the stage

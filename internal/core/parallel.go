@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -16,8 +17,13 @@ import (
 // Each epoch of Algorithm 2 splits into three stages; the gradient and
 // update stages run on one persistent worker pool:
 //
+//  0. Views (inside the Stages.Gradients clock): list the rows the
+//     batch touches and resolve each into a []float64 view, once per
+//     epoch — from the dense matrix, or pinned on the spill tier
+//     (pinEpoch). The stages below reach the model only through these
+//     views and call no Mat.Row, so they take no lock on either tier.
 //  1. Gradient stage: for every sampled subgraph run the one-pass
-//     forward+backward (skipgram.LossGradients) and compute the
+//     forward+backward (skipgram.RowLossGradients) and compute the
 //     per-example clip FACTORS. A slot keeps the Win row-gradient, the
 //     k+1 Wout coefficients c_t (Eq. (8) makes every Wout row-gradient
 //     the rank-1 c_t·v_I) and a view of v_I — O(r+k) floats, not
@@ -113,6 +119,13 @@ type engine struct {
 	// row's contributions as positions into them.
 	inRows, outRows   []int32
 	groupIn, groupOut rowGroups
+	// inViews and outViews hold, position for position, the row views of
+	// inRows and outRows, resolved once per epoch by pinEpoch: the
+	// gradient stage reads slot i's v_I at inViews[i] and its k+1 Wout
+	// rows at outViews[i·(K+1) : (i+1)·(K+1)], and the update writes a
+	// touched row through the view at its first contribution. Repeated
+	// rows alias one slab row.
+	inViews, outViews [][]float64
 
 	// Worker pool (workers > 1): one channel per worker, so a span routed
 	// to index w always runs on goroutine w — the mechanism behind the
@@ -142,8 +155,8 @@ type engine struct {
 
 	// Spill tier (Config.MemoryBudget): when the model's matrices are
 	// *mathx.SpillMatrix, each epoch pins the chunks covering its touched
-	// rows before the parallel stages, so no stage ever faults or evicts
-	// concurrently (mathx.SpillMatrix's pin contract).
+	// rows, and takes their views, before the parallel stages, so no stage
+	// ever faults, evicts or locks (mathx.SpillMatrix's pin contract).
 	winSpill, woutSpill *mathx.SpillMatrix
 	pinsIn, pinsOut     []int32
 }
@@ -314,13 +327,14 @@ func (e *engine) forOwnerSegments(rows []int32, nRows int, task func(w, lo, hi i
 	e.dispatch(e.seg, task)
 }
 
-// computeSub fills sl with subgraph si's loss, unscaled gradients and clip
-// factors at the current parameters. Both the serial and the parallel path
-// go through this one function, so their per-example numerics cannot drift
-// apart.
+// computeSub fills slot i with the loss, unscaled gradients and clip
+// factors of the batch's i-th subgraph at the current parameters, reading
+// the model only through the epoch's row views. Both the serial and the
+// parallel path go through this one function, so their per-example
+// numerics cannot drift apart.
 //
 // Clipping (Eq. (3)) is split from scaling: the Win part's factor comes
-// from the single row ∂L/∂v_i, whose squared norm LossGradients returns
+// from the single row ∂L/∂v_i, whose squared norm RowLossGradients returns
 // as Norm2Sq(GIn); the Wout part's from the joint norm of its k+1
 // rank-1 rows fl(c_t·v_I), treated as one vector. Their squared norms
 // are summed over the rounded products fl(c_t·v_I[d]) in Norm2Sq's lane
@@ -330,10 +344,11 @@ func (e *engine) forOwnerSegments(rows []int32, nRows int, task func(w, lo, hi i
 // sq > C² ⇒ C/√sq), and the update's replay applies f·g[d] with one
 // rounding per coordinate — the one an in-place Scale performs — so the
 // deferred form is bit-identical to clip-then-accumulate.
-func (e *engine) computeSub(si int, sl *slot) {
+func (e *engine) computeSub(i int) {
+	si, sl, k1 := e.idx[i], &e.slots[i], e.cfg.K+1
 	s := e.subs[si]
 	ex := skipgram.Example{I: s.I, J: s.J, Negs: s.Negs, W: e.weights[si]}
-	sl.loss = e.model.LossGradients(ex, &sl.grads)
+	sl.loss = skipgram.RowLossGradients(ex, e.inViews[i], e.outViews[i*k1:(i+1)*k1], &sl.grads)
 	sl.fIn, sl.fOut = 1, 1
 	if c := e.cfg.Clip; c > 0 {
 		if n := math.Sqrt(sl.grads.GInSq); n > c { // mathx.Norm2(GIn)
@@ -350,7 +365,7 @@ func (e *engine) computeStage(idx []int) float64 {
 	e.idx = idx
 	e.forSpans(len(idx), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e.computeSub(e.idx[i], &e.slots[i])
+			e.computeSub(i)
 		}
 	})
 	var lossSum float64
@@ -361,10 +376,11 @@ func (e *engine) computeStage(idx []int) float64 {
 }
 
 // touchRows lists the epoch's touched rows once per contribution, in
-// batch order, into inRows and outRows. Every subgraph carries exactly K
-// negatives (GenerateSubgraphs), so slot i's Wout contributions sit at
-// outRows[i·(K+1) : (i+1)·(K+1)].
-func (e *engine) touchRows(idx []int) {
+// batch order, into inRows and outRows, and resolves their views
+// (pinEpoch). Every subgraph carries exactly K negatives
+// (GenerateSubgraphs), so slot i's Wout contributions sit at
+// outRows[i·(K+1) : (i+1)·(K+1)]. It returns pinEpoch's error.
+func (e *engine) touchRows(idx []int) error {
 	e.inRows, e.outRows = e.inRows[:0], e.outRows[:0]
 	for _, si := range idx {
 		s := e.subs[si]
@@ -372,6 +388,7 @@ func (e *engine) touchRows(idx []int) {
 		e.outRows = append(e.outRows, s.J)
 		e.outRows = append(e.outRows, s.Negs...)
 	}
+	return e.pinEpoch()
 }
 
 // groupStage groups the epoch's contributions by touched row (the
@@ -418,6 +435,12 @@ func (e *engine) rowGrad(dst []float64, matrix uint64, contribs []int32) {
 // scratch and applied in the same task, so no |touched|×r accumulator
 // exists. update orders the two matrices.
 //
+// Each touched row is written through the epoch's view at its first
+// contribution (inViews for Win, outViews for Wout), never through
+// Mat.Row. The naive strategy also writes the untouched rows; it is
+// dense-only (Config validation), so it takes every row from the dense
+// matrix.
+//
 // Batch semantics: the B clipped example gradients are summed, not
 // averaged. Eq. (9) writes a 1/B prefactor, but folding it into η (i.e.
 // η_eff = η/B) leaves per-example steps of ~η·C/B ≈ 1.6e-3·C at the
@@ -443,6 +466,7 @@ func (e *engine) applyUpdate(w mathx.Mat, grp *rowGroups, epoch int, matrix uint
 	if cfg.Private && cfg.Strategy == StrategyNaive {
 		// Eq. (6): noise at the worst-case sensitivity S_∇v = B·C lands on
 		// every row of the |V|×r gradient, touched or not.
+		dense := w.(*mathx.Matrix)
 		sd := float64(cfg.BatchSize) * cfg.Clip * cfg.Sigma
 		e.dispatch(e.ownership(nRows), func(wk, lo, hi int) {
 			for r := lo; r < hi; r++ {
@@ -451,7 +475,7 @@ func (e *engine) applyUpdate(w mathx.Mat, grp *rowGroups, epoch int, matrix uint
 					g = e.grad[wk]
 					e.rowGrad(g, matrix, contribs)
 				}
-				e.noise.Derive(noiseKey(epoch, matrix, r)).NoisyStep(w.Row(r), g, lr, sd)
+				e.noise.Derive(noiseKey(epoch, matrix, r)).NoisyStep(dense.Row(r), g, lr, sd)
 			}
 		})
 		return
@@ -463,15 +487,20 @@ func (e *engine) applyUpdate(w mathx.Mat, grp *rowGroups, epoch int, matrix uint
 	// sensitivity C tolerated by the mechanism; non-private runs apply
 	// the plain sum.
 	sd := cfg.Clip * cfg.Sigma
+	views := e.inViews
+	if matrix == matWout {
+		views = e.outViews
+	}
 	e.forOwnerSegments(grp.rows, nRows, func(wk, lo, hi int) {
 		g := e.grad[wk]
 		for n := lo; n < hi; n++ {
-			row := int(grp.rows[n])
-			e.rowGrad(g, matrix, grp.group(n))
+			contribs := grp.group(n)
+			e.rowGrad(g, matrix, contribs)
+			dst := views[contribs[0]]
 			if cfg.Private {
-				e.noise.Derive(noiseKey(epoch, matrix, row)).NoisyStep(w.Row(row), g, lr, sd)
+				e.noise.Derive(noiseKey(epoch, matrix, int(grp.rows[n]))).NoisyStep(dst, g, lr, sd)
 			} else {
-				mathx.AXPY(-lr, g, w.Row(row))
+				mathx.AXPY(-lr, g, dst)
 			}
 		}
 	})
@@ -485,24 +514,34 @@ func (e *engine) update(epoch int) {
 	e.applyUpdate(e.model.Win, &e.groupIn, epoch, matWin)
 }
 
-// pinEpoch pins the spill-tier chunks covering every row the epoch's
-// sampled batch will touch — Win: the B center rows; Wout: the (K+1)·B
-// positive and negative rows, as listed by touchRows — and reads those
-// rows in, so the parallel stages below never fault a chunk in or evict
-// one (the engine's side of mathx.SpillMatrix's pin contract;
-// Config.MinMemoryBudget guarantees the pin set fits). The pins also keep
-// every slot's v_I view valid until the update has read it. It returns the
-// spill tier's sticky I/O error, with nothing left pinned. No-op on the
-// dense tier.
+// pinEpoch resolves the view of every row the epoch's sampled batch will
+// touch — Win: the B center rows; Wout: the (K+1)·B positive and negative
+// rows, as listed by touchRows — into inViews and outViews. On the dense
+// tier each view is the matrix's own row. On the spill tier
+// SpillMatrix.PinViews pins the chunks covering the rows, reads those
+// rows in and hands out their views, so the parallel stages never fault a
+// chunk in, evict one or take the matrix's lock (the engine's side of
+// mathx.SpillMatrix's pin contract; Config.MinMemoryBudget guarantees the
+// pin set fits). The pins also keep every slot's v_I view valid until the
+// update has read it. It returns the spill tier's sticky I/O error, with
+// nothing left pinned.
 func (e *engine) pinEpoch() error {
+	e.inViews = resize(e.inViews, len(e.inRows))
+	e.outViews = resize(e.outViews, len(e.outRows))
 	if e.winSpill == nil {
+		for p, r := range e.inRows {
+			e.inViews[p] = e.model.Win.Row(int(r))
+		}
+		for p, r := range e.outRows {
+			e.outViews[p] = e.model.Wout.Row(int(r))
+		}
 		return nil
 	}
 	var err error
-	if e.pinsIn, err = e.winSpill.Pin(e.inRows); err != nil {
+	if e.pinsIn, err = e.winSpill.PinViews(e.inRows, e.inViews); err != nil {
 		return err
 	}
-	if e.pinsOut, err = e.woutSpill.Pin(e.outRows); err != nil {
+	if e.pinsOut, err = e.woutSpill.PinViews(e.outRows, e.outViews); err != nil {
 		e.winSpill.Unpin(e.pinsIn)
 		e.pinsIn = nil
 		return err
@@ -510,7 +549,9 @@ func (e *engine) pinEpoch() error {
 	return nil
 }
 
-// unpinEpoch releases pinEpoch's chunks. No-op on the dense tier.
+// unpinEpoch releases pinEpoch's chunks and drops the views, which the
+// next load into a recycled slab would invalidate. No-op on the dense
+// tier.
 func (e *engine) unpinEpoch() {
 	if e.winSpill == nil {
 		return
@@ -518,6 +559,13 @@ func (e *engine) unpinEpoch() {
 	e.winSpill.Unpin(e.pinsIn)
 	e.woutSpill.Unpin(e.pinsOut)
 	e.pinsIn, e.pinsOut = nil, nil
+	clear(e.inViews)
+	clear(e.outViews)
+}
+
+// resize returns views with length n, reusing its backing array.
+func resize(views [][]float64, n int) [][]float64 {
+	return slices.Grow(views[:0], n)[:n]
 }
 
 // splitSpans cuts [0, n) into at most w contiguous non-empty spans of

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/mathx"
 	"seprivgemb/internal/panicx"
 	"seprivgemb/internal/proximity"
+	"seprivgemb/internal/skipgram"
 	"seprivgemb/internal/xrand"
 )
 
@@ -284,5 +286,63 @@ func TestWorkerPanicReachesDispatcher(t *testing.T) {
 	e.dispatch(spans, func(w, _, _ int) { ran[w] = true })
 	if !ran[0] || !ran[1] {
 		t.Fatalf("dispatch after a panic ran spans %v, want both", ran)
+	}
+}
+
+// rowCounter is a dense Mat that counts its Row calls.
+type rowCounter struct {
+	*mathx.Matrix
+	calls atomic.Int64
+}
+
+func (m *rowCounter) Row(i int) []float64 {
+	m.calls.Add(1)
+	return m.Matrix.Row(i)
+}
+
+// TestStagesCallNoRow: touchRows resolves one view per touched-row
+// position, and after it the gradient, grouping and update stages reach
+// the model only through those views — no Mat.Row call at either worker
+// count, private or not.
+func TestStagesCallNoRow(t *testing.T) {
+	g := graph.BarabasiAlbert(60, 3, xrand.New(4))
+	for _, private := range []bool{true, false} {
+		for _, workers := range []int{1, 2} {
+			cfg := smallConfig()
+			cfg.Private, cfg.Workers, cfg.MaxEpochs = private, workers, 3
+			rng := xrand.New(cfg.Seed)
+			subs, err := GenerateSubgraphsWorkers(g, cfg.K, cfg.NegSampling, rng, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			weights := make([]float64, len(subs))
+			for i := range weights {
+				weights[i] = 1
+			}
+			model := skipgram.New(g.NumNodes(), cfg.Dim, rng)
+			win := &rowCounter{Matrix: model.Win.(*mathx.Matrix)}
+			wout := &rowCounter{Matrix: model.Wout.(*mathx.Matrix)}
+			model.Win, model.Wout = win, wout
+			eng := newEngine(model, subs, weights, cfg, xrand.NewStream(5))
+			for epoch := 0; epoch < cfg.MaxEpochs; epoch++ {
+				idx := rng.SampleWithoutReplacement(len(subs), cfg.BatchSize)
+				if err := eng.touchRows(idx); err != nil {
+					t.Fatal(err)
+				}
+				if n := win.calls.Load() + wout.calls.Load(); n != int64(len(idx)*(cfg.K+2)) {
+					t.Fatalf("resolving %d examples' views took %d Row calls, want %d", len(idx), n, len(idx)*(cfg.K+2))
+				}
+				win.calls.Store(0)
+				wout.calls.Store(0)
+				eng.computeStage(idx)
+				eng.groupStage(g.NumNodes())
+				eng.update(epoch)
+				eng.unpinEpoch()
+				if n := win.calls.Load() + wout.calls.Load(); n != 0 {
+					t.Fatalf("private=%v workers=%d epoch %d: the stages called Row %d times", private, workers, epoch, n)
+				}
+			}
+			eng.close()
+		}
 	}
 }

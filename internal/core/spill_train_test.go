@@ -66,7 +66,7 @@ func TestSpillMatchesDense(t *testing.T) {
 			}
 			wantWin := mathx.DigestMat(dense.Model.Win)
 			wantWout := mathx.DigestMat(dense.Model.Wout)
-			for _, workers := range []int{1, 4} {
+			for _, workers := range []int{1, 2, 4} {
 				cfg.Workers = workers
 				cfg.MemoryBudget = budget
 				res, err := Train(g, proximity.NewDegree(g), cfg)

@@ -244,11 +244,14 @@ func applyWith(cfg Config, w *mathx.Matrix, rows []int32, gs [][]float64, epoch 
 		sl.grads.GIn, sl.grads.VI = g, g
 		sl.grads.Coef = []float64{1}
 	}
-	grp := &eng.groupIn
+	grp, views := &eng.groupIn, &eng.inViews
 	if matrix == matWout {
-		eng.outRows, grp = rows, &eng.groupOut
+		eng.outRows, grp, views = rows, &eng.groupOut, &eng.outViews
 	} else {
 		eng.inRows = rows
+	}
+	for _, r := range rows {
+		*views = append(*views, w.Row(int(r)))
 	}
 	eng.groupStage(w.NumRows())
 	eng.applyUpdate(w, grp, epoch, matrix)

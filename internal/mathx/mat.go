@@ -12,9 +12,9 @@ import "math"
 // Row returns a MUTABLE view of one row. For a dense matrix the view is
 // permanently valid; for a spill-backed matrix it is valid until the next
 // operation that may evict, after which it may show another row (see
-// SpillMatrix for the exact contract — the training engine pins each
-// epoch's touched rows before its parallel stages, so views live exactly
-// as long as the stage that reads them; readers of a finished, shared
+// SpillMatrix for the exact contract — the training engine takes its
+// views of each epoch's touched rows once, pinned, before its parallel
+// stages, and the stages call no Row; readers of a finished, shared
 // matrix go through ReadRow).
 type Mat interface {
 	NumRows() int

@@ -39,9 +39,56 @@ func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b bitset) unset(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
+
+// unsetRange clears bits [lo, hi), a word at a time.
 func (b bitset) unsetRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		b.unset(i)
+	for w := lo >> 6; w<<6 < hi; w++ {
+		b[w] &^= wordMask(w, lo, hi)
+	}
+}
+
+// wordMask returns the bits of word w that fall in [lo, hi).
+func wordMask(w, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if base := w << 6; lo > base {
+		m <<= uint(lo - base)
+	}
+	if end := (w + 1) << 6; hi < end {
+		m &= ^uint64(0) >> uint(end-hi)
+	}
+	return m
+}
+
+// bitRuns calls fn on each maximal run [a, b) of consecutive indices in
+// [lo, hi) whose bit is set in word(w), the 64-bit word w of some bitset
+// expression. It reads one word per 64 indices and does no per-index
+// work, so a range with no set bit costs only its word reads.
+func bitRuns(lo, hi int, word func(w int) uint64, fn func(a, b int)) {
+	start := -1 // first index of the open run, -1 when none
+	for w := lo >> 6; w<<6 < hi; w++ {
+		base, x := w<<6, word(w)&wordMask(w, lo, hi)
+		for p := 0; ; {
+			if start < 0 {
+				y := x >> uint(p)
+				if y == 0 {
+					break
+				}
+				p += bits.TrailingZeros64(y)
+				start = base + p
+			}
+			// The run ends at the next clear bit; ^x shifted right brings in
+			// zeros, so a run reaching the word's top stays open.
+			y := ^x >> uint(p)
+			if y == 0 {
+				break
+			}
+			p += bits.TrailingZeros64(y)
+			fn(start, base+p)
+			start = -1
+		}
+	}
+	if start >= 0 {
+		fn(start, hi)
 	}
 }
 
@@ -94,12 +141,15 @@ func (e *SpillError) Unwrap() error { return e.Err }
 // an evicted chunk's slab is reused for the next chunk to load. A view
 // is therefore valid only until an operation that may evict its chunk,
 // and after that it may show another chunk's rows. The training engine
-// makes that window explicit with the pin discipline: Pin the rows an
-// epoch will touch, run the parallel stages (which then only ever hit
-// pinned, unevictable chunks), Unpin. A reader that can race another
-// reader of an unpinned matrix — serving a finished result — copies rows
-// out under the matrix's lock instead: CopyRow, ReadRows, and the
-// mathx helpers built on ReadRow.
+// makes that window explicit with the pin discipline: once per epoch, on
+// the training goroutine before the parallel stages, PinViews pins the
+// rows the epoch will touch and returns a view of each; the gradient and
+// update stages read and write only those views, taking no lock, and
+// Unpin ends the epoch. A reader that can race another reader of an
+// unpinned matrix — serving a finished result — copies rows out under
+// the matrix's lock instead: CopyRow, ReadRows, and the mathx helpers
+// built on ReadRow. Row is for single-goroutine writers outside an
+// epoch: initialization and checkpoint restore.
 //
 // Budget overage: if every resident chunk is pinned and a new chunk must
 // load, the matrix grows past its budget rather than deadlock; the
@@ -243,23 +293,6 @@ func (m *SpillMatrix) rowsOf(c, a, b int) []float64 {
 	return m.chunks[c].data[(a-lo)*m.cols : (b-lo)*m.cols]
 }
 
-// runs calls fn on each maximal run [a, b) of consecutive rows of chunk c
-// for which in holds.
-func (m *SpillMatrix) runs(c int, in func(i int) bool, fn func(a, b int)) {
-	lo, hi := m.rowRange(c)
-	for a := lo; a < hi; a++ {
-		if !in(a) {
-			continue
-		}
-		b := a + 1
-		for b < hi && in(b) {
-			b++
-		}
-		fn(a, b)
-		a = b
-	}
-}
-
 // fail records the first I/O error. Caller holds m.mu.
 func (m *SpillMatrix) fail(op string, c int, err error) {
 	if m.err == nil {
@@ -337,9 +370,14 @@ func (m *SpillMatrix) load(c int) *spillChunk {
 // m.mu.
 func (m *SpillMatrix) fill(c int, want bitset) {
 	ch := &m.chunks[c]
-	m.runs(c, func(i int) bool {
-		return !m.present.has(i) && (want == nil || want.has(i))
-	}, func(a, b int) {
+	absent := func(w int) uint64 {
+		if want == nil {
+			return ^m.present[w]
+		}
+		return want[w] &^ m.present[w]
+	}
+	lo, hi := m.rowRange(c)
+	bitRuns(lo, hi, absent, func(a, b int) {
 		dst := m.rowsOf(c, a, b)
 		if ch.written {
 			buf := float64sAsBytes(dst)
@@ -363,7 +401,8 @@ func (m *SpillMatrix) fill(c int, want bitset) {
 // and marks them clean. Caller holds m.mu.
 func (m *SpillMatrix) writeBack(c int) {
 	ch := &m.chunks[c]
-	m.runs(c, m.dirty.has, func(a, b int) {
+	lo, hi := m.rowRange(c)
+	bitRuns(lo, hi, func(w int) uint64 { return m.dirty[w] }, func(a, b int) {
 		buf := float64sAsBytes(m.rowsOf(c, a, b))
 		if _, err := m.file.WriteAt(buf, int64(a)*int64(m.cols)*8); err != nil {
 			m.fail("write", c, err)
@@ -441,10 +480,43 @@ func (m *SpillMatrix) CopyRow(dst []float64, i int) {
 // not yet present, and holds the chunks unevictable until the matching
 // Unpin. Duplicate rows are fine (one pin per chunk per call). Returns
 // the sorted distinct chunk list for Unpin, or the matrix's sticky I/O
-// error, in which case nothing stays pinned.
+// error, in which case nothing stays pinned. Pin hands out nothing, so it
+// leaves the rows clean: a later Row marks what it writes.
 func (m *SpillMatrix) Pin(rows []int32) ([]int32, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.pinLocked(rows)
+}
+
+// PinViews is Pin plus the pinned rows themselves: views[p] becomes a
+// mutable view of row rows[p] (views must have len(rows) entries), all
+// taken under the one lock acquisition of the pin. The views stay valid
+// until the matching Unpin and need no further locking, so a caller that
+// reads and writes the pinned rows from several goroutines — the training
+// engine's gradient and update stages — never contends on the matrix.
+// Every pinned row is marked dirty, as Row would mark it, because the
+// caller is expected to write it. On error views is left unchanged.
+func (m *SpillMatrix) PinViews(rows []int32, views [][]float64) ([]int32, error) {
+	if len(views) != len(rows) {
+		panic(fmt.Sprintf("mathx: PinViews of %d rows into %d views", len(rows), len(views)))
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	chunks, err := m.pinLocked(rows)
+	if err != nil {
+		return nil, err
+	}
+	// A successful pin left every row present (a failed read fails it).
+	for p, r := range rows {
+		c := int(r) / m.chunkRows
+		views[p] = m.rowsOf(c, int(r), int(r)+1)
+		m.dirty.set(int(r))
+	}
+	return chunks, nil
+}
+
+// pinLocked implements Pin. Caller holds m.mu.
+func (m *SpillMatrix) pinLocked(rows []int32) ([]int32, error) {
 	if m.err != nil {
 		return nil, m.err
 	}

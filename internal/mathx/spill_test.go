@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -288,6 +289,141 @@ func TestSpillPinReadsOnlyPinnedRows(t *testing.T) {
 	}
 	if r := readRow(sm, 5); r[0] != -1 || r[1] != 5*1e3+1+0.25 {
 		t.Errorf("row 5 after write-back = %v, %v", r[0], r[1])
+	}
+}
+
+// TestSpillPinViews: PinViews hands out, position for position, views
+// that alias the resident slab (repeated rows share one); a write
+// through a view survives Unpin, the eviction of its chunk and a cold
+// re-read; and pinned rows come back dirty from PinViews only — rows Pin
+// read and nobody wrote are dropped on eviction, not written back.
+func TestSpillPinViews(t *testing.T) {
+	const rows, cols = 1024, 128 // 64 rows/chunk, 16 chunks
+	rowBytes := int64(cols * 8)
+	sm := newTestSpill(t, rows, cols, 3*chunkStride(cols))
+	for i := 0; i < rows; i++ {
+		fillRow(sm.Row(i), i)
+	}
+	if err := sm.Flush(); err != nil { // every row clean
+		t.Fatal(err)
+	}
+	evictAll := func() { // stream three other chunks through the window
+		for c := 10; c < 13; c++ {
+			readRow(sm, c*64)
+		}
+	}
+	// Pin alone dirties nothing: evicting its chunks writes no byte.
+	before := sm.Stats()
+	sm.Unpin(mustPin(t, sm, []int32{3, 70, 71}))
+	evictAll()
+	if d := sm.Stats(); d.BytesWritten != before.BytesWritten {
+		t.Errorf("evicting Pin's unwritten rows wrote %d B, want 0", d.BytesWritten-before.BytesWritten)
+	}
+
+	pinned := []int32{3, 70, 3, 130}
+	views := make([][]float64, len(pinned))
+	pins, err := sm.PinViews(pinned, views)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, r := range pinned {
+		want := make([]float64, cols)
+		fillRow(want, int(r))
+		if views[p][0] != want[0] || views[p][cols-1] != want[cols-1] || len(views[p]) != cols {
+			t.Fatalf("view %d of row %d = %v..., want %v...", p, r, views[p][0], want[0])
+		}
+	}
+	if &views[0][0] != &views[2][0] {
+		t.Error("a repeated row's views do not alias one slab row")
+	}
+	views[0][1] = -1 // row 3, through the view
+	if got := readRow(sm, 3)[1]; got != -1 {
+		t.Errorf("CopyRow of row 3 = %v after a write through its view, want -1", got)
+	}
+	sm.Unpin(pins)
+	before = sm.Stats()
+	evictAll()
+	d := sm.Stats()
+	if d.Evictions-before.Evictions != 3 {
+		t.Fatalf("evictions = %d, want 3", d.Evictions-before.Evictions)
+	}
+	// All three distinct rows were handed out, so all three are written
+	// back, though only row 3 changed.
+	if n := d.BytesWritten - before.BytesWritten; n != 3*rowBytes {
+		t.Errorf("write-back of PinViews' rows: %d B, want %d B", n, 3*rowBytes)
+	}
+	before = d
+	got := readRow(sm, 3)
+	if sm.Stats().Reads == before.Reads {
+		t.Fatal("row 3 was not evicted")
+	}
+	if got[1] != -1 || got[2] != 3*1e3+2+0.25 {
+		t.Errorf("row 3 after eviction and re-read = %v, %v", got[1], got[2])
+	}
+}
+
+// TestSpillPinViewsLengthMismatchPanics: views must have one entry per
+// pinned row.
+func TestSpillPinViewsLengthMismatchPanics(t *testing.T) {
+	sm := newTestSpill(t, 64, 128, 2*chunkStride(128))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("PinViews with too few views did not panic")
+		}
+	}()
+	sm.PinViews([]int32{1, 2}, make([][]float64, 1))
+}
+
+// TestBitRunsMatchesScan checks the word-at-a-time run finder against a
+// per-index scan over random words and ranges, runs crossing word
+// boundaries included.
+func TestBitRunsMatchesScan(t *testing.T) {
+	rng := uint64(1)
+	next := func() uint64 { // xorshift64
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	b := newBitset(256)
+	for iter := 0; iter < 2000; iter++ {
+		for w := range b {
+			switch next() % 4 {
+			case 0:
+				b[w] = 0
+			case 1:
+				b[w] = ^uint64(0)
+			default:
+				b[w] = next() & next()
+			}
+		}
+		lo := int(next() % 257)
+		hi := lo + int(next()%uint64(257-lo))
+		var want, got [][2]int
+		for a := lo; a < hi; a++ {
+			if !b.has(a) {
+				continue
+			}
+			e := a + 1
+			for e < hi && b.has(e) {
+				e++
+			}
+			want = append(want, [2]int{a, e})
+			a = e
+		}
+		bitRuns(lo, hi, func(w int) uint64 { return b[w] }, func(a, e int) {
+			got = append(got, [2]int{a, e})
+		})
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("bitRuns(%d, %d) = %v, want %v", lo, hi, got, want)
+		}
+		c := slices.Clone(b)
+		c.unsetRange(lo, hi)
+		for i := 0; i < 256; i++ {
+			if c.has(i) != (b.has(i) && (i < lo || i >= hi)) {
+				t.Fatalf("unsetRange(%d, %d) left bit %d = %v", lo, hi, i, c.has(i))
+			}
+		}
 	}
 }
 

@@ -152,30 +152,47 @@ func (m *Model) Gradients(ex Example, g *Grads) {
 }
 
 // LossGradients computes L_nov AND its Eq. (7)/(8) gradients in one
-// forward+backward pass over the example's k+1 Wout rows: it takes their
-// views, then all k+1 dots (mathx.DotRows), then per row the loss term
-// and the coefficient c_t from one exponential (mathx.SigmoidLogs) for
-// both σ and log σ, then GIn = Σ_t c_t·v_t and its squared norm in one
-// pass (mathx.AXPYRows). Every view must stay valid for the whole pass,
-// as dense rows and pinned spill-tier rows do (the engine pins an
-// epoch's rows before its gradient stage).
+// forward+backward pass: it takes the views of v_I and the example's k+1
+// Wout rows with Mat.Row and runs RowLossGradients on them. It serves
+// callers that hold a Model and no row views. The training engine takes
+// its views once per epoch instead — pinned on the spill tier, before
+// the gradient stage — and calls RowLossGradients directly, so the stage
+// never calls Row.
+func (m *Model) LossGradients(ex Example, g *Grads) float64 {
+	g.Ensure(m.Dim, len(ex.Negs))
+	vi := m.Win.Row(int(ex.I))
+	g.out[0] = m.Wout.Row(int(ex.J))
+	for t, n := range ex.Negs {
+		g.out[t+1] = m.Wout.Row(int(n))
+	}
+	return RowLossGradients(ex, vi, g.out, g)
+}
+
+// RowLossGradients is the per-example pass of LossGradients over row
+// views the caller resolved: vi is v_I (row ex.I of Win) and out holds
+// the k+1 Wout rows, v_J then the negatives in sample order. It takes
+// all k+1 dots (mathx.DotRows), then per row the loss term and the
+// coefficient c_t from one exponential (mathx.SigmoidLogs) for both σ
+// and log σ, then GIn = Σ_t c_t·v_t and its squared norm in one pass
+// (mathx.AXPYRows). g.VI keeps vi. Every view must stay valid for the
+// whole pass, and vi for as long as g.VI is read, as dense rows and
+// pinned spill-tier rows do.
 //
 // Numerics: each dot is mathx.Dot's, the loss terms accumulate in the
 // same order as the standalone Loss — positive first, then negatives in
 // sample order — and GIn's adds in the order of Zero followed by one AXPY
 // per row, so the pass is bit-identical to the Loss-then-Gradients
 // composition (pinned by TestLossGradientsMatchesComposition).
-func (m *Model) LossGradients(ex Example, g *Grads) float64 {
-	g.Ensure(m.Dim, len(ex.Negs))
-	vi := m.Win.Row(int(ex.I))
+func RowLossGradients(ex Example, vi []float64, out [][]float64, g *Grads) float64 {
+	if len(out) != len(ex.Negs)+1 {
+		panic(fmt.Sprintf("skipgram: %d Wout row views for %d negatives", len(out), len(ex.Negs)))
+	}
+	g.Ensure(len(vi), len(ex.Negs))
 	g.InRow = int(ex.I)
 	g.VI = vi
 	g.OutRows[0] = ex.J
 	copy(g.OutRows[1:], ex.Negs)
-	for t, n := range g.OutRows {
-		g.out[t] = m.Wout.Row(int(n))
-	}
-	mathx.DotRows(g.Coef, vi, g.out) // the dots, replaced by c_t below
+	mathx.DotRows(g.Coef, vi, out) // the dots, replaced by c_t below
 
 	// Positive node (n = 0 in Eq. (7): indicator is 1).
 	sig, logSig, _ := mathx.SigmoidLogs(g.Coef[0])
@@ -188,7 +205,7 @@ func (m *Model) LossGradients(ex Example, g *Grads) float64 {
 		g.Coef[t] = ex.W * sig
 		loss -= logSigNeg
 	}
-	g.GInSq = mathx.AXPYRows(g.GIn, g.Coef, g.out)
+	g.GInSq = mathx.AXPYRows(g.GIn, g.Coef, out)
 	return ex.W * loss
 }
 
