@@ -1,21 +1,24 @@
 GO ?= go
 # Benchmark → JSON recording for the perf trajectory; bump per PR.
-BENCH_JSON ?= BENCH_pr28.json
+BENCH_JSON ?= BENCH_pr30.json
 # The previous PR's recording, the local regression baseline for
 # bench-diff (CI benchmarks the base commit on its own runner instead).
-BENCH_BASE ?= BENCH_pr27.json
+BENCH_BASE ?= BENCH_pr28.json
 # The sharded-stage benchmarks: the DP noise/update stage, the one-shot
 # graph passes, the whole-train scaling curves (TrainWorkers matches the
 # lazy-Katz job too, with its weight-fill share as weights-ns/op), the
 # sharded evaluation metrics, the sharded edge-weight fill, and the mathx
 # vector kernels — the four-lane reductions and
 # AXPY. StreamNormalAt times the counter stream's normal sampler, one
-# noise row per op, and StreamNormalsAt the row fill; NoisyStep times one
+# noise row per op, and StreamNormalsAt the row fill; NormalSlow times
+# one draw that left its layer's core (the wedge squeeze, its log
+# fallback and the tail); NoisyStep times one
 # r = 128 private step on the Go loop (go) and on the AVX-512 kernel
 # (avx512, skipped on a host without it). LossGradients times one
 # skip-gram example (K = 5, r = 128) and RowKernels its three row
 # operations, each on the Go loops (go) and the AVX-512 kernels
-# (avx512). TrainDatasetJob is
+# (avx512), plus the clip norm of an example with a tiny coefficient
+# (SumScaledNorm2SqSubnormal). TrainDatasetJob is
 # the end-to-end train-dataset job without the HTTP stack, reporting its
 # gradients/reduce/update split per op, and TrainSpillJob the same for
 # the train-spill job, with its spill traffic. TrainWorkersSpill also reports
@@ -23,7 +26,7 @@ BENCH_BASE ?= BENCH_pr27.json
 # spill-write-B/op). WriteIndexed times the v3 artifact writer on a
 # train-spill-sized pair (its allocs/op stay constant per call), and
 # DecodeRows the row-window and whole-stream readers.
-BENCH_PAT ?= StreamNormalAt|StreamNormalsAt|NoisyStep|ApplyUpdate|GenerateSubgraphs|TrainWorkers|TrainDatasetJob|TrainSpillJob|StrucEquWorkers|LinkAUCWorkers|EdgeWeightsWorkers|BenchmarkDot|BenchmarkNorm2Sq|BenchmarkAXPY|BenchmarkLossGradients|BenchmarkRowKernels|WriteIndexed|DecodeRows
+BENCH_PAT ?= StreamNormalAt|StreamNormalsAt|NormalSlow|NoisyStep|ApplyUpdate|GenerateSubgraphs|TrainWorkers|TrainDatasetJob|TrainSpillJob|StrucEquWorkers|LinkAUCWorkers|EdgeWeightsWorkers|BenchmarkDot|BenchmarkNorm2Sq|BenchmarkAXPY|BenchmarkLossGradients|BenchmarkRowKernels|WriteIndexed|DecodeRows
 # Per-target fuzz budget for `make fuzz` (Go's -fuzztime syntax).
 FUZZTIME ?= 10s
 

@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -63,7 +64,10 @@ func BenchmarkAXPY(b *testing.B) {
 
 // BenchmarkRowKernels times the three per-example row operations at one
 // skip-gram example's shape (k+1 = 6 rows of r = 128) with the Go loops
-// and, on a host that has them, the AVX-512 kernels.
+// and, on a host that has them, the AVX-512 kernels. SumScaledNorm2Sq-
+// Subnormal is the clip norm of an example with one tiny coefficient
+// (1e-160 among five of order 0.1–1, against |v_I| ≈ 1e-2), whose squares
+// would be subnormal: the shape the tiny-row skip leaves out.
 func BenchmarkRowKernels(b *testing.B) {
 	const k1, n = 6, 128
 	x := fill(n, 301)
@@ -72,6 +76,11 @@ func BenchmarkRowKernels(b *testing.B) {
 	for i := range rows {
 		rows[i] = fill(n, uint64(303+i))
 	}
+	vI := make([]float64, n)
+	for d := range vI {
+		vI[d] = math.Copysign(1e-2*(0.5+float64(d%16)/10), float64(d%3)-1)
+	}
+	subCoef := []float64{0.9, -0.31, 0.17, 1e-160, -0.42, 0.08}
 	out, dst := make([]float64, k1), make([]float64, n)
 	ops := []struct {
 		name string
@@ -79,6 +88,7 @@ func BenchmarkRowKernels(b *testing.B) {
 	}{
 		{"DotRows", func() float64 { DotRows(out, x, rows); return out[0] }},
 		{"SumScaledNorm2Sq", func() float64 { return SumScaledNorm2Sq(coef, x) }},
+		{"SumScaledNorm2SqSubnormal", func() float64 { return SumScaledNorm2Sq(subCoef, vI) }},
 		{"AXPYRows", func() float64 { return AXPYRows(dst, coef, rows) }},
 	}
 	host := UseAVX512

@@ -70,14 +70,20 @@ func dotRowsWide(out *[8]float64, x []float64, rows [][]float64) (k, n int) {
 
 // scaledNorm2SqWide is dotRowsWide for ScaledNorm2Sq: the first
 // min(8, len(coef)) coefficients' combined lane sums over x's longest
-// multiple-of-4 prefix.
-func scaledNorm2SqWide(out *[8]float64, coef, x []float64) (k, n int) {
+// multiple-of-4 prefix. A tiny row's coefficient (isTinyRow with m) goes
+// in as 0, which forms no subnormal; its lane is left to the caller.
+func scaledNorm2SqWide(out *[8]float64, coef, x []float64, m float64) (k, n int) {
 	n = len(x) &^ 3
 	if !UseAVX512 || n == 0 || len(coef) == 0 {
 		return 0, 0
 	}
 	var c [8]float64
 	k = copy(c[:], coef)
+	for t, ct := range c[:k] {
+		if isTinyRow(ct, m) {
+			c[t] = 0
+		}
+	}
 	scaledNorm2SqAVX512(out, &c, &x[0], n)
 	return k, n
 }

@@ -132,6 +132,8 @@ func sameBits(t testing.TB, what string, got, want []float64) {
 // rowsCase runs DotRows, SumScaledNorm2Sq and AXPYRows over one example's
 // rows on both paths and compares every output bit. The Go side is
 // Dot per row, ScaledNorm2Sq per coefficient and Zero, AXPY and Norm2Sq.
+// On both paths SumScaledNorm2Sq must also equal the plain sum of
+// ScaledNorm2Sq in t order, which its tiny-row skip stands in for.
 func rowsCase(t testing.TB, x, coef []float64, rows [][]float64) bool {
 	t.Helper()
 	var want, got []float64
@@ -158,6 +160,16 @@ func rowsCase(t testing.TB, x, coef []float64, rows [][]float64) bool {
 		dots[i] = Dot(r, x)
 	}
 	sameBits(t, "DotRows against Dot", want[:len(rows)], dots)
+	// A NaN sum's payload depends on how each loop's adds were compiled
+	// (DESIGN §12), so here any NaN matches any NaN.
+	var plain float64
+	for _, c := range coef {
+		plain += ScaledNorm2Sq(c, x)
+	}
+	if sq := want[len(want)-1]; math.Float64bits(sq) != math.Float64bits(plain) && (sq == sq || plain == plain) {
+		t.Fatalf("k+1=%d n=%d coef=%v: SumScaledNorm2Sq %v (%#x), plain sum %v (%#x)", len(coef), len(x), coef,
+			sq, math.Float64bits(sq), plain, math.Float64bits(plain))
+	}
 	return ran
 }
 
@@ -168,7 +180,9 @@ var tiny = []float64{1, 0x1p-520, 0x1p-540, 0x1p-560, 0x1p-568, 0x1p-575, 0x1p-6
 // TestRowKernelsMatchGo covers k+1 from 1 to 17 (more than two groups of
 // eight lanes) and every length 0–300, with ±0, subnormals, ±Inf and NaN
 // payloads in x, the rows and the coefficients in two of three cases, and
-// coefficients scaled by tiny in the third.
+// coefficients scaled by tiny in the third. Then it walks the edges of
+// SumScaledNorm2Sq's tiny-row skip (skipCoefs) at every tail length, each
+// also with a NaN or ±Inf put into x and into the coefficients.
 func TestRowKernelsMatchGo(t *testing.T) {
 	var ran bool
 	for k1 := 1; k1 <= 17; k1++ {
@@ -198,6 +212,34 @@ func TestRowKernelsMatchGo(t *testing.T) {
 			ran = rowsCase(t, x, coef, rows)
 		}
 	}
+	nonFinite := []float64{math.Inf(1), math.Inf(-1), specials[10], specials[13]}
+	for _, k1 := range []int{1, 2, 3, 6, 8, 9, 17} {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 127, 128, 129, 130, 131, 300} {
+			seed := uint64(k1*1000 + n + 500)
+			x := fill(n, seed)
+			for i := range x {
+				x[i] = math.Ldexp(x[i], -29) // |x[d]| ≤ 1
+			}
+			rows := make([][]float64, k1)
+			for i := range rows {
+				rows[i] = fill(n, seed+uint64(100*i)+13)
+			}
+			for _, coef := range skipCoefs(x, k1, seed) {
+				ran = rowsCase(t, x, coef, rows)
+				// A NaN or ±Inf anywhere turns the skip off.
+				for i, v := range nonFinite {
+					if n > 0 {
+						xs := append([]float64(nil), x...)
+						xs[(i*7)%n] = v
+						rowsCase(t, xs, coef, rows)
+					}
+					cs := append([]float64(nil), coef...)
+					cs[i%k1] = v
+					rowsCase(t, x, cs, rows)
+				}
+			}
+		}
+	}
 	if ran {
 		t.Log("compared the AVX-512 row kernels with the Go loops")
 	} else {
@@ -205,9 +247,87 @@ func TestRowKernelsMatchGo(t *testing.T) {
 	}
 }
 
+// skipCoefs returns coefficient vectors of k1 rows over x (|x[d]| ≤ 1)
+// around SumScaledNorm2Sq's tiny-row skip, with M = max_d |x[d]|:
+//   - a tiny first row, all rows tiny, a zero first row, zero rows;
+//   - first rows whose |c|·M lies at 1–8 times 2⁻⁵³⁸, under which the
+//     row's sum is +0;
+//   - a first row whose square sum lands one ulp of c₀ under and at 2^e
+//     times the absorption cutoff n·2⁻⁹⁵⁵, for e from −80 to 5.
+//
+// The later rows mix ordinary coefficients with ones whose |c|·M lies
+// just under and just over 2⁻⁵⁰⁵ and deeper in the subnormal range.
+func skipCoefs(x []float64, k1 int, seed uint64) [][]float64 {
+	m := 0.0
+	for _, v := range x {
+		m = max(m, math.Abs(v))
+	}
+	// below returns the largest c with fl(c·M) < b (any c when M = 0).
+	below := func(b float64) float64 {
+		if m == 0 {
+			return 1
+		}
+		c := b / m
+		for c*m >= b {
+			c = math.Nextafter(c, 0)
+		}
+		return c
+	}
+	edge, zero := below(0x1p-505), below(0x1p-538)
+	over := math.Nextafter(edge, 1)
+	tail := []float64{edge, -over, 0x1p-520, -0x1p-530, 0, 0x1p-540, -edge / 3}
+	base := fill(k1, seed+7)
+	for i := range base {
+		base[i] = math.Ldexp(base[i], -20)
+	}
+	shape := func(first float64, rest func(t int) float64) []float64 {
+		c := make([]float64, k1)
+		c[0] = first
+		for t := 1; t < k1; t++ {
+			c[t] = rest(t)
+		}
+		return c
+	}
+	mixed := func(t int) float64 {
+		if t%2 == 1 {
+			return tail[(t/2)%len(tail)]
+		}
+		return base[t]
+	}
+	out := [][]float64{
+		shape(0x1p-515, mixed),
+		shape(-edge, func(t int) float64 { return tail[t%len(tail)] }),
+		shape(0, mixed),
+		shape(0, func(int) float64 { return 0 }),
+		shape(0, func(t int) float64 { return tail[(t+4)%len(tail)] }),
+	}
+	// First rows around the bound under which every square rounds to +0.
+	for _, f := range []float64{1, 2, 4, 8} {
+		out = append(out, shape(f*zero, mixed), shape(-math.Nextafter(f*zero, 1), mixed))
+	}
+	if n2 := Norm2Sq(x); n2 > 0 {
+		cut := float64(len(x)) * 0x1p-955
+		for _, e := range []int{-80, -60, -55, -54, -53, -52, -50, -40, -20, -2, -1, 0, 1, 5} {
+			target := math.Ldexp(cut, e)
+			c := math.Sqrt(target / n2)
+			for c > 0 && ScaledNorm2Sq(c, x) >= target {
+				c = math.Nextafter(c, 0)
+			}
+			for ScaledNorm2Sq(math.Nextafter(c, 1), x) < target {
+				c = math.Nextafter(c, 1)
+			}
+			rest := func(t int) float64 { return tail[(t-1)%len(tail)] }
+			out = append(out, shape(c, rest), shape(math.Nextafter(c, 1), rest))
+		}
+	}
+	return out
+}
+
 // FuzzRowKernels compares the paths on raw bit patterns: the first byte
 // picks k+1 (1–17), the next two the length (0–300), and every float of
-// x, the rows and the coefficients is any 64-bit value.
+// x, the rows and the coefficients is any 64-bit value. The last seeds
+// are examples with a coefficient that makes squares subnormal, after
+// the ordinary ones (the tiny-row skip leaves it out) and first.
 func FuzzRowKernels(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(append([]byte{5, 128, 0}, make([]byte, 8*(128*7+6))...))
@@ -216,6 +336,18 @@ func FuzzRowKernels(f *testing.F) {
 		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(specials[(i*5)%len(specials)]))
 	}
 	f.Add(raw)
+	for _, coef := range [][]float64{{0.9, -0.31, 0.17, 1e-155, -0.42, 0.08}, {-3e-156, 0, 0.5, 1e-170, 2e-158, -0.25}} {
+		const n = 130
+		raw := []byte{byte(len(coef) - 1), n, 0}
+		vals := fill(n*(len(coef)+1), 17)
+		for i := range vals[:n] {
+			vals[i] = math.Ldexp(vals[i], -35) // |v_I| up to about 2⁻⁶
+		}
+		for _, v := range append(vals, coef...) {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+		}
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k1, n := 1, 0
 		if len(data) >= 3 {

@@ -197,28 +197,42 @@ func DotRows(out, x []float64, rows [][]float64) {
 // lane, over x's longest multiple-of-4 prefix in ScaledNorm2Sq's lane
 // order; the tail is a loop in its order. A NaN sum is recomputed by the
 // Go loop.
+//
+// Both paths leave out a tiny row that the running sum absorbs exactly
+// (addTinyRow), so the squares of its products, which are subnormal or
+// near it and take a microcode assist on every instruction that touches
+// them, are never formed; the kernel sees such a row's coefficient as 0.
 func SumScaledNorm2Sq(coef, x []float64) float64 {
-	if sq, ok := sumScaledNorm2SqWide(coef, x); ok && sq == sq {
+	m := tinyRowScale(coef, x)
+	if sq, ok := sumScaledNorm2SqWide(coef, x, m); ok && sq == sq {
 		return sq
 	}
 	var sq float64
 	for _, c := range coef {
-		sq += ScaledNorm2Sq(c, x)
+		if isTinyRow(c, m) {
+			sq = addTinyRow(sq, c, m, x)
+		} else {
+			sq += ScaledNorm2Sq(c, x)
+		}
 	}
 	return sq
 }
 
 // sumScaledNorm2SqWide is SumScaledNorm2Sq on the kernel; false when
-// there is none.
-func sumScaledNorm2SqWide(coef, x []float64) (float64, bool) {
+// there is none. m is tinyRowScale(coef, x).
+func sumScaledNorm2SqWide(coef, x []float64, m float64) (float64, bool) {
 	var sq float64
 	var part [8]float64
 	for len(coef) > 0 {
-		k, i := scaledNorm2SqWide(&part, coef, x)
+		k, i := scaledNorm2SqWide(&part, coef, x, m)
 		if k == 0 {
 			return 0, false
 		}
 		for t, c := range coef[:k] {
+			if isTinyRow(c, m) {
+				sq = addTinyRow(sq, c, m, x)
+				continue
+			}
 			s := part[t]
 			for _, xd := range x[i:] {
 				v := xd * c
@@ -229,6 +243,63 @@ func sumScaledNorm2SqWide(coef, x []float64) (float64, bool) {
 		coef = coef[k:]
 	}
 	return sq, true
+}
+
+// The tiny-row skip. Let M = max_d |x[d]| and n = len(x). If
+// fl(|c|·M) < 2⁻⁵⁰⁵, every product fl(c·x[d]) is below 2⁻⁵⁰⁵ in
+// magnitude, every square is at most 2⁻¹⁰¹⁰, and ScaledNorm2Sq(c, x),
+// a sum of n such squares, is at most n·2⁻¹⁰¹⁰. If the running sum P is
+// at least n·2⁻⁹⁵⁵, that is below half an ulp of P, so fl(P + S) = P and
+// the row can be left out without moving a bit. Under that cutoff the row
+// is computed in full, unless fl(|c|·M) < 2⁻⁵³⁸: then every square is
+// below 2⁻¹⁰⁷⁶, a quarter of the least subnormal, and rounds to +0, so
+// the row adds +0 to any P (which is never −0). The argument needs finite
+// values, so a NaN or ±Inf in x or the coefficients disables the skip.
+const (
+	tinyRowProduct = 0x1p-505 // the bound on fl(|c|·M) for a tiny row
+	zeroRowProduct = 0x1p-538 // the bound for a tiny row whose sum is +0
+	tinyRowSumUnit = 0x1p-955 // the cutoff on P, per element of x
+	tinyCoef       = 0x1p-300 // a loose bound on |c| below which M is taken
+)
+
+// tinyRowScale returns M = max_d |x[d]| when some coefficient is below
+// tinyCoef in magnitude and every coefficient is finite, and +Inf
+// otherwise, which makes no row tiny.
+func tinyRowScale(coef, x []float64) float64 {
+	small := false
+	for _, c := range coef {
+		a := math.Abs(c)
+		if !(a <= math.MaxFloat64) {
+			return math.Inf(1)
+		}
+		small = small || a < tinyCoef
+	}
+	if !small {
+		return math.Inf(1)
+	}
+	// Magnitude bits order as the magnitudes, and those of every NaN are
+	// above +Inf's: a NaN in x makes M a NaN and an Inf makes it +Inf,
+	// and then no row is tiny.
+	var mb uint64
+	for _, v := range x {
+		mb = max(mb, math.Float64bits(v)&^(1<<63))
+	}
+	return math.Float64frombits(mb)
+}
+
+// isTinyRow reports fl(|c|·m) < 2⁻⁵⁰⁵ for m = tinyRowScale(coef, x).
+func isTinyRow(c, m float64) bool {
+	return math.Abs(c)*m < tinyRowProduct
+}
+
+// addTinyRow returns fl(sq + ScaledNorm2Sq(c, x)) for a tiny row c: sq
+// itself when sq absorbs the row or the row's sum is +0, and the sum
+// computed in full otherwise.
+func addTinyRow(sq, c, m float64, x []float64) float64 {
+	if sq >= float64(len(x))*tinyRowSumUnit || math.Abs(c)*m < zeroRowProduct {
+		return sq
+	}
+	return sq + ScaledNorm2Sq(c, x)
 }
 
 // AXPYRows sets dst to Σ_t coef[t]·rows[t], over the first len(coef)

@@ -5,16 +5,20 @@ import "math"
 // This file is the counter stream's normal sampler: a 256-layer ziggurat
 // (Marsaglia & Tsang 2000) that reads one counter per normal. The 64 bits
 // at counter i give the layer (bits 0–7), the sign (bit 8) and the
-// abscissa (bits 11–63, 53 bits). About 99% of draws fall inside their
-// layer's core rectangle and return after one multiply and one compare.
-// The rest — a wedge test, the tail beyond R, or a rejection retry — read
-// further uniforms from counters 0, 1, 2, … of the substream s.Derive(i),
-// so NormalAt(i) stays a pure function of (seed, key path, i).
+// abscissa (bits 11–63, 53 bits). About 98.5% of draws fall inside their
+// layer's core rectangle and return after one multiply and one compare;
+// about 1.47% need a wedge test and 0.026% the tail beyond R. Those, and
+// any rejection retry, read further uniforms from counters 0, 1, 2, … of
+// the substream s.Derive(i), so NormalAt(i) stays a pure function of
+// (seed, key path, i). The wedge test is decided by a squeeze between
+// polynomial bounds on f (wedgeSqueeze); about 0.6% of wedge tests fall
+// between the bounds and take the log-domain test.
 //
 // Cross-host bit determinism: nothing here calls math.Exp, whose amd64
 // assembly switches to FMA instructions on CPUs that have them. The
-// tables are built from R, V and f(R) with Sqrt, Log, + and ÷ only, and
-// the wedge test compares in the log domain.
+// tables are built from R, V and f(R) with Sqrt, Log, + and ÷ only; the
+// wedge test's squeeze bounds use + − × only, and between them the test
+// compares in the log domain.
 //
 // NoisyStep has an AVX-512 kernel on amd64 (ziggurat_amd64.s, selected
 // by mathx.UseAVX512): the counter hash, the layer lookup and the core-
@@ -131,12 +135,50 @@ func (d Stream) normalSlow(bits uint64) float64 {
 		// no compiler fuses it into an FMA.
 		h := zigF[j+1] + float64((zigF[j]-zigF[j+1])*d.Float64At(k))
 		k++
-		if math.Log(h) < -x*x/2 {
+		if underCurve(x, h, j) {
 			return withSign(x, bits)
 		}
 		bits = d.Uint64At(k)
 		k++
 	}
+}
+
+// squeezeMargin is the relative slack of wedgeSqueeze's bounds. It
+// covers the tables' error as values of f (zigF[j] is within 1e-15 of
+// f(zigX[j]), relative), the rounding of u and of the bounds, and the
+// error of the log-domain test (a few ulps of values of magnitude at most
+// R²/2 ≈ 6.7): together below 1e-14.
+const squeezeMargin = 1e-12
+
+// underCurve is the wedge test of layer j ≥ 1: it reports h < f(x) as the
+// log-domain test math.Log(h) < -x²/2 decides it, taking the logarithm
+// only where wedgeSqueeze cannot.
+func underCurve(x, h float64, j uint64) bool {
+	if under, ok := wedgeSqueeze(x, h, j); ok {
+		return under
+	}
+	return math.Log(h) < -x*x/2
+}
+
+// wedgeSqueeze decides the wedge test h < f(x) of layer j ≥ 1 without a
+// logarithm where a polynomial bound settles it, and reports ok = false
+// in the thin band between the bounds, where only the log-domain test
+// math.Log(h) < -x²/2 gives its answer. With u = (x² − x[j+1]²)/2 ≥ 0,
+// f(x) = f[j+1]·e^(−u) and 1 − u ≤ e^(−u) ≤ 1 − u + u²/2. Every answer
+// with ok set is the log-domain test's: outside a relative margin of
+// squeezeMargin around f(x), the rounding of that test cannot flip it.
+// In a layer, u < ln(f[j+1]/f[j]) ≤ 0.73, so e^(−u) ≥ 0.48 and an
+// absolute error in u stays a relative one in the bounds.
+func wedgeSqueeze(x, h float64, j uint64) (under, ok bool) {
+	u := (x*x - zigX[j+1]*zigX[j+1]) / 2
+	lo := 1 - u
+	if h < zigF[j+1]*lo*(1-squeezeMargin) {
+		return true, true
+	}
+	if h > zigF[j+1]*(lo+u*u/2)*(1+squeezeMargin) {
+		return false, true
+	}
+	return false, false
 }
 
 // openFloat64At returns the uniform float64 in (0, 1] at counter ctr, so
