@@ -129,7 +129,9 @@ func BenchmarkTrainDatasetJob(b *testing.B) {
 // engine stages (gradients-, reduce- and update-ns/op; on this tier the
 // gradients clock also holds the epoch pins' spill I/O) and the bytes
 // each job moved to and from its spill files (spill-read-B/op,
-// spill-write-B/op).
+// spill-write-B/op). Each job then shrinks its result to the window a
+// service keeps of a finished spilled job: shrink-ns/op times that, and
+// retained-B/op is what Win and Wout still hold resident after it.
 func BenchmarkTrainSpillJob(b *testing.B) {
 	g, err := GenerateDataset("dblp", 0.01, 1)
 	if err != nil {
@@ -145,6 +147,8 @@ func BenchmarkTrainSpillJob(b *testing.B) {
 	cfg.BatchSize = min(cfg.BatchSize, g.NumEdges())
 	var st StageTimings
 	var io mathx.SpillStats
+	var shrink time.Duration
+	var retained int64
 	for i := 0; b.Loop(); i++ {
 		cfg.Seed = uint64(i)
 		res, err := NewSession(g, prox, WithConfig(cfg)).Run(context.Background())
@@ -163,6 +167,14 @@ func BenchmarkTrainSpillJob(b *testing.B) {
 			io.BytesRead += s.BytesRead
 			io.BytesWritten += s.BytesWritten
 		}
+		start := time.Now()
+		if err := res.Shrink(); err != nil {
+			b.Fatal(err)
+		}
+		shrink += time.Since(start)
+		for _, m := range []mathx.Mat{res.Model.Win, res.Model.Wout} {
+			retained += m.(*mathx.SpillMatrix).ResidentBytes()
+		}
 		res.CloseSpill()
 	}
 	for _, m := range []struct {
@@ -174,6 +186,8 @@ func BenchmarkTrainSpillJob(b *testing.B) {
 		{float64(st.Update.Nanoseconds()), "update-ns/op"},
 		{float64(io.BytesRead), "spill-read-B/op"},
 		{float64(io.BytesWritten), "spill-write-B/op"},
+		{float64(shrink.Nanoseconds()), "shrink-ns/op"},
+		{float64(retained), "retained-B/op"},
 	} {
 		b.ReportMetric(m.v/float64(b.N), m.unit)
 	}

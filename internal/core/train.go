@@ -280,6 +280,22 @@ func (r *Result) SpillErr() error {
 	return mathx.MatErr(r.Model.Wout)
 }
 
+// Shrink gives back the resident window of a spilled result that will
+// only be read from now on: each of Win and Wout writes its dirty rows
+// back and keeps at most two chunks resident (mathx.SpillMatrix.Shrink).
+// It returns the first spill I/O error (a *mathx.SpillError), after
+// which the result's rows cannot be trusted. No-op on the dense tier.
+func (r *Result) Shrink() error {
+	for _, m := range []mathx.Mat{r.Model.Win, r.Model.Wout} {
+		if sm, ok := m.(*mathx.SpillMatrix); ok {
+			if err := sm.Shrink(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // CloseSpill closes the spill tier's backing files of a result that will
 // not be read again, so a failed job frees its disk blocks at once
 // instead of at a finalizer. No-op on the dense tier.

@@ -426,6 +426,12 @@ func (m *SpillMatrix) evictLRU() ([]float64, bool) {
 	if c < 0 {
 		return nil, false
 	}
+	return m.evict(c), true
+}
+
+// evict writes back resident chunk c's dirty rows, drops it from
+// residency and returns its slab. Caller holds m.mu.
+func (m *SpillMatrix) evict(c int) []float64 {
 	m.writeBack(c)
 	m.unlink(c)
 	lo, hi := m.rowRange(c)
@@ -435,7 +441,7 @@ func (m *SpillMatrix) evictLRU() ([]float64, bool) {
 	ch.data = nil
 	m.resident--
 	m.stats.Evictions++
-	return slab, true
+	return slab
 }
 
 // rowLocked returns row i's slab values, faulting in its chunk and filling
@@ -617,6 +623,8 @@ func (m *SpillMatrix) MaxResidentBytes() int64 {
 
 // BudgetBytes returns the resident ceiling in bytes (chunk-granular).
 func (m *SpillMatrix) BudgetBytes() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return int64(m.budgetChunks) * int64(m.chunkRows*m.cols*8)
 }
 
@@ -626,10 +634,41 @@ func (m *SpillMatrix) BudgetBytes() int64 {
 func (m *SpillMatrix) Flush() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.flushLocked()
+}
+
+// flushLocked implements Flush. Caller holds m.mu.
+func (m *SpillMatrix) flushLocked() error {
 	for c := m.mru; c >= 0; c = m.chunks[c].next {
 		m.writeBack(int(c))
 	}
 	return m.err
+}
+
+// Shrink gives back the resident window of a matrix that will only be
+// read from now on, such as a finished result: it writes every dirty
+// resident row back and, only if that succeeds, drops every unpinned slab
+// and lowers the resident ceiling to the two-chunk floor NewSpillMatrix
+// enforces. Later reads stream through that two-chunk window;
+// MaxResidentBytes keeps its lifetime high-water mark. A pinned chunk
+// stays resident, as under all-pinned pressure, so a view a caller still
+// holds stays valid. On failure Shrink returns the sticky I/O error (a
+// *SpillError) and drops nothing. A second Shrink does nothing.
+func (m *SpillMatrix) Shrink() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.flushLocked(); err != nil {
+		return err
+	}
+	for c := m.mru; c >= 0; {
+		next := m.chunks[c].next
+		if m.chunks[c].pins == 0 {
+			m.evict(int(c)) // clean after the flush: no I/O
+		}
+		c = next
+	}
+	m.budgetChunks = 2
+	return nil
 }
 
 // Close releases the backing file descriptor; the already-unlinked file's

@@ -583,3 +583,113 @@ func TestSpillConcurrentReadersUnderEviction(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSpillShrink: Shrink writes the dirty rows back, drops every slab
+// and lowers the ceiling to two chunks, so every row still reads back
+// bit-equal and a full sweep afterwards never holds more than two chunks.
+// MaxResidentBytes keeps the lifetime high-water mark, and a second
+// Shrink does nothing.
+func TestSpillShrink(t *testing.T) {
+	const rows, cols = 512, 256 // 32 rows/chunk, 16 chunks
+	stride := chunkStride(cols)
+	sm := newTestSpill(t, rows, cols, 6*stride)
+	for i := 0; i < rows; i++ {
+		fillRow(sm.Row(i), i)
+	}
+	before := Materialize(sm)
+	peak := sm.MaxResidentBytes()
+	if err := sm.Shrink(); err != nil {
+		t.Fatalf("Shrink: %v", err)
+	}
+	if got := sm.ResidentBytes(); got != 0 {
+		t.Fatalf("ResidentBytes after Shrink = %d, want 0", got)
+	}
+	if got := sm.BudgetBytes(); got != 2*stride {
+		t.Fatalf("BudgetBytes after Shrink = %d, want %d", got, 2*stride)
+	}
+	stats := sm.Stats()
+	if err := sm.Shrink(); err != nil {
+		t.Fatalf("second Shrink: %v", err)
+	}
+	if got := sm.Stats(); got != stats {
+		t.Errorf("second Shrink moved the stats: %+v, want %+v", got, stats)
+	}
+	for i := 0; i < rows; i++ {
+		w, err := sm.ReadRows(i, i+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d, v := range w.Row(0) {
+			if math.Float64bits(v) != math.Float64bits(before.At(i, d)) {
+				t.Fatalf("row %d col %d after Shrink = %v, want %v", i, d, v, before.At(i, d))
+			}
+		}
+		if got := sm.ResidentBytes(); got > 2*stride {
+			t.Fatalf("after reading row %d: %d resident bytes, want at most two chunks (%d)", i, got, 2*stride)
+		}
+	}
+	if got := sm.MaxResidentBytes(); got != peak {
+		t.Errorf("MaxResidentBytes = %d after Shrink, want the high-water mark %d", got, peak)
+	}
+}
+
+// TestSpillShrinkKeepsPinnedChunk: a chunk still pinned when Shrink runs
+// stays resident, with its row written back and its view still valid;
+// Shrink drops only the unpinned slabs.
+func TestSpillShrinkKeepsPinnedChunk(t *testing.T) {
+	const cols = 1024 // 8 rows/chunk
+	stride := chunkStride(cols)
+	sm := newTestSpill(t, 64, cols, 4*stride)
+	for i := 0; i < 32; i++ { // chunks 0–3 resident
+		fillRow(sm.Row(i), i)
+	}
+	views := make([][]float64, 1)
+	pins, err := sm.PinViews([]int32{20}, views) // chunk 2
+	if err != nil {
+		t.Fatal(err)
+	}
+	views[0][0] = -7
+	if err := sm.Shrink(); err != nil {
+		t.Fatalf("Shrink: %v", err)
+	}
+	if got := sm.ResidentBytes(); got != stride {
+		t.Fatalf("ResidentBytes after Shrink with one pinned chunk = %d, want %d", got, stride)
+	}
+	if got := readRow(sm, 20)[0]; got != -7 || views[0][0] != -7 {
+		t.Fatalf("pinned row 20 after Shrink: read %v, view %v, want -7", got, views[0][0])
+	}
+	sm.Unpin(pins)
+	for i := 0; i < 64; i++ {
+		readRow(sm, i)
+		if got := sm.ResidentBytes(); got > 2*stride {
+			t.Fatalf("after reading row %d: %d resident bytes, want at most %d", i, got, 2*stride)
+		}
+	}
+	want := make([]float64, cols)
+	fillRow(want, 21)
+	if got := readRow(sm, 21); got[5] != want[5] || readRow(sm, 20)[0] != -7 {
+		t.Errorf("chunk 2 lost its rows across Shrink and eviction")
+	}
+}
+
+// TestSpillBudgetBytesRacesShrink: BudgetBytes reads the ceiling Shrink
+// lowers under the matrix's lock (run under -race).
+func TestSpillBudgetBytesRacesShrink(t *testing.T) {
+	const cols = 1024
+	sm := newTestSpill(t, 64, cols, 4*chunkStride(cols))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 0; k < 100; k++ {
+			if b := sm.BudgetBytes(); b < 2*chunkStride(cols) {
+				t.Errorf("BudgetBytes = %d, below the two-chunk floor", b)
+				return
+			}
+		}
+	}()
+	if err := sm.Shrink(); err != nil {
+		t.Error(err)
+	}
+	wg.Wait()
+}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"math"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"seprivgemb/internal/core"
 	"seprivgemb/internal/graph"
+	"seprivgemb/internal/mathx"
 	"seprivgemb/internal/proximity"
 	"seprivgemb/internal/xrand"
 )
@@ -260,5 +262,93 @@ func TestSlowJobSurvivesTTL(t *testing.T) {
 	j.Wait(context.Background())
 	if _, ok := s.JobByID(j.ID()); !ok {
 		t.Fatal("a job slower than the TTL expired at completion")
+	}
+}
+
+// TestKeptSpilledResultsHoldTwoChunks: a store-backed service keeps each
+// finished spilled job, and a canceled one's partial result, at the
+// two-chunk window of a shrunk spill matrix, and the rows it serves from
+// that window still hash to a dense retrain of the same spec.
+func TestKeptSpilledResultsHoldTwoChunks(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	s := New(Options{MaxWorkers: 1, ArtifactDir: t.TempDir()})
+	defer s.Close()
+	big := graph.BarabasiAlbert(2048, 2, xrand.New(9))
+	prox := proximity.NewDegree(big)
+	spilled := func(seed uint64, epochs int) core.Config {
+		cfg := testCfg()
+		cfg.Dim, cfg.K, cfg.BatchSize = 128, 2, 8
+		cfg.MaxEpochs, cfg.Seed = epochs, seed
+		cfg.MemoryBudget = cfg.MinMemoryBudget(big.NumNodes())
+		return cfg
+	}
+	window := int64(2) * int64(mathx.SpillChunkRows(128)) * 128 * 8
+	var kept []*Job
+	checkKept := func(after string) {
+		t.Helper()
+		for _, j := range kept {
+			res, err := j.Result()
+			if err != nil {
+				t.Fatalf("kept job %s: %v", j.ID(), err)
+			}
+			for name, m := range map[string]mathx.Mat{"Win": res.Model.Win, "Wout": res.Model.Wout} {
+				sm, ok := m.(*mathx.SpillMatrix)
+				if !ok {
+					t.Fatalf("job %s trained %s on the dense tier", j.ID(), name)
+				}
+				if got := sm.ResidentBytes(); got > window {
+					t.Errorf("after %s: job %s keeps %d resident bytes of %s, want at most two chunks (%d)",
+						after, j.ID(), got, name, window)
+				}
+			}
+		}
+	}
+	for k, cfg := range []core.Config{spilled(1, 3), spilled(2, 3), spilled(3, 100000), spilled(4, 3)} {
+		j, err := s.Submit(big, prox, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == 2 {
+			for {
+				if _, ok := j.Progress(); ok {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			j.Cancel()
+		}
+		res, err := j.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("job %d: %v", k, err)
+		}
+		if canceled := res.Stopped == core.StopCanceled; canceled != (k == 2) {
+			t.Fatalf("job %d stopped %v", k, res.Stopped)
+		}
+		kept = append(kept, j)
+		checkKept("job " + j.ID())
+		if k == 2 {
+			continue
+		}
+
+		dense := cfg
+		dense.MemoryBudget = 0
+		want, err := core.Train(big, prox, dense)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := mathx.NewFNV64()
+		for lo := 0; lo < big.NumNodes(); lo += 300 {
+			w, err := s.ResultRows(j.ID(), lo, min(lo+300, big.NumNodes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, x := range w.Rows.Data {
+				h.Word(math.Float64bits(x))
+			}
+		}
+		if got, want := h.Sum(), mathx.DigestMat(want.Model.Win); got != want {
+			t.Errorf("job %d: served rows hash to %016x, dense retrain to %016x", k, got, want)
+		}
+		checkKept("reading job " + j.ID())
 	}
 }

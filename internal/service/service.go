@@ -1069,7 +1069,9 @@ func (s *Service) trainOrFollow(ctx context.Context, j *Job, m methods.Method, g
 // results to the store before returning. It takes the digest of Win for
 // every finished training, with or without a store, so the read of a
 // spill tier that can no longer be read panics or fails here, under
-// run's recover, and not in publishTerminal.
+// run's recover, and not in publishTerminal. Last it shrinks a spilled
+// result, finished or canceled, to the two-chunk window the job table
+// keeps (DESIGN §15).
 func (s *Service) train(ctx context.Context, j *Job, m methods.Method, g *graph.Graph, prox proximity.Proximity, cfg core.Config) (*core.Result, error) {
 	s.trainings.Add(1)
 	res, err := m.Train(ctx, g, prox, cfg, core.Hooks{
@@ -1078,28 +1080,38 @@ func (s *Service) train(ctx context.Context, j *Job, m methods.Method, g *graph.
 			s.events.Publish(j.id, spec.JobEvent{Type: "epoch", Progress: spec.ProgressFrom(st)})
 		},
 	})
-	if err == nil && res.Stopped != core.StopCanceled {
+	if err != nil {
+		return res, err
+	}
+	done := res.Stopped != core.StopCanceled
+	var digest uint64
+	if done {
 		if s.afterTrain != nil {
 			s.afterTrain(res)
 		}
 		// The artifact header and the job share one digest of Win.
-		digest := mathx.DigestMat(res.Model.Win)
+		digest = mathx.DigestMat(res.Model.Win)
 		if s.store != nil {
 			// Best-effort persistence: a failed write degrades restart
 			// warmth, never the in-flight response.
 			_ = s.store.save(j.key, res, digest)
 		}
-		if serr := res.SpillErr(); serr != nil {
-			// The digest or the artifact write read a spill tier that
-			// failed after training (the store commits no artifact then):
-			// neither the digest nor the rows can be trusted, so the job
-			// fails and its spill files are freed now.
-			res.CloseSpill()
-			return nil, fmt.Errorf("core: spill tier: %w", serr)
-		}
+	}
+	// The job table keeps the result, done or canceled, so a spilled one
+	// gives its budget back now, after the digest and the artifact write
+	// have read its resident slabs. Shrink returns the spill tier's
+	// sticky error: a read by the digest or the artifact write (the store
+	// commits no artifact then) or the shrink's own write-back failed, so
+	// neither the digest nor the rows can be trusted, and the job fails
+	// with its spill files freed now.
+	if serr := res.Shrink(); serr != nil {
+		res.CloseSpill()
+		return nil, fmt.Errorf("core: spill tier: %w", serr)
+	}
+	if done {
 		j.seedHash(digest)
 	}
-	return res, err
+	return res, nil
 }
 
 // adopt loads j's persisted result from the store, seeding the job's

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"seprivgemb/internal/core"
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/mathx"
 	"seprivgemb/internal/proximity"
@@ -77,6 +78,108 @@ func TestSpillWriteFailureFailsJobNotService(t *testing.T) {
 	}
 	if _, err := next.Wait(context.Background()); err != nil || next.Status() != StatusDone {
 		t.Fatalf("job after the spill failure: status %v, err %v", next.Status(), err)
+	}
+}
+
+// TestShrinkWriteFailureKeepsSlabs: when the write-back of Shrink fails,
+// it returns the *mathx.SpillError and drops no slab, so no row that
+// only the slabs still hold is lost to the failed flush.
+func TestShrinkWriteFailureKeepsSlabs(t *testing.T) {
+	dir := t.TempDir()
+	if real, err := filepath.EvalSymlinks(dir); err == nil {
+		dir = real
+	}
+	const cols = 1024 // 8 rows/chunk
+	sm, err := mathx.NewSpillMatrix(64, cols, 4*mathx.SpillChunkBytes, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sm.Close()
+	for i := 0; i < 32; i++ { // four dirty resident chunks
+		sm.Row(i)[0] = float64(i)
+	}
+	resident, budget := sm.ResidentBytes(), sm.BudgetBytes()
+	if n := makeSpillFilesReadOnly(t, dir); n != 1 {
+		t.Fatalf("found %d spill files, want 1", n)
+	}
+	var se *mathx.SpillError
+	if err := sm.Shrink(); !errors.As(err, &se) || se.Op != "write" {
+		t.Fatalf("Shrink over a read-only spill file = %v, want a *mathx.SpillError on write", err)
+	}
+	if got := sm.ResidentBytes(); got != resident {
+		t.Errorf("failed Shrink left %d resident bytes, want all %d", got, resident)
+	}
+	if got := sm.BudgetBytes(); got != budget {
+		t.Errorf("failed Shrink lowered the ceiling to %d, want %d", got, budget)
+	}
+}
+
+// TestShrinkWriteFailureFailsJobNotService: when the write-back of the
+// shrink that ends a spilled job fails, the job fails with the
+// *mathx.SpillError, no panic takes the process down, the job leaves no
+// spill file open, and the service goes on to train the next job.
+//
+// The fault is injected after training: Win is flushed, so the digest
+// streams it without a write, and both spill files are made read-only,
+// so only the shrink of Wout, whose last epoch left dirty rows, writes.
+func TestShrinkWriteFailureFailsJobNotService(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	if real, err := filepath.EvalSymlinks(dir); err == nil {
+		dir = real
+	}
+	s := New(Options{MaxWorkers: 1})
+	defer s.Close()
+	// The job waits in afterTrain while the test goroutine injects the
+	// fault.
+	trained, injected := make(chan *core.Result), make(chan struct{})
+	s.afterTrain = func(res *core.Result) {
+		trained <- res
+		<-injected
+	}
+
+	big := graph.BarabasiAlbert(2048, 2, xrand.New(9))
+	cfg := testCfg()
+	cfg.Dim, cfg.K, cfg.BatchSize = 128, 2, 8
+	cfg.MaxEpochs = 3
+	cfg.Private = false
+	cfg.MemoryBudget = cfg.MinMemoryBudget(big.NumNodes())
+	j, err := s.Submit(big, proximity.NewDegree(big), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := <-trained
+	err = res.Model.Win.(*mathx.SpillMatrix).Flush()
+	n := func() int {
+		defer close(injected) // also when the helper skips the test
+		return makeSpillFilesReadOnly(t, dir)
+	}()
+	if err != nil {
+		t.Fatalf("Flush Win: %v", err)
+	}
+	if n != 2 {
+		t.Fatalf("found %d spill files of the finished job, want Win's and Wout's", n)
+	}
+	_, err = j.Wait(context.Background())
+	var se *mathx.SpillError
+	if !errors.As(err, &se) || se.Op != "write" {
+		t.Fatalf("job whose shrink cannot write back: err = %v, want a *mathx.SpillError on write", err)
+	}
+	if j.Status() != StatusFailed {
+		t.Fatalf("status = %v, want failed", j.Status())
+	}
+	if n := makeSpillFilesReadOnly(t, dir); n != 0 {
+		t.Errorf("failed job left %d spill files open", n)
+	}
+
+	s.afterTrain = nil
+	g := testGraph()
+	next, err := s.Submit(g, proximity.NewDegree(g), testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := next.Wait(context.Background()); err != nil || next.Status() != StatusDone {
+		t.Fatalf("job after the shrink failure: status %v, err %v", next.Status(), err)
 	}
 }
 
