@@ -313,8 +313,10 @@ func TestSpillSharesFitBudget(t *testing.T) {
 
 // TestSpilledResultConcurrentRows: several goroutines read random row
 // windows of one spilled result, with digests of the whole embedding
-// racing them, under a budget small enough that the reads keep evicting
-// chunks and recycling their slabs. Every window is bit-equal to the
+// racing them, under a budget small enough that the digests keep
+// evicting chunks and recycling their slabs while each window copies
+// the rows it finds in them and reads the rest from the file. Every
+// window is bit-equal to the
 // dense run's rows and every digest to the dense digest. Run it under
 // -race (make race).
 func TestSpilledResultConcurrentRows(t *testing.T) {

@@ -280,11 +280,28 @@ func (r *Result) SpillErr() error {
 	return mathx.MatErr(r.Model.Wout)
 }
 
+// FlushSpill writes the dirty rows of a spilled result's Win and Wout
+// back to their spill files (mathx.SpillMatrix.Flush), so a later Shrink
+// does no I/O. It returns the first spill I/O error (a *mathx.SpillError).
+// No-op on the dense tier.
+func (r *Result) FlushSpill() error {
+	for _, m := range []mathx.Mat{r.Model.Win, r.Model.Wout} {
+		if sm, ok := m.(*mathx.SpillMatrix); ok {
+			if err := sm.Flush(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Shrink gives back the resident window of a spilled result that will
 // only be read from now on: each of Win and Wout writes its dirty rows
 // back and keeps at most two chunks resident (mathx.SpillMatrix.Shrink).
 // It returns the first spill I/O error (a *mathx.SpillError), after
-// which the result's rows cannot be trusted. No-op on the dense tier.
+// which the result's rows cannot be trusted; after a FlushSpill that
+// succeeded, with no row written since, it does no I/O and cannot fail.
+// No-op on the dense tier.
 func (r *Result) Shrink() error {
 	for _, m := range []mathx.Mat{r.Model.Win, r.Model.Wout} {
 		if sm, ok := m.(*mathx.SpillMatrix); ok {

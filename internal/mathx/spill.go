@@ -132,9 +132,10 @@ func (e *SpillError) Unwrap() error { return e.Err }
 // I/O is row-granular. A chunk becomes resident without I/O; each row in
 // it is read from the file only when first needed (a present bit) and
 // written back on eviction only if it was handed out mutably (a dirty
-// bit). Pin reads just the pinned rows; any other miss fills the chunk's
-// absent rows, so a streaming reader still does one pread per chunk. Runs
-// of consecutive rows coalesce into one pread or pwrite.
+// bit). Pin reads just the pinned rows; ReadRows reads a window's absent
+// rows into its copy without loading their chunks; any other miss fills
+// the chunk's absent rows, so a streaming reader still does one pread per
+// chunk. Runs of consecutive rows coalesce into one pread or pwrite.
 //
 // Concurrency: all methods are safe for concurrent use, but the Row
 // slices they return are views into resident slabs, which are recycled:
@@ -567,21 +568,53 @@ func (m *SpillMatrix) unpinLocked(chunks []int32) {
 	}
 }
 
-// ReadRows copies rows [lo, hi) into a fresh dense matrix. Unlike the
-// dense Matrix.RowRange view this is O(window) copy, not O(1) aliasing —
-// the price of the backing tier — but it is safe to hold indefinitely,
-// safe against concurrent readers, and never dirties rows. It returns the
-// matrix's sticky I/O error, if any, instead of a window.
+// ReadRows copies rows [lo, hi) into a fresh dense matrix under one
+// acquisition of the matrix's lock. Unlike the dense Matrix.RowRange view
+// this is O(window) copy, not O(1) aliasing — the price of the backing
+// tier — but it is safe to hold indefinitely and safe against concurrent
+// readers. A row present in a resident slab is copied from it; every
+// other row is read straight from the file into the window, one pread
+// per run of such rows (zeros, with no I/O, in a chunk never written
+// back), without making its chunk resident. So ReadRows loads, evicts and
+// dirties nothing: concurrent readers of different windows of a shrunk
+// result do not evict each other's chunks, and each reads only its own
+// rows. It returns the matrix's sticky I/O error, if any, instead of a
+// window.
 func (m *SpillMatrix) ReadRows(lo, hi int) (*Matrix, error) {
 	if lo < 0 || hi < lo || hi > m.rows {
 		panic(fmt.Sprintf("mathx: ReadRows(%d, %d) outside [0,%d]", lo, hi, m.rows))
 	}
 	out := NewMatrix(hi-lo, m.cols)
-	for i := lo; i < hi; i++ {
-		m.CopyRow(out.Row(i-lo), i)
+	window := func(a, b int) []float64 { return out.Data[(a-lo)*m.cols : (b-lo)*m.cols] }
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for c := lo / m.chunkRows; c*m.chunkRows < hi; c++ {
+		if m.closed {
+			panic("mathx: SpillMatrix used after Close")
+		}
+		clo, chi := m.rowRange(c)
+		a, b := max(lo, clo), min(hi, chi)
+		ch := &m.chunks[c]
+		if ch.data != nil { // a non-resident chunk has no present row
+			bitRuns(a, b, func(w int) uint64 { return m.present[w] }, func(x, y int) {
+				copy(window(x, y), m.rowsOf(c, x, y))
+			})
+		}
+		if !ch.written {
+			continue // its absent rows read as the window's zeros
+		}
+		bitRuns(a, b, func(w int) uint64 { return ^m.present[w] }, func(x, y int) {
+			buf := float64sAsBytes(window(x, y))
+			if _, err := m.file.ReadAt(buf, int64(x)*int64(m.cols)*8); err != nil {
+				m.fail("read", c, err)
+				return
+			}
+			m.stats.Reads++
+			m.stats.BytesRead += int64(len(buf))
+		})
 	}
-	if err := m.Err(); err != nil {
-		return nil, err
+	if m.err != nil {
+		return nil, m.err
 	}
 	return out, nil
 }
@@ -649,11 +682,15 @@ func (m *SpillMatrix) flushLocked() error {
 // read from now on, such as a finished result: it writes every dirty
 // resident row back and, only if that succeeds, drops every unpinned slab
 // and lowers the resident ceiling to the two-chunk floor NewSpillMatrix
-// enforces. Later reads stream through that two-chunk window;
-// MaxResidentBytes keeps its lifetime high-water mark. A pinned chunk
-// stays resident, as under all-pinned pressure, so a view a caller still
-// holds stays valid. On failure Shrink returns the sticky I/O error (a
-// *SpillError) and drops nothing. A second Shrink does nothing.
+// enforces. ReadRows reads around that window and never fills it; the
+// row-at-a-time readers (CopyRow and the helpers built on it, such as
+// Materialize and DigestMat) stream through it, which is enough for two
+// concurrent sequential sweeps. MaxResidentBytes keeps its lifetime
+// high-water mark. A pinned chunk stays resident, as under all-pinned
+// pressure, so a view a caller still holds stays valid. On failure Shrink
+// returns the sticky I/O error (a *SpillError) and drops nothing; after a
+// successful Flush with no row dirtied since, it does no I/O and cannot
+// fail. A second Shrink does nothing.
 func (m *SpillMatrix) Shrink() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

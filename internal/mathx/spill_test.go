@@ -542,8 +542,10 @@ func TestSpillReadErrorNeverShowsForeignRows(t *testing.T) {
 }
 
 // TestSpillConcurrentReadersUnderEviction: racing readers of an unpinned
-// spill matrix under a two-chunk budget — every read faults, evicts and
-// recycles a slab — each see exact rows.
+// spill matrix under a two-chunk budget each see exact rows. Every other
+// window is copied a row at a time (CopyRow, whose misses fault, evict
+// and recycle a slab), the rest with ReadRows, which reads around the
+// window while the CopyRow readers churn it.
 func TestSpillConcurrentReadersUnderEviction(t *testing.T) {
 	const rows, cols = 512, 256 // 32 rows/chunk, 16 chunks
 	sm := newTestSpill(t, rows, cols, 2*chunkStride(cols))
@@ -560,10 +562,17 @@ func TestSpillConcurrentReadersUnderEviction(t *testing.T) {
 			for k := 0; k < 200; k++ {
 				lo := (seed*7919 + k*104729) % rows
 				hi := min(lo+1+k%40, rows)
-				w, err := sm.ReadRows(lo, hi)
-				if err != nil {
-					errs <- err
-					return
+				w := NewMatrix(hi-lo, cols)
+				if k%2 == 0 {
+					var err error
+					if w, err = sm.ReadRows(lo, hi); err != nil {
+						errs <- err
+						return
+					}
+				} else {
+					for i := lo; i < hi; i++ {
+						sm.CopyRow(w.Row(i-lo), i)
+					}
 				}
 				for i := lo; i < hi; i++ {
 					fillRow(want, i)
@@ -628,8 +637,63 @@ func TestSpillShrink(t *testing.T) {
 			t.Fatalf("after reading row %d: %d resident bytes, want at most two chunks (%d)", i, got, 2*stride)
 		}
 	}
+	if got := sm.ResidentBytes(); got != 0 {
+		t.Errorf("ReadRows sweep left %d resident bytes, want 0", got)
+	}
+	for i := 0; i < rows; i++ {
+		if got := readRow(sm, i); !slices.Equal(got, before.Row(i)) {
+			t.Fatalf("CopyRow of row %d after Shrink differs from before", i)
+		}
+		if got := sm.ResidentBytes(); got > 2*stride {
+			t.Fatalf("after copying row %d: %d resident bytes, want at most two chunks (%d)", i, got, 2*stride)
+		}
+	}
 	if got := sm.MaxResidentBytes(); got != peak {
 		t.Errorf("MaxResidentBytes = %d after Shrink, want the high-water mark %d", got, peak)
+	}
+}
+
+// TestSpillReadRowsLeavesResidencyAlone: ReadRows copies present rows
+// from their slabs, dirty ones included, and reads every other row of a
+// written chunk straight from the file, one pread per run in a chunk; it
+// loads, evicts and writes nothing, and a chunk never written back reads
+// as zeros with no I/O.
+func TestSpillReadRowsLeavesResidencyAlone(t *testing.T) {
+	const rows, cols = 72, 1024 // 8 rows/chunk, 9 chunks
+	sm := newTestSpill(t, rows, cols, 4*chunkStride(cols))
+	for i := 0; i < 64; i++ { // chunks 0–3 written back, 4–7 resident and dirty
+		fillRow(sm.Row(i), i)
+	}
+	sm.Unpin(mustPin(t, sm, []int32{10})) // evicts chunk 4; chunk 1 holds only row 10
+	resident, before := sm.ResidentBytes(), sm.Stats()
+	w, err := sm.ReadRows(0, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, cols)
+	for i := 0; i < rows; i++ {
+		clear(want)
+		if i < 64 {
+			fillRow(want, i)
+		}
+		if !slices.Equal(w.Row(i), want) {
+			t.Fatalf("row %d = %v..., want %v...", i, w.Row(i)[0], want[0])
+		}
+	}
+	if got := sm.ResidentBytes(); got != resident {
+		t.Errorf("ReadRows moved the resident bytes from %d to %d", resident, got)
+	}
+	// Chunks 0, 2, 3 and 4 whole (one pread each) and chunk 1's rows 8–9
+	// and 11–15 (two preads): 39 rows; chunks 5–7 come from their slabs.
+	got := sm.Stats()
+	if n := got.Reads - before.Reads; n != 6 {
+		t.Errorf("ReadRows issued %d preads, want 6", n)
+	}
+	if n := got.BytesRead - before.BytesRead; n != 39*cols*8 {
+		t.Errorf("ReadRows read %d bytes, want %d", n, 39*cols*8)
+	}
+	if got.Writes != before.Writes || got.Evictions != before.Evictions {
+		t.Errorf("ReadRows wrote or evicted: stats %+v, before %+v", got, before)
 	}
 }
 

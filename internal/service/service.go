@@ -196,8 +196,9 @@ type Service struct {
 	// beforeAcquire, when set, runs in trainOrFollow between the store
 	// check and the lease Acquire (tests land a peer's artifact there).
 	beforeAcquire func(*Job)
-	// afterTrain, when set, runs in train on each finished result before
-	// its digest is taken (tests break the result's spill tier there).
+	// afterTrain, when set, runs in train on each trained result, done or
+	// canceled, before its write-back and digest (tests break the
+	// result's spill tier there).
 	afterTrain func(*core.Result)
 
 	// trainings counts actual Method.Train invocations — NOT submissions, dedup
@@ -997,7 +998,9 @@ func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximit
 	case err != nil:
 		// Includes a cancel while following a peer's lease: like a queued
 		// cancel, no training of ours happened, so the error is ctx.Err()
-		// and there is no partial result.
+		// and there is no partial result. Also a canceled run whose spill
+		// write-back then failed (train): the error is the spill tier's,
+		// and res holds the resumable Checkpoint with no Model.
 		if ctx.Err() != nil {
 			j.status.Store(int32(StatusCanceled))
 		} else {
@@ -1069,9 +1072,11 @@ func (s *Service) trainOrFollow(ctx context.Context, j *Job, m methods.Method, g
 // results to the store before returning. It takes the digest of Win for
 // every finished training, with or without a store, so the read of a
 // spill tier that can no longer be read panics or fails here, under
-// run's recover, and not in publishTerminal. Last it shrinks a spilled
-// result, finished or canceled, to the two-chunk window the job table
-// keeps (DESIGN §15).
+// run's recover, and not in publishTerminal. A spilled result, finished
+// or canceled, is shrunk to the two-chunk window the job table keeps
+// (DESIGN §15): its dirty rows are written back first, then the digest
+// and the artifact write read its resident slabs, and last the shrink
+// drops them with no I/O.
 func (s *Service) train(ctx context.Context, j *Job, m methods.Method, g *graph.Graph, prox proximity.Proximity, cfg core.Config) (*core.Result, error) {
 	s.trainings.Add(1)
 	res, err := m.Train(ctx, g, prox, cfg, core.Hooks{
@@ -1083,12 +1088,15 @@ func (s *Service) train(ctx context.Context, j *Job, m methods.Method, g *graph.
 	if err != nil {
 		return res, err
 	}
+	if s.afterTrain != nil {
+		s.afterTrain(res)
+	}
 	done := res.Stopped != core.StopCanceled
+	// The write-back comes before anything is published, so a failed one
+	// fails the job before its digest is taken or its artifact written.
+	flushed := res.FlushSpill() == nil
 	var digest uint64
-	if done {
-		if s.afterTrain != nil {
-			s.afterTrain(res)
-		}
+	if done && flushed {
 		// The artifact header and the job share one digest of Win.
 		digest = mathx.DigestMat(res.Model.Win)
 		if s.store != nil {
@@ -1097,16 +1105,22 @@ func (s *Service) train(ctx context.Context, j *Job, m methods.Method, g *graph.
 			_ = s.store.save(j.key, res, digest)
 		}
 	}
-	// The job table keeps the result, done or canceled, so a spilled one
-	// gives its budget back now, after the digest and the artifact write
-	// have read its resident slabs. Shrink returns the spill tier's
-	// sticky error: a read by the digest or the artifact write (the store
-	// commits no artifact then) or the shrink's own write-back failed, so
-	// neither the digest nor the rows can be trusted, and the job fails
-	// with its spill files freed now.
+	// Shrink returns the spill tier's sticky error: the write-back above
+	// failed, or a read by the digest or the artifact write did (the
+	// store commits no artifact then). Neither the rows nor a digest can
+	// be trusted, so the job fails with its spill files freed now. A
+	// canceled job keeps its Checkpoint, a dense copy taken before the
+	// write-back, so it stays resumable; its Model is dropped. Otherwise
+	// every row is clean and the shrink only drops slabs.
 	if serr := res.Shrink(); serr != nil {
 		res.CloseSpill()
-		return nil, fmt.Errorf("core: spill tier: %w", serr)
+		err := fmt.Errorf("core: spill tier: %w", serr)
+		if done {
+			return nil, err
+		}
+		partial := *res
+		partial.Model = nil
+		return &partial, err
 	}
 	if done {
 		j.seedHash(digest)

@@ -114,29 +114,24 @@ func TestShrinkWriteFailureKeepsSlabs(t *testing.T) {
 	}
 }
 
-// TestShrinkWriteFailureFailsJobNotService: when the write-back of the
-// shrink that ends a spilled job fails, the job fails with the
-// *mathx.SpillError, no panic takes the process down, the job leaves no
-// spill file open, and the service goes on to train the next job.
+// TestShrinkWriteFailureFailsJobNotService: when the write-back that
+// precedes the shrink of a finished spilled job fails, the job fails
+// with the *mathx.SpillError before its digest is taken (Win is read no
+// further) or its artifact written, no panic takes the process down, the
+// job leaves no spill file open, and the service goes on to train the
+// next job.
 //
-// The fault is injected after training: Win is flushed, so the digest
-// streams it without a write, and both spill files are made read-only,
-// so only the shrink of Wout, whose last epoch left dirty rows, writes.
+// The fault is injected after training, before the write-back: both
+// spill files are made read-only while the last epoch's rows are dirty.
 func TestShrinkWriteFailureFailsJobNotService(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv("TMPDIR", dir)
 	if real, err := filepath.EvalSymlinks(dir); err == nil {
 		dir = real
 	}
-	s := New(Options{MaxWorkers: 1})
+	s := New(Options{MaxWorkers: 1, ArtifactDir: t.TempDir()})
 	defer s.Close()
-	// The job waits in afterTrain while the test goroutine injects the
-	// fault.
-	trained, injected := make(chan *core.Result), make(chan struct{})
-	s.afterTrain = func(res *core.Result) {
-		trained <- res
-		<-injected
-	}
+	inject := holdAfterTrain(t, s, dir)
 
 	big := graph.BarabasiAlbert(2048, 2, xrand.New(9))
 	cfg := testCfg()
@@ -148,28 +143,28 @@ func TestShrinkWriteFailureFailsJobNotService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := <-trained
-	err = res.Model.Win.(*mathx.SpillMatrix).Flush()
-	n := func() int {
-		defer close(injected) // also when the helper skips the test
-		return makeSpillFilesReadOnly(t, dir)
-	}()
-	if err != nil {
-		t.Fatalf("Flush Win: %v", err)
-	}
+	res, n := inject()
 	if n != 2 {
 		t.Fatalf("found %d spill files of the finished job, want Win's and Wout's", n)
 	}
+	win := res.Model.Win.(*mathx.SpillMatrix)
+	reads := win.Stats().Reads // the write-back reads nothing
 	_, err = j.Wait(context.Background())
 	var se *mathx.SpillError
 	if !errors.As(err, &se) || se.Op != "write" {
-		t.Fatalf("job whose shrink cannot write back: err = %v, want a *mathx.SpillError on write", err)
+		t.Fatalf("job whose write-back fails: err = %v, want a *mathx.SpillError on write", err)
+	}
+	if got := win.Stats().Reads; got != reads {
+		t.Errorf("Win was read %d more times after its write-back failed, want no digest", got-reads)
 	}
 	if j.Status() != StatusFailed {
 		t.Fatalf("status = %v, want failed", j.Status())
 	}
 	if n := makeSpillFilesReadOnly(t, dir); n != 0 {
 		t.Errorf("failed job left %d spill files open", n)
+	}
+	if _, _, ok := s.store.load(j.key); ok {
+		t.Error("failed job committed an artifact")
 	}
 
 	s.afterTrain = nil
@@ -179,7 +174,93 @@ func TestShrinkWriteFailureFailsJobNotService(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := next.Wait(context.Background()); err != nil || next.Status() != StatusDone {
-		t.Fatalf("job after the shrink failure: status %v, err %v", next.Status(), err)
+		t.Fatalf("job after the write-back failure: status %v, err %v", next.Status(), err)
+	}
+}
+
+// TestShrinkWriteFailureKeepsCanceledCheckpoint: a canceled spilled job
+// whose write-back fails ends canceled with the *mathx.SpillError and
+// its spill files closed, and still hands back the resumable Checkpoint
+// of its partial result, without a Model; no row or hash is served.
+func TestShrinkWriteFailureKeepsCanceledCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	if real, err := filepath.EvalSymlinks(dir); err == nil {
+		dir = real
+	}
+	s := New(Options{MaxWorkers: 1})
+	defer s.Close()
+	inject := holdAfterTrain(t, s, dir)
+
+	big := graph.BarabasiAlbert(2048, 2, xrand.New(9))
+	cfg := testCfg()
+	cfg.Dim, cfg.K, cfg.BatchSize = 128, 2, 8
+	cfg.MaxEpochs = 100000
+	cfg.Private = false
+	cfg.MemoryBudget = cfg.MinMemoryBudget(big.NumNodes())
+	j, err := s.Submit(big, proximity.NewDegree(big), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, ok := j.Progress(); ok {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	j.Cancel()
+	if _, n := inject(); n != 2 {
+		t.Fatalf("found %d spill files of the canceled job, want Win's and Wout's", n)
+	}
+	res, err := j.Wait(context.Background())
+	var se *mathx.SpillError
+	if !errors.As(err, &se) || se.Op != "write" {
+		t.Fatalf("canceled job whose write-back fails: err = %v, want a *mathx.SpillError on write", err)
+	}
+	if j.Status() != StatusCanceled {
+		t.Fatalf("status = %v, want canceled", j.Status())
+	}
+	if res == nil || res.Model != nil || res.Stopped != core.StopCanceled {
+		t.Fatalf("result = %+v, want the canceled partial result without a Model", res)
+	}
+	if cp := res.Checkpoint; cp == nil || cp.Epoch != res.Epochs || len(cp.Win) != big.NumNodes()*cfg.Dim {
+		t.Fatalf("checkpoint of the canceled job = %+v, want one at epoch %d", cp, res.Epochs)
+	}
+	if n := makeSpillFilesReadOnly(t, dir); n != 0 {
+		t.Errorf("canceled job left %d spill files open", n)
+	}
+	if _, err := s.ResultRows(j.ID(), 0, 1); err == nil {
+		t.Error("rows served from a canceled job whose write-back failed")
+	}
+	if _, ok := j.EmbeddingHash(); ok {
+		t.Error("canceled job whose write-back failed reports an embedding hash")
+	}
+
+	s.afterTrain = nil
+	g := testGraph()
+	next, err := s.Submit(g, proximity.NewDegree(g), testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := next.Wait(context.Background()); err != nil || next.Status() != StatusDone {
+		t.Fatalf("job after the write-back failure: status %v, err %v", next.Status(), err)
+	}
+}
+
+// holdAfterTrain holds s's next trained result in afterTrain, before its
+// write-back, until the returned function has made every spill file
+// under dir read-only; that function returns the result and how many
+// files it changed.
+func holdAfterTrain(t *testing.T, s *Service, dir string) func() (*core.Result, int) {
+	trained, injected := make(chan *core.Result), make(chan struct{})
+	s.afterTrain = func(res *core.Result) {
+		trained <- res
+		<-injected
+	}
+	return func() (*core.Result, int) {
+		res := <-trained
+		defer close(injected) // also when the helper skips the test
+		return res, makeSpillFilesReadOnly(t, dir)
 	}
 }
 
