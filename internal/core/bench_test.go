@@ -19,10 +19,12 @@ import (
 // gradients grouped over random touched rows. Sub-benchmarks are
 // strategy × worker count; the matrices are bit-identical across worker
 // counts (the stage's determinism contract), so sub-benchmarks differ in
-// wall-clock and per-worker CPU split only. Allocations stay at one
-// closure per matrix at every worker count: the replay scratch is one row
-// per worker and the noise is drawn inside the apply loop. Speedups
-// manifest on multi-core hosts; `make bench-json` records the trajectory.
+// wall-clock and per-worker CPU split only. The serial path allocates one
+// closure per matrix; above one worker each matrix's panicx.Blocks call
+// adds its goroutines, cursor and wait group (12 allocations per op at
+// two workers). Nothing else allocates: the replay scratch is one row per
+// worker and the noise is drawn inside the apply loop. Speedups manifest
+// on multi-core hosts; `make bench-json` records the trajectory.
 func BenchmarkApplyUpdate(b *testing.B) {
 	const numNodes = 4096
 	strategies := []struct {
@@ -41,7 +43,6 @@ func BenchmarkApplyUpdate(b *testing.B) {
 				rng := xrand.New(7)
 				model := skipgram.New(numNodes, cfg.Dim, rng)
 				eng := newEngine(model, nil, nil, cfg, xrand.NewStream(1))
-				defer eng.close()
 				for i := range eng.slots {
 					sl := &eng.slots[i]
 					in := int32(rng.Intn(numNodes))

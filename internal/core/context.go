@@ -277,7 +277,6 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 	}
 
 	eng := newEngine(model, subs, weights, cfg, noise)
-	defer eng.close()
 	// A panic ends the run with no result to hand back, so its spill files
 	// are closed on the way out rather than left to a finalizer — a
 	// process that recovers the panic (the service) outlives them.
@@ -351,7 +350,7 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 		stageClock = now
 
 		// ...and lines 6–7 replay, perturb and apply each row's summed
-		// gradient, sharded across the pool by row owner with
+		// gradient, in blocks of rows across the pool, with
 		// index-addressed noise.
 		eng.update(epoch)
 		eng.unpinEpoch()

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"seprivgemb/internal/mathx"
 	"seprivgemb/internal/panicx"
@@ -15,7 +13,7 @@ import (
 
 // This file implements the deterministic parallel engine behind Train.
 // Each epoch of Algorithm 2 splits into three stages; the gradient and
-// update stages run on one persistent worker pool:
+// update stages run on panicx.Blocks, the module's one fork-join pool:
 //
 //  0. Views (inside the Stages.Gradients clock): list the rows the
 //     batch touches and resolve each into a []float64 view, once per
@@ -35,7 +33,7 @@ import (
 //     gradient float moves here.
 //  3. Update stage: per touched row, replay its contributions into one
 //     per-worker r-float scratch in batch order, then perturb and apply
-//     it, sharded across the pool by row owner, with noise addressed by
+//     it, in blocks of rows across the pool, with noise addressed by
 //     (epoch, matrix, row, coordinate) on a counter-based stream (xrand
 //     contract pattern 3) — see applyUpdate. Wout goes first: its
 //     replay reads the pre-update Win rows v_I.
@@ -45,28 +43,31 @@ import (
 // path bit for bit. Floating-point addition is not associative, so naive
 // per-shard partial sums would change with the shard layout; instead each
 // worker writes its examples' gradients into a pre-indexed slot (one per
-// batch position), and every row's sum is replayed by the one worker that
-// owns the row, over its contributions in batch order — exactly the order
-// the serial loop accumulates in. The serial path uses the same slots,
-// groups and replay (workers <= 1 just runs every loop inline), so there
-// is exactly one numerical path.
+// batch position), and every row's sum is replayed inside one task, over
+// its contributions in batch order — exactly the order the serial loop
+// accumulates in. The serial path uses the same slots, groups and replay
+// (workers <= 1 just runs every loop inline), so there is exactly one
+// numerical path.
 //
 // The update stage needs no cross-worker reduction at all: a row's
 // contributions are read-only slots, noise is a pure function of its
 // (epoch, matrix, row, coordinate) index, rows are disjoint write
-// targets, and each row's arithmetic is confined to one worker, so the
-// shard layout cannot move a single floating-point operation.
+// targets, and each row's arithmetic is confined to one task, so which
+// goroutine runs which block cannot move a single floating-point
+// operation.
 //
 // Synchronization: slots (stage 1) and rows (stage 3) are disjoint per
-// work item, so workers never share a write target. The jobs channel send
-// happens-before the worker's reads, and wg.Wait happens-after its
-// writes, so consecutive stages are properly ordered without locks. A
-// worker's panic is recovered on the worker, with the worker's stack, and
-// re-raised by dispatch once every span of the stage has finished.
+// work item, so workers never share a write target, and Blocks returns
+// only after every block has run, which orders each stage before the
+// next without locks. A panic in a block reaches the Train goroutine as
+// a *panicx.Error carrying the pool goroutine's stack.
 
-// span is a half-open range [lo, hi) of work positions handed to one
-// worker as a unit.
-type span struct{ lo, hi int }
+// Work-grant sizes of the engine's Blocks loops: batch positions per
+// gradient-stage grant, rows per update-stage grant.
+const (
+	gradBlock = 16
+	rowBlock  = 32
+)
 
 // slot holds the gradient stage's output for one batch position: the
 // example's loss, its UNSCALED gradients in rank-1 form, and the Eq. (3)
@@ -96,13 +97,12 @@ func noiseKey(epoch int, matrix uint64, row int) uint64 {
 }
 
 // engine runs the per-epoch stages of Algorithm 2, serially for
-// workers <= 1 and over a persistent goroutine pool otherwise.
+// Workers <= 1 and on panicx.Blocks otherwise.
 type engine struct {
 	model   *skipgram.Model
 	subs    []Subgraph
 	weights []float64
 	cfg     Config
-	workers int
 	// noise is the run's counter-based noise stream (private runs only);
 	// the zero Stream for non-private runs, which never read it.
 	noise xrand.Stream
@@ -127,31 +127,12 @@ type engine struct {
 	// rows alias one slab row.
 	inViews, outViews [][]float64
 
-	// Worker pool (workers > 1): one channel per worker, so a span routed
-	// to index w always runs on goroutine w — the mechanism behind the
-	// update stage's row ownership (see forOwnerSegments). Tasks receive
-	// w, so per-worker scratch needs no locking.
-	task func(w, lo, hi int)
-	jobs []chan span
-	wg   sync.WaitGroup
-	// panicked holds the first panic a worker recovered from during the
-	// current dispatch, which re-raises it on the Train goroutine.
-	panicked atomic.Pointer[panicx.Error]
-
 	// grad holds one r-float row-gradient scratch per worker for the
-	// update stage's replay, and zero is the all-zero gradient row of an
-	// untouched row under StrategyNaive.
+	// update stage's replay, indexed by the worker index Blocks passes,
+	// and zero is the all-zero gradient row of an untouched row under
+	// StrategyNaive.
 	grad [][]float64
 	zero []float64
-
-	// owned is the fixed row-ownership partition of the update stage:
-	// worker w owns the contiguous model row range owned[w] for the life
-	// of the run, so every write to a given weight row happens on one
-	// goroutine. ownedRows caches the row count it was built for.
-	owned     []span
-	ownedRows int
-	// seg is forOwnerSegments' reusable per-owner segment buffer.
-	seg []span
 
 	// Spill tier (Config.MemoryBudget): when the model's matrices are
 	// *mathx.SpillMatrix, each epoch pins the chunks covering its touched
@@ -161,30 +142,16 @@ type engine struct {
 	pinsIn, pinsOut     []int32
 }
 
-// newEngine builds the engine for one Train call. For workers > 1 it
-// pre-sizes one slot per batch position and starts the worker pool; close
-// must be called to release the goroutines. model may be nil when the
-// engine is used for the update stage only (tests, benchmarks).
+// newEngine builds the engine for one Train call, pre-sizing one slot
+// per batch position and one replay scratch per worker. model may be nil
+// when the engine is used for the update stage only (tests, benchmarks).
 func newEngine(model *skipgram.Model, subs []Subgraph, weights []float64, cfg Config, noise xrand.Stream) *engine {
 	e := &engine{
 		model:   model,
 		subs:    subs,
 		weights: weights,
 		cfg:     cfg,
-		workers: cfg.Workers,
 		noise:   noise,
-	}
-	// Cap the pool at the widest stage it can ever serve: the gradient
-	// stage offers at most BatchSize positions, but StrategyNaive's update
-	// shards all |V| rows of the model, which can far exceed B. Goroutines
-	// beyond the per-dispatch span count just block on the channel, so the
-	// clamp only avoids spawning goroutines NO stage could use.
-	maxShard := cfg.BatchSize
-	if model != nil && model.Win.NumRows() > maxShard {
-		maxShard = model.Win.NumRows()
-	}
-	if e.workers > maxShard {
-		e.workers = maxShard
 	}
 	e.slots = make([]slot, cfg.BatchSize)
 	for i := range e.slots {
@@ -196,135 +163,12 @@ func newEngine(model *skipgram.Model, subs []Subgraph, weights []float64, cfg Co
 			e.woutSpill, _ = model.Wout.(*mathx.SpillMatrix)
 		}
 	}
-	e.grad = make([][]float64, max(e.workers, 1))
+	e.grad = make([][]float64, max(cfg.Workers, 1))
 	for w := range e.grad {
 		e.grad[w] = make([]float64, cfg.Dim)
 	}
 	e.zero = make([]float64, cfg.Dim)
-	if e.workers > 1 {
-		e.jobs = make([]chan span, e.workers)
-		for w := 0; w < e.workers; w++ {
-			e.jobs[w] = make(chan span)
-			go e.workerLoop(w)
-		}
-	}
 	return e
-}
-
-// close shuts down the worker pool. It is a no-op for serial engines.
-func (e *engine) close() {
-	for _, ch := range e.jobs {
-		close(ch)
-	}
-}
-
-// workerLoop drains worker w's span channel, running the engine's current
-// task on each.
-func (e *engine) workerLoop(w int) {
-	for sp := range e.jobs[w] {
-		e.runSpan(w, sp)
-	}
-}
-
-// runSpan runs the current task on one span and marks it done. A panic in
-// the task is recovered, with this worker's stack, and kept for dispatch:
-// left alone, a panic on a pool goroutine ends the process, while
-// re-raised on the Train goroutine it reaches whoever called Train — the
-// service fails that one job.
-func (e *engine) runSpan(w int, sp span) {
-	defer e.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			e.panicked.CompareAndSwap(nil, panicx.Recovered(r))
-		}
-	}()
-	e.task(w, sp.lo, sp.hi)
-}
-
-// dispatch runs task over the given spans, routing spans[i] to worker i —
-// inline and in order when serial. Dispatch is always from the single
-// Train goroutine, so installing e.task before the sends is race-free (the
-// channel send happens-before the worker's read).
-func (e *engine) dispatch(spans []span, task func(w, lo, hi int)) {
-	if len(spans) == 0 {
-		return
-	}
-	if e.jobs == nil || len(spans) == 1 {
-		for w, sp := range spans {
-			task(w, sp.lo, sp.hi)
-		}
-		return
-	}
-	e.task = task
-	e.wg.Add(len(spans))
-	for w, sp := range spans {
-		e.jobs[w] <- sp
-	}
-	e.wg.Wait()
-	e.task = nil
-	if p := e.panicked.Swap(nil); p != nil {
-		panic(p)
-	}
-}
-
-// forSpans runs task over [0, n) — inline when serial, sharded into
-// near-equal contiguous spans across the pool otherwise.
-func (e *engine) forSpans(n int, task func(w, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if e.jobs == nil || e.workers <= 1 || n == 1 {
-		task(0, 0, n)
-		return
-	}
-	e.dispatch(splitSpans(n, e.workers), task)
-}
-
-// ownership returns the fixed row-ownership partition for an nRows-row
-// matrix: worker w owns the contiguous range ownership[w]. The partition
-// is the same near-equal splitSpans layout the stages shard by, computed
-// once and cached, so a row's owner never changes over the run.
-func (e *engine) ownership(nRows int) []span {
-	if e.owned == nil || e.ownedRows != nRows {
-		w := e.workers
-		if w < 1 {
-			w = 1 // serial engines own everything on the train goroutine
-		}
-		e.owned = splitSpans(nRows, w)
-		e.ownedRows = nRows
-	}
-	return e.owned
-}
-
-// forOwnerSegments shards the sorted touched-row list by the row-ownership
-// map: worker w receives exactly the slice of rows falling in its owned
-// range, so every weight row is written by one fixed goroutine for the
-// whole run (stable cache/NUMA placement), not by whichever worker the
-// epoch's touched-row count happened to assign it to. The owner reads a
-// row's contributions from the slots, which the gradient stage finished
-// before this dispatch, and replays them in batch order, so ownership
-// moves no arithmetic and the result stays bit-identical to any other
-// layout (disjoint rows, index-addressed noise).
-func (e *engine) forOwnerSegments(rows []int32, nRows int, task func(w, lo, hi int)) {
-	if len(rows) == 0 {
-		return
-	}
-	if e.jobs == nil || e.workers <= 1 {
-		task(0, 0, len(rows))
-		return
-	}
-	owned := e.ownership(nRows)
-	e.seg = e.seg[:0]
-	lo := 0
-	for _, own := range owned {
-		hi := lo
-		for hi < len(rows) && int(rows[hi]) < own.hi {
-			hi++
-		}
-		e.seg = append(e.seg, span{lo, hi}) // may be empty; keeps index == worker
-		lo = hi
-	}
-	e.dispatch(e.seg, task)
 }
 
 // computeSub fills slot i with the loss, unscaled gradients and clip
@@ -359,11 +203,12 @@ func (e *engine) computeSub(i int) {
 }
 
 // computeStage runs the gradient stage for the epoch's sampled indices,
-// filling one slot per batch position (inline when serial, sharded across
-// the pool otherwise), and returns the batch loss summed in batch order.
+// filling one slot per batch position (inline when serial, in blocks of
+// positions across the pool otherwise), and returns the batch loss summed
+// in batch order.
 func (e *engine) computeStage(idx []int) float64 {
 	e.idx = idx
-	e.forSpans(len(idx), func(_, lo, hi int) {
+	panicx.Blocks(len(idx), e.cfg.Workers, gradBlock, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e.computeSub(i)
 		}
@@ -392,12 +237,10 @@ func (e *engine) touchRows(idx []int) error {
 }
 
 // groupStage groups the epoch's contributions by touched row (the
-// Stages.Reduce clock). Rows are sorted only when a pool will shard them
-// by owner; the serial update walks them in first-touch order.
+// Stages.Reduce clock).
 func (e *engine) groupStage(nRows int) {
-	sorted := e.jobs != nil
-	e.groupIn.build(e.inRows, nRows, sorted)
-	e.groupOut.build(e.outRows, nRows, sorted)
+	e.groupIn.build(e.inRows, nRows)
+	e.groupOut.build(e.outRows, nRows)
 }
 
 // rowGrad replays one touched row's contributions (group positions into
@@ -430,10 +273,10 @@ func (e *engine) rowGrad(dst []float64, matrix uint64, contribs []int32) {
 
 // applyUpdate replays, perturbs and applies the batch gradient of one
 // matrix per the configured strategy — W -= η·(Σ clipped grads + noise),
-// Eq. (6)/(9) — sharding rows across the worker pool by owner. Each
-// touched row's gradient is summed by rowGrad into the owning worker's
-// scratch and applied in the same task, so no |touched|×r accumulator
-// exists. update orders the two matrices.
+// Eq. (6)/(9) — in blocks of rows across the pool. Each touched row's
+// gradient is summed by rowGrad into the running worker's scratch and
+// applied in the same task, so no |touched|×r accumulator exists. update
+// orders the two matrices.
 //
 // Each touched row is written through the epoch's view at its first
 // contribution (inViews for Win, outViews for Wout), never through
@@ -462,13 +305,12 @@ func (e *engine) rowGrad(dst []float64, matrix uint64, contribs []int32) {
 func (e *engine) applyUpdate(w mathx.Mat, grp *rowGroups, epoch int, matrix uint64) {
 	cfg := &e.cfg
 	lr := cfg.LearningRate
-	nRows := w.NumRows()
 	if cfg.Private && cfg.Strategy == StrategyNaive {
 		// Eq. (6): noise at the worst-case sensitivity S_∇v = B·C lands on
 		// every row of the |V|×r gradient, touched or not.
 		dense := w.(*mathx.Matrix)
 		sd := float64(cfg.BatchSize) * cfg.Clip * cfg.Sigma
-		e.dispatch(e.ownership(nRows), func(wk, lo, hi int) {
+		panicx.Blocks(w.NumRows(), cfg.Workers, rowBlock, func(wk, lo, hi int) {
 			for r := lo; r < hi; r++ {
 				g := e.zero
 				if contribs := grp.of(int32(r)); contribs != nil {
@@ -491,7 +333,7 @@ func (e *engine) applyUpdate(w mathx.Mat, grp *rowGroups, epoch int, matrix uint
 	if matrix == matWout {
 		views = e.outViews
 	}
-	e.forOwnerSegments(grp.rows, nRows, func(wk, lo, hi int) {
+	panicx.Blocks(len(grp.rows), cfg.Workers, rowBlock, func(wk, lo, hi int) {
 		g := e.grad[wk]
 		for n := lo; n < hi; n++ {
 			contribs := grp.group(n)
@@ -566,27 +408,4 @@ func (e *engine) unpinEpoch() {
 // resize returns views with length n, reusing its backing array.
 func resize(views [][]float64, n int) [][]float64 {
 	return slices.Grow(views[:0], n)[:n]
-}
-
-// splitSpans cuts [0, n) into at most w contiguous non-empty spans of
-// near-equal size (the first n%w spans are one longer).
-func splitSpans(n, w int) []span {
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		return nil
-	}
-	spans := make([]span, 0, w)
-	base, rem := n/w, n%w
-	lo := 0
-	for i := 0; i < w; i++ {
-		size := base
-		if i < rem {
-			size++
-		}
-		spans = append(spans, span{lo, lo + size})
-		lo += size
-	}
-	return spans
 }

@@ -113,8 +113,8 @@ func TestWorkersZeroIsSerial(t *testing.T) {
 	assertBitIdentical(t, trainWorkers(t, g, cfg, 0), trainWorkers(t, g, cfg, 1), "workers=0")
 }
 
-// TestWorkersExceedingBatch runs more workers than batch positions: spans
-// must stay non-empty and results unchanged.
+// TestWorkersExceedingBatch runs more workers than batch positions: the
+// results must not change.
 func TestWorkersExceedingBatch(t *testing.T) {
 	g := smallGraph(t)
 	cfg := smallConfig()
@@ -230,62 +230,43 @@ func TestWorkersValidation(t *testing.T) {
 	}
 }
 
-func TestSplitSpans(t *testing.T) {
-	cases := []struct {
-		n, w int
-		want []span
-	}{
-		{10, 3, []span{{0, 4}, {4, 7}, {7, 10}}},
-		{4, 4, []span{{0, 1}, {1, 2}, {2, 3}, {3, 4}}},
-		{3, 8, []span{{0, 1}, {1, 2}, {2, 3}}}, // more workers than work
-		{0, 4, nil},
-		{5, 1, []span{{0, 5}}},
-	}
-	for _, c := range cases {
-		got := splitSpans(c.n, c.w)
-		if len(got) != len(c.want) {
-			t.Fatalf("splitSpans(%d, %d) = %v, want %v", c.n, c.w, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("splitSpans(%d, %d)[%d] = %v, want %v", c.n, c.w, i, got[i], c.want[i])
-			}
-		}
-	}
-}
-
-// TestWorkerPanicReachesDispatcher: a panic in a pool worker's task is
-// re-raised on the dispatching goroutine once every span has finished —
-// not on the worker, where it would end the process — with the worker's
-// stack, and the pool goes on serving the next dispatch.
-func TestWorkerPanicReachesDispatcher(t *testing.T) {
-	cfg := DefaultConfig()
+// TestStagePanicReachesTrainGoroutine: a panic inside the gradient stage
+// on a pool goroutine is re-raised by computeStage on the calling
+// goroutine, not left to end the process, as a *panicx.Error carrying
+// the stack of the pool goroutine that ran the failing example.
+func TestStagePanicReachesTrainGoroutine(t *testing.T) {
+	g := graph.BarabasiAlbert(60, 3, xrand.New(4))
+	cfg := smallConfig()
 	cfg.Workers = 2
-	e := newEngine(nil, nil, nil, cfg, xrand.Stream{})
-	defer e.close()
-	var ran [2]bool
-	spans := []span{{0, 1}, {1, 2}}
+	rng := xrand.New(cfg.Seed)
+	subs, err := GenerateSubgraphsWorkers(g, cfg.K, cfg.NegSampling, rng, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := make([]float64, len(subs))
+	for i := range weights {
+		weights[i] = 1
+	}
+	eng := newEngine(skipgram.New(g.NumNodes(), cfg.Dim, rng), subs, weights, cfg, xrand.NewStream(5))
+	idx := rng.SampleWithoutReplacement(len(subs), cfg.BatchSize)
+	if err := eng.touchRows(idx); err != nil {
+		t.Fatal(err)
+	}
+	last := (len(idx) - 1) * (cfg.K + 1)
+	eng.outViews[last] = eng.outViews[last][:1] // the last slot's Wout row no longer matches v_I
 	got := func() (r any) {
 		defer func() { r = recover() }()
-		e.dispatch(spans, func(w, _, _ int) {
-			ran[w] = true
-			if w == 1 {
-				panic("worker 1 failed")
-			}
-		})
+		eng.computeStage(idx)
 		return nil
 	}()
 	p, ok := got.(*panicx.Error)
-	if !ok || p.Value != "worker 1 failed" || !ran[0] || !ran[1] {
-		t.Fatalf("dispatch recovered %v with spans run %v, want worker 1's panic after both spans", got, ran)
+	if !ok {
+		t.Fatalf("computeStage recovered %v (%T), want a *panicx.Error", got, got)
 	}
-	if !strings.Contains(string(p.Stack), "runSpan") {
-		t.Fatalf("recovered panic's stack is not the worker's:\n%s", p.Stack)
-	}
-	ran = [2]bool{}
-	e.dispatch(spans, func(w, _, _ int) { ran[w] = true })
-	if !ran[0] || !ran[1] {
-		t.Fatalf("dispatch after a panic ran spans %v, want both", ran)
+	for _, frame := range []string{"panicx.Blocks.func", "skipgram.RowLossGradients"} {
+		if !strings.Contains(string(p.Stack), frame) {
+			t.Fatalf("recovered panic's stack lacks %s:\n%s", frame, p.Stack)
+		}
 	}
 }
 
@@ -342,7 +323,6 @@ func TestStagesCallNoRow(t *testing.T) {
 					t.Fatalf("private=%v workers=%d epoch %d: the stages called Row %d times", private, workers, epoch, n)
 				}
 			}
-			eng.close()
 		}
 	}
 }

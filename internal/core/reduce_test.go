@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -31,7 +30,7 @@ func clipJoint(rows [][]float64, c float64) {
 
 // eagerEpoch is the reference form of one engine epoch, written the way
 // the engine's arithmetic was first specified: materialized per-example
-// Gradients rows, in-place dp.Clip and clipJoint, batch-order sums into a
+// gradient rows, in-place dp.Clip and clipJoint, batch-order sums into a
 // per-row map (copy on first touch, AXPY after), then perturb-and-apply
 // through a filled noise row. It returns the batch loss.
 func eagerEpoch(model *skipgram.Model, subs []Subgraph, weights []float64, idx []int, cfg Config, noise xrand.Stream, epoch int) float64 {
@@ -49,7 +48,7 @@ func eagerEpoch(model *skipgram.Model, subs []Subgraph, weights []float64, idx [
 		s := subs[si]
 		ex := skipgram.Example{I: s.I, J: s.J, Negs: s.Negs, W: weights[si]}
 		loss += model.Loss(ex)
-		model.Gradients(ex, &grads)
+		model.LossGradients(ex, &grads)
 		out := make([][]float64, len(grads.OutRows))
 		for t := range out {
 			out[t] = grads.OutGrad(t, make([]float64, cfg.Dim))
@@ -156,7 +155,6 @@ func checkEngineMatchesEager(t *testing.T, g *graph.Graph, cfg Config) {
 	noise := xrand.NewStream(41)
 
 	eng := newEngine(model, subs, weights, cfg, noise)
-	defer eng.close()
 	for epoch := 0; epoch < 3; epoch++ {
 		idx := rng.SampleWithoutReplacement(len(subs), cfg.BatchSize)
 		eng.touchRows(idx)
@@ -205,7 +203,6 @@ func TestClipBoundInRunningEngine(t *testing.T) {
 	}
 	model := skipgram.New(g.NumNodes(), cfg.Dim, rng)
 	eng := newEngine(model, subs, weights, cfg, xrand.NewStream(5))
-	defer eng.close()
 	bound := cfg.Clip * (1 + 1e-12)
 	row := make([]float64, cfg.Dim)
 	var clippedIn, clippedOut int
@@ -241,10 +238,9 @@ func TestClipBoundInRunningEngine(t *testing.T) {
 }
 
 // TestRowGroupsMatchesMap drives the grouping through random epochs —
-// repeated rows, both row orders, touched-row counts from one to all —
-// and checks every row's contribution list against a map-based
-// reference, the untouched rows' nil read the naive update makes, and the
-// row order.
+// repeated rows, touched-row counts from one to all — and checks every
+// row's contribution list against a map-based reference, the untouched
+// rows' nil read the naive update makes, and the first-touch row order.
 func TestRowGroupsMatchesMap(t *testing.T) {
 	const nRows = 40
 	rng := xrand.New(5)
@@ -255,8 +251,7 @@ func TestRowGroupsMatchesMap(t *testing.T) {
 		for p := range keys {
 			keys[p] = int32(rng.Intn(span))
 		}
-		sorted := rng.Intn(2) == 0
-		grp.build(keys, nRows, sorted)
+		grp.build(keys, nRows)
 
 		ref := map[int32][]int32{}
 		var firstTouch []int32
@@ -266,12 +261,8 @@ func TestRowGroupsMatchesMap(t *testing.T) {
 			}
 			ref[r] = append(ref[r], int32(p))
 		}
-		wantRows := firstTouch
-		if sorted {
-			wantRows = slices.Sorted(maps.Keys(ref))
-		}
-		if !slices.Equal(grp.rows, wantRows) {
-			t.Fatalf("epoch %d (sorted=%v): rows %v, want %v", epoch, sorted, grp.rows, wantRows)
+		if !slices.Equal(grp.rows, firstTouch) {
+			t.Fatalf("epoch %d: rows %v, want %v", epoch, grp.rows, firstTouch)
 		}
 		for n, r := range grp.rows {
 			if got := grp.group(n); !slices.Equal(got, ref[r]) {
@@ -287,8 +278,7 @@ func TestRowGroupsMatchesMap(t *testing.T) {
 }
 
 // TestRowGroupsBuildNoAlloc pins that regrouping an epoch reuses the
-// buffers sized by the first build — sorting included — rather than
-// allocating.
+// buffers sized by the first build rather than allocating.
 func TestRowGroupsBuildNoAlloc(t *testing.T) {
 	keys := make([]int32, 192)
 	rng := xrand.New(8)
@@ -296,9 +286,9 @@ func TestRowGroupsBuildNoAlloc(t *testing.T) {
 		keys[p] = int32(rng.Intn(500))
 	}
 	var grp rowGroups
-	grp.build(keys, 500, true)
+	grp.build(keys, 500)
 	allocs := testing.AllocsPerRun(50, func() {
-		grp.build(keys, 500, true)
+		grp.build(keys, 500)
 	})
 	if allocs > 0 {
 		t.Errorf("rowGroups.build allocates %.1f objects per call", allocs)

@@ -330,7 +330,7 @@ func (r *Result) CloseSpill() {
 // the Eq. (5) objective.
 //
 // With cfg.Workers > 1 subgraph generation, the per-epoch gradient stage
-// and the noise/update stage all run on goroutine pools; the result is
+// and the noise/update stage all run on panicx.Blocks; the result is
 // bit-identical to the serial run at every worker count because every
 // parallel stage either consumes no randomness or addresses its draws by
 // stable indices on counter-based streams (parallel.go, DESIGN.md §6).
@@ -360,15 +360,14 @@ func clipFactor(sq, c float64) float64 {
 // epoch costs its touched-row count, not |V|.
 type rowGroups struct {
 	id       []int32 // id[row] = 1 + the row's index in rows; 0 when untouched
-	rows     []int32 // touched rows: first-touch order, or ascending when sorted
+	rows     []int32 // touched rows in first-touch order
 	start    []int32 // row n's contributions are contribs[start[n]:start[n+1]]
 	contribs []int32
 }
 
 // build groups keys — the row of every contribution, in batch order — for
-// an nRows-row matrix. sorted orders the touched rows ascending, the
-// layout forOwnerSegments shards by owner.
-func (g *rowGroups) build(keys []int32, nRows int, sorted bool) {
+// an nRows-row matrix.
+func (g *rowGroups) build(keys []int32, nRows int) {
 	if len(g.id) != nRows {
 		g.id = make([]int32, nRows)
 	}
@@ -380,12 +379,6 @@ func (g *rowGroups) build(keys []int32, nRows int, sorted bool) {
 		if g.id[r] == 0 {
 			g.rows = append(g.rows, r)
 			g.id[r] = int32(len(g.rows))
-		}
-	}
-	if sorted {
-		slices.Sort(g.rows)
-		for n, r := range g.rows {
-			g.id[r] = int32(n + 1)
 		}
 	}
 	// start[n+1] counts row n's contributions, then the prefix sum turns

@@ -236,7 +236,6 @@ func TestTrainValidation(t *testing.T) {
 func applyWith(cfg Config, w *mathx.Matrix, rows []int32, gs [][]float64, epoch int, matrix uint64, noiseSeed uint64) {
 	cfg.K = 0
 	eng := newEngine(nil, nil, nil, cfg, xrand.NewStream(noiseSeed))
-	defer eng.close()
 	eng.slots = make([]slot, len(rows))
 	for p, g := range gs {
 		sl := &eng.slots[p]

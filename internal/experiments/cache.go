@@ -19,16 +19,22 @@ import (
 // it.
 //
 // Graphs are immutable, so sharing across goroutines is safe. Each key is
-// computed exactly once (sync.Once per entry); concurrent requesters block
-// on the winner rather than duplicating work. Entries are unbounded: their
-// population is bounded by the datasets named, not by traffic. Proximity
-// measures are not cached: a job's weight fill builds from the lazy
-// measure only the rows its sampled pairs need. Trained results are not
-// cached here either — the service's job table owns them.
+// computed once while it stays cached (sync.Once per entry); concurrent
+// requesters block on the winner rather than duplicating work. The seed
+// comes from the request, so the Memo keeps at most memoGraphs entries
+// and evicts the least recently requested one beyond that; a generation
+// still in flight finishes for its waiters even if its entry is evicted.
+// Proximity measures are not cached: a job's weight fill builds from the
+// lazy measure only the rows its sampled pairs need. Trained results are
+// not cached here either — the service's job table owns them.
 type Memo struct {
 	mu     sync.Mutex
 	graphs map[graphKey]*graphEntry
+	clock  uint64 // bumped by every Dataset call, stamped on its entry
 }
+
+// memoGraphs bounds the graphs a Memo retains.
+const memoGraphs = 16
 
 // ResultKey identifies a training run up to bit-identical output: the
 // training method, the exact graph (fingerprint), the structure preference,
@@ -58,6 +64,7 @@ type graphEntry struct {
 	once sync.Once
 	g    *graph.Graph
 	err  error
+	used uint64 // the Memo's clock at the entry's last request
 }
 
 // NewMemo returns an empty cache.
@@ -85,11 +92,29 @@ func (m *Memo) Dataset(name string, scale float64, seed uint64) (*graph.Graph, e
 		e = &graphEntry{}
 		m.graphs[key] = e
 	}
+	m.clock++
+	e.used = m.clock
+	if len(m.graphs) > memoGraphs {
+		m.evictLocked()
+	}
 	m.mu.Unlock()
 	e.once.Do(func() {
 		e.g, e.err = datasets.Generate(name, scale, seed)
 	})
 	return e.g, e.err
+}
+
+// evictLocked drops the least recently requested entry. The caller holds
+// m.mu.
+func (m *Memo) evictLocked() {
+	var oldest graphKey
+	oldestUsed := m.clock
+	for k, e := range m.graphs {
+		if e.used < oldestUsed {
+			oldest, oldestUsed = k, e.used
+		}
+	}
+	delete(m.graphs, oldest)
 }
 
 // Proximity returns the lazy measure over g; the Memo keeps no proximity

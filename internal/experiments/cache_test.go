@@ -134,3 +134,38 @@ func TestMemoDatasetCanonicalScale(t *testing.T) {
 		t.Errorf("GraphCacheLen = %d, want 1 (one canonical key; the failed name adds none)", n)
 	}
 }
+
+// TestMemoBoundedLRU: distinct seeds beyond the bound evict the least
+// recently requested graph, so the cache stays bounded; a key requested
+// again stays shared, and the evicted one is generated anew.
+func TestMemoBoundedLRU(t *testing.T) {
+	m := NewMemo()
+	dataset := func(seed uint64) *graph.Graph {
+		t.Helper()
+		g, err := m.Dataset("chameleon", 0.02, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	first, second := dataset(0), dataset(1)
+	for seed := uint64(2); seed < memoGraphs; seed++ {
+		dataset(seed)
+	}
+	if dataset(0) != first { // now more recent than seed 1
+		t.Fatal("a cached key was not shared")
+	}
+	last := dataset(memoGraphs)
+	if n := m.GraphCacheLen(); n > memoGraphs {
+		t.Fatalf("GraphCacheLen = %d after %d distinct seeds, want <= %d", n, memoGraphs+1, memoGraphs)
+	}
+	if dataset(memoGraphs) != last {
+		t.Error("the most recent key did not return its cached graph")
+	}
+	if dataset(0) != first {
+		t.Error("a recently requested key was evicted")
+	}
+	if dataset(1) == second {
+		t.Error("the least recently requested key was not evicted")
+	}
+}

@@ -22,21 +22,15 @@ type Mat interface {
 	Row(i int) []float64
 }
 
-// RowCopier is the read access an out-of-core Mat provides: CopyRow
-// copies row i into dst under the matrix's own lock, so the read stays
-// correct while other readers fault, evict and recycle slabs (a Row view
-// carries no such guarantee), and it does not mark the row for
-// write-back.
-type RowCopier interface {
-	CopyRow(dst []float64, i int)
-}
-
-// ReadRow returns row i of m for reading: the row itself for a matrix
-// without CopyRow (the dense tier, no copy), otherwise a copy in scratch,
-// which must hold NumCols values. Callers must not mutate the result.
+// ReadRow returns row i of m for reading: on the spill tier a copy in
+// scratch, which must hold NumCols values, taken by SpillMatrix.CopyRow
+// under the matrix's own lock, so the read stays correct while other
+// readers fault, evict and recycle slabs (a Row view carries no such
+// guarantee) and does not mark the row for write-back; otherwise the row
+// itself (the dense tier, no copy). Callers must not mutate the result.
 func ReadRow(m Mat, i int, scratch []float64) []float64 {
-	if c, ok := m.(RowCopier); ok {
-		c.CopyRow(scratch, i)
+	if sm, ok := m.(*SpillMatrix); ok {
+		sm.CopyRow(scratch, i)
 		return scratch
 	}
 	return m.Row(i)

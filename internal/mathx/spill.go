@@ -111,7 +111,8 @@ type SpillStats struct {
 
 // SpillError is a failed read or write-back of a spill matrix's backing
 // file. The first one is sticky: the matrix's contents are no longer
-// trustworthy, so Pin, Flush, Err and ReadRows return it from then on.
+// trustworthy, so PinViews, Flush, Err and ReadRows return it from then
+// on.
 type SpillError struct {
 	Op    string // "read" or "write"
 	Chunk int
@@ -132,10 +133,11 @@ func (e *SpillError) Unwrap() error { return e.Err }
 // I/O is row-granular. A chunk becomes resident without I/O; each row in
 // it is read from the file only when first needed (a present bit) and
 // written back on eviction only if it was handed out mutably (a dirty
-// bit). Pin reads just the pinned rows; ReadRows reads a window's absent
-// rows into its copy without loading their chunks; any other miss fills
-// the chunk's absent rows, so a streaming reader still does one pread per
-// chunk. Runs of consecutive rows coalesce into one pread or pwrite.
+// bit). PinViews reads just the pinned rows; ReadRows reads a window's
+// absent rows into its copy without loading their chunks; any other miss
+// fills the chunk's absent rows, so a streaming reader still does one
+// pread per chunk. Runs of consecutive rows coalesce into one pread or
+// pwrite.
 //
 // Concurrency: all methods are safe for concurrent use, but the Row
 // slices they return are views into resident slabs, which are recycled:
@@ -158,8 +160,8 @@ func (e *SpillError) Unwrap() error { return e.Err }
 // guarantee size their pin sets with MinSpillBudget.
 //
 // I/O errors do not panic: the first one is recorded (SpillError) and
-// returned by the next Pin, Flush or Err, and from then on reads may
-// return zeros (a failed read) or the file's older value (a lost
+// returned by the next PinViews, Flush or Err, and from then on reads
+// may return zeros (a failed read) or the file's older value (a lost
 // write-back), never another row's values. A reader that copies out a
 // spilled matrix — a digest, a checkpoint, an artifact — checks Err
 // afterwards and discards the copy if it is set.
@@ -174,8 +176,8 @@ type SpillMatrix struct {
 	chunks   []spillChunk // indexed by chunk; data == nil when not resident
 	present  bitset       // rows whose resident slab holds their current value
 	dirty    bitset       // present rows handed out mutably since their fill
-	mark     bitset       // Pin's row marks, cleared before it returns
-	pinMark  bitset       // Pin's chunk marks, cleared as they are visited
+	mark     bitset       // pinLocked's row marks, cleared before it returns
+	pinMark  bitset       // pinLocked's chunk marks, cleared as they are visited
 	mru, lru int32        // resident list ends, -1 when nothing is resident
 
 	resident    int // resident chunk count
@@ -473,34 +475,27 @@ func (m *SpillMatrix) Row(i int) []float64 {
 	return row
 }
 
-// CopyRow implements RowCopier: it copies row i into dst under the
-// matrix's lock, without marking the row dirty, so a clean row visited by
-// a streaming reader (digest, artifact encode) is dropped on eviction
-// instead of rewritten, and concurrent readers never see a recycled slab.
+// CopyRow copies row i into dst under the matrix's lock, without marking
+// the row dirty, so a clean row visited by a streaming reader (digest,
+// artifact encode) is dropped on eviction instead of rewritten, and
+// concurrent readers never see a recycled slab.
 func (m *SpillMatrix) CopyRow(dst []float64, i int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	copy(dst, m.rowLocked(i))
 }
 
-// Pin makes resident the chunks covering rows, reads those of the rows
-// not yet present, and holds the chunks unevictable until the matching
-// Unpin. Duplicate rows are fine (one pin per chunk per call). Returns
-// the sorted distinct chunk list for Unpin, or the matrix's sticky I/O
-// error, in which case nothing stays pinned. Pin hands out nothing, so it
-// leaves the rows clean: a later Row marks what it writes.
-func (m *SpillMatrix) Pin(rows []int32) ([]int32, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.pinLocked(rows)
-}
-
-// PinViews is Pin plus the pinned rows themselves: views[p] becomes a
-// mutable view of row rows[p] (views must have len(rows) entries), all
-// taken under the one lock acquisition of the pin. The views stay valid
-// until the matching Unpin and need no further locking, so a caller that
-// reads and writes the pinned rows from several goroutines — the training
-// engine's gradient and update stages — never contends on the matrix.
+// PinViews makes resident the chunks covering rows, reads those of the
+// rows not yet present, and holds the chunks unevictable until the
+// matching Unpin. Duplicate rows are fine (one pin per chunk per call).
+// views[p] becomes a mutable view of row rows[p] (views must have
+// len(rows) entries), all taken under the one lock acquisition of the
+// pin. It returns the sorted distinct chunk list for Unpin, or the
+// matrix's sticky I/O error, in which case nothing stays pinned. The
+// views stay valid until the matching Unpin and need no further locking,
+// so a caller that reads and writes the pinned rows from several
+// goroutines — the training engine's gradient and update stages — never
+// contends on the matrix.
 // Every pinned row is marked dirty, as Row would mark it, because the
 // caller is expected to write it. On error views is left unchanged.
 func (m *SpillMatrix) PinViews(rows []int32, views [][]float64) ([]int32, error) {
@@ -522,7 +517,8 @@ func (m *SpillMatrix) PinViews(rows []int32, views [][]float64) ([]int32, error)
 	return chunks, nil
 }
 
-// pinLocked implements Pin. Caller holds m.mu.
+// pinLocked pins rows' chunks and reads their absent rows for PinViews.
+// Caller holds m.mu.
 func (m *SpillMatrix) pinLocked(rows []int32) ([]int32, error) {
 	if m.err != nil {
 		return nil, m.err
@@ -551,7 +547,7 @@ func (m *SpillMatrix) pinLocked(rows []int32) ([]int32, error) {
 	return chunks, nil
 }
 
-// Unpin releases a pin set returned by Pin.
+// Unpin releases a pin set returned by PinViews.
 func (m *SpillMatrix) Unpin(chunks []int32) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

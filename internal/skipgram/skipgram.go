@@ -101,10 +101,10 @@ type Grads struct {
 	out [][]float64 // views of the Wout rows OutRows, for one pass
 }
 
-// Ensure sizes the buffers for dim and k negatives. Gradients calls it on
-// every invocation, so callers normally never need to; parallel training
-// engines call it up front to pre-size one Grads per batch slot outside
-// the hot loop, keeping the gradient stage allocation-free.
+// Ensure sizes the buffers for dim and k negatives. LossGradients calls
+// it on every invocation, so callers normally never need to; parallel
+// training engines call it up front to pre-size one Grads per batch slot
+// outside the hot loop, keeping the gradient stage allocation-free.
 func (g *Grads) Ensure(dim, k int) {
 	if cap(g.GIn) < dim {
 		g.GIn = make([]float64, dim)
@@ -137,23 +137,17 @@ func (g *Grads) OutGrad(t int, dst []float64) []float64 {
 	return dst
 }
 
-// Gradients computes the Eq. (7)/(8) gradients of L_nov at the current
-// parameters into g:
+// LossGradients computes L_nov AND its Eq. (7)/(8) gradients at the
+// current parameters into g, in one forward+backward pass:
 //
 //	∂L/∂v_i = p_ij·[ (σ(v_j·v_i) − 1)·v_j + Σ_n σ(v_n·v_i)·v_n ]
 //	∂L/∂v_j = p_ij·(σ(v_j·v_i) − 1)·v_i
 //	∂L/∂v_n = p_ij·σ(v_n·v_i)·v_i
 //
 // which is the indicator form Σ_{n=0..k} (σ(v_n·v_i) − I_{v_j}[v_n])·v_n of
-// the paper with n = 0 denoting the positive node. It is LossGradients
-// with the loss value discarded.
-func (m *Model) Gradients(ex Example, g *Grads) {
-	m.LossGradients(ex, g)
-}
-
-// LossGradients computes L_nov AND its Eq. (7)/(8) gradients in one
-// forward+backward pass: it takes the views of v_I and the example's k+1
-// Wout rows with Mat.Row and runs RowLossGradients on them. It serves
+// the paper with n = 0 denoting the positive node. It takes the views of
+// v_I and the example's k+1 Wout rows with Mat.Row and runs
+// RowLossGradients on them. It serves
 // callers that hold a Model and no row views. The training engine takes
 // its views once per epoch instead — pinned on the spill tier, before
 // the gradient stage — and calls RowLossGradients directly, so the stage
@@ -181,8 +175,8 @@ func (m *Model) LossGradients(ex Example, g *Grads) float64 {
 // Numerics: each dot is mathx.Dot's, the loss terms accumulate in the
 // same order as the standalone Loss — positive first, then negatives in
 // sample order — and GIn's adds in the order of Zero followed by one AXPY
-// per row, so the pass is bit-identical to the Loss-then-Gradients
-// composition (pinned by TestLossGradientsMatchesComposition).
+// per row, so the pass is bit-identical to Loss followed by the naive
+// per-row gradient pass (pinned by TestLossGradientsMatchesComposition).
 func RowLossGradients(ex Example, vi []float64, out [][]float64, g *Grads) float64 {
 	if len(out) != len(ex.Negs)+1 {
 		panic(fmt.Sprintf("skipgram: %d Wout row views for %d negatives", len(out), len(ex.Negs)))

@@ -74,7 +74,7 @@ func TestGradientsMatchFiniteDifferences(t *testing.T) {
 	m := testModel(t, 8, 6)
 	ex := Example{I: 2, J: 5, Negs: []int32{0, 3, 7}, W: 1.7}
 	var g Grads
-	m.Gradients(ex, &g)
+	m.LossGradients(ex, &g)
 
 	const h = 1e-6
 	numGrad := func(param []float64, d int) float64 {
@@ -117,7 +117,7 @@ func TestGradientsSparsity(t *testing.T) {
 	m := testModel(t, 10, 4)
 	ex := Example{I: 1, J: 2, Negs: []int32{5}, W: 1}
 	var g Grads
-	m.Gradients(ex, &g)
+	m.LossGradients(ex, &g)
 	if g.InRow != 1 {
 		t.Errorf("InRow = %d, want 1", g.InRow)
 	}
@@ -129,9 +129,9 @@ func TestGradientsSparsity(t *testing.T) {
 func TestGradientsBufferReuse(t *testing.T) {
 	m := testModel(t, 10, 4)
 	var g Grads
-	m.Gradients(Example{I: 1, J: 2, Negs: []int32{5, 6, 7}, W: 1}, &g)
+	m.LossGradients(Example{I: 1, J: 2, Negs: []int32{5, 6, 7}, W: 1}, &g)
 	first := &g.GIn[0]
-	m.Gradients(Example{I: 3, J: 4, Negs: []int32{8}, W: 1}, &g)
+	m.LossGradients(Example{I: 3, J: 4, Negs: []int32{8}, W: 1}, &g)
 	if &g.GIn[0] != first {
 		t.Error("GIn buffer was reallocated")
 	}
@@ -204,7 +204,7 @@ func TestGradientStepDecreasesLoss(t *testing.T) {
 	ex := Example{I: 0, J: 1, Negs: []int32{2, 3, 4}, W: 1}
 	before := m.Loss(ex)
 	var g Grads
-	m.Gradients(ex, &g)
+	m.LossGradients(ex, &g)
 	const lr = 0.1
 	// Write the Wout rows out first: their rank-1 form reads v_i, which
 	// the Win step moves.
@@ -274,7 +274,7 @@ func TestTheorem3FixedPoint(t *testing.T) {
 				// weighted k·min(P). Both gradients are evaluated at the
 				// same parameter state, then applied together.
 				pos := Example{I: i, J: j, Negs: nil, W: p[i][j]}
-				m.Gradients(pos, &g)
+				m.LossGradients(pos, &g)
 				// Negative part at the same state: coefficient
 				// k·min(P)·σ(x_ij) on (v_j → ∂v_i) and (v_i → ∂v_j).
 				cn := float64(k) * minP * mathx.Sigmoid(m.Score(int(i), int(j)))
