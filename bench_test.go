@@ -129,9 +129,10 @@ func BenchmarkTrainDatasetJob(b *testing.B) {
 // engine stages (gradients-, reduce- and update-ns/op; on this tier the
 // gradients clock also holds the epoch pins' spill I/O) and the bytes
 // each job moved to and from its spill files (spill-read-B/op,
-// spill-write-B/op). Each job then shrinks its result to the window a
-// service keeps of a finished spilled job, outside the timed ns/op:
-// shrink-ns/op times that write-back and drop on its own.
+// spill-write-B/op). Each job then shrinks its result to what a service
+// keeps of a finished spilled job, Win's two-chunk window, outside the
+// timed ns/op: shrink-ns/op times Win's write-back and drop and the
+// close of Wout's spill file on their own.
 func BenchmarkTrainSpillJob(b *testing.B) {
 	g, err := GenerateDataset("dblp", 0.01, 1)
 	if err != nil {

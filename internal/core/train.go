@@ -205,7 +205,9 @@ func (c Config) Validate(g *graph.Graph) error {
 // Result is the outcome of one training run.
 type Result struct {
 	// Model holds the (ε, δ)-private Win and Wout; Model.Win is the
-	// published embedding matrix (Definition 5).
+	// published embedding matrix (Definition 5). Wout is training state:
+	// Shrink drops it (Model.Wout = nil), as the service does for every
+	// result it keeps, after the artifact, which stores both, is written.
 	Model *skipgram.Model
 	// Epochs is the number of completed training epochs (the EpochsRun of
 	// a partial, canceled run).
@@ -295,21 +297,30 @@ func (r *Result) FlushSpill() error {
 	return nil
 }
 
-// Shrink gives back the resident window of a spilled result that will
-// only be read from now on: each of Win and Wout writes its dirty rows
-// back and keeps at most two chunks resident (mathx.SpillMatrix.Shrink).
-// It returns the first spill I/O error (a *mathx.SpillError), after
-// which the result's rows cannot be trusted; after a FlushSpill that
-// succeeded, with no row written since, it does no I/O and cannot fail.
-// No-op on the dense tier.
+// Shrink keeps only what a result that will only be read from now on
+// publishes: Win. On the spill tier Win writes its dirty rows back and
+// keeps at most two chunks resident (mathx.SpillMatrix.Shrink). Then,
+// on either tier, Wout is dropped (Model.Wout = nil) and a spilled
+// Wout's file closed, its dirty rows unwritten: Wout is training state,
+// never served, and a persisted artifact was written before. Model.Score
+// and Model.Loss do not apply to a shrunk result. Shrink returns the
+// first spill I/O error of either matrix (a *mathx.SpillError), after
+// which the result's rows cannot be trusted and nothing is dropped;
+// after a FlushSpill that succeeded, with no row written since, it does
+// no I/O and cannot fail. A second Shrink does nothing.
 func (r *Result) Shrink() error {
-	for _, m := range []mathx.Mat{r.Model.Win, r.Model.Wout} {
-		if sm, ok := m.(*mathx.SpillMatrix); ok {
-			if err := sm.Shrink(); err != nil {
-				return err
-			}
+	if sm, ok := r.Model.Win.(*mathx.SpillMatrix); ok {
+		if err := sm.Shrink(); err != nil {
+			return err
 		}
 	}
+	if sm, ok := r.Model.Wout.(*mathx.SpillMatrix); ok {
+		if err := sm.Err(); err != nil {
+			return err
+		}
+		sm.Close()
+	}
+	r.Model.Wout = nil
 	return nil
 }
 

@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"math"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +15,7 @@ import (
 	"seprivgemb/internal/core"
 	"seprivgemb/internal/graph"
 	"seprivgemb/internal/mathx"
+	"seprivgemb/internal/methods"
 	"seprivgemb/internal/proximity"
 	"seprivgemb/internal/xrand"
 )
@@ -267,8 +271,8 @@ func TestSlowJobSurvivesTTL(t *testing.T) {
 
 // TestKeptSpilledResultsHoldTwoChunks: a store-backed service keeps each
 // finished spilled job, and a canceled one's partial result, at the
-// two-chunk window of a shrunk spill matrix, and the rows it serves from
-// that window still hash to a dense retrain of the same spec.
+// two-chunk window of a shrunk Win and without Wout, and the rows it
+// serves from that window still hash to a dense retrain of the same spec.
 func TestKeptSpilledResultsHoldTwoChunks(t *testing.T) {
 	t.Setenv("TMPDIR", t.TempDir())
 	s := New(Options{MaxWorkers: 1, ArtifactDir: t.TempDir()})
@@ -291,15 +295,16 @@ func TestKeptSpilledResultsHoldTwoChunks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("kept job %s: %v", j.ID(), err)
 			}
-			for name, m := range map[string]mathx.Mat{"Win": res.Model.Win, "Wout": res.Model.Wout} {
-				sm, ok := m.(*mathx.SpillMatrix)
-				if !ok {
-					t.Fatalf("job %s trained %s on the dense tier", j.ID(), name)
-				}
-				if got := sm.ResidentBytes(); got > window {
-					t.Errorf("after %s: job %s keeps %d resident bytes of %s, want at most two chunks (%d)",
-						after, j.ID(), got, name, window)
-				}
+			sm, ok := res.Model.Win.(*mathx.SpillMatrix)
+			if !ok {
+				t.Fatalf("job %s trained Win on the dense tier", j.ID())
+			}
+			if got := sm.ResidentBytes(); got > window {
+				t.Errorf("after %s: job %s keeps %d resident bytes of Win, want at most two chunks (%d)",
+					after, j.ID(), got, window)
+			}
+			if res.Model.Wout != nil {
+				t.Errorf("after %s: job %s keeps Wout", after, j.ID())
 			}
 		}
 	}
@@ -351,4 +356,188 @@ func TestKeptSpilledResultsHoldTwoChunks(t *testing.T) {
 		}
 		checkKept("reading job " + j.ID())
 	}
+}
+
+// TestFinishedJobsKeepOnlyWin: every job the service keeps holds the
+// embedding it publishes, Win, and not Wout, however it got its result:
+// trained with or without a store, adopted from the store by a restarted
+// service, joined by a deduplicated resubmission, trained on the spill
+// tier, or trained by a baseline. Each serves the row windows and hash of
+// an in-process dense training of the same spec, and the artifact still
+// stores Wout: it is byte-identical to that training's. A spilled job
+// keeps Win's two-chunk window and Win's spill file only, and a canceled
+// job keeps Wout in its resumable Checkpoint.
+func TestFinishedJobsKeepOnlyWin(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	if real, err := filepath.EvalSymlinks(tmp); err == nil {
+		tmp = real
+	}
+	ctx := context.Background()
+	g := testGraph()
+	prox := proximity.NewDegree(g)
+	cfg := testCfg()
+	want, err := core.Train(g, prox, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keepsOnlyWin := func(name string, s *Service, j *Job, want *core.Result) {
+		t.Helper()
+		res, err := j.Wait(ctx)
+		if err != nil {
+			t.Fatalf("%s job: %v", name, err)
+		}
+		if res.Model.Wout != nil {
+			t.Errorf("%s job keeps Wout", name)
+		}
+		for lo, n := 0, want.Model.Win.NumRows(); lo < n; lo += 300 {
+			hi := min(lo+300, n)
+			w, err := s.ResultRows(j.ID(), lo, hi)
+			if err != nil {
+				t.Fatalf("%s job rows [%d, %d): %v", name, lo, hi, err)
+			}
+			rows, err := want.Rows(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(w.Rows.Data, rows.Data) {
+				t.Errorf("%s job rows [%d, %d) differ from the dense training's", name, lo, hi)
+			}
+		}
+		if got, ok := j.EmbeddingHash(); !ok || got != mathx.DigestMat(want.Model.Win) {
+			t.Errorf("%s job EmbeddingHash = %016x (ok=%v), want the dense training's %016x",
+				name, got, ok, mathx.DigestMat(want.Model.Win))
+		}
+	}
+
+	s0 := New(Options{MaxWorkers: 1})
+	defer s0.Close()
+	j0, err := s0.Submit(g, prox, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keepsOnlyWin("no-store", s0, j0, want)
+
+	// The artifact is checked before the job's outcome: it must be written
+	// before Wout is dropped, and carry Wout's frames.
+	dir := t.TempDir()
+	s1 := New(Options{MaxWorkers: 1, ArtifactDir: dir})
+	defer s1.Close()
+	j1, err := s1.Submit(g, prox, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j1.Done()
+	var buf bytes.Buffer
+	if err := writeArtifact(&buf, j1.Key(), want, mathx.DigestMat(want.Model.Win)); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := os.ReadFile(s1.store.path(j1.Key())); err != nil || !bytes.Equal(raw, buf.Bytes()) {
+		t.Errorf("store-backed job's artifact (read err %v) is not the dense training's, Wout frames included", err)
+	}
+	keepsOnlyWin("store-backed", s1, j1, want)
+	jd, err := s1.Submit(g, prox, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keepsOnlyWin("deduplicated", s1, jd, want)
+	if jd.ID() != j1.ID() || s1.Trainings() != 1 {
+		t.Fatalf("resubmission: job %s after %s, %d trainings, want a dedup onto the first", jd.ID(), j1.ID(), s1.Trainings())
+	}
+
+	s2 := New(Options{MaxWorkers: 1, ArtifactDir: dir})
+	defer s2.Close()
+	ja, err := s2.Submit(g, prox, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keepsOnlyWin("adopted", s2, ja, want)
+	if s2.Trainings() != 0 {
+		t.Fatal("the restarted service retrained instead of adopting the artifact")
+	}
+
+	gap, err := methods.Get("gap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantGap, err := gap.Train(ctx, g, prox, cfg, core.Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jg, err := s0.SubmitMethod("gap", g, prox, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keepsOnlyWin("gap", s0, jg, wantGap)
+
+	big := graph.BarabasiAlbert(2048, 2, xrand.New(9))
+	bigProx := proximity.NewDegree(big)
+	spilled := testCfg()
+	spilled.Dim, spilled.K, spilled.BatchSize, spilled.MaxEpochs = 128, 2, 8, 3
+	spilled.MemoryBudget = spilled.MinMemoryBudget(big.NumNodes())
+	dense := spilled
+	dense.MemoryBudget = 0
+	wantBig, err := core.Train(big, bigProx, dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := s0.Submit(big, bigProx, spilled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keepsOnlyWin("spilled", s0, js, wantBig)
+	res, _ := js.Result()
+	win, ok := res.Model.Win.(*mathx.SpillMatrix)
+	if !ok {
+		t.Fatal("the spilled job trained Win on the dense tier")
+	}
+	if got, window := win.ResidentBytes(), int64(2)*int64(mathx.SpillChunkRows(128))*128*8; got > window {
+		t.Errorf("the spilled job keeps %d resident bytes of Win, want at most two chunks (%d)", got, window)
+	}
+	if fds, ok := spillFDs(tmp); !ok {
+		t.Log("no /proc/self/fd: the spill files left open are not counted")
+	} else if len(fds) != 1 {
+		t.Errorf("the spilled job left %d spill files open, want Win's alone", len(fds))
+	}
+
+	long := testCfg()
+	long.MaxEpochs, long.Seed, long.Private = 100000, 2, false
+	jc, err := s0.Submit(g, prox, long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, ok := jc.Progress(); ok {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	jc.Cancel()
+	res, err = jc.Wait(ctx)
+	if err != nil || res.Stopped != core.StopCanceled {
+		t.Fatalf("canceled job: result %+v, err %v", res, err)
+	}
+	if res.Model.Wout != nil {
+		t.Error("canceled job keeps Wout in its Model")
+	}
+	if ck := res.Checkpoint; ck == nil || len(ck.Wout) != g.NumNodes()*long.Dim {
+		t.Errorf("canceled job's checkpoint %+v lost Wout, want %d values", ck, g.NumNodes()*long.Dim)
+	}
+}
+
+// spillFDs returns the /proc/self/fd links of this process's open
+// descriptors of unlinked spill files under dir; ok is false where
+// /proc/self/fd cannot be read.
+func spillFDs(dir string) (links []string, ok bool) {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return nil, false
+	}
+	for _, e := range ents {
+		link := filepath.Join("/proc/self/fd", e.Name())
+		if target, err := os.Readlink(link); err == nil && strings.HasPrefix(target, filepath.Join(dir, "sepriv-spill-")) {
+			links = append(links, link)
+		}
+	}
+	return links, true
 }

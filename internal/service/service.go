@@ -120,7 +120,9 @@ type Options struct {
 
 // Limits bounds result retention for serving use, where the process is
 // long-lived and the request stream unbounded — without them every
-// distinct job ever submitted pins its dense |V|×r embedding forever.
+// distinct job ever submitted pins its embedding forever: Win alone, a
+// dense |V|×r·8 bytes, or on the spill tier a two-chunk window over its
+// spill file (Wout is dropped once the artifact is written).
 // Only finished jobs are ever forgotten: an in-flight job and the
 // submitters deduplicated onto it are never split apart. A forgotten job
 // leaves JobByID; its ID is then answered from the artifact store when
@@ -490,8 +492,11 @@ func (j *Job) Cancel() {
 // (nil, context.Canceled).
 //
 // The returned Result is shared by every submission deduplicated onto
-// this job: treat it as read-only. Scoring and evaluation only ever read
-// the embedding.
+// this job: treat it as read-only. It keeps the published embedding
+// only: Model.Wout is nil (core.Result.Shrink), so Model.Score and
+// Model.Loss do not apply; the artifact, when there is a store, still
+// stores Wout. A canceled job's Checkpoint keeps its own copy of Wout.
+// Scoring and evaluation only ever read the embedding.
 func (j *Job) Wait(ctx context.Context) (*core.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -504,8 +509,8 @@ func (j *Job) Wait(ctx context.Context) (*core.Result, error) {
 	}
 }
 
-// Result returns the job's outcome; it must only be called after Done is
-// closed (use Wait otherwise).
+// Result returns the job's outcome, Win without Wout as Wait describes;
+// it must only be called after Done is closed (use Wait otherwise).
 func (j *Job) Result() (*core.Result, error) {
 	select {
 	case <-j.done:
@@ -1072,11 +1077,12 @@ func (s *Service) trainOrFollow(ctx context.Context, j *Job, m methods.Method, g
 // results to the store before returning. It takes the digest of Win for
 // every finished training, with or without a store, so the read of a
 // spill tier that can no longer be read panics or fails here, under
-// run's recover, and not in publishTerminal. A spilled result, finished
-// or canceled, is shrunk to the two-chunk window the job table keeps
-// (DESIGN §15): its dirty rows are written back first, then the digest
-// and the artifact write read its resident slabs, and last the shrink
-// drops them with no I/O.
+// run's recover, and not in publishTerminal. Every result, finished or
+// canceled, is shrunk to what the job table keeps (DESIGN §15): Win, at
+// a two-chunk window on the spill tier, and no Wout. A spilled result's
+// dirty rows are written back first, then the digest and the artifact
+// write (which stores Wout too) read its resident slabs, and last the
+// shrink drops them and Wout with no I/O.
 func (s *Service) train(ctx context.Context, j *Job, m methods.Method, g *graph.Graph, prox proximity.Proximity, cfg core.Config) (*core.Result, error) {
 	s.trainings.Add(1)
 	res, err := m.Train(ctx, g, prox, cfg, core.Hooks{
@@ -1111,7 +1117,7 @@ func (s *Service) train(ctx context.Context, j *Job, m methods.Method, g *graph.
 	// be trusted, so the job fails with its spill files freed now. A
 	// canceled job keeps its Checkpoint, a dense copy taken before the
 	// write-back, so it stays resumable; its Model is dropped. Otherwise
-	// every row is clean and the shrink only drops slabs.
+	// every row is clean and the shrink only drops slabs and Wout.
 	if serr := res.Shrink(); serr != nil {
 		res.CloseSpill()
 		err := fmt.Errorf("core: spill tier: %w", serr)
@@ -1129,11 +1135,14 @@ func (s *Service) train(ctx context.Context, j *Job, m methods.Method, g *graph.
 }
 
 // adopt loads j's persisted result from the store, seeding the job's
-// embedding hash from the header digest the load verified.
+// embedding hash from the header digest the load verified. The load
+// decodes and verifies both matrices; the job keeps Win only, as a
+// trained one does.
 func (s *Service) adopt(j *Job) (*core.Result, bool) {
 	res, digest, ok := s.store.load(j.key)
 	if ok {
 		j.seedHash(digest)
+		res.Shrink() // dense: drops Wout, cannot fail
 	}
 	return res, ok
 }

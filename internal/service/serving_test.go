@@ -458,22 +458,34 @@ func TestArtifactStoreSurvivesRestart(t *testing.T) {
 	}
 }
 
+// ringReference trains ringSpec on a store-backed reference service and
+// returns its job's key and the result its artifact holds: the job keeps
+// Win only, the artifact Win and Wout.
+func ringReference(t *testing.T) (experiments.ResultKey, *core.Result) {
+	t.Helper()
+	ref := New(Options{MaxWorkers: 1, ArtifactDir: t.TempDir()})
+	defer ref.Close()
+	jr, err := ref.SubmitSpec(ringSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jr.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	res, ok := ref.store.Load(jr.Key())
+	if !ok {
+		t.Fatal("the reference job's artifact does not load")
+	}
+	return jr.Key(), res
+}
+
 // TestNonV3ArtifactIsRetrained pins the store's one-format rule: a file
 // at a job's artifact path that the current writer would not produce is a
 // Load miss, so the job trains exactly once, replaces the file with v3
 // bytes, and serves row windows bit-equal to the in-memory rows.
 func TestNonV3ArtifactIsRetrained(t *testing.T) {
 	sp := ringSpec()
-	ref := New(Options{MaxWorkers: 1})
-	jr, err := ref.SubmitSpec(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := jr.Wait(context.Background())
-	ref.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	key, want := ringReference(t)
 
 	// A complete artifact in the single-gob-stream layout earlier builds
 	// wrote (header, then the matrices as gob blocks), under the job's own
@@ -483,7 +495,6 @@ func TestNonV3ArtifactIsRetrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := jr.Key()
 	f, err := os.Create(st.path(key))
 	if err != nil {
 		t.Fatal(err)
@@ -545,23 +556,13 @@ func TestNonV3ArtifactIsRetrained(t *testing.T) {
 // agrees with the metadata served for the same ID.
 func TestWrongEmbeddingHashIsRetrained(t *testing.T) {
 	sp := ringSpec()
-	ref := New(Options{MaxWorkers: 1})
-	jr, err := ref.SubmitSpec(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := jr.Wait(context.Background())
-	ref.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	key, want := ringReference(t)
 
 	dir := t.TempDir()
 	st, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := jr.Key()
 	hdr := newArtifactHeader(key, want, mathx.DigestMat(want.Model.Win))
 	hdr.EmbeddingHash ^= 1
 	var buf bytes.Buffer

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -269,22 +268,16 @@ func holdAfterTrain(t *testing.T, s *Service, dir string) func() (*core.Result, 
 // returns how many it replaced.
 func makeSpillFilesReadOnly(t *testing.T, dir string) int {
 	t.Helper()
-	ents, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		t.Skipf("no /proc/self/fd: %v", err)
+	links, ok := spillFDs(dir)
+	if !ok {
+		t.Skip("no /proc/self/fd")
 	}
-	n := 0
-	for _, e := range ents {
-		link := filepath.Join("/proc/self/fd", e.Name())
-		target, err := os.Readlink(link)
-		if err != nil || !strings.HasPrefix(target, filepath.Join(dir, "sepriv-spill-")) {
-			continue
-		}
+	for _, link := range links {
 		ro, err := os.Open(link)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fd, err := strconv.Atoi(e.Name())
+		fd, err := strconv.Atoi(filepath.Base(link))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +285,6 @@ func makeSpillFilesReadOnly(t *testing.T, dir string) int {
 			t.Fatal(err)
 		}
 		ro.Close()
-		n++
 	}
-	return n
+	return len(links)
 }

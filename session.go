@@ -34,7 +34,8 @@ type (
 	// StopReason records why a run ended (completed, budget, canceled).
 	StopReason = core.StopReason
 	// Job is a queued training run inside a Service: cancellable,
-	// observable (Progress), awaitable (Wait).
+	// observable (Progress), awaitable (Wait). Its Result keeps the
+	// published embedding Win only (Model.Wout is nil).
 	Job = service.Job
 	// JobStatus is a Job's lifecycle state.
 	JobStatus = service.Status
