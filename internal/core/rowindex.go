@@ -339,8 +339,12 @@ func writeChunkFramesMat(fw *frameWriter, m mathx.Mat) ([]int64, error) {
 // either matrix dense: one chunk is the largest thing buffered (its 64 KiB
 // of values and its frame, built in one buffer reused for every chunk), so
 // the artifact store persists a spill-backed result at O(chunk) memory,
-// and a checkpoint's slices stream as-is.
+// and a checkpoint's slices stream as-is. A nil wout, as a shrunk
+// Result holds, is an error.
 func WriteIndexed(w io.Writer, hdr any, win, wout mathx.Mat) error {
+	if wout == nil {
+		return fmt.Errorf("core: indexed write without Wout (a shrunk result keeps Win only)")
+	}
 	rows, cols := win.NumRows(), win.NumCols()
 	if wout.NumRows() != rows || wout.NumCols() != cols {
 		return fmt.Errorf("core: indexed write of mismatched shapes %dx%d and %dx%d",

@@ -297,17 +297,17 @@ func (r *Result) FlushSpill() error {
 	return nil
 }
 
-// Shrink keeps only what a result that will only be read from now on
-// publishes: Win. On the spill tier Win writes its dirty rows back and
-// keeps at most two chunks resident (mathx.SpillMatrix.Shrink). Then,
-// on either tier, Wout is dropped (Model.Wout = nil) and a spilled
-// Wout's file closed, its dirty rows unwritten: Wout is training state,
-// never served, and a persisted artifact was written before. Model.Score
-// and Model.Loss do not apply to a shrunk result. Shrink returns the
-// first spill I/O error of either matrix (a *mathx.SpillError), after
-// which the result's rows cannot be trusted and nothing is dropped;
-// after a FlushSpill that succeeded, with no row written since, it does
-// no I/O and cannot fail. A second Shrink does nothing.
+// Shrink reduces a result that will only be read from now on to what it
+// publishes, Win. On the spill tier Win writes its dirty rows back and
+// keeps at most two chunks resident (mathx.SpillMatrix.Shrink). Then
+// Wout, training state that is never served, is dropped on either tier
+// (Model.Wout = nil; a spilled Wout's file is closed, its dirty rows
+// unwritten), so Model.Score and Model.Loss no longer apply: persist the
+// result first. Shrink returns the first spill I/O error of either
+// matrix (a *mathx.SpillError), after which the result's rows cannot be
+// trusted, and then keeps Wout; after a FlushSpill that succeeded, with
+// no row written since, it does no I/O and cannot fail. A second Shrink
+// does nothing.
 func (r *Result) Shrink() error {
 	if sm, ok := r.Model.Win.(*mathx.SpillMatrix); ok {
 		if err := sm.Shrink(); err != nil {

@@ -436,6 +436,10 @@ func TestFinishedJobsKeepOnlyWin(t *testing.T) {
 		t.Errorf("store-backed job's artifact (read err %v) is not the dense training's, Wout frames included", err)
 	}
 	keepsOnlyWin("store-backed", s1, j1, want)
+	kept, _ := j1.Result()
+	if err := s1.store.Save(j1.Key(), kept); err == nil {
+		t.Error("Save of a kept result without Wout succeeded")
+	}
 	jd, err := s1.Submit(g, prox, cfg)
 	if err != nil {
 		t.Fatal(err)

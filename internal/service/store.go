@@ -122,7 +122,9 @@ func sanitizeName(name string) string {
 // Save persists a completed result atomically (see
 // replica.WriteFileAtomic), the same crash discipline as CLI checkpoints
 // and replica leases: a torn write leaves the previous artifact — or no
-// artifact — never a corrupt one.
+// artifact — never a corrupt one. The artifact stores Win and Wout, so
+// res must still hold Wout: a job's kept result, which has dropped it
+// (core.Result.Shrink), is an error.
 func (st *Store) Save(key experiments.ResultKey, res *core.Result) error {
 	return st.save(key, res, mathx.DigestMat(res.Model.Win))
 }
