@@ -52,7 +52,7 @@ func BenchmarkApplyUpdate(b *testing.B) {
 					}
 					rng.NormalVec(sl.grads.GIn, 1)
 					rng.NormalVec(sl.grads.Coef, 1)
-					sl.grads.VI = model.Win.Row(int(in))
+					sl.grads.VI = model.Win.(*mathx.Matrix).Row(int(in))
 					sl.fIn, sl.fOut = rng.Float64(), rng.Float64()
 				}
 				if err := eng.pinEpoch(); err != nil {

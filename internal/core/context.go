@@ -245,12 +245,13 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 	res := &Result{Model: model}
 	startEpoch := 0
 	if ck := hooks.Resume; ck != nil {
-		// Row-wise restore loads the dense checkpoint matrices into
-		// whichever tier THIS run selected — a run may resume under a
-		// smaller (or no) budget than the one that wrote the snapshot,
-		// since the budget is outside the config hash.
-		mathx.CopyIntoMat(model.Win, ck.Win)
-		mathx.CopyIntoMat(model.Wout, ck.Wout)
+		// Restore writes the dense checkpoint matrices (their shape
+		// checked by validateFor) into whichever tier THIS run selected —
+		// a run may resume under a smaller (or no) budget than the one
+		// that wrote the snapshot, since the budget is outside the config
+		// hash.
+		model.Win.WriteRows(0, ck.Win)
+		model.Wout.WriteRows(0, ck.Wout)
 		rng.Restore(ck.RNG)
 		if cfg.Private {
 			noise = xrand.StreamFromState(ck.Noise)

@@ -19,7 +19,7 @@ import (
 //     batch touches and resolve each into a []float64 view, once per
 //     epoch — from the dense matrix, or pinned on the spill tier
 //     (pinEpoch). The stages below reach the model only through these
-//     views and call no Mat.Row, so they take no lock on either tier.
+//     views, so they take no lock on either tier.
 //  1. Gradient stage: for every sampled subgraph run the one-pass
 //     forward+backward (skipgram.RowLossGradients) and compute the
 //     per-example clip FACTORS. A slot keeps the Win row-gradient, the
@@ -279,8 +279,8 @@ func (e *engine) rowGrad(dst []float64, matrix uint64, contribs []int32) {
 // orders the two matrices.
 //
 // Each touched row is written through the epoch's view at its first
-// contribution (inViews for Win, outViews for Wout), never through
-// Mat.Row. The naive strategy also writes the untouched rows; it is
+// contribution (inViews for Win, outViews for Wout), never through the
+// model. The naive strategy also writes the untouched rows; it is
 // dense-only (Config validation), so it takes every row from the dense
 // matrix.
 //
@@ -359,7 +359,7 @@ func (e *engine) update(epoch int) {
 // pinEpoch resolves the view of every row the epoch's sampled batch will
 // touch — Win: the B center rows; Wout: the (K+1)·B positive and negative
 // rows, as listed by touchRows — into inViews and outViews. On the dense
-// tier each view is the matrix's own row. On the spill tier
+// tier each view is the *mathx.Matrix's own row. On the spill tier
 // SpillMatrix.PinViews pins the chunks covering the rows, reads those
 // rows in and hands out their views, so the parallel stages never fault a
 // chunk in, evict one or take the matrix's lock (the engine's side of
@@ -371,11 +371,12 @@ func (e *engine) pinEpoch() error {
 	e.inViews = resize(e.inViews, len(e.inRows))
 	e.outViews = resize(e.outViews, len(e.outRows))
 	if e.winSpill == nil {
+		win, wout := e.model.Win.(*mathx.Matrix), e.model.Wout.(*mathx.Matrix)
 		for p, r := range e.inRows {
-			e.inViews[p] = e.model.Win.Row(int(r))
+			e.inViews[p] = win.Row(int(r))
 		}
 		for p, r := range e.outRows {
-			e.outViews[p] = e.model.Wout.Row(int(r))
+			e.outViews[p] = wout.Row(int(r))
 		}
 		return nil
 	}

@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"seprivgemb/internal/graph"
@@ -270,21 +270,23 @@ func TestStagePanicReachesTrainGoroutine(t *testing.T) {
 	}
 }
 
-// rowCounter is a dense Mat that counts its Row calls.
-type rowCounter struct {
-	*mathx.Matrix
-	calls atomic.Int64
-}
+// sealedMat is a Mat of a given shape whose every row access panics:
+// swapped in for a model's matrices, it fails any stage that reaches the
+// model other than through the epoch's views.
+type sealedMat struct{ rows, cols int }
 
-func (m *rowCounter) Row(i int) []float64 {
-	m.calls.Add(1)
-	return m.Matrix.Row(i)
+func (m sealedMat) NumRows() int            { return m.rows }
+func (m sealedMat) NumCols() int            { return m.cols }
+func (m sealedMat) ReadRows([]float64, int) { panic("core: a stage read the model outside its views") }
+func (m sealedMat) WriteRows(int, []float64) {
+	panic("core: a stage wrote the model outside its views")
 }
 
 // TestStagesCallNoRow: touchRows resolves one view per touched-row
-// position, and after it the gradient, grouping and update stages reach
-// the model only through those views — no Mat.Row call at either worker
-// count, private or not.
+// position, each the model's own row, and after it the gradient,
+// grouping and update stages reach the model only through those views:
+// with the model's matrices sealed they run unchanged, at either worker
+// count, private or not, and match the same epochs run unsealed.
 func TestStagesCallNoRow(t *testing.T) {
 	g := graph.BarabasiAlbert(60, 3, xrand.New(4))
 	for _, private := range []bool{true, false} {
@@ -301,26 +303,46 @@ func TestStagesCallNoRow(t *testing.T) {
 				weights[i] = 1
 			}
 			model := skipgram.New(g.NumNodes(), cfg.Dim, rng)
-			win := &rowCounter{Matrix: model.Win.(*mathx.Matrix)}
-			wout := &rowCounter{Matrix: model.Wout.(*mathx.Matrix)}
-			model.Win, model.Wout = win, wout
+			ref := &skipgram.Model{Dim: model.Dim, Win: model.Win.(*mathx.Matrix).Clone(), Wout: model.Wout.(*mathx.Matrix).Clone()}
+			win, wout := model.Win.(*mathx.Matrix), model.Wout.(*mathx.Matrix)
+			sealed := sealedMat{g.NumNodes(), cfg.Dim}
 			eng := newEngine(model, subs, weights, cfg, xrand.NewStream(5))
+			refEng := newEngine(ref, subs, weights, cfg, xrand.NewStream(5))
 			for epoch := 0; epoch < cfg.MaxEpochs; epoch++ {
 				idx := rng.SampleWithoutReplacement(len(subs), cfg.BatchSize)
+				model.Win, model.Wout = win, wout
 				if err := eng.touchRows(idx); err != nil {
 					t.Fatal(err)
 				}
-				if n := win.calls.Load() + wout.calls.Load(); n != int64(len(idx)*(cfg.K+2)) {
-					t.Fatalf("resolving %d examples' views took %d Row calls, want %d", len(idx), n, len(idx)*(cfg.K+2))
+				if len(eng.inViews) != len(idx) || len(eng.outViews) != len(idx)*(cfg.K+1) {
+					t.Fatalf("resolved %d+%d views for %d examples, want %d+%d",
+						len(eng.inViews), len(eng.outViews), len(idx), len(idx), len(idx)*(cfg.K+1))
 				}
-				win.calls.Store(0)
-				wout.calls.Store(0)
+				for p, r := range eng.inRows {
+					if &eng.inViews[p][0] != &win.Row(int(r))[0] {
+						t.Fatalf("Win view %d is not row %d", p, r)
+					}
+				}
+				for p, r := range eng.outRows {
+					if &eng.outViews[p][0] != &wout.Row(int(r))[0] {
+						t.Fatalf("Wout view %d is not row %d", p, r)
+					}
+				}
+				model.Win, model.Wout = sealed, sealed
 				eng.computeStage(idx)
 				eng.groupStage(g.NumNodes())
 				eng.update(epoch)
 				eng.unpinEpoch()
-				if n := win.calls.Load() + wout.calls.Load(); n != 0 {
-					t.Fatalf("private=%v workers=%d epoch %d: the stages called Row %d times", private, workers, epoch, n)
+
+				if err := refEng.touchRows(idx); err != nil {
+					t.Fatal(err)
+				}
+				refEng.computeStage(idx)
+				refEng.groupStage(g.NumNodes())
+				refEng.update(epoch)
+				refEng.unpinEpoch()
+				if !slices.Equal(win.Data, ref.Win.(*mathx.Matrix).Data) || !slices.Equal(wout.Data, ref.Wout.(*mathx.Matrix).Data) {
+					t.Fatalf("private=%v workers=%d epoch %d: the sealed model's epoch differs from the unsealed one", private, workers, epoch)
 				}
 			}
 		}

@@ -65,10 +65,10 @@ func eagerEpoch(model *skipgram.Model, subs []Subgraph, weights []float64, idx [
 	z := make([]float64, cfg.Dim)
 	zero := make([]float64, cfg.Dim)
 	for _, m := range []struct {
-		w      mathx.Mat
+		w      *mathx.Matrix
 		sums   map[int32][]float64
 		matrix uint64
-	}{{model.Win, sumIn, matWin}, {model.Wout, sumOut, matWout}} {
+	}{{model.Win.(*mathx.Matrix), sumIn, matWin}, {model.Wout.(*mathx.Matrix), sumOut, matWout}} {
 		for r := 0; r < m.w.NumRows(); r++ {
 			g, touched := m.sums[int32(r)]
 			dst := m.w.Row(r)
@@ -169,8 +169,9 @@ func checkEngineMatchesEager(t *testing.T, g *graph.Graph, cfg Config) {
 			name      string
 			got, want mathx.Mat
 		}{{"Win", model.Win, ref.Win}, {"Wout", model.Wout, ref.Wout}} {
+			gotRows, wantRows := mathx.Materialize(m.got), mathx.Materialize(m.want)
 			for r := 0; r < m.want.NumRows(); r++ {
-				got, want := m.got.Row(r), m.want.Row(r)
+				got, want := gotRows.Row(r), wantRows.Row(r)
 				for d := range want {
 					if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
 						t.Fatalf("epoch %d: %s row %d coord %d = %v, eager %v",

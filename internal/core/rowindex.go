@@ -288,10 +288,11 @@ func (ix *RowIndex) validate(size int64) error {
 }
 
 // writeChunkFramesMat emits a Mat's row-major values as chunk frames,
-// staging rows through one chunkFloats buffer so memory stays O(chunk)
-// over any tier — including a spill-backed matrix, whose rows stream
-// through its LRU window. Chunk boundaries fall at multiples of
-// chunkFloats over the flattened row-major array, independent of row
+// staging its windows (mathx.Windows) through one chunkFloats buffer so
+// memory stays O(chunk) over any tier: a spill-backed matrix is copied
+// out a window at a time without loading a chunk. Chunk boundaries fall
+// at multiples of chunkFloats over the flattened row-major array,
+// independent of row
 // width and storage tier, so equal values always encode to equal bytes.
 // It fails with the matrix's spill error (mathx.MatErr) if one is set once
 // every row is read.
@@ -299,7 +300,6 @@ func writeChunkFramesMat(fw *frameWriter, m mathx.Mat) ([]int64, error) {
 	rows, cols := m.NumRows(), m.NumCols()
 	offs := make([]int64, 0, chunkCount(rows*cols, chunkFloats))
 	buf := make([]float64, 0, chunkFloats)
-	scratch := make([]float64, cols)
 	flush := func() error {
 		start, err := fw.writeFloatsFrame(buf)
 		if err != nil {
@@ -309,15 +309,14 @@ func writeChunkFramesMat(fw *frameWriter, m mathx.Mat) ([]int64, error) {
 		buf = buf[:0]
 		return nil
 	}
-	for i := 0; i < rows; i++ {
-		row := mathx.ReadRow(m, i, scratch)
-		for len(row) > 0 {
+	for _, w := range mathx.Windows(m) {
+		for len(w) > 0 {
 			take := chunkFloats - len(buf)
-			if take > len(row) {
-				take = len(row)
+			if take > len(w) {
+				take = len(w)
 			}
-			buf = append(buf, row[:take]...)
-			row = row[take:]
+			buf = append(buf, w[:take]...)
+			w = w[take:]
 			if len(buf) == chunkFloats {
 				if err := flush(); err != nil {
 					return nil, err

@@ -52,29 +52,30 @@ func spillFDs(t *testing.T, dir string) []int {
 	return fds
 }
 
-// makeSpillFilesReadOnly replaces every spill file descriptor under dir
-// with a read-only descriptor of the same file (dup3), so the next
-// write-back's pwrite fails with EBADF, and returns how many it replaced.
-func makeSpillFilesReadOnly(t *testing.T, dir string) int {
+// reopenSpillFiles replaces every spill file descriptor under dir with a
+// descriptor of the same file opened with flag (dup3) and returns how
+// many it replaced: os.O_RDONLY makes the next write-back's pwrite fail
+// with EBADF, os.O_WRONLY the next read's pread.
+func reopenSpillFiles(t *testing.T, dir string, flag int) int {
 	t.Helper()
 	fds := spillFDs(t, dir)
 	for _, fd := range fds {
-		ro, err := os.Open(filepath.Join("/proc/self/fd", strconv.Itoa(fd)))
+		f, err := os.OpenFile(filepath.Join("/proc/self/fd", strconv.Itoa(fd)), flag, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := syscall.Dup3(int(ro.Fd()), fd, syscall.O_CLOEXEC); err != nil {
+		if err := syscall.Dup3(int(f.Fd()), fd, syscall.O_CLOEXEC); err != nil {
 			t.Fatal(err)
 		}
-		ro.Close()
+		f.Close()
 	}
 	return len(fds)
 }
 
-// TestSpillFailureNeverCheckpointed: when the spill files stop accepting
-// writes between two checkpoints, the capture that hits the failure —
-// its copy-out evicts dirty chunks whose pwrite fails — is never handed
-// to the Checkpoint hook, which may persist it over the last good
+// TestSpillFailureNeverCheckpointed: when the spill files stop serving
+// reads between two checkpoints, the capture that hits the failure — its
+// copy-out reads the rows no slab holds, and the pread fails — is never
+// handed to the Checkpoint hook, which may persist it over the last good
 // snapshot. The run fails with the *mathx.SpillError instead, and its
 // spill files are closed by the time TrainContext returns.
 func TestSpillFailureNeverCheckpointed(t *testing.T) {
@@ -88,7 +89,7 @@ func TestSpillFailureNeverCheckpointed(t *testing.T) {
 		Checkpoint:      func(ck *Checkpoint) { delivered = append(delivered, ck.Epoch) },
 		Epoch: func(st EpochStats) {
 			if st.Epoch == 1 { // after epoch 1's update, before its capture
-				if n := makeSpillFilesReadOnly(t, dir); n != 2 {
+				if n := reopenSpillFiles(t, dir, os.O_WRONLY); n != 2 {
 					t.Errorf("found %d spill files of the run, want Win's and Wout's", n)
 				}
 			}
@@ -96,8 +97,8 @@ func TestSpillFailureNeverCheckpointed(t *testing.T) {
 	}
 	res, err := TrainContext(context.Background(), g, proximity.NewDegree(g), cfg, hooks)
 	var se *mathx.SpillError
-	if !errors.As(err, &se) || se.Op != "write" || res != nil {
-		t.Fatalf("TrainContext = (%v, %v), want (nil, a *mathx.SpillError on write)", res, err)
+	if !errors.As(err, &se) || se.Op != "read" || res != nil {
+		t.Fatalf("TrainContext = (%v, %v), want (nil, a *mathx.SpillError on read)", res, err)
 	}
 	if len(delivered) != 1 || delivered[0] != 1 {
 		t.Errorf("checkpoints delivered at epochs %v, want only the one before the failure, [1]", delivered)
@@ -108,9 +109,9 @@ func TestSpillFailureNeverCheckpointed(t *testing.T) {
 }
 
 // TestSpilledResultReadsFailLoudly: once a finished spilled result's
-// backing files fail, no whole-matrix read of it returns rows silently —
-// Embedding panics with the *mathx.SpillError, Rows returns it, and the
-// artifact writer refuses to finish the stream.
+// backing files stop serving reads, no whole-matrix read of it returns
+// rows silently — Embedding panics with the *mathx.SpillError, Rows
+// returns it, and the artifact writer refuses to finish the stream.
 func TestSpilledResultReadsFailLoudly(t *testing.T) {
 	dir := spillTempDir(t)
 	g := spillGraph(t)
@@ -121,7 +122,7 @@ func TestSpilledResultReadsFailLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer res.CloseSpill()
-	if n := makeSpillFilesReadOnly(t, dir); n != 2 {
+	if n := reopenSpillFiles(t, dir, os.O_WRONLY); n != 2 {
 		t.Fatalf("found %d spill files of the result, want Win's and Wout's", n)
 	}
 	var se *mathx.SpillError

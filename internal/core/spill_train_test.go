@@ -313,12 +313,12 @@ func TestSpillSharesFitBudget(t *testing.T) {
 
 // TestSpilledResultConcurrentRows: several goroutines read random row
 // windows of one spilled result, with digests of the whole embedding
-// racing them, under a budget small enough that the digests keep
-// evicting chunks and recycling their slabs while each window copies
-// the rows it finds in them and reads the rest from the file. Every
-// window is bit-equal to the
-// dense run's rows and every digest to the dense digest. Run it under
-// -race (make race).
+// racing them, while another goroutine pins and unpins scattered rows as
+// an epoch would, under a budget small enough that its pins keep
+// evicting chunks, writing their rows back and recycling their slabs
+// while each window copies the rows it finds in them and reads the rest
+// from the file. Every window is bit-equal to the dense run's rows and
+// every digest to the dense digest. Run it under -race (make race).
 func TestSpilledResultConcurrentRows(t *testing.T) {
 	g := spillGraph(t)
 	cfg := spillConfig()
@@ -341,7 +341,31 @@ func TestSpilledResultConcurrentRows(t *testing.T) {
 	evictions := win.Stats().Evictions
 
 	var wg sync.WaitGroup
-	errs := make(chan error, 8)
+	errs := make(chan error, 9)
+	stop := make(chan struct{})
+	var pinner sync.WaitGroup
+	pinner.Add(1)
+	go func() {
+		defer pinner.Done()
+		rng := xrand.New(99)
+		rows := make([]int32, cfg.BatchSize)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i := range rows {
+				rows[i] = int32(rng.Intn(n))
+			}
+			pins, err := win.PinViews(rows, make([][]float64, len(rows)))
+			if err != nil {
+				errs <- err
+				return
+			}
+			win.Unpin(pins)
+		}
+	}()
 	for r := 0; r < 6; r++ {
 		wg.Add(1)
 		go func(seed uint64) {
@@ -374,11 +398,13 @@ func TestSpilledResultConcurrentRows(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	pinner.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
 	if win.Stats().Evictions == evictions {
-		t.Error("the readers never evicted a chunk; shrink the budget")
+		t.Error("the pins never evicted a chunk while the readers ran; shrink the budget")
 	}
 }

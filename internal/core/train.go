@@ -254,7 +254,8 @@ func (r *Result) Embedding() *mathx.Matrix {
 // half of the partial-embedding serving contract (the artifact store's
 // LoadRows is the on-disk half). On the dense tier it is an O(1) view
 // sharing the result's backing array; on the spill tier it is an O(window)
-// copy read through the LRU cache, never a full materialization. Results
+// copy (mathx.SpillMatrix.ReadRows) that loads no chunk, never a full
+// materialization. Results
 // are shared across deduplicated submissions, so the view must be treated
 // as read-only. An out-of-range window is an error rather than a panic:
 // serving layers turn it into a 400. So is a spill-tier I/O failure (a
@@ -264,10 +265,15 @@ func (r *Result) Rows(lo, hi int) (*mathx.Matrix, error) {
 	if lo < 0 || hi < lo || hi > win.NumRows() {
 		return nil, fmt.Errorf("core: row window [%d, %d) outside embedding with %d rows", lo, hi, win.NumRows())
 	}
-	if sm, ok := win.(*mathx.SpillMatrix); ok {
-		return sm.ReadRows(lo, hi)
+	if d, ok := win.(*mathx.Matrix); ok {
+		return d.RowRange(lo, hi), nil
 	}
-	return win.(*mathx.Matrix).RowRange(lo, hi), nil
+	out := mathx.NewMatrix(hi-lo, win.NumCols())
+	win.ReadRows(out.Data, lo)
+	if err := mathx.MatErr(win); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // SpillErr returns the first I/O error of the spill tier under r's model
@@ -299,7 +305,8 @@ func (r *Result) FlushSpill() error {
 
 // Shrink reduces a result that will only be read from now on to what it
 // publishes, Win. On the spill tier Win writes its dirty rows back and
-// keeps at most two chunks resident (mathx.SpillMatrix.Shrink). Then
+// drops its resident slabs (mathx.SpillMatrix.Shrink); no read of it
+// loads one again. Then
 // Wout, training state that is never served, is dropped on either tier
 // (Model.Wout = nil; a spilled Wout's file is closed, its dirty rows
 // unwritten), so Model.Score and Model.Loss no longer apply: persist the

@@ -374,8 +374,9 @@ func TestTrainNoiseCalibration(t *testing.T) {
 		} {
 			var diffs []float64
 			moved := 0
+			wl, wh := mathx.Materialize(m.lo), mathx.Materialize(m.hi)
 			for i := 0; i < n; i++ {
-				rl, rh := m.lo.Row(i), m.hi.Row(i)
+				rl, rh := wl.Row(i), wh.Row(i)
 				same := true
 				for d := range rl {
 					same = same && rl[d] == rh[d]

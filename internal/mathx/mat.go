@@ -1,45 +1,40 @@
 package mathx
 
-import "math"
+import (
+	"fmt"
+	"iter"
+	"math"
+)
 
-// Mat is the row-major float64 matrix abstraction behind the training
-// engine's weight storage. The dense *Matrix is the default implementation;
-// *SpillMatrix (spill.go) is the out-of-core one, keeping only an LRU
-// window of rows resident over a backing file. Extracting the interface is
-// what lets every hot loop — the gradient pass and the replay-and-apply
-// update — run unchanged over either tier (DESIGN.md §15).
-//
-// Row returns a MUTABLE view of one row. For a dense matrix the view is
-// permanently valid; for a spill-backed matrix it is valid until the next
-// operation that may evict, after which it may show another row (see
-// SpillMatrix for the exact contract — the training engine takes its
-// views of each epoch's touched rows once, pinned, before its parallel
-// stages, and the stages call no Row; readers of a finished, shared
-// matrix go through ReadRow).
+// Mat is the row-major float64 matrix behind the model's weights: a shape
+// plus windowed copies, for the dense *Matrix and the out-of-core
+// *SpillMatrix (DESIGN.md §15). ReadRows copies rows [lo,
+// lo+len(dst)/NumCols) into dst and WriteRows copies src over rows [lo,
+// lo+len(src)/NumCols); a window that is not whole rows inside the matrix
+// panics. Neither hands out a view: the training engine takes its views
+// once per epoch, the dense matrix's own rows or SpillMatrix.PinViews. On
+// the spill tier a failed read copies zeros and sets the sticky error
+// MatErr reports, which a caller that copied rows out checks afterwards.
 type Mat interface {
 	NumRows() int
 	NumCols() int
-	Row(i int) []float64
+	ReadRows(dst []float64, lo int)
+	WriteRows(lo int, src []float64)
 }
 
-// ReadRow returns row i of m for reading: on the spill tier a copy in
-// scratch, which must hold NumCols values, taken by SpillMatrix.CopyRow
-// under the matrix's own lock, so the read stays correct while other
-// readers fault, evict and recycle slabs (a Row view carries no such
-// guarantee) and does not mark the row for write-back; otherwise the row
-// itself (the dense tier, no copy). Callers must not mutate the result.
-func ReadRow(m Mat, i int, scratch []float64) []float64 {
-	if sm, ok := m.(*SpillMatrix); ok {
-		sm.CopyRow(scratch, i)
-		return scratch
+// windowEnd returns the row after the window of n values from row lo of a
+// rows×cols matrix, and panics unless it is whole rows inside the matrix.
+func windowEnd(op string, rows, cols, lo, n int) int {
+	if lo < 0 || lo > rows || n%cols != 0 || n/cols > rows-lo {
+		panic(fmt.Sprintf("mathx: %s of %d values at row %d outside %dx%d", op, n, lo, rows, cols))
 	}
-	return m.Row(i)
+	return lo + n/cols
 }
 
 // MatErr returns the sticky I/O error of an out-of-core m (a
 // *SpillError), nil for a dense matrix or a healthy spill matrix. A
-// caller that copied rows out of m through ReadRow checks it afterwards:
-// a failed read copies zeros, not an error.
+// caller that copied rows out of m checks it afterwards: a failed read
+// copies zeros, not an error.
 func MatErr(m Mat) error {
 	if sm, ok := m.(*SpillMatrix); ok {
 		return sm.Err()
@@ -53,20 +48,52 @@ func (m *Matrix) NumRows() int { return m.Rows }
 // NumCols implements Mat.
 func (m *Matrix) NumCols() int { return m.Cols }
 
+// ReadRows implements Mat.
+func (m *Matrix) ReadRows(dst []float64, lo int) {
+	hi := windowEnd("ReadRows", m.Rows, m.Cols, lo, len(dst))
+	copy(dst, m.Data[lo*m.Cols:hi*m.Cols])
+}
+
+// WriteRows implements Mat.
+func (m *Matrix) WriteRows(lo int, src []float64) {
+	hi := windowEnd("WriteRows", m.Rows, m.Cols, lo, len(src))
+	copy(m.Data[lo*m.Cols:hi*m.Cols], src)
+}
+
+// Windows yields m's values in row order as windows of whole rows: each
+// window's first row and its row-major values, read-only and valid until
+// the next window. A dense m yields its data as one window; any other m
+// is copied out with ReadRows a spill chunk of rows at a time through one
+// buffer, so a pass holds O(chunk) memory and loads no chunk. The caller
+// checks MatErr afterwards.
+func Windows(m Mat) iter.Seq2[int, []float64] {
+	return func(yield func(int, []float64) bool) {
+		if d, ok := m.(*Matrix); ok {
+			yield(0, d.Data)
+			return
+		}
+		rows, cols, step := m.NumRows(), m.NumCols(), SpillChunkRows(m.NumCols())
+		buf := make([]float64, min(step, rows)*cols)
+		for lo := 0; lo < rows; lo += step {
+			w := buf[:(min(lo+step, rows)-lo)*cols]
+			m.ReadRows(w, lo)
+			if !yield(lo, w) {
+				return
+			}
+		}
+	}
+}
+
 // Materialize returns m as a dense *Matrix: m itself when already dense
-// (O(1)), otherwise a fresh row-by-row copy — an O(rows·cols) allocation
-// that defeats the point of a spill-backed matrix, so serving paths prefer
+// (O(1)), otherwise a fresh copy — an O(rows·cols) allocation that
+// defeats the point of a spill-backed matrix, so serving paths prefer
 // windowed reads (ReadRows, Result.Rows) and reserve this for callers that
 // genuinely need the whole matrix in memory.
 func Materialize(m Mat) *Matrix {
 	if d, ok := m.(*Matrix); ok {
 		return d
 	}
-	out := NewMatrix(m.NumRows(), m.NumCols())
-	for i := 0; i < m.NumRows(); i++ {
-		copy(out.Row(i), ReadRow(m, i, out.Row(i)))
-	}
-	return out
+	return &Matrix{Rows: m.NumRows(), Cols: m.NumCols(), Data: CopyOut(m)}
 }
 
 // CopyOut returns a fresh row-major copy of m's values — unlike
@@ -74,41 +101,22 @@ func Materialize(m Mat) *Matrix {
 // result (checkpoint capture relies on this: the snapshot must stay frozen
 // while training keeps mutating the live matrix).
 func CopyOut(m Mat) []float64 {
-	rows, cols := m.NumRows(), m.NumCols()
-	out := make([]float64, rows*cols)
-	for i := 0; i < rows; i++ {
-		dst := out[i*cols : (i+1)*cols]
-		copy(dst, ReadRow(m, i, dst))
+	cols := m.NumCols()
+	out := make([]float64, m.NumRows()*cols)
+	for lo, w := range Windows(m) {
+		copy(out[lo*cols:], w)
 	}
 	return out
 }
 
-// CopyIntoMat writes the row-major values of src into m row by row — the
-// inverse of CopyOut, used to restore a checkpoint into whichever storage
-// tier the resumed run selected. Panics on shape mismatch.
-func CopyIntoMat(m Mat, src []float64) {
-	rows, cols := m.NumRows(), m.NumCols()
-	if len(src) != rows*cols {
-		panic("mathx: CopyInto length mismatch")
-	}
-	for i := 0; i < rows; i++ {
-		copy(m.Row(i), src[i*cols:(i+1)*cols])
-	}
-}
-
 // DigestMat folds m's row-major float64 bit patterns into the FNV-1a
-// embedding-identity digest. For a dense matrix it equals
-// DigestFloat64s(m.Data) exactly; for a spill-backed matrix it streams row
-// by row in the same order at O(window) memory, so the hash of a spilled
-// run is bit-comparable to its in-memory twin.
+// embedding-identity digest: DigestFloat64s of its values, streamed a
+// window at a time (Windows), so the hash of a spilled run is
+// bit-comparable to its in-memory twin at O(chunk) memory.
 func DigestMat(m Mat) uint64 {
-	if d, ok := m.(*Matrix); ok {
-		return DigestFloat64s(d.Data)
-	}
 	h := NewFNV64()
-	scratch := make([]float64, m.NumCols())
-	for i := 0; i < m.NumRows(); i++ {
-		for _, x := range ReadRow(m, i, scratch) {
+	for _, w := range Windows(m) {
+		for _, x := range w {
 			h.Word(math.Float64bits(x))
 		}
 	}

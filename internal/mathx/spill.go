@@ -40,6 +40,13 @@ func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b bitset) unset(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
 
+// setRange sets bits [lo, hi), a word at a time.
+func (b bitset) setRange(lo, hi int) {
+	for w := lo >> 6; w<<6 < hi; w++ {
+		b[w] |= wordMask(w, lo, hi)
+	}
+}
+
 // unsetRange clears bits [lo, hi), a word at a time.
 func (b bitset) unsetRange(lo, hi int) {
 	for w := lo >> 6; w<<6 < hi; w++ {
@@ -111,8 +118,7 @@ type SpillStats struct {
 
 // SpillError is a failed read or write-back of a spill matrix's backing
 // file. The first one is sticky: the matrix's contents are no longer
-// trustworthy, so PinViews, Flush, Err and ReadRows return it from then
-// on.
+// trustworthy, so PinViews, Flush, Shrink and Err return it from then on.
 type SpillError struct {
 	Op    string // "read" or "write"
 	Chunk int
@@ -130,29 +136,27 @@ func (e *SpillError) Unwrap() error { return e.Err }
 // (created-then-unlinked) temp file, bounded by a byte budget. It is the
 // out-of-core training tier selected by Config.MemoryBudget.
 //
-// I/O is row-granular. A chunk becomes resident without I/O; each row in
-// it is read from the file only when first needed (a present bit) and
-// written back on eviction only if it was handed out mutably (a dirty
-// bit). PinViews reads just the pinned rows; ReadRows reads a window's
-// absent rows into its copy without loading their chunks; any other miss
-// fills the chunk's absent rows, so a streaming reader still does one
-// pread per chunk. Runs of consecutive rows coalesce into one pread or
-// pwrite.
+// There are two ways in. PinViews makes the chunks covering a set of rows
+// resident, reads the absent ones of those rows, and hands out mutable
+// views of them that stay valid until the matching Unpin: the training
+// engine pins each epoch's touched rows once, on the training goroutine
+// before the parallel stages, which then read and write only those views
+// and take no lock. Every other pass copies windows of rows under the
+// matrix's lock: WriteRows loads the window's chunks and copies values in
+// (initialization, restore), and ReadRows copies values out (digest,
+// checkpoint capture, the artifact write, serving) without loading any
+// chunk. Only PinViews and WriteRows make a chunk resident.
 //
-// Concurrency: all methods are safe for concurrent use, but the Row
-// slices they return are views into resident slabs, which are recycled:
-// an evicted chunk's slab is reused for the next chunk to load. A view
-// is therefore valid only until an operation that may evict its chunk,
-// and after that it may show another chunk's rows. The training engine
-// makes that window explicit with the pin discipline: once per epoch, on
-// the training goroutine before the parallel stages, PinViews pins the
-// rows the epoch will touch and returns a view of each; the gradient and
-// update stages read and write only those views, taking no lock, and
-// Unpin ends the epoch. A reader that can race another reader of an
-// unpinned matrix — serving a finished result — copies rows out under
-// the matrix's lock instead: CopyRow, ReadRows, and the mathx helpers
-// built on ReadRow. Row is for single-goroutine writers outside an
-// epoch: initialization and checkpoint restore.
+// I/O is row-granular. A chunk becomes resident without I/O; a row in it
+// is read from the file only when a pin needs it (a present bit) and
+// written back on eviction only if it was handed out mutably or written
+// (a dirty bit). ReadRows copies present rows from their slabs and reads
+// the rest straight from the file. Runs of consecutive rows coalesce into
+// one pread or pwrite.
+//
+// Concurrency: all methods are safe for concurrent use. Slabs are
+// recycled — an evicted chunk's slab is reused for the next chunk to load
+// — which is why a view exists only while its chunk is pinned.
 //
 // Budget overage: if every resident chunk is pinned and a new chunk must
 // load, the matrix grows past its budget rather than deadlock; the
@@ -160,22 +164,22 @@ func (e *SpillError) Unwrap() error { return e.Err }
 // guarantee size their pin sets with MinSpillBudget.
 //
 // I/O errors do not panic: the first one is recorded (SpillError) and
-// returned by the next PinViews, Flush or Err, and from then on reads
-// may return zeros (a failed read) or the file's older value (a lost
-// write-back), never another row's values. A reader that copies out a
-// spilled matrix — a digest, a checkpoint, an artifact — checks Err
+// returned by the next PinViews, Flush, Shrink or Err, and from then on
+// reads may return zeros (a failed read) or the file's older value (a
+// lost write-back), never another row's values. A reader that copies out
+// a spilled matrix — a digest, a checkpoint, an artifact — checks Err
 // afterwards and discards the copy if it is set.
 type SpillMatrix struct {
 	rows, cols int
 	chunkRows  int // rows per chunk: max(1, SpillChunkFloats/cols)
 
-	budgetChunks int // resident ceiling (soft under all-pinned pressure)
+	budgetChunks int // resident ceiling (soft under all-pinned pressure), fixed at creation
 
 	mu       sync.Mutex
 	file     *os.File
 	chunks   []spillChunk // indexed by chunk; data == nil when not resident
 	present  bitset       // rows whose resident slab holds their current value
-	dirty    bitset       // present rows handed out mutably since their fill
+	dirty    bitset       // present rows handed out mutably or written since their last write-back
 	mark     bitset       // pinLocked's row marks, cleared before it returns
 	pinMark  bitset       // pinLocked's chunk marks, cleared as they are visited
 	mru, lru int32        // resident list ends, -1 when nothing is resident
@@ -365,43 +369,42 @@ func (m *SpillMatrix) load(c int) *spillChunk {
 	return ch
 }
 
-// fill makes the absent rows of resident chunk c present — only those
-// marked in want when want is non-nil — with one pread per run of
-// consecutive rows, or by zeroing them while the chunk has never been
-// written back. A failed read zeroes its rows, so they never show the
-// recycled slab's previous chunk, and leaves them absent. Caller holds
-// m.mu.
-func (m *SpillMatrix) fill(c int, want bitset) {
-	ch := &m.chunks[c]
-	absent := func(w int) uint64 {
-		if want == nil {
-			return ^m.present[w]
-		}
-		return want[w] &^ m.present[w]
+// readFile reads the rows of chunk c from row a on into dst with one
+// pread, or zeroes dst with no I/O while the chunk has never been written
+// back. A failed read zeroes dst too, so it never shows a recycled slab's
+// previous chunk, records the error and returns false. Caller holds m.mu.
+func (m *SpillMatrix) readFile(c, a int, dst []float64) bool {
+	if !m.chunks[c].written {
+		clear(dst)
+		return true
 	}
+	buf := float64sAsBytes(dst)
+	if _, err := m.file.ReadAt(buf, int64(a)*int64(m.cols)*8); err != nil {
+		clear(dst)
+		m.fail("read", c, err)
+		return false
+	}
+	m.stats.Reads++
+	m.stats.BytesRead += int64(len(buf))
+	return true
+}
+
+// fill makes the rows of resident chunk c that are marked in want and
+// absent present, one readFile per run of consecutive rows; a row whose
+// read failed stays absent. Caller holds m.mu.
+func (m *SpillMatrix) fill(c int, want bitset) {
 	lo, hi := m.rowRange(c)
-	bitRuns(lo, hi, absent, func(a, b int) {
-		dst := m.rowsOf(c, a, b)
-		if ch.written {
-			buf := float64sAsBytes(dst)
-			if _, err := m.file.ReadAt(buf, int64(a)*int64(m.cols)*8); err != nil {
-				clear(dst)
-				m.fail("read", c, err)
-				return
-			}
-			m.stats.Reads++
-			m.stats.BytesRead += int64(len(buf))
-		} else {
-			clear(dst)
-		}
-		for i := a; i < b; i++ {
-			m.present.set(i)
+	bitRuns(lo, hi, func(w int) uint64 { return want[w] &^ m.present[w] }, func(a, b int) {
+		if m.readFile(c, a, m.rowsOf(c, a, b)) {
+			m.present.setRange(a, b)
 		}
 	})
 }
 
 // writeBack writes chunk c's dirty rows to the file, one pwrite per run,
-// and marks them clean. Caller holds m.mu.
+// and marks them clean unless the chunk is pinned: a pin's holder may
+// still write through its views, and those writes must reach the file
+// when the chunk is evicted after Unpin. Caller holds m.mu.
 func (m *SpillMatrix) writeBack(c int) {
 	ch := &m.chunks[c]
 	lo, hi := m.rowRange(c)
@@ -414,7 +417,9 @@ func (m *SpillMatrix) writeBack(c int) {
 			m.stats.Writes++
 			m.stats.BytesWritten += int64(len(buf))
 		}
-		m.dirty.unsetRange(a, b)
+		if ch.pins == 0 {
+			m.dirty.unsetRange(a, b)
+		}
 	})
 }
 
@@ -447,44 +452,6 @@ func (m *SpillMatrix) evict(c int) []float64 {
 	return slab
 }
 
-// rowLocked returns row i's slab values, faulting in its chunk and filling
-// the chunk's absent rows on a miss. Caller holds m.mu.
-func (m *SpillMatrix) rowLocked(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mathx: row %d out of range [0,%d)", i, m.rows))
-	}
-	c := i / m.chunkRows
-	m.load(c)
-	if !m.present.has(i) {
-		m.fill(c, nil)
-	}
-	return m.rowsOf(c, i, i+1)
-}
-
-// Row implements Mat: a mutable view of row i, valid until the next
-// operation that may evict its chunk (never while the row is pinned). The
-// row is marked dirty, so it will be written back on eviction — unless
-// its read failed: an absent row is never written over the file.
-func (m *SpillMatrix) Row(i int) []float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	row := m.rowLocked(i)
-	if m.present.has(i) {
-		m.dirty.set(i)
-	}
-	return row
-}
-
-// CopyRow copies row i into dst under the matrix's lock, without marking
-// the row dirty, so a clean row visited by a streaming reader (digest,
-// artifact encode) is dropped on eviction instead of rewritten, and
-// concurrent readers never see a recycled slab.
-func (m *SpillMatrix) CopyRow(dst []float64, i int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	copy(dst, m.rowLocked(i))
-}
-
 // PinViews makes resident the chunks covering rows, reads those of the
 // rows not yet present, and holds the chunks unevictable until the
 // matching Unpin. Duplicate rows are fine (one pin per chunk per call).
@@ -496,8 +463,8 @@ func (m *SpillMatrix) CopyRow(dst []float64, i int) {
 // so a caller that reads and writes the pinned rows from several
 // goroutines — the training engine's gradient and update stages — never
 // contends on the matrix.
-// Every pinned row is marked dirty, as Row would mark it, because the
-// caller is expected to write it. On error views is left unchanged.
+// Every pinned row is marked dirty, because the caller is expected to
+// write it. On error views is left unchanged.
 func (m *SpillMatrix) PinViews(rows []int32, views [][]float64) ([]int32, error) {
 	if len(views) != len(rows) {
 		panic(fmt.Sprintf("mathx: PinViews of %d rows into %d views", len(rows), len(views)))
@@ -564,55 +531,51 @@ func (m *SpillMatrix) unpinLocked(chunks []int32) {
 	}
 }
 
-// ReadRows copies rows [lo, hi) into a fresh dense matrix under one
-// acquisition of the matrix's lock. Unlike the dense Matrix.RowRange view
-// this is O(window) copy, not O(1) aliasing — the price of the backing
-// tier — but it is safe to hold indefinitely and safe against concurrent
-// readers. A row present in a resident slab is copied from it; every
-// other row is read straight from the file into the window, one pread
-// per run of such rows (zeros, with no I/O, in a chunk never written
-// back), without making its chunk resident. So ReadRows loads, evicts and
-// dirties nothing: concurrent readers of different windows of a shrunk
-// result do not evict each other's chunks, and each reads only its own
-// rows. It returns the matrix's sticky I/O error, if any, instead of a
-// window.
-func (m *SpillMatrix) ReadRows(lo, hi int) (*Matrix, error) {
-	if lo < 0 || hi < lo || hi > m.rows {
-		panic(fmt.Sprintf("mathx: ReadRows(%d, %d) outside [0,%d]", lo, hi, m.rows))
-	}
-	out := NewMatrix(hi-lo, m.cols)
-	window := func(a, b int) []float64 { return out.Data[(a-lo)*m.cols : (b-lo)*m.cols] }
+// ReadRows implements Mat under one acquisition of the matrix's lock. A
+// row present in a resident slab is copied from it; every other row is
+// read straight from the file into dst, one readFile per run, without
+// making its chunk resident. So ReadRows loads, evicts and dirties
+// nothing, and concurrent readers never evict each other's chunks.
+func (m *SpillMatrix) ReadRows(dst []float64, lo int) {
+	hi := windowEnd("ReadRows", m.rows, m.cols, lo, len(dst))
+	window := func(a, b int) []float64 { return dst[(a-lo)*m.cols : (b-lo)*m.cols] }
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for c := lo / m.chunkRows; c*m.chunkRows < hi; c++ {
-		if m.closed {
-			panic("mathx: SpillMatrix used after Close")
-		}
-		clo, chi := m.rowRange(c)
-		a, b := max(lo, clo), min(hi, chi)
-		ch := &m.chunks[c]
-		if ch.data != nil { // a non-resident chunk has no present row
+	if m.closed {
+		panic("mathx: SpillMatrix used after Close")
+	}
+	for a := lo; a < hi; {
+		c := a / m.chunkRows
+		b := min(hi, (c+1)*m.chunkRows)
+		if m.chunks[c].data != nil { // a non-resident chunk has no present row
 			bitRuns(a, b, func(w int) uint64 { return m.present[w] }, func(x, y int) {
 				copy(window(x, y), m.rowsOf(c, x, y))
 			})
 		}
-		if !ch.written {
-			continue // its absent rows read as the window's zeros
-		}
 		bitRuns(a, b, func(w int) uint64 { return ^m.present[w] }, func(x, y int) {
-			buf := float64sAsBytes(window(x, y))
-			if _, err := m.file.ReadAt(buf, int64(x)*int64(m.cols)*8); err != nil {
-				m.fail("read", c, err)
-				return
-			}
-			m.stats.Reads++
-			m.stats.BytesRead += int64(len(buf))
+			m.readFile(c, x, window(x, y))
 		})
+		a = b
 	}
-	if m.err != nil {
-		return nil, m.err
+}
+
+// WriteRows implements Mat under one acquisition of the matrix's lock: it
+// loads the window's chunks in row order, evicting as the budget demands,
+// copies src in, and marks the window's rows present and dirty, reading
+// nothing.
+func (m *SpillMatrix) WriteRows(lo int, src []float64) {
+	hi := windowEnd("WriteRows", m.rows, m.cols, lo, len(src))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for a := lo; a < hi; {
+		c := a / m.chunkRows
+		b := min(hi, (c+1)*m.chunkRows)
+		m.load(c)
+		copy(m.rowsOf(c, a, b), src[(a-lo)*m.cols:(b-lo)*m.cols])
+		m.present.setRange(a, b)
+		m.dirty.setRange(a, b)
+		a = b
 	}
-	return out, nil
 }
 
 // Err returns the first I/O error the matrix hit, nil if none.
@@ -652,8 +615,6 @@ func (m *SpillMatrix) MaxResidentBytes() int64 {
 
 // BudgetBytes returns the resident ceiling in bytes (chunk-granular).
 func (m *SpillMatrix) BudgetBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return int64(m.budgetChunks) * int64(m.chunkRows*m.cols*8)
 }
 
@@ -674,19 +635,16 @@ func (m *SpillMatrix) flushLocked() error {
 	return m.err
 }
 
-// Shrink gives back the resident window of a matrix that will only be
-// read from now on, such as a finished result: it writes every dirty
-// resident row back and, only if that succeeds, drops every unpinned slab
-// and lowers the resident ceiling to the two-chunk floor NewSpillMatrix
-// enforces. ReadRows reads around that window and never fills it; the
-// row-at-a-time readers (CopyRow and the helpers built on it, such as
-// Materialize and DigestMat) stream through it, which is enough for two
-// concurrent sequential sweeps. MaxResidentBytes keeps its lifetime
-// high-water mark. A pinned chunk stays resident, as under all-pinned
-// pressure, so a view a caller still holds stays valid. On failure Shrink
-// returns the sticky I/O error (a *SpillError) and drops nothing; after a
-// successful Flush with no row dirtied since, it does no I/O and cannot
-// fail. A second Shrink does nothing.
+// Shrink gives back the resident slabs of a matrix that will only be read
+// from now on, such as a finished result: it writes every dirty resident
+// row back and, only if that succeeds, drops every unpinned slab. ReadRows
+// reads around the empty window, so reads of a shrunk matrix hold no slab.
+// MaxResidentBytes keeps its lifetime high-water mark. A pinned chunk
+// stays resident, as under all-pinned pressure, so a view a caller still
+// holds stays valid. On failure Shrink returns the sticky I/O error (a
+// *SpillError) and drops nothing; after a successful Flush with no chunk
+// pinned and no row dirtied since, it does no I/O and cannot fail. A
+// second Shrink does nothing.
 func (m *SpillMatrix) Shrink() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -700,7 +658,6 @@ func (m *SpillMatrix) Shrink() error {
 		}
 		c = next
 	}
-	m.budgetChunks = 2
 	return nil
 }
 

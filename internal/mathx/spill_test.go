@@ -35,9 +35,27 @@ func chunkStride(cols int) int64 {
 	return stride
 }
 
+// fillRows writes fillRow's pattern into rows [lo, hi) with one WriteRows.
+func fillRows(sm *SpillMatrix, lo, hi int) {
+	src := make([]float64, (hi-lo)*sm.NumCols())
+	for i := lo; i < hi; i++ {
+		fillRow(src[(i-lo)*sm.NumCols():(i-lo+1)*sm.NumCols()], i)
+	}
+	sm.WriteRows(lo, src)
+}
+
 // readRow returns a copy of row i, read the way shared readers do.
 func readRow(sm *SpillMatrix, i int) []float64 {
-	return ReadRow(sm, i, make([]float64, sm.NumCols()))
+	dst := make([]float64, sm.NumCols())
+	sm.ReadRows(dst, i)
+	return dst
+}
+
+// touch pins rows and unpins them at once, loading their chunks the way
+// an epoch does.
+func touch(t *testing.T, sm *SpillMatrix, rows ...int32) {
+	t.Helper()
+	sm.Unpin(mustPin(t, sm, rows))
 }
 
 // mustPin pins rows through PinViews, discarding the views.
@@ -58,9 +76,7 @@ func TestSpillMatrixRoundTripAcrossEvictions(t *testing.T) {
 	if got := sm.NumRows(); got != rows {
 		t.Fatalf("NumRows = %d, want %d", got, rows)
 	}
-	for i := 0; i < rows; i++ {
-		fillRow(sm.Row(i), i)
-	}
+	fillRows(sm, 0, rows)
 	// Every write beyond 4 resident chunks forced evictions; verify all
 	// values survived the write-back/reload cycle.
 	for i := 0; i < rows; i++ {
@@ -91,12 +107,10 @@ func TestSpillMatrixBudgetEnforced(t *testing.T) {
 	const cols = 512 // 16 rows/chunk
 	stride := chunkStride(cols)
 	sm := newTestSpill(t, 1600, cols, 3*stride) // 100 chunks, 3 resident
-	for i := 0; i < 1600; i++ {
-		fillRow(sm.Row(i), i)
-	}
-	// Random-order reads to churn the LRU.
+	fillRows(sm, 0, 1600)
+	// Scattered pins to churn the LRU.
 	for i := 0; i < 1600; i += 97 {
-		readRow(sm, i)
+		touch(t, sm, int32(i))
 	}
 	if got := sm.MaxResidentBytes(); got > 3*stride {
 		t.Fatalf("MaxResidentBytes = %d, want <= %d", got, 3*stride)
@@ -113,10 +127,16 @@ func TestSpillMatrixPinHoldsViews(t *testing.T) {
 	// Pin rows in two distinct chunks (the whole budget), then touch a
 	// third chunk: the matrix must grow past budget rather than evict a
 	// pinned chunk, and the pinned views must stay live.
-	pins := mustPin(t, sm, []int32{0, 100})
-	v0 := sm.Row(0)
+	views := make([][]float64, 2)
+	pins, err := sm.PinViews([]int32{0, 100}, views)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v0 := views[0]
 	fillRow(v0, 0)
-	sm.Row(200)[0] = 42 // third chunk: over-budget load
+	row200 := make([]float64, cols)
+	row200[0] = 42
+	sm.WriteRows(200, row200) // third chunk: over-budget load
 	if v0[3] != 0.25+3 {
 		t.Fatalf("pinned view mutated by eviction: %v", v0[3])
 	}
@@ -146,15 +166,11 @@ func TestSpillMatrixUnpinUnpinnedPanics(t *testing.T) {
 
 func TestSpillMatrixReadRows(t *testing.T) {
 	sm := newTestSpill(t, 500, 32, 1<<20)
-	for i := 0; i < 500; i++ {
-		fillRow(sm.Row(i), i)
-	}
-	w, err := sm.ReadRows(123, 321)
-	if err != nil {
+	fillRows(sm, 0, 500)
+	w := NewMatrix(321-123, 32)
+	sm.ReadRows(w.Data, 123)
+	if err := sm.Err(); err != nil {
 		t.Fatal(err)
-	}
-	if w.Rows != 321-123 || w.Cols != 32 {
-		t.Fatalf("window shape %dx%d", w.Rows, w.Cols)
 	}
 	for i := 0; i < w.Rows; i++ {
 		want := make([]float64, 32)
@@ -174,7 +190,7 @@ func TestDigestMatMatchesDense(t *testing.T) {
 		dense.Data[i] = math.Sin(float64(i)) * 1e6
 	}
 	sm := newTestSpill(t, rows, cols, MinSpillBudget(rows, cols, 4))
-	CopyIntoMat(sm, dense.Data)
+	sm.WriteRows(0, dense.Data)
 	if got, want := DigestMat(sm), DigestFloat64s(dense.Data); got != want {
 		t.Fatalf("DigestMat(spill) = %#x, DigestFloat64s(dense) = %#x", got, want)
 	}
@@ -186,12 +202,10 @@ func TestDigestMatMatchesDense(t *testing.T) {
 func TestCopyOutCopyIntoRoundTrip(t *testing.T) {
 	const rows, cols = 97, 33
 	sm := newTestSpill(t, rows, cols, MinSpillBudget(rows, cols, 2))
-	for i := 0; i < rows; i++ {
-		fillRow(sm.Row(i), i)
-	}
+	fillRows(sm, 0, rows)
 	out := CopyOut(sm)
 	dense := NewMatrix(rows, cols)
-	CopyIntoMat(dense, out)
+	dense.WriteRows(0, out)
 	for i := 0; i < rows; i++ {
 		want := make([]float64, cols)
 		fillRow(want, i)
@@ -226,7 +240,7 @@ func TestMinSpillBudgetCoversPins(t *testing.T) {
 		pinRows = append(pinRows, int32(c*64))
 	}
 	pins := mustPin(t, sm, pinRows)
-	readRow(sm, rows-1) // the +1 streaming spare
+	sm.WriteRows(rows-1, make([]float64, cols)) // the +1 spare
 	if got := sm.MaxResidentBytes(); got > budget {
 		t.Fatalf("resident %d exceeded MinSpillBudget %d", got, budget)
 	}
@@ -235,16 +249,14 @@ func TestMinSpillBudgetCoversPins(t *testing.T) {
 
 // TestSpillPinReadsOnlyPinnedRows: one pinned epoch on a cold matrix
 // reads exactly its distinct pinned rows, one pread per run of
-// consecutive rows; an unpinned miss fills the whole chunk in one pread;
-// eviction writes back only the rows handed out mutably since the last
-// write-back.
+// consecutive rows; a cold read outside a pin reads only its row and
+// loads nothing; eviction writes back only the rows handed out mutably or
+// written since the last write-back.
 func TestSpillPinReadsOnlyPinnedRows(t *testing.T) {
 	const rows, cols = 4096, 128 // 64 rows/chunk, 64 chunks
 	rowBytes := int64(cols * 8)
 	sm := newTestSpill(t, rows, cols, 4*chunkStride(cols))
-	for i := 0; i < rows; i++ {
-		fillRow(sm.Row(i), i)
-	}
+	fillRows(sm, 0, rows)
 	// Only the last four chunks are resident now; chunks 0–2 are cold.
 	before := sm.Stats()
 	pins := mustPin(t, sm, []int32{131, 0, 2, 1, 5, 64, 130, 2, 0})
@@ -265,26 +277,32 @@ func TestSpillPinReadsOnlyPinnedRows(t *testing.T) {
 	if sm.Stats().Reads != got.Reads {
 		t.Errorf("reading pinned rows back did I/O")
 	}
-	// PinViews hands out every pinned row mutably; write them back, so
-	// that the row written below is the only dirty one at eviction.
+	// PinViews hands out every pinned row mutably; write them back after
+	// Unpin, so that the row written below is the only dirty one at
+	// eviction.
+	sm.Unpin(pins)
 	if err := sm.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	sm.Row(5)[0] = -1 // the only row handed out mutably since the flush
-	sm.Unpin(pins)
+	row5 := readRow(sm, 5)
+	row5[0] = -1
+	sm.WriteRows(5, row5) // the only row written since the flush
 
-	// A cold unpinned read fills its whole chunk in one pread.
-	before = sm.Stats()
+	// A cold read outside a pin reads just its row and loads nothing.
+	before, resident := sm.Stats(), sm.ResidentBytes()
 	readRow(sm, 10*64+3)
-	if d := sm.Stats(); d.Reads-before.Reads != 1 || d.BytesRead-before.BytesRead != chunkStride(cols) {
+	if d := sm.Stats(); d.Reads-before.Reads != 1 || d.BytesRead-before.BytesRead != rowBytes {
 		t.Errorf("cold unpinned read: %d preads / %d B, want 1 / %d B",
-			d.Reads-before.Reads, d.BytesRead-before.BytesRead, chunkStride(cols))
+			d.Reads-before.Reads, d.BytesRead-before.BytesRead, rowBytes)
 	}
-	// Stream four more cold chunks through: chunks 0–2 are evicted, and
+	if got := sm.ResidentBytes(); got != resident {
+		t.Errorf("cold unpinned read moved the resident bytes from %d to %d", resident, got)
+	}
+	// Pin four more cold chunks: chunk 63 and chunks 0–2 are evicted, and
 	// only row 5 is written back.
 	before = sm.Stats()
 	for c := 11; c < 15; c++ {
-		readRow(sm, c*64)
+		touch(t, sm, int32(c*64))
 	}
 	d := sm.Stats()
 	if d.Evictions-before.Evictions != 4 {
@@ -308,15 +326,13 @@ func TestSpillPinViews(t *testing.T) {
 	const rows, cols = 1024, 128 // 64 rows/chunk, 16 chunks
 	rowBytes := int64(cols * 8)
 	sm := newTestSpill(t, rows, cols, 3*chunkStride(cols))
-	for i := 0; i < rows; i++ {
-		fillRow(sm.Row(i), i)
-	}
+	fillRows(sm, 0, rows)
 	if err := sm.Flush(); err != nil { // every row clean
 		t.Fatal(err)
 	}
-	evictAll := func() { // stream three other chunks through the window
+	evictAll := func() { // pin three other chunks through the window
 		for c := 10; c < 13; c++ {
-			readRow(sm, c*64)
+			touch(t, sm, int32(c*64))
 		}
 	}
 	pinned := []int32{3, 70, 3, 130}
@@ -337,7 +353,7 @@ func TestSpillPinViews(t *testing.T) {
 	}
 	views[0][1] = -1 // row 3, through the view
 	if got := readRow(sm, 3)[1]; got != -1 {
-		t.Errorf("CopyRow of row 3 = %v after a write through its view, want -1", got)
+		t.Errorf("ReadRows of row 3 = %v after a write through its view, want -1", got)
 	}
 	sm.Unpin(pins)
 	before := sm.Stats()
@@ -426,7 +442,7 @@ func TestBitRunsMatchesScan(t *testing.T) {
 	}
 }
 
-// TestSpillEvictionRecyclesSlabs: once the window is warm, streaming
+// TestSpillEvictionRecyclesSlabs: once the window is warm, writing
 // through evicting chunks allocates nothing — each load takes over its
 // victim's slab — and after pins forced the window past its budget the
 // next loads evict it back within the budget.
@@ -434,15 +450,15 @@ func TestSpillEvictionRecyclesSlabs(t *testing.T) {
 	const rows, cols = 4096, 128 // 64 rows/chunk
 	budget := 3 * chunkStride(cols)
 	sm := newTestSpill(t, rows, cols, budget)
-	dst := make([]float64, cols)
+	src := make([]float64, cols)
 	stream := func() {
 		for i := 0; i < rows; i += 64 {
-			sm.CopyRow(dst, i)
+			sm.WriteRows(i, src)
 		}
 	}
 	stream()
 	if n := testing.AllocsPerRun(5, stream); n != 0 {
-		t.Errorf("streaming 64 evicting chunks allocated %v times per pass, want 0", n)
+		t.Errorf("writing 64 evicting chunks allocated %v times per pass, want 0", n)
 	}
 	sm.Unpin(mustPin(t, sm, []int32{0, 64, 128, 192, 256, 320})) // six chunks, budget three
 	if got := sm.ResidentBytes(); got != 6*chunkStride(cols) {
@@ -450,19 +466,17 @@ func TestSpillEvictionRecyclesSlabs(t *testing.T) {
 	}
 	stream()
 	if got := sm.ResidentBytes(); got > budget {
-		t.Errorf("resident %d B after streaming, budget %d B", got, budget)
+		t.Errorf("resident %d B after writing, budget %d B", got, budget)
 	}
 }
 
 // TestSpillWriteErrorIsSticky: a failed write-back poisons the matrix
-// instead of panicking — Pin, Flush, Err and ReadRows report a
+// instead of panicking — PinViews, Flush, Shrink and Err report a
 // *SpillError from then on.
 func TestSpillWriteErrorIsSticky(t *testing.T) {
 	const cols = 1024 // 8 rows/chunk
 	sm := newTestSpill(t, 64, cols, 2*chunkStride(cols))
-	for i := 0; i < 16; i++ { // chunks 0 and 1, both dirty
-		fillRow(sm.Row(i), i)
-	}
+	fillRows(sm, 0, 16) // chunks 0 and 1, both dirty
 	// Swap the backing file for a read-only handle of the same size.
 	ro := filepath.Join(t.TempDir(), "ro.bin")
 	if err := os.WriteFile(ro, make([]byte, 8*chunkStride(cols)), 0o600); err != nil {
@@ -476,7 +490,7 @@ func TestSpillWriteErrorIsSticky(t *testing.T) {
 	sm.file = f
 	t.Cleanup(func() { rw.Close() })
 
-	sm.Row(16)[0] = 1 // evicts dirty chunk 0: its pwrite fails
+	sm.WriteRows(16, make([]float64, cols)) // evicts dirty chunk 0: its pwrite fails
 	var se *SpillError
 	if err := sm.Err(); !errors.As(err, &se) || se.Op != "write" || se.Chunk != 0 {
 		t.Fatalf("Err() = %v, want a write error on chunk 0", err)
@@ -488,21 +502,19 @@ func TestSpillWriteErrorIsSticky(t *testing.T) {
 	if err := sm.Flush(); !errors.As(err, &se) {
 		t.Errorf("Flush = %v, want the write error", err)
 	}
-	if _, err := sm.ReadRows(0, 4); !errors.As(err, &se) {
-		t.Errorf("ReadRows = %v, want the write error", err)
+	if err := sm.Shrink(); !errors.As(err, &se) {
+		t.Errorf("Shrink = %v, want the write error", err)
 	}
 }
 
 // TestSpillReadErrorNeverShowsForeignRows: a failed read leaves the
-// row zeroed rather than showing the recycled slab's previous chunk, and
-// a row whose read failed is never written back over its good file value,
-// even if it was handed out mutably.
+// row zeroed rather than showing the recycled slab's previous chunk, a
+// pin whose read failed hands out no view, and a row whose read failed
+// is never written back over its good file value.
 func TestSpillReadErrorNeverShowsForeignRows(t *testing.T) {
 	const cols = 1024 // 8 rows/chunk
 	sm := newTestSpill(t, 64, cols, 2*chunkStride(cols))
-	for i := 0; i < 64; i++ {
-		fillRow(sm.Row(i), i)
-	}
+	fillRows(sm, 0, 64)
 	if err := sm.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -515,19 +527,22 @@ func TestSpillReadErrorNeverShowsForeignRows(t *testing.T) {
 	sm.file = f
 
 	// Chunk 0 takes over the slab of chunk 6, which holds rows 48–55.
+	views := make([][]float64, 1)
+	var se *SpillError
+	if pins, err := sm.PinViews([]int32{3}, views); !errors.As(err, &se) || pins != nil || views[0] != nil {
+		t.Fatalf("PinViews over a failed read = (%v, %v) with view %v, want (nil, a read error) and no view", pins, err, views[0])
+	}
+	if se.Op != "read" || se.Chunk != 0 {
+		t.Fatalf("PinViews error %v, want a read error on chunk 0", se)
+	}
 	for d, v := range readRow(sm, 3) {
 		if v != 0 {
 			t.Fatalf("row 3 after a failed read: col %d = %v, want 0", d, v)
 		}
 	}
-	var se *SpillError
-	if err := sm.Err(); !errors.As(err, &se) || se.Op != "read" || se.Chunk != 0 {
-		t.Fatalf("Err() = %v, want a read error on chunk 0", err)
-	}
 	writes := sm.Stats().Writes
-	sm.Row(3)[0] = -1 // handed out mutably, but never read in
-	readRow(sm, 2*8)  // two more loads evict chunk 0
-	readRow(sm, 3*8)
+	sm.WriteRows(2*8, make([]float64, cols)) // two more loads evict chunk 0
+	sm.WriteRows(3*8, make([]float64, cols))
 	if n := sm.Stats().Writes - writes; n != 0 {
 		t.Errorf("evicting a chunk whose read failed issued %d pwrites, want 0", n)
 	}
@@ -541,37 +556,52 @@ func TestSpillReadErrorNeverShowsForeignRows(t *testing.T) {
 	}
 }
 
-// TestSpillConcurrentReadersUnderEviction: racing readers of an unpinned
-// spill matrix under a two-chunk budget each see exact rows. Every other
-// window is copied a row at a time (CopyRow, whose misses fault, evict
-// and recycle a slab), the rest with ReadRows, which reads around the
-// window while the CopyRow readers churn it.
+// TestSpillConcurrentReadersUnderEviction: racing readers of a spill
+// matrix under a two-chunk budget each see exact rows while another
+// goroutine loads, evicts and recycles slabs under them, writing the
+// rows' own values back through WriteRows and pinning scattered rows.
+// Every other window is read a row at a time, the rest in one ReadRows.
 func TestSpillConcurrentReadersUnderEviction(t *testing.T) {
 	const rows, cols = 512, 256 // 32 rows/chunk, 16 chunks
 	sm := newTestSpill(t, rows, cols, 2*chunkStride(cols))
-	for i := 0; i < rows; i++ {
-		fillRow(sm.Row(i), i)
-	}
+	fillRows(sm, 0, rows)
 	var wg sync.WaitGroup
-	errs := make(chan error, 4)
+	errs := make(chan error, 5)
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() { // churn: every write and pin loads, evicts and recycles
+		defer wg.Done()
+		for k := 0; ; k++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			lo := (k * 7919) % rows
+			fillRows(sm, lo, min(lo+1+k%40, rows))
+			pins, err := sm.PinViews([]int32{int32((k * 104729) % rows)}, make([][]float64, 1))
+			if err != nil {
+				errs <- err
+				return
+			}
+			sm.Unpin(pins)
+		}
+	}()
+	var readers sync.WaitGroup
 	for g := 0; g < 4; g++ {
-		wg.Add(1)
+		readers.Add(1)
 		go func(seed int) {
-			defer wg.Done()
+			defer readers.Done()
 			want := make([]float64, cols)
 			for k := 0; k < 200; k++ {
 				lo := (seed*7919 + k*104729) % rows
 				hi := min(lo+1+k%40, rows)
 				w := NewMatrix(hi-lo, cols)
 				if k%2 == 0 {
-					var err error
-					if w, err = sm.ReadRows(lo, hi); err != nil {
-						errs <- err
-						return
-					}
+					sm.ReadRows(w.Data, lo)
 				} else {
 					for i := lo; i < hi; i++ {
-						sm.CopyRow(w.Row(i-lo), i)
+						sm.ReadRows(w.Row(i-lo), i)
 					}
 				}
 				for i := lo; i < hi; i++ {
@@ -586,25 +616,28 @@ func TestSpillConcurrentReadersUnderEviction(t *testing.T) {
 			}
 		}(g)
 	}
+	readers.Wait()
+	close(stop)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
+	if err := sm.Err(); err != nil {
+		t.Error(err)
+	}
 }
 
-// TestSpillShrink: Shrink writes the dirty rows back, drops every slab
-// and lowers the ceiling to two chunks, so every row still reads back
-// bit-equal and a full sweep afterwards never holds more than two chunks.
-// MaxResidentBytes keeps the lifetime high-water mark, and a second
-// Shrink does nothing.
+// TestSpillShrink: Shrink writes the dirty rows back and drops every
+// slab, so every row still reads back bit-equal and no read afterwards —
+// ReadRows, DigestMat, Materialize, CopyOut — holds a slab. The ceiling
+// stays the configured budget, MaxResidentBytes keeps the lifetime
+// high-water mark, and a second Shrink does nothing.
 func TestSpillShrink(t *testing.T) {
 	const rows, cols = 512, 256 // 32 rows/chunk, 16 chunks
 	stride := chunkStride(cols)
 	sm := newTestSpill(t, rows, cols, 6*stride)
-	for i := 0; i < rows; i++ {
-		fillRow(sm.Row(i), i)
-	}
+	fillRows(sm, 0, rows)
 	before := Materialize(sm)
 	peak := sm.MaxResidentBytes()
 	if err := sm.Shrink(); err != nil {
@@ -613,8 +646,8 @@ func TestSpillShrink(t *testing.T) {
 	if got := sm.ResidentBytes(); got != 0 {
 		t.Fatalf("ResidentBytes after Shrink = %d, want 0", got)
 	}
-	if got := sm.BudgetBytes(); got != 2*stride {
-		t.Fatalf("BudgetBytes after Shrink = %d, want %d", got, 2*stride)
+	if got := sm.BudgetBytes(); got != 6*stride {
+		t.Fatalf("BudgetBytes after Shrink = %d, want the budget %d", got, 6*stride)
 	}
 	stats := sm.Stats()
 	if err := sm.Shrink(); err != nil {
@@ -624,29 +657,23 @@ func TestSpillShrink(t *testing.T) {
 		t.Errorf("second Shrink moved the stats: %+v, want %+v", got, stats)
 	}
 	for i := 0; i < rows; i++ {
-		w, err := sm.ReadRows(i, i+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for d, v := range w.Row(0) {
+		for d, v := range readRow(sm, i) {
 			if math.Float64bits(v) != math.Float64bits(before.At(i, d)) {
 				t.Fatalf("row %d col %d after Shrink = %v, want %v", i, d, v, before.At(i, d))
 			}
 		}
-		if got := sm.ResidentBytes(); got > 2*stride {
-			t.Fatalf("after reading row %d: %d resident bytes, want at most two chunks (%d)", i, got, 2*stride)
+		if got := sm.ResidentBytes(); got != 0 {
+			t.Fatalf("after reading row %d: %d resident bytes, want 0", i, got)
 		}
+	}
+	if got, want := DigestMat(sm), DigestFloat64s(before.Data); got != want {
+		t.Errorf("DigestMat after Shrink = %#x, want %#x", got, want)
+	}
+	if !slices.Equal(Materialize(sm).Data, before.Data) || !slices.Equal(CopyOut(sm), before.Data) {
+		t.Error("Materialize or CopyOut after Shrink differs from before")
 	}
 	if got := sm.ResidentBytes(); got != 0 {
-		t.Errorf("ReadRows sweep left %d resident bytes, want 0", got)
-	}
-	for i := 0; i < rows; i++ {
-		if got := readRow(sm, i); !slices.Equal(got, before.Row(i)) {
-			t.Fatalf("CopyRow of row %d after Shrink differs from before", i)
-		}
-		if got := sm.ResidentBytes(); got > 2*stride {
-			t.Fatalf("after copying row %d: %d resident bytes, want at most two chunks (%d)", i, got, 2*stride)
-		}
+		t.Errorf("DigestMat, Materialize and CopyOut left %d resident bytes, want 0", got)
 	}
 	if got := sm.MaxResidentBytes(); got != peak {
 		t.Errorf("MaxResidentBytes = %d after Shrink, want the high-water mark %d", got, peak)
@@ -661,15 +688,14 @@ func TestSpillShrink(t *testing.T) {
 func TestSpillReadRowsLeavesResidencyAlone(t *testing.T) {
 	const rows, cols = 72, 1024 // 8 rows/chunk, 9 chunks
 	sm := newTestSpill(t, rows, cols, 4*chunkStride(cols))
-	for i := 0; i < 64; i++ { // chunks 0–3 written back, 4–7 resident and dirty
-		fillRow(sm.Row(i), i)
-	}
-	sm.Unpin(mustPin(t, sm, []int32{10})) // evicts chunk 4; chunk 1 holds only row 10
+	fillRows(sm, 0, 64) // chunks 0–3 written back, 4–7 resident and dirty
+	touch(t, sm, 10)    // evicts chunk 4; chunk 1 holds only row 10
 	resident, before := sm.ResidentBytes(), sm.Stats()
-	w, err := sm.ReadRows(0, rows)
-	if err != nil {
-		t.Fatal(err)
+	w := NewMatrix(rows, cols)
+	for i := range w.Data {
+		w.Data[i] = math.NaN() // a reused buffer: absent rows must be overwritten
 	}
+	sm.ReadRows(w.Data, 0)
 	want := make([]float64, cols)
 	for i := 0; i < rows; i++ {
 		clear(want)
@@ -704,9 +730,7 @@ func TestSpillShrinkKeepsPinnedChunk(t *testing.T) {
 	const cols = 1024 // 8 rows/chunk
 	stride := chunkStride(cols)
 	sm := newTestSpill(t, 64, cols, 4*stride)
-	for i := 0; i < 32; i++ { // chunks 0–3 resident
-		fillRow(sm.Row(i), i)
-	}
+	fillRows(sm, 0, 32) // chunks 0–3 resident
 	views := make([][]float64, 1)
 	pins, err := sm.PinViews([]int32{20}, views) // chunk 2
 	if err != nil {
@@ -725,8 +749,8 @@ func TestSpillShrinkKeepsPinnedChunk(t *testing.T) {
 	sm.Unpin(pins)
 	for i := 0; i < 64; i++ {
 		readRow(sm, i)
-		if got := sm.ResidentBytes(); got > 2*stride {
-			t.Fatalf("after reading row %d: %d resident bytes, want at most %d", i, got, 2*stride)
+		if got := sm.ResidentBytes(); got != stride {
+			t.Fatalf("after reading row %d: %d resident bytes, want the unpinned chunk's %d", i, got, stride)
 		}
 	}
 	want := make([]float64, cols)
@@ -736,8 +760,8 @@ func TestSpillShrinkKeepsPinnedChunk(t *testing.T) {
 	}
 }
 
-// TestSpillBudgetBytesRacesShrink: BudgetBytes reads the ceiling Shrink
-// lowers under the matrix's lock (run under -race).
+// TestSpillBudgetBytesRacesShrink: BudgetBytes takes no lock, and reads
+// the ceiling fixed at creation while Shrink runs (run under -race).
 func TestSpillBudgetBytesRacesShrink(t *testing.T) {
 	const cols = 1024
 	sm := newTestSpill(t, 64, cols, 4*chunkStride(cols))

@@ -391,7 +391,7 @@ func Selftest(baseURL string, out io.Writer) error {
 			return nil, err
 		}
 		defer resp.Body.Close()
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		body, err := readBody(resp, http.StatusOK)
 		if err != nil {
 			return nil, err
 		}
@@ -434,6 +434,15 @@ func float64sEqual(a, b []float64) bool {
 	return true
 }
 
+// readBody reads resp's body: all of it when the status is wantCode (a
+// 1024-row page at r = 128 is about 3 MB of JSON), else at most 1 MiB.
+func readBody(resp *http.Response, wantCode int) ([]byte, error) {
+	if resp.StatusCode == wantCode {
+		return io.ReadAll(resp.Body)
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+}
+
 // getJSON fetches url and decodes the wantCode body into v. Retryable
 // statuses (429/503) are waited out per the server's Retry-After hint —
 // see backoff.go — so `sepriv fetch` and `sepriv sweep -watch` poll
@@ -448,7 +457,7 @@ func getJSON(client *http.Client, url string, wantCode int, v any) error {
 
 func decodeAs(resp *http.Response, wantCode int, v any) error {
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	body, err := readBody(resp, wantCode)
 	if err != nil {
 		return err
 	}

@@ -127,7 +127,7 @@ func getRaw(client *http.Client, url string, v any) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	body, err := readBody(resp, http.StatusOK)
 	if err != nil {
 		return nil, err
 	}

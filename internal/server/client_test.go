@@ -1,13 +1,16 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"seprivgemb/internal/service"
+	"seprivgemb/internal/spec"
 )
 
 // TestFetchMain drives the `sepriv fetch` client against a live server:
@@ -125,5 +128,64 @@ func TestFetchMainExactPageBoundary(t *testing.T) {
 		if !strings.Contains(status.String(), fmt.Sprintf("fetched %d rows", full.Nodes)) {
 			t.Fatalf("-page %s status %q", page, status.String())
 		}
+	}
+}
+
+// TestFetchMainFullSizePage: the default page, 1024 rows, at r = 128 is
+// about 3 MB of JSON, and both the paged TSV fetch and a -json -rows
+// window of that size decode it whole.
+func TestFetchMainFullSizePage(t *testing.T) {
+	const nodes, dim = 1024, 128
+	page := spec.ResultResponse{ID: "x", Status: "done", Nodes: nodes, Dim: dim, EmbeddingHash: "aaaa", RowCount: nodes}
+	for i := range nodes {
+		row := make([]float64, dim)
+		for d := range row {
+			row[d] = math.Sin(float64(i*dim+d)) / 3
+		}
+		page.Embedding = append(page.Embedding, row)
+	}
+	ranged := page
+	ranged.Range = &spec.RangeInfo{Offset: 0, Limit: nodes}
+	write := func(w http.ResponseWriter, v any) {
+		if err := json.NewEncoder(w).Encode(v); err != nil {
+			t.Error(err)
+		}
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		write(w, spec.JobResponse{ID: "x", Status: "done"})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
+		write(w, ranged)
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/result/rows/{window}", func(w http.ResponseWriter, r *http.Request) {
+		write(w, page)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	body, err := json.Marshal(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) <= 1<<20 {
+		t.Fatalf("page is %d bytes of JSON, want more than 1 MiB", len(body))
+	}
+
+	var out, status strings.Builder
+	if code := FetchMain([]string{"-addr", ts.URL, "-job", "x"}, &out, &status); code != 0 {
+		t.Fatalf("paged fetch of a %d-byte page: exit %d\n%s", len(body), code, status.String())
+	}
+	if lines := strings.Split(strings.TrimSpace(out.String()), "\n"); len(lines) != nodes {
+		t.Fatalf("paged fetch emitted %d TSV rows, want %d", len(lines), nodes)
+	}
+
+	out.Reset()
+	status.Reset()
+	if code := FetchMain([]string{"-addr", ts.URL, "-job", "x", "-json", "-rows", "0:1024"}, &out, &status); code != 0 {
+		t.Fatalf("-json -rows fetch of a %d-byte window: exit %d\n%s", len(body), code, status.String())
+	}
+	var got spec.ResultResponse
+	if err := json.Unmarshal([]byte(out.String()), &got); err != nil || len(got.Embedding) != nodes {
+		t.Fatalf("-json -rows output: %d rows, err %v; want %d rows", len(got.Embedding), err, nodes)
 	}
 }

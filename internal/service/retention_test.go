@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -270,9 +271,11 @@ func TestSlowJobSurvivesTTL(t *testing.T) {
 }
 
 // TestKeptSpilledResultsHoldTwoChunks: a store-backed service keeps each
-// finished spilled job, and a canceled one's partial result, at the
-// two-chunk window of a shrunk Win and without Wout, and the rows it
-// serves from that window still hash to a dense retrain of the same spec.
+// finished spilled job, and a canceled one's partial result, as a shrunk
+// Win with no resident slab and without Wout; reading it — its hash, row
+// windows, digest, materialized embedding and an artifact write of it —
+// loads no slab, and the rows it serves still hash to a dense retrain of
+// the same spec.
 func TestKeptSpilledResultsHoldTwoChunks(t *testing.T) {
 	t.Setenv("TMPDIR", t.TempDir())
 	s := New(Options{MaxWorkers: 1, ArtifactDir: t.TempDir()})
@@ -286,7 +289,6 @@ func TestKeptSpilledResultsHoldTwoChunks(t *testing.T) {
 		cfg.MemoryBudget = cfg.MinMemoryBudget(big.NumNodes())
 		return cfg
 	}
-	window := int64(2) * int64(mathx.SpillChunkRows(128)) * 128 * 8
 	var kept []*Job
 	checkKept := func(after string) {
 		t.Helper()
@@ -299,9 +301,8 @@ func TestKeptSpilledResultsHoldTwoChunks(t *testing.T) {
 			if !ok {
 				t.Fatalf("job %s trained Win on the dense tier", j.ID())
 			}
-			if got := sm.ResidentBytes(); got > window {
-				t.Errorf("after %s: job %s keeps %d resident bytes of Win, want at most two chunks (%d)",
-					after, j.ID(), got, window)
+			if got := sm.ResidentBytes(); got != 0 {
+				t.Errorf("after %s: job %s keeps %d resident bytes of Win, want 0", after, j.ID(), got)
 			}
 			if res.Model.Wout != nil {
 				t.Errorf("after %s: job %s keeps Wout", after, j.ID())
@@ -331,9 +332,20 @@ func TestKeptSpilledResultsHoldTwoChunks(t *testing.T) {
 		}
 		kept = append(kept, j)
 		checkKept("job " + j.ID())
+		if _, ok := j.EmbeddingHash(); !ok {
+			t.Fatalf("job %d reports no hash", k)
+		}
+		checkKept("hashing job " + j.ID())
 		if k == 2 {
 			continue
 		}
+		if got, want := mathx.DigestMat(res.Model.Win), mathx.DigestFloat64s(res.Embedding().Data); got != want {
+			t.Fatalf("job %d: DigestMat %016x, digest of Embedding %016x", k, got, want)
+		}
+		if err := core.WriteIndexed(io.Discard, &struct{ V int }{1}, res.Model.Win, res.Model.Win); err != nil {
+			t.Fatal(err)
+		}
+		checkKept("digesting, materializing and writing job " + j.ID())
 
 		dense := cfg
 		dense.MemoryBudget = 0
@@ -365,8 +377,8 @@ func TestKeptSpilledResultsHoldTwoChunks(t *testing.T) {
 // tier, or trained by a baseline. Each serves the row windows and hash of
 // an in-process dense training of the same spec, and the artifact still
 // stores Wout: it is byte-identical to that training's. A spilled job
-// keeps Win's two-chunk window and Win's spill file only, and a canceled
-// job keeps Wout in its resumable Checkpoint.
+// keeps Win's spill file only, with no slab resident after serving its
+// rows, and a canceled job keeps Wout in its resumable Checkpoint.
 func TestFinishedJobsKeepOnlyWin(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
@@ -495,8 +507,8 @@ func TestFinishedJobsKeepOnlyWin(t *testing.T) {
 	if !ok {
 		t.Fatal("the spilled job trained Win on the dense tier")
 	}
-	if got, window := win.ResidentBytes(), int64(2)*int64(mathx.SpillChunkRows(128))*128*8; got > window {
-		t.Errorf("the spilled job keeps %d resident bytes of Win, want at most two chunks (%d)", got, window)
+	if got := win.ResidentBytes(); got != 0 {
+		t.Errorf("the spilled job keeps %d resident bytes of Win after serving its rows, want 0", got)
 	}
 	if fds, ok := spillFDs(tmp); !ok {
 		t.Log("no /proc/self/fd: the spill files left open are not counted")

@@ -121,8 +121,8 @@ type Options struct {
 // Limits bounds result retention for serving use, where the process is
 // long-lived and the request stream unbounded — without them every
 // distinct job ever submitted pins its embedding forever: Win alone, a
-// dense |V|×r·8 bytes, or on the spill tier a two-chunk window over its
-// spill file (Wout is dropped once the artifact is written).
+// dense |V|×r·8 bytes, or on the spill tier its spill file with no slab
+// resident (Wout is dropped once the artifact is written).
 // Only finished jobs are ever forgotten: an in-flight job and the
 // submitters deduplicated onto it are never split apart. A forgotten job
 // leaves JobByID; its ID is then answered from the artifact store when
@@ -522,9 +522,10 @@ func (j *Job) Result() (*core.Result, error) {
 
 // EmbeddingHash returns the FNV-1a digest of the job's full embedding
 // (mathx.DigestFloat64s over the row-major float64 bits of Win), false if
-// the job has not finished or finished without a result. The digest is
-// computed once per job and cached: every row window served from this job
-// reports it, so a client can verify any page against the full matrix.
+// the job has not finished, finished without a result, or keeps a spilled
+// Win whose rows could not be read. The digest is computed once per job
+// and cached: every row window served from this job reports it, so a
+// client can verify any page against the full matrix.
 func (j *Job) EmbeddingHash() (uint64, bool) {
 	select {
 	case <-j.done:
@@ -533,8 +534,11 @@ func (j *Job) EmbeddingHash() (uint64, bool) {
 	}
 	j.hashOnce.Do(func() {
 		if j.res != nil && j.res.Model != nil {
-			j.hashVal = mathx.DigestMat(j.res.Model.Win)
-			j.hashOK = true
+			// A failed spill read copied zeros: no hash (the error is sticky).
+			h := mathx.DigestMat(j.res.Model.Win)
+			if mathx.MatErr(j.res.Model.Win) == nil {
+				j.hashVal, j.hashOK = h, true
+			}
 		}
 	})
 	return j.hashVal, j.hashOK
@@ -644,8 +648,9 @@ func (s *Service) evictLocked(keep *Job) {
 // artifact header (Store.MetaByID), so a result response reads alike
 // wherever it is served. The shape comes from the model without
 // materializing a spilled embedding, and the hash is the cached
-// EmbeddingHash. It fails for a job that has not finished, and returns the
-// job's error for one that finished without a result.
+// EmbeddingHash. It fails for a job that has not finished, returns the
+// job's error for one that finished without a result, and the spill
+// tier's error for one whose spilled Win cannot be read.
 func (j *Job) ResultMeta() (*ArtifactMeta, error) {
 	select {
 	case <-j.done:
@@ -659,7 +664,10 @@ func (j *Job) ResultMeta() (*ArtifactMeta, error) {
 	if res == nil || res.Model == nil {
 		return nil, fmt.Errorf("service: job %s finished without a result", j.id)
 	}
-	hash, _ := j.EmbeddingHash()
+	hash, ok := j.EmbeddingHash()
+	if !ok {
+		return nil, mathx.MatErr(res.Model.Win)
+	}
 	return &ArtifactMeta{
 		JobID:         j.id,
 		Key:           j.key,
@@ -1078,8 +1086,8 @@ func (s *Service) trainOrFollow(ctx context.Context, j *Job, m methods.Method, g
 // every finished training, with or without a store, so the read of a
 // spill tier that can no longer be read panics or fails here, under
 // run's recover, and not in publishTerminal. Every result, finished or
-// canceled, is shrunk to what the job table keeps (DESIGN §15): Win, at
-// a two-chunk window on the spill tier, and no Wout. A spilled result's
+// canceled, is shrunk to what the job table keeps (DESIGN §15): Win,
+// with no slab resident on the spill tier, and no Wout. A spilled result's
 // dirty rows are written back first, then the digest and the artifact
 // write (which stores Wout too) read its resident slabs, and last the
 // shrink drops them and Wout with no I/O.

@@ -635,7 +635,7 @@ func TestResultRowsServesTableJobFromMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := res.Model.Win.Row(0)[0]
+	want := res.Model.Win.(*mathx.Matrix).Row(0)[0]
 	var le [8]byte
 	binary.LittleEndian.PutUint64(le[:], math.Float64bits(want))
 	needle := bytes.TrimLeft(le[:], "\x00")

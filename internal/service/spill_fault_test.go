@@ -54,7 +54,7 @@ func TestSpillWriteFailureFailsJobNotService(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n := makeSpillFilesReadOnly(t, dir); n != 2 {
+	if n := reopenSpillFiles(t, dir, os.O_RDONLY); n != 2 {
 		t.Fatalf("found %d spill files of the running job, want Win's and Wout's", n)
 	}
 
@@ -66,7 +66,7 @@ func TestSpillWriteFailureFailsJobNotService(t *testing.T) {
 	if j.Status() != StatusFailed {
 		t.Fatalf("status = %v, want failed", j.Status())
 	}
-	if n := makeSpillFilesReadOnly(t, dir); n != 0 {
+	if n := reopenSpillFiles(t, dir, os.O_RDONLY); n != 0 {
 		t.Errorf("failed job left %d spill files open", n)
 	}
 
@@ -94,11 +94,13 @@ func TestShrinkWriteFailureKeepsSlabs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sm.Close()
-	for i := 0; i < 32; i++ { // four dirty resident chunks
-		sm.Row(i)[0] = float64(i)
+	rows := make([]float64, 32*cols)
+	for i := range 32 {
+		rows[i*cols] = float64(i)
 	}
+	sm.WriteRows(0, rows) // four dirty resident chunks
 	resident, budget := sm.ResidentBytes(), sm.BudgetBytes()
-	if n := makeSpillFilesReadOnly(t, dir); n != 1 {
+	if n := reopenSpillFiles(t, dir, os.O_RDONLY); n != 1 {
 		t.Fatalf("found %d spill files, want 1", n)
 	}
 	var se *mathx.SpillError
@@ -159,7 +161,7 @@ func TestShrinkWriteFailureFailsJobNotService(t *testing.T) {
 	if j.Status() != StatusFailed {
 		t.Fatalf("status = %v, want failed", j.Status())
 	}
-	if n := makeSpillFilesReadOnly(t, dir); n != 0 {
+	if n := reopenSpillFiles(t, dir, os.O_RDONLY); n != 0 {
 		t.Errorf("failed job left %d spill files open", n)
 	}
 	if _, _, ok := s.store.load(j.key); ok {
@@ -225,7 +227,7 @@ func TestShrinkWriteFailureKeepsCanceledCheckpoint(t *testing.T) {
 	if cp := res.Checkpoint; cp == nil || cp.Epoch != res.Epochs || len(cp.Win) != big.NumNodes()*cfg.Dim {
 		t.Fatalf("checkpoint of the canceled job = %+v, want one at epoch %d", cp, res.Epochs)
 	}
-	if n := makeSpillFilesReadOnly(t, dir); n != 0 {
+	if n := reopenSpillFiles(t, dir, os.O_RDONLY); n != 0 {
 		t.Errorf("canceled job left %d spill files open", n)
 	}
 	if _, err := s.ResultRows(j.ID(), 0, 1); err == nil {
@@ -246,6 +248,56 @@ func TestShrinkWriteFailureKeepsCanceledCheckpoint(t *testing.T) {
 	}
 }
 
+// TestUnreadableSpilledResultReportsNoHash: a canceled spilled job keeps
+// its shrunk Win and takes its digest only when first asked. If the
+// spill file stops serving reads before then, the digest reads zeros and
+// the sticky *mathx.SpillError; the job reports no hash, ResultMeta
+// returns that error, and no row window is served, rather than a digest
+// of zeros being cached as the job's hash.
+func TestUnreadableSpilledResultReportsNoHash(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	if real, err := filepath.EvalSymlinks(dir); err == nil {
+		dir = real
+	}
+	s := New(Options{MaxWorkers: 1})
+	defer s.Close()
+
+	big := graph.BarabasiAlbert(2048, 2, xrand.New(9))
+	cfg := testCfg()
+	cfg.Dim, cfg.K, cfg.BatchSize = 128, 2, 8
+	cfg.MaxEpochs = 100000
+	cfg.Private = false
+	cfg.MemoryBudget = cfg.MinMemoryBudget(big.NumNodes())
+	j, err := s.Submit(big, proximity.NewDegree(big), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, ok := j.Progress(); ok {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	j.Cancel()
+	if res, err := j.Wait(context.Background()); err != nil || res.Stopped != core.StopCanceled || res.Model == nil {
+		t.Fatalf("canceled job: result %+v, err %v; want a canceled result with its Model", res, err)
+	}
+	if n := reopenSpillFiles(t, dir, os.O_WRONLY); n != 1 {
+		t.Fatalf("found %d spill files of the canceled job, want Win's", n)
+	}
+	if h, ok := j.EmbeddingHash(); ok {
+		t.Errorf("canceled job over an unreadable spill file reports hash %016x", h)
+	}
+	var se *mathx.SpillError
+	if _, err := j.ResultMeta(); !errors.As(err, &se) || se.Op != "read" {
+		t.Errorf("ResultMeta = %v, want a *mathx.SpillError on read", err)
+	}
+	if _, err := s.ResultRows(j.ID(), 0, 1); err == nil {
+		t.Error("rows served from an unreadable spill file")
+	}
+}
+
 // holdAfterTrain holds s's next trained result in afterTrain, before its
 // write-back, until the returned function has made every spill file
 // under dir read-only; that function returns the result and how many
@@ -259,21 +311,22 @@ func holdAfterTrain(t *testing.T, s *Service, dir string) func() (*core.Result, 
 	return func() (*core.Result, int) {
 		res := <-trained
 		defer close(injected) // also when the helper skips the test
-		return res, makeSpillFilesReadOnly(t, dir)
+		return res, reopenSpillFiles(t, dir, os.O_RDONLY)
 	}
 }
 
-// makeSpillFilesReadOnly replaces every open descriptor of an unlinked
-// spill file under dir with a read-only descriptor of the same file and
-// returns how many it replaced.
-func makeSpillFilesReadOnly(t *testing.T, dir string) int {
+// reopenSpillFiles replaces every open descriptor of an unlinked spill
+// file under dir with a descriptor of the same file opened with flag and
+// returns how many it replaced: os.O_RDONLY makes the next pwrite fail,
+// os.O_WRONLY the next pread.
+func reopenSpillFiles(t *testing.T, dir string, flag int) int {
 	t.Helper()
 	links, ok := spillFDs(dir)
 	if !ok {
 		t.Skip("no /proc/self/fd")
 	}
 	for _, link := range links {
-		ro, err := os.Open(link)
+		f, err := os.OpenFile(link, flag, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,10 +334,10 @@ func makeSpillFilesReadOnly(t *testing.T, dir string) int {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := syscall.Dup3(int(ro.Fd()), fd, syscall.O_CLOEXEC); err != nil {
+		if err := syscall.Dup3(int(f.Fd()), fd, syscall.O_CLOEXEC); err != nil {
 			t.Fatal(err)
 		}
-		ro.Close()
+		f.Close()
 	}
 	return len(links)
 }

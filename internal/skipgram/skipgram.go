@@ -43,11 +43,11 @@ func New(n, r int, rng *xrand.RNG) *Model {
 // (word2vec zeroes Wout, but with a zero context matrix the published Win
 // receives no gradient until Wout warms up — wasting most of the paper's
 // tightly budgeted epoch count, so both sides start at the same small
-// scale.) Initialization streams row by row in row-major order — Win fully,
-// then Wout — which is exactly the draw order the former dense-only loop
-// took over the backing arrays, so a spill-backed model consumes the run
-// RNG identically to a dense one and the bit-identity contract holds
-// across storage tiers.
+// scale.) Initialization draws in row-major order — Win fully, then Wout
+// — a spill chunk of rows per WriteRows, the draw order the former
+// dense-only loop took over the backing arrays, so a spill-backed model
+// consumes the run RNG identically to a dense one and the bit-identity
+// contract holds across storage tiers.
 func NewWith(win, wout mathx.Mat, rng *xrand.RNG) *Model {
 	r := win.NumCols()
 	if win.NumRows() != wout.NumRows() || r != wout.NumCols() {
@@ -56,12 +56,15 @@ func NewWith(win, wout mathx.Mat, rng *xrand.RNG) *Model {
 	}
 	m := &Model{Dim: r, Win: win, Wout: wout}
 	scale := 1 / float64(r)
+	n, step := win.NumRows(), mathx.SpillChunkRows(r)
+	buf := make([]float64, min(step, n)*r)
 	for _, w := range []mathx.Mat{win, wout} {
-		for i := 0; i < w.NumRows(); i++ {
-			row := w.Row(i)
-			for d := range row {
-				row[d] = (rng.Float64() - 0.5) * scale
+		for lo := 0; lo < n; lo += step {
+			b := buf[:(min(lo+step, n)-lo)*r]
+			for d := range b {
+				b[d] = (rng.Float64() - 0.5) * scale
 			}
+			w.WriteRows(lo, b)
 		}
 	}
 	return m
@@ -146,18 +149,18 @@ func (g *Grads) OutGrad(t int, dst []float64) []float64 {
 //
 // which is the indicator form Σ_{n=0..k} (σ(v_n·v_i) − I_{v_j}[v_n])·v_n of
 // the paper with n = 0 denoting the positive node. It takes the views of
-// v_I and the example's k+1 Wout rows with Mat.Row and runs
-// RowLossGradients on them. It serves
-// callers that hold a Model and no row views. The training engine takes
-// its views once per epoch instead — pinned on the spill tier, before
-// the gradient stage — and calls RowLossGradients directly, so the stage
-// never calls Row.
+// v_I and the example's k+1 Wout rows from a dense model and runs
+// RowLossGradients on them. It serves tests and benchmarks that hold a
+// Model and no row views. The training engine takes its views once per
+// epoch instead — pinned on the spill tier, before the gradient stage —
+// and calls RowLossGradients directly.
 func (m *Model) LossGradients(ex Example, g *Grads) float64 {
 	g.Ensure(m.Dim, len(ex.Negs))
-	vi := m.Win.Row(int(ex.I))
-	g.out[0] = m.Wout.Row(int(ex.J))
+	win, wout := m.Win.(*mathx.Matrix), m.Wout.(*mathx.Matrix)
+	vi := win.Row(int(ex.I))
+	g.out[0] = wout.Row(int(ex.J))
 	for t, n := range ex.Negs {
-		g.out[t+1] = m.Wout.Row(int(n))
+		g.out[t+1] = wout.Row(int(n))
 	}
 	return RowLossGradients(ex, vi, g.out, g)
 }
@@ -204,24 +207,25 @@ func RowLossGradients(ex Example, vi []float64, out [][]float64, g *Grads) float
 }
 
 // Loss returns L_nov(v_i, v_j, p_ij) for the example at the current
-// parameters.
+// parameters of a dense model.
 func (m *Model) Loss(ex Example) float64 {
-	vi := m.Win.Row(int(ex.I))
-	l := -mathx.LogSigmoid(mathx.Dot(m.Wout.Row(int(ex.J)), vi))
+	win, wout := m.Win.(*mathx.Matrix), m.Wout.(*mathx.Matrix)
+	vi := win.Row(int(ex.I))
+	l := -mathx.LogSigmoid(mathx.Dot(wout.Row(int(ex.J)), vi))
 	for _, n := range ex.Negs {
-		l -= mathx.LogSigmoid(-mathx.Dot(m.Wout.Row(int(n)), vi))
+		l -= mathx.LogSigmoid(-mathx.Dot(wout.Row(int(n)), vi))
 	}
 	return ex.W * l
 }
 
-// Score returns the model's inner-product score v_i·v_j (input·output),
+// Score returns a dense model's inner-product score v_i·v_j (input·output),
 // the quantity x_ij whose optimum Theorem 3 characterizes.
 func (m *Model) Score(i, j int) float64 {
-	return mathx.Dot(m.Win.Row(i), m.Wout.Row(j))
+	return mathx.Dot(m.Win.(*mathx.Matrix).Row(i), m.Wout.(*mathx.Matrix).Row(j))
 }
 
-// InputScore returns the symmetric input-space score v_i·v_j over Win only,
-// used by downstream tasks that consume the published embedding.
+// InputScore returns a dense model's symmetric score v_i·v_j over Win
+// only, used by downstream tasks that consume the published embedding.
 func (m *Model) InputScore(i, j int) float64 {
-	return mathx.Dot(m.Win.Row(i), m.Win.Row(j))
+	return mathx.Dot(m.Win.(*mathx.Matrix).Row(i), m.Win.(*mathx.Matrix).Row(j))
 }

@@ -8,6 +8,9 @@ import (
 	"seprivgemb/internal/xrand"
 )
 
+// dense returns w as the dense matrix these tests build their models on.
+func dense(w mathx.Mat) *mathx.Matrix { return w.(*mathx.Matrix) }
+
 func testModel(t *testing.T, n, dim int) *Model {
 	t.Helper()
 	m := New(n, dim, xrand.New(7))
@@ -88,7 +91,7 @@ func TestGradientsMatchFiniteDifferences(t *testing.T) {
 	}
 
 	// ∂L/∂v_i (Win row I).
-	vi := m.Win.Row(int(ex.I))
+	vi := dense(m.Win).Row(int(ex.I))
 	for d := 0; d < m.Dim; d++ {
 		want := numGrad(vi, d)
 		if math.Abs(g.GIn[d]-want) > 1e-5 {
@@ -102,7 +105,7 @@ func TestGradientsMatchFiniteDifferences(t *testing.T) {
 		out[t2] = g.OutGrad(t2, make([]float64, m.Dim))
 	}
 	for t2, row := range g.OutRows {
-		vr := m.Wout.Row(int(row))
+		vr := dense(m.Wout).Row(int(row))
 		for d := 0; d < m.Dim; d++ {
 			want := numGrad(vr, d)
 			if math.Abs(out[t2][d]-want) > 1e-5 {
@@ -144,10 +147,10 @@ func TestGradientsBufferReuse(t *testing.T) {
 // one standalone Sigmoid per row, and each Wout row-gradient written out
 // as fl(coef·v_i) — kept as the oracle for LossGradients.
 func naiveGradients(m *Model, ex Example) (gIn []float64, outRows []int32, gOut [][]float64) {
-	vi := m.Win.Row(int(ex.I))
+	vi := dense(m.Win).Row(int(ex.I))
 	gIn = make([]float64, m.Dim)
 	emit := func(row int32, coef float64) {
-		vr := m.Wout.Row(int(row))
+		vr := dense(m.Wout).Row(int(row))
 		mathx.AXPY(coef, vr, gIn)
 		g := make([]float64, m.Dim)
 		for d, v := range vi {
@@ -156,9 +159,9 @@ func naiveGradients(m *Model, ex Example) (gIn []float64, outRows []int32, gOut 
 		outRows = append(outRows, row)
 		gOut = append(gOut, g)
 	}
-	emit(ex.J, ex.W*(mathx.Sigmoid(mathx.Dot(m.Wout.Row(int(ex.J)), vi))-1))
+	emit(ex.J, ex.W*(mathx.Sigmoid(mathx.Dot(dense(m.Wout).Row(int(ex.J)), vi))-1))
 	for _, n := range ex.Negs {
-		emit(n, ex.W*mathx.Sigmoid(mathx.Dot(m.Wout.Row(int(n)), vi)))
+		emit(n, ex.W*mathx.Sigmoid(mathx.Dot(dense(m.Wout).Row(int(n)), vi)))
 	}
 	return gIn, outRows, gOut
 }
@@ -210,9 +213,9 @@ func TestGradientStepDecreasesLoss(t *testing.T) {
 	// the Win step moves.
 	row := make([]float64, m.Dim)
 	for t2, r := range g.OutRows {
-		mathx.AXPY(-lr, g.OutGrad(t2, row), m.Wout.Row(int(r)))
+		mathx.AXPY(-lr, g.OutGrad(t2, row), dense(m.Wout).Row(int(r)))
 	}
-	mathx.AXPY(-lr, g.GIn, m.Win.Row(int(ex.I)))
+	mathx.AXPY(-lr, g.GIn, dense(m.Win).Row(int(ex.I)))
 	after := m.Loss(ex)
 	if after >= before {
 		t.Errorf("gradient step did not decrease loss: %g -> %g", before, after)
@@ -221,12 +224,12 @@ func TestGradientStepDecreasesLoss(t *testing.T) {
 
 func TestScore(t *testing.T) {
 	m := testModel(t, 4, 3)
-	copy(m.Win.Row(0), []float64{1, 2, 3})
-	copy(m.Wout.Row(1), []float64{4, 5, 6})
+	copy(dense(m.Win).Row(0), []float64{1, 2, 3})
+	copy(dense(m.Wout).Row(1), []float64{4, 5, 6})
 	if got := m.Score(0, 1); got != 32 {
 		t.Errorf("Score = %g, want 32", got)
 	}
-	copy(m.Win.Row(1), []float64{1, 0, 1})
+	copy(dense(m.Win).Row(1), []float64{1, 0, 1})
 	if got := m.InputScore(0, 1); got != 4 {
 		t.Errorf("InputScore = %g, want 4", got)
 	}
@@ -278,8 +281,8 @@ func TestTheorem3FixedPoint(t *testing.T) {
 				// Negative part at the same state: coefficient
 				// k·min(P)·σ(x_ij) on (v_j → ∂v_i) and (v_i → ∂v_j).
 				cn := float64(k) * minP * mathx.Sigmoid(m.Score(int(i), int(j)))
-				vi := m.Win.Row(int(i))
-				vj := m.Wout.Row(int(j))
+				vi := dense(m.Win).Row(int(i))
+				vj := dense(m.Wout).Row(int(j))
 				g.OutGrad(0, gj)
 				mathx.AXPY(cn, vj, g.GIn)
 				mathx.AXPY(cn, vi, gj)
