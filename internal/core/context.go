@@ -270,7 +270,6 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 		// the uninterrupted one did.
 		if cfg.Private && startEpoch > 0 {
 			if dHat, _ := acct.DeltaFor(cfg.Epsilon); dHat >= cfg.Delta {
-				res.StoppedByBudget = true
 				res.Stopped = StopBudget
 				startEpoch = cfg.MaxEpochs // skip the loop
 			}
@@ -368,7 +367,6 @@ func TrainContext(ctx context.Context, g *graph.Graph, prox proximity.Proximity,
 			res.DeltaSpent = dHat
 			res.EpsilonSpent, _ = acct.EpsilonFor(cfg.Delta)
 			if dHat >= cfg.Delta {
-				res.StoppedByBudget = true
 				res.Stopped = StopBudget
 				stopBudget = true
 			}

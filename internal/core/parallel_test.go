@@ -31,9 +31,9 @@ func trainWorkers(t *testing.T, g *graph.Graph, cfg Config, workers int) *Result
 // assertBitIdentical fails unless a and b are bit-for-bit the same Result.
 func assertBitIdentical(t *testing.T, a, b *Result, label string) {
 	t.Helper()
-	if a.Epochs != b.Epochs || a.StoppedByBudget != b.StoppedByBudget {
+	if a.Epochs != b.Epochs || a.Stopped != b.Stopped {
 		t.Fatalf("%s: epochs/stop diverged: (%d, %v) vs (%d, %v)",
-			label, a.Epochs, a.StoppedByBudget, b.Epochs, b.StoppedByBudget)
+			label, a.Epochs, a.Stopped, b.Epochs, b.Stopped)
 	}
 	if math.Float64bits(a.EpsilonSpent) != math.Float64bits(b.EpsilonSpent) {
 		t.Fatalf("%s: EpsilonSpent %v vs %v", label, a.EpsilonSpent, b.EpsilonSpent)

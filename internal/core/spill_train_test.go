@@ -309,6 +309,10 @@ func TestSpillSharesFitBudget(t *testing.T) {
 	if win, wout := cfg.spillShares(22440); wout != 351*chunk || win != (512-351)*chunk {
 		t.Errorf("train-spill shape: shares %d + %d chunks, want 161 + 351", win/chunk, wout/chunk)
 	}
+	// Its minimum: B = 128 Win chunks and all 351 of Wout's, no spare.
+	if got := cfg.MinMemoryBudget(22440); got != (128+351)*chunk {
+		t.Errorf("train-spill shape: MinMemoryBudget %d B, want %d (128 + 351 chunks)", got, (128+351)*chunk)
+	}
 }
 
 // TestSpilledResultConcurrentRows: several goroutines read random row

@@ -90,8 +90,8 @@ func (c Config) DenseStateBytes(nodes int) int64 {
 // for a run of this config on `nodes` nodes. An epoch must be able to pin
 // every row it touches — at most BatchSize distinct Win rows (one center
 // per example) and (K+1)·BatchSize distinct Wout rows — in the worst case
-// each landing in its own 64 KiB chunk, plus one streaming spare per
-// matrix (the README "Capacity planning" section works the formula
+// each landing in its own 64 KiB chunk, and no more chunks than the
+// matrix has (the README "Capacity planning" section works the formula
 // through).
 func (c Config) MinMemoryBudget(nodes int) int64 {
 	return mathx.MinSpillBudget(nodes, c.Dim, c.BatchSize) +
@@ -215,10 +215,6 @@ type Result struct {
 	// Stopped records why the run ended: StopCompleted, StopBudget, or —
 	// for TrainContext runs whose context was canceled — StopCanceled.
 	Stopped StopReason
-	// StoppedByBudget reports whether the δ̂ ≥ δ rule (Algorithm 2 line 10)
-	// ended training before MaxEpochs. Equivalent to Stopped == StopBudget;
-	// kept for pre-Session callers.
-	StoppedByBudget bool
 	// EpsilonSpent is the final ε certified at the target δ (private runs).
 	EpsilonSpent float64
 	// DeltaSpent is the final δ̂ certified at the target ε (private runs).
@@ -257,9 +253,9 @@ func (r *Result) Embedding() *mathx.Matrix {
 // copy (mathx.SpillMatrix.ReadRows) that loads no chunk, never a full
 // materialization. Results
 // are shared across deduplicated submissions, so the view must be treated
-// as read-only. An out-of-range window is an error rather than a panic:
-// serving layers turn it into a 400. So is a spill-tier I/O failure (a
-// *mathx.SpillError).
+// as read-only. An out-of-range window is an error rather than a panic
+// (serving layers check the window first and answer 400), and so is a
+// spill-tier I/O failure (a *mathx.SpillError; they answer 500).
 func (r *Result) Rows(lo, hi int) (*mathx.Matrix, error) {
 	win := r.Model.Win
 	if lo < 0 || hi < lo || hi > win.NumRows() {

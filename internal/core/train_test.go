@@ -124,7 +124,7 @@ func TestTrainSpendMatchesFreshAccountant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.StoppedByBudget {
+	if res.Stopped != StopBudget {
 		t.Fatalf("budget run did not stop on its budget after %d epochs", res.Epochs)
 	}
 	check("budget-stopped", stop, res)
@@ -167,7 +167,7 @@ func TestTrainStopsOnBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.StoppedByBudget {
+	if res.Stopped != StopBudget {
 		t.Fatalf("training ran all %d epochs without exhausting ε=%g, δ̂=%g",
 			res.Epochs, cfg.Epsilon, res.DeltaSpent)
 	}

@@ -216,36 +216,36 @@ func spillChunks(rows, cols int) (numChunks int, stride int64) {
 }
 
 // MinSpillBudget returns the smallest byte budget under which a spill
-// matrix of the given shape can keep `rows` arbitrary rows pinned at once
-// plus one spare chunk for streaming reads: (min(rows, numChunks)+1)
-// chunks. The worst case is each pinned row landing in a distinct chunk.
+// matrix of the given shape can keep `rows` arbitrary rows pinned at once:
+// min(rows, numChunks) chunks, at least one. The worst case is each pinned
+// row landing in a distinct chunk. No spare is needed: reads load no
+// chunk, and WriteRows runs before the first pin.
 func MinSpillBudget(totalRows, cols, rows int) int64 {
 	numChunks, stride := spillChunks(totalRows, cols)
-	return int64(min(rows, numChunks)+1) * stride
+	return int64(max(min(rows, numChunks), 1)) * stride
 }
 
 // SpillFullBytes returns the budget at which a rows×cols spill matrix
-// holds every chunk resident, never below the two chunks NewSpillMatrix
-// requires: a budget beyond it buys nothing.
+// holds every chunk resident: a budget beyond it buys nothing.
 func SpillFullBytes(rows, cols int) int64 {
 	numChunks, stride := spillChunks(rows, cols)
-	return int64(max(numChunks, 2)) * stride
+	return int64(numChunks) * stride
 }
 
 // NewSpillMatrix creates a zeroed rows×cols spill matrix bounded by
 // budgetBytes of resident chunk slabs. The backing file is created in
 // dir (or the default temp directory when dir is "") and unlinked
 // immediately, so it holds no visible on-disk name and is reclaimed by the
-// OS when closed — including on crash. The budget must admit at least two
-// chunks; errors otherwise.
+// OS when closed — including on crash. The budget must admit at least one
+// chunk; errors otherwise.
 func NewSpillMatrix(rows, cols int, budgetBytes int64, dir string) (*SpillMatrix, error) {
 	if rows < 0 || cols <= 0 {
 		return nil, fmt.Errorf("mathx: NewSpillMatrix(%d, %d): invalid shape", rows, cols)
 	}
 	numChunks, stride := spillChunks(rows, cols)
 	budgetChunks := int(budgetBytes / stride)
-	if budgetChunks < 2 {
-		return nil, fmt.Errorf("mathx: spill budget %d B below two %d B chunks", budgetBytes, stride)
+	if budgetChunks < 1 {
+		return nil, fmt.Errorf("mathx: spill budget %d B below one %d B chunk", budgetBytes, stride)
 	}
 	f, err := os.CreateTemp(dir, "sepriv-spill-*.bin")
 	if err != nil {

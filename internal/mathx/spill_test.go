@@ -226,13 +226,16 @@ func TestCopyOutCopyIntoRoundTrip(t *testing.T) {
 
 func TestNewSpillMatrixRejectsTinyBudget(t *testing.T) {
 	if _, err := NewSpillMatrix(100, 64, 1024, t.TempDir()); err == nil {
-		t.Fatalf("budget below two chunks must error")
+		t.Fatalf("budget below one chunk must error")
 	}
 }
 
 func TestMinSpillBudgetCoversPins(t *testing.T) {
 	const rows, cols = 4096, 128 // 64 rows/chunk, 64 chunks
 	budget := MinSpillBudget(rows, cols, 10)
+	if budget != 10*chunkStride(cols) {
+		t.Fatalf("MinSpillBudget for 10 pins = %d, want 10 chunks", budget)
+	}
 	sm := newTestSpill(t, rows, cols, budget)
 	// 10 rows in 10 distinct chunks — the worst case MinSpillBudget sizes.
 	var pinRows []int32
@@ -240,11 +243,33 @@ func TestMinSpillBudgetCoversPins(t *testing.T) {
 		pinRows = append(pinRows, int32(c*64))
 	}
 	pins := mustPin(t, sm, pinRows)
-	sm.WriteRows(rows-1, make([]float64, cols)) // the +1 spare
 	if got := sm.MaxResidentBytes(); got > budget {
 		t.Fatalf("resident %d exceeded MinSpillBudget %d", got, budget)
 	}
 	sm.Unpin(pins)
+
+	// A one-chunk matrix at its minimum budget: every pin set fits the
+	// one chunk, and reads and writes of any window stay within it.
+	const small = 40 // under one 64-row chunk
+	budget = MinSpillBudget(small, cols, 10)
+	if budget != chunkStride(cols) || SpillFullBytes(small, cols) != budget {
+		t.Fatalf("one-chunk matrix: MinSpillBudget %d, SpillFullBytes %d, want one %d B chunk",
+			budget, SpillFullBytes(small, cols), chunkStride(cols))
+	}
+	one := newTestSpill(t, small, cols, budget)
+	fillRows(one, 0, small)
+	pins = mustPin(t, one, []int32{0, 7, small - 1})
+	want := make([]float64, cols)
+	for _, i := range []int{0, 20, small - 1} {
+		fillRow(want, i)
+		if got := readRow(one, i); got[3] != want[3] {
+			t.Fatalf("one-chunk matrix row %d: %v, want %v", i, got[3], want[3])
+		}
+	}
+	one.Unpin(pins)
+	if got := one.MaxResidentBytes(); got > budget {
+		t.Fatalf("one-chunk matrix: resident %d exceeded its budget %d", got, budget)
+	}
 }
 
 // TestSpillPinReadsOnlyPinnedRows: one pinned epoch on a cold matrix
@@ -770,8 +795,8 @@ func TestSpillBudgetBytesRacesShrink(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for k := 0; k < 100; k++ {
-			if b := sm.BudgetBytes(); b < 2*chunkStride(cols) {
-				t.Errorf("BudgetBytes = %d, below the two-chunk floor", b)
+			if b := sm.BudgetBytes(); b != 4*chunkStride(cols) {
+				t.Errorf("BudgetBytes = %d, not the %d fixed at creation", b, 4*chunkStride(cols))
 				return
 			}
 		}

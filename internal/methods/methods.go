@@ -225,10 +225,9 @@ func liftResult(rep *baselines.Result) *core.Result {
 			Win:  emb,
 			Wout: mathx.NewMatrix(emb.Rows, emb.Cols),
 		},
-		Epochs:          rep.Epochs,
-		Stopped:         stopped,
-		StoppedByBudget: rep.StoppedByBudget,
-		EpsilonSpent:    rep.EpsilonSpent,
-		DeltaSpent:      rep.DeltaSpent,
+		Epochs:       rep.Epochs,
+		Stopped:      stopped,
+		EpsilonSpent: rep.EpsilonSpent,
+		DeltaSpent:   rep.DeltaSpent,
 	}
 }

@@ -42,9 +42,10 @@
 //
 // Replica serving: the result and row-window routes have one handler
 // each, whichever process trained the job. The service hands them one
-// metadata record (service.ArtifactMeta) — built from the job itself when
-// it is in this process's table, decoded from the artifact header when it
-// is a peer replica's job or one this process has forgotten — and every
+// metadata record (service.ArtifactMeta) — built by one function from the
+// artifact header, stored by the job when it finished if it is in this
+// process's table, read from the store when it is a peer replica's job or
+// one this process has forgotten — and every
 // row window comes from Service.ResultRows, so the owner, a peer and the
 // owner after it forgot the job serve byte-identical bodies. With a shared
 // artifact store, a job ID this instance never saw submitted answers on
@@ -56,9 +57,10 @@
 // process.
 //
 // Error mapping: malformed or unresolvable specs → 400, unknown job IDs
-// or malformed row windows → 400/404, result-before-done → 409, tenant
-// over quota → 429, queued-cancel (never trained) results → 410, submit
-// after shutdown → 503. 429 and 503 carry a Retry-After header — polite
+// or malformed or out-of-range row windows → 400/404, result-before-done
+// → 409, tenant over quota → 429, queued-cancel (never trained) results →
+// 410, a row read that fails (unreadable spill file, corrupt artifact) →
+// 500, submit after shutdown → 503. 429 and 503 carry a Retry-After header — polite
 // backpressure for sweep clients that fan wide.
 package server
 
@@ -449,12 +451,14 @@ func embeddingRows(m *mathx.Matrix) [][]float64 {
 }
 
 // window reads rows [lo, hi) of a finished job through
-// Service.ResultRows, the one row path whichever process trained the job,
-// writing a 400 itself on failure.
+// Service.ResultRows, the one row path whichever process trained the job.
+// The caller has checked the window against the job's rows, so a failed
+// read is the server's fault (an unreadable spill file, a corrupt
+// artifact): window writes a 500 itself.
 func (s *Server) window(w http.ResponseWriter, id string, lo, hi int) ([][]float64, bool) {
 	win, err := s.svc.ResultRows(id, lo, hi)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, http.StatusInternalServerError, err.Error())
 		return nil, false
 	}
 	return embeddingRows(win.Rows), true
@@ -499,6 +503,10 @@ func (s *Server) resultRows(w http.ResponseWriter, r *http.Request) {
 	lo, hi, err := parseWindow(r.PathValue("window"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if hi > meta.Nodes {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("row window [%d, %d) outside embedding with %d rows", lo, hi, meta.Nodes))
 		return
 	}
 	resp := resultView(meta)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -682,6 +685,49 @@ func TestResultRowsEndpoint(t *testing.T) {
 	}
 }
 
+// TestUnreadableRowsAre500: a row read that fails on a job whose record
+// is sound is the server's fault, not the client's. A peer's artifact
+// whose Win chunk frames are overwritten keeps a valid header and row
+// index, so the peer still serves its record (?embedding=none is 200),
+// but the full embedding and a row window fail to decode: 500, not 400.
+func TestUnreadableRowsAre500(t *testing.T) {
+	dir := t.TempDir()
+	owner, _ := newTestServer(t, service.Options{MaxWorkers: 1, ArtifactDir: dir})
+	id, _ := runTinyJob(t, owner, 41)
+	peer, _ := newTestServer(t, service.Options{MaxWorkers: 1, ArtifactDir: dir})
+
+	paths, err := filepath.Glob(filepath.Join(dir, id+"-*.result.gob"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("artifact of %s: %v %v", id, paths, err)
+	}
+	raw, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr struct{ Nodes int }
+	ix, err := core.OpenIndexed(bytes.NewReader(raw), int64(len(raw)), &hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := ix.Win[0]; i < ix.Wout[0]; i++ {
+		raw[i] = 0xff
+	}
+	if err := os.WriteFile(paths[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	base := peer.URL + "/v1/jobs/" + id + "/result"
+	for url, want := range map[string]int{
+		base + "?embedding=none": http.StatusOK,
+		base + "?embedding=full": http.StatusInternalServerError,
+		base + "/rows/0-4":       http.StatusInternalServerError,
+	} {
+		if code, _, _ := fetchResult(t, url); code != want {
+			t.Errorf("GET %s: HTTP %d, want %d", url, code, want)
+		}
+	}
+}
+
 // TestResultRowsServedFromArtifactStore: with an artifact directory, the
 // windowed path decodes from disk through the row index — and still
 // matches the in-memory result bit for bit.
@@ -754,7 +800,7 @@ func TestSpilledResultReadsStayWindowed(t *testing.T) {
 		"/v1/jobs/" + j.ID() + "/result?embedding=none",
 		"/v1/jobs/" + j.ID() + "/result/rows/100-116",
 	} {
-		allocated(path) // the first read computes and caches the full-matrix hash
+		allocated(path) // a warm-up read, so one-time allocations are not counted (the full-matrix hash was taken when the job finished)
 		if got := allocated(path); got >= winBytes {
 			t.Errorf("GET %s allocated %d bytes, not below the %d-byte embedding", path, got, winBytes)
 		}

@@ -370,6 +370,49 @@ func TestKeptSpilledResultsHoldTwoChunks(t *testing.T) {
 	}
 }
 
+// TestSpilledJobRecordReadsNoRow: a canceled spilled job's record is
+// stored when it finishes, so reading it — ResultMeta and EmbeddingHash,
+// again and again — reads, writes and evicts nothing of its spilled Win.
+func TestSpilledJobRecordReadsNoRow(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	s := New(Options{MaxWorkers: 1})
+	defer s.Close()
+	big := graph.BarabasiAlbert(2048, 2, xrand.New(9))
+	cfg := testCfg()
+	cfg.Dim, cfg.K, cfg.BatchSize = 128, 2, 8
+	cfg.MaxEpochs = 100000
+	cfg.MemoryBudget = cfg.MinMemoryBudget(big.NumNodes())
+	j, err := s.Submit(big, proximity.NewDegree(big), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, ok := j.Progress(); ok {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	j.Cancel()
+	res, err := j.Wait(context.Background())
+	if err != nil || res.Stopped != core.StopCanceled {
+		t.Fatalf("canceled job: result %+v, err %v", res, err)
+	}
+	win := res.Model.Win.(*mathx.SpillMatrix)
+	before := win.Stats()
+	for range 3 {
+		meta, err := j.ResultMeta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, ok := j.EmbeddingHash(); !ok || h != meta.EmbeddingHash {
+			t.Fatalf("EmbeddingHash = %016x, %v; ResultMeta's is %016x", h, ok, meta.EmbeddingHash)
+		}
+	}
+	if got := win.Stats(); got != before {
+		t.Errorf("reading the record moved Win's spill stats from %+v to %+v", before, got)
+	}
+}
+
 // TestFinishedJobsKeepOnlyWin: every job the service keeps holds the
 // embedding it publishes, Win, and not Wout, however it got its result:
 // trained with or without a store, adopted from the store by a restarted

@@ -411,17 +411,12 @@ type Job struct {
 	startedAt   atomic.Int64 // UnixNano; 0 = not started
 	finishedAt  atomic.Int64 // UnixNano; 0 = not finished
 
-	// res/err are written once, before done is closed.
-	res *core.Result
-	err error
-
-	// hashOnce caches the full-embedding digest: clients paging through a
-	// large result re-fetch the hash with every window, and recomputing
-	// an O(|V|·r) FNV per page would turn pagination's memory win into a
-	// CPU loss.
-	hashOnce sync.Once
-	hashVal  uint64
-	hashOK   bool
+	// res/err are written once, before done is closed. meta is the record
+	// of a job that finished with a result, built by train or adopt from
+	// the artifact header, also before done is closed; nil otherwise.
+	res  *core.Result
+	err  error
+	meta *ArtifactMeta
 }
 
 // ID returns the job's stable identifier: a pure function of its
@@ -522,34 +517,16 @@ func (j *Job) Result() (*core.Result, error) {
 
 // EmbeddingHash returns the FNV-1a digest of the job's full embedding
 // (mathx.DigestFloat64s over the row-major float64 bits of Win), false if
-// the job has not finished, finished without a result, or keeps a spilled
-// Win whose rows could not be read. The digest is computed once per job
-// and cached: every row window served from this job reports it, so a
-// client can verify any page against the full matrix.
+// the job has not finished or finished without a result. It is the
+// ResultMeta record's digest, taken once when the job finished: every row
+// window served from this job reports it, so a client can verify any page
+// against the full matrix.
 func (j *Job) EmbeddingHash() (uint64, bool) {
-	select {
-	case <-j.done:
-	default:
+	meta, err := j.ResultMeta()
+	if err != nil {
 		return 0, false
 	}
-	j.hashOnce.Do(func() {
-		if j.res != nil && j.res.Model != nil {
-			// A failed spill read copied zeros: no hash (the error is sticky).
-			h := mathx.DigestMat(j.res.Model.Win)
-			if mathx.MatErr(j.res.Model.Win) == nil {
-				j.hashVal, j.hashOK = h, true
-			}
-		}
-	})
-	return j.hashVal, j.hashOK
-}
-
-// seedHash records Win's digest, computed while persisting the job's
-// artifact or verified while adopting it from the store, as the job's
-// EmbeddingHash, so the O(|V|·r) digest runs once per job. It must be
-// called before done closes, while no reader can have run the Once.
-func (j *Job) seedHash(h uint64) {
-	j.hashOnce.Do(func() { j.hashVal, j.hashOK = h, true })
+	return meta.EmbeddingHash, true
 }
 
 // JobID returns the stable job identifier for a deduplication key (the ID
@@ -644,42 +621,26 @@ func (s *Service) evictLocked(keep *Job) {
 }
 
 // ResultMeta returns the metadata record of the job's finished result —
-// the same record a replica that never ran the job decodes from the
-// artifact header (Store.MetaByID), so a result response reads alike
-// wherever it is served. The shape comes from the model without
-// materializing a spilled embedding, and the hash is the cached
-// EmbeddingHash. It fails for a job that has not finished, returns the
-// job's error for one that finished without a result, and the spill
-// tier's error for one whose spilled Win cannot be read.
+// the record a replica that never ran the job decodes from the artifact
+// header (Store.MetaByID), built by the same artifactHeader.meta, so a
+// result response reads alike wherever it is served. It is stored when
+// the job finishes and reads nothing of the result. It fails for a job
+// that has not finished, and returns the job's error for one that
+// finished without a result.
 func (j *Job) ResultMeta() (*ArtifactMeta, error) {
 	select {
 	case <-j.done:
 	default:
 		return nil, fmt.Errorf("service: job %s has not finished", j.id)
 	}
-	res, err := j.res, j.err
-	if err != nil {
-		return nil, err
-	}
-	if res == nil || res.Model == nil {
+	switch {
+	case j.err != nil:
+		return nil, j.err
+	case j.meta == nil:
 		return nil, fmt.Errorf("service: job %s finished without a result", j.id)
 	}
-	hash, ok := j.EmbeddingHash()
-	if !ok {
-		return nil, mathx.MatErr(res.Model.Win)
-	}
-	return &ArtifactMeta{
-		JobID:         j.id,
-		Key:           j.key,
-		Method:        j.Method(),
-		Nodes:         res.Model.Win.NumRows(),
-		Dim:           res.Model.Win.NumCols(),
-		Epochs:        res.Epochs,
-		Stopped:       res.Stopped,
-		EpsilonSpent:  res.EpsilonSpent,
-		DeltaSpent:    res.DeltaSpent,
-		EmbeddingHash: hash,
-	}, nil
+	meta := *j.meta
+	return &meta, nil
 }
 
 // ResultRows returns rows [lo, hi) of a finished job's embedding — the one
@@ -957,8 +918,8 @@ func (s *Service) run(ctx context.Context, j *Job, g *graph.Graph, prox proximit
 	// exit path below has stored its terminal status by then, SSE
 	// subscribers see the event no matter which path ended the job, and a
 	// subscriber that sees it can read the result at once. It runs after
-	// the recover below, so it reads only the job's cached state: a done
-	// job's digest was taken by train or adopt, never here.
+	// the recover below, so it reads only the job's stored record, which
+	// train or adopt built.
 	defer s.publishTerminal(j)
 	defer close(j.done)
 	defer s.finish(j)
@@ -1082,15 +1043,15 @@ func (s *Service) trainOrFollow(ctx context.Context, j *Job, m methods.Method, g
 
 // train runs the actual training, publishing per-epoch progress to both
 // the polled job view and the event stream, and persists completed
-// results to the store before returning. It takes the digest of Win for
-// every finished training, with or without a store, so the read of a
-// spill tier that can no longer be read panics or fails here, under
-// run's recover, and not in publishTerminal. Every result, finished or
-// canceled, is shrunk to what the job table keeps (DESIGN §15): Win,
-// with no slab resident on the spill tier, and no Wout. A spilled result's
-// dirty rows are written back first, then the digest and the artifact
-// write (which stores Wout too) read its resident slabs, and last the
-// shrink drops them and Wout with no I/O.
+// results to the store before returning. Every result it keeps, done or
+// canceled, gets its record here. A spilled result's dirty rows are
+// written back first; then Win's digest is taken once and the artifact
+// header built from it. A done job's artifact write (which stores Wout
+// too) persists that header, and the job stores the header's meta. A
+// read of a spill tier that can no longer be read thus panics or fails
+// here, under run's recover, and never in a later read of the record.
+// Last, every result is shrunk to what the job table keeps (DESIGN §15):
+// Win, with no slab resident on the spill tier, and no Wout, with no I/O.
 func (s *Service) train(ctx context.Context, j *Job, m methods.Method, g *graph.Graph, prox proximity.Proximity, cfg core.Config) (*core.Result, error) {
 	s.trainings.Add(1)
 	res, err := m.Train(ctx, g, prox, cfg, core.Hooks{
@@ -1108,15 +1069,13 @@ func (s *Service) train(ctx context.Context, j *Job, m methods.Method, g *graph.
 	done := res.Stopped != core.StopCanceled
 	// The write-back comes before anything is published, so a failed one
 	// fails the job before its digest is taken or its artifact written.
-	flushed := res.FlushSpill() == nil
-	var digest uint64
-	if done && flushed {
-		// The artifact header and the job share one digest of Win.
-		digest = mathx.DigestMat(res.Model.Win)
-		if s.store != nil {
+	var hdr artifactHeader
+	if res.FlushSpill() == nil {
+		hdr = newArtifactHeader(j.key, res, mathx.DigestMat(res.Model.Win))
+		if done && s.store != nil {
 			// Best-effort persistence: a failed write degrades restart
 			// warmth, never the in-flight response.
-			_ = s.store.save(j.key, res, digest)
+			_ = s.store.save(&hdr, res)
 		}
 	}
 	// Shrink returns the spill tier's sticky error: the write-back above
@@ -1136,20 +1095,17 @@ func (s *Service) train(ctx context.Context, j *Job, m methods.Method, g *graph.
 		partial.Model = nil
 		return &partial, err
 	}
-	if done {
-		j.seedHash(digest)
-	}
+	j.meta = hdr.meta()
 	return res, nil
 }
 
-// adopt loads j's persisted result from the store, seeding the job's
-// embedding hash from the header digest the load verified. The load
-// decodes and verifies both matrices; the job keeps Win only, as a
-// trained one does.
+// adopt loads j's persisted result from the store and stores the record
+// of the header the load verified. The load decodes and verifies both
+// matrices; the job keeps Win only, as a trained one does.
 func (s *Service) adopt(j *Job) (*core.Result, bool) {
-	res, digest, ok := s.store.load(j.key)
+	res, hdr, ok := s.store.load(j.key)
 	if ok {
-		j.seedHash(digest)
+		j.meta = hdr.meta()
 		res.Shrink() // dense: drops Wout, cannot fail
 	}
 	return res, ok

@@ -132,7 +132,7 @@ func TestShrinkWriteFailureFailsJobNotService(t *testing.T) {
 	}
 	s := New(Options{MaxWorkers: 1, ArtifactDir: t.TempDir()})
 	defer s.Close()
-	inject := holdAfterTrain(t, s, dir)
+	inject := holdAfterTrain(t, s, dir, os.O_RDONLY)
 
 	big := graph.BarabasiAlbert(2048, 2, xrand.New(9))
 	cfg := testCfg()
@@ -191,7 +191,7 @@ func TestShrinkWriteFailureKeepsCanceledCheckpoint(t *testing.T) {
 	}
 	s := New(Options{MaxWorkers: 1})
 	defer s.Close()
-	inject := holdAfterTrain(t, s, dir)
+	inject := holdAfterTrain(t, s, dir, os.O_RDONLY)
 
 	big := graph.BarabasiAlbert(2048, 2, xrand.New(9))
 	cfg := testCfg()
@@ -248,61 +248,118 @@ func TestShrinkWriteFailureKeepsCanceledCheckpoint(t *testing.T) {
 	}
 }
 
-// TestUnreadableSpilledResultReportsNoHash: a canceled spilled job keeps
-// its shrunk Win and takes its digest only when first asked. If the
-// spill file stops serving reads before then, the digest reads zeros and
-// the sticky *mathx.SpillError; the job reports no hash, ResultMeta
-// returns that error, and no row window is served, rather than a digest
-// of zeros being cached as the job's hash.
+// TestUnreadableSpilledResultReportsNoHash: a canceled spilled job takes
+// Win's digest when it finishes, after the write-back, and stores its
+// record then.
+//
+//   - If the spill files stop serving reads before that digest, it reads
+//     zeros and the sticky *mathx.SpillError: the job ends canceled with
+//     that error and its spill files closed, keeps its resumable
+//     Checkpoint, and reports no hash, no record and no rows, rather than
+//     a digest of zeros.
+//   - If they stop serving reads after the job finished, the job keeps the
+//     record it finished with, hash included, and its row reads return the
+//     SpillError.
 func TestUnreadableSpilledResultReportsNoHash(t *testing.T) {
-	dir := t.TempDir()
-	t.Setenv("TMPDIR", dir)
-	if real, err := filepath.EvalSymlinks(dir); err == nil {
-		dir = real
-	}
-	s := New(Options{MaxWorkers: 1})
-	defer s.Close()
-
 	big := graph.BarabasiAlbert(2048, 2, xrand.New(9))
 	cfg := testCfg()
 	cfg.Dim, cfg.K, cfg.BatchSize = 128, 2, 8
 	cfg.MaxEpochs = 100000
 	cfg.Private = false
 	cfg.MemoryBudget = cfg.MinMemoryBudget(big.NumNodes())
-	j, err := s.Submit(big, proximity.NewDegree(big), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, ok := j.Progress(); ok {
-			break
+	// start returns a no-store service whose spill files go to their own
+	// directory, and that directory.
+	start := func(t *testing.T) (*Service, string) {
+		dir := t.TempDir()
+		t.Setenv("TMPDIR", dir)
+		if real, err := filepath.EvalSymlinks(dir); err == nil {
+			dir = real
 		}
-		time.Sleep(time.Millisecond)
+		s := New(Options{MaxWorkers: 1})
+		t.Cleanup(s.Close)
+		return s, dir
 	}
-	j.Cancel()
-	if res, err := j.Wait(context.Background()); err != nil || res.Stopped != core.StopCanceled || res.Model == nil {
-		t.Fatalf("canceled job: result %+v, err %v; want a canceled result with its Model", res, err)
-	}
-	if n := reopenSpillFiles(t, dir, os.O_WRONLY); n != 1 {
-		t.Fatalf("found %d spill files of the canceled job, want Win's", n)
-	}
-	if h, ok := j.EmbeddingHash(); ok {
-		t.Errorf("canceled job over an unreadable spill file reports hash %016x", h)
+	// cancel submits the spilled job and cancels it after its first epoch.
+	cancel := func(t *testing.T, s *Service) *Job {
+		j, err := s.Submit(big, proximity.NewDegree(big), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			if _, ok := j.Progress(); ok {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		j.Cancel()
+		return j
 	}
 	var se *mathx.SpillError
-	if _, err := j.ResultMeta(); !errors.As(err, &se) || se.Op != "read" {
-		t.Errorf("ResultMeta = %v, want a *mathx.SpillError on read", err)
-	}
-	if _, err := s.ResultRows(j.ID(), 0, 1); err == nil {
-		t.Error("rows served from an unreadable spill file")
-	}
+
+	t.Run("before the digest", func(t *testing.T) {
+		s, dir := start(t)
+		inject := holdAfterTrain(t, s, dir, os.O_WRONLY)
+		j := cancel(t, s)
+		// Win's file and Wout's: after training Wout is only written back
+		// and closed, so the read that fails is Win's digest.
+		if _, n := inject(); n != 2 {
+			t.Fatalf("found %d spill files of the canceled job, want Win's and Wout's", n)
+		}
+		res, err := j.Wait(context.Background())
+		if !errors.As(err, &se) || se.Op != "read" {
+			t.Fatalf("canceled job whose digest fails: err = %v, want a *mathx.SpillError on read", err)
+		}
+		if j.Status() != StatusCanceled {
+			t.Fatalf("status = %v, want canceled", j.Status())
+		}
+		if res == nil || res.Model != nil || res.Stopped != core.StopCanceled {
+			t.Fatalf("result = %+v, want the canceled partial result without a Model", res)
+		}
+		if cp := res.Checkpoint; cp == nil || cp.Epoch != res.Epochs || len(cp.Win) != big.NumNodes()*cfg.Dim {
+			t.Fatalf("checkpoint of the canceled job = %+v, want one at epoch %d", cp, res.Epochs)
+		}
+		if n := reopenSpillFiles(t, dir, os.O_RDONLY); n != 0 {
+			t.Errorf("canceled job left %d spill files open", n)
+		}
+		if h, ok := j.EmbeddingHash(); ok {
+			t.Errorf("canceled job whose digest failed reports hash %016x", h)
+		}
+		if _, err := j.ResultMeta(); !errors.As(err, &se) || se.Op != "read" {
+			t.Errorf("ResultMeta = %v, want a *mathx.SpillError on read", err)
+		}
+		if _, err := s.ResultRows(j.ID(), 0, 1); err == nil {
+			t.Error("rows served from a canceled job whose digest failed")
+		}
+	})
+
+	t.Run("after the finish", func(t *testing.T) {
+		s, dir := start(t)
+		j := cancel(t, s)
+		res, err := j.Wait(context.Background())
+		if err != nil || res.Stopped != core.StopCanceled || res.Model == nil {
+			t.Fatalf("canceled job: result %+v, err %v; want a canceled result with its Model", res, err)
+		}
+		want := mathx.DigestMat(res.Model.Win)
+		if n := reopenSpillFiles(t, dir, os.O_WRONLY); n != 1 {
+			t.Fatalf("found %d spill files of the canceled job, want Win's", n)
+		}
+		if h, ok := j.EmbeddingHash(); !ok || h != want {
+			t.Errorf("EmbeddingHash = %016x, %v; want the digest %016x taken at finish", h, ok, want)
+		}
+		if meta, err := j.ResultMeta(); err != nil || meta.EmbeddingHash != want {
+			t.Errorf("ResultMeta = %+v, %v; want the record the job finished with", meta, err)
+		}
+		if _, err := s.ResultRows(j.ID(), 0, 1); !errors.As(err, &se) || se.Op != "read" {
+			t.Errorf("ResultRows = %v, want a *mathx.SpillError on read", err)
+		}
+	})
 }
 
 // holdAfterTrain holds s's next trained result in afterTrain, before its
-// write-back, until the returned function has made every spill file
-// under dir read-only; that function returns the result and how many
-// files it changed.
-func holdAfterTrain(t *testing.T, s *Service, dir string) func() (*core.Result, int) {
+// write-back, until the returned function has reopened every spill file
+// under dir with flag (reopenSpillFiles); that function returns the
+// result and how many files it changed.
+func holdAfterTrain(t *testing.T, s *Service, dir string, flag int) func() (*core.Result, int) {
 	trained, injected := make(chan *core.Result), make(chan struct{})
 	s.afterTrain = func(res *core.Result) {
 		trained <- res
@@ -311,7 +368,7 @@ func holdAfterTrain(t *testing.T, s *Service, dir string) func() (*core.Result, 
 	return func() (*core.Result, int) {
 		res := <-trained
 		defer close(injected) // also when the helper skips the test
-		return res, reopenSpillFiles(t, dir, os.O_RDONLY)
+		return res, reopenSpillFiles(t, dir, flag)
 	}
 }
 

@@ -126,13 +126,14 @@ func sanitizeName(name string) string {
 // res must still hold Wout: a job's kept result, which has dropped it
 // (core.Result.Shrink), is an error.
 func (st *Store) Save(key experiments.ResultKey, res *core.Result) error {
-	return st.save(key, res, mathx.DigestMat(res.Model.Win))
+	hdr := newArtifactHeader(key, res, mathx.DigestMat(res.Model.Win))
+	return st.save(&hdr, res)
 }
 
-// save is Save with Win's digest already computed by the caller.
-func (st *Store) save(key experiments.ResultKey, res *core.Result, digest uint64) error {
-	return replica.WriteFileAtomic(st.path(key), func(w io.Writer) error {
-		return writeArtifact(w, key, res, digest)
+// save is Save with res's header already built by the caller.
+func (st *Store) save(hdr *artifactHeader, res *core.Result) error {
+	return replica.WriteFileAtomic(st.path(hdr.key()), func(w io.Writer) error {
+		return core.WriteIndexed(w, hdr, res.Model.Win, res.Model.Wout)
 	})
 }
 
@@ -149,7 +150,7 @@ func newArtifactHeader(key experiments.ResultKey, res *core.Result, digest uint6
 		Dim:              res.Model.Dim,
 		Epochs:           res.Epochs,
 		Stopped:          int(res.Stopped),
-		StoppedByBudget:  res.StoppedByBudget,
+		StoppedByBudget:  res.Stopped == core.StopBudget,
 		EpsilonSpent:     res.EpsilonSpent,
 		DeltaSpent:       res.DeltaSpent,
 		LossHistory:      res.LossHistory,
@@ -157,12 +158,33 @@ func newArtifactHeader(key experiments.ResultKey, res *core.Result, digest uint6
 	}
 }
 
-// writeArtifact streams res's v3 artifact. The Mat-streaming writer
-// persists spill-backed results at O(chunk) memory; for dense results it
-// emits byte-identical frames.
-func writeArtifact(w io.Writer, key experiments.ResultKey, res *core.Result, digest uint64) error {
-	hdr := newArtifactHeader(key, res, digest)
-	return core.WriteIndexed(w, &hdr, res.Model.Win, res.Model.Wout)
+// key is the deduplication key the header records.
+func (hdr *artifactHeader) key() experiments.ResultKey {
+	return experiments.ResultKey{
+		Method:    hdr.Method,
+		Graph:     hdr.GraphFingerprint,
+		Proximity: hdr.Proximity,
+		Config:    hdr.ConfigHash,
+	}
+}
+
+// meta is the metadata record of the result the header describes: the
+// one ArtifactMeta a finished job stores (train, adopt) and MetaByID
+// serves, so every path reports the same record for one result.
+func (hdr *artifactHeader) meta() *ArtifactMeta {
+	key := hdr.key()
+	return &ArtifactMeta{
+		JobID:         JobID(key),
+		Key:           key,
+		Method:        keyMethod(key),
+		Nodes:         hdr.Nodes,
+		Dim:           hdr.Dim,
+		Epochs:        hdr.Epochs,
+		Stopped:       core.StopReason(hdr.Stopped),
+		EpsilonSpent:  hdr.EpsilonSpent,
+		DeltaSpent:    hdr.DeltaSpent,
+		EmbeddingHash: hdr.EmbeddingHash,
+	}
 }
 
 // Load retrieves the persisted result for key, reporting false on any
@@ -176,22 +198,22 @@ func (st *Store) Load(key experiments.ResultKey) (*core.Result, bool) {
 	return res, ok
 }
 
-// load is Load that also returns the verified EmbeddingHash.
-func (st *Store) load(key experiments.ResultKey) (*core.Result, uint64, bool) {
+// load is Load that also returns the header it verified.
+func (st *Store) load(key experiments.ResultKey) (*core.Result, *artifactHeader, bool) {
 	a, err := openArtifact(st.path(key))
 	if err != nil {
-		return nil, 0, false
+		return nil, nil, false
 	}
 	defer a.f.Close()
 	if a.check(key) != nil {
-		return nil, 0, false
+		return nil, nil, false
 	}
 	win, wout, err := a.ix.DecodeAll(a.f, a.size)
 	if err != nil || mathx.DigestFloat64s(win) != a.hdr.EmbeddingHash {
-		return nil, 0, false
+		return nil, nil, false
 	}
 	st.hits.Add(1)
-	return a.hdr.result(win, wout), a.hdr.EmbeddingHash, true
+	return a.hdr.result(win, wout), &a.hdr, true
 }
 
 // sweepPath places a sweep artifact. Sweep IDs are "s" + 16 hex digits —
@@ -251,12 +273,11 @@ func (hdr *artifactHeader) result(win, wout []float64) *core.Result {
 			Win:  &mathx.Matrix{Rows: hdr.Nodes, Cols: hdr.Dim, Data: win},
 			Wout: &mathx.Matrix{Rows: hdr.Nodes, Cols: hdr.Dim, Data: wout},
 		},
-		Epochs:          hdr.Epochs,
-		Stopped:         core.StopReason(hdr.Stopped),
-		StoppedByBudget: hdr.StoppedByBudget,
-		EpsilonSpent:    hdr.EpsilonSpent,
-		DeltaSpent:      hdr.DeltaSpent,
-		LossHistory:     hdr.LossHistory,
+		Epochs:       hdr.Epochs,
+		Stopped:      core.StopReason(hdr.Stopped),
+		EpsilonSpent: hdr.EpsilonSpent,
+		DeltaSpent:   hdr.DeltaSpent,
+		LossHistory:  hdr.LossHistory,
 	}
 }
 

@@ -40,6 +40,13 @@ func fakeResult(nodes, dim int) *core.Result {
 	}
 }
 
+// writeArtifact streams the artifact Save writes for res under key, with
+// Win's digest given.
+func writeArtifact(w io.Writer, key experiments.ResultKey, res *core.Result, digest uint64) error {
+	hdr := newArtifactHeader(key, res, digest)
+	return core.WriteIndexed(w, &hdr, res.Model.Win, res.Model.Wout)
+}
+
 func storeKey(n uint64) experiments.ResultKey {
 	return experiments.ResultKey{Graph: 0x1111 + n, Proximity: "degree", Config: 0x2222 + n}
 }

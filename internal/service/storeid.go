@@ -24,9 +24,11 @@ import (
 // goes straight to the keyed LoadRows.
 
 // ArtifactMeta is the metadata record of a finished result: everything a
-// result response says besides the rows. Job.ResultMeta builds it for a
-// job in the table; MetaByID decodes it from a persisted artifact's
-// header, so a replica that never ran the job serves the same record.
+// result response says besides the rows. One function builds it, from
+// the artifact header (artifactHeader.meta): a job in the table stores it
+// when it finishes (Job.ResultMeta), and MetaByID builds it from a
+// persisted artifact's header, so a replica that never ran the job serves
+// the same record.
 type ArtifactMeta struct {
 	JobID         string
 	Key           experiments.ResultKey
@@ -56,7 +58,7 @@ func ValidJobID(id string) bool {
 
 // MetaByID returns the persisted result metadata for a job ID, false on
 // any miss (no artifact, corrupt header or row index, ID mismatch).
-// Stopped is always StopCompleted: only completed runs are ever persisted.
+// Stopped is never StopCanceled: only done runs are ever persisted.
 func (st *Store) MetaByID(id string) (*ArtifactMeta, bool) {
 	if v, ok := st.byID.Load(id); ok {
 		meta := *v.(*ArtifactMeta)
@@ -78,26 +80,9 @@ func (st *Store) MetaByID(id string) (*ArtifactMeta, bool) {
 		return nil, false
 	}
 	defer a.f.Close()
-	key := experiments.ResultKey{
-		Method:    a.hdr.Method,
-		Graph:     a.hdr.GraphFingerprint,
-		Proximity: a.hdr.Proximity,
-		Config:    a.hdr.ConfigHash,
-	}
-	if JobID(key) != id || a.check(key) != nil {
+	meta := a.hdr.meta()
+	if meta.JobID != id || a.check(meta.Key) != nil {
 		return nil, false
-	}
-	meta := &ArtifactMeta{
-		JobID:         id,
-		Key:           key,
-		Method:        keyMethod(key),
-		Nodes:         a.hdr.Nodes,
-		Dim:           a.hdr.Dim,
-		Epochs:        a.hdr.Epochs,
-		Stopped:       core.StopReason(a.hdr.Stopped),
-		EpsilonSpent:  a.hdr.EpsilonSpent,
-		DeltaSpent:    a.hdr.DeltaSpent,
-		EmbeddingHash: a.hdr.EmbeddingHash,
 	}
 	st.byID.Store(id, meta)
 	out := *meta
