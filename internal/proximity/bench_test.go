@@ -9,18 +9,27 @@ import (
 )
 
 // BenchmarkEdgeWeightsWorkers tracks the sharded weight fill over a
-// graph's edges (PairWeights over edgePairs) on a row-building measure,
-// where PairWeights builds one Katz row per distinct source.
+// graph's edges (PairWeights over edgePairs) on Katz, the measure with
+// its own fill (Katz.fill): x<w> at L = 3, and L6/x<w> at the served
+// shape, ByName("katz") with L = 6.
 func BenchmarkEdgeWeightsWorkers(b *testing.B) {
 	g := graph.BarabasiAlbert(800, 4, xrand.New(1))
-	p := NewKatz(g, 0.05, 3)
+	served, err := ByName("katz", g)
+	if err != nil {
+		b.Fatal(err)
+	}
 	pairs := edgePairs(g)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("x%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				PairWeights(p, pairs, w)
-			}
-		})
+	for _, c := range []struct {
+		prefix string
+		p      Proximity
+	}{{"", NewKatz(g, 0.05, 3)}, {"L6/", served}} {
+		for _, w := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%sx%d", c.prefix, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					PairWeights(c.p, pairs, w)
+				}
+			})
+		}
 	}
 }

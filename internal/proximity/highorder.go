@@ -16,11 +16,20 @@ import (
 // walks of every length with geometric damping. β must satisfy β < 1/λ_max
 // for the untruncated series to converge; the truncated form is always
 // finite but the same guidance keeps weights well-scaled.
+//
+// Row and At build row i by frontier expansion (build). PairWeights
+// builds no whole rows while every walk count of length ≤ L is below
+// 2^53: p_ij = p_ji bit for bit there, so each pair is served by one
+// endpoint of a vertex cover of the pairs, which reads only the columns
+// it serves (fill, in katzfill.go).
 type Katz struct {
 	g       *graph.Graph
 	beta    float64
 	l       int
 	scratch rowPool
+
+	exactOnce sync.Once // countsExact
+	exact     bool
 }
 
 // NewKatz returns the Katz proximity with damping beta truncated at walk
@@ -199,6 +208,8 @@ type rowScratch struct {
 	seen, queued []bool
 	l0, l1       []int32
 	reached      []int32
+	ball         []int32 // Katz.pushPull's targets and the nodes near them
+	ends         []int
 }
 
 // collect returns the positive entries of a built row's dense values

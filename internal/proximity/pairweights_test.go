@@ -1,8 +1,10 @@
 package proximity
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -257,8 +259,12 @@ func (c *countingKatz) At(i, j int) float64 {
 	return c.Katz.At(i, j)
 }
 
-// TestPairWeightsBuildsEachRowOnce: the fill builds one row per distinct
-// source, never one per pair, and never falls back to At.
+// TestPairWeightsBuildsEachRowOnce: a wrapper measure (here one around
+// Katz, which may override Row) gets one row build per distinct source,
+// never one per pair, and never falls back to At. A *Katz with exact
+// walk counts serves each non-self pair from exactly one of its
+// endpoints, and builds one row per node of that cover: no more rows
+// than distinct sources, the same number at any worker count.
 func TestPairWeightsBuildsEachRowOnce(t *testing.T) {
 	g := graph.BarabasiAlbert(200, 4, xrand.New(1))
 	pairs := pairsFor(g, xrand.New(3))
@@ -279,6 +285,164 @@ func TestPairWeightsBuildsEachRowOnce(t *testing.T) {
 			t.Errorf("workers=%d: %d At calls, want 0", workers, got)
 		}
 	}
+
+	for name, pairs := range map[string][]Pair{"pairsFor": pairs, "edges": edgePairs(g)} {
+		sources := map[int32]bool{}
+		for _, pr := range pairs {
+			if pr.I != pr.J {
+				sources[pr.I] = true
+			}
+		}
+		cover, start, owned := coverPairs(pairs, g.NumNodes())
+		servedBy := make([]int, len(pairs))
+		for _, i := range cover {
+			for _, x := range owned[start[i]:start[i+1]] {
+				if pairs[x].I != i && pairs[x].J != i {
+					t.Fatalf("%s: pair %d %v served by %d, not an endpoint", name, x, pairs[x], i)
+				}
+				servedBy[x]++
+			}
+		}
+		for x, pr := range pairs {
+			want := 1
+			if pr.I == pr.J {
+				want = 0
+			}
+			if servedBy[x] != want {
+				t.Fatalf("%s: pair %d %v served %d times, want %d", name, x, pr, servedBy[x], want)
+			}
+		}
+		if len(cover) > len(sources) {
+			t.Errorf("%s: cover of %d nodes for %d distinct sources", name, len(cover), len(sources))
+		}
+		k := NewKatz(g, 0.05, 4)
+		if !k.countsExact() {
+			t.Fatal("walk counts past 2^53: the test needs the cover fill")
+		}
+		for _, workers := range []int{1, 4} {
+			if built := k.fill(pairs, make([]float64, len(pairs)), workers); built != len(cover) {
+				t.Errorf("%s workers=%d: %d row builds for a cover of %d", name, workers, built, len(cover))
+			}
+		}
+		t.Logf("%s: cover %d nodes, %d distinct sources", name, len(cover), len(sources))
+	}
+}
+
+// TestKatzFillMatchesMaterialize pins Katz's own fill (the vertex cover,
+// pushed and pulled levels) to the materialized rows bit for bit, on
+// graphs with hubs, isolated nodes and several components, at even and
+// odd L, at every worker count, and over two passes — every fill reuses
+// one Katz's pooled scratch, so an array left dirty by one build would
+// show up in a later one; and two fills run at once on a fresh measure.
+// Then the bound's edge: on the complete graph K_257 a node starts 256^l
+// walks of length l, so L = 6 (2^48) is inside the exact-count bound and
+// takes the cover fill, while L = 7 (2^56) is past it and takes the
+// per-source rows; both match too.
+func TestKatzFillMatchesMaterialize(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"ba":     graph.BarabasiAlbert(300, 3, xrand.New(4)),
+		"forest": forestWithHub(t),
+		"er":     graph.ErdosRenyi(200, 300, xrand.New(6)),
+	}
+	for gname, g := range graphs {
+		pairs := pairsFor(g, xrand.New(8))
+		for _, maxLen := range []int{1, 2, 3, 6, 7} {
+			for _, beta := range []float64{0.05, 0.2} {
+				k := NewKatz(g, beta, maxLen)
+				if !k.countsExact() {
+					t.Fatalf("%s L=%d: walk counts past 2^53; the test needs the cover fill", gname, maxLen)
+				}
+				want := Materialize(k)
+				for pass := 0; pass < 2; pass++ {
+					for _, workers := range []int{1, 2, 7, 100000} {
+						sameWeights(t, fmt.Sprintf("%s L=%d β=%g pass %d workers=%d", gname, maxLen, beta, pass, workers),
+							PairWeights(k, pairs, workers), want, pairs)
+					}
+				}
+			}
+		}
+	}
+
+	// Two fills at once on a fresh measure share its first countsExact
+	// call and its scratch pool.
+	k := NewKatz(graphs["ba"], 0.05, 6)
+	pairs := pairsFor(graphs["ba"], xrand.New(8))
+	var wg sync.WaitGroup
+	got := make([][]float64, 2)
+	for x := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[x] = PairWeights(k, pairs, 2)
+		}()
+	}
+	wg.Wait()
+	for x := range got {
+		sameWeights(t, fmt.Sprintf("concurrent fill %d", x), got[x], Materialize(k), pairs)
+	}
+
+	const n = 257
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if err := b.AddEdge(u, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g := b.Build()
+	pairs = pairsFor(g, xrand.New(5))
+	for _, c := range []struct {
+		maxLen int
+		exact  bool
+	}{{6, true}, {7, false}} {
+		k := NewKatz(g, 0.05, c.maxLen)
+		if k.countsExact() != c.exact {
+			t.Fatalf("L=%d: countsExact = %v, want %v", c.maxLen, !c.exact, c.exact)
+		}
+		sameWeights(t, fmt.Sprintf("K_%d L=%d", n, c.maxLen), PairWeights(k, pairs, 3), Materialize(k), pairs)
+	}
+}
+
+func sameWeights(t *testing.T, what string, got []float64, want *Sparse, pairs []Pair) {
+	t.Helper()
+	for x, pr := range pairs {
+		if w := want.At(int(pr.I), int(pr.J)); got[x] != w {
+			t.Fatalf("%s: weight[%d] of %v = %v, materialized %v", what, x, pr, got[x], w)
+		}
+	}
+}
+
+// FuzzKatzPairWeights checks the Katz fill against the materialized rows
+// on a graph of up to 48 nodes built from edge bytes, arbitrary pairs
+// (self pairs and repeats included), L from 1 to 8 and 1 to 4 workers.
+func FuzzKatzPairWeights(f *testing.F) {
+	f.Add(uint8(9), uint8(5), uint8(1), 0.05, []byte{0, 1, 1, 2, 2, 0, 3, 4}, []byte{0, 1, 1, 0, 2, 2, 3, 0, 4, 3})
+	f.Add(uint8(47), uint8(7), uint8(3), 0.2, []byte("a graph with a few dozen edges among the nodes"), []byte("pairs from here"))
+	f.Add(uint8(2), uint8(2), uint8(0), 1e300, []byte{0, 1, 1, 2}, []byte{0, 2, 2, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, nodes, maxLen, workers uint8, beta float64, edges, pairBytes []byte) {
+		if !(beta > 0) {
+			return
+		}
+		n := 1 + int(nodes)%48
+		b := graph.NewBuilder(n)
+		for x := 0; x+1 < len(edges); x += 2 {
+			if u, v := int(edges[x])%n, int(edges[x+1])%n; u != v {
+				if err := b.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		g := b.Build()
+		pairs := make([]Pair, 0, len(pairBytes)/2)
+		for x := 0; x+1 < len(pairBytes); x += 2 {
+			pairs = append(pairs, Pair{int32(int(pairBytes[x]) % n), int32(int(pairBytes[x+1]) % n)})
+		}
+		k := NewKatz(g, beta, 1+int(maxLen)%8)
+		w := 1 + int(workers)%4
+		sameWeights(t, fmt.Sprintf("n=%d L=%d β=%g workers=%d", n, k.l, beta, w),
+			PairWeights(k, pairs, w), Materialize(k), pairs)
+	})
 }
 
 // TestPairWeightsEmpty: no pairs, no work, no panic.

@@ -55,18 +55,27 @@ type rowBuilder interface {
 // pairs are kept (their loss contribution is zero, exactly as the
 // objective dictates).
 //
-// For the row-building measures (Katz, PageRank) the pairs are grouped by
-// source with a stable counting sort and each source's row is built once,
-// so the fill costs one row build per distinct source instead of one per
-// pair; every other measure is evaluated with At per pair. Either way the
-// weights are exactly At's — a grouped weight is the entry of the very
-// row At would have built, read from its dense values (denseBuild) — and
-// each lands in its own pair-index slot, so the slice is bit-identical to
-// the serial per-pair pass at any worker count.
+// A *Katz whose walk counts up to length L are exact float64 integers
+// (below 2^53) is symmetric bit for bit, and fills its own way: each pair
+// is served by one endpoint of a greedy vertex cover of the pairs, which
+// pushes half the levels and pulls the rest only near the columns it
+// serves (Katz.fill). Otherwise, for the row-building measures (Katz,
+// PageRank) the pairs are grouped by source with a stable counting sort
+// and each source's row is built once, so the fill costs one row build
+// per distinct source instead of one per pair; every other measure is
+// evaluated with At per pair. Every path's weights are exactly At's — a
+// grouped weight is the entry of the very row At would have built, read
+// from its dense values (denseBuild) — and each lands in its own
+// pair-index slot, so the slice is bit-identical to the serial per-pair
+// pass at any worker count.
 // Row and At must be safe for concurrent use (true for every measure in
 // this package, and required of custom measures handed here).
 func PairWeights(p Proximity, pairs []Pair, workers int) []float64 {
 	w := make([]float64, len(pairs))
+	if k, ok := p.(*Katz); ok && k.countsExact() {
+		k.fill(pairs, w, workers)
+		return w
+	}
 	if _, ok := p.(rowBuilder); !ok {
 		panicx.Blocks(len(pairs), workers, block, func(_, lo, hi int) {
 			for k := lo; k < hi; k++ {
