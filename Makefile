@@ -1,9 +1,9 @@
 GO ?= go
 # Benchmark → JSON recording for the perf trajectory; bump per PR.
-BENCH_JSON ?= BENCH_pr36.json
+BENCH_JSON ?= BENCH_pr37.json
 # The previous PR's recording, the local regression baseline for
 # bench-diff (CI benchmarks the base commit on its own runner instead).
-BENCH_BASE ?= BENCH_pr35.json
+BENCH_BASE ?= BENCH_pr36.json
 # The sharded-stage benchmarks: the DP noise/update stage, the one-shot
 # graph passes, the whole-train scaling curves (TrainWorkers matches the
 # lazy-Katz job too, with its weight-fill share as weights-ns/op), the
@@ -100,10 +100,13 @@ fuzz:
 		done; \
 	done
 
-# Serving smoke test: start the HTTP job server on a random port, submit
-# a tiny inline job over real HTTP, poll it to done, and fetch the result.
+# Serving smoke test: the benchmark's serve-rows workload for 3 s — two
+# replicas over one artifact store, half the row reads cross-replica. It
+# fails unless every window's row count and full-matrix hash check out and
+# the set trained each distinct spec exactly once, and leaves its report
+# in serve-rows.json.
 serve-smoke:
-	$(GO) run ./cmd/sepriv serve -selftest
+	bash bench/run.sh --workload serve-rows --seed 1 --seconds 3 --trace 0 --out serve-rows.json
 
 # Tier-1 verification in one command — the same gate
 # .github/workflows/ci.yml runs on every push/PR.

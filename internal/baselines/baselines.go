@@ -26,6 +26,7 @@ package baselines
 
 import (
 	"fmt"
+	"math"
 
 	"seprivgemb/internal/mathx"
 )
@@ -55,6 +56,19 @@ type Config struct {
 // calibration meaningless). The serving layer runs this at submission so
 // an invalid budget is a 400, exactly like an invalid core.Config.
 func (c Config) Validate() error {
+	// NaN passes every sign check below, and an infinite one trains to
+	// non-finite coordinates or certifies a meaningless budget.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"privacy budget epsilon", c.Epsilon}, {"delta", c.Delta}, {"noise multiplier sigma", c.Sigma},
+		{"learning rate", c.LearningRate}, {"clip threshold", c.Clip},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("baselines: %s %g must be finite", f.name, f.v)
+		}
+	}
 	switch {
 	case c.Dim < 1:
 		return fmt.Errorf("baselines: dimension %d must be >= 1", c.Dim)

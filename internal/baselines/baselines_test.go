@@ -111,6 +111,30 @@ func TestAddRowNoise(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite: NaN and ±Inf in every float field are
+// validation errors; NaN used to pass the sign checks.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(*Config) *float64{
+		"Epsilon":      func(c *Config) *float64 { return &c.Epsilon },
+		"Delta":        func(c *Config) *float64 { return &c.Delta },
+		"Sigma":        func(c *Config) *float64 { return &c.Sigma },
+		"LearningRate": func(c *Config) *float64 { return &c.LearningRate },
+		"Clip":         func(c *Config) *float64 { return &c.Clip },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := testConfig()
+			*field(&cfg) = v
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("%s = %g accepted", name, v)
+			}
+		}
+	}
+	if err := testConfig().Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
 // testConfig is the paper's shared evaluation setting (r=128, σ=5,
 // δ=1e-5) with baseline-typical optimization values; tests narrow it.
 func testConfig() Config {

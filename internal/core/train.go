@@ -155,6 +155,19 @@ func DefaultConfig() Config {
 // runs before any setup, exported so the serving layer can reject a bad
 // submission up front instead of failing the job.
 func (c Config) Validate(g *graph.Graph) error {
+	// NaN passes every sign check below, and an infinite step, clip or
+	// noise multiplier trains to non-finite coordinates.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"learning rate", c.LearningRate}, {"clip threshold", c.Clip}, {"noise multiplier", c.Sigma},
+		{"target epsilon", c.Epsilon}, {"target delta", c.Delta},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s %g must be finite", f.name, f.v)
+		}
+	}
 	switch {
 	case g.NumEdges() == 0:
 		return fmt.Errorf("core: graph has no edges to train on")

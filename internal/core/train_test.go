@@ -227,6 +227,36 @@ func TestTrainValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite: NaN and ±Inf in every float field are
+// validation errors, private or not. NaN used to pass the sign checks:
+// σ = NaN certified ε = +Inf, and C = +Inf or η = NaN trained non-finite
+// coordinates, all without an error.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	g := smallGraph(t)
+	fields := map[string]func(*Config) *float64{
+		"LearningRate": func(c *Config) *float64 { return &c.LearningRate },
+		"Clip":         func(c *Config) *float64 { return &c.Clip },
+		"Sigma":        func(c *Config) *float64 { return &c.Sigma },
+		"Epsilon":      func(c *Config) *float64 { return &c.Epsilon },
+		"Delta":        func(c *Config) *float64 { return &c.Delta },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, private := range []bool{true, false} {
+				cfg := smallConfig()
+				cfg.Private = private
+				*field(&cfg) = v
+				if err := cfg.Validate(g); err == nil {
+					t.Errorf("%s = %g (private %v) accepted", name, v, private)
+				}
+			}
+		}
+	}
+	if err := smallConfig().Validate(g); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
 // applyWith runs one perturb-and-apply pass of matrix w through a fresh
 // engine at the config's worker count, seeding the noise stream directly.
 // Contribution p touches rows[p] with the unclipped gradient gs[p]: for

@@ -2,6 +2,7 @@ package proximity
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -33,9 +34,10 @@ type Katz struct {
 }
 
 // NewKatz returns the Katz proximity with damping beta truncated at walk
-// length maxLen. It panics for non-positive parameters.
+// length maxLen. It panics for a beta that is not positive and finite,
+// and for a maxLen below 1.
 func NewKatz(g *graph.Graph, beta float64, maxLen int) *Katz {
-	if beta <= 0 || maxLen < 1 {
+	if !(beta > 0) || math.IsInf(beta, 1) || maxLen < 1 {
 		panic(fmt.Sprintf("proximity: NewKatz(beta=%g, maxLen=%d) invalid", beta, maxLen))
 	}
 	return &Katz{g: g, beta: beta, l: maxLen, scratch: rowPool{n: g.NumNodes()}}
@@ -121,9 +123,10 @@ type PageRank struct {
 }
 
 // NewPageRank returns the PPR proximity with continuation probability alpha
-// (typically 0.85) and push tolerance eps.
+// (typically 0.85) and push tolerance eps. It panics for an alpha outside
+// (0, 1) and an eps that is not positive and finite.
 func NewPageRank(g *graph.Graph, alpha, eps float64) *PageRank {
-	if alpha <= 0 || alpha >= 1 || eps <= 0 {
+	if !(alpha > 0 && alpha < 1) || !(eps > 0) || math.IsInf(eps, 1) {
 		panic(fmt.Sprintf("proximity: NewPageRank(alpha=%g, eps=%g) invalid", alpha, eps))
 	}
 	return &PageRank{g: g, alpha: alpha, eps: eps, scratch: rowPool{n: g.NumNodes()}}

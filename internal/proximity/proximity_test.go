@@ -1,6 +1,7 @@
 package proximity
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -302,4 +303,9 @@ func TestConstructorPanics(t *testing.T) {
 	mustPanic("Katz bad len", func() { NewKatz(g, 0.1, 0) })
 	mustPanic("PageRank bad alpha", func() { NewPageRank(g, 1.5, 1e-5) })
 	mustPanic("PageRank bad eps", func() { NewPageRank(g, 0.85, 0) })
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		mustPanic(fmt.Sprintf("Katz beta %g", v), func() { NewKatz(g, v, 3) })
+		mustPanic(fmt.Sprintf("PageRank alpha %g", v), func() { NewPageRank(g, v, 1e-5) })
+		mustPanic(fmt.Sprintf("PageRank eps %g", v), func() { NewPageRank(g, 0.85, v) })
+	}
 }

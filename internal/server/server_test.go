@@ -465,13 +465,16 @@ func TestCrossTransportDedup(t *testing.T) {
 	}
 }
 
-// TestSelftest runs the smoke payload in-process.
-func TestSelftest(t *testing.T) {
-	ts, _ := newTestServer(t, service.Options{MaxWorkers: 2})
-	var buf strings.Builder
-	if err := Selftest(ts.URL, &buf); err != nil {
-		t.Fatalf("selftest: %v\n%s", err, buf.String())
+func float64sEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
 	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // fetchResult GETs a result URL and decodes the response.
@@ -926,6 +929,13 @@ func TestSubmitMethodOverHTTP(t *testing.T) {
 	code, _, rr := fetchResult(t, ts.URL+"/v1/jobs/"+jrGap.ID+"/result?embedding=none")
 	if code != http.StatusOK || rr.Method != "gap" {
 		t.Fatalf("gap result: HTTP %d method %q", code, rr.Method)
+	}
+	// A distinct job, and a distinct trainer: the gap embedding is not
+	// sepriv's under another ID.
+	pollDone(t, ts, jrDef.ID)
+	code, _, rrDef := fetchResult(t, ts.URL+"/v1/jobs/"+jrDef.ID+"/result?embedding=none")
+	if code != http.StatusOK || rr.EmbeddingHash == "" || rr.EmbeddingHash == rrDef.EmbeddingHash {
+		t.Fatalf("gap and sepriv results: HTTP %d, hashes %q and %q", code, rr.EmbeddingHash, rrDef.EmbeddingHash)
 	}
 	// An alias spelling of the default dedups onto the default job.
 	resp, jrAlias := postSpec(t, ts, withMethod(`"method": "SE-PrivGEmb",`))

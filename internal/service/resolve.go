@@ -5,27 +5,35 @@ import (
 	"path/filepath"
 
 	"seprivgemb/internal/core"
+	"seprivgemb/internal/experiments"
 	"seprivgemb/internal/graph"
+	"seprivgemb/internal/methods"
 	"seprivgemb/internal/proximity"
 	"seprivgemb/internal/spec"
 )
 
 // resolve turns a validated JobSpec into the live objects a training run
-// needs. Dataset simulations come from the service's Memo, so a popular
-// dataset@scale+seed is built once per process no matter how many specs
-// name it; inline and file graphs are per-request (their results still
-// deduplicate downstream — the job key is the graph FINGERPRINT, which
-// identical edge lists share). The proximity returned here is the lazy
-// measure the job trains on: its canonical Name keys the dedup, and the
-// weight fill builds only the rows of the pairs the run samples.
-func (s *Service) resolve(sp spec.JobSpec) (*graph.Graph, proximity.Proximity, core.Config, error) {
-	cfg, err := sp.Config.CoreConfig()
-	if err != nil {
-		return nil, nil, cfg, err
-	}
+// needs: its graph (ResolveGraph) and the measure, config and key ResolveJob
+// derives from it.
+func (s *Service) resolve(sp spec.JobSpec) (*graph.Graph, proximity.Proximity, core.Config, experiments.ResultKey, error) {
 	g, err := s.ResolveGraph(sp.Graph)
 	if err != nil {
-		return nil, nil, cfg, err
+		return nil, nil, core.Config{}, experiments.ResultKey{}, err
+	}
+	prox, cfg, key, err := s.ResolveJob(sp.Method, g, sp.Proximity, sp.Config)
+	return g, prox, cfg, key, err
+}
+
+// ResolveJob is the service's one resolution of a job over a live graph,
+// and the service's sweep.Resolver: it returns the lazy measure the job
+// trains on (its weight fill builds only the rows of the pairs the run
+// samples), its config with the batch clamp applied, and its
+// deduplication key — what submit takes. SubmitSpec and sweep expansion
+// both resolve through it, so a sweep cell's planned key is its job's key.
+func (s *Service) ResolveJob(method string, g *graph.Graph, measure string, cs spec.ConfigSpec) (proximity.Proximity, core.Config, experiments.ResultKey, error) {
+	cfg, err := cs.CoreConfig()
+	if err != nil {
+		return nil, cfg, experiments.ResultKey{}, err
 	}
 	// Batch sampling is without replacement, so B caps at |E| — the same
 	// clamp the CLI applies. Doing it during resolution keeps the clamp
@@ -33,17 +41,37 @@ func (s *Service) resolve(sp spec.JobSpec) (*graph.Graph, proximity.Proximity, c
 	if cfg.BatchSize > g.NumEdges() {
 		cfg.BatchSize = g.NumEdges()
 	}
-	prox, err := proximity.ByName(sp.Proximity, g)
+	prox, err := proximity.ByName(measure, g)
 	if err != nil {
-		return nil, nil, cfg, err
+		return nil, cfg, experiments.ResultKey{}, err
 	}
-	return g, prox, cfg, nil
+	key, err := jobKey(method, g, prox, cfg)
+	return prox, cfg, key, err
 }
 
-// ResolveGraph builds a spec's graph — resolve's first step, and the
-// service's sweep.Resolver: datasets come from the memo (so sweep
-// expansion warms exactly the cache cell submissions will hit), inline and
-// file sources are built per request.
+// jobKey is the deduplication key of a job: its canonical method, graph
+// fingerprint, measure name and result-shaping config hash (which ignores
+// Workers). The method is canonicalized here, so "" and "sepriv" — and any
+// future alias — land on one job.
+func jobKey(method string, g *graph.Graph, prox proximity.Proximity, cfg core.Config) (experiments.ResultKey, error) {
+	mname, err := methods.Canonical(method)
+	if err != nil {
+		return experiments.ResultKey{}, err
+	}
+	return experiments.ResultKey{
+		Method:    mname,
+		Graph:     g.Fingerprint(),
+		Proximity: prox.Name(),
+		Config:    cfg.Hash(),
+	}, nil
+}
+
+// ResolveGraph builds a spec's graph — resolve's first step, and sweep
+// expansion's for every graph axis: datasets come from the memo, so a
+// popular dataset@scale+seed is built once per process however many specs
+// and sweep cells name it; inline and file sources are built per request
+// (their results still deduplicate: the job key holds the graph's
+// fingerprint, which identical edge lists share).
 func (s *Service) ResolveGraph(src spec.GraphSource) (*graph.Graph, error) {
 	switch {
 	case src.Dataset != nil:

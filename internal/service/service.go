@@ -696,7 +696,11 @@ func (s *Service) Submit(g *graph.Graph, prox proximity.Proximity, cfg core.Conf
 // methods and configs the method rejects (e.g. a non-positive privacy
 // budget for a baseline) fail with ErrInvalidSpec.
 func (s *Service) SubmitMethod(method string, g *graph.Graph, prox proximity.Proximity, cfg core.Config) (*Job, error) {
-	return s.submit(method, g, prox, cfg, 0, "")
+	key, err := jobKey(method, g, prox, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
+	}
+	return s.submit(key, g, prox, cfg, 0, "")
 }
 
 // SubmitSpec resolves a declarative JobSpec — graph source, proximity by
@@ -734,11 +738,11 @@ func (s *Service) SubmitSpec(sp spec.JobSpec) (*Job, error) {
 	if err := s.checkDatasetCap(sp.Graph, sp.Method, sp.Config); err != nil {
 		return nil, err
 	}
-	g, prox, cfg, err := s.resolve(sp)
+	g, prox, cfg, key, err := s.resolve(sp)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
-	return s.submit(sp.Method, g, prox, cfg, sp.Priority, sp.Tenant)
+	return s.submit(key, g, prox, cfg, sp.Priority, sp.Tenant)
 }
 
 // checkDatasetCap is memory admission before resolution: a dataset's node
@@ -781,28 +785,18 @@ func (s *Service) checkMemoryCap(mname string, nodes int, cfg core.Config) error
 		ErrInvalidSpec, need, limit)
 }
 
-// submit is the shared admission path of both transports, and both train
-// on the proximity they hand in. The method name is canonicalized into the
-// key here, so "" and "sepriv" — and any future alias — land on one job.
+// submit is the shared admission path of every submission — both
+// transports and sweep cells — and each trains on the proximity it hands
+// in, under the key jobKey built from the same graph, measure and config.
 // The method's config validation runs here too, on the resolved graph: a
 // config the trainer would reject is a 400, not a job that fails at
 // training time.
-func (s *Service) submit(method string, g *graph.Graph, prox proximity.Proximity, cfg core.Config, priority int, tenant string) (*Job, error) {
-	mname, err := methods.Canonical(method)
-	if err != nil {
+func (s *Service) submit(key experiments.ResultKey, g *graph.Graph, prox proximity.Proximity, cfg core.Config, priority int, tenant string) (*Job, error) {
+	if err := methods.ValidateConfig(key.Method, g, cfg); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
-	if err := methods.ValidateConfig(mname, g, cfg); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
-	}
-	if err := s.checkMemoryCap(mname, g.NumNodes(), cfg); err != nil {
+	if err := s.checkMemoryCap(key.Method, g.NumNodes(), cfg); err != nil {
 		return nil, err
-	}
-	key := experiments.ResultKey{
-		Method:    mname,
-		Graph:     g.Fingerprint(),
-		Proximity: prox.Name(),
-		Config:    cfg.Hash(),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

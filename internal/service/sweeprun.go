@@ -51,12 +51,13 @@ type sweepCell struct {
 
 // Sweep is the handle to one submitted comparison grid.
 type Sweep struct {
-	id      string
-	metric  string
-	tenant  string
-	created time.Time
-	svc     *Service
-	plan    *sweep.Plan
+	id       string
+	metric   string
+	tenant   string
+	priority int
+	created  time.Time
+	svc      *Service
+	plan     *sweep.Plan
 
 	mu       sync.Mutex
 	cells    []*sweepCell
@@ -250,6 +251,7 @@ func (s *Service) SubmitSweep(sp *spec.SweepSpec) (*Sweep, error) {
 		id:       plan.ID,
 		metric:   plan.Metric,
 		tenant:   sp.Tenant,
+		priority: sp.Priority,
 		created:  time.Now(),
 		svc:      s,
 		plan:     plan,
@@ -319,17 +321,10 @@ func (sw *Sweep) feedCell(sc *sweepCell, waiters *sync.WaitGroup) {
 			return
 		}
 		sw.mu.Unlock()
-		j, err := sw.svc.SubmitSpec(sc.c.Spec)
+		c := sc.c
+		j, err := sw.svc.submit(c.Key, c.TrainGraph(), c.Prox, c.Config, sw.priority, sw.tenant)
 		switch {
 		case err == nil:
-			if j.ID() != sc.jobID {
-				// Drift guard: the precomputed cell key disagrees with the
-				// submission path's. Unreachable while sweep.buildCell and
-				// service.resolve stay in lockstep; recorded, not ignored,
-				// because a silent mismatch would aggregate the wrong job.
-				sw.record(sc, cellFailed, nil, fmt.Sprintf("internal: cell key drift (planned %s, submitted %s)", sc.jobID, j.ID()))
-				return
-			}
 			sw.mu.Lock()
 			sc.job = j
 			sw.mu.Unlock()
@@ -346,7 +341,7 @@ func (sw *Sweep) feedCell(sc *sweepCell, waiters *sync.WaitGroup) {
 			}
 		default:
 			// ErrInvalidSpec (the method rejected this cell's config against
-			// the resolved graph), ErrClosed, or resolution failure: a
+			// its graph, or the job is over the memory cap) or ErrClosed: a
 			// failed cell of a sweep that still completes.
 			sw.record(sc, cellFailed, nil, err.Error())
 			return

@@ -172,6 +172,55 @@ func TestSweepResubmitIsCacheHit(t *testing.T) {
 	}
 }
 
+// TestSweepLinkAUCCellDedupsOntoSpec pins the dedup contract between a
+// sweep cell and a plain submission: once a link-prediction sweep has
+// finished, an inline JobSpec of one cell's split train graph (its edges
+// listed in any order), with that cell's method, measure, ε and seed, is
+// the cell's job — SubmitSpec returns its ID and trains nothing. The batch
+// size is above the split's edge count, so both sides apply the clamp.
+func TestSweepLinkAUCCellDedupsOntoSpec(t *testing.T) {
+	svc := New(Options{MaxWorkers: 2})
+	defer svc.Close()
+	sp := sweepRingSpec()
+	sp.Eval.Metric = spec.MetricLinkAUC
+	sp.Config.BatchSize = 64
+	sw, err := svc.SubmitSweep(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := waitSweep(t, sw); res.Counts.Done != 8 {
+		t.Fatalf("linkauc sweep counts %+v, want 8 done", res.Counts)
+	}
+	trained := svc.Trainings()
+	for _, c := range sw.plan.Cells {
+		g := c.TrainGraph()
+		edges := make([][2]int, 0, g.NumEdges())
+		for i := g.NumEdges() - 1; i >= 0; i-- {
+			e := g.Edge(i)
+			edges = append(edges, [2]int{int(e.V), int(e.U)})
+		}
+		cs := sp.Config
+		cs.Epsilon = c.Epsilon
+		cs.Seed = c.Seed
+		j, err := svc.SubmitSpec(spec.JobSpec{
+			Graph:     spec.GraphSource{Inline: &spec.InlineSource{Nodes: g.NumNodes(), Edges: edges}},
+			Method:    c.Method,
+			Proximity: sp.Proximity,
+			Config:    cs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := JobID(c.Key); j.ID() != want || j.Key() != c.Key {
+			t.Fatalf("cell %s eps=%g seed=%d: spec submitted as %s, want the cell's job %s",
+				c.Method, c.Epsilon, c.Seed, j.ID(), want)
+		}
+	}
+	if tr := svc.Trainings(); tr != trained {
+		t.Fatalf("resubmitting the cells as specs trained: %d → %d", trained, tr)
+	}
+}
+
 // TestSweepRestartServedFromArtifacts: a new service over the same
 // artifact directory re-runs the grid with every cell answered from disk —
 // zero trainings, all artifact hits — and serves the byte-identical table.

@@ -5,7 +5,7 @@ package spec
 // to JobSpec, so a Go client — sepriv fetch, the bench client, external
 // tooling — and the server decode and encode the very same types; the
 // JSON layout is part of the serving contract and is covered by the
-// handler table tests and the serve-smoke selftest.
+// handler table tests.
 
 // JobResponse is the wire form of a job's observable state.
 type JobResponse struct {

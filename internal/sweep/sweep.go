@@ -1,16 +1,16 @@
 // Package sweep turns one declarative SweepSpec — the paper's comparison
 // grid of (graph × method × ε × seed) cells — into a deterministic
 // execution plan the service layer can orchestrate: a canonically ordered
-// cell list, each cell a complete JobSpec with its precomputed
-// deduplication key, plus the per-cell evaluation and the aggregation
-// into the paper-style (graph, method, ε) → mean±std table.
+// cell list, each cell a resolved job — training graph, lazy measure,
+// config and deduplication key — plus the per-cell evaluation and the
+// aggregation into the paper-style (graph, method, ε) → mean±std table.
 //
 // The package is deliberately free of any queueing or transport concern:
 // it never submits a job, never holds a lock, and depends only on the
 // spec/eval/experiments contracts. internal/service owns the orchestration
-// (SubmitSweep) and hands this package a Resolver for graph sources, so
-// the plan's keys are computed through the very same dataset memo the
-// job submissions will hit.
+// (SubmitSweep) and hands this package a Resolver, so graph sources come
+// from the very same dataset memo the job submissions hit, and each cell
+// is resolved by the same function that resolves a submitted JobSpec.
 //
 // Determinism is the load-bearing property end to end:
 //
@@ -44,15 +44,19 @@ import (
 	"seprivgemb/internal/xrand"
 )
 
-// Resolver resolves a graph source into a live graph. The service
-// implements it over its dataset memo, so expanding a sweep warms exactly
-// the cache its cell submissions will read.
+// Resolver is the service's resolution. ResolveGraph turns a graph source
+// into a live graph (datasets through the service's memo, so expanding a
+// sweep warms exactly the cache its cells read). ResolveJob turns a
+// method, a live graph, a measure name and a wire config into the lazy
+// measure, the clamped config and the deduplication key the job is
+// submitted with.
 type Resolver interface {
 	ResolveGraph(src spec.GraphSource) (*graph.Graph, error)
+	ResolveJob(method string, g *graph.Graph, measure string, cs spec.ConfigSpec) (proximity.Proximity, core.Config, experiments.ResultKey, error)
 }
 
-// Cell is one grid point: the axes that name it, the JobSpec it submits
-// as, the deduplication key that JobSpec resolves to (precomputed, so the
+// Cell is one grid point: the axes that name it, the resolved job it
+// submits (training graph, measure, config and deduplication key, so the
 // sweep ID exists before any job does), and the private evaluation state
 // (the scoring graph, and for linkauc the held-out split).
 type Cell struct {
@@ -65,12 +69,12 @@ type Cell struct {
 	Epsilon float64
 	// Seed is the cell's training seed.
 	Seed uint64
-	// Spec is the complete per-cell JobSpec the orchestrator submits.
-	Spec spec.JobSpec
-	// Key is the deduplication key Spec resolves to — the same key the
-	// service computes at submission, precomputed here so the sweep ID
-	// and the cell→job mapping exist up front.
-	Key experiments.ResultKey
+	// Key is the deduplication key of the cell's job; Prox and Config are
+	// the measure and config it trains with on TrainGraph. The Resolver
+	// computed all three, and the service submits them as they are.
+	Key    experiments.ResultKey
+	Prox   proximity.Proximity
+	Config core.Config
 
 	g           *graph.Graph    // the graph the metric scores against
 	split       *eval.LinkSplit // linkauc only: the held-out links
@@ -100,7 +104,6 @@ type Plan struct {
 // graphAxis is one canonicalized graph-axis entry.
 type graphAxis struct {
 	label string
-	src   spec.GraphSource
 	g     *graph.Graph
 }
 
@@ -131,7 +134,7 @@ func Expand(sp *spec.SweepSpec, r Resolver) (*Plan, error) {
 			continue
 		}
 		seenLabel[label] = true
-		axes = append(axes, graphAxis{label: label, src: sp.Graphs[i], g: g})
+		axes = append(axes, graphAxis{label: label, g: g})
 	}
 	sort.Slice(axes, func(i, j int) bool { return axes[i].label < axes[j].label })
 
@@ -180,7 +183,7 @@ func Expand(sp *spec.SweepSpec, r Resolver) (*Plan, error) {
 		for _, m := range mnames {
 			for _, eps := range epsilons {
 				for _, seed := range seeds {
-					c, err := buildCell(sp, ax, m, eps, seed, splits[seed])
+					c, err := buildCell(sp, r, ax, m, eps, seed, splits[seed])
 					if err != nil {
 						return nil, err
 					}
@@ -193,62 +196,39 @@ func Expand(sp *spec.SweepSpec, r Resolver) (*Plan, error) {
 	return plan, nil
 }
 
-// buildCell assembles one grid point: its JobSpec (the source graph for
-// strucequ; the split's retained edges, inlined, for linkauc) and the
-// deduplication key that spec resolves to.
-func buildCell(sp *spec.SweepSpec, ax graphAxis, method string, eps float64, seed uint64, split *eval.LinkSplit) (*Cell, error) {
-	cellCfg := sp.Config
-	cellCfg.Epsilon = eps
-	cellCfg.Seed = seed
-	js := spec.JobSpec{
-		Graph:     ax.src,
-		Method:    method,
-		Proximity: sp.Proximity,
-		Config:    cellCfg,
-		Priority:  sp.Priority,
-		Tenant:    sp.Tenant,
-	}
-	trainGraph := ax.g
-	if split != nil {
-		// The cell trains on the retained edges only — the paper's
-		// protocol — so the submitted graph is the split's train graph,
-		// carried inline. Identical (graph, seed) pairs split identically,
-		// so the inline edges (and hence the cell key) are reproducible
-		// across submissions and restarts.
-		trainGraph = split.Train
-		js.Graph = spec.GraphSource{Inline: inlineOf(split.Train)}
-	}
-	cfg, err := js.Config.CoreConfig()
-	if err != nil {
-		return nil, err
-	}
-	// The same batch clamp the service applies at resolution, replicated
-	// so the precomputed key matches the submitted job's key exactly (the
-	// orchestrator cross-checks job IDs at submission).
-	if cfg.BatchSize > trainGraph.NumEdges() {
-		cfg.BatchSize = trainGraph.NumEdges()
-	}
-	prox, err := proximity.ByName(sp.Proximity, trainGraph)
-	if err != nil {
-		return nil, err
-	}
-	return &Cell{
-		Graph:   ax.label,
-		Method:  method,
-		Epsilon: eps,
-		Seed:    seed,
-		Spec:    js,
-		Key: experiments.ResultKey{
-			Method:    method,
-			Graph:     trainGraph.Fingerprint(),
-			Proximity: prox.Name(),
-			Config:    cfg.Hash(),
-		},
+// buildCell resolves one grid point: the base config with the cell's ε
+// and seed, trained on the source graph for strucequ and on the split's
+// retained edges for linkauc — the paper's protocol. Every cell of one
+// (graph, seed) shares that split's one train graph.
+func buildCell(sp *spec.SweepSpec, r Resolver, ax graphAxis, method string, eps float64, seed uint64, split *eval.LinkSplit) (*Cell, error) {
+	c := &Cell{
+		Graph:       ax.label,
+		Method:      method,
+		Epsilon:     eps,
+		Seed:        seed,
 		g:           ax.g,
 		split:       split,
 		metric:      sp.Eval.MetricName(),
 		samplePairs: sp.Eval.SamplePairs,
-	}, nil
+	}
+	cs := sp.Config
+	cs.Epsilon = eps
+	cs.Seed = seed
+	var err error
+	c.Prox, c.Config, c.Key, err = r.ResolveJob(method, c.TrainGraph(), sp.Proximity, cs)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// TrainGraph is the graph the cell's job trains on: the split's retained
+// edges for linkauc, the source graph otherwise.
+func (c *Cell) TrainGraph() *graph.Graph {
+	if c.split != nil {
+		return c.split.Train
+	}
+	return c.g
 }
 
 // Evaluate scores a completed cell's training result. Non-finite metric
@@ -326,17 +306,6 @@ func planID(sp *spec.SweepSpec, p *Plan) string {
 		h.Word(c.Seed)
 	}
 	return fmt.Sprintf("s%016x", h.Sum())
-}
-
-// inlineOf converts a graph into the inline wire source. Edges are
-// emitted in the graph's canonical sorted order, so resolving the spec
-// rebuilds a graph with the identical fingerprint.
-func inlineOf(g *graph.Graph) *spec.InlineSource {
-	edges := make([][2]int, g.NumEdges())
-	for i, e := range g.Edges() {
-		edges[i] = [2]int{int(e.U), int(e.V)}
-	}
-	return &spec.InlineSource{Nodes: g.NumNodes(), Edges: edges}
 }
 
 func dedupSortedFloats(in []float64) []float64 {

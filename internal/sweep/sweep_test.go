@@ -5,14 +5,30 @@ import (
 	"strings"
 	"testing"
 
+	"seprivgemb/internal/core"
 	"seprivgemb/internal/experiments"
 	"seprivgemb/internal/graph"
+	"seprivgemb/internal/proximity"
 	"seprivgemb/internal/spec"
 )
 
 // inlineResolver resolves inline sources only — enough for plan-level
-// tests, which never touch datasets or files.
+// tests, which never touch datasets or files — and keys each job by its
+// method, graph, measure and config as the service does (the service's
+// tests pin a cell's key to its submitted job's).
 type inlineResolver struct{}
+
+func (inlineResolver) ResolveJob(method string, g *graph.Graph, measure string, cs spec.ConfigSpec) (proximity.Proximity, core.Config, experiments.ResultKey, error) {
+	cfg, err := cs.CoreConfig()
+	if err != nil {
+		return nil, cfg, experiments.ResultKey{}, err
+	}
+	prox, err := proximity.ByName(measure, g)
+	if err != nil {
+		return nil, cfg, experiments.ResultKey{}, err
+	}
+	return prox, cfg, experiments.ResultKey{Method: method, Graph: g.Fingerprint(), Proximity: prox.Name(), Config: cfg.Hash()}, nil
+}
 
 func (inlineResolver) ResolveGraph(src spec.GraphSource) (*graph.Graph, error) {
 	if src.Inline == nil {
@@ -157,32 +173,31 @@ func TestExpandLinkAUCCellsTrainOnSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := inlineResolver{}
-	full, _ := r.ResolveGraph(ringSource())
-	byKey := make(map[[2]uint64][]uint64) // (graph fp of cell spec) keyed by seed pairs
+	full, _ := inlineResolver{}.ResolveGraph(ringSource())
+	bySeed := make(map[uint64][]*graph.Graph)
 	for _, c := range p.Cells {
-		if c.Spec.Graph.Inline == nil {
-			t.Fatalf("linkauc cell %s/%s does not carry an inline split graph", c.Graph, c.Method)
-		}
-		g, err := r.ResolveGraph(c.Spec.Graph)
-		if err != nil {
-			t.Fatal(err)
+		g := c.TrainGraph()
+		if g == nil || g != c.split.Train {
+			t.Fatalf("linkauc cell %s/%s does not train on its split graph", c.Graph, c.Method)
 		}
 		if g.NumEdges() >= full.NumEdges() {
 			t.Fatalf("cell train graph has %d edges, want fewer than the full %d", g.NumEdges(), full.NumEdges())
 		}
 		if g.Fingerprint() != c.Key.Graph {
-			t.Fatalf("cell spec graph fingerprint %016x disagrees with its key %016x", g.Fingerprint(), c.Key.Graph)
+			t.Fatalf("cell train graph fingerprint %016x disagrees with its key %016x", g.Fingerprint(), c.Key.Graph)
 		}
-		byKey[[2]uint64{c.Seed}] = append(byKey[[2]uint64{c.Seed}], g.Fingerprint())
+		if c.Prox.NumNodes() != g.NumNodes() || c.Key.Proximity != c.Prox.Name() || c.Key.Config != c.Config.Hash() {
+			t.Fatalf("cell %s/%s measure or config disagrees with its key %+v", c.Graph, c.Method, c.Key)
+		}
+		bySeed[c.Seed] = append(bySeed[c.Seed], g)
 	}
 	// Every cell of one (graph, seed) — all methods, all epsilons — must
 	// train on the SAME retained edges, or the table's columns would not
-	// be comparable.
-	for seed, fps := range byKey {
-		for _, fp := range fps {
-			if fp != fps[0] {
-				t.Fatalf("seed %d cells train on different splits", seed[0])
+	// be comparable; they share the split's one graph.
+	for seed, gs := range bySeed {
+		for _, g := range gs {
+			if g.Fingerprint() != gs[0].Fingerprint() || g != gs[0] {
+				t.Fatalf("seed %d cells train on different splits", seed)
 			}
 		}
 	}

@@ -371,14 +371,16 @@ func (s *Service) SweepResultByID(id string) (*SweepResult, bool) {
 	return s.svc.SweepResult(id)
 }
 
-// ResultRows returns rows [lo, hi) of a finished job's embedding. When
-// the service persists artifacts, the window is decoded straight from the
-// on-disk artifact through its row-offset index — O(window·r) memory no
-// matter how large the graph — and otherwise it is an O(1) view of the
-// in-memory result. The window carries the full-embedding digest (the
-// HTTP API's embeddingHash), so any page can be verified against the
-// whole matrix. Treat the window's rows as read-only: results are shared
-// across deduplicated submissions.
+// ResultRows returns rows [lo, hi) of a finished job's embedding. A job
+// still in the service's job table is served from its in-memory result
+// (an O(1) view on the dense tier, an O(window) copy on the spill tier),
+// with or without an artifact store. Only a job the service has forgotten,
+// or one another replica trained, is decoded from its on-disk artifact
+// through the row-offset index — O(window·r) memory no matter how large
+// the graph. The window carries the full-embedding digest (the HTTP API's
+// embeddingHash), so any page can be verified against the whole matrix.
+// Treat the window's rows as read-only: results are shared across
+// deduplicated submissions.
 func (s *Service) ResultRows(id string, lo, hi int) (*EmbeddingWindow, error) {
 	return s.svc.ResultRows(id, lo, hi)
 }
