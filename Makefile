@@ -1,9 +1,9 @@
 GO ?= go
 # Benchmark → JSON recording for the perf trajectory; bump per PR.
-BENCH_JSON ?= BENCH_pr37.json
+BENCH_JSON ?= BENCH_pr38.json
 # The previous PR's recording, the local regression baseline for
 # bench-diff (CI benchmarks the base commit on its own runner instead).
-BENCH_BASE ?= BENCH_pr36.json
+BENCH_BASE ?= BENCH_pr37.json
 # The sharded-stage benchmarks: the DP noise/update stage, the one-shot
 # graph passes, the whole-train scaling curves (TrainWorkers matches the
 # lazy-Katz job too, with its weight-fill share as weights-ns/op), the

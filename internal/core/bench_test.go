@@ -69,19 +69,38 @@ func BenchmarkApplyUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkGenerateSubgraphs tracks Algorithm 1's sharded one-shot pass.
+// BenchmarkGenerateSubgraphs tracks Algorithm 1's sharded one-shot pass:
+// <w> on a power-law graph, and hub/<w> on the same graph with node 0
+// joined to every even node: one center of 2,000-odd edges, about a
+// tenth of the graph's, that rejects half its candidates.
 func BenchmarkGenerateSubgraphs(b *testing.B) {
 	g := graph.BarabasiAlbert(4000, 5, xrand.New(3))
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprint(workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rng := xrand.New(uint64(i))
-				if _, err := GenerateSubgraphsWorkers(g, 5, NegUniform, rng, workers); err != nil {
-					b.Fatal(err)
+	hb := graph.NewBuilder(g.NumNodes())
+	for _, e := range g.Edges() {
+		if err := hb.AddEdge(int(e.U), int(e.V)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for v := 2; v < g.NumNodes(); v += 2 {
+		if err := hb.AddEdge(0, v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		prefix string
+		g      *graph.Graph
+	}{{"", g}, {"hub/", hb.Build()}} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprint(c.prefix, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rng := xrand.New(uint64(i))
+					if _, err := GenerateSubgraphsWorkers(c.g, 5, NegUniform, rng, workers); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

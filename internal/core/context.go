@@ -129,10 +129,12 @@ type Hooks struct {
 }
 
 // fillWeights evaluates the structure preference on every subgraph's
-// oriented positive pair (proximity.PairWeights: for Katz one build per
-// node of a vertex cover of the pairs, for the other row-building
-// measures one per distinct source; index-addressed writes),
-// bit-identical to the serial per-pair At pass at any worker count.
+// oriented positive pair (proximity.PairWeights: for the two-hop measures
+// one neighbor marking per pair's higher-degree endpoint, for Katz one
+// build per node of a vertex cover of the pairs, for the other
+// row-building measures one per distinct source; index-addressed
+// writes), bit-identical to the serial per-pair At pass at any worker
+// count.
 func fillWeights(prox proximity.Proximity, subs []Subgraph, workers int) []float64 {
 	pairs := make([]proximity.Pair, len(subs))
 	for k, s := range subs {

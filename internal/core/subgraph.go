@@ -65,12 +65,19 @@ func GenerateSubgraphs(g *graph.Graph, k int, ns NegSampling, rng *xrand.RNG) ([
 }
 
 // GenerateSubgraphsWorkers is GenerateSubgraphs sharded across `workers`
-// goroutines in dynamic blocks of edges (panicx.Blocks). Each edge's
-// randomness — orientation coin plus negative sampling — comes from a
-// sequential RNG seeded off a counter stream at the edge's index (xrand
-// contract pattern 3), so the result is bit-identical at every worker
-// count and under any schedule; the parent rng is consumed exactly once
-// (for the stream root) regardless of workers.
+// goroutines (panicx.Blocks). Each edge's randomness — orientation coin
+// plus negative sampling — comes from a sequential RNG seeded off a
+// counter stream at the edge's index (xrand contract pattern 3), so the
+// result is bit-identical at every worker count and under any schedule;
+// the parent rng is consumed exactly once (for the stream root)
+// regardless of workers.
+//
+// It runs in two passes. The first draws each edge's coin, in blocks of
+// edges. The edges are then grouped by their center i with a stable
+// counting sort, and the second pass runs in blocks of centers: each
+// center marks i and N(i) once in its worker's mark array, and each of
+// its edges re-seeds its RNG, replays the coin, and rejects a candidate
+// by its mark instead of an adjacency search.
 func GenerateSubgraphsWorkers(g *graph.Graph, k int, ns NegSampling, rng *xrand.RNG, workers int) ([]Subgraph, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: negative sampling number k=%d must be >= 1", k)
@@ -93,53 +100,103 @@ func GenerateSubgraphsWorkers(g *graph.Graph, k int, ns NegSampling, rng *xrand.
 	}
 	const maxTries = 256
 	st := xrand.NewStream(rng.Uint64())
+	// orient re-seeds r as edge ei's RNG and draws its coin: the undirected
+	// edge is oriented uniformly at random so that center updates (which
+	// Algorithm 1 ties to the first endpoint) spread over both endpoints
+	// rather than favoring low node IDs.
+	orient := func(r *xrand.RNG, ei int) bool {
+		r.Reseed(st.Derive(uint64(ei)).Uint64At(0))
+		return r.Float64() < 0.5
+	}
 	edges := g.Edges()
 	subs := make([]Subgraph, len(edges))
 	// One backing array for all negative lists: |E|·k int32s, sliced per
 	// edge — disjoint write targets for the workers, one allocation total.
 	negs := make([]int32, len(edges)*k)
-	gen := func(lo, hi int) {
+	panicx.Blocks(len(edges), workers, edgeBlock, func(_, lo, hi int) {
 		var erng xrand.RNG // one reseedable RNG per block, not per edge
 		for ei := lo; ei < hi; ei++ {
-			erng.Reseed(st.Derive(uint64(ei)).Uint64At(0))
-			// Orient the undirected edge uniformly at random so that center
-			// updates (which Algorithm 1 ties to the first endpoint) spread
-			// over both endpoints rather than favoring low node IDs.
 			i, j := edges[ei].U, edges[ei].V
-			if erng.Float64() < 0.5 {
+			if orient(&erng, ei) {
 				i, j = j, i
 			}
-			s := Subgraph{I: i, J: j, Negs: negs[ei*k : ei*k : (ei+1)*k]}
-			for t := 0; t < k; t++ {
-				var vn int
-				ok := false
-				for tries := 0; tries < maxTries; tries++ {
-					if degreeAlias != nil {
-						vn = degreeAlias.Sample(&erng)
-					} else {
-						vn = erng.Intn(n)
-					}
-					if vn != int(i) && !g.HasEdge(int(i), vn) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					// Near-complete neighborhood: fall back to any non-self node.
-					for vn == int(i) {
-						vn = erng.Intn(n)
-					}
-				}
-				s.Negs = append(s.Negs, int32(vn))
-			}
-			subs[ei] = s
+			subs[ei] = Subgraph{I: i, J: j, Negs: negs[ei*k : ei*k : (ei+1)*k]}
 		}
+	})
+	// byCenter[start[i]:start[i+1]] lists center i's edges in edge order.
+	start := make([]int, n+1)
+	for _, s := range subs {
+		start[s.I+1]++
 	}
-	panicx.Blocks(len(edges), workers, edgeBlock, func(_, lo, hi int) { gen(lo, hi) })
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	byCenter := make([]int32, len(edges))
+	for ei, s := range subs { // start[i] is i's cursor until the shift
+		byCenter[start[s.I]] = int32(ei)
+		start[s.I]++
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	marks := make([][]bool, max(workers, 1))
+	panicx.Blocks(n, workers, centerBlock, func(w, lo, hi int) {
+		if marks[w] == nil {
+			marks[w] = make([]bool, n)
+		}
+		mark := marks[w] // i and N(i) while center i runs, else all false
+		var erng xrand.RNG
+		for i := lo; i < hi; i++ {
+			es := byCenter[start[i]:start[i+1]]
+			if len(es) == 0 {
+				continue
+			}
+			nb := g.Neighbors(i)
+			mark[i] = true
+			for _, v := range nb {
+				mark[v] = true
+			}
+			for _, ei := range es {
+				orient(&erng, int(ei)) // the negatives follow the coin in the edge's stream
+				s := &subs[ei]
+				for t := 0; t < k; t++ {
+					var vn int
+					ok := false
+					for tries := 0; tries < maxTries; tries++ {
+						if degreeAlias != nil {
+							vn = degreeAlias.Sample(&erng)
+						} else {
+							vn = erng.Intn(n)
+						}
+						if !mark[vn] {
+							ok = true
+							break
+						}
+					}
+					if !ok {
+						// Near-complete neighborhood: fall back to any non-self node.
+						for vn == i {
+							vn = erng.Intn(n)
+						}
+					}
+					s.Negs = append(s.Negs, int32(vn))
+				}
+			}
+			mark[i] = false
+			for _, v := range nb {
+				mark[v] = false
+			}
+		}
+	})
 	return subs, nil
 }
 
-// edgeBlock is the subgraph pool's work-grant size in edges: each edge
-// is only K rejection-sampled negatives, so a grant batches many edges
-// per cursor update.
+// edgeBlock is the orientation pass's work-grant size in edges: each edge
+// is one re-seed and one draw, so a grant batches many edges per cursor
+// update.
 const edgeBlock = 256
+
+// centerBlock is the sampling pass's work-grant size in centers; a
+// center's cost is its oriented edges times K rejection-sampled
+// negatives, so hubs make grants uneven and small grants keep the pool
+// busy to the last block.
+const centerBlock = 32

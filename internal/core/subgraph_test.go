@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"seprivgemb/internal/graph"
@@ -135,5 +136,107 @@ func TestStringers(t *testing.T) {
 	}
 	if Strategy(9).String() == "" || NegSampling(9).String() == "" {
 		t.Error("unknown values should still print")
+	}
+}
+
+// referenceSubgraphs is Algorithm 1 as one loop over the edges: each
+// edge seeds its RNG off the counter stream at its index, draws its
+// orientation coin, then rejection-samples its k negatives against
+// g.HasEdge. GenerateSubgraphsWorkers groups the edges by center and
+// rejects by a mark array instead; it must return the same subgraphs.
+func referenceSubgraphs(g *graph.Graph, k int, ns NegSampling, rng *xrand.RNG) []Subgraph {
+	n := g.NumNodes()
+	var degreeAlias *xrand.Alias
+	if ns == NegDegree {
+		w := make([]float64, n)
+		for u := range w {
+			w[u] = float64(g.Degree(u))
+		}
+		degreeAlias, _ = xrand.NewAlias(w)
+	}
+	const maxTries = 256
+	st := xrand.NewStream(rng.Uint64())
+	subs := make([]Subgraph, g.NumEdges())
+	for ei, e := range g.Edges() {
+		erng := xrand.New(0)
+		erng.Reseed(st.Derive(uint64(ei)).Uint64At(0))
+		i, j := e.U, e.V
+		if erng.Float64() < 0.5 {
+			i, j = j, i
+		}
+		s := Subgraph{I: i, J: j}
+		for t := 0; t < k; t++ {
+			var vn int
+			ok := false
+			for tries := 0; tries < maxTries; tries++ {
+				if degreeAlias != nil {
+					vn = degreeAlias.Sample(erng)
+				} else {
+					vn = erng.Intn(n)
+				}
+				if vn != int(i) && !g.HasEdge(int(i), vn) {
+					ok = true
+					break
+				}
+			}
+			if !ok {
+				for vn == int(i) {
+					vn = erng.Intn(n)
+				}
+			}
+			s.Negs = append(s.Negs, int32(vn))
+		}
+		subs[ei] = s
+	}
+	return subs
+}
+
+// TestGenerateSubgraphsMatchesReference pins Algorithm 1 to the per-edge
+// reference loop, for both negative distributions and at every worker
+// count: on a power-law graph whose hubs center many edges, on a
+// near-complete graph whose centers exhaust maxTries and take the
+// fallback, and on a graph with isolated nodes, which center nothing.
+func TestGenerateSubgraphsMatchesReference(t *testing.T) {
+	near := graph.NewBuilder(12)
+	for u := 0; u < 12; u++ {
+		for v := u + 1; v < 12; v++ {
+			if u != 0 || v != 11 {
+				if err := near.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	isolated := graph.NewBuilder(60)
+	for u := 0; u < 40; u += 2 {
+		if err := isolated.AddEdge(u, u+1); err != nil {
+			t.Fatal(err)
+		}
+		if err := isolated.AddEdge(u, (u+7)%40); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for gname, g := range map[string]*graph.Graph{
+		"ba":            graph.BarabasiAlbert(500, 4, xrand.New(7)),
+		"near-complete": near.Build(),
+		"isolated":      isolated.Build(),
+	} {
+		for _, ns := range []NegSampling{NegUniform, NegDegree} {
+			want := referenceSubgraphs(g, 5, ns, xrand.New(11))
+			for _, workers := range []int{1, 2, 7, 100000} {
+				got, err := GenerateSubgraphsWorkers(g, 5, ns, xrand.New(11), workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s/%s workers=%d: %d subgraphs, want %d", gname, ns, workers, len(got), len(want))
+				}
+				for x := range want {
+					if got[x].I != want[x].I || got[x].J != want[x].J || !slices.Equal(got[x].Negs, want[x].Negs) {
+						t.Fatalf("%s/%s workers=%d: subgraph %d = %+v, reference %+v", gname, ns, workers, x, got[x], want[x])
+					}
+				}
+			}
+		}
 	}
 }

@@ -126,21 +126,38 @@ func (g *Graph) MeanDegree() float64 {
 // CommonNeighbors returns |N(u) ∩ N(v)| by merging the two sorted
 // adjacency lists.
 func (g *Graph) CommonNeighbors(u, v int) int {
-	a, b := g.Neighbors(u), g.Neighbors(v)
-	count, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
+	return int(SumCommon(g.Neighbors(u), g.Neighbors(v), func(int32) float64 { return 1 }, 0, 0))
+}
+
+// SumCommon merges the sorted lists a and b and adds term(w) for every w
+// in both, in ascending w. A nonzero extra is added once more, in the
+// place a common element at would take in that order: before the first
+// common w > at, or last. DeepWalk's adjacency ½ rides there, where its
+// row build adds it. The sum's bits depend on that order.
+func SumCommon(a, b []int32, term func(w int32) float64, extra float64, at int32) float64 {
+	var s float64
+	pending := extra != 0
+	x, y := 0, 0
+	for x < len(a) && y < len(b) {
 		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
+		case a[x] < b[y]:
+			x++
+		case a[x] > b[y]:
+			y++
 		default:
-			count++
-			i++
-			j++
+			if pending && a[x] > at {
+				s += extra
+				pending = false
+			}
+			s += term(a[x])
+			x++
+			y++
 		}
 	}
-	return count
+	if pending {
+		s += extra
+	}
+	return s
 }
 
 // Builder accumulates edges and produces an immutable Graph. Duplicate

@@ -34,16 +34,19 @@ func (c *CommonNeighbors) At(i, j int) float64 {
 // Row implements Proximity. The support of row i is the set of nodes within
 // two hops of i, enumerated by counting walks i → w → j.
 func (c *CommonNeighbors) Row(i int) []Entry {
-	return twoHopRow(c.g, i, func(w int) float64 { return 1 })
+	return twoHopRow(c.g, i, c.term)
 }
 
-// twoHopRow accumulates Σ_{w ∈ N(i) ∩ N(j)} weight(w) over all j ≠ i,
-// which covers CN (weight 1), Adamic–Adar (1/log d_w) and Resource
+// term is each common neighbor's addend: one.
+func (*CommonNeighbors) term(int32) float64 { return 1 }
+
+// twoHopRow accumulates Σ_{w ∈ N(i) ∩ N(j)} term(w) over all j ≠ i,
+// which covers CN (term 1), Adamic–Adar (1/log d_w) and Resource
 // Allocation (1/d_w).
-func twoHopRow(g *graph.Graph, i int, weight func(w int) float64) []Entry {
+func twoHopRow(g *graph.Graph, i int, term func(w int32) float64) []Entry {
 	acc := make(map[int32]float64)
 	for _, w := range g.Neighbors(i) {
-		wt := weight(int(w))
+		wt := term(w)
 		for _, j := range g.Neighbors(int(w)) {
 			if int(j) != i {
 				acc[j] += wt

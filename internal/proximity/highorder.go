@@ -331,35 +331,19 @@ func (d *DeepWalk) At(i, j int) float64 {
 	if i == j {
 		return 0
 	}
-	adjacent := d.g.HasEdge(i, j)
-	adjacencyAdded := false
-	var p float64
-	ni, nj := d.g.Neighbors(i), d.g.Neighbors(j)
-	x, y := 0, 0
-	for x < len(ni) && y < len(nj) {
-		switch {
-		case ni[x] < nj[y]:
-			x++
-		case ni[x] > nj[y]:
-			y++
-		default:
-			// Common neighbor w = ni[x]; Row would have credited the
-			// adjacency term while scanning w == j, before any larger w.
-			if adjacent && !adjacencyAdded && int(ni[x]) > j {
-				p += 0.5
-				adjacencyAdded = true
-			}
-			if dw := d.deg[ni[x]]; dw > 0 {
-				p += 0.5 / float64(dw)
-			}
-			x++
-			y++
-		}
+	var adjacency float64
+	if d.g.HasEdge(i, j) {
+		adjacency = 0.5
 	}
-	if adjacent && !adjacencyAdded {
-		p += 0.5
+	return graph.SumCommon(d.g.Neighbors(i), d.g.Neighbors(j), d.term, adjacency, int32(j))
+}
+
+// term is common neighbor w's two-step addend, ½·1/d_w.
+func (d *DeepWalk) term(w int32) float64 {
+	if dw := d.deg[w]; dw > 0 {
+		return 0.5 / float64(dw)
 	}
-	return p
+	return 0
 }
 
 // ByName constructs a registered measure by its canonical name, covering

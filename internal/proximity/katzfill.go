@@ -125,51 +125,35 @@ func coverPairs(pairs []Pair, n int) (cover []int32, start []int, owned []int) {
 	for r, v := range order {
 		rank[v] = int32(r)
 	}
-	owner := func(pr Pair) int32 {
-		if rank[pr.J] < rank[pr.I] {
+	start, owned = groupPairs(pairs, n, func(pr Pair) int32 {
+		switch {
+		case pr.I == pr.J:
+			return -1
+		case rank[pr.J] < rank[pr.I]:
 			return pr.J
 		}
 		return pr.I
-	}
-	start = make([]int, n+1)
+	})
 	greedy := 0
-	for _, pr := range pairs {
-		if pr.I != pr.J {
-			o := owner(pr)
-			if start[o+1] == 0 {
-				greedy++
-			}
-			start[o+1]++
+	for v := 0; v < n; v++ {
+		if start[v+1] > start[v] {
+			greedy++
 		}
 	}
 	if greedy > sources {
-		owner = func(pr Pair) int32 { return pr.I }
-		clear(start)
-		for _, pr := range pairs {
-			if pr.I != pr.J {
-				start[pr.I+1]++
+		start, owned = groupPairs(pairs, n, func(pr Pair) int32 {
+			if pr.I == pr.J {
+				return -1
 			}
-		}
+			return pr.I
+		})
 	}
 	cover = order[:0]
 	for _, v := range order {
-		if start[v+1] > 0 {
+		if start[v+1] > start[v] {
 			cover = append(cover, v)
 		}
 	}
-	for i := 0; i < n; i++ {
-		start[i+1] += start[i]
-	}
-	owned = make([]int, start[n])
-	for x, pr := range pairs { // start[o] is o's cursor until the shift
-		if pr.I != pr.J {
-			o := owner(pr)
-			owned[start[o]] = x
-			start[o]++
-		}
-	}
-	copy(start[1:], start[:n])
-	start[0] = 0
 	return cover, start, owned
 }
 

@@ -205,13 +205,36 @@ func pairsFor(g *graph.Graph, rng *xrand.RNG) []Pair {
 	return pairs
 }
 
+// hubInTheMiddle is a hub at the middle index joined to every other
+// node, over a ring with chords among the rest: in the two-hop fill the
+// hub owns every pair it is in, so it is the pair's J whenever the pair
+// is (u, hub), and the pair's common neighbors lie on both sides of it,
+// where DeepWalk's adjacency ½ must land between them.
+func hubInTheMiddle(t *testing.T) *graph.Graph {
+	t.Helper()
+	const n, hub = 41, 20
+	b := graph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		for _, u := range []int{hub, (v + 1) % n, (v + 5) % n} {
+			if u != v {
+				if err := b.AddEdge(v, u); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return b.Build()
+}
+
 // TestPairWeightsMatchesAt pins the fill's contract: for every measure,
-// at every worker count, weight k is bit for bit At(pairs[k]) — the
-// grouped row-per-source path of Katz/PageRank included.
+// at every worker count, weight k is At(pairs[k]) bit for bit (a −0/+0
+// flip fails it) — the two-hop fill and the row-building paths of
+// Katz/PageRank included.
 func TestPairWeightsMatchesAt(t *testing.T) {
 	for gname, g := range map[string]*graph.Graph{
 		"ba":     graph.BarabasiAlbert(150, 3, xrand.New(9)),
 		"forest": forestWithHub(t),
+		"hub":    hubInTheMiddle(t),
 	} {
 		pairs := pairsFor(g, xrand.New(2))
 		var measures []Proximity
@@ -233,7 +256,7 @@ func TestPairWeightsMatchesAt(t *testing.T) {
 					t.Fatalf("%s/%s workers=%d: %d weights for %d pairs", gname, p.Name(), workers, len(w), len(pairs))
 				}
 				for k, pr := range pairs {
-					if want := p.At(int(pr.I), int(pr.J)); w[k] != want {
+					if want := p.At(int(pr.I), int(pr.J)); math.Float64bits(w[k]) != math.Float64bits(want) {
 						t.Fatalf("%s/%s workers=%d: weight[%d] of %v = %v, At = %v",
 							gname, p.Name(), workers, k, pr, w[k], want)
 					}
@@ -241,6 +264,50 @@ func TestPairWeightsMatchesAt(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzTwoHopPairWeights checks the two-hop fill of DeepWalk, common
+// neighbors, Adamic–Adar and resource allocation against At bit for bit,
+// on a graph of up to 48 nodes built from edge bytes, arbitrary pairs
+// (self pairs and repeats included) and 1 to 4 workers.
+func FuzzTwoHopPairWeights(f *testing.F) {
+	f.Add(uint8(9), uint8(0), uint8(1), []byte{0, 1, 1, 2, 2, 0, 3, 4, 0, 3, 1, 3}, []byte{0, 1, 1, 0, 2, 2, 3, 0, 4, 3, 3, 1})
+	f.Add(uint8(47), uint8(2), uint8(3), []byte("a graph with a few dozen edges among the nodes"), []byte("pairs from here"))
+	f.Add(uint8(5), uint8(3), uint8(0), []byte{2, 0, 2, 1, 2, 3, 2, 4, 0, 1, 3, 4}, []byte{0, 2, 1, 2, 4, 2, 0, 4, 1, 3})
+	// hubInTheMiddle under DeepWalk, every pair (u, hub).
+	var hubEdges, hubPairs []byte
+	for v := 0; v < 41; v++ {
+		hubEdges = append(hubEdges, byte(v), 20, byte(v), byte((v+1)%41), byte(v), byte((v+5)%41))
+		hubPairs = append(hubPairs, byte(v), 20)
+	}
+	f.Add(uint8(40), uint8(0), uint8(1), hubEdges, hubPairs)
+	f.Fuzz(func(t *testing.T, nodes, measure, workers uint8, edges, pairBytes []byte) {
+		n := 1 + int(nodes)%48
+		b := graph.NewBuilder(n)
+		for x := 0; x+1 < len(edges); x += 2 {
+			if u, v := int(edges[x])%n, int(edges[x+1])%n; u != v {
+				if err := b.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		g := b.Build()
+		pairs := make([]Pair, 0, len(pairBytes)/2)
+		for x := 0; x+1 < len(pairBytes); x += 2 {
+			pairs = append(pairs, Pair{int32(int(pairBytes[x]) % n), int32(int(pairBytes[x+1]) % n)})
+		}
+		p := []Proximity{NewDeepWalk(g), NewCommonNeighbors(g), NewAdamicAdar(g), NewResourceAllocation(g)}[measure%4]
+		if _, ok := twoHopOf(p); !ok {
+			t.Fatalf("%s does not take the two-hop fill", p.Name())
+		}
+		w := 1 + int(workers)%4
+		got := PairWeights(p, pairs, w)
+		for x, pr := range pairs {
+			if want := p.At(int(pr.I), int(pr.J)); math.Float64bits(got[x]) != math.Float64bits(want) {
+				t.Fatalf("n=%d %s workers=%d: weight[%d] of %v = %v, At = %v", n, p.Name(), w, x, pr, got[x], want)
+			}
+		}
+	})
 }
 
 // countingKatz counts the row builds and At calls the fill makes.

@@ -55,23 +55,33 @@ type rowBuilder interface {
 // pairs are kept (their loss contribution is zero, exactly as the
 // objective dictates).
 //
-// A *Katz whose walk counts up to length L are exact float64 integers
-// (below 2^53) is symmetric bit for bit, and fills its own way: each pair
-// is served by one endpoint of a greedy vertex cover of the pairs, which
-// pushes half the levels and pulls the rest only near the columns it
-// serves (Katz.fill). Otherwise, for the row-building measures (Katz,
-// PageRank) the pairs are grouped by source with a stable counting sort
-// and each source's row is built once, so the fill costs one row build
-// per distinct source instead of one per pair; every other measure is
-// evaluated with At per pair. Every path's weights are exactly At's — a
-// grouped weight is the entry of the very row At would have built, read
-// from its dense values (denseBuild) — and each lands in its own
-// pair-index slot, so the slice is bit-identical to the serial per-pair
-// pass at any worker count.
+// A *DeepWalk, *CommonNeighbors, *AdamicAdar or *ResourceAllocation sums
+// a per-node term over the pair's common neighbors, and fills its own
+// way (twoHop.fill): each pair goes to its endpoint of higher degree,
+// which marks its neighbors once for all of its pairs, and each pair
+// scans the other endpoint's list against the marks. A *Katz whose walk
+// counts up to length L are exact float64 integers (below 2^53) is
+// symmetric bit for bit, and fills its own way too: each pair is served
+// by one endpoint of a greedy vertex cover of the pairs, which pushes
+// half the levels and pulls the rest only near the columns it serves
+// (Katz.fill). Otherwise, for the row-building measures (Katz, PageRank)
+// the pairs are grouped by source with a stable counting sort and each
+// source's row is built once, so the fill costs one row build per
+// distinct source instead of one per pair; every other measure
+// (preferential attachment, degree, custom measures) is evaluated with
+// At per pair. Every path's weights are exactly At's — a two-hop weight
+// adds At's terms in At's order, a grouped weight is the entry of the
+// very row At would have built, read from its dense values (denseBuild)
+// — and each lands in its own pair-index slot, so the slice is
+// bit-identical to the serial per-pair pass at any worker count.
 // Row and At must be safe for concurrent use (true for every measure in
 // this package, and required of custom measures handed here).
 func PairWeights(p Proximity, pairs []Pair, workers int) []float64 {
 	w := make([]float64, len(pairs))
+	if t, ok := twoHopOf(p); ok {
+		t.fill(pairs, w, workers)
+		return w
+	}
 	if k, ok := p.(*Katz); ok && k.countsExact() {
 		k.fill(pairs, w, workers)
 		return w
@@ -84,21 +94,8 @@ func PairWeights(p Proximity, pairs []Pair, workers int) []float64 {
 		})
 		return w
 	}
-	// bySource[start[i]:start[i+1]] lists the indices of source i's pairs.
 	n := p.NumNodes()
-	start := make([]int, n+1)
-	for _, pr := range pairs {
-		start[pr.I+1]++
-	}
-	for i := 0; i < n; i++ {
-		start[i+1] += start[i]
-	}
-	bySource := make([]int, len(pairs))
-	fill := append([]int(nil), start[:n]...)
-	for k, pr := range pairs {
-		bySource[fill[pr.I]] = k
-		fill[pr.I]++
-	}
+	start, bySource := groupPairs(pairs, n, func(pr Pair) int32 { return pr.I })
 	build, pool := denseBuild(p)
 	panicx.Blocks(n, workers, block, func(_, lo, hi int) {
 		var s *rowScratch
@@ -126,6 +123,33 @@ func PairWeights(p Proximity, pairs []Pair, workers int) []float64 {
 		}
 	})
 	return w
+}
+
+// groupPairs groups the pair indices by node with a stable counting
+// sort: byNode[start[v]:start[v+1]] lists, in pair order, the pairs that
+// owner hands to node v. A pair whose owner is −1 is left out.
+func groupPairs(pairs []Pair, n int, owner func(Pair) int32) (start, byNode []int) {
+	owners := make([]int32, len(pairs))
+	start = make([]int, n+1)
+	for x, pr := range pairs {
+		owners[x] = owner(pr)
+		if o := owners[x]; o >= 0 {
+			start[o+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	byNode = make([]int, start[n])
+	for x, o := range owners { // start[o] is o's cursor until the shift
+		if o >= 0 {
+			byNode[start[o]] = x
+			start[o]++
+		}
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	return start, byNode
 }
 
 // denseBuild returns the dense row build of this package's row-building

@@ -29,7 +29,8 @@ func (*AdamicAdar) Name() string { return "adamic-adar" }
 // NumNodes implements Proximity.
 func (a *AdamicAdar) NumNodes() int { return a.g.NumNodes() }
 
-func (a *AdamicAdar) weight(w int) float64 {
+// term is common neighbor w's addend, 1/log d_w.
+func (a *AdamicAdar) term(w int32) float64 {
 	d := a.deg[w]
 	if d < 2 {
 		return 0 // cannot be a shared neighbor; also guards log(1)=0
@@ -42,27 +43,12 @@ func (a *AdamicAdar) At(i, j int) float64 {
 	if i == j {
 		return 0
 	}
-	var s float64
-	ni, nj := a.g.Neighbors(i), a.g.Neighbors(j)
-	x, y := 0, 0
-	for x < len(ni) && y < len(nj) {
-		switch {
-		case ni[x] < nj[y]:
-			x++
-		case ni[x] > nj[y]:
-			y++
-		default:
-			s += a.weight(int(ni[x]))
-			x++
-			y++
-		}
-	}
-	return s
+	return graph.SumCommon(a.g.Neighbors(i), a.g.Neighbors(j), a.term, 0, 0)
 }
 
 // Row implements Proximity.
 func (a *AdamicAdar) Row(i int) []Entry {
-	return twoHopRow(a.g, i, a.weight)
+	return twoHopRow(a.g, i, a.term)
 }
 
 // ResourceAllocation is p_ij = Σ_{w ∈ N(i) ∩ N(j)} 1/d_w (Zhou et al.),
@@ -83,7 +69,8 @@ func (*ResourceAllocation) Name() string { return "resource-allocation" }
 // NumNodes implements Proximity.
 func (r *ResourceAllocation) NumNodes() int { return r.g.NumNodes() }
 
-func (r *ResourceAllocation) weight(w int) float64 {
+// term is common neighbor w's addend, 1/d_w.
+func (r *ResourceAllocation) term(w int32) float64 {
 	d := r.deg[w]
 	if d == 0 {
 		return 0
@@ -96,25 +83,10 @@ func (r *ResourceAllocation) At(i, j int) float64 {
 	if i == j {
 		return 0
 	}
-	var s float64
-	ni, nj := r.g.Neighbors(i), r.g.Neighbors(j)
-	x, y := 0, 0
-	for x < len(ni) && y < len(nj) {
-		switch {
-		case ni[x] < nj[y]:
-			x++
-		case ni[x] > nj[y]:
-			y++
-		default:
-			s += r.weight(int(ni[x]))
-			x++
-			y++
-		}
-	}
-	return s
+	return graph.SumCommon(r.g.Neighbors(i), r.g.Neighbors(j), r.term, 0, 0)
 }
 
 // Row implements Proximity.
 func (r *ResourceAllocation) Row(i int) []Entry {
-	return twoHopRow(r.g, i, r.weight)
+	return twoHopRow(r.g, i, r.term)
 }

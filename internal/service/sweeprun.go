@@ -145,7 +145,8 @@ func (sw *Sweep) Cancel() {
 
 // Status assembles the live wire view: per-cell states (terminal states as
 // recorded; live cells reflect their job's queue position) and the derived
-// counts.
+// counts. Once the result is published its cells, all terminal, are the
+// view.
 func (sw *Sweep) Status() *spec.SweepResponse {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -155,30 +156,26 @@ func (sw *Sweep) Status() *spec.SweepResponse {
 		Tenant:  sw.tenant,
 		Created: sw.created.UTC().Format(time.RFC3339Nano),
 	}
-	for _, sc := range sw.cells {
-		info := spec.SweepCellInfo{
-			JobID:   sc.jobID,
-			Graph:   sc.c.Graph,
-			Method:  sc.c.Method,
-			Epsilon: sc.c.Epsilon,
-			Seed:    sc.c.Seed,
-			Status:  sc.liveStatus(),
-			Metric:  sc.metric,
-			Error:   sc.errMsg,
+	if res := sw.result; res != nil {
+		resp.Counts, resp.Cells = res.Counts, res.Cells
+	} else {
+		for _, sc := range sw.cells {
+			info := sc.info()
+			info.Status = sc.liveStatus()
+			switch info.Status {
+			case cellQueued:
+				resp.Counts.Queued++
+			case cellRunning:
+				resp.Counts.Running++
+			case cellDone:
+				resp.Counts.Done++
+			case cellFailed:
+				resp.Counts.Failed++
+			case cellCanceled:
+				resp.Counts.Canceled++
+			}
+			resp.Cells = append(resp.Cells, info)
 		}
-		switch info.Status {
-		case cellQueued:
-			resp.Counts.Queued++
-		case cellRunning:
-			resp.Counts.Running++
-		case cellDone:
-			resp.Counts.Done++
-		case cellFailed:
-			resp.Counts.Failed++
-		case cellCanceled:
-			resp.Counts.Canceled++
-		}
-		resp.Cells = append(resp.Cells, info)
 	}
 	select {
 	case <-sw.done:
@@ -191,6 +188,21 @@ func (sw *Sweep) Status() *spec.SweepResponse {
 		}
 	}
 	return resp
+}
+
+// info is the cell's wire record with its recorded status. Callers hold
+// the sweep mutex.
+func (sc *sweepCell) info() spec.SweepCellInfo {
+	return spec.SweepCellInfo{
+		JobID:   sc.jobID,
+		Graph:   sc.c.Graph,
+		Method:  sc.c.Method,
+		Epsilon: sc.c.Epsilon,
+		Seed:    sc.c.Seed,
+		Status:  sc.status,
+		Metric:  sc.metric,
+		Error:   sc.errMsg,
+	}
 }
 
 // liveStatus maps a cell to its wire state. Terminal records win; a cell
@@ -414,16 +426,7 @@ func (sw *Sweep) complete() {
 	values := make(map[experiments.ResultKey]float64, len(sw.cells))
 	res := &spec.SweepResultResponse{ID: sw.id, Metric: sw.metric}
 	for _, sc := range sw.cells {
-		info := spec.SweepCellInfo{
-			JobID:   sc.jobID,
-			Graph:   sc.c.Graph,
-			Method:  sc.c.Method,
-			Epsilon: sc.c.Epsilon,
-			Seed:    sc.c.Seed,
-			Status:  sc.status,
-			Metric:  sc.metric,
-			Error:   sc.errMsg,
-		}
+		info := sc.info()
 		switch sc.status {
 		case cellDone:
 			res.Counts.Done++
@@ -441,7 +444,12 @@ func (sw *Sweep) complete() {
 	} else {
 		res.Status = "done"
 	}
+	// The result is all a finished sweep serves from here on. The plan and
+	// the cells hold every cell's measure and training graph, and for
+	// linkauc each split's pair lists; the sweep stays in Service.sweeps
+	// for the life of the process, so they go.
 	sw.result = res
+	sw.plan, sw.cells = nil, nil
 	sw.mu.Unlock()
 	if sw.svc.store != nil {
 		// Best-effort persistence, like result artifacts: a failed write

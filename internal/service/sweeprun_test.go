@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"seprivgemb/internal/spec"
+	"seprivgemb/internal/sweep"
 )
 
 // sweepRingSpec is a small grid over the serving tests' ring graph:
@@ -191,8 +192,16 @@ func TestSweepLinkAUCCellDedupsOntoSpec(t *testing.T) {
 	if res := waitSweep(t, sw); res.Counts.Done != 8 {
 		t.Fatalf("linkauc sweep counts %+v, want 8 done", res.Counts)
 	}
+	// A finished sweep no longer holds its plan: expand the same grid again.
+	plan, err := sweep.Expand(sp, svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.ID != sw.ID() {
+		t.Fatalf("re-expanded plan %s, sweep %s", plan.ID, sw.ID())
+	}
 	trained := svc.Trainings()
-	for _, c := range sw.plan.Cells {
+	for _, c := range plan.Cells {
 		g := c.TrainGraph()
 		edges := make([][2]int, 0, g.NumEdges())
 		for i := g.NumEdges() - 1; i >= 0; i-- {
@@ -218,6 +227,41 @@ func TestSweepLinkAUCCellDedupsOntoSpec(t *testing.T) {
 	}
 	if tr := svc.Trainings(); tr != trained {
 		t.Fatalf("resubmitting the cells as specs trained: %d → %d", trained, tr)
+	}
+}
+
+// TestFinishedSweepDropsPlan: once a link-prediction sweep has
+// published its result, the handle no longer holds its plan or cells —
+// every cell's measure and training graph and each split's pair lists —
+// and its Status is served from the result: the same cells and counts,
+// and the result's status.
+func TestFinishedSweepDropsPlan(t *testing.T) {
+	svc := New(Options{MaxWorkers: 2})
+	defer svc.Close()
+	sp := sweepRingSpec()
+	sp.Eval.Metric = spec.MetricLinkAUC
+	sw, err := svc.SubmitSweep(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := waitSweep(t, sw)
+	if res.Counts.Done != 8 {
+		t.Fatalf("linkauc sweep counts %+v, want 8 done", res.Counts)
+	}
+	sw.mu.Lock()
+	plan, cells := sw.plan, sw.cells
+	sw.mu.Unlock()
+	if plan != nil || cells != nil {
+		t.Fatalf("finished sweep holds its plan (%v) and %d cells", plan != nil, len(cells))
+	}
+	st := sw.Status()
+	if st.Status != res.Status || st.Counts != res.Counts {
+		t.Fatalf("status %q %+v, result %q %+v", st.Status, st.Counts, res.Status, res.Counts)
+	}
+	got, _ := json.Marshal(st.Cells)
+	want, _ := json.Marshal(res.Cells)
+	if string(got) != string(want) || len(st.Cells) != 8 {
+		t.Fatalf("status cells %s, result cells %s", got, want)
 	}
 }
 
